@@ -18,7 +18,6 @@ from .errors import (
     ProfileDomainError,
     ProfileFormatError,
     QuadratureError,
-    SeamProximityError,
 )
 from .extension import (
     ConjugatedExtension,
@@ -60,7 +59,7 @@ from .quadrature import (
     NormReport,
     QuadratureScheme,
     extension_ratio,
-    gradient,
+    gradient_at,
     lp_norm,
     region_domain,
     region_extension,
@@ -72,7 +71,7 @@ from .transform import (
     distortion_sample,
     forward_map,
     inverse_map,
-    jacobian_estimate,
+    jacobian,
     seam_continuity,
     verify_image,
 )

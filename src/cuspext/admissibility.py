@@ -189,7 +189,6 @@ class AdmissibilityVerdict:
     mechanisms: tuple  # subset of ("E1", "E2", "E3", "LimitCase")
     condition_values: dict = field(default_factory=dict)
     thresholds: Thresholds | None = None
-    hypothesis_ok: bool | None = None
 
     @property
     def mechanism(self) -> str:

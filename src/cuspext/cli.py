@@ -27,11 +27,13 @@ import numpy as np
 from . import __version__, admissibility, quadrature, transform, verify
 from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError
 from .extension import END_CAP_MAPS, ExtensionContext, extend_general, extend_lipschitz
-from .fields import LIBRARY, fd_gradient, make_field
+from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
 from .lipschitzify import (
+    DEFAULT_TOL,
     hat_profile,
     hat_values,
+    quotient_hypothesis_holds,
     verify_doubling_transfer,
     verify_monotone_quotient,
 )
@@ -42,7 +44,6 @@ EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
-DEFAULT_TOL = 1e-12
 COMMANDS = ("lipschitzify", "transform-verify", "extend-verify", "admissibility-sweep")
 
 
@@ -158,8 +159,7 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
     slack = np.abs(va - vb) - (1.0 + psi1) * np.abs(pairs[:, 0] - pairs[:, 1])
     lip_ok = bool(np.max(slack) <= 2.0 * cfg.tolerance)
 
-    quotient = np.asarray(psi.value(grid), dtype=float) / grid
-    hypothesis_ok = bool(np.all(np.diff(quotient) >= -1e-12 * np.abs(quotient[:-1])))
+    hypothesis_ok = quotient_hypothesis_holds(psi, grid)
     mq = verify_monotone_quotient(psi, grid, cfg.tolerance)
     doubling = None
     if psi.doubling_constant is not None:
@@ -241,7 +241,7 @@ def cmd_transform_verify(cfg: RunConfig) -> int:
 
 def _scheme_from(cfg: dict) -> quadrature.QuadratureScheme:
     known = {"t_levels", "t_ratio", "gauss_t", "gauss_r", "angular",
-             "mc_samples", "seed", "seam_band"}
+             "mc_samples", "seed"}
     bad = set(cfg) - known
     if bad:
         raise ConfigError(f"extend.quadrature: unknown fields {sorted(bad)}")
@@ -302,7 +302,7 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         seam_field = eu if lipschitz_route else conj.hat_field
         seams = verify.seam_continuity_check(ctx, seam_field, per_seam=200,
                                              rng_seed=cfg.seed)
-        cap = _seam_modulus_cap(ctx, u, cfg.seed)
+        cap = verify.seam_modulus_cap(ctx, u, cfg.seed)
         seam_ok, worst_seam = verify.seam_verdict(seams, cap)
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
         checks[f"decay_ok[{name}]"] = decay.ok
@@ -358,19 +358,6 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     }
     _write_json(os.path.join(cfg.out_dir, "extend_report.json"), report)
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
-
-
-def _seam_modulus_cap(ctx: ExtensionContext, u, seed: int) -> float:
-    """A priori linear-modulus bound for seam straddles of extend(u)."""
-    rng = np.random.default_rng(seed)
-    z = transform.sample_domain(ctx.spec, 2000, rng)
-    m_u = float(np.max(np.abs(np.asarray(u.fn(z))))) + 1e-9
-    grads = u.grad(z) if u.grad is not None else fd_gradient(u, z)
-    with np.errstate(over="ignore"):
-        g_u = float(np.max(np.linalg.norm(np.asarray(grads), axis=-1)))
-    lip = ctx.spec.psi.lipschitz_constant or 0.0
-    slope = (1.0 + 2.0 * lip) / float(ctx.spec.psi.value(0.05))
-    return 4.0 * (slope * m_u + (1.0 + lip) * g_u + 1.0)
 
 
 def cmd_admissibility_sweep(cfg: RunConfig) -> int:

@@ -28,10 +28,6 @@ class ConvergenceError(CuspExtError, RuntimeError):
         self.bracket = bracket
 
 
-class SeamProximityError(CuspExtError, RuntimeError):
-    """A stencil or sample sits too close to a piecewise seam."""
-
-
 class QuadratureError(CuspExtError, RuntimeError):
     """Non-finite integrand sample; ``node`` holds the offending point."""
 

@@ -27,7 +27,7 @@ from .fields import ScalarField
 from .geometry import DomainSpec, ExtRegion
 from .lipschitzify import DEFAULT_TOL, LipschitzizedProfile
 from .profiles import profile_derivative
-from .transform import forward_map, inverse_map
+from .transform import forward_map, inverse_map, inverse_partials
 
 END_CAP_MAPS = ("mirror", "shift1", "shift2")
 
@@ -278,14 +278,7 @@ def extend_lipschitz(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
                 return out[0]
             return out.reshape(z.shape)
 
-    def seam_distance(z):
-        d = geometry.extension_seam_distance(spec, z)
-        if u.seam_distance is not None:
-            d = np.minimum(d, u.seam_distance(z))
-        return d
-
-    return ScalarField(f"extend({u.name})", fn, grad, smoothness="piecewise",
-                       support="extension-domain", seam_distance=seam_distance)
+    return ScalarField(f"extend({u.name})", fn, grad)
 
 
 @dataclass
@@ -295,18 +288,15 @@ class ConjugatedExtension:
     Built by straightening the domain onto its Lipschitz twin,
     extending there, and pulling back: ``field`` is the extension in
     original coordinates, ``hat_field`` the same object in straightened
-    coordinates (where quadrature is cheap and exact).
+    coordinates (where quadrature is cheap and exact), and
+    ``hat_input`` the field pulled into straightened coordinates.
     """
 
     field: ScalarField
     hat_field: ScalarField
     hat_input: ScalarField
     hat_context: ExtensionContext
-    base_spec: DomainSpec
-    norm_spec: DomainSpec
     scale: float
-    to_hat: Callable[[np.ndarray], np.ndarray]
-    from_hat: Callable[[np.ndarray], np.ndarray]
 
 
 def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL,
@@ -315,18 +305,12 @@ def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL,
 
     The restriction to the original domain reproduces u up to the
     round-trip error of the straightening map (below 1e-8 for smooth
-    fields at the default tolerance).
+    fields at the default tolerance).  When u carries an analytic
+    gradient, so do ``hat_input`` and ``hat_field``.
     """
-    base_spec = DomainSpec(n, psi)
-    norm_spec, scale = geometry.normalize(base_spec)
+    norm_spec, scale = geometry.normalize(DomainSpec(n, psi))
     hat = LipschitzizedProfile(norm_spec.psi, tol)
-    hat_spec = DomainSpec(n, hat)
-    ctx = ExtensionContext(hat_spec, end_cap_map)
-
-    def to_hat(z):
-        z = np.array(z, dtype=float, copy=True)
-        z[..., 1:] *= scale
-        return forward_map(norm_spec, z)
+    ctx = ExtensionContext(DomainSpec(n, hat), end_cap_map)
 
     def from_hat(w):
         z = inverse_map(norm_spec, w)
@@ -336,29 +320,27 @@ def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL,
     def hat_input_fn(w):
         return u.fn(from_hat(np.asarray(w, dtype=float)))
 
-    def hat_input_seams(w):
-        # straightened coordinates: branch interfaces sit at s = 1, s = 2,
-        # |y| = psi1 and on the axis; fold in u's own seams
-        s, _, rho = geometry.split(w, n)
-        d = np.minimum.reduce([np.abs(s - 1.0), np.abs(s - 2.0),
-                               np.abs(rho - norm_spec.psi1), rho])
-        if u.seam_distance is not None:
-            d = np.minimum(d, u.seam_distance(from_hat(np.asarray(w, dtype=float))))
-        return d
+    hat_input_grad = None
+    if u.grad is not None:
+        def hat_input_grad(w):
+            # J_inv^T grad u: the inverse maps (s, y) to (t(s, |y|), y / scale)
+            w = np.asarray(w, dtype=float)
+            g = np.asarray(u.grad(from_hat(w)), dtype=float)
+            d_s, d_rho = inverse_partials(norm_spec, w)
+            y = w[..., 1:]
+            radial = g[..., 0] * d_rho / np.maximum(np.linalg.norm(y, axis=-1), 1e-300)
+            out = np.empty_like(g)
+            out[..., 0] = g[..., 0] * d_s
+            out[..., 1:] = radial[..., None] * y + g[..., 1:] / scale
+            return out
 
-    hat_input = ScalarField(f"{u.name}~straightened", hat_input_fn, None,
-                            smoothness="piecewise", seam_distance=hat_input_seams)
+    hat_input = ScalarField(f"{u.name}~straightened", hat_input_fn, hat_input_grad)
     hat_field = extend_lipschitz(ctx, hat_input)
 
     def fn(z):
-        return hat_field.fn(to_hat(np.asarray(z, dtype=float)))
+        z = np.array(z, dtype=float, copy=True)
+        z[..., 1:] *= scale
+        return hat_field.fn(forward_map(norm_spec, z))
 
-    def seam_distance(z):
-        z = np.asarray(z, dtype=float)
-        lip = (1.0 + norm_spec.psi1) * max(1.0, scale) * 2.0
-        return hat_field.seam_distance(to_hat(z)) / lip
-
-    field = ScalarField(f"extend({u.name})", fn, None, smoothness="piecewise",
-                        support="extension-domain", seam_distance=seam_distance)
-    return ConjugatedExtension(field, hat_field, hat_input, ctx, base_spec,
-                               norm_spec, scale, to_hat, from_hat)
+    field = ScalarField(f"extend({u.name})", fn)
+    return ConjugatedExtension(field, hat_field, hat_input, ctx, scale)

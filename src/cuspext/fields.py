@@ -1,14 +1,12 @@
 """Pointwise-evaluable scalar fields used as extension-operator inputs.
 
-Fields are vectorized over (..., n) point arrays.  Analytic gradients
-are carried where available so norm computations stay exact; fields
-with internal junctions expose a seam-distance function that finite
-differencing respects.
+Fields are vectorized over (..., n) point arrays.  Every library field
+carries its analytic gradient, so norm computations stay exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,10 +17,6 @@ class ScalarField:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
-    smoothness: str = "smooth"  # "smooth" | "piecewise"
-    support: str = "global"
-    seam_distance: Callable[[np.ndarray], np.ndarray] | None = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=float))
@@ -35,7 +29,7 @@ def constant_field(n: int, value: float = 1.0) -> ScalarField:
     def grad(z):
         return np.zeros(z.shape)
 
-    return ScalarField(f"const[{value}]", fn, grad, params={"value": value})
+    return ScalarField(f"const[{value}]", fn, grad)
 
 
 def axial_field(n: int) -> ScalarField:
@@ -85,10 +79,8 @@ def tip_power_field(n: int, gamma: float = 0.5, delta_cap: float = 2.0 ** -10) -
     """u = t^(-gamma) for t >= delta_cap, quadratically capped below.
 
     The cap matches value, slope, and curvature at the junction, so the
-    field is C^2 there; the junction location is still reported as a
-    seam so finite differencing keeps its stencil on one side.  The
-    default junction sits on a dyadic point, which the graded
-    quadrature uses as a panel edge.
+    field is C^2 there.  The default junction sits on a dyadic point,
+    which the graded quadrature uses as a panel edge.
     """
     if not gamma > 0.0 or not 0.0 < delta_cap < 1.0:
         raise ValueError(f"need gamma > 0 and delta_cap in (0, 1), got {gamma}, {delta_cap}")
@@ -109,12 +101,7 @@ def tip_power_field(n: int, gamma: float = 0.5, delta_cap: float = 2.0 ** -10) -
                              c1 + 2.0 * c2 * (t - d))
         return g
 
-    def seam_distance(z):
-        return np.abs(z[..., 0] - d)
-
-    return ScalarField(f"tip-power[{gamma}]", fn, grad, smoothness="piecewise",
-                       seam_distance=seam_distance,
-                       params={"gamma": gamma, "delta_cap": d})
+    return ScalarField(f"tip-power[{gamma}]", fn, grad)
 
 
 LIBRARY = {
@@ -146,25 +133,4 @@ def linear_combination(alpha: float, u: ScalarField, beta: float, v: ScalarField
         def grad(z):
             return alpha * u.grad(z) + beta * v.grad(z)
 
-    seam = None
-    seams = [f.seam_distance for f in (u, v) if f.seam_distance is not None]
-    if seams:
-        def seam(z):
-            return np.minimum.reduce([s(z) for s in seams])
-
-    smooth = "smooth" if u.smoothness == v.smoothness == "smooth" else "piecewise"
-    return ScalarField(f"{alpha}*{u.name}+{beta}*{v.name}", fn, grad,
-                       smoothness=smooth, seam_distance=seam)
-
-
-def fd_gradient(u: ScalarField, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Plain central-difference gradient, for gradient consistency tests."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape)
-    for j in range(z.shape[-1]):
-        plus = z.copy()
-        minus = z.copy()
-        plus[..., j] += h
-        minus[..., j] -= h
-        out[..., j] = (u.fn(plus) - u.fn(minus)) / (2.0 * h)
-    return out
+    return ScalarField(f"{alpha}*{u.name}+{beta}*{v.name}", fn, grad)

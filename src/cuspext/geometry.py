@@ -190,40 +190,3 @@ def normalize(spec: DomainSpec):
         return spec, 1.0
     scale = 1.0 / (4.0 * psi1)
     return DomainSpec(spec.n, spec.psi.scaled(scale)), scale
-
-
-def bilip_seam_distance(spec: DomainSpec, z):
-    """Conservative distance to the transform's non-smooth set.
-
-    Includes the three inter-region seams and the axis {x = 0}, where
-    |x| is non-differentiable (the identity branch is exempt but the
-    estimate stays conservative).
-    """
-    _require_normalized(spec)
-    t, _, r = split(z, spec.n)
-    psi1 = spec.psi1
-    d_cone = np.abs(t + r - (1.0 + psi1)) / np.sqrt(2.0)
-    d_side = np.abs(r - psi1)
-    d_disk = np.abs(t - 2.0)
-    far_tube = (t >= 2.0) & (r <= psi1)
-    d_axis = np.where(far_tube, np.inf, r)
-    return np.minimum(np.minimum(d_cone, d_side), np.minimum(d_disk, d_axis))
-
-
-def extension_seam_distance(spec: DomainSpec, z):
-    """Conservative distance to the extension field's seam set.
-
-    Radial seams |x| = psi(t) and |x| = 2 psi(t) (profile frozen at
-    psi(1) past t = 1) are measured radially and shrunk by the profile
-    slope; axial seams sit at t = 0, 1, 2, 3.
-    """
-    t, _, r = split(z, spec.n)
-    lip = spec.psi.lipschitz_constant or 0.0
-    slant = np.sqrt(1.0 + lip * lip)
-    tc = np.clip(t, 1e-300, 1.0)
-    pv = np.asarray(spec.psi.value(tc), dtype=float)
-    d_inner = np.abs(r - pv) / slant
-    d_outer = np.abs(r - 2.0 * pv) / slant
-    d_axial = np.minimum.reduce([np.abs(t), np.abs(t - 1.0),
-                                 np.abs(t - 2.0), np.abs(t - 3.0)])
-    return np.minimum(np.minimum(d_inner, d_outer), d_axial)

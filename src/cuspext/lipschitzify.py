@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ProfileDomainError, ProfileFormatError
-from .profiles import CuspProfile, LinearProfile, StepProfile
+from .profiles import CuspProfile, LinearProfile, StepProfile, profile_derivative
 
 DEFAULT_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -199,13 +199,37 @@ class LipschitzizedProfile(CuspProfile):
         dbl = source.doubling_constant
         self.doubling_constant = None if dbl is None else max(2.0, dbl)
 
-    def value(self, t):
+    def _per_pair(self, t, read):
+        """read(t_sol, r_sol, on_jump) once per distinct abscissa of t."""
         t = np.asarray(t, dtype=float)
         flat = np.atleast_1d(t)
         uniq, inverse = np.unique(flat, return_inverse=True)
-        _, r_sol, _ = _solve_many(self.source, uniq, self.tol)
-        out = r_sol[inverse].reshape(flat.shape)
+        out = read(*_solve_many(self.source, uniq, self.tol))[inverse].reshape(flat.shape)
         return out.reshape(t.shape) if t.ndim else float(out[0])
+
+    def value(self, t):
+        return self._per_pair(t, lambda t_sol, r_sol, jump: r_sol)
+
+    def derivative(self, t):
+        """Exact slope: 1 + psi(1) across a jump, else (1 + psi(1)) psi'/(1 + psi').
+
+        Off a jump the pair moves along t + psi(t) = (1 + psi(1)) t_hat,
+        so dt/dt_hat = (1 + psi(1)) / (1 + psi'(t)) and r = psi(t).
+        """
+        slope = profile_derivative(self.source)
+        if slope is None:
+            raise ValueError(f"{self.source!r} carries no closed-form slope")
+        c = self.lipschitz_constant
+
+        def read(t_sol, _, jump):
+            out = np.full(t_sol.shape, c)
+            off = ~jump
+            if np.any(off):
+                d = np.asarray(slope(np.maximum(t_sol[off], 1e-300)), dtype=float)
+                out[off] = c * d / (1.0 + d)
+            return out
+
+        return self._per_pair(t, read)
 
     def right_limit(self, t):
         return self.value(t)
@@ -216,6 +240,17 @@ class LipschitzizedProfile(CuspProfile):
 
     def __repr__(self):
         return f"LipschitzizedProfile({self.source!r})"
+
+
+def quotient_hypothesis_holds(psi: CuspProfile, grid) -> bool:
+    """psi(t)/t nondecreasing along the grid, to 1e-12 relative.
+
+    This is the hypothesis under which verify_monotone_quotient is
+    meaningful.
+    """
+    grid = np.asarray(grid, dtype=float)
+    quotient = np.asarray(psi.value(grid), dtype=float) / grid
+    return bool(np.all(np.diff(quotient) >= -1e-12 * np.abs(quotient[:-1])))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,10 @@ _T_EPS = 1e-15
 
 def _check_t(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or np.any(t > 1.0 + _T_EPS):
-        bad = t[(t <= 0.0) | (t > 1.0 + _T_EPS)]
-        raise ProfileDomainError(
-            f"profile argument outside (0, 1]: {np.atleast_1d(bad)[0]!r}"
-        )
+    bad = ~((t > 0.0) & (t <= 1.0 + _T_EPS))  # NaN fails both comparisons
+    if np.any(bad):
+        first = np.atleast_1d(t)[np.atleast_1d(bad)][0]
+        raise ProfileDomainError(f"profile argument outside (0, 1]: {first!r}")
     return t
 
 
@@ -203,6 +202,10 @@ class StepProfile(CuspProfile):
 
     def breakpoints(self):
         return self.breaks[:-1].copy()
+
+    def derivative(self, t):
+        # flat between breakpoints; the jumps themselves have measure zero
+        return np.zeros_like(_check_t(t))
 
     def __repr__(self):
         return f"StepProfile(kind={self.kind!r}, nodes={self.breaks.size})"

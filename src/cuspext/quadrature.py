@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, SeamProximityError
+from .errors import QuadratureError
 from .extension import ExtensionContext, extend_general, extend_lipschitz
 from .fields import ScalarField
 from .geometry import DomainSpec
@@ -35,7 +35,6 @@ class QuadratureScheme:
     angular: int = 16
     mc_samples: int = 20000
     seed: int = 0
-    seam_band: float = 1e-6
 
     def refined(self) -> "QuadratureScheme":
         return replace(self, gauss_t=2 * self.gauss_t, gauss_r=2 * self.gauss_r,
@@ -45,7 +44,7 @@ class QuadratureScheme:
         return {"t_levels": self.t_levels, "t_ratio": self.t_ratio,
                 "gauss_t": self.gauss_t, "gauss_r": self.gauss_r,
                 "angular": self.angular, "mc_samples": self.mc_samples,
-                "seed": self.seed, "seam_band": self.seam_band}
+                "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,7 @@ def _slab_nodes(slab: Slab, scheme: QuadratureScheme, n: int):
     Z[..., 0] = T[:, None, None]
     Z[..., 1:] = R[:, :, None, None] * dirs[None, None, :, :]
     W = WT[:, None, None] * WR[:, :, None] * wang[None, None, :]
-    scale = np.broadcast_to(router[:, None, None], W.shape)
-    return Z.reshape(-1, n), W.ravel(), scale.ravel()
+    return Z.reshape(-1, n), W.ravel()
 
 
 def _ball_volume(n_minus_1: int, r) -> np.ndarray:
@@ -159,7 +157,7 @@ def _slab_nodes_mc(slab: Slab, scheme: QuadratureScheme, n: int,
     """Stratified Monte Carlo nodes: per t-panel, uniform ball samples."""
     edges = _t_panels(slab, scheme)
     per_panel = max(8, scheme.mc_samples // max(1, len(edges) - 1))
-    Zs, Ws, Ss = [], [], []
+    Zs, Ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         t = rng.uniform(a, b, size=per_panel)
         router = np.asarray(slab.radius(t), dtype=float)
@@ -170,23 +168,21 @@ def _slab_nodes_mc(slab: Slab, scheme: QuadratureScheme, n: int,
         W = (b - a) * _ball_volume(n - 1, router) / per_panel
         Zs.append(Z)
         Ws.append(W)
-        Ss.append(router)
-    return np.concatenate(Zs), np.concatenate(Ws), np.concatenate(Ss)
+    return np.concatenate(Zs), np.concatenate(Ws)
 
 
 def build_nodes(region, scheme: QuadratureScheme, n: int):
-    """Quadrature nodes, weights, and local radial scales for a region."""
-    Zs, Ws, Ss = [], [], []
+    """Quadrature nodes and weights for a region."""
+    Zs, Ws = [], []
     rng = np.random.default_rng(scheme.seed)
     for slab in region:
         if n <= 3:
-            Z, W, S = _slab_nodes(slab, scheme, n)
+            Z, W = _slab_nodes(slab, scheme, n)
         else:
-            Z, W, S = _slab_nodes_mc(slab, scheme, n, rng)
+            Z, W = _slab_nodes_mc(slab, scheme, n, rng)
         Zs.append(Z)
         Ws.append(W)
-        Ss.append(S)
-    return np.concatenate(Zs), np.concatenate(Ws), np.concatenate(Ss)
+    return np.concatenate(Zs), np.concatenate(Ws)
 
 
 def _check_finite(values: np.ndarray, Z: np.ndarray):
@@ -212,7 +208,7 @@ def lp_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme, n: int) 
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be in [1, inf), got {p}")
-    Z, W, _ = build_nodes(region, scheme, n)
+    Z, W = build_nodes(region, scheme, n)
     return float(_weighted_p_sum(u.fn(Z), W, p, Z) ** (1.0 / p))
 
 
@@ -233,77 +229,36 @@ def lp_slice_table(u: ScalarField, region, p: float, scheme: QuadratureScheme,
         edges = _t_panels(slab, scheme)
         for a, b in zip(edges[:-1], edges[1:]):
             sub = Slab(float(a), float(b), slab.radius, slab.radial_breaks)
-            Z, W, _ = build_nodes((sub,), scheme, n)
+            Z, W = build_nodes((sub,), scheme, n)
             rows.append({"slab": si, "t_lo": float(a), "t_hi": float(b),
                          "contribution": _weighted_p_sum(u.fn(Z), W, p, Z)})
     return rows
 
 
-def gradient_at(u: ScalarField, Z: np.ndarray, h_cap: float = 1e-6,
-                floor: float = 1e-12) -> np.ndarray:
-    """Gradient at many points: analytic when carried, else seam-aware FD.
-
-    The central step shrinks to a quarter of the seam distance so the
-    stencil never crosses a seam; points closer than ``floor`` raise,
-    directing the caller to exclude a tolerance band around seams.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if u.grad is not None:
-        return np.asarray(u.grad(Z), dtype=float)
-    if u.seam_distance is not None:
-        d = np.asarray(u.seam_distance(Z), dtype=float)
-    else:
-        d = np.full(Z.shape[:-1], np.inf)
-    h = np.minimum(h_cap, 0.25 * d)
-    if np.any(h < floor):
-        raise SeamProximityError(
-            "sample point on or nearly on a field seam; exclude a tolerance band "
-            f"(seam distance below {4 * floor:g})"
-        )
-    out = np.empty(Z.shape)
-    for j in range(Z.shape[-1]):
-        plus = Z.copy()
-        minus = Z.copy()
-        plus[..., j] += h
-        minus[..., j] -= h
-        out[..., j] = (u.fn(plus) - u.fn(minus)) / (2.0 * h)
-    return out
-
-
-def gradient(u: ScalarField, z, h_cap: float = 1e-6) -> np.ndarray:
-    """Single-point gradient; see gradient_at."""
-    return gradient_at(u, np.asarray(z, dtype=float), h_cap)
+def gradient_at(u: ScalarField, Z: np.ndarray) -> np.ndarray:
+    """Analytic gradient of u at many points; raises when u carries none."""
+    if u.grad is None:
+        raise ValueError(f"field {u.name!r} carries no closed-form gradient")
+    return np.asarray(u.grad(np.asarray(Z, dtype=float)), dtype=float)
 
 
 def w1p_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme,
              n: int, with_detail: bool = False):
-    """L^p norm of the field plus L^p norm of its gradient magnitude.
-
-    Gradient sampling drops nodes inside a relative seam band of width
-    ``scheme.seam_band`` (panels are seam-aligned, so normally none);
-    the dropped count lands in the detail dict.
-    """
+    """L^p norm of the field plus L^p norm of its gradient magnitude."""
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be in [1, inf), got {p}")
-    Z, W, S = build_nodes(region, scheme, n)
+    Z, W = build_nodes(region, scheme, n)
     part_u = _weighted_p_sum(u.fn(Z), W, p, Z) ** (1.0 / p)
-
-    keep = np.ones(Z.shape[0], dtype=bool)
-    if u.grad is None and u.seam_distance is not None:
-        # the band is relative to the local radial scale; the absolute floor
-        # keeps the FD stencil above roundoff at the cusp tip
-        d = np.asarray(u.seam_distance(Z), dtype=float)
-        keep = d >= np.maximum(scheme.seam_band * S, 8e-12)
-    grad = gradient_at(u, Z[keep])
     with np.errstate(over="ignore"):
-        mag = np.linalg.norm(grad, axis=-1)
-    part_g = _weighted_p_sum(mag, W[keep], p, Z[keep]) ** (1.0 / p)
+        mag = np.linalg.norm(gradient_at(u, Z), axis=-1)
+    part_g = _weighted_p_sum(mag, W, p, Z) ** (1.0 / p)
 
     total = float(part_u + part_g)
     if with_detail:
+        # dropped_gradient_nodes is always 0; the key stays until the
+        # benchmark tracer stops reading it
         return total, {"lp_part": float(part_u), "gradient_part": float(part_g),
-                       "dropped_gradient_nodes": int((~keep).sum()),
-                       "nodes": int(Z.shape[0])}
+                       "dropped_gradient_nodes": 0, "nodes": int(Z.shape[0])}
     return total
 
 

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import geometry
-from .errors import SeamProximityError
 from .geometry import BilipRegion, DomainSpec, contains_with_margin
 from .lipschitzify import LipschitzizedProfile
 
@@ -35,6 +34,19 @@ def _axial_forward(spec: DomainSpec, t, r, label):
     )
 
 
+def _axial_partials(spec: DomainSpec, t, r, label):
+    """(ds/dt, ds/d|x|) of the forward axial branch each point falls in."""
+    psi1 = spec.psi1
+    tail = 1.0 + r - psi1
+    branches = [label == BilipRegion.WEDGE,
+                label == BilipRegion.CYL_TAIL,
+                label == BilipRegion.OUTER]
+    d_t = np.select(branches, [1.0 / (1.0 + psi1), 1.0 / tail, 1.0], default=1.0)
+    d_r = np.select(branches, [1.0 / (1.0 + psi1), (2.0 - t) / tail ** 2, 1.0],
+                    default=0.0)
+    return d_t, d_r
+
+
 def forward_map(spec: DomainSpec, z):
     """Apply the transform; accepts (..., n) arrays, preserves x exactly."""
     t, _, r = geometry.split(z, spec.n)
@@ -44,16 +56,23 @@ def forward_map(spec: DomainSpec, z):
     return out
 
 
-def inverse_map(spec: DomainSpec, w):
-    """Invert branch-wise; image regions mirror the forward precedence."""
+def _inverse_branches(spec: DomainSpec, w):
+    """(s, |y|, [wedge, tail, tube] masks) of image points; outer is the rest."""
     geometry._require_normalized(spec)
     s, _, rho = geometry.split(w, spec.n)
     psi1 = spec.psi1
     in_wedge = s <= 1.0
     in_tail = ~in_wedge & (s < 2.0) & (rho < psi1)
     in_tube = ~in_wedge & ~in_tail & (s >= 2.0) & (rho <= psi1)
+    return s, rho, [in_wedge, in_tail, in_tube]
+
+
+def inverse_map(spec: DomainSpec, w):
+    """Invert branch-wise; image regions mirror the forward precedence."""
+    s, rho, branches = _inverse_branches(spec, w)
+    psi1 = spec.psi1
     t = np.select(
-        [in_wedge, in_tail, in_tube],
+        branches,
         [(1.0 + psi1) * s - rho,
          s * (1.0 + rho - psi1) - 2.0 * (rho - psi1),
          s],
@@ -64,24 +83,28 @@ def inverse_map(spec: DomainSpec, w):
     return out
 
 
-def jacobian_estimate(spec: DomainSpec, z, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian at a point away from every seam."""
-    z = np.asarray(z, dtype=float)
-    d = float(geometry.bilip_seam_distance(spec, z))
-    if d <= 2.0 * h:
-        raise SeamProximityError(
-            f"point within {d:.3g} of a region seam; use a smaller h than {d / 2:.3g} "
-            "or a different sample"
-        )
-    n = spec.n
-    stencil = np.repeat(z[None, :], 2 * n, axis=0)
-    for j in range(n):
-        stencil[2 * j, j] += h
-        stencil[2 * j + 1, j] -= h
-    images = forward_map(spec, stencil)
-    jac = np.empty((n, n))
-    for j in range(n):
-        jac[:, j] = (images[2 * j] - images[2 * j + 1]) / (2.0 * h)
+def inverse_partials(spec: DomainSpec, w):
+    """(dt/ds, dt/d|y|) of inverse_map's axial row; its other rows are fixed."""
+    s, rho, branches = _inverse_branches(spec, w)
+    psi1 = spec.psi1
+    d_s = np.select(branches, [1.0 + psi1, 1.0 + rho - psi1, 1.0], default=1.0)
+    d_rho = np.select(branches, [-1.0, s - 2.0, 0.0], default=-1.0)
+    return d_s, d_rho
+
+
+def jacobian(spec: DomainSpec, z) -> np.ndarray:
+    """Closed-form Jacobian of forward_map, shape (..., n, n).
+
+    Only the axial row differs from the identity, so the determinant is
+    ds/dt of the point's BilipRegion.  The |x| direction is taken as
+    zero on the axis.
+    """
+    t, x, r = geometry.split(z, spec.n)
+    label = np.asarray(geometry.classify_bilip_region(spec, z))
+    d_t, d_r = _axial_partials(spec, t, r, label)
+    jac = np.array(np.broadcast_to(np.eye(spec.n), t.shape + (spec.n, spec.n)))
+    jac[..., 0, 0] = d_t
+    jac[..., 0, 1:] = (d_r / np.maximum(r, 1e-300))[..., None] * x
     return jac
 
 
@@ -114,8 +137,7 @@ def sample_box(n: int, count: int, rng: np.random.Generator,
     return np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
 
 
-def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int,
-                      fd_step: float = 1e-5) -> DistortionReport:
+def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> DistortionReport:
     """Difference-quotient and Jacobian extremes over random box pairs."""
     if pair_count < 1:
         raise ValueError(f"pair_count must be >= 1, got {pair_count}")
@@ -128,8 +150,9 @@ def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int,
               / gap[keep])
 
     probes = sample_box(spec.n, pair_count, rng)
-    probes = probes[geometry.bilip_seam_distance(spec, probes) > 2.0 * fd_step]
-    dets = _jacobian_dets(spec, probes, fd_step)
+    t, _, r = geometry.split(probes, spec.n)
+    # the Jacobian determinant is ds/dt (see jacobian)
+    dets, _ = _axial_partials(spec, t, r, geometry.classify_bilip_region(spec, probes))
     return DistortionReport(
         sample_count=int(keep.sum()),
         min_ratio=float(ratios.min()),
@@ -137,20 +160,6 @@ def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int,
         min_jacobian=float(np.abs(dets).min()),
         max_jacobian=float(np.abs(dets).max()),
     )
-
-
-def _jacobian_dets(spec: DomainSpec, points: np.ndarray, h: float) -> np.ndarray:
-    """Vectorized FD Jacobian determinants (points must avoid seams)."""
-    n = spec.n
-    count = points.shape[0]
-    jac = np.empty((count, n, n))
-    for j in range(n):
-        plus = points.copy()
-        minus = points.copy()
-        plus[:, j] += h
-        minus[:, j] -= h
-        jac[:, :, j] = (forward_map(spec, plus) - forward_map(spec, minus)) / (2.0 * h)
-    return np.linalg.det(jac)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from . import geometry
 from .extension import ExtensionContext, extend_lipschitz
 from .fields import ScalarField, linear_combination
 from .geometry import DomainSpec, ExtRegion
+from .quadrature import gradient_at
 from .transform import sample_domain, sample_box
 
 
@@ -161,6 +162,18 @@ def seam_continuity_check(ctx: ExtensionContext, ext_field: ScalarField,
             jump = np.abs(np.asarray(ext_field.fn(a)) - np.asarray(ext_field.fn(b)))
             out.setdefault(seam, {})[delta] = float(jump.max())
     return out
+
+
+def seam_modulus_cap(ctx: ExtensionContext, u: ScalarField, seed: int) -> float:
+    """A priori linear-modulus bound for seam straddles of extend(u)."""
+    rng = np.random.default_rng(seed)
+    z = sample_domain(ctx.spec, 2000, rng)
+    m_u = float(np.max(np.abs(np.asarray(u.fn(z))))) + 1e-9
+    with np.errstate(over="ignore"):
+        g_u = float(np.max(np.linalg.norm(gradient_at(u, z), axis=-1)))
+    lip = ctx.spec.psi.lipschitz_constant or 0.0
+    slope = (1.0 + 2.0 * lip) / float(ctx.spec.psi.value(0.05))
+    return 4.0 * (slope * m_u + (1.0 + lip) * g_u + 1.0)
 
 
 def seam_verdict(seam_report: dict, modulus_cap: float) -> tuple[bool, str | None]:

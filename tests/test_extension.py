@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
@@ -14,9 +15,10 @@ from cuspext.extension import (
     reflect_cusp,
     reflect_tube,
 )
-from cuspext.fields import fd_gradient, make_field
+from cuspext.fields import LIBRARY, make_field
 from cuspext.geometry import DomainSpec
-from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
+from cuspext.lipschitzify import hat_profile
+from cuspext.profiles import CuspProfile, LinearProfile, PowerProfile, StepProfile
 from cuspext.transform import sample_domain
 from cuspext import verify
 
@@ -239,7 +241,7 @@ def test_extension_fd_gradient_matches_cutoff_gradient(lin_ctx):
     eu = extend_lipschitz(lin_ctx, one)
     z = np.array([[0.5, 0.15, 0.05], [0.7, -0.2, 0.1]])
     ana = cutoff_cusp_gradient(lin_ctx, z)
-    num = fd_gradient(eu, z, h=1e-7)
+    num = central_difference(eu.fn, z, h=1e-7)
     assert np.max(np.abs(ana - num)) <= 1e-5
 
 
@@ -273,6 +275,67 @@ def test_extension_analytic_gradient_all_regions(pow_ctx, name):
     assert eu.grad is not None
     z = _region_samples()
     ana = eu.grad(z)
-    num = fd_gradient(eu, z, h=1e-7)
+    num = central_difference(eu.fn, z, h=1e-7)
     scale = np.maximum(np.linalg.norm(ana, axis=1), 1.0)
     assert np.max(np.linalg.norm(ana - num, axis=1) / scale) <= 1e-5
+
+
+def _hat_kinks(step):
+    """t_hat where the re-profiled step switches between a jump and a flat."""
+    c = 1.0 + step.values[-1]
+    b, v = step.breaks[:-1], step.values
+    return np.concatenate([[v[0]], b + v[:-1], b + v[1:]]) / c
+
+
+def _straightened_samples(conj, seed=0):
+    """Interior points of every extension region, clear of every kink."""
+    rng = np.random.default_rng(seed)
+    hat = conj.hat_context.spec.psi
+    psi1 = conj.hat_context.psi1
+    t = rng.uniform(0.05, 0.95, 200)
+    t = t[np.min(np.abs(t[:, None] - _hat_kinks(hat.source)[None, :]), axis=1) > 1e-4]
+    th = rng.uniform(0.0, 2.0 * np.pi, t.size)
+    rings = [(t, frac * hat.value(t)) for frac in (0.6, 1.5)]  # cusp core, collar
+    for lo, hi in ((1.1, 1.9), (2.1, 2.9)):  # tube and end cap
+        ta = rng.uniform(lo, hi, t.size)
+        rings += [(ta, np.full(t.size, frac * psi1)) for frac in (0.6, 1.5)]
+    return np.concatenate([np.stack([ta, r * np.cos(th), r * np.sin(th)], axis=1)
+                           for ta, r in rings])
+
+
+@pytest.mark.parametrize("psi", [StepProfile([0.5, 1.0], [0.1, 0.2]),
+                                 StepProfile([0.3, 1.0], [0.4, 0.9])],
+                         ids=["two-step", "normalized-step"])
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_straightened_gradient_matches_oracle(psi, name):
+    # the second profile has psi(1) = 0.9, so the route rescales radially
+    conj = extend_general(make_field(name, 3), psi, 3)
+    eu = conj.hat_field
+    z = _straightened_samples(conj)
+    ana = eu.grad(z)
+    num = central_difference(eu.fn, z, h=1e-7)
+    scale = np.maximum(np.linalg.norm(ana, axis=1), 1.0)
+    assert np.max(np.linalg.norm(ana - num, axis=1) / scale) <= 1e-6
+
+
+GUARD_PROFILES = {
+    "power": PowerProfile(2.0),
+    "linear": LinearProfile(0.25),
+    "step": StepProfile([0.5, 1.0], [0.1, 0.2]),
+    "tabulated": hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20)),
+    "scaled": CuspProfile.scaled(StepProfile([0.5, 1.0], [0.1, 0.2]), 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_PROFILES))
+def test_every_library_field_has_gradient_on_both_routes(kind):
+    psi = GUARD_PROFILES[kind]
+    z = np.array([[0.5, 0.01, 0.0], [1.5, 0.01, 0.0], [2.5, 0.01, 0.0]])
+    for name in sorted(LIBRARY):
+        u = make_field(name, 3)
+        fields = [extend_general(u, psi, 3).hat_field]
+        if psi.lipschitz_constant is not None:
+            fields.append(extend_lipschitz(ExtensionContext(DomainSpec(3, psi)), u))
+        for eu in fields:
+            assert eu.grad is not None, (kind, name)
+            assert np.all(np.isfinite(eu.grad(z))), (kind, name)

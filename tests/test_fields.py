@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 
 from cuspext.fields import (
     LIBRARY,
-    fd_gradient,
     linear_combination,
     make_field,
     tip_power_field,
@@ -20,11 +20,9 @@ def _interior_points(count, seed=0):
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_analytic_gradient_matches_fd(name):
     u = make_field(name, 3)
-    z = _interior_points(1000)
-    if u.seam_distance is not None:
-        z = z[u.seam_distance(z) > 1e-3]
+    z = _interior_points(1000)  # t >= 0.05, clear of the tip-power junction
     ana = u.grad(z)
-    num = fd_gradient(u, z)
+    num = central_difference(u.fn, z, h=1e-6)
     scale = np.maximum(np.linalg.norm(ana, axis=-1), 1.0)
     assert np.max(np.linalg.norm(ana - num, axis=-1) / scale) <= 1e-5
 
@@ -47,7 +45,6 @@ def test_tip_power_cap_is_c1():
     gl = u.grad(np.array([d - 1e-10, 0.0, 0.0]))[0]
     gr = u.grad(np.array([d + 1e-10, 0.0, 0.0]))[0]
     assert gl == pytest.approx(gr, rel=1e-5)
-    assert u.seam_distance(np.array([2e-3, 0.0, 0.0])) == pytest.approx(1e-3)
 
 
 def test_tip_power_validation():
@@ -70,5 +67,4 @@ def test_linear_combination():
     assert np.allclose(w.fn(z), 2.0 * u.fn(z) - 0.5 * v.fn(z))
     assert np.allclose(w.grad(z), 2.0 * u.grad(z) - 0.5 * v.grad(z))
     t = linear_combination(1.0, u, 1.0, make_field("tip-power", 3))
-    assert t.smoothness == "piecewise"
-    assert t.seam_distance is not None
+    assert t.grad is not None

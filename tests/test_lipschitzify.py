@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from cuspext.lipschitzify import (
     hat_profile,
     hat_psi,
     hat_values,
+    quotient_hypothesis_holds,
     solve_hat_pair,
     verify_doubling_transfer,
     verify_monotone_quotient,
@@ -205,6 +207,53 @@ def test_lipschitzized_profile_view():
     grid = np.linspace(0.1, 1.0, 7)
     assert np.array_equal(hat.value(grid), hat_values(PowerProfile(2.0), grid))
     assert hat.doubling_constant == 4.0
+
+
+@pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
+def test_lipschitzized_derivative_matches_oracle(source):
+    hat = LipschitzizedProfile(source)
+    t = np.geomspace(1e-4, 0.99, 60)
+    # the step source's re-profiling kinks where jumps and flats meet:
+    # t_hat = 0.1/1.2 (end of the t -> 0 jump), 0.6/1.2 and 0.7/1.2
+    t = t[np.min(np.abs(t[:, None] - np.array([1.0, 6.0, 7.0]) / 12.0), axis=1) > 1e-4]
+    num = central_difference(lambda z: hat.value(z[..., 0]), t[:, None],
+                             h=1e-6)[:, 0]
+    assert np.max(np.abs(hat.derivative(t) - num)) <= 1e-8
+
+
+def test_lipschitzized_derivative_closed_forms():
+    c = 1.0 + TWO_STEP.value_at_1
+    hat = LipschitzizedProfile(TWO_STEP)
+    # the t -> 0 jump and the jump at t = 1/2 climb at exactly 1 + psi(1)
+    assert hat.derivative(1e-9) == c
+    assert hat.derivative(0.55) == c
+    assert hat.derivative(0.3) == 0.0  # flat on a step
+    # smooth source: (1 + psi(1)) psi'(t) / (1 + psi'(t)) at the pair's t
+    pair = solve_hat_pair(PowerProfile(2.0), 0.5)
+    d = 2.0 * pair.t_component
+    assert LipschitzizedProfile(PowerProfile(2.0)).derivative(0.5) \
+        == pytest.approx(2.0 * d / (1.0 + d), rel=1e-12)
+
+
+def test_lipschitzized_derivative_needs_source_slope():
+    class NoSlope(CuspProfile):
+        kind = "no-slope"
+        lipschitz_constant = None
+
+        def value(self, t):
+            return PowerProfile(2.0).value(t)
+
+        def right_limit(self, t):
+            return self.value(t)
+
+    with pytest.raises(ValueError, match="closed-form slope"):
+        LipschitzizedProfile(NoSlope()).derivative(0.5)
+
+
+def test_quotient_hypothesis():
+    grid = np.geomspace(1e-3, 1.0, 50)
+    assert quotient_hypothesis_holds(PowerProfile(2.0), grid)
+    assert not quotient_hypothesis_holds(TWO_STEP, grid)
 
 
 def test_monotone_quotient():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cuspext.errors import ProfileDomainError, ProfileFormatError
 from cuspext.profiles import (
+    CuspProfile,
     LinearProfile,
     PowerProfile,
     StepProfile,
@@ -50,6 +51,19 @@ def test_domain_errors():
             psi.value(t)
     with pytest.raises(ValueError):
         eval_profile(psi, 0.5, side="middle")
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_arguments_rejected(t):
+    step = StepProfile([0.5, 1.0], [0.1, 0.2])
+    # CuspProfile.scaled gives the generic lazy view, not a StepProfile
+    for psi in (PowerProfile(2.0), LinearProfile(0.5), step, CuspProfile.scaled(step, 0.5)):
+        with pytest.raises(ProfileDomainError):
+            psi.value(t)
+        with pytest.raises(ProfileDomainError):
+            psi.value(np.array([0.5, t]))
+        with pytest.raises(ProfileDomainError):
+            psi.right_limit(t)
 
 
 def test_constructor_validation():

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 
-from cuspext.errors import QuadratureError, SeamProximityError
-from cuspext.extension import ExtensionContext, extend_lipschitz
+from cuspext.errors import QuadratureError
+from cuspext.extension import extend_general
 from cuspext.fields import ScalarField, make_field
 from cuspext.geometry import DomainSpec
-from cuspext.profiles import PowerProfile
+from cuspext.profiles import PowerProfile, StepProfile
 from cuspext.quadrature import (
     QuadratureScheme,
     build_nodes,
     extension_ratio,
-    gradient,
+    gradient_at,
     in_limit_region,
     lp_norm,
     region_domain,
@@ -69,7 +70,7 @@ def test_cylinder_l2_of_t():
 
 
 def test_slice_weights_sum_to_cross_section():
-    Z, W, _ = build_nodes(region_tube(0.0, 1.0, 0.5), SCHEME, 3)
+    Z, W = build_nodes(region_tube(0.0, 1.0, 0.5), SCHEME, 3)
     assert np.sum(W) == pytest.approx(math.pi * 0.25, rel=1e-10)
 
 
@@ -94,24 +95,16 @@ def test_p_validation():
 def test_gradient_analytic_passthrough():
     u = make_field("wave", 3)
     z = np.array([0.4, 0.1, -0.2])
-    assert np.array_equal(gradient(u, z), u.grad(z))
+    assert np.array_equal(gradient_at(u, z), u.grad(z))
 
 
-def test_gradient_fd_matches_analytic():
-    u = make_field("wave", 3)
-    stripped = ScalarField(u.name, u.fn, None)
-    rng = np.random.default_rng(0)
-    z = np.concatenate([rng.uniform(0.1, 1.9, size=(200, 1)),
-                        rng.uniform(-0.5, 0.5, size=(200, 2))], axis=1)
-    err = np.linalg.norm(gradient(stripped, z) - u.grad(z), axis=-1)
-    assert np.max(err) <= 1e-5
-
-
-def test_gradient_on_seam_errors():
-    u = ScalarField("seamy", lambda z: z[..., 0], None,
-                    seam_distance=lambda z: np.zeros(z.shape[:-1]))
-    with pytest.raises(SeamProximityError, match="tolerance band"):
-        gradient(u, np.array([0.5, 0.1, 0.0]))
+def test_gradient_at_requires_closed_form():
+    # no finite-difference fallback: a field without a gradient is an error
+    u = ScalarField("bare", lambda z: z[..., 0])
+    with pytest.raises(ValueError, match="no closed-form gradient"):
+        gradient_at(u, np.array([[0.5, 0.1, 0.0]]))
+    with pytest.raises(ValueError, match="no closed-form gradient"):
+        w1p_norm(u, region_domain(T2), 1.0, SCHEME, 3)
 
 
 def test_w1p_constant_equals_volume():
@@ -155,8 +148,8 @@ def test_norm_determinism():
     a = lp_norm(u, region_domain(T2), 2.0, SCHEME, 3)
     b = lp_norm(u, region_domain(T2), 2.0, SCHEME, 3)
     assert a == b
-    Z1, W1, _ = build_nodes(region_extension(T2Q), SCHEME, 3)
-    Z2, W2, _ = build_nodes(region_extension(T2Q), SCHEME, 3)
+    Z1, W1 = build_nodes(region_extension(T2Q), SCHEME, 3)
+    Z2, W2 = build_nodes(region_extension(T2Q), SCHEME, 3)
     assert np.array_equal(Z1, Z2) and np.array_equal(W1, W2)
 
 
@@ -171,24 +164,21 @@ def test_monte_carlo_dimension_four():
     assert vol == again  # seeded, deterministic
 
 
-def test_extension_norm_gradient_seam_handling():
-    # The extension of a gradient-carrying field over an analytic profile
-    # integrates its exact chain-rule gradient: nothing is dropped.  The
-    # FD fallback (gradient stripped) must agree; it may only drop tip
-    # nodes whose collar is narrower than the FD floor.
-    ctx = ExtensionContext(T2Q)
-    eu = extend_lipschitz(ctx, make_field("constant", 3))
+def test_straightened_w11_norm_matches_oracle():
+    # The straightened extension integrates its closed-form gradient at
+    # every node.  The FD oracle over the same nodes must agree; its
+    # stencil only misbehaves at deep tip nodes of negligible weight.
+    conj = extend_general(make_field("wave", 3), StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    eu = conj.hat_field
+    region = region_extension(conj.hat_context.spec)
     small = QuadratureScheme(t_levels=20, gauss_t=4, gauss_r=4, angular=8)
-    total, detail = w1p_norm(eu, region_extension(T2Q), 1.0, small, 3,
-                             with_detail=True)
+    total, detail = w1p_norm(eu, region, 1.0, small, 3, with_detail=True)
     assert np.isfinite(total) and total > 0.0
     assert detail["dropped_gradient_nodes"] == 0
-    stripped = ScalarField(eu.name, eu.fn, None, smoothness="piecewise",
-                           seam_distance=eu.seam_distance)
-    total_fd, detail_fd = w1p_norm(stripped, region_extension(T2Q), 1.0, small,
-                                   3, with_detail=True)
-    assert detail_fd["dropped_gradient_nodes"] > 0  # deep tip panels
-    assert total_fd == pytest.approx(total, rel=1e-4)
+    oracle = ScalarField(eu.name, eu.fn, lambda Z: central_difference(eu.fn, Z, h=1e-7))
+    total_fd, detail_fd = w1p_norm(oracle, region, 1.0, small, 3, with_detail=True)
+    assert detail_fd["gradient_part"] == pytest.approx(detail["gradient_part"], rel=1e-8)
+    assert total_fd == pytest.approx(total, rel=1e-8)
 
 
 def test_in_limit_region():

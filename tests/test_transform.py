@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext.errors import NotNormalizedError, SeamProximityError
-from cuspext.geometry import DomainSpec
+from cuspext.errors import NotNormalizedError
+from cuspext.geometry import BilipRegion, DomainSpec, classify_bilip_region
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
 from cuspext.transform import (
     distortion_sample,
     forward_map,
     inverse_map,
-    jacobian_estimate,
+    inverse_partials,
+    jacobian,
     sample_box,
     seam_continuity,
     verify_image,
@@ -69,26 +71,43 @@ def test_axial_monotonicity():
 
 
 def test_jacobian_far_tube_identity():
-    jac = jacobian_estimate(SPEC, np.array([3.0, 0.1, 0.0]), h=1e-5)
-    assert np.max(np.abs(jac - np.eye(3))) <= 1e-8
+    jac = jacobian(SPEC, np.array([3.0, 0.1, 0.0]))
+    assert np.array_equal(jac, np.eye(3))
 
 
 def test_jacobian_outer_entries():
-    jac = jacobian_estimate(SPEC, np.array([0.0, 5.0, 0.0]), h=1e-5)
-    assert jac[0, 0] == pytest.approx(1.0, abs=1e-6)
-    assert jac[0, 1] == pytest.approx(1.0, abs=1e-6)  # x1 / |x| at (5, 0)
+    jac = jacobian(SPEC, np.array([0.0, 5.0, 0.0]))
+    assert jac[0, 0] == 1.0
+    assert jac[0, 1] == 1.0  # x1 / |x| at (5, 0)
 
 
 def test_jacobian_wedge_axial_rate():
-    jac = jacobian_estimate(SPEC, np.array([0.5, 0.1, 0.0]), h=1e-6)
-    assert jac[0, 0] == pytest.approx(1.0 / 1.25, abs=1e-6)
+    jac = jacobian(SPEC, np.array([0.5, 0.1, 0.0]))
+    assert jac[0, 0] == pytest.approx(1.0 / 1.25, rel=1e-15)
 
 
-def test_jacobian_seam_proximity_error():
-    # the cone seam passes through t + |x| = 1.25
-    z = np.array([1.0, 0.25, 0.0])
-    with pytest.raises(SeamProximityError, match="smaller h"):
-        jacobian_estimate(SPEC, z, h=1e-3)
+# one interior point per branch: wedge, cylinder tail, outer, far tube
+BRANCH_POINTS = np.array([[0.5, 0.1, 0.05], [1.5, 0.1, -0.08],
+                          [0.5, 1.0, 0.3], [3.0, 0.1, 0.05]])
+
+
+def test_jacobian_matches_oracle_on_every_branch():
+    labels = classify_bilip_region(SPEC, BRANCH_POINTS)
+    assert sorted(labels) == sorted(int(b) for b in BilipRegion)
+    jac = jacobian(SPEC, BRANCH_POINTS)
+    num = central_difference(lambda z: forward_map(SPEC, z), BRANCH_POINTS, h=1e-6)
+    assert np.max(np.abs(jac - num)) <= 1e-8
+    # only the axial row moves, so the determinant is ds/dt
+    assert np.allclose(np.linalg.det(jac), jac[:, 0, 0], rtol=1e-14, atol=0.0)
+
+
+def test_inverse_partials_match_oracle_on_every_branch():
+    w = forward_map(SPEC, BRANCH_POINTS)
+    d_s, d_rho = inverse_partials(SPEC, w)
+    num = central_difference(lambda v: inverse_map(SPEC, v)[..., 0], w, h=1e-6)
+    rho = np.linalg.norm(w[:, 1:], axis=1)
+    assert np.max(np.abs(d_s - num[:, 0])) <= 1e-8
+    assert np.max(np.abs(d_rho[:, None] * w[:, 1:] / rho[:, None] - num[:, 1:])) <= 1e-8
 
 
 def test_seam_continuity_stable():
