@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__, admissibility, quadrature, transform, verify
 from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError
-from .extension import END_CAP_MAPS, ExtensionContext, extend_general, extend_lipschitz
+from .extension import ExtensionContext, extend_general, extend_lipschitz
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
 from .lipschitzify import (
@@ -245,7 +246,17 @@ def _scheme_from(cfg: dict) -> quadrature.QuadratureScheme:
     bad = set(cfg) - known
     if bad:
         raise ConfigError(f"extend.quadrature: unknown fields {sorted(bad)}")
-    return quadrature.QuadratureScheme(**cfg)
+    try:
+        return quadrature.QuadratureScheme(**cfg)
+    except ValueError as err:
+        raise ConfigError(f"extend.quadrature.{err}") from None
+
+
+def _positive_int(opts: dict, key: str, default: int, errors: list) -> int:
+    value = opts.get(key, default)
+    if not (isinstance(value, int) and value >= 1):
+        errors.append(f"extend.{key}: need an integer >= 1, got {value!r}")
+    return value
 
 
 def cmd_extend_verify(cfg: RunConfig) -> int:
@@ -258,7 +269,9 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         errors.append("extend.pq: expected a nonempty list of [p, q] pairs")
     else:
         for i, (p, q) in enumerate(pq):
-            if not 1.0 <= q <= p:
+            if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (p, q)):
+                errors.append(f"extend.pq[{i}]: need finite numbers, got {[p, q]}")
+            elif not 1.0 <= q <= p:
                 errors.append(f"extend.pq[{i}]: need 1 <= q <= p, got {[p, q]}")
     if not (isinstance(names, list) and names):
         errors.append("extend.functions: expected a nonempty list of names")
@@ -266,9 +279,11 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         for name in names:
             if name not in LIBRARY:
                 errors.append(f"extend.functions: unknown field {name!r}")
-    end_cap_map = opts.get("end_cap_map", "mirror")
-    if end_cap_map not in END_CAP_MAPS:
-        errors.append(f"extend.end_cap_map: must be one of {END_CAP_MAPS}")
+    if opts.get("end_cap_map", "mirror") != "mirror":
+        errors.append("extend.end_cap_map: only 'mirror' is accepted; "
+                      "the shift variants were removed")
+    trace_samples = _positive_int(opts, "trace_samples", 10000, errors)
+    decay_rays = _positive_int(opts, "decay_rays", 1000, errors)
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -285,23 +300,21 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
 
     reports, checks = [], {}
     for name, u in fields.items():
+        # hat_* live in the frame the extension is built in: the
+        # straightened one, or the original frame on the direct route
         if lipschitz_route:
-            ctx = ExtensionContext(spec, end_cap_map)
-            eu = extend_lipschitz(ctx, u)
+            ctx = ExtensionContext(spec)
+            eu = hat_eu = extend_lipschitz(ctx, u)
+            hat_u = u
             trace_tol = 1e-12
         else:
-            conj = extend_general(u, psi, cfg.n, cfg.tolerance, end_cap_map)
-            ctx, eu = conj.hat_context, conj.field
+            conj = extend_general(u, psi, cfg.n, cfg.tolerance)
+            ctx, eu, hat_eu, hat_u = conj.hat_context, conj.field, conj.hat_field, conj.hat_input
             trace_tol = 1e-8
-        tr = verify.trace_check(eu, u, spec, int(opts.get("trace_samples", 10000)),
-                                cfg.seed)
-        decay = verify.boundary_decay_check(
-            ctx, eu if lipschitz_route else conj.hat_field,
-            u if lipschitz_route else conj.hat_input,
-            rays=int(opts.get("decay_rays", 1000)), rng_seed=cfg.seed)
-        seam_field = eu if lipschitz_route else conj.hat_field
-        seams = verify.seam_continuity_check(ctx, seam_field, per_seam=200,
-                                             rng_seed=cfg.seed)
+        tr = verify.trace_check(eu, u, spec, trace_samples, cfg.seed)
+        decay = verify.boundary_decay_check(ctx, hat_eu, hat_u, rays=decay_rays,
+                                            rng_seed=cfg.seed)
+        seams = verify.seam_continuity_check(ctx, hat_eu, per_seam=200, rng_seed=cfg.seed)
         cap = verify.seam_modulus_cap(ctx, u, cfg.seed)
         seam_ok, worst_seam = verify.seam_verdict(seams, cap)
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
@@ -309,15 +322,12 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         checks[f"seam_ok[{name}]"] = seam_ok
         for p, q in pq:
             rep = quadrature.extension_ratio(u, psi, cfg.n, float(p), float(q),
-                                             scheme, end_cap_map, cfg.tolerance)
+                                             scheme, cfg.tolerance)
             reports.append({"function": name, **rep.to_dict(),
                             "seam_worst": worst_seam})
             if cfg.options.get("_dump_slices"):
-                region = (quadrature.region_extension(spec) if lipschitz_route
-                          else quadrature.region_extension(ctx.spec))
-                slab_field = eu if lipschitz_route else conj.hat_field
-                rows = quadrature.lp_slice_table(slab_field, region, float(q),
-                                                 scheme, cfg.n)
+                rows = quadrature.lp_slice_table(hat_eu, quadrature.region_extension(ctx.spec),
+                                                 float(q), scheme, cfg.n)
                 path = os.path.join(cfg.out_dir,
                                     f"slices_{name}_p{p}_q{q}.csv")
                 with open(path, "w", newline="") as fh:
@@ -341,17 +351,17 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     flist = list(fields.values())
     u, v = flist[0], flist[-1]
     if lipschitz_route:
-        build = verify.make_lipschitz_builder(ExtensionContext(spec, end_cap_map))
+        build = verify.make_lipschitz_builder(ExtensionContext(spec))
     else:
         def build(w):
-            return extend_general(w, psi, cfg.n, cfg.tolerance, end_cap_map).field
+            return extend_general(w, psi, cfg.n, cfg.tolerance).field
     lin = verify.linearity_check(build, u, v, pts)
     checks["linearity_ok"] = lin.max_abs_error <= 1e-12
 
     report = {
         "config_echo": cfg.echo,
         "route": "direct" if lipschitz_route else "straightened",
-        "end_cap_map": end_cap_map,
+        "end_cap_map": "mirror",
         "norm_reports": reports,
         "linearity_max_error": lin.max_abs_error,
         "checks": checks,

@@ -1,17 +1,15 @@
 """Reflection/cut-off extension of scalar fields off a cuspidal domain.
 
-A field living on the domain is pushed onto a doubled domain: each
-collar point reflects back inside and the value is damped by an affine
-cut-off that vanishes on the outer collar boundary, so the extension
-drops to zero continuously everywhere except the cusp tip.  A final
-cylinder segment (the end cap) reuses the already-extended values
-through an axial pullback, damped to zero by t = 3.
-
-The end-cap pullback is configurable.  ``mirror`` ((t, x) -> (4 - t, x))
-fixes the t = 2 interface pointwise and is the only variant that keeps
-the extension continuous there for axially-varying fields; ``shift1``
-((t - 1, x)) and ``shift2`` ((t - 2, x)) are kept selectable so the
-seam-continuity check can demonstrate the difference.
+A field living on the domain is pushed onto a doubled domain.  The
+collar psi(min(t, 1)) < |x| < 2 psi(min(t, 1)), 0 < t <= 2, is one
+construction over the cusp and the tube alike: each collar point
+reflects back inside and the value is damped by an affine cut-off that
+vanishes on the outer collar wall, so the extension drops to zero
+continuously everywhere except the cusp tip.  A final cylinder segment
+(the end cap) reuses the already-extended values through the mirror
+pullback (t, x) -> (4 - t, x), damped to zero by t = 3.  The mirror
+fixes the t = 2 interface pointwise, which keeps the extension
+continuous there for axially-varying fields.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from .lipschitzify import DEFAULT_TOL, LipschitzizedProfile
 from .profiles import profile_derivative
 from .transform import forward_map, inverse_map, inverse_partials
 
-END_CAP_MAPS = ("mirror", "shift1", "shift2")
-
 
 @dataclass(frozen=True)
 class ExtensionContext:
@@ -42,57 +38,45 @@ class ExtensionContext:
     """
 
     spec: DomainSpec
-    end_cap_map: str = "mirror"
 
     def __post_init__(self):
         if self.spec.psi.lipschitz_constant is None:
             raise ValueError("extension requires a Lipschitz profile; "
                              "build one with lipschitzify first")
-        if self.end_cap_map not in END_CAP_MAPS:
-            raise ValueError(f"end_cap_map must be one of {END_CAP_MAPS}")
 
     @property
     def psi1(self) -> float:
         return self.spec.psi1
 
-    @property
-    def outer_radius(self) -> float:
-        # collar and cap cylinders share the doubled opening radius
-        return 2.0 * self.spec.psi1
 
-
-def _collar_radius(ctx: ExtensionContext, t):
-    t = np.asarray(t, dtype=float)
-    return np.asarray(ctx.spec.psi.value(np.clip(t, 1e-300, 1.0)), dtype=float)
-
-
-def reflect_cusp(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
-    """Fold the cusp collar back into the domain, fixing |x| = psi(t)."""
+def _split_collar(ctx: ExtensionContext, z, check: bool):
+    """(t, x, |x|, R(t)) of collar points, checked against the collar closure."""
     t, x, r = geometry.split(z, ctx.spec.n)
-    pv = _collar_radius(ctx, t)
+    R = geometry.collar_radius(ctx.spec, t)
     if check:
-        bad = (t <= 0.0) | (t > 1.0) | (r < pv * (1.0 - 1e-12)) | (r > 2.0 * pv * (1.0 + 1e-12))
+        bad = (t <= 0.0) | (t > 2.0) | (r < R * (1.0 - 1e-12)) | (r > 2.0 * R * (1.0 + 1e-12))
         if np.any(bad):
-            raise ProfileDomainError("point outside the cusp collar closure")
+            raise ProfileDomainError("point outside the collar closure")
+    return t, x, r, R
+
+
+def reflect_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
+    """Fold the collar back into the domain, fixing |x| = R(t)."""
+    _, x, r, R = _split_collar(ctx, z, check)
     out = np.array(z, dtype=float, copy=True)
-    factor = (1.5 * pv - 0.5 * r) / np.maximum(r, 1e-300)
+    factor = (1.5 * R - 0.5 * r) / np.maximum(r, 1e-300)
     out[..., 1:] = x * factor[..., None]
     return out
 
 
-def cutoff_cusp(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
-    """Affine weight: 1 on |x| = psi(t), 0 on |x| = 2 psi(t)."""
-    t, _, r = geometry.split(z, ctx.spec.n)
-    pv = _collar_radius(ctx, t)
-    if check:
-        bad = (t <= 0.0) | (t > 1.0) | (r < pv * (1.0 - 1e-12)) | (r > 2.0 * pv * (1.0 + 1e-12))
-        if np.any(bad):
-            raise ProfileDomainError("point outside the cusp collar closure")
-    return np.clip(2.0 - r / pv, 0.0, 1.0)
+def cutoff_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
+    """Affine weight: 1 on |x| = R(t), 0 on |x| = 2 R(t)."""
+    _, _, r, R = _split_collar(ctx, z, check)
+    return np.clip(2.0 - r / R, 0.0, 1.0)
 
 
 def cutoff_cusp_gradient(ctx: ExtensionContext, z, slope: Callable | None = None) -> np.ndarray:
-    """Analytic gradient of the cusp-collar cutoff (test oracle).
+    """Analytic gradient of the cutoff on the cusp part of the collar (test oracle).
 
     ``slope`` evaluates psi'(t); defaults to the profile's closed form.
     """
@@ -101,82 +85,48 @@ def cutoff_cusp_gradient(ctx: ExtensionContext, z, slope: Callable | None = None
         slope = profile_derivative(ctx.spec.psi)
         if slope is None:
             raise ValueError("pass slope for profiles without a closed-form derivative")
-    pv = _collar_radius(ctx, t)
+    pv = geometry.collar_radius(ctx.spec, t)
     g = np.zeros(np.shape(z))
     g[..., 0] = r * np.asarray(slope(t)) / pv ** 2
     g[..., 1:] = -x / (pv * np.maximum(r, 1e-300))[..., None]
     return g
 
 
-def reflect_tube(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
-    """Fold the tube collar into the tube, fixing |x| = psi(1)."""
-    t, x, r = geometry.split(z, ctx.spec.n)
-    psi1 = ctx.psi1
-    if check:
-        bad = (t < 1.0) | (t > 2.0) | (r < psi1 * (1.0 - 1e-12)) | (r > 2.0 * psi1 * (1.0 + 1e-12))
-        if np.any(bad):
-            raise ProfileDomainError("point outside the tube collar closure")
-    out = np.array(z, dtype=float, copy=True)
-    factor = (1.5 * psi1 - 0.5 * r) / np.maximum(r, 1e-300)
-    out[..., 1:] = x * factor[..., None]
-    return out
-
-
-def cutoff_tube(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
-    """Affine weight: 1 on |x| = psi(1), 0 on |x| = 2 psi(1)."""
+def _split_cap(ctx: ExtensionContext, z, check: bool):
+    """Axial coordinate of end-cap points, checked against the cap closure."""
     t, _, r = geometry.split(z, ctx.spec.n)
-    psi1 = ctx.psi1
     if check:
-        bad = (t < 1.0) | (t > 2.0) | (r < psi1 * (1.0 - 1e-12)) | (r > 2.0 * psi1 * (1.0 + 1e-12))
+        # the cap cylinder shares the collar's doubled opening radius 2 psi(1)
+        bad = (t < 2.0) | (t > 3.0) | (r > 2.0 * ctx.psi1 * (1.0 + 1e-12))
         if np.any(bad):
-            raise ProfileDomainError("point outside the tube collar closure")
-    return np.clip(2.0 - r / psi1, 0.0, 1.0)
+            raise ProfileDomainError("point outside the end cap closure")
+    return t
 
 
 def end_cap_pullback(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
-    """Map the end cap onto already-extended territory."""
-    t, _, r = geometry.split(z, ctx.spec.n)
-    if check:
-        bad = (t < 2.0) | (t > 3.0) | (r > ctx.outer_radius * (1.0 + 1e-12))
-        if np.any(bad):
-            raise ProfileDomainError("point outside the end cap closure")
+    """Mirror the end cap onto the tube: (t, x) -> (4 - t, x)."""
+    t = _split_cap(ctx, z, check)
     out = np.array(z, dtype=float, copy=True)
-    if ctx.end_cap_map == "mirror":
-        out[..., 0] = 4.0 - t
-    elif ctx.end_cap_map == "shift1":
-        out[..., 0] = t - 1.0
-    else:
-        out[..., 0] = t - 2.0
+    out[..., 0] = 4.0 - t
     return out
 
 
 def cutoff_cap(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
     """Affine weight: 1 at t = 2, 0 at t = 3."""
-    t, _, r = geometry.split(z, ctx.spec.n)
-    if check:
-        bad = (t < 2.0) | (t > 3.0) | (r > ctx.outer_radius * (1.0 + 1e-12))
-        if np.any(bad):
-            raise ProfileDomainError("point outside the end cap closure")
+    t = _split_cap(ctx, z, check)
     return np.clip(3.0 - t, 0.0, 1.0)
 
 
-def _collar_chain_gradient(ctx, Z, u, slope, psi1_flat: bool):
-    """Gradient of cutoff(z) * u(reflection(z)) on a collar.
+def _collar_chain_gradient(ctx, Z, u, slope):
+    """Gradient of cutoff(z) * u(reflection(z)) on the collar.
 
     The reflection fixes t and maps the radius to 1.5*R - 0.5*r with
-    R = psi(t) (or the frozen tube radius); the cutoff is 2 - r/R.
-    Plain product/chain rule, vectorized; r > 0 away from the axis,
-    which the collar guarantees.
+    R = psi(min(t, 1)); the cutoff is 2 - r/R.  Plain product/chain
+    rule, vectorized; r > 0 away from the axis, which the collar
+    guarantees.
     """
-    t = Z[:, 0]
-    x = Z[:, 1:]
-    r = np.linalg.norm(x, axis=1)
-    if psi1_flat:
-        R = np.full_like(t, ctx.psi1)
-        dR = np.zeros_like(t)
-    else:
-        R = _collar_radius(ctx, t)
-        dR = np.asarray(slope(np.clip(t, 1e-300, 1.0)), dtype=float)
+    t, x, r, R = _split_collar(ctx, Z, check=False)
+    dR = geometry.on_cusp(t, slope, lambda: 0.0)
     rho = 1.5 * R - 0.5 * r
     cut = 2.0 - r / R
     w = np.concatenate([t[:, None], (rho / r)[:, None] * x], axis=1)
@@ -208,76 +158,67 @@ def extend_lipschitz(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
     spec = ctx.spec
     slope = profile_derivative(spec.psi)
 
+    def batched(inner, cap_value, scalar_value):
+        """Evaluator over (..., n) points: ``inner`` on core and collar,
+        ``cap_value(Z, pulled)`` on the end cap via the mirror pullback."""
+
+        def call(z):
+            z = np.asarray(z, dtype=float)
+            if not np.all(np.isfinite(z)):
+                raise ProfileDomainError("extension point is not finite")
+            Z = z.reshape(-1, spec.n)
+            out, label = inner(Z)
+            cap = label == ExtRegion.END_CAP
+            if np.any(cap):
+                out[cap] = cap_value(Z[cap], end_cap_pullback(ctx, Z[cap], check=False))
+            if z.ndim == 1:
+                return scalar_value(out[0])
+            return out.reshape(z.shape[:-1] + out.shape[1:])
+
+        return call
+
     def eval_inner(Z):
-        # the first three branches: core, cusp collar, tube collar; the
-        # reflection ops keep their domain checks on, so a classification
-        # bug surfaces as a domain error instead of a silent wrong value
+        # the first two branches: core and collar; the reflection keeps
+        # its domain check on, so a classification bug surfaces as a
+        # domain error instead of a silent wrong value
         label = geometry.classify_extension_region(spec, Z)
-        label = np.atleast_1d(label)
         out = np.zeros(Z.shape[0])
         core = label == ExtRegion.CORE
         if np.any(core):
             out[core] = u.fn(Z[core])
-        collar = label == ExtRegion.CUSP_COLLAR
+        collar = label == ExtRegion.COLLAR
         if np.any(collar):
-            out[collar] = (cutoff_cusp(ctx, Z[collar], check=False)
-                           * u.fn(reflect_cusp(ctx, Z[collar])))
-        tube = label == ExtRegion.TUBE_COLLAR
-        if np.any(tube):
-            out[tube] = (cutoff_tube(ctx, Z[tube], check=False)
-                         * u.fn(reflect_tube(ctx, Z[tube])))
+            out[collar] = (cutoff_collar(ctx, Z[collar], check=False)
+                           * u.fn(reflect_collar(ctx, Z[collar])))
         return out, label
 
-    def fn(z):
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 1
-        Z = z.reshape(-1, spec.n)
-        out, label = eval_inner(Z)
-        cap = label == ExtRegion.END_CAP
-        if np.any(cap):
-            pulled = end_cap_pullback(ctx, Z[cap], check=False)
-            inner, _ = eval_inner(pulled)
-            out[cap] = cutoff_cap(ctx, Z[cap], check=False) * inner
-        if scalar:
-            return float(out[0])
-        return out.reshape(z.shape[:-1])
+    def cap_value(Z, pulled):
+        return cutoff_cap(ctx, Z, check=False) * eval_inner(pulled)[0]
 
     def grad_inner(Z):
         label = geometry.classify_extension_region(spec, Z)
-        label = np.atleast_1d(label)
         out = np.zeros_like(Z)
         core = label == ExtRegion.CORE
         if np.any(core):
             out[core] = u.grad(Z[core])
-        collar = label == ExtRegion.CUSP_COLLAR
+        collar = label == ExtRegion.COLLAR
         if np.any(collar):
-            out[collar] = _collar_chain_gradient(ctx, Z[collar], u, slope, False)
-        tube = label == ExtRegion.TUBE_COLLAR
-        if np.any(tube):
-            out[tube] = _collar_chain_gradient(ctx, Z[tube], u, slope, True)
+            out[collar] = _collar_chain_gradient(ctx, Z[collar], u, slope)
         return out, label
 
+    def cap_gradient(Z, pulled):
+        # d/dz of cutoff_cap(z) * E(4 - t, x): the mirror flips the axial row
+        val_inner, _ = eval_inner(pulled)
+        g_inner, _ = grad_inner(pulled)
+        cut = cutoff_cap(ctx, Z, check=False)
+        gcap = cut[:, None] * g_inner
+        gcap[:, 0] = -val_inner - cut * g_inner[:, 0]
+        return gcap
+
+    fn = batched(eval_inner, cap_value, float)
     grad = None
     if u.grad is not None and slope is not None:
-        def grad(z):
-            z = np.asarray(z, dtype=float)
-            scalar = z.ndim == 1
-            Z = z.reshape(-1, spec.n)
-            out, label = grad_inner(Z)
-            cap = label == ExtRegion.END_CAP
-            if np.any(cap):
-                pulled = end_cap_pullback(ctx, Z[cap], check=False)
-                val_inner, _ = eval_inner(pulled)
-                g_inner, _ = grad_inner(pulled)
-                cut = cutoff_cap(ctx, Z[cap], check=False)
-                axial_sign = -1.0 if ctx.end_cap_map == "mirror" else 1.0
-                gcap = cut[:, None] * g_inner
-                gcap[:, 0] = -val_inner + cut * axial_sign * g_inner[:, 0]
-                out[cap] = gcap
-            if scalar:
-                return out[0]
-            return out.reshape(z.shape)
-
+        grad = batched(grad_inner, cap_gradient, lambda g: g)
     return ScalarField(f"extend({u.name})", fn, grad)
 
 
@@ -299,8 +240,7 @@ class ConjugatedExtension:
     scale: float
 
 
-def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL,
-                   end_cap_map: str = "mirror") -> ConjugatedExtension:
+def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
     """Extend off the domain of an arbitrary cusp profile.
 
     The restriction to the original domain reproduces u up to the
@@ -310,7 +250,7 @@ def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL,
     """
     norm_spec, scale = geometry.normalize(DomainSpec(n, psi))
     hat = LipschitzizedProfile(norm_spec.psi, tol)
-    ctx = ExtensionContext(DomainSpec(n, hat), end_cap_map)
+    ctx = ExtensionContext(DomainSpec(n, hat))
 
     def from_hat(w):
         z = inverse_map(norm_spec, w)

@@ -53,10 +53,9 @@ class ExtRegion(IntEnum):
     """Pieces of the extension-operator geometry."""
 
     OUTSIDE = 0
-    CORE = 1         # closure of the domain: the extension equals the field
-    CUSP_COLLAR = 2  # psi(t) < |x| < 2 psi(t), t <= 1
-    TUBE_COLLAR = 3  # psi(1) < |x| < 2 psi(1), 1 < t <= 2
-    END_CAP = 4      # 2 < t < 3, |x| < 2 psi(1): damped to zero by t = 3
+    CORE = 1      # closure of the domain: the extension equals the field
+    COLLAR = 2    # R < |x| < 2R, 0 < t <= 2, with R = psi(min(t, 1))
+    END_CAP = 3   # 2 < t < 3, |x| < 2 psi(1): damped to zero by t = 3
 
 
 def split(z, n: int):
@@ -74,13 +73,7 @@ def contains(spec: DomainSpec, z) -> np.ndarray | bool:
     t, _, r = split(z, spec.n)
     scalar = t.ndim == 0
     t, r = np.atleast_1d(t), np.atleast_1d(r)
-    psi1 = spec.psi1
-    cusp = (t > 0.0) & (t <= 1.0)
-    in_cusp = np.zeros(t.shape, dtype=bool)
-    if np.any(cusp):
-        in_cusp[cusp] = r[cusp] < spec.psi.value(t[cusp])
-    in_tube = (t >= 1.0) & (t < 2.0) & (r < psi1)
-    out = in_cusp | in_tube
+    out = (t > 0.0) & (t < 2.0) & (r < collar_radius(spec, t))
     return bool(out[0]) if scalar else out
 
 
@@ -144,37 +137,72 @@ def classify_bilip_region(spec: DomainSpec, z):
     return label
 
 
+def on_cusp(t, f, fill) -> np.ndarray:
+    """f(t) on the points with 0 < t <= 1, ``fill()`` everywhere else.
+
+    f sees only those points, so a profile whose values depend on the
+    batch (the re-profiled hat) gets the same batch whatever else the
+    call carries; ``fill`` runs only when some point lies elsewhere.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape)
+    cusp = (t > 0.0) & (t <= 1.0)
+    if np.any(cusp):
+        out[cusp] = f(t[cusp])
+    if not np.all(cusp):
+        out[~cusp] = fill()
+    return out
+
+
+def collar_radius(spec: DomainSpec, t) -> np.ndarray:
+    """R(t) = psi(min(t, 1)): the domain's radius, the collar's inner wall."""
+    return on_cusp(t, spec.psi.value, lambda: spec.psi1)
+
+
 def classify_extension_region(spec: DomainSpec, z):
     """Assign each point to one branch of the extension geometry.
 
-    Precedence: CORE first, then the two collars, then the end cap.
+    On 0 < t <= 2, with R = psi(min(t, 1)): CORE for |x| <= R, COLLAR
+    for R < |x| < 2R.  The end cap is 2 < t < 3, |x| < 2R = 2 psi(1).
     Points on outer collar boundaries fall to OUTSIDE, where the
     extension vanishes anyway.
     """
     t, _, r = split(z, spec.n)
-    psi = spec.psi
-    psi1 = spec.psi1
     scalar = t.ndim == 0
     t, r = np.atleast_1d(t), np.atleast_1d(r)
 
+    R = collar_radius(spec, t)
+    body = (t > 0.0) & (t <= 2.0)
     label = np.full(t.shape, int(ExtRegion.OUTSIDE), dtype=np.int64)
-    cusp_band = (t > 0.0) & (t <= 1.0)
-    if np.any(cusp_band):
-        pv = psi.value(t[cusp_band])
-        rc = r[cusp_band]
-        sub = np.full(pv.shape, int(ExtRegion.OUTSIDE), dtype=np.int64)
-        sub[rc <= pv] = ExtRegion.CORE
-        sub[(rc > pv) & (rc < 2.0 * pv)] = ExtRegion.CUSP_COLLAR
-        label[cusp_band] = sub
-    tube_core = (t >= 1.0) & (t <= 2.0) & (r <= psi1)
-    label[tube_core & (label == ExtRegion.OUTSIDE)] = ExtRegion.CORE
-    tube_collar = (t > 1.0) & (t <= 2.0) & (r > psi1) & (r < 2.0 * psi1)
-    label[tube_collar & (label == ExtRegion.OUTSIDE)] = ExtRegion.TUBE_COLLAR
-    cap = (t > 2.0) & (t < 3.0) & (r < 2.0 * psi1)
-    label[cap & (label == ExtRegion.OUTSIDE)] = ExtRegion.END_CAP
+    label[body & (r <= R)] = ExtRegion.CORE
+    label[body & (r > R) & (r < 2.0 * R)] = ExtRegion.COLLAR
+    label[(t > 2.0) & (t < 3.0) & (r < 2.0 * R)] = ExtRegion.END_CAP
     if scalar:
         return ExtRegion(int(label[0]))
     return label
+
+
+def straddle_probe(f, n: int, draws, deltas, per_seam: int, seed: int) -> dict:
+    """Worst |f(a) - f(b)| over pairs straddling each seam: {seam: {delta: jump}}.
+
+    Per delta the generator restarts from ``seed`` and draws one unit x
+    direction per pair; each ``draw(rng, h)`` then returns {seam: (t,
+    |x|, dt, d|x|)} and the pair is base -/+ offset along that
+    direction, h = delta / 2.  Vector values compare in the 2-norm.
+    """
+    out: dict = {}
+    for delta in deltas:
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=(per_seam, n - 1))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        for draw in draws:
+            for seam, (t, r, dt, dr) in draw(rng, 0.5 * delta).items():
+                base = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
+                off = np.concatenate([dt[:, None], dr[:, None] * direction], axis=1)
+                diff = np.asarray(f(base - off)) - np.asarray(f(base + off))
+                jump = np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
+                out.setdefault(seam, {})[delta] = float(jump.max())
+    return out
 
 
 def normalize(spec: DomainSpec):

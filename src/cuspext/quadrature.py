@@ -12,6 +12,7 @@ dimensions fall back to stratified Monte Carlo.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import QuadratureError
 from .extension import ExtensionContext, extend_general, extend_lipschitz
 from .fields import ScalarField
-from .geometry import DomainSpec
+from .geometry import DomainSpec, collar_radius
 from .lipschitzify import DEFAULT_TOL
 
 
@@ -35,6 +36,17 @@ class QuadratureScheme:
     angular: int = 16
     mc_samples: int = 20000
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("t_levels", "gauss_t", "gauss_r", "angular", "mc_samples"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name}: need a positive integer, got {value!r}")
+        if not (isinstance(self.t_ratio, numbers.Real) and 0.0 < self.t_ratio < 1.0):
+            raise ValueError(f"t_ratio: need 0 < t_ratio < 1, got {self.t_ratio!r}")
+        if not self.t_ratio ** self.t_levels > 0.0:
+            raise ValueError(f"t_levels: the smallest graded panel edge "
+                             f"t_ratio ** t_levels underflows to 0 at {self.t_levels}")
 
     def refined(self) -> "QuadratureScheme":
         return replace(self, gauss_t=2 * self.gauss_t, gauss_r=2 * self.gauss_r,
@@ -61,27 +73,22 @@ class Slab:
 
 def region_domain(spec: DomainSpec) -> tuple:
     """The cuspidal domain itself: cusp slab plus unit tube."""
-    psi = spec.psi
+    radius = lambda t: collar_radius(spec, t)
     return (
-        Slab(0.0, 1.0, lambda t: np.asarray(psi.value(t), dtype=float),
-             graded=True, t_breaks=tuple(psi.breakpoints())),
-        Slab(1.0, 2.0, lambda t, v=spec.psi1: np.full_like(t, v)),
+        Slab(0.0, 1.0, radius, graded=True, t_breaks=tuple(spec.psi.breakpoints())),
+        Slab(1.0, 2.0, radius),
     )
 
 
 def region_extension(spec: DomainSpec) -> tuple:
     """The doubled domain the extension lives on, seams included."""
-    psi = spec.psi
-    psi1 = spec.psi1
-    cusp_r = lambda t: 2.0 * np.asarray(psi.value(t), dtype=float)
-    cusp_b = lambda t: np.asarray(psi.value(t), dtype=float)
-    tube_r = lambda t: np.full_like(t, 2.0 * psi1)
-    tube_b = lambda t: np.full_like(t, psi1)
+    inner = lambda t: collar_radius(spec, t)
+    outer = lambda t: 2.0 * inner(t)
     return (
-        Slab(0.0, 1.0, cusp_r, radial_breaks=(cusp_b,), graded=True,
-             t_breaks=tuple(psi.breakpoints())),
-        Slab(1.0, 2.0, tube_r, radial_breaks=(tube_b,)),
-        Slab(2.0, 3.0, tube_r, radial_breaks=(tube_b,)),
+        Slab(0.0, 1.0, outer, radial_breaks=(inner,), graded=True,
+             t_breaks=tuple(spec.psi.breakpoints())),
+        Slab(1.0, 2.0, outer, radial_breaks=(inner,)),
+        Slab(2.0, 3.0, outer, radial_breaks=(inner,)),
     )
 
 
@@ -294,7 +301,6 @@ def in_limit_region(n: int, p: float, q: float) -> bool:
 
 def extension_ratio(u: ScalarField, psi, n: int, p: float, q: float,
                     scheme: QuadratureScheme | None = None,
-                    end_cap_map: str = "mirror",
                     tol: float = DEFAULT_TOL) -> NormReport:
     """Extension-norm ratio with a one-step refinement stability estimate.
 
@@ -315,12 +321,12 @@ def extension_ratio(u: ScalarField, psi, n: int, p: float, q: float,
                     f"q < {n - 1}, p >= (n-1)q/(n-1-q); ratio reported unasserted",)
 
     if psi.lipschitz_constant is not None:
-        ctx = ExtensionContext(spec, end_cap_map)
+        ctx = ExtensionContext(spec)
         eu = extend_lipschitz(ctx, u)
         ext_region = region_extension(spec)
         frame = "direct"
     else:
-        conj = extend_general(u, psi, n, tol, end_cap_map)
+        conj = extend_general(u, psi, n, tol)
         eu = conj.hat_field
         ext_region = region_extension(conj.hat_context.spec)
         frame = "straightened"

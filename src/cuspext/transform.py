@@ -210,37 +210,6 @@ def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int,
     )
 
 
-def seam_straddle_pairs(spec: DomainSpec, per_seam: int, delta: float,
-                        rng: np.random.Generator):
-    """Point pairs straddling each inter-region seam at separation delta."""
-    psi1 = spec.psi1
-    n = spec.n
-    direction = rng.normal(size=(per_seam, n - 1))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    h = 0.5 * delta
-
-    def assemble(t, r, dt, dr):
-        base = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
-        off = np.concatenate([dt[:, None], dr[:, None] * direction], axis=1)
-        return base - off, base + off
-
-    pairs = {}
-    # cone seam t + |x| = 1 + psi(1); normal (1, 1)/sqrt(2) in the (t, r) plane
-    r = rng.uniform(0.05, 2.0, size=per_seam)
-    t = (1.0 + psi1) - r
-    dt = np.full(per_seam, h / np.sqrt(2.0))
-    pairs["cone"] = assemble(t, r, dt, dt)
-    # side seam |x| = psi(1), t >= 1; radial normal
-    t = rng.uniform(1.0 + 1e-3, 4.0, size=per_seam)
-    r = np.full(per_seam, psi1)
-    pairs["side"] = assemble(t, r, np.zeros(per_seam), np.full(per_seam, h))
-    # disk seam t = 2, |x| <= psi(1); axial normal
-    t = np.full(per_seam, 2.0)
-    r = rng.uniform(0.05 * psi1, 0.95 * psi1, size=per_seam)
-    pairs["disk"] = assemble(t, r, np.full(per_seam, h), np.zeros(per_seam))
-    return pairs
-
-
 def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
                     per_seam: int = 200, rng_seed: int = 0) -> dict:
     """Worst straddle-pair stretch factor per seam and separation.
@@ -249,11 +218,25 @@ def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
     the separation shrinks; a branch mismatch shows up as a factor
     exploding like 1/delta.
     """
-    out = {}
-    for delta in deltas:
-        rng = np.random.default_rng(rng_seed)
-        for seam, (a, b) in seam_straddle_pairs(spec, per_seam, delta, rng).items():
-            stretch = (np.linalg.norm(forward_map(spec, a) - forward_map(spec, b), axis=1)
-                       / delta)
-            out.setdefault(seam, {})[delta] = float(stretch.max())
-    return out
+    psi1 = spec.psi1
+    k = per_seam
+
+    def seams(rng, h):
+        r_cone = rng.uniform(0.05, 2.0, size=k)
+        t_side = rng.uniform(1.0 + 1e-3, 4.0, size=k)
+        r_disk = rng.uniform(0.05 * psi1, 0.95 * psi1, size=k)
+        diagonal = np.full(k, h / np.sqrt(2.0))
+        zero = np.zeros(k)
+        hk = np.full(k, h)
+        return {
+            # t + |x| = 1 + psi(1); normal (1, 1)/sqrt(2) in the (t, r) plane
+            "cone": ((1.0 + psi1) - r_cone, r_cone, diagonal, diagonal),
+            # |x| = psi(1), t >= 1; radial normal
+            "side": (t_side, np.full(k, psi1), zero, hk),
+            # t = 2, |x| <= psi(1); axial normal
+            "disk": (np.full(k, 2.0), r_disk, hk, zero),
+        }
+
+    jumps = geometry.straddle_probe(lambda z: forward_map(spec, z), spec.n, (seams,),
+                                    deltas, per_seam, rng_seed)
+    return {seam: {d: jump / d for d, jump in per.items()} for seam, per in jumps.items()}

@@ -88,18 +88,13 @@ def boundary_decay_check(ctx: ExtensionContext, ext_field: ScalarField,
     worst = 0.0
     total = 0
     for delta in deltas:
-        # cusp collar outer wall, away from the tip
-        t = rng.uniform(0.05, 1.0, size=per)
-        pv = np.asarray(spec.psi.value(t), dtype=float)
-        z = np.concatenate([t[:, None], ((2.0 * pv - delta)[:, None]) * direction], axis=1)
-        cap = safety * m_u / pv
-        worst = max(worst, float(np.max(np.abs(ext_field.fn(z)) / (cap * delta))))
-        # tube collar outer wall
-        t = rng.uniform(1.0 + 1e-6, 3.0 - 1e-6, size=per)
-        z = np.concatenate([t[:, None],
-                            np.full((per, 1), 2.0 * psi1 - delta) * direction], axis=1)
-        cap = safety * m_u / psi1
-        worst = max(worst, float(np.max(np.abs(ext_field.fn(z)) / (cap * delta))))
+        # collar outer wall over the cusp (away from the tip), then the tube
+        for t_lo, t_hi in ((0.05, 1.0), (1.0 + 1e-6, 3.0 - 1e-6)):
+            t = rng.uniform(t_lo, t_hi, size=per)
+            R = geometry.collar_radius(spec, t)
+            z = np.concatenate([t[:, None], ((2.0 * R - delta)[:, None]) * direction], axis=1)
+            cap = safety * m_u / R
+            worst = max(worst, float(np.max(np.abs(ext_field.fn(z)) / (cap * delta))))
         # end disk t = 3
         rad = rng.uniform(0.0, 2.0 * psi1 * 0.98, size=per)
         z = np.concatenate([np.full((per, 1), 3.0 - delta),
@@ -110,42 +105,6 @@ def boundary_decay_check(ctx: ExtensionContext, ext_field: ScalarField,
     return DecayReport(bool(worst <= 1.0), worst, total)
 
 
-def extension_seam_pairs(ctx: ExtensionContext, per_seam: int, delta: float,
-                         rng: np.random.Generator) -> dict:
-    """Straddle pairs across each interface of the extension formula."""
-    spec = ctx.spec
-    n = spec.n
-    psi1 = ctx.psi1
-    h = 0.5 * delta
-    direction = rng.normal(size=(per_seam, n - 1))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-
-    def radial(t, r):
-        lo = np.concatenate([t[:, None], (r - h)[:, None] * direction], axis=1)
-        hi = np.concatenate([t[:, None], (r + h)[:, None] * direction], axis=1)
-        return lo, hi
-
-    def axial(t, r):
-        lo = np.concatenate([(t - h)[:, None], r[:, None] * direction], axis=1)
-        hi = np.concatenate([(t + h)[:, None], r[:, None] * direction], axis=1)
-        return lo, hi
-
-    pairs = {}
-    t = rng.uniform(0.05, 1.0, size=per_seam)
-    pv = np.asarray(spec.psi.value(t), dtype=float)
-    pairs["cusp-collar-inner"] = radial(t, pv)
-    pairs["cusp-collar-outer"] = radial(t, 2.0 * pv)
-    t = rng.uniform(1.0 + 1e-3, 2.0 - 1e-3, size=per_seam)
-    pairs["tube-collar-inner"] = radial(t, np.full(per_seam, psi1))
-    pairs["tube-collar-outer"] = radial(t, np.full(per_seam, 2.0 * psi1))
-    r = rng.uniform(0.05 * psi1, 1.9 * psi1, size=per_seam)
-    pairs["cap-interface"] = axial(np.full(per_seam, 2.0), r)
-    pairs["cap-end"] = axial(np.full(per_seam, 3.0), r)
-    r = rng.uniform(psi1 * 1.05, 1.95 * psi1, size=per_seam)
-    pairs["profile-junction"] = axial(np.full(per_seam, 1.0), r)
-    return pairs
-
-
 def seam_continuity_check(ctx: ExtensionContext, ext_field: ScalarField,
                           deltas=(1e-3, 1e-5, 1e-7), per_seam: int = 200,
                           rng_seed: int = 0) -> dict:
@@ -153,15 +112,34 @@ def seam_continuity_check(ctx: ExtensionContext, ext_field: ScalarField,
 
     For a continuous extension the jump scales linearly with the
     separation; a branch mismatch leaves an O(1) jump as delta shrinks.
-    This check is the designated arbiter for the end-cap pullback mode.
+    This check is the designated arbiter for the end-cap pullback.
     """
-    out: dict = {}
-    for delta in deltas:
-        rng = np.random.default_rng(rng_seed)
-        for seam, (a, b) in extension_seam_pairs(ctx, per_seam, delta, rng).items():
-            jump = np.abs(np.asarray(ext_field.fn(a)) - np.asarray(ext_field.fn(b)))
-            out.setdefault(seam, {})[delta] = float(jump.max())
-    return out
+    spec = ctx.spec
+    psi1 = ctx.psi1
+    k = per_seam
+
+    def collar(rng, h):
+        # radial pairs across the inner and outer walls, cusp then tube
+        radial = (np.zeros(k), np.full(k, h))
+        t = rng.uniform(0.05, 1.0, size=k)
+        pv = np.asarray(spec.psi.value(t), dtype=float)
+        tube = rng.uniform(1.0 + 1e-3, 2.0 - 1e-3, size=k)
+        return {"cusp-collar-inner": (t, pv, *radial),
+                "cusp-collar-outer": (t, 2.0 * pv, *radial),
+                "tube-collar-inner": (tube, np.full(k, psi1), *radial),
+                "tube-collar-outer": (tube, np.full(k, 2.0 * psi1), *radial)}
+
+    def disks(rng, h):
+        # axial pairs across t = 2, t = 3 and t = 1 outside the domain
+        axial = (np.full(k, h), np.zeros(k))
+        r = rng.uniform(0.05 * psi1, 1.9 * psi1, size=k)
+        r_junction = rng.uniform(psi1 * 1.05, 1.95 * psi1, size=k)
+        return {"cap-interface": (np.full(k, 2.0), r, *axial),
+                "cap-end": (np.full(k, 3.0), r, *axial),
+                "profile-junction": (np.full(k, 1.0), r_junction, *axial)}
+
+    return geometry.straddle_probe(ext_field.fn, spec.n, (collar, disks),
+                                   deltas, per_seam, rng_seed)
 
 
 def seam_modulus_cap(ctx: ExtensionContext, u: ScalarField, seed: int) -> float:

@@ -96,7 +96,8 @@ def test_extend_verify_command(tmp_path):
         assert rep["ratio"] > 0.0
 
 
-def test_extend_verify_detects_shift_misconfiguration(tmp_path):
+def test_extend_verify_detects_shift_misconfiguration(tmp_path, shift_end_cap):
+    shift_end_cap(1.0)
     cfg = {
         "command": "extend-verify",
         "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -104,7 +105,6 @@ def test_extend_verify_detects_shift_misconfiguration(tmp_path):
         "extend": {
             "pq": [[2.0, 1.0]],
             "functions": ["axial"],
-            "end_cap_map": "shift1",
             "quadrature": {"t_levels": 15, "gauss_t": 3, "gauss_r": 3,
                            "angular": 6},
             "trace_samples": 500,
@@ -182,7 +182,7 @@ def test_numeric_error_exit_code(tmp_path, gamma):
     assert code == 4
 
 
-def test_extend_verify_validation(tmp_path):
+def test_extend_verify_validation(tmp_path, capsys):
     base = {
         "command": "extend-verify",
         "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -191,9 +191,38 @@ def test_extend_verify_validation(tmp_path):
     assert code == 3
     code, _ = run(tmp_path, dict(base, extend={"pq": [[1.0, 2.0]]}), outdir="o2")
     assert code == 3
-    code, _ = run(tmp_path, dict(base, extend={"end_cap_map": "shift9"}),
-                  outdir="o3")
+    capsys.readouterr()
+    for i, mode in enumerate(["shift9", "shift1"]):
+        code, _ = run(tmp_path, dict(base, extend={"end_cap_map": mode}), outdir=f"o{3 + i}")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "extend.end_cap_map" in err and "shift variants were removed" in err
+    # "mirror" is still accepted: only the empty function list is reported
+    code, _ = run(tmp_path, dict(base, extend={"end_cap_map": "mirror", "functions": []}),
+                  outdir="o5")
     assert code == 3
+    assert "end_cap_map" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extend, field", [
+    ({"pq": [["a", 1]]}, "extend.pq[0]"),
+    ({"pq": [[float("inf"), 1]]}, "extend.pq[0]"),
+    ({"quadrature": {"gauss_t": 0}}, "extend.quadrature.gauss_t"),
+    ({"quadrature": {"angular": 0}}, "extend.quadrature.angular"),
+    ({"quadrature": {"t_levels": 1100}}, "extend.quadrature.t_levels"),
+    ({"decay_rays": "abc"}, "extend.decay_rays"),
+], ids=["pq-string", "pq-inf", "gauss_t-0", "angular-0", "t_levels-underflow",
+        "decay_rays-string"])
+def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, field):
+    cfg = {"command": "extend-verify",
+           "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+           "extend": dict({"functions": ["constant"], "trace_samples": 50,
+                           "decay_rays": 30}, **extend)}
+    code, _ = run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_transform_zero_samples_rejected(tmp_path):

@@ -6,17 +6,15 @@ from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
     ExtensionContext,
     cutoff_cap,
-    cutoff_cusp,
+    cutoff_collar,
     cutoff_cusp_gradient,
-    cutoff_tube,
     end_cap_pullback,
     extend_general,
     extend_lipschitz,
-    reflect_cusp,
-    reflect_tube,
+    reflect_collar,
 )
 from cuspext.fields import LIBRARY, make_field
-from cuspext.geometry import DomainSpec
+from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
 from cuspext.lipschitzify import hat_profile
 from cuspext.profiles import CuspProfile, LinearProfile, PowerProfile, StepProfile
 from cuspext.transform import sample_domain
@@ -40,32 +38,37 @@ def test_context_requires_lipschitz_profile():
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     with pytest.raises(ValueError, match="Lipschitz"):
         ExtensionContext(DomainSpec(3, step))
-    with pytest.raises(ValueError, match="end_cap_map"):
-        ExtensionContext(LIN_SPEC, "shift3")
 
 
-def test_reflect_cusp_radii(lin_ctx):
-    t = 0.5
-    pv = 0.125
-    mid = reflect_cusp(lin_ctx, [t, 1.5 * pv, 0.0])
-    assert np.linalg.norm(mid[1:]) == pytest.approx(0.75 * pv)
-    inner = reflect_cusp(lin_ctx, [t, pv * (1 + 1e-13), 0.0])
-    assert np.linalg.norm(inner[1:]) == pytest.approx(pv, rel=1e-9)
-    outer = reflect_cusp(lin_ctx, [t, 2 * pv * (1 - 1e-13), 0.0])
-    assert np.linalg.norm(outer[1:]) == pytest.approx(pv / 2, rel=1e-9)
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
+def test_collar_reflection_and_cutoff(lin_ctx, t):
+    # one collar over cusp and tube: R(t) = psi(min(t, 1)) = 0.25 min(t, 1)
+    R = 0.25 * min(t, 1.0)
+    mid = reflect_collar(lin_ctx, [t, 1.5 * R, 0.0])
+    assert np.linalg.norm(mid[1:]) == pytest.approx(0.75 * R)
+    inner = reflect_collar(lin_ctx, [t, R * (1 + 1e-13), 0.0])
+    assert np.linalg.norm(inner[1:]) == pytest.approx(R, rel=1e-9)
+    outer = reflect_collar(lin_ctx, [t, 2 * R * (1 - 1e-13), 0.0])
+    assert np.linalg.norm(outer[1:]) == pytest.approx(R / 2, rel=1e-9)
     assert mid[0] == t  # axial coordinate preserved
-    with pytest.raises(ProfileDomainError):
-        reflect_cusp(lin_ctx, [t, 3 * pv, 0.0])
+    assert cutoff_collar(lin_ctx, [t, R, 0.0]) == pytest.approx(1.0)
+    assert cutoff_collar(lin_ctx, [t, 1.5 * R, 0.0]) == pytest.approx(0.5)
+    assert cutoff_collar(lin_ctx, [t, 2 * R, 0.0]) == pytest.approx(0.0)
+    for bad in ([t, 3 * R, 0.0], [t, 0.5 * R, 0.0], [2.5, 1.5 * R, 0.0]):
+        with pytest.raises(ProfileDomainError):
+            reflect_collar(lin_ctx, bad)
+        with pytest.raises(ProfileDomainError):
+            cutoff_collar(lin_ctx, bad)
 
 
 def test_cutoff_cusp_values(lin_ctx):
     t = 0.5
     pv = 0.125
-    assert cutoff_cusp(lin_ctx, [t, pv, 0.0]) == pytest.approx(1.0)
-    assert cutoff_cusp(lin_ctx, [t, 1.5 * pv, 0.0]) == pytest.approx(0.5)
-    assert cutoff_cusp(lin_ctx, [t, 2 * pv, 0.0]) == pytest.approx(0.0)
+    assert cutoff_collar(lin_ctx, [t, pv, 0.0]) == pytest.approx(1.0)
+    assert cutoff_collar(lin_ctx, [t, 1.5 * pv, 0.0]) == pytest.approx(0.5)
+    assert cutoff_collar(lin_ctx, [t, 2 * pv, 0.0]) == pytest.approx(0.0)
     with pytest.raises(ProfileDomainError):
-        cutoff_cusp(lin_ctx, [1.5, 0.2, 0.0])
+        cutoff_collar(lin_ctx, [1.5, 0.2, 0.0])
 
 
 def test_cutoff_cusp_gradient_oracle(lin_ctx):
@@ -83,22 +86,9 @@ def test_cutoff_cusp_gradient_oracle(lin_ctx):
     assert np.all(mag <= (1.0 + 2.0 * 0.25) / pv + 1e-12)
 
 
-def test_tube_collar_values(lin_ctx):
-    psi1 = 0.25
-    z = [1.5, 1.5 * psi1, 0.0]
-    assert np.linalg.norm(reflect_tube(lin_ctx, z)[1:]) == pytest.approx(0.75 * psi1)
-    assert cutoff_tube(lin_ctx, z) == pytest.approx(0.5)
-    assert cutoff_tube(lin_ctx, [1.5, psi1, 0.0]) == pytest.approx(1.0)
-    assert cutoff_tube(lin_ctx, [1.5, 2 * psi1, 0.0]) == pytest.approx(0.0)
-    with pytest.raises(ProfileDomainError):
-        reflect_tube(lin_ctx, [0.5, 1.5 * psi1, 0.0])
-
-
 def test_end_cap_maps():
     z = [2.5, 0.1, 0.0]
-    assert end_cap_pullback(ExtensionContext(LIN_SPEC, "mirror"), z)[0] == 1.5
-    assert end_cap_pullback(ExtensionContext(LIN_SPEC, "shift1"), z)[0] == 1.5
-    assert end_cap_pullback(ExtensionContext(LIN_SPEC, "shift2"), z)[0] == 0.5
+    assert end_cap_pullback(ExtensionContext(LIN_SPEC), z)[0] == 1.5
     assert cutoff_cap(ExtensionContext(LIN_SPEC), z) == pytest.approx(0.5)
     assert cutoff_cap(ExtensionContext(LIN_SPEC), [3.0 - 1e-9, 0.1, 0.0]) \
         == pytest.approx(1e-9, abs=1e-12)
@@ -175,11 +165,12 @@ def test_seam_continuity_mirror_passes(pow_ctx):
     assert ok, (worst, report[worst] if worst else None)
 
 
-@pytest.mark.parametrize("mode", ["shift1", "shift2"])
-def test_seam_detector_flags_shift_modes(mode):
+@pytest.mark.parametrize("offset", [1.0, 2.0], ids=["shift1", "shift2"])
+def test_seam_detector_flags_shift_modes(shift_end_cap, offset):
     # the literal axial shifts leave an O(1) jump at the cap interface for
     # axially-varying fields; the seam check is the designated detector
-    ctx = ExtensionContext(POW_SPEC, mode)
+    shift_end_cap(offset)
+    ctx = ExtensionContext(POW_SPEC)
     u = make_field("axial", 3)
     eu = extend_lipschitz(ctx, u)
     report = verify.seam_continuity_check(ctx, eu, per_seam=100, rng_seed=6)
@@ -339,3 +330,39 @@ def test_every_library_field_has_gradient_on_both_routes(kind):
         for eu in fields:
             assert eu.grad is not None, (kind, name)
             assert np.all(np.isfinite(eu.grad(z))), (kind, name)
+
+
+@pytest.mark.parametrize("psi", [StepProfile([0.5, 1.0], [0.1, 0.2]), PowerProfile(2.0)],
+                         ids=["two-step", "power"])
+def test_straightened_collar_values_do_not_depend_on_batch(psi):
+    # the hat profile's values can depend on its batch (the power hat's
+    # bisection near the tip does), so the collar reads it only on cusp
+    # points: tube-collar and end-cap points sharing the call must leave
+    # E(u) and grad E(u) at tip cusp-collar points bitwise unchanged
+    conj = extend_general(make_field("wave", 3), psi, 3)
+    eu = conj.hat_field
+    hat = conj.hat_context.spec.psi
+    t = np.geomspace(1e-6, 1e-2, 40)
+    cusp = np.stack([t, 1.5 * hat.value(t), np.zeros_like(t)], axis=1)
+    psi1 = conj.hat_context.psi1
+    s = np.linspace(1.1, 2.9, 40)  # tube collar, then end cap inside and over the collar
+    others = np.stack([s, np.where(s < 2.0, 1.5, 0.6) * psi1, np.full_like(s, 0.01)], axis=1)
+    spec = conj.hat_context.spec
+    assert np.all(classify_extension_region(spec, cusp) == ExtRegion.COLLAR)
+    assert set(classify_extension_region(spec, others)) == {ExtRegion.COLLAR, ExtRegion.END_CAP}
+    batch = np.concatenate([cusp, others])
+    assert np.array_equal(eu.fn(cusp), eu.fn(batch)[:t.size])
+    assert np.array_equal(eu.grad(cusp), eu.grad(batch)[:t.size])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.1, 0.0], [0.5, np.nan, 0.0],
+                                 [np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0]],
+                         ids=["nan-t", "nan-x", "inf", "-inf"])
+def test_non_finite_points_rejected(bad):
+    u = make_field("axial", 3)
+    direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
+    conj = extend_general(u, StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    for f in (direct.fn, direct.grad, conj.field.fn, conj.hat_field.fn, conj.hat_field.grad):
+        for z in (np.array(bad), np.array([[0.5, 0.01, 0.0], bad])):
+            with pytest.raises(ProfileDomainError, match="not finite"):
+                f(z)

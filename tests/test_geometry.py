@@ -97,10 +97,10 @@ def test_boundary_t_sum_monotone():
 
 def test_classify_extension_examples():
     spec = DomainSpec(3, LinearProfile(0.25))
-    assert classify_extension_region(spec, [0.5, 0.2, 0.0]) == ExtRegion.CUSP_COLLAR
+    assert classify_extension_region(spec, [0.5, 0.2, 0.0]) == ExtRegion.COLLAR
     assert classify_extension_region(spec, [0.5, 0.05, 0.0]) == ExtRegion.CORE
     assert classify_extension_region(spec, [2.5, 0.3, 0.0]) == ExtRegion.END_CAP
-    assert classify_extension_region(spec, [1.5, 0.3, 0.0]) == ExtRegion.TUBE_COLLAR
+    assert classify_extension_region(spec, [1.5, 0.3, 0.0]) == ExtRegion.COLLAR
     assert classify_extension_region(spec, [1.5, 0.1, 0.0]) == ExtRegion.CORE
     assert classify_extension_region(spec, [3.5, 0.1, 0.0]) == ExtRegion.OUTSIDE
     assert classify_extension_region(spec, [0.5, 0.6, 0.0]) == ExtRegion.OUTSIDE
