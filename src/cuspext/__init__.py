@@ -22,6 +22,7 @@ from .errors import (
 from .extension import (
     ConjugatedExtension,
     ExtensionContext,
+    extend,
     extend_general,
     extend_lipschitz,
 )

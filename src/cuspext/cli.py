@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, admissibility, quadrature, transform, verify
 from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError
-from .extension import ExtensionContext, extend_general, extend_lipschitz
+from .extension import extend
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
 from .lipschitzify import (
@@ -47,6 +47,10 @@ EXIT_NUMERIC = 4
 
 COMMANDS = ("lipschitzify", "transform-verify", "extend-verify", "admissibility-sweep")
 
+# each sweep row runs two dyadic tail checks (tens of milliseconds), so
+# 10 000 rows already take minutes; larger grids are config mistakes
+SWEEP_MAX_ROWS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -58,6 +62,8 @@ class RunConfig:
     out_dir: str
     options: dict = field(default_factory=dict)
     echo: dict = field(default_factory=dict)
+    dump_points: bool = False
+    dump_slices: bool = False
 
 
 def _default_tolerance() -> float:
@@ -79,9 +85,13 @@ def _build_profile(cfg: dict):
     kind = cfg["kind"]
     if kind == "csv":
         path = cfg.get("path")
-        if not path:
+        if not (isinstance(path, str) and path):
             raise ConfigError("profile.path: required for kind 'csv'")
-        return load_profile_csv(path)
+        try:
+            return load_profile_csv(path)
+        except OSError as err:
+            raise ConfigError(f"profile.path: cannot read {path!r}: "
+                              f"{err.strerror or err}") from None
     params = {k: v for k, v in cfg.items() if k != "kind"}
     return make_profile(kind, **params)
 
@@ -121,19 +131,36 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _grid_from(cfg: dict, errors: list) -> np.ndarray:
-    count = cfg.get("grid_count", 200)
+def _section(cfg: RunConfig, name: str) -> dict:
+    opts = cfg.options.get(name, {})
+    if not isinstance(opts, dict):
+        raise ConfigError(f"{name}: expected an object, got {opts!r}")
+    return opts
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false do not count."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _positive_int(opts: dict, section: str, key: str, default: int, errors: list) -> int:
+    value = opts.get(key, default)
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        errors.append(f"{section}.{key}: need an integer >= 1, got {value!r}")
+    return value
+
+
+def _grid_from(cfg: dict, errors: list) -> np.ndarray | None:
+    count = _positive_int(cfg, "lipschitzify", "grid_count", 200, errors)
     spacing = cfg.get("grid_spacing", "log")
     start = cfg.get("grid_start", 1e-6)
-    if not (isinstance(count, int) and count >= 1):
-        errors.append(f"lipschitzify.grid_count: need integer >= 1, got {count!r}")
-        return np.array([1.0])
     if spacing not in ("log", "linear"):
         errors.append(f"lipschitzify.grid_spacing: log or linear, got {spacing!r}")
-        return np.array([1.0])
-    if not 0.0 < start < 1.0:
+    if not (_is_number(start) and 0.0 < start < 1.0):
         errors.append(f"lipschitzify.grid_start: need 0 < start < 1, got {start!r}")
-        return np.array([1.0])
+    if errors:
+        return None
     if count == 1:
         return np.array([1.0])
     grid = (np.geomspace(start, 1.0, count) if spacing == "log"
@@ -143,9 +170,10 @@ def _grid_from(cfg: dict, errors: list) -> np.ndarray:
 
 
 def cmd_lipschitzify(cfg: RunConfig) -> int:
-    opts = cfg.options.get("lipschitzify", {})
+    opts = _section(cfg, "lipschitzify")
     errors: list = []
     grid = _grid_from(opts, errors)
+    pair_count = _positive_int(opts, "lipschitzify", "pair_count", 10000, errors)
     if errors:
         raise ConfigError("; ".join(errors))
     psi = cfg.profile
@@ -154,7 +182,7 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
     save_profile_csv(table, os.path.join(cfg.out_dir, "hat_profile.csv"))
 
     rng = np.random.default_rng(cfg.seed)
-    pairs = rng.uniform(1e-9, 1.0, size=(int(opts.get("pair_count", 10000)), 2))
+    pairs = rng.uniform(1e-9, 1.0, size=(pair_count, 2))
     va = hat_values(psi, pairs[:, 0], cfg.tolerance)
     vb = hat_values(psi, pairs[:, 1], cfg.tolerance)
     slack = np.abs(va - vb) - (1.0 + psi1) * np.abs(pairs[:, 0] - pairs[:, 1])
@@ -189,21 +217,26 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
 
 
 def cmd_transform_verify(cfg: RunConfig) -> int:
-    opts = cfg.options.get("transform", {})
-    n_round = int(opts.get("round_trip_samples", 100000))
-    n_image = int(opts.get("image_samples", 10000))
-    n_pairs = int(opts.get("distortion_pairs", 100000))
-    if min(n_round, n_image, n_pairs) < 1:
-        raise ConfigError("transform: sample counts must be >= 1")
-    deltas = tuple(opts.get("seam_deltas", (1e-3, 1e-5, 1e-7)))
+    opts = _section(cfg, "transform")
+    errors: list = []
+    n_round = _positive_int(opts, "transform", "round_trip_samples", 100000, errors)
+    n_image = _positive_int(opts, "transform", "image_samples", 10000, errors)
+    n_pairs = _positive_int(opts, "transform", "distortion_pairs", 100000, errors)
+    n_seam = _positive_int(opts, "transform", "seam_samples", 200, errors)
+    deltas = opts.get("seam_deltas", (1e-3, 1e-5, 1e-7))
+    if not (isinstance(deltas, (list, tuple)) and deltas
+            and all(_is_number(d) and d > 0.0 for d in deltas)):
+        errors.append(f"transform.seam_deltas: need a nonempty list of numbers > 0, "
+                      f"got {deltas!r}")
+    if errors:
+        raise ConfigError("; ".join(errors))
 
     spec, scale = normalize(DomainSpec(cfg.n, cfg.profile))
     rng = np.random.default_rng(cfg.seed)
     z = transform.sample_box(cfg.n, n_round, rng)
     round_err = float(np.max(np.abs(
         transform.inverse_map(spec, transform.forward_map(spec, z)) - z)))
-    seams = transform.seam_continuity(spec, deltas,
-                                      int(opts.get("seam_samples", 200)), cfg.seed)
+    seams = transform.seam_continuity(spec, tuple(deltas), n_seam, cfg.seed)
     stretch = [k for per in seams.values() for k in per.values()]
     seam_ok = max(stretch) <= 100.0 and max(stretch) / max(min(stretch), 1e-300) <= 10.0
     image = transform.verify_image(spec, n_image, cfg.seed, cfg.tolerance)
@@ -226,7 +259,7 @@ def cmd_transform_verify(cfg: RunConfig) -> int:
         "checks": checks,
     }
     _write_json(os.path.join(cfg.out_dir, "transform_report.json"), report)
-    if cfg.options.get("_dump_points"):
+    if cfg.dump_points:
         pts = transform.sample_box(cfg.n, min(n_round, 10000),
                                    np.random.default_rng(cfg.seed))
         img = transform.forward_map(spec, pts)
@@ -252,15 +285,8 @@ def _scheme_from(cfg: dict) -> quadrature.QuadratureScheme:
         raise ConfigError(f"extend.quadrature.{err}") from None
 
 
-def _positive_int(opts: dict, key: str, default: int, errors: list) -> int:
-    value = opts.get(key, default)
-    if not (isinstance(value, int) and value >= 1):
-        errors.append(f"extend.{key}: need an integer >= 1, got {value!r}")
-    return value
-
-
 def cmd_extend_verify(cfg: RunConfig) -> int:
-    opts = cfg.options.get("extend", {})
+    opts = _section(cfg, "extend")
     pq = opts.get("pq", [[2.0, 1.0]])
     names = opts.get("functions", sorted(LIBRARY))
     errors: list = []
@@ -269,7 +295,7 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         errors.append("extend.pq: expected a nonempty list of [p, q] pairs")
     else:
         for i, (p, q) in enumerate(pq):
-            if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (p, q)):
+            if not (_is_number(p) and _is_number(q)):
                 errors.append(f"extend.pq[{i}]: need finite numbers, got {[p, q]}")
             elif not 1.0 <= q <= p:
                 errors.append(f"extend.pq[{i}]: need 1 <= q <= p, got {[p, q]}")
@@ -282,8 +308,8 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     if opts.get("end_cap_map", "mirror") != "mirror":
         errors.append("extend.end_cap_map: only 'mirror' is accepted; "
                       "the shift variants were removed")
-    trace_samples = _positive_int(opts, "trace_samples", 10000, errors)
-    decay_rays = _positive_int(opts, "decay_rays", 1000, errors)
+    trace_samples = _positive_int(opts, "extend", "trace_samples", 10000, errors)
+    decay_rays = _positive_int(opts, "extend", "decay_rays", 1000, errors)
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -291,7 +317,6 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     field_params = opts.get("field_params", {})
     psi = cfg.profile
     spec = DomainSpec(cfg.n, psi)
-    lipschitz_route = psi.lipschitz_constant is not None
 
     fields = {}
     for name in names:
@@ -302,30 +327,24 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     for name, u in fields.items():
         # hat_* live in the frame the extension is built in: the
         # straightened one, or the original frame on the direct route
-        if lipschitz_route:
-            ctx = ExtensionContext(spec)
-            eu = hat_eu = extend_lipschitz(ctx, u)
-            hat_u = u
-            trace_tol = 1e-12
-        else:
-            conj = extend_general(u, psi, cfg.n, cfg.tolerance)
-            ctx, eu, hat_eu, hat_u = conj.hat_context, conj.field, conj.hat_field, conj.hat_input
-            trace_tol = 1e-8
-        tr = verify.trace_check(eu, u, spec, trace_samples, cfg.seed)
-        decay = verify.boundary_decay_check(ctx, hat_eu, hat_u, rays=decay_rays,
+        ext = extend(u, psi, cfg.n, cfg.tolerance)
+        ctx, hat_eu = ext.hat_context, ext.hat_field
+        tr = verify.trace_check(ext.field, u, spec, trace_samples, cfg.seed)
+        decay = verify.boundary_decay_check(ctx, hat_eu, ext.hat_input, rays=decay_rays,
                                             rng_seed=cfg.seed)
         seams = verify.seam_continuity_check(ctx, hat_eu, per_seam=200, rng_seed=cfg.seed)
         cap = verify.seam_modulus_cap(ctx, u, cfg.seed)
         seam_ok, worst_seam = verify.seam_verdict(seams, cap)
+        trace_tol = 1e-12 if ext.frame == "direct" else 1e-8
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
         checks[f"decay_ok[{name}]"] = decay.ok
         checks[f"seam_ok[{name}]"] = seam_ok
-        for p, q in pq:
-            rep = quadrature.extension_ratio(u, psi, cfg.n, float(p), float(q),
-                                             scheme, cfg.tolerance)
+        norm_reports = quadrature.extension_ratio(
+            u, psi, cfg.n, [(float(p), float(q)) for p, q in pq], scheme, cfg.tolerance)
+        for (p, q), rep in zip(pq, norm_reports):
             reports.append({"function": name, **rep.to_dict(),
                             "seam_worst": worst_seam})
-            if cfg.options.get("_dump_slices"):
+            if cfg.dump_slices:
                 rows = quadrature.lp_slice_table(hat_eu, quadrature.region_extension(ctx.spec),
                                                  float(q), scheme, cfg.n)
                 path = os.path.join(cfg.out_dir,
@@ -350,17 +369,13 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     pts = transform.sample_box(cfg.n, 2000, rng, t_range=(-0.5, 3.5), radius=0.6)
     flist = list(fields.values())
     u, v = flist[0], flist[-1]
-    if lipschitz_route:
-        build = verify.make_lipschitz_builder(ExtensionContext(spec))
-    else:
-        def build(w):
-            return extend_general(w, psi, cfg.n, cfg.tolerance).field
-    lin = verify.linearity_check(build, u, v, pts)
+    lin = verify.linearity_check(lambda w: extend(w, psi, cfg.n, cfg.tolerance).field,
+                                 u, v, pts)
     checks["linearity_ok"] = lin.max_abs_error <= 1e-12
 
     report = {
         "config_echo": cfg.echo,
-        "route": "direct" if lipschitz_route else "straightened",
+        "route": ext.frame,
         "end_cap_map": "mirror",
         "norm_reports": reports,
         "linearity_max_error": lin.max_abs_error,
@@ -371,24 +386,33 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
 
 
 def cmd_admissibility_sweep(cfg: RunConfig) -> int:
-    opts = cfg.options.get("sweep", {})
+    opts = _section(cfg, "sweep")
     errors: list = []
-    p = opts.get("p")
-    q = opts.get("q")
-    if not (isinstance(p, (int, float)) and isinstance(q, (int, float))):
-        errors.append("sweep.p / sweep.q: required numbers")
-    elif not 1.0 <= q <= p:
+    if cfg.n < 3:
+        errors.append(f"n: admissibility-sweep needs n >= 3, got {cfg.n}")
+    values = {}
+    for key, default in (("p", None), ("q", None), ("s_start", 1.1), ("s_stop", 4.0),
+                         ("s_step", 0.1)):
+        values[key] = opts.get(key, default)
+        if not _is_number(values[key]):
+            errors.append(f"sweep.{key}: need a finite number, got {values[key]!r}")
+    if errors:
+        raise ConfigError("; ".join(errors))
+    p, q, start, stop, step = values.values()
+    if not 1.0 <= q <= p:
         errors.append(f"sweep: need 1 <= q <= p, got p={p}, q={q}")
-    start = opts.get("s_start", 1.1)
-    stop = opts.get("s_stop", 4.0)
-    step = opts.get("s_step", 0.1)
     if not (start > 1.0 and stop > start and step > 0.0):
         errors.append(f"sweep: need 1 < s_start < s_stop and s_step > 0, "
                       f"got {start}, {stop}, {step}")
+    else:
+        # counted before any array exists; min() keeps an overflow out of int()
+        count = int(round(min((stop - start) / step, SWEEP_MAX_ROWS))) + 1
+        if count > SWEEP_MAX_ROWS:
+            errors.append(f"sweep.s_step: {step} gives more than {SWEEP_MAX_ROWS} rows "
+                          f"over [{start}, {stop}]")
     if errors:
         raise ConfigError("; ".join(errors))
 
-    count = int(round((stop - start) / step)) + 1
     sigmas = np.round(np.linspace(start, start + step * (count - 1), count), 12)
     sigmas = sigmas[sigmas <= stop + 1e-12]
     rows = admissibility.sweep_power_cusp(cfg.n, float(p), float(q), sigmas)
@@ -436,10 +460,7 @@ def main(argv=None) -> int:
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
         cfg = build_run_config(args, raw)
-        if args.dump_points:
-            cfg.options["_dump_points"] = True
-        if args.dump_slices:
-            cfg.options["_dump_slices"] = True
+        cfg.dump_points, cfg.dump_slices = args.dump_points, args.dump_slices
         os.makedirs(cfg.out_dir, exist_ok=True)
         return DISPATCH[cfg.command](cfg)
     except ConfigError as err:

@@ -230,7 +230,9 @@ class ConjugatedExtension:
     extending there, and pulling back: ``field`` is the extension in
     original coordinates, ``hat_field`` the same object in straightened
     coordinates (where quadrature is cheap and exact), and
-    ``hat_input`` the field pulled into straightened coordinates.
+    ``hat_input`` the field pulled into straightened coordinates.  On
+    the direct route (``frame == "direct"``) the straightened frame is
+    the original one: ``field is hat_field`` and ``hat_input is u``.
     """
 
     field: ScalarField
@@ -238,6 +240,7 @@ class ConjugatedExtension:
     hat_input: ScalarField
     hat_context: ExtensionContext
     scale: float
+    frame: str  # "direct" | "straightened"
 
 
 def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
@@ -283,4 +286,17 @@ def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> Con
         return hat_field.fn(forward_map(norm_spec, z))
 
     field = ScalarField(f"extend({u.name})", fn)
-    return ConjugatedExtension(field, hat_field, hat_input, ctx, scale)
+    return ConjugatedExtension(field, hat_field, hat_input, ctx, scale, "straightened")
+
+
+def extend(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
+    """Extend u off the domain of psi along the profile's one route.
+
+    A Lipschitz profile is extended in place (``frame == "direct"``);
+    any other profile is straightened first (``extend_general``).
+    """
+    if psi.lipschitz_constant is not None:
+        ctx = ExtensionContext(DomainSpec(n, psi))
+        eu = extend_lipschitz(ctx, u)
+        return ConjugatedExtension(eu, eu, u, ctx, 1.0, "direct")
+    return extend_general(u, psi, n, tol)

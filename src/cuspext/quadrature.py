@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .extension import ExtensionContext, extend_general, extend_lipschitz
+from .extension import extend
 from .fields import ScalarField
 from .geometry import DomainSpec, collar_radius
 from .lipschitzify import DEFAULT_TOL
@@ -299,59 +299,57 @@ def in_limit_region(n: int, p: float, q: float) -> bool:
     return 1.0 <= q < n - 1 and p >= (n - 1) * q / (n - 1 - q)
 
 
-def extension_ratio(u: ScalarField, psi, n: int, p: float, q: float,
+def extension_ratio(u: ScalarField, psi, n: int, pq,
                     scheme: QuadratureScheme | None = None,
-                    tol: float = DEFAULT_TOL) -> NormReport:
-    """Extension-norm ratio with a one-step refinement stability estimate.
+                    tol: float = DEFAULT_TOL) -> list[NormReport]:
+    """Extension-norm ratios with one-step refinement stability estimates.
 
-    Lipschitz profiles are extended in place; other profiles are
-    straightened first and the extension norm is computed in the
+    One report per (p, q) pair, in order.  u is extended once, by
+    ``extension.extend``; the straightened route's norm is taken in the
     straightened frame (equivalent up to the straightening map's
-    two-sided Lipschitz constant).  The ratio's theoretical bound is
-    existential, so the report asserts nothing about its size.
+    two-sided Lipschitz constant).  E does not depend on (p, q), so each
+    distinct p and q is integrated once per resolution.  The ratio's
+    bound is existential, so the reports assert nothing about its size.
     """
     if scheme is None:
         scheme = QuadratureScheme()
-    if not 1.0 <= q <= p < np.inf:
-        raise ValueError(f"need 1 <= q <= p < inf, got p={p}, q={q}")
-    spec = DomainSpec(n, psi)
-    warnings = ()
-    if not in_limit_region(n, p, q):
-        warnings = (f"(p, q) = ({p}, {q}) outside the guaranteed region "
-                    f"q < {n - 1}, p >= (n-1)q/(n-1-q); ratio reported unasserted",)
-
-    if psi.lipschitz_constant is not None:
-        ctx = ExtensionContext(spec)
-        eu = extend_lipschitz(ctx, u)
-        ext_region = region_extension(spec)
-        frame = "direct"
-    else:
-        conj = extend_general(u, psi, n, tol)
-        eu = conj.hat_field
-        ext_region = region_extension(conj.hat_context.spec)
-        frame = "straightened"
-    dom_region = region_domain(spec)
+    for p, q in pq:
+        if not 1.0 <= q <= p < np.inf:
+            raise ValueError(f"need 1 <= q <= p < inf, got p={p}, q={q}")
+    ext = extend(u, psi, n, tol)
+    dom_region = region_domain(DomainSpec(n, psi))
+    ext_region = region_extension(ext.hat_context.spec)
 
     def measure(sch):
-        nu = w1p_norm(u, dom_region, p, sch, n, with_detail=True)
-        ne = w1p_norm(eu, ext_region, q, sch, n, with_detail=True)
+        nu = {p: w1p_norm(u, dom_region, p, sch, n, with_detail=True)
+              for p in dict.fromkeys(p for p, _ in pq)}
+        ne = {q: w1p_norm(ext.hat_field, ext_region, q, sch, n, with_detail=True)
+              for q in dict.fromkeys(q for _, q in pq)}
         return nu, ne
 
-    (nu0, du0), (ne0, de0) = measure(scheme)
-    (nu1, du1), (ne1, de1) = measure(scheme.refined())
-    zero = nu1 <= 0.0
-    ratio0 = None if nu0 <= 0.0 else ne0 / nu0
-    ratio1 = None if zero else ne1 / nu1
-    delta = None
-    if ratio0 is not None and ratio1 is not None and ratio1 > 0.0:
-        delta = abs(ratio1 - ratio0) / ratio1
-    return NormReport(
-        p=float(p), q=float(q), norm_u_w1p=float(nu1), norm_eu_w1q=float(ne1),
-        ratio=ratio1, refinement_delta=delta,
-        resolution=scheme.describe(), frame=frame, zero_denominator=bool(zero),
-        warnings=warnings,
-        detail={"base": {"norm_u": nu0, "norm_eu": ne0, **{f"u_{k}": v for k, v in du0.items()},
-                         **{f"eu_{k}": v for k, v in de0.items()}},
-                "refined": {**{f"u_{k}": v for k, v in du1.items()},
-                            **{f"eu_{k}": v for k, v in de1.items()}}},
-    )
+    (nu_base, ne_base), (nu_refined, ne_refined) = measure(scheme), measure(scheme.refined())
+    reports = []
+    for p, q in pq:
+        (nu0, du0), (ne0, de0) = nu_base[p], ne_base[q]
+        (nu1, du1), (ne1, de1) = nu_refined[p], ne_refined[q]
+        warnings = ()
+        if not in_limit_region(n, p, q):
+            warnings = (f"(p, q) = ({p}, {q}) outside the guaranteed region "
+                        f"q < {n - 1}, p >= (n-1)q/(n-1-q); ratio reported unasserted",)
+        zero = nu1 <= 0.0
+        ratio0 = None if nu0 <= 0.0 else ne0 / nu0
+        ratio1 = None if zero else ne1 / nu1
+        delta = None
+        if ratio0 is not None and ratio1 is not None and ratio1 > 0.0:
+            delta = abs(ratio1 - ratio0) / ratio1
+        reports.append(NormReport(
+            p=float(p), q=float(q), norm_u_w1p=float(nu1), norm_eu_w1q=float(ne1),
+            ratio=ratio1, refinement_delta=delta,
+            resolution=scheme.describe(), frame=ext.frame, zero_denominator=bool(zero),
+            warnings=warnings,
+            detail={"base": {"norm_u": nu0, "norm_eu": ne0, **{f"u_{k}": v for k, v in du0.items()},
+                             **{f"eu_{k}": v for k, v in de0.items()}},
+                    "refined": {**{f"u_{k}": v for k, v in du1.items()},
+                                **{f"eu_{k}": v for k, v in de1.items()}}},
+        ))
+    return reports

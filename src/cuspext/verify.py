@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .extension import ExtensionContext, extend_lipschitz
+from .extension import ExtensionContext
 from .fields import ScalarField, linear_combination
 from .geometry import DomainSpec, ExtRegion
 from .quadrature import gradient_at
@@ -181,11 +181,3 @@ def support_check(ctx: ExtensionContext, ext_field: ScalarField,
     return SupportReport(bool(np.all(vals == 0.0)), float(vals.max()),
                          int(outside.shape[0]))
 
-
-def make_lipschitz_builder(ctx: ExtensionContext):
-    """Field -> extension field closure for linearity checks."""
-
-    def build(u: ScalarField) -> ScalarField:
-        return extend_lipschitz(ctx, u)
-
-    return build

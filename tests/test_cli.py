@@ -1,9 +1,15 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from cuspext import cli
 from cuspext.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, config, extra=None, name="cfg.json", outdir="out"):
@@ -211,8 +217,9 @@ def test_extend_verify_validation(tmp_path, capsys):
     ({"quadrature": {"angular": 0}}, "extend.quadrature.angular"),
     ({"quadrature": {"t_levels": 1100}}, "extend.quadrature.t_levels"),
     ({"decay_rays": "abc"}, "extend.decay_rays"),
+    ({"trace_samples": True}, "extend.trace_samples"),
 ], ids=["pq-string", "pq-inf", "gauss_t-0", "angular-0", "t_levels-underflow",
-        "decay_rays-string"])
+        "decay_rays-string", "trace_samples-bool"])
 def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, field):
     cfg = {"command": "extend-verify",
            "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -223,6 +230,112 @@ def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, fie
     assert code == 3
     assert field in err
     assert "Traceback" not in err
+
+
+PW = {"kind": "power", "exponent": 2.0, "coeff": 0.25}
+SWEEP = {"command": "admissibility-sweep", "n": 3, "sweep": {"p": 4.0, "q": 2.0}}
+
+
+def _sweep(**fields):
+    return dict(SWEEP, sweep=dict(SWEEP["sweep"], **fields))
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (_sweep(p=float("inf")), "sweep.p"),
+    (_sweep(q=float("nan")), "sweep.q"),
+    (dict(SWEEP, n=2), "n: admissibility-sweep needs n >= 3"),
+    (_sweep(s_start="a"), "sweep.s_start"),
+    (_sweep(s_stop=True), "sweep.s_stop"),
+    (_sweep(s_step=1e-9), "sweep.s_step"),
+    ({"command": "transform-verify", "profile": PW,
+      "transform": {"round_trip_samples": "abc"}}, "transform.round_trip_samples"),
+    ({"command": "transform-verify", "profile": PW,
+      "transform": {"round_trip_samples": 2.5}}, "transform.round_trip_samples"),
+    ({"command": "transform-verify", "profile": PW,
+      "transform": {"seam_samples": 0}}, "transform.seam_samples"),
+    ({"command": "transform-verify", "profile": PW,
+      "transform": {"seam_deltas": "x"}}, "transform.seam_deltas"),
+    ({"command": "lipschitzify", "profile": PW,
+      "lipschitzify": {"pair_count": "x"}}, "lipschitzify.pair_count"),
+    ({"command": "lipschitzify", "profile": PW,
+      "lipschitzify": {"pair_count": 0}}, "lipschitzify.pair_count"),
+    ({"command": "lipschitzify", "profile": PW,
+      "lipschitzify": {"grid_start": "x"}}, "lipschitzify.grid_start"),
+    ({"command": "lipschitzify", "profile": {"kind": "csv", "path": "no/such/profile.csv"}},
+     "profile.path"),
+    ({"command": "lipschitzify", "profile": {"kind": "csv", "path": 5}}, "profile.path"),
+    ({"command": "lipschitzify", "profile": PW, "lipschitzify": [1]}, "lipschitzify"),
+], ids=["sweep-p-inf", "sweep-q-nan", "sweep-n-2", "sweep-s_start-string",
+        "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
+        "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
+        "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
+        "csv-path-not-string", "section-not-object"])
+def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
+    # the sweep grid is never built: every case must stop at validation
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sweep grid built before validation")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    code, _ = run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert field in err
+    assert "Traceback" not in err
+
+
+class _GridReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("s_stop, passes", [(5001.0, True), (5001.5, False)],
+                         ids=["at-limit", "one-over"])
+def test_sweep_row_limit_checked_before_any_array(tmp_path, capsys, monkeypatch,
+                                                  s_stop, passes):
+    # 1.5 + 0.5 k for k < SWEEP_MAX_ROWS: exactly the limit, then one row more
+    assert cli.SWEEP_MAX_ROWS == 10_000
+
+    def reached(*args, **kwargs):
+        raise _GridReached
+
+    monkeypatch.setattr(cli.np, "linspace", reached)
+    cfg = _sweep(s_start=1.5, s_stop=s_stop, s_step=0.5)
+    if passes:
+        with pytest.raises(_GridReached):
+            run(tmp_path, cfg)
+    else:
+        code, _ = run(tmp_path, cfg)
+        assert code == 3
+        assert "sweep.s_step" in capsys.readouterr().err
+
+
+def test_dump_flags_are_run_config_fields(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli.DISPATCH, "lipschitzify", lambda cfg: seen.append(cfg) or 0)
+    assert run(tmp_path, BASE_LIP, extra=["--dump-points", "--dump-slices"])[0] == 0
+    assert run(tmp_path, BASE_LIP, outdir="o2")[0] == 0
+    (flagged, plain) = seen
+    assert flagged.dump_points and flagged.dump_slices
+    assert not plain.dump_points and not plain.dump_slices
+    assert flagged.options == plain.options == BASE_LIP  # the user's config is untouched
+
+
+def _readme_example_config() -> dict:
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"Example config:\s*```json\n(.*?)```", text, re.S)
+    return json.loads(block.group(1))
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "perfbench" / "workloads").glob("*.json"))
+                         + ["README.md"], ids=lambda p: Path(p).name)
+def test_shipped_configs_pass_build_run_config(path):
+    # the benchmark's fresh-process probe validates configs with a namespace
+    # that carries only command, seed and out
+    raw = (_readme_example_config() if path == "README.md"
+           else json.loads(Path(path).read_text()))
+    args = argparse.Namespace(command=None, seed=None, out="unused")
+    cfg = cli.build_run_config(args, raw)
+    assert cfg.command == raw["command"]
+    assert not cfg.dump_points and not cfg.dump_slices
 
 
 def test_transform_zero_samples_rejected(tmp_path):

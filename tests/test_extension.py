@@ -9,6 +9,7 @@ from cuspext.extension import (
     cutoff_collar,
     cutoff_cusp_gradient,
     end_cap_pullback,
+    extend,
     extend_general,
     extend_lipschitz,
     reflect_collar,
@@ -144,7 +145,7 @@ def test_linearity_pointwise(pow_ctx):
     rng = np.random.default_rng(3)
     pts = np.concatenate([rng.uniform(-0.5, 3.5, size=(3000, 1)),
                           rng.uniform(-0.6, 0.6, size=(3000, 2))], axis=1)
-    rep = verify.linearity_check(verify.make_lipschitz_builder(pow_ctx), u, v, pts)
+    rep = verify.linearity_check(lambda w: extend_lipschitz(pow_ctx, w), u, v, pts)
     assert rep.max_abs_error <= 1e-12
 
 
@@ -223,6 +224,34 @@ def test_extend_general_linearity():
 
     rep = verify.linearity_check(build, u, v, pts)
     assert rep.max_abs_error <= 1e-12
+
+
+@pytest.mark.parametrize("psi, frame", [(PowerProfile(2.0, 0.25), "direct"),
+                                        (LinearProfile(0.25), "direct"),
+                                        (StepProfile([0.5, 1.0], [0.1, 0.2]), "straightened")],
+                         ids=["power", "linear", "step"])
+def test_extend_chooses_one_route(psi, frame):
+    # extend is the one place the route is chosen; each route's fields are
+    # bitwise those of the route's own constructor
+    u = make_field("wave", 3)
+    ext = extend(u, psi, 3)
+    assert ext.frame == frame
+    if frame == "direct":
+        assert ext.field is ext.hat_field and ext.hat_input is u and ext.scale == 1.0
+        want = extend_lipschitz(ExtensionContext(DomainSpec(3, psi)), u)
+        pairs = [(ext.field, want)]
+    else:
+        want = extend_general(u, psi, 3)
+        pairs = [(ext.field, want.field), (ext.hat_field, want.hat_field),
+                 (ext.hat_input, want.hat_input)]
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.uniform(-0.5, 3.5, size=(2000, 1)),
+                        rng.uniform(-0.6, 0.6, size=(2000, 2))], axis=1)
+    for got, ref in pairs:
+        assert np.array_equal(got.fn(z), ref.fn(z))
+        assert (got.grad is None) == (ref.grad is None)
+        if ref.grad is not None:
+            assert np.array_equal(got.grad(z), ref.grad(z))
 
 
 def test_extension_fd_gradient_matches_cutoff_gradient(lin_ctx):

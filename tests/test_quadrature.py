@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from fd_oracle import central_difference
 
+from cuspext import quadrature
 from cuspext.errors import QuadratureError
 from cuspext.extension import extend_general
 from cuspext.fields import ScalarField, make_field
@@ -191,8 +193,8 @@ def test_in_limit_region():
 
 def test_extension_ratio_report():
     small = QuadratureScheme(t_levels=25, gauss_t=4, gauss_r=4, angular=8)
-    rep = extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
-                          3, 2.0, 1.0, small)
+    [rep] = extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
+                            3, [(2.0, 1.0)], small)
     assert rep.frame == "direct"
     assert rep.ratio is not None and np.isfinite(rep.ratio)
     assert rep.refinement_delta is not None and rep.refinement_delta < 0.05
@@ -203,23 +205,57 @@ def test_extension_ratio_report():
 
 def test_extension_ratio_zero_denominator():
     small = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
-    rep = extension_ratio(make_field("constant", 3, value=0.0),
-                          PowerProfile(2.0, 0.25), 3, 2.0, 1.0, small)
+    [rep] = extension_ratio(make_field("constant", 3, value=0.0),
+                            PowerProfile(2.0, 0.25), 3, [(2.0, 1.0)], small)
     assert rep.zero_denominator and rep.ratio is None
 
 
 def test_extension_ratio_out_of_region_warns():
     small = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
-    rep = extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
-                          3, 4.0, 1.9, small)
+    [rep] = extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
+                            3, [(4.0, 1.9)], small)
     assert rep.warnings and "outside" in rep.warnings[0]
     assert np.isfinite(rep.ratio)
 
 
-def test_extension_ratio_validation():
+def test_extension_ratio_validation(monkeypatch):
     with pytest.raises(ValueError):
         extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
-                        3, 1.0, 2.0, SCHEME)
+                        3, [(1.0, 2.0)], SCHEME)
+    # every pair is checked before any work starts
+    monkeypatch.setattr(quadrature, "extend", None)
+    with pytest.raises(ValueError, match=r"got p=1.0, q=2.0"):
+        extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
+                        3, [(2.0, 1.0), (1.0, 2.0)], SCHEME)
+
+
+SMALL = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
+
+
+@pytest.mark.parametrize("psi", [PowerProfile(2.0, 0.25), StepProfile([0.5, 1.0], [0.1, 0.2])],
+                         ids=["direct", "straightened"])
+def test_extension_ratio_report_does_not_depend_on_neighbours(psi):
+    u = make_field("wave", 3)
+    [alone] = extension_ratio(u, psi, 3, [(4.0, 1.0)], SMALL)
+    pair = extension_ratio(u, psi, 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
+    assert [(r.p, r.q) for r in pair] == [(2.0, 1.0), (4.0, 1.0)]
+    assert json.dumps(alone.to_dict(), sort_keys=True) == \
+        json.dumps(pair[1].to_dict(), sort_keys=True)
+
+
+def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
+    calls = []
+    real = quadrature.w1p_norm
+    u = make_field("constant", 3)
+
+    def counting(f, region, p, *args, **kwargs):
+        calls.append(("u" if f is u else "E(u)", p))
+        return real(f, region, p, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "w1p_norm", counting)
+    extension_ratio(u, PowerProfile(2.0, 0.25), 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
+    # per resolution: u at p = 2 and p = 4, E(u) once at the shared q = 1
+    assert sorted(calls) == sorted(2 * [("u", 2.0), ("u", 4.0), ("E(u)", 1.0)])
 
 
 def test_extension_ratio_straightened_route():
@@ -227,7 +263,7 @@ def test_extension_ratio_straightened_route():
 
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     small = QuadratureScheme(t_levels=18, gauss_t=3, gauss_r=3, angular=6)
-    rep = extension_ratio(make_field("constant", 3), step, 3, 2.0, 1.0, small)
+    [rep] = extension_ratio(make_field("constant", 3), step, 3, [(2.0, 1.0)], small)
     assert rep.frame == "straightened"
     assert rep.ratio is not None and np.isfinite(rep.ratio) and rep.ratio > 0.0
 
