@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profiles import CuspProfile, PowerProfile
+from .quadrature import gauss_rule
 
 TAIL_LEVELS = 60
 RATIO_THRESHOLD = 0.999
@@ -38,24 +39,30 @@ class TailCheck:
     levels: int
 
 
-def _panel_integral(f, a: float, b: float, breaks) -> float:
-    """Gauss integral of f over [a, b], split at interior breakpoints."""
-    xi, wt = np.polynomial.legendre.leggauss(_PANEL_GAUSS)
-    edges = np.array([a, b])
-    inner = breaks[(breaks > a) & (breaks < b)]
-    if inner.size:
-        edges = np.union1d(edges, inner)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, hal = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            vals = f(mid + hal * xi)
-        total += hal * float(np.sum(wt * vals))
-    return total
+def _panel_integrals(f, first: int, levels: int, breaks) -> np.ndarray:
+    """Gauss integrals of f over [2^-k-1, 2^-k] for k = first, ..., first + levels - 1.
+
+    Each panel is split at the breakpoints strictly inside it, and f is
+    evaluated once on every sub-interval's nodes together.  A panel's
+    total adds its sub-intervals in ascending order, starting from 0.0.
+    """
+    xi, wt = gauss_rule(_PANEL_GAUSS)
+    edges = np.ldexp(1.0, -np.arange(first + levels, first - 1, -1))  # ascending
+    inner = breaks[(breaks > edges[0]) & (breaks < edges[-1])]
+    cuts = np.union1d(edges, inner)
+    lo, hi = cuts[:-1], cuts[1:]
+    mid, hal = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        vals = f(mid[:, None] + hal[:, None] * xi)
+    totals = np.zeros(levels)
+    # unbuffered, in sub-interval order; panel index levels - 1 is k = first
+    np.add.at(totals, np.searchsorted(edges, lo, side="right") - 1,
+              hal * np.sum(wt * vals, axis=1))
+    return totals[::-1]
 
 
-def _classify_tail(panels: list[float]) -> TailCheck:
-    arr = np.array(panels)  # panels[k] integrates [2^-k-1, 2^-k]
+def _classify_tail(arr: np.ndarray) -> TailCheck:
+    # arr[i] integrates the i-th dyadic panel, moving toward the tip
     levels = arr.size
     finite_sum = float(np.sum(arr[np.isfinite(arr)]))
     if np.any(~np.isfinite(arr)) or np.any(arr > _HUGE):
@@ -91,9 +98,7 @@ def check_inc1(psi: CuspProfile, s: float, n: int,
     def f(t):
         return (t ** s / psi.value(t)) ** expo / t
 
-    panels = [_panel_integral(f, 2.0 ** -(k + 1), 2.0 ** -k, breaks)
-              for k in range(levels)]
-    return _classify_tail(panels)
+    return _classify_tail(_panel_integrals(f, 0, levels, breaks))
 
 
 def check_inc2(psi: CuspProfile, s: float, n: int, p: float,
@@ -119,9 +124,7 @@ def check_inc2(psi: CuspProfile, s: float, n: int, p: float,
         base = (t ** s / psi.value(t)) ** expo / t
         return base * np.abs(np.log(psi.value(t) / t)) ** -alpha
 
-    panels = [_panel_integral(f, 2.0 ** -(k + 1), 2.0 ** -k, breaks)
-              for k in range(1, levels + 1)]
-    return _classify_tail(panels)
+    return _classify_tail(_panel_integrals(f, 1, levels, breaks))
 
 
 @dataclass(frozen=True)

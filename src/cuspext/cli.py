@@ -51,6 +51,9 @@ COMMANDS = ("lipschitzify", "transform-verify", "extend-verify", "admissibility-
 # 10 000 rows already take minutes; larger grids are config mistakes
 SWEEP_MAX_ROWS = 10_000
 
+# the keyword parameters of fields.tip_power_field, the one field that takes any
+TIP_POWER_PARAMS = ("gamma", "delta_cap")
+
 
 @dataclass
 class RunConfig:
@@ -105,11 +108,11 @@ def build_run_config(args, raw: dict) -> RunConfig:
     if not (isinstance(n, int) and n >= 2):
         errors.append(f"n: must be an integer >= 2, got {n!r}")
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if not (isinstance(seed, int) and seed >= 0):
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         errors.append(f"seed: must be a nonnegative integer, got {seed!r}")
     tolerance = raw.get("tolerance", _default_tolerance())
-    if not (isinstance(tolerance, (int, float)) and tolerance > 0.0):
-        errors.append(f"tolerance: must be > 0, got {tolerance!r}")
+    if not (_is_number(tolerance) and tolerance > 0.0):
+        errors.append(f"tolerance: must be a finite number > 0, got {tolerance!r}")
     profile = None
     if command != "admissibility-sweep":
         try:
@@ -310,18 +313,25 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
                       "the shift variants were removed")
     trace_samples = _positive_int(opts, "extend", "trace_samples", 10000, errors)
     decay_rays = _positive_int(opts, "extend", "decay_rays", 1000, errors)
+    field_params = opts.get("field_params", {})
+    if not (isinstance(field_params, dict)
+            and all(k in TIP_POWER_PARAMS and _is_number(v) for k, v in field_params.items())):
+        errors.append(f"extend.field_params: need an object of finite numbers keyed by "
+                      f"{' or '.join(TIP_POWER_PARAMS)}, got {field_params!r}")
     if errors:
         raise ConfigError("; ".join(errors))
 
     scheme = _scheme_from(opts.get("quadrature", {}))
-    field_params = opts.get("field_params", {})
     psi = cfg.profile
     spec = DomainSpec(cfg.n, psi)
 
     fields = {}
     for name in names:
         params = field_params if name == "tip-power" else {}
-        fields[name] = make_field(name, cfg.n, **params)
+        try:
+            fields[name] = make_field(name, cfg.n, **params)
+        except ValueError as err:
+            raise ConfigError(f"extend.field_params: {err}") from None
 
     reports, checks = [], {}
     for name, u in fields.items():

@@ -53,22 +53,29 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float):
 
     Bisection is the only safe choice here: g is monotone but need not
     be continuous, so derivative-based methods can cycle across a jump.
+    An element stops once no float lies strictly inside its bracket;
+    further halving could not move it, so each result is independent of
+    the rest of the batch.
     """
     psi1 = psi.value_at_1
     targets = (1.0 + psi1) * t_hats
     lo = np.zeros_like(targets)
     hi = np.ones_like(targets)
+    live = np.ones(targets.shape, dtype=bool)
     for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
+        lo_l, hi_l = lo[live], hi[live]
+        mid = 0.5 * (lo_l + hi_l)
         gm = _g_values(psi, mid)
         if not np.all(np.isfinite(gm)):
             bad = mid[~np.isfinite(gm)][0]
             raise ConvergenceError(f"non-finite profile value near t={bad}",
                                    bracket=(float(bad), float(bad)))
-        below = gm <= targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= 1e-17:
+        below = gm <= targets[live]
+        lo_l = np.where(below, mid, lo_l)
+        hi_l = np.where(below, hi_l, mid)
+        lo[live], hi[live] = lo_l, hi_l
+        live[live] = np.nextafter(lo_l, hi_l) < hi_l
+        if not live.any():
             break
     residual = targets - _g_values(psi, lo)
     width = hi - lo

@@ -11,6 +11,7 @@ dimensions fall back to stratified Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -111,10 +112,22 @@ def _t_panels(slab: Slab, scheme: QuadratureScheme) -> np.ndarray:
     return edges
 
 
+@functools.cache
+def gauss_rule(deg: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    Built on first use: importing ``numpy.polynomial`` at import time
+    would cost every command a few milliseconds and some memory.
+    """
+    xi, wt = np.polynomial.legendre.leggauss(deg)
+    xi.flags.writeable = wt.flags.writeable = False
+    return xi, wt
+
+
 def _slab_nodes(slab: Slab, scheme: QuadratureScheme, n: int):
     """Tensor nodes/weights for one slab (n in {2, 3})."""
-    xi_t, wt_t = np.polynomial.legendre.leggauss(scheme.gauss_t)
-    xi_r, wt_r = np.polynomial.legendre.leggauss(scheme.gauss_r)
+    xi_t, wt_t = gauss_rule(scheme.gauss_t)
+    xi_r, wt_r = gauss_rule(scheme.gauss_r)
     edges = _t_panels(slab, scheme)
     a, b = edges[:-1], edges[1:]
     # t nodes: (panels, gauss_t) -> flat

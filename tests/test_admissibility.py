@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspext import admissibility
 from cuspext.admissibility import (
     CONVERGENT,
     DIVERGENT,
@@ -17,6 +18,7 @@ from cuspext.admissibility import (
     thresholds,
 )
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
+from cuspext.quadrature import gauss_rule
 
 
 def test_inc1_convergent_oracle():
@@ -231,3 +233,62 @@ def test_oracle_agreement_small_grid():
                 assert got == DIVERGENT
             else:
                 assert got in (DIVERGENT, INCONCLUSIVE)
+
+
+def _looped_panels(f, first, levels, breaks):
+    """Oracle: one Gauss integral per dyadic panel, one call of f per piece."""
+    xi, wt = np.polynomial.legendre.leggauss(16)
+    panels = []
+    for k in range(first, first + levels):
+        a, b = 2.0 ** -(k + 1), 2.0 ** -k
+        edges = np.array([a, b])
+        inner = breaks[(breaks > a) & (breaks < b)]
+        if inner.size:
+            edges = np.union1d(edges, inner)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, hal = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            with np.errstate(over="ignore", under="ignore", divide="ignore"):
+                vals = f(mid + hal * xi)
+            total += hal * float(np.sum(wt * vals))
+        panels.append(total)
+    return np.array(panels)
+
+
+@pytest.mark.parametrize("breaks", [
+    # 2^-5 is a panel edge; 0.3 and 0.7 split the panels they fall in
+    [2.0 ** -5, 0.3, 0.7, 1.0],
+    # five pieces in [1/4, 1/2], so the order of their sum shows
+    [0.26, 0.3, 0.33, 0.41, 0.7, 1.0],
+], ids=["edge-and-inner", "many-pieces"])
+@pytest.mark.parametrize("check, args", [
+    (check_inc1, (1.5, 3)), (check_inc1, (3.0, 4)),
+    (check_inc2, (2.0, 3, 4.0)), (check_inc2, (2.5, 4, 5.0)),
+], ids=["inc1-s1.5", "inc1-s3", "inc2-s2", "inc2-s2.5"])
+def test_vectorised_panels_equal_per_panel_loop(monkeypatch, check, args, breaks):
+    psi = StepProfile(breaks, np.geomspace(0.01, 0.4, len(breaks)))
+    vectorised = admissibility._panel_integrals
+    pairs = []
+
+    def looped(f, first, levels, breaks):
+        pairs.append((vectorised(f, first, levels, breaks),
+                      _looped_panels(f, first, levels, breaks)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(admissibility, "_panel_integrals", looped)
+    want = check(psi, *args)
+    monkeypatch.setattr(admissibility, "_panel_integrals", vectorised)
+    assert check(psi, *args) == want  # every TailCheck field, exactly
+    [(got_panels, want_panels)] = pairs
+    assert np.array_equal(got_panels, want_panels)
+
+
+def test_sweep_builds_the_gauss_rule_once(monkeypatch):
+    legendre = np.polynomial.legendre
+    real, calls = legendre.leggauss, []
+    monkeypatch.setattr(legendre, "leggauss", lambda deg: calls.append(deg) or real(deg))
+    gauss_rule.cache_clear()
+    sweep_power_cusp(3, 4.0, 2.0, np.arange(1.1, 4.05, 0.1))
+    assert len(calls) <= 1
+    xi, wt = gauss_rule(16)
+    assert not (xi.flags.writeable or wt.flags.writeable)

@@ -218,8 +218,13 @@ def test_extend_verify_validation(tmp_path, capsys):
     ({"quadrature": {"t_levels": 1100}}, "extend.quadrature.t_levels"),
     ({"decay_rays": "abc"}, "extend.decay_rays"),
     ({"trace_samples": True}, "extend.trace_samples"),
+    ({"functions": ["tip-power"], "field_params": {"gamma": "x"}}, "extend.field_params"),
+    ({"functions": ["tip-power"], "field_params": [1]}, "extend.field_params"),
+    ({"functions": ["tip-power"], "field_params": {"zzz": 1}}, "extend.field_params"),
+    ({"functions": ["tip-power"], "field_params": {"gamma": -1}}, "extend.field_params"),
 ], ids=["pq-string", "pq-inf", "gauss_t-0", "angular-0", "t_levels-underflow",
-        "decay_rays-string", "trace_samples-bool"])
+        "decay_rays-string", "trace_samples-bool", "field_params-string",
+        "field_params-list", "field_params-unknown-key", "field_params-gamma-negative"])
 def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, field):
     cfg = {"command": "extend-verify",
            "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -265,11 +270,15 @@ def _sweep(**fields):
      "profile.path"),
     ({"command": "lipschitzify", "profile": {"kind": "csv", "path": 5}}, "profile.path"),
     ({"command": "lipschitzify", "profile": PW, "lipschitzify": [1]}, "lipschitzify"),
+    ({"command": "lipschitzify", "profile": PW, "tolerance": True}, "tolerance"),
+    ({"command": "lipschitzify", "profile": PW, "tolerance": float("inf")}, "tolerance"),
+    ({"command": "lipschitzify", "profile": PW, "seed": True}, "seed"),
 ], ids=["sweep-p-inf", "sweep-q-nan", "sweep-n-2", "sweep-s_start-string",
         "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
         "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
         "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
-        "csv-path-not-string", "section-not-object"])
+        "csv-path-not-string", "section-not-object", "tolerance-bool", "tolerance-inf",
+        "seed-bool"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
     # the sweep grid is never built: every case must stop at validation
     def no_grid(*args, **kwargs):

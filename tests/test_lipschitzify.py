@@ -122,6 +122,28 @@ def test_convergence_error_carries_bracket():
     assert err.value.bracket is not None
 
 
+def test_hat_values_do_not_depend_on_batch():
+    # each point must stop on its own bracket: a batch-wide stop would let
+    # a point far from the tip decide how far the tip points converge
+    pts = np.geomspace(1e-9, 1e-2, 2000)
+    alone = hat_values(PowerProfile(2.0), pts)
+    batched = hat_values(PowerProfile(2.0), np.append(pts, 0.5))[:-1]
+    assert np.array_equal(alone, batched)
+
+
+def test_hat_values_tip_relative_accuracy():
+    # psi = t^2: t + t^2 = 2 t_hat gives t = (-1 + sqrt(1 + 8 t_hat)) / 2, r = t^2.
+    # The remaining error, about 5e-8 at t_hat = 1e-9, comes from forming
+    # r = target - t, which cancels when r is far below t.
+    mpmath = pytest.importorskip("mpmath")
+    pts = np.geomspace(1e-9, 1e-3, 50)
+    got = hat_values(PowerProfile(2.0), pts)
+    with mpmath.workdps(50):
+        want = np.array([float(((mpmath.sqrt(1 + 8 * mpmath.mpf(x)) - 1) / 2) ** 2)
+                         for x in pts])
+    assert np.max(np.abs(got - want) / want) <= 1e-6
+
+
 @pytest.mark.parametrize("psi", [PowerProfile(2.0), PowerProfile(3.0), TWO_STEP])
 def test_lipschitz_bound(psi):
     tol = 1e-12

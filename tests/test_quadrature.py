@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +280,12 @@ def test_lp_slice_table_sums_to_norm():
     rows = lp_slice_table(u, region, 1.0, SCHEME, 3)
     total = sum(r["contribution"] for r in rows)
     assert total == pytest.approx(6.0 * math.pi / 5.0, rel=1e-9)
+
+
+def test_gauss_rule_is_not_built_at_import():
+    # building it at import would load numpy.polynomial into every command
+    code = "import sys, cuspext.cli; print('numpy.polynomial' in sys.modules)"
+    src = str(Path(quadrature.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
