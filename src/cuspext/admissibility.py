@@ -121,8 +121,8 @@ def check_inc2(psi: CuspProfile, s: float, n: int, p: float,
     breaks = psi.breakpoints()
 
     def f(t):
-        base = (t ** s / psi.value(t)) ** expo / t
-        return base * np.abs(np.log(psi.value(t) / t)) ** -alpha
+        v = psi.value(t)
+        return (t ** s / v) ** expo / t * np.abs(np.log(v / t)) ** -alpha
 
     return _classify_tail(_panel_integrals(f, 1, levels, breaks))
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, admissibility, quadrature, transform, verify
-from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError
+from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError, unknown_key
 from .extension import extend
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
@@ -38,7 +38,7 @@ from .lipschitzify import (
     verify_doubling_transfer,
     verify_monotone_quotient,
 )
-from .profiles import load_profile_csv, make_profile, save_profile_csv
+from .profiles import PROFILE_KEYS, load_profile_csv, make_profile, save_profile_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -51,9 +51,6 @@ COMMANDS = ("lipschitzify", "transform-verify", "extend-verify", "admissibility-
 # 10 000 rows already take minutes; larger grids are config mistakes
 SWEEP_MAX_ROWS = 10_000
 
-# the keyword parameters of fields.tip_power_field, the one field that takes any
-TIP_POWER_PARAMS = ("gamma", "delta_cap")
-
 
 @dataclass
 class RunConfig:
@@ -63,69 +60,195 @@ class RunConfig:
     seed: int
     tolerance: float
     out_dir: str
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)  # the command's section, typed
     echo: dict = field(default_factory=dict)
     dump_points: bool = False
     dump_slices: bool = False
 
 
 def _default_tolerance() -> float:
-    raw = os.environ.get("CUSPEXT_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+    raw = os.environ.get("CUSPEXT_TOL", DEFAULT_TOL)
     try:
-        tol = float(raw)
+        return float(raw)  # the tolerance check below applies to it too
     except ValueError:
         raise ConfigError(f"CUSPEXT_TOL: not a number: {raw!r}") from None
-    if not tol > 0.0:
-        raise ConfigError(f"CUSPEXT_TOL: must be > 0, got {tol}")
-    return tol
 
 
-def _build_profile(cfg: dict):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("profile: expected an object with a 'kind' field")
-    kind = cfg["kind"]
-    if kind == "csv":
-        path = cfg.get("path")
-        if not (isinstance(path, str) and path):
-            raise ConfigError("profile.path: required for kind 'csv'")
+# -- the config tables -------------------------------------------------------
+# Each table maps a key to (check, default); the default ... marks a required
+# key and None one left out when absent.  A check takes the value and its
+# dotted name and returns the typed value or raises ConfigError naming the
+# field (the check None takes the value as it is); defaults pass the same check.
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number in the float range; true and false do not count."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _need(test, what: str):
+    def check(value, name):
+        if not test(value):
+            raise ConfigError(f"{name}: need {what}, got {value!r}")
+        return value
+    return check
+
+
+def _table(table: dict, make=dict):
+    """A check that reads an object against ``table`` and collects every error.
+
+    A key the table does not list is an error; ``make`` builds the typed value.
+    """
+    def check(given, name):
+        if not isinstance(given, dict):
+            raise ConfigError(f"{name}: need an object, got {given!r}")
+        prefix = f"{name}." if name else ""
+        errors = [unknown_key(prefix + key, key, table) for key in given if key not in table]
+        typed = {}
+        for key, (test, default) in table.items():
+            try:
+                if key in given:
+                    value = given[key]
+                elif default is ...:
+                    raise ConfigError(f"{prefix}{key}: required")
+                elif default is None:
+                    continue
+                else:
+                    value = default() if callable(default) else default
+                typed[key] = test(value, prefix + key) if test else value
+            except ConfigError as err:
+                errors.append(str(err))
+        if errors:
+            raise ConfigError("; ".join(errors))
         try:
-            return load_profile_csv(path)
-        except OSError as err:
-            raise ConfigError(f"profile.path: cannot read {path!r}: "
-                              f"{err.strerror or err}") from None
-    params = {k: v for k, v in cfg.items() if k != "kind"}
-    return make_profile(kind, **params)
+            return make(**typed)
+        except ValueError as err:
+            raise ConfigError(f"{name}.{err}") from None
+    return check
+
+
+COUNT = _need(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+NUMBER = _need(_is_number, "a finite number")
+
+
+def _build_profile(given, name):
+    """The profile check; ``profiles.PROFILE_KEYS`` lists the keys of every kind but csv."""
+    kind = given.get("kind") if isinstance(given, dict) else None
+    if not (isinstance(kind, str) and (kind == "csv" or kind in PROFILE_KEYS)):
+        raise ConfigError(f"{name}: need an object whose kind is one of "
+                          f"{[*PROFILE_KEYS, 'csv']}, got {given!r}")
+    keys = ({"path": (_need(lambda v: isinstance(v, str) and v != "", "a file path"), ...)}
+            if kind == "csv" else {key: (None, None) for key in PROFILE_KEYS[kind]})
+    params = _table({"kind": (None, ...), **keys})(given, name)
+    try:
+        return load_profile_csv(params["path"]) if kind == "csv" else make_profile(**params)
+    except OSError as err:
+        raise ConfigError(f"{name}.path: cannot read {params['path']!r}: "
+                          f"{err.strerror or err}") from None
+    except (CuspExtError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{name}: {err}") from None
+
+
+_TOP = {
+    "command": (None, ...),
+    "n": (_need(lambda v: type(v) is int and v >= 2, "an integer >= 2"), 3),
+    "seed": (_need(lambda v: type(v) is int and v >= 0, "a nonnegative integer"), 0),
+    "tolerance": (_need(lambda v: _is_number(v) and v > 0.0,
+                        "a finite number > 0 (default: CUSPEXT_TOL)"), _default_tolerance),
+    "profile": (_build_profile, ...),  # not read by the sweep, which runs power cusps t^s
+}
+
+# command -> (the section it reads, that section's table)
+SECTIONS = {
+    "lipschitzify": ("lipschitzify", {
+        "grid_count": (COUNT, 200), "pair_count": (COUNT, 10000),
+        "grid_spacing": (_need(lambda v: v in ("log", "linear"), "log or linear"), "log"),
+        "grid_start": (_need(lambda v: _is_number(v) and 0.0 < v < 1.0, "0 < start < 1"), 1e-6),
+    }),
+    "transform-verify": ("transform", {
+        "round_trip_samples": (COUNT, 100000), "image_samples": (COUNT, 10000),
+        "distortion_pairs": (COUNT, 100000), "seam_samples": (COUNT, 200),
+        "seam_deltas": (_need(lambda v: isinstance(v, list) and v != [] and all(
+            _is_number(d) and d > 0.0 for d in v), "a nonempty list of numbers > 0"),
+            [1e-3, 1e-5, 1e-7]),
+    }),
+    "extend-verify": ("extend", {
+        "pq": (_need(lambda v: isinstance(v, list) and v != [] and all(  # numbers: see below
+            isinstance(e, list) and len(e) == 2 for e in v), "a nonempty list of [p, q] pairs"),
+            [[2.0, 1.0]]),
+        "functions": (_need(lambda v: isinstance(v, list) and v != [] and all(
+            isinstance(f, str) and f in LIBRARY for f in v),
+            f"a nonempty list of names from {sorted(LIBRARY)}"), sorted(LIBRARY)),
+        "end_cap_map": (_need(lambda v: v == "mirror",
+                              "'mirror' (the shift variants were removed)"), "mirror"),
+        "trace_samples": (COUNT, 10000), "decay_rays": (COUNT, 1000),
+        # the keyword parameters of fields.tip_power_field, the one field that takes any
+        "field_params": (_table({"gamma": (NUMBER, None), "delta_cap": (NUMBER, None)}), {}),
+        # the keys are the scheme's fields, and the scheme checks its own values
+        "quadrature": (_table({f.name: (None, f.default)
+                               for f in dataclasses.fields(quadrature.QuadratureScheme)},
+                              make=quadrature.QuadratureScheme), {}),
+    }),
+    "admissibility-sweep": ("sweep", {
+        "p": (NUMBER, ...), "q": (NUMBER, ...),
+        "s_start": (NUMBER, 1.1), "s_stop": (NUMBER, 4.0), "s_step": (NUMBER, 0.1),
+    }),
+}
+
+
+def _cross_field_errors(command: str, top: dict) -> list:
+    """The rules that tie keys together, run once every key is typed."""
+    if command == "extend-verify":
+        return [f"extend.pq[{i}]: need finite numbers with 1 <= q <= p, got {[p, q]}"
+                for i, (p, q) in enumerate(top["extend"]["pq"])
+                if not (_is_number(p) and _is_number(q) and 1.0 <= q <= p)]
+    if command != "admissibility-sweep":
+        return []
+    opts, errors = top["sweep"], []
+    p, q, start, stop, step = (opts[k] for k in ("p", "q", "s_start", "s_stop", "s_step"))
+    if top["n"] < 3:
+        errors.append(f"n: admissibility-sweep needs n >= 3, got {top['n']}")
+    if not 1.0 <= q <= p:
+        errors.append(f"sweep: need 1 <= q <= p, got p={p}, q={q}")
+    if not (start > 1.0 and stop > start and step > 0.0):
+        errors.append(f"sweep: need 1 < s_start < s_stop and s_step > 0, "
+                      f"got {start}, {stop}, {step}")
+    else:
+        # counted before any array exists and kept for the command; min() keeps an
+        # overflow out of int()
+        opts["rows"] = int(round(min((stop - start) / step, SWEEP_MAX_ROWS))) + 1
+        if opts["rows"] > SWEEP_MAX_ROWS:
+            errors.append(f"sweep.s_step: {step} gives more than {SWEEP_MAX_ROWS} rows "
+                          f"over [{start}, {stop}]")
+    return errors
+
+
+def validate(args, raw: dict) -> dict:
+    """The config typed, checked and with defaults filled in; one ConfigError lists all faults."""
+    overrides = {"command": args.command, "seed": args.seed}
+    given = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    command = given.get("command")
+    if command not in COMMANDS:
+        raise ConfigError(f"command: must be one of {COMMANDS}, got {command!r}")
+    section, table = SECTIONS[command]
+    top = {**_TOP, section: (_table(table), {})}
+    if command == "admissibility-sweep":
+        del top["profile"]
+    typed = _table(top)(given, "")
+    errors = _cross_field_errors(command, typed)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return typed
 
 
 def build_run_config(args, raw: dict) -> RunConfig:
-    errors = []
-    command = args.command or raw.get("command")
-    if command not in COMMANDS:
-        errors.append(f"command: must be one of {COMMANDS}, got {command!r}")
-    n = raw.get("n", 3)
-    if not (isinstance(n, int) and n >= 2):
-        errors.append(f"n: must be an integer >= 2, got {n!r}")
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        errors.append(f"seed: must be a nonnegative integer, got {seed!r}")
-    tolerance = raw.get("tolerance", _default_tolerance())
-    if not (_is_number(tolerance) and tolerance > 0.0):
-        errors.append(f"tolerance: must be a finite number > 0, got {tolerance!r}")
-    profile = None
-    if command != "admissibility-sweep":
-        try:
-            profile = _build_profile(raw.get("profile", {}))
-        except (ConfigError, CuspExtError, KeyError, TypeError) as err:
-            errors.append(f"profile: {err}")
-    if errors:
-        raise ConfigError("; ".join(errors))
-    echo = {"command": command, "n": n, "seed": seed, "tolerance": tolerance,
-            "profile": raw.get("profile"), "version": __version__}
-    return RunConfig(command=command, profile=profile, n=n, seed=int(seed),
-                     tolerance=float(tolerance), out_dir=args.out,
-                     options=raw, echo=echo)
+    top = validate(args, raw)
+    profile = top.pop("profile", None)
+    echo = {k: top[k] for k in ("command", "n", "seed", "tolerance")}
+    echo.update(profile=None if profile is None else raw["profile"], version=__version__)
+    return RunConfig(command=top["command"], profile=profile, n=top["n"], seed=int(top["seed"]),
+                     tolerance=float(top["tolerance"]), out_dir=args.out,
+                     options=top[SECTIONS[top["command"]][0]], echo=echo)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -134,58 +257,25 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _section(cfg: RunConfig, name: str) -> dict:
-    opts = cfg.options.get(name, {})
-    if not isinstance(opts, dict):
-        raise ConfigError(f"{name}: expected an object, got {opts!r}")
-    return opts
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; true and false do not count."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _positive_int(opts: dict, section: str, key: str, default: int, errors: list) -> int:
-    value = opts.get(key, default)
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-        errors.append(f"{section}.{key}: need an integer >= 1, got {value!r}")
-    return value
-
-
-def _grid_from(cfg: dict, errors: list) -> np.ndarray | None:
-    count = _positive_int(cfg, "lipschitzify", "grid_count", 200, errors)
-    spacing = cfg.get("grid_spacing", "log")
-    start = cfg.get("grid_start", 1e-6)
-    if spacing not in ("log", "linear"):
-        errors.append(f"lipschitzify.grid_spacing: log or linear, got {spacing!r}")
-    if not (_is_number(start) and 0.0 < start < 1.0):
-        errors.append(f"lipschitzify.grid_start: need 0 < start < 1, got {start!r}")
-    if errors:
-        return None
-    if count == 1:
-        return np.array([1.0])
-    grid = (np.geomspace(start, 1.0, count) if spacing == "log"
-            else np.linspace(start, 1.0, count))
-    grid[-1] = 1.0
-    return grid
+def _write_csv(path: str, rows: list) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def cmd_lipschitzify(cfg: RunConfig) -> int:
-    opts = _section(cfg, "lipschitzify")
-    errors: list = []
-    grid = _grid_from(opts, errors)
-    pair_count = _positive_int(opts, "lipschitzify", "pair_count", 10000, errors)
-    if errors:
-        raise ConfigError("; ".join(errors))
+    opts = cfg.options
+    spaced = np.geomspace if opts["grid_spacing"] == "log" else np.linspace
+    grid = spaced(opts["grid_start"], 1.0, opts["grid_count"])
+    grid[-1] = 1.0  # a one-point grid is [1.0]
     psi = cfg.profile
     psi1 = psi.value_at_1
     table = hat_profile(psi, grid, cfg.tolerance)
     save_profile_csv(table, os.path.join(cfg.out_dir, "hat_profile.csv"))
 
     rng = np.random.default_rng(cfg.seed)
-    pairs = rng.uniform(1e-9, 1.0, size=(pair_count, 2))
+    pairs = rng.uniform(1e-9, 1.0, size=(opts["pair_count"], 2))
     va = hat_values(psi, pairs[:, 0], cfg.tolerance)
     vb = hat_values(psi, pairs[:, 1], cfg.tolerance)
     slack = np.abs(va - vb) - (1.0 + psi1) * np.abs(pairs[:, 0] - pairs[:, 1])
@@ -220,30 +310,19 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
 
 
 def cmd_transform_verify(cfg: RunConfig) -> int:
-    opts = _section(cfg, "transform")
-    errors: list = []
-    n_round = _positive_int(opts, "transform", "round_trip_samples", 100000, errors)
-    n_image = _positive_int(opts, "transform", "image_samples", 10000, errors)
-    n_pairs = _positive_int(opts, "transform", "distortion_pairs", 100000, errors)
-    n_seam = _positive_int(opts, "transform", "seam_samples", 200, errors)
-    deltas = opts.get("seam_deltas", (1e-3, 1e-5, 1e-7))
-    if not (isinstance(deltas, (list, tuple)) and deltas
-            and all(_is_number(d) and d > 0.0 for d in deltas)):
-        errors.append(f"transform.seam_deltas: need a nonempty list of numbers > 0, "
-                      f"got {deltas!r}")
-    if errors:
-        raise ConfigError("; ".join(errors))
-
+    opts = cfg.options
+    n_round = opts["round_trip_samples"]
     spec, scale = normalize(DomainSpec(cfg.n, cfg.profile))
     rng = np.random.default_rng(cfg.seed)
     z = transform.sample_box(cfg.n, n_round, rng)
     round_err = float(np.max(np.abs(
         transform.inverse_map(spec, transform.forward_map(spec, z)) - z)))
-    seams = transform.seam_continuity(spec, tuple(deltas), n_seam, cfg.seed)
+    seams = transform.seam_continuity(spec, tuple(opts["seam_deltas"]), opts["seam_samples"],
+                                      cfg.seed)
     stretch = [k for per in seams.values() for k in per.values()]
     seam_ok = max(stretch) <= 100.0 and max(stretch) / max(min(stretch), 1e-300) <= 10.0
-    image = transform.verify_image(spec, n_image, cfg.seed, cfg.tolerance)
-    distortion = transform.distortion_sample(spec, n_pairs, cfg.seed)
+    image = transform.verify_image(spec, opts["image_samples"], cfg.seed, cfg.tolerance)
+    distortion = transform.distortion_sample(spec, opts["distortion_pairs"], cfg.seed)
     finite_ok = (0.0 < distortion.min_ratio <= distortion.max_ratio < np.inf
                  and 0.0 < distortion.min_jacobian)
 
@@ -269,69 +348,23 @@ def cmd_transform_verify(cfg: RunConfig) -> int:
         with open(os.path.join(cfg.out_dir, "transform_points.csv"), "w",
                   newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f"z{i}" for i in range(cfg.n)]
-                            + [f"Oz{i}" for i in range(cfg.n)])
-            for a, b in zip(pts, img):
-                writer.writerow([repr(float(v)) for v in (*a, *b)])
+            writer.writerow([f"z{i}" for i in range(cfg.n)] + [f"Oz{i}" for i in range(cfg.n)])
+            writer.writerows([repr(float(v)) for v in (*a, *b)] for a, b in zip(pts, img))
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
 
-def _scheme_from(cfg: dict) -> quadrature.QuadratureScheme:
-    known = {"t_levels", "t_ratio", "gauss_t", "gauss_r", "angular",
-             "mc_samples", "seed"}
-    bad = set(cfg) - known
-    if bad:
-        raise ConfigError(f"extend.quadrature: unknown fields {sorted(bad)}")
-    try:
-        return quadrature.QuadratureScheme(**cfg)
-    except ValueError as err:
-        raise ConfigError(f"extend.quadrature.{err}") from None
-
-
 def cmd_extend_verify(cfg: RunConfig) -> int:
-    opts = _section(cfg, "extend")
-    pq = opts.get("pq", [[2.0, 1.0]])
-    names = opts.get("functions", sorted(LIBRARY))
-    errors: list = []
-    if not (isinstance(pq, list) and pq and
-            all(isinstance(e, list) and len(e) == 2 for e in pq)):
-        errors.append("extend.pq: expected a nonempty list of [p, q] pairs")
-    else:
-        for i, (p, q) in enumerate(pq):
-            if not (_is_number(p) and _is_number(q)):
-                errors.append(f"extend.pq[{i}]: need finite numbers, got {[p, q]}")
-            elif not 1.0 <= q <= p:
-                errors.append(f"extend.pq[{i}]: need 1 <= q <= p, got {[p, q]}")
-    if not (isinstance(names, list) and names):
-        errors.append("extend.functions: expected a nonempty list of names")
-    else:
-        for name in names:
-            if name not in LIBRARY:
-                errors.append(f"extend.functions: unknown field {name!r}")
-    if opts.get("end_cap_map", "mirror") != "mirror":
-        errors.append("extend.end_cap_map: only 'mirror' is accepted; "
-                      "the shift variants were removed")
-    trace_samples = _positive_int(opts, "extend", "trace_samples", 10000, errors)
-    decay_rays = _positive_int(opts, "extend", "decay_rays", 1000, errors)
-    field_params = opts.get("field_params", {})
-    if not (isinstance(field_params, dict)
-            and all(k in TIP_POWER_PARAMS and _is_number(v) for k, v in field_params.items())):
-        errors.append(f"extend.field_params: need an object of finite numbers keyed by "
-                      f"{' or '.join(TIP_POWER_PARAMS)}, got {field_params!r}")
-    if errors:
-        raise ConfigError("; ".join(errors))
-
-    scheme = _scheme_from(opts.get("quadrature", {}))
+    opts = cfg.options
+    pq, scheme = opts["pq"], opts["quadrature"]
     psi = cfg.profile
     spec = DomainSpec(cfg.n, psi)
 
-    fields = {}
-    for name in names:
-        params = field_params if name == "tip-power" else {}
-        try:
-            fields[name] = make_field(name, cfg.n, **params)
-        except ValueError as err:
-            raise ConfigError(f"extend.field_params: {err}") from None
+    try:
+        fields = {name: make_field(name, cfg.n,
+                                   **(opts["field_params"] if name == "tip-power" else {}))
+                  for name in opts["functions"]}
+    except ValueError as err:
+        raise ConfigError(f"extend.field_params: {err}") from None
 
     reports, checks = [], {}
     for name, u in fields.items():
@@ -339,8 +372,8 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         # straightened one, or the original frame on the direct route
         ext = extend(u, psi, cfg.n, cfg.tolerance)
         ctx, hat_eu = ext.hat_context, ext.hat_field
-        tr = verify.trace_check(ext.field, u, spec, trace_samples, cfg.seed)
-        decay = verify.boundary_decay_check(ctx, hat_eu, ext.hat_input, rays=decay_rays,
+        tr = verify.trace_check(ext.field, u, spec, opts["trace_samples"], cfg.seed)
+        decay = verify.boundary_decay_check(ctx, hat_eu, ext.hat_input, rays=opts["decay_rays"],
                                             rng_seed=cfg.seed)
         seams = verify.seam_continuity_check(ctx, hat_eu, per_seam=200, rng_seed=cfg.seed)
         cap = verify.seam_modulus_cap(ctx, u, cfg.seed)
@@ -357,12 +390,7 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
             if cfg.dump_slices:
                 rows = quadrature.lp_slice_table(hat_eu, quadrature.region_extension(ctx.spec),
                                                  float(q), scheme, cfg.n)
-                path = os.path.join(cfg.out_dir,
-                                    f"slices_{name}_p{p}_q{q}.csv")
-                with open(path, "w", newline="") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                    writer.writeheader()
-                    writer.writerows(rows)
+                _write_csv(os.path.join(cfg.out_dir, f"slices_{name}_p{p}_q{q}.csv"), rows)
             in_region = quadrature.in_limit_region(cfg.n, float(p), float(q))
             key = f"ratio_ok[{name},p={p},q={q}]"
             if rep.zero_denominator:
@@ -396,41 +424,13 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
 
 
 def cmd_admissibility_sweep(cfg: RunConfig) -> int:
-    opts = _section(cfg, "sweep")
-    errors: list = []
-    if cfg.n < 3:
-        errors.append(f"n: admissibility-sweep needs n >= 3, got {cfg.n}")
-    values = {}
-    for key, default in (("p", None), ("q", None), ("s_start", 1.1), ("s_stop", 4.0),
-                         ("s_step", 0.1)):
-        values[key] = opts.get(key, default)
-        if not _is_number(values[key]):
-            errors.append(f"sweep.{key}: need a finite number, got {values[key]!r}")
-    if errors:
-        raise ConfigError("; ".join(errors))
-    p, q, start, stop, step = values.values()
-    if not 1.0 <= q <= p:
-        errors.append(f"sweep: need 1 <= q <= p, got p={p}, q={q}")
-    if not (start > 1.0 and stop > start and step > 0.0):
-        errors.append(f"sweep: need 1 < s_start < s_stop and s_step > 0, "
-                      f"got {start}, {stop}, {step}")
-    else:
-        # counted before any array exists; min() keeps an overflow out of int()
-        count = int(round(min((stop - start) / step, SWEEP_MAX_ROWS))) + 1
-        if count > SWEEP_MAX_ROWS:
-            errors.append(f"sweep.s_step: {step} gives more than {SWEEP_MAX_ROWS} rows "
-                          f"over [{start}, {stop}]")
-    if errors:
-        raise ConfigError("; ".join(errors))
-
+    opts = cfg.options
+    p, q, start, stop, step, count = (opts[k] for k in ("p", "q", "s_start", "s_stop", "s_step",
+                                                          "rows"))
     sigmas = np.round(np.linspace(start, start + step * (count - 1), count), 12)
     sigmas = sigmas[sigmas <= stop + 1e-12]
     rows = admissibility.sweep_power_cusp(cfg.n, float(p), float(q), sigmas)
-    with open(os.path.join(cfg.out_dir, "admissibility_sweep.csv"), "w",
-              newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(os.path.join(cfg.out_dir, "admissibility_sweep.csv"), rows)
     frontier = admissibility.frontier_from_sweep(rows)
     report = {
         "config_echo": cfg.echo,
@@ -476,8 +476,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, QuadratureError, OverflowError,
-            FloatingPointError) as err:
+    except (ConvergenceError, QuadratureError, OverflowError, FloatingPointError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except CuspExtError as err:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key message."""
 
 
 class CuspExtError(Exception):
@@ -38,3 +38,13 @@ class QuadratureError(CuspExtError, RuntimeError):
 
 class ConfigError(CuspExtError, ValueError):
     """Invalid run configuration; message lists field-level problems."""
+
+
+def unknown_key(field: str, key: str, known) -> str:
+    """Message for a config key nothing reads, naming the closest known key."""
+    import difflib  # on this error path only, so a valid config loads no extra module
+
+    # above difflib's default 0.6, which offers 'seed' for a stray 'extend' section
+    close = difflib.get_close_matches(key, list(known), n=1, cutoff=0.7)
+    hint = f"did you mean {close[0]!r}?" if close else f"known keys: {', '.join(known)}"
+    return f"{field}: unknown key; {hint}"

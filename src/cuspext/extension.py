@@ -15,7 +15,6 @@ continuous there for axially-varying fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -73,23 +72,6 @@ def cutoff_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
     """Affine weight: 1 on |x| = R(t), 0 on |x| = 2 R(t)."""
     _, _, r, R = _split_collar(ctx, z, check)
     return np.clip(2.0 - r / R, 0.0, 1.0)
-
-
-def cutoff_cusp_gradient(ctx: ExtensionContext, z, slope: Callable | None = None) -> np.ndarray:
-    """Analytic gradient of the cutoff on the cusp part of the collar (test oracle).
-
-    ``slope`` evaluates psi'(t); defaults to the profile's closed form.
-    """
-    t, x, r = geometry.split(z, ctx.spec.n)
-    if slope is None:
-        slope = profile_derivative(ctx.spec.psi)
-        if slope is None:
-            raise ValueError("pass slope for profiles without a closed-form derivative")
-    pv = geometry.collar_radius(ctx.spec, t)
-    g = np.zeros(np.shape(z))
-    g[..., 0] = r * np.asarray(slope(t)) / pv ** 2
-    g[..., 1:] = -x / (pv * np.maximum(r, 1e-300))[..., None]
-    return g
 
 
 def _split_cap(ctx: ExtensionContext, z, check: bool):

@@ -9,12 +9,12 @@ interpolated between breakpoints, so jump semantics stay exact.
 from __future__ import annotations
 
 import csv
-import io
+import numbers
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ProfileDomainError, ProfileFormatError
+from .errors import ProfileDomainError, ProfileFormatError, unknown_key
 
 _T_EPS = 1e-15
 
@@ -162,8 +162,8 @@ class StepProfile(CuspProfile):
                 raise ProfileFormatError(
                     f"row {i}: breakpoint {breaks[i]} not above previous {breaks[i - 1]}"
                 )
-            if not values[i] > 0.0:
-                raise ProfileFormatError(f"row {i}: value {values[i]} not strictly positive")
+            if not 0.0 < values[i] < np.inf:
+                raise ProfileFormatError(f"row {i}: value {values[i]} not finite and > 0")
             if i > 0 and values[i] < values[i - 1]:
                 raise ProfileFormatError(
                     f"row {i}: value {values[i]} decreases below previous {values[i - 1]}"
@@ -172,6 +172,12 @@ class StepProfile(CuspProfile):
             raise ProfileFormatError(
                 f"row {breaks.size - 1}: last breakpoint must be 1.0, got {breaks[-1]}"
             )
+        for name, bound in (("lipschitz_constant", lipschitz_constant),
+                            ("doubling_constant", doubling_constant)):
+            if bound is not None and not (isinstance(bound, numbers.Real)
+                                          and not isinstance(bound, bool)
+                                          and 0.0 < float(bound) < np.inf):
+                raise ProfileFormatError(f"{name}: need a finite number > 0, got {bound!r}")
         self.breaks = breaks
         self.values = values
         self.kind = kind
@@ -263,24 +269,40 @@ def eval_profile(psi: CuspProfile, t: float, side: str = "value") -> float:
     raise ValueError(f"side must be value|left|right, got {side!r}")
 
 
+# the config keys each kind reads; make_profile rejects any other
+PROFILE_KEYS = {
+    "power": ("exponent", "coeff"),
+    "linear": ("slope",),
+    "step": ("breakpoints", "values", "lipschitz_constant", "doubling_constant"),
+    "tabulated": ("breakpoints", "values", "lipschitz_constant", "doubling_constant"),
+}
+
+
 def make_profile(kind: str, **params) -> CuspProfile:
     """Construct a profile from a config-style description."""
-    if kind == "power":
-        return PowerProfile(params["exponent"], params.get("coeff", 1.0))
-    if kind == "linear":
-        return LinearProfile(params["slope"])
-    if kind in ("step", "tabulated"):
+    if kind not in PROFILE_KEYS:
+        raise ProfileFormatError(f"unknown profile kind {kind!r}")
+    unknown = [unknown_key(key, key, PROFILE_KEYS[kind])
+               for key in params if key not in PROFILE_KEYS[kind]]
+    if unknown:
+        raise ProfileFormatError("; ".join(unknown))
+    try:
+        if kind == "power":
+            return PowerProfile(params["exponent"], params.get("coeff", 1.0))
+        if kind == "linear":
+            return LinearProfile(params["slope"])
         return StepProfile(params["breakpoints"], params["values"], kind=kind,
                            lipschitz_constant=params.get("lipschitz_constant"),
                            doubling_constant=params.get("doubling_constant"))
-    raise ProfileFormatError(f"unknown profile kind {kind!r}")
+    except KeyError as err:
+        raise ProfileFormatError(f"kind {kind!r} needs {err.args[0]}") from None
 
 
 def load_profile_csv(path_or_buffer) -> StepProfile:
     """Load a tabulated profile from two-column CSV (breakpoint, value).
 
     Breakpoints must ascend within (0, 1] and end at 1; values must be
-    strictly positive and nondecreasing.  Violations raise
+    finite, strictly positive and nondecreasing.  Violations raise
     ProfileFormatError with the offending row index (0-based, header
     excluded if present).
     """
@@ -328,9 +350,3 @@ def _is_number(s: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def profile_to_csv_text(profile: StepProfile) -> str:
-    buf = io.StringIO()
-    save_profile_csv(profile, buf)
-    return buf.getvalue()

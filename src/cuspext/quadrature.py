@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -39,25 +39,25 @@ class QuadratureScheme:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("t_levels", "gauss_t", "gauss_r", "angular", "mc_samples"):
+        for name, low in (("t_levels", 1), ("gauss_t", 1), ("gauss_r", 1), ("angular", 1),
+                          ("mc_samples", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name}: need a positive integer, got {value!r}")
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= low):
+                raise ValueError(f"{name}: need an integer >= {low}, got {value!r}")
         if not (isinstance(self.t_ratio, numbers.Real) and 0.0 < self.t_ratio < 1.0):
             raise ValueError(f"t_ratio: need 0 < t_ratio < 1, got {self.t_ratio!r}")
-        if not self.t_ratio ** self.t_levels > 0.0:
+        try:
+            smallest = self.t_ratio ** self.t_levels
+        except OverflowError:  # t_levels beyond the float range
+            smallest = 0.0
+        if not smallest > 0.0:
             raise ValueError(f"t_levels: the smallest graded panel edge "
                              f"t_ratio ** t_levels underflows to 0 at {self.t_levels}")
 
     def refined(self) -> "QuadratureScheme":
         return replace(self, gauss_t=2 * self.gauss_t, gauss_r=2 * self.gauss_r,
                        angular=2 * self.angular, mc_samples=4 * self.mc_samples)
-
-    def describe(self) -> dict:
-        return {"t_levels": self.t_levels, "t_ratio": self.t_ratio,
-                "gauss_t": self.gauss_t, "gauss_r": self.gauss_r,
-                "angular": self.angular, "mc_samples": self.mc_samples,
-                "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ def extension_ratio(u: ScalarField, psi, n: int, pq,
         reports.append(NormReport(
             p=float(p), q=float(q), norm_u_w1p=float(nu1), norm_eu_w1q=float(ne1),
             ratio=ratio1, refinement_delta=delta,
-            resolution=scheme.describe(), frame=ext.frame, zero_denominator=bool(zero),
+            resolution=asdict(scheme), frame=ext.frame, zero_denominator=bool(zero),
             warnings=warnings,
             detail={"base": {"norm_u": nu0, "norm_eu": ne0, **{f"u_{k}": v for k, v in du0.items()},
                              **{f"eu_{k}": v for k, v in de0.items()}},

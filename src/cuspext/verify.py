@@ -14,9 +14,9 @@ import numpy as np
 from . import geometry
 from .extension import ExtensionContext
 from .fields import ScalarField, linear_combination
-from .geometry import DomainSpec, ExtRegion
+from .geometry import DomainSpec
 from .quadrature import gradient_at
-from .transform import sample_domain, sample_box
+from .transform import sample_domain
 
 
 @dataclass(frozen=True)
@@ -161,23 +161,3 @@ def seam_verdict(seam_report: dict, modulus_cap: float) -> tuple[bool, str | Non
             if jump > modulus_cap * delta:
                 return False, seam
     return True, None
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    ok: bool
-    max_abs_outside: float
-    samples: int
-
-
-def support_check(ctx: ExtensionContext, ext_field: ScalarField,
-                  count: int = 5000, rng_seed: int = 0) -> SupportReport:
-    """The extension must vanish identically outside the doubled domain."""
-    rng = np.random.default_rng(rng_seed)
-    z = sample_box(ctx.spec.n, 4 * count, rng, t_range=(-1.0, 4.0), radius=2.0)
-    label = geometry.classify_extension_region(ctx.spec, z)
-    outside = z[np.asarray(label) == ExtRegion.OUTSIDE][:count]
-    vals = np.abs(np.asarray(ext_field.fn(outside)))
-    return SupportReport(bool(np.all(vals == 0.0)), float(vals.max()),
-                         int(outside.shape[0]))
-

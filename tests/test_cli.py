@@ -1,10 +1,17 @@
 import argparse
+import copy
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspext import cli
 from cuspext.cli import main
@@ -222,9 +229,12 @@ def test_extend_verify_validation(tmp_path, capsys):
     ({"functions": ["tip-power"], "field_params": [1]}, "extend.field_params"),
     ({"functions": ["tip-power"], "field_params": {"zzz": 1}}, "extend.field_params"),
     ({"functions": ["tip-power"], "field_params": {"gamma": -1}}, "extend.field_params"),
+    ({"quadrature": {"gauss_t": True}}, "extend.quadrature.gauss_t"),
+    ({"quadrature": {"seed": "x"}}, "extend.quadrature.seed"),
 ], ids=["pq-string", "pq-inf", "gauss_t-0", "angular-0", "t_levels-underflow",
         "decay_rays-string", "trace_samples-bool", "field_params-string",
-        "field_params-list", "field_params-unknown-key", "field_params-gamma-negative"])
+        "field_params-list", "field_params-unknown-key", "field_params-gamma-negative",
+        "gauss_t-bool", "quadrature-seed-string"])
 def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, field):
     cfg = {"command": "extend-verify",
            "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -270,6 +280,9 @@ def _sweep(**fields):
      "profile.path"),
     ({"command": "lipschitzify", "profile": {"kind": "csv", "path": 5}}, "profile.path"),
     ({"command": "lipschitzify", "profile": PW, "lipschitzify": [1]}, "lipschitzify"),
+    ({"command": "lipschitzify", "profile": {"kind": "step", "breakpoints": [1.0],
+                                             "values": [0.2], "lipschitz_constant": "abc"}},
+     "profile: lipschitz_constant"),
     ({"command": "lipschitzify", "profile": PW, "tolerance": True}, "tolerance"),
     ({"command": "lipschitzify", "profile": PW, "tolerance": float("inf")}, "tolerance"),
     ({"command": "lipschitzify", "profile": PW, "seed": True}, "seed"),
@@ -277,7 +290,8 @@ def _sweep(**fields):
         "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
         "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
         "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
-        "csv-path-not-string", "section-not-object", "tolerance-bool", "tolerance-inf",
+        "csv-path-not-string", "section-not-object", "step-lipschitz-string",
+        "tolerance-bool", "tolerance-inf",
         "seed-bool"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
     # the sweep grid is never built: every case must stop at validation
@@ -325,7 +339,12 @@ def test_dump_flags_are_run_config_fields(tmp_path, monkeypatch):
     (flagged, plain) = seen
     assert flagged.dump_points and flagged.dump_slices
     assert not plain.dump_points and not plain.dump_slices
-    assert flagged.options == plain.options == BASE_LIP  # the user's config is untouched
+    # options is the command's section, typed and with its defaults filled in
+    assert flagged.options == plain.options == {"grid_count": 60, "grid_spacing": "log",
+                                                "grid_start": 1e-6, "pair_count": 2000}
+    raw = copy.deepcopy(BASE_LIP)
+    cli.build_run_config(argparse.Namespace(command="lipschitzify", seed=7, out="unused"), raw)
+    assert raw == BASE_LIP  # the user's config is untouched, overrides included
 
 
 def _readme_example_config() -> dict:
@@ -429,3 +448,137 @@ def test_seed_flag_overrides_config(tmp_path):
     assert code == 0
     report = json.loads((out / "lipschitzify_report.json").read_text())
     assert report["config_echo"]["seed"] == 42
+
+
+LIP_PROBE = {"command": "lipschitzify", "profile": PW, "lipschitzify": {"grid_count": 5}}
+EXT_PROBE = {"command": "extend-verify", "profile": PW,
+             "extend": {"functions": ["constant"], "quadrature": {"t_levels": 4}}}
+
+
+@pytest.mark.parametrize("cfg, key, hint", [
+    (dict(LIP_PROBE, profile={"kind": "power", "exponent": 2, "coef": 0.25}), "profile.coef",
+     "coeff"),
+    (dict(LIP_PROBE, tolerence=1e-3), "tolerence", "tolerance"),
+    (dict(LIP_PROBE, lipschitzify={"pair_cont": 5}), "lipschitzify.pair_cont", "pair_count"),
+    (_sweep(s_stp=5.0), "sweep.s_stp", "s_stop"),
+    (dict(SWEEP, transform={"round_trip_samples": 5}), "transform", "sweep"),
+    (dict(SWEEP, profile=PW), "profile", "sweep"),
+    (dict(EXT_PROBE, extend={"quadrature": {"gaus_t": 3}}), "extend.quadrature.gaus_t",
+     "gauss_t"),
+], ids=["profile-coef", "tolerence", "pair_cont", "s_stp", "sweep-foreign-section",
+        "sweep-profile", "quadrature-gaus_t"])
+def test_unknown_keys_exit_config_error_with_suggestion(tmp_path, capsys, monkeypatch,
+                                                        cfg, key, hint):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built before validation")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    monkeypatch.setattr(cli.np, "geomspace", no_grid)
+    code, out = run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{key}: unknown key" in err and hint in err
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before any work
+
+
+def test_valid_config_does_not_import_difflib():
+    # the did-you-mean lookup loads difflib on the error path only
+    code = ("import argparse, json, sys; from cuspext import cli; "
+            "raw = json.loads(sys.argv[1]); "
+            "cli.build_run_config(argparse.Namespace(command=None, seed=None, out='x'), raw); "
+            "print('difflib' in sys.modules)")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(EXT_PROBE)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
+# -- fuzzing the validator ---------------------------------------------------
+
+# Python's json reads integers of any size and NaN/Infinity; one draw in three is such
+# an edge case
+JSON_VALUES = st.sampled_from([10 ** 400, -(10 ** 400), 0, -1, True, float("inf"),
+                               float("nan"), None, "", [], {}]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+FUZZ_BASES = {
+    "lipschitzify": dict(LIP_PROBE, lipschitzify={
+        "grid_count": 5, "grid_spacing": "log", "grid_start": 1e-3, "pair_count": 5}),
+    "transform-verify": {"command": "transform-verify", "profile": PW, "n": 3, "seed": 0,
+                         "transform": {"round_trip_samples": 5, "image_samples": 5,
+                                       "distortion_pairs": 5, "seam_samples": 5,
+                                       "seam_deltas": [1e-3]}},
+    "extend-verify": {"command": "extend-verify", "tolerance": 1e-12,
+                      "profile": {"kind": "step", "breakpoints": [0.5, 1.0],
+                                  "values": [0.1, 0.2], "doubling_constant": 2.0},
+                      "extend": {"pq": [[2.0, 1.0]], "functions": ["tip-power"],
+                                 "end_cap_map": "mirror", "trace_samples": 5,
+                                 "decay_rays": 5, "field_params": {"gamma": 0.5},
+                                 "quadrature": {"t_levels": 3, "gauss_t": 2, "seed": 0}}},
+    "admissibility-sweep": _sweep(s_start=1.1, s_stop=1.5, s_step=0.1),
+}
+
+
+def _key_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _misspell(key: str, data) -> str:
+    i = data.draw(st.integers(0, len(key)))
+    if data.draw(st.booleans()) and i < len(key):
+        return key[:i] + key[i + 1:]
+    return key[:i] + data.draw(st.sampled_from("aesx_")) + key[i:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(tuple(FUZZ_BASES)), data=st.data())
+def test_fuzzed_configs_return_or_raise_config_error(tmp_path_factory, command, data):
+    cfg = copy.deepcopy(FUZZ_BASES[command])
+    for _ in range(data.draw(st.integers(0, 4))):
+        paths = list(_key_paths(cfg))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        *outer, key = path
+        holder = cfg
+        for part in outer:
+            holder = holder[part]
+        op = data.draw(st.sampled_from(["value", "delete", "misspell", "add"]))
+        if op == "value":
+            holder[key] = data.draw(JSON_VALUES)
+        elif op == "delete":
+            del holder[key]
+        elif op == "misspell":
+            holder[_misspell(key, data)] = holder.pop(key)
+        else:
+            extra = data.draw(st.sampled_from(["transform", "sweep", "extend", "lipschitzify",
+                                               "profile", "path", "kind"]) | st.text(max_size=6))
+            holder[extra] = data.draw(JSON_VALUES)
+    args = argparse.Namespace(command=None, seed=None, out="unused")
+
+    def refuse(*a, **k):
+        raise AssertionError("the validator started numerical work, a thread or a process")
+
+    with pytest.MonkeyPatch.context() as mp:
+        # a csv profile path is read relative to an empty directory
+        mp.chdir(tmp_path_factory.mktemp("fuzz"))
+        for target, name in ((cli.np, "linspace"), (cli.np, "geomspace"),
+                             (threading.Thread, "start"), (subprocess, "Popen"),
+                             (cli, "DISPATCH")):
+            mp.setattr(target, name, refuse)
+        threads = threading.active_count()
+        try:
+            rc = cli.build_run_config(args, cfg)
+        except cli.ConfigError as err:
+            assert str(err)
+        else:
+            assert rc.command == command
+        assert threading.active_count() == threads

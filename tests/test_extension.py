@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from fd_oracle import central_difference
+from helpers import cutoff_cusp_gradient, support_check
 
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
     ExtensionContext,
     cutoff_cap,
     cutoff_collar,
-    cutoff_cusp_gradient,
     end_cap_pullback,
     extend,
     extend_general,
@@ -135,7 +135,7 @@ def test_trace_identity_exact(pow_ctx):
 def test_support_vanishes_outside(pow_ctx):
     u = make_field("wave", 3)
     eu = extend_lipschitz(pow_ctx, u)
-    rep = verify.support_check(pow_ctx, eu, count=5000, rng_seed=2)
+    rep = support_check(pow_ctx, eu, count=5000, rng_seed=2)
     assert rep.ok and rep.max_abs_outside == 0.0
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from fd_oracle import central_difference
+from helpers import profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,6 @@ from cuspext.profiles import (
     PowerProfile,
     StepProfile,
     load_profile_csv,
-    profile_to_csv_text,
 )
 
 TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2], doubling_constant=2.0)

@@ -1,7 +1,9 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from helpers import profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,6 @@ from cuspext.profiles import (
     eval_profile,
     load_profile_csv,
     make_profile,
-    profile_to_csv_text,
     save_profile_csv,
 )
 
@@ -129,6 +130,20 @@ def test_make_profile():
         make_profile("spline")
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("power", {"exponent": 2.0, "coef": 0.25}, "coef: unknown key; did you mean 'coeff'?"),
+    ("linear", {"slope": 0.25, "exponent": 2.0}, "exponent: unknown key; known keys: slope"),
+    ("step", {"breakpoints": [1.0], "values": [0.1], "lipschitz_const": 1.0},
+     "lipschitz_const: unknown key; did you mean 'lipschitz_constant'?"),
+    ("power", {"coeff": 0.25}, "kind 'power' needs exponent"),
+    ("step", {"breakpoints": [1.0], "values": [0.1], "doubling_constant": "abc"},
+     "doubling_constant: need a finite number > 0, got 'abc'"),
+])
+def test_make_profile_rejects_bad_keys(kind, params, message):
+    with pytest.raises(ProfileFormatError, match=re.escape(message)):
+        make_profile(kind, **params)
+
+
 def test_csv_round_trip():
     step = StepProfile([0.25, 0.5, 1.0], [0.0625, 0.125, 0.25], kind="tabulated")
     text = profile_to_csv_text(step)
@@ -144,6 +159,8 @@ def test_csv_loader_row_errors():
         load_profile_csv(io.StringIO("breakpoint,value\n0.5,0.1\n1.0,abc\n"))
     with pytest.raises(ProfileFormatError, match="row 0"):
         load_profile_csv(io.StringIO("breakpoint,value\n"))
+    with pytest.raises(ProfileFormatError, match="row 1: value inf not finite"):
+        load_profile_csv(io.StringIO("0.5,0.1\n1.0,inf\n"))
     with pytest.raises(ProfileFormatError, match="two columns"):
         load_profile_csv(io.StringIO("0.5\n"))
 
