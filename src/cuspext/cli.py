@@ -137,8 +137,10 @@ def _build_profile(given, name):
     if not (isinstance(kind, str) and (kind == "csv" or kind in PROFILE_KEYS)):
         raise ConfigError(f"{name}: need an object whose kind is one of "
                           f"{[*PROFILE_KEYS, 'csv']}, got {given!r}")
+    # the analytic kinds take plain numbers, whose range the profile checks
+    number = NUMBER if kind in ("power", "linear") else None
     keys = ({"path": (_need(lambda v: isinstance(v, str) and v != "", "a file path"), ...)}
-            if kind == "csv" else {key: (None, None) for key in PROFILE_KEYS[kind]})
+            if kind == "csv" else {key: (number, None) for key in PROFILE_KEYS[kind]})
     params = _table({"kind": (None, ...), **keys})(given, name)
     try:
         return load_profile_csv(params["path"]) if kind == "csv" else make_profile(**params)
@@ -182,8 +184,12 @@ SECTIONS = {
         "end_cap_map": (_need(lambda v: v == "mirror",
                               "'mirror' (the shift variants were removed)"), "mirror"),
         "trace_samples": (COUNT, 10000), "decay_rays": (COUNT, 1000),
-        # the keyword parameters of fields.tip_power_field, the one field that takes any
-        "field_params": (_table({"gamma": (NUMBER, None), "delta_cap": (NUMBER, None)}), {}),
+        # the keyword parameters of fields.tip_power_field, the one field that takes any;
+        # their ranges are checked here, before the command builds the field
+        "field_params": (_table({
+            "gamma": (_need(lambda v: _is_number(v) and v > 0.0, "a finite number > 0"), None),
+            "delta_cap": (_need(lambda v: _is_number(v) and 0.0 < v < 1.0, "0 < delta_cap < 1"),
+                          None)}), {}),
         # the keys are the scheme's fields, and the scheme checks its own values
         "quadrature": (_table({f.name: (None, f.default)
                                for f in dataclasses.fields(quadrature.QuadratureScheme)},
@@ -359,12 +365,9 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     psi = cfg.profile
     spec = DomainSpec(cfg.n, psi)
 
-    try:
-        fields = {name: make_field(name, cfg.n,
-                                   **(opts["field_params"] if name == "tip-power" else {}))
-                  for name in opts["functions"]}
-    except ValueError as err:
-        raise ConfigError(f"extend.field_params: {err}") from None
+    fields = {name: make_field(name, cfg.n,
+                               **(opts["field_params"] if name == "tip-power" else {}))
+              for name in opts["functions"]}
 
     reports, checks = [], {}
     for name, u in fields.items():

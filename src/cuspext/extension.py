@@ -49,29 +49,30 @@ class ExtensionContext:
 
 
 def _split_collar(ctx: ExtensionContext, z, check: bool):
-    """(t, x, |x|, R(t)) of collar points, checked against the collar closure."""
+    """(t, x, |x|, R(t), reflection, cut-off) of collar points, checked against its closure.
+
+    The reflection fixes t and maps the radius r to 1.5 R - 0.5 r, with
+    R = psi(min(t, 1)); the cut-off is the affine weight 2 - r/R.
+    """
     t, x, r = geometry.split(z, ctx.spec.n)
     R = geometry.collar_radius(ctx.spec, t)
     if check:
         bad = (t <= 0.0) | (t > 2.0) | (r < R * (1.0 - 1e-12)) | (r > 2.0 * R * (1.0 + 1e-12))
         if np.any(bad):
             raise ProfileDomainError("point outside the collar closure")
-    return t, x, r, R
+    reflected = np.array(z, dtype=float, copy=True)
+    reflected[..., 1:] = x * ((1.5 * R - 0.5 * r) / np.maximum(r, 1e-300))[..., None]
+    return t, x, r, R, reflected, np.clip(2.0 - r / R, 0.0, 1.0)
 
 
 def reflect_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
     """Fold the collar back into the domain, fixing |x| = R(t)."""
-    _, x, r, R = _split_collar(ctx, z, check)
-    out = np.array(z, dtype=float, copy=True)
-    factor = (1.5 * R - 0.5 * r) / np.maximum(r, 1e-300)
-    out[..., 1:] = x * factor[..., None]
-    return out
+    return _split_collar(ctx, z, check)[4]
 
 
 def cutoff_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
     """Affine weight: 1 on |x| = R(t), 0 on |x| = 2 R(t)."""
-    _, _, r, R = _split_collar(ctx, z, check)
-    return np.clip(2.0 - r / R, 0.0, 1.0)
+    return _split_collar(ctx, z, check)[5]
 
 
 def _split_cap(ctx: ExtensionContext, z, check: bool):
@@ -99,35 +100,6 @@ def cutoff_cap(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
     return np.clip(3.0 - t, 0.0, 1.0)
 
 
-def _collar_chain_gradient(ctx, Z, u, slope):
-    """Gradient of cutoff(z) * u(reflection(z)) on the collar.
-
-    The reflection fixes t and maps the radius to 1.5*R - 0.5*r with
-    R = psi(min(t, 1)); the cutoff is 2 - r/R.  Plain product/chain
-    rule, vectorized; r > 0 away from the axis, which the collar
-    guarantees.
-    """
-    t, x, r, R = _split_collar(ctx, Z, check=False)
-    dR = geometry.on_cusp(t, slope, lambda: 0.0)
-    rho = 1.5 * R - 0.5 * r
-    cut = 2.0 - r / R
-    w = np.concatenate([t[:, None], (rho / r)[:, None] * x], axis=1)
-    uw = u.fn(w)
-    gw = np.asarray(u.grad(w), dtype=float)
-    gx_dot_x = np.einsum("ij,ij->i", gw[:, 1:], x)
-
-    out = np.empty_like(Z)
-    # cutoff gradient: d/dt = r R'/R^2, d/dx = -x/(r R)
-    # reflected-point motion: d w_x/dt = 1.5 R' x/r,
-    # D w_x/Dx = (rho/r) I + x x^T (-0.5 r - rho)/r^3
-    out[:, 0] = (r * dR / R ** 2) * uw \
-        + cut * (gw[:, 0] + 1.5 * dR * gx_dot_x / r)
-    radial_term = (-0.5 * r - rho) / r ** 3
-    out[:, 1:] = (-(1.0 / (r * R)) * uw + cut * radial_term * gx_dot_x)[:, None] * x \
-        + (cut * rho / r)[:, None] * gw[:, 1:]
-    return out
-
-
 def extend_lipschitz(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
     """Extend a field off the domain of a Lipschitz profile.
 
@@ -135,73 +107,84 @@ def extend_lipschitz(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
     identically outside the doubled domain.  When the field carries an
     analytic gradient and the profile a closed-form slope, the
     extension carries the chain-rule gradient too (it is exact off the
-    seam set, which has measure zero).
+    seam set, which has measure zero), and ``value_and_grad`` returns
+    value and gradient from one pass over each batch.
     """
     spec = ctx.spec
     slope = profile_derivative(spec.psi)
 
-    def batched(inner, cap_value, scalar_value):
-        """Evaluator over (..., n) points: ``inner`` on core and collar,
-        ``cap_value(Z, pulled)`` on the end cap via the mirror pullback."""
+    def read_u(w, with_grad):
+        if not with_grad:
+            return np.asarray(u.fn(w), dtype=float), None
+        uw, gw = u.value_and_grad(w) if u.value_and_grad else (u.fn(w), u.grad(w))
+        return np.asarray(uw, dtype=float), np.asarray(gw, dtype=float)
+
+    def evaluate(Z, with_grad):
+        """(E u, grad E u or None) at (k, n) points, the end cap by one recursive call.
+
+        The reflection keeps its domain check on, so a classification
+        bug surfaces as a domain error instead of a silent wrong value.
+        """
+        label = geometry.classify_extension_region(spec, Z)
+        val = np.zeros(Z.shape[0])
+        grad = np.zeros_like(Z) if with_grad else None
+        core = label == ExtRegion.CORE
+        if np.any(core):
+            val[core], g = read_u(Z[core], with_grad)
+            if with_grad:
+                grad[core] = g
+        collar = label == ExtRegion.COLLAR
+        if np.any(collar):
+            t, x, r, R, reflected, cut = _split_collar(ctx, Z[collar], check=True)
+            uw, gw = read_u(reflected, with_grad)
+            del reflected
+            val[collar] = cut * uw
+            if with_grad:
+                # product and chain rule with rho = 1.5 R - 0.5 r; r > 0 on the
+                # collar, and the clip of the cut-off never acts there
+                # cutoff gradient: d/dt = r R'/R^2, d/dx = -x/(r R)
+                # reflected-point motion: d w_x/dt = 1.5 R' x/r,
+                # D w_x/Dx = (rho/r) I + x x^T (-0.5 r - rho)/r^3
+                rho = 1.5 * R - 0.5 * r
+                dR = geometry.on_cusp(t, slope, lambda: 0.0)
+                gx_dot_x = np.einsum("ij,ij->i", gw[:, 1:], x)
+                grad[collar, 0] = (r * dR / R ** 2) * uw \
+                    + cut * (gw[:, 0] + 1.5 * dR * gx_dot_x / r)
+                radial_term = (-0.5 * r - rho) / r ** 3
+                grad[collar, 1:] = (-(1.0 / (r * R)) * uw
+                                    + cut * radial_term * gx_dot_x)[:, None] * x \
+                    + (cut * rho / r)[:, None] * gw[:, 1:]
+        cap = label == ExtRegion.END_CAP
+        if np.any(cap):
+            pv, pg = evaluate(end_cap_pullback(ctx, Z[cap], check=False), with_grad)
+            cut = cutoff_cap(ctx, Z[cap], check=False)
+            val[cap] = cut * pv
+            if with_grad:
+                # d/dz of cutoff_cap(z) * E(4 - t, x): the mirror flips the axial row
+                gcap = cut[:, None] * pg
+                gcap[:, 0] = -pv - cut * pg[:, 0]
+                grad[cap] = gcap
+        return val, grad
+
+    def view(with_grad, pick):
+        """Evaluator over (..., n) points; a 1-d point gives a scalar value."""
 
         def call(z):
             z = np.asarray(z, dtype=float)
             if not np.all(np.isfinite(z)):
                 raise ProfileDomainError("extension point is not finite")
-            Z = z.reshape(-1, spec.n)
-            out, label = inner(Z)
-            cap = label == ExtRegion.END_CAP
-            if np.any(cap):
-                out[cap] = cap_value(Z[cap], end_cap_pullback(ctx, Z[cap], check=False))
+            val, grad = evaluate(z.reshape(-1, spec.n), with_grad)
             if z.ndim == 1:
-                return scalar_value(out[0])
-            return out.reshape(z.shape[:-1] + out.shape[1:])
+                return pick(float(val[0]), None if grad is None else grad[0])
+            return pick(val.reshape(z.shape[:-1]), None if grad is None else grad.reshape(z.shape))
 
         return call
 
-    def eval_inner(Z):
-        # the first two branches: core and collar; the reflection keeps
-        # its domain check on, so a classification bug surfaces as a
-        # domain error instead of a silent wrong value
-        label = geometry.classify_extension_region(spec, Z)
-        out = np.zeros(Z.shape[0])
-        core = label == ExtRegion.CORE
-        if np.any(core):
-            out[core] = u.fn(Z[core])
-        collar = label == ExtRegion.COLLAR
-        if np.any(collar):
-            out[collar] = (cutoff_collar(ctx, Z[collar], check=False)
-                           * u.fn(reflect_collar(ctx, Z[collar])))
-        return out, label
-
-    def cap_value(Z, pulled):
-        return cutoff_cap(ctx, Z, check=False) * eval_inner(pulled)[0]
-
-    def grad_inner(Z):
-        label = geometry.classify_extension_region(spec, Z)
-        out = np.zeros_like(Z)
-        core = label == ExtRegion.CORE
-        if np.any(core):
-            out[core] = u.grad(Z[core])
-        collar = label == ExtRegion.COLLAR
-        if np.any(collar):
-            out[collar] = _collar_chain_gradient(ctx, Z[collar], u, slope)
-        return out, label
-
-    def cap_gradient(Z, pulled):
-        # d/dz of cutoff_cap(z) * E(4 - t, x): the mirror flips the axial row
-        val_inner, _ = eval_inner(pulled)
-        g_inner, _ = grad_inner(pulled)
-        cut = cutoff_cap(ctx, Z, check=False)
-        gcap = cut[:, None] * g_inner
-        gcap[:, 0] = -val_inner - cut * g_inner[:, 0]
-        return gcap
-
-    fn = batched(eval_inner, cap_value, float)
-    grad = None
+    grad = value_and_grad = None
     if u.grad is not None and slope is not None:
-        grad = batched(grad_inner, cap_gradient, lambda g: g)
-    return ScalarField(f"extend({u.name})", fn, grad)
+        grad = view(True, lambda v, g: g)
+        value_and_grad = view(True, lambda v, g: (v, g))
+    return ScalarField(f"extend({u.name})", view(False, lambda v, g: v), grad, value_and_grad)
 
 
 @dataclass
@@ -245,21 +228,26 @@ def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> Con
     def hat_input_fn(w):
         return u.fn(from_hat(np.asarray(w, dtype=float)))
 
-    hat_input_grad = None
+    hat_input_grad = hat_input_value_and_grad = None
     if u.grad is not None:
-        def hat_input_grad(w):
+        def hat_input_value_and_grad(w):
             # J_inv^T grad u: the inverse maps (s, y) to (t(s, |y|), y / scale)
             w = np.asarray(w, dtype=float)
-            g = np.asarray(u.grad(from_hat(w)), dtype=float)
+            z = from_hat(w)
+            g = np.asarray(u.grad(z), dtype=float)
             d_s, d_rho = inverse_partials(norm_spec, w)
             y = w[..., 1:]
             radial = g[..., 0] * d_rho / np.maximum(np.linalg.norm(y, axis=-1), 1e-300)
             out = np.empty_like(g)
             out[..., 0] = g[..., 0] * d_s
             out[..., 1:] = radial[..., None] * y + g[..., 1:] / scale
-            return out
+            return u.fn(z), out
 
-    hat_input = ScalarField(f"{u.name}~straightened", hat_input_fn, hat_input_grad)
+        def hat_input_grad(w):
+            return hat_input_value_and_grad(w)[1]
+
+    hat_input = ScalarField(f"{u.name}~straightened", hat_input_fn, hat_input_grad,
+                            hat_input_value_and_grad)
     hat_field = extend_lipschitz(ctx, hat_input)
 
     def fn(z):

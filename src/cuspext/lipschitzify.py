@@ -242,6 +242,11 @@ class LipschitzizedProfile(CuspProfile):
         return self.value(t)
 
     @property
+    def value_at_1(self) -> float:
+        # the endpoint pair (1, psi(1)) of _solve_many: bitwise value(1.0), no solve
+        return self.source.value_at_1
+
+    @property
     def lipschitz_constant(self):
         return 1.0 + self.source.value_at_1
 

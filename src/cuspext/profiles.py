@@ -19,6 +19,14 @@ from .errors import ProfileDomainError, ProfileFormatError, unknown_key
 _T_EPS = 1e-15
 
 
+def _finite_above(name: str, value, low: float) -> float:
+    """``value`` as a float when it is a finite real number > low; bools are not numbers."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and low < float(value) < np.inf):
+        raise ProfileFormatError(f"{name}: need a finite number > {low:g}, got {value!r}")
+    return float(value)
+
+
 def _check_t(t):
     t = np.asarray(t, dtype=float)
     bad = ~((t > 0.0) & (t <= 1.0 + _T_EPS))  # NaN fails both comparisons
@@ -74,12 +82,8 @@ class PowerProfile(CuspProfile):
     kind = "power"
 
     def __init__(self, exponent: float, coeff: float = 1.0):
-        if not exponent > 1.0:
-            raise ProfileFormatError(f"power exponent must be > 1, got {exponent}")
-        if not coeff > 0.0:
-            raise ProfileFormatError(f"power coeff must be > 0, got {coeff}")
-        self.exponent = float(exponent)
-        self.coeff = float(coeff)
+        self.exponent = _finite_above("exponent", exponent, 1.0)
+        self.coeff = _finite_above("coeff", coeff, 0.0)
         # psi(2t) / psi(t) == 2**s exactly
         self.doubling_constant = 2.0 ** self.exponent
 
@@ -112,9 +116,7 @@ class LinearProfile(CuspProfile):
     kind = "linear"
 
     def __init__(self, slope: float):
-        if not slope > 0.0:
-            raise ProfileFormatError(f"linear slope must be > 0, got {slope}")
-        self.slope = float(slope)
+        self.slope = _finite_above("slope", slope, 0.0)
         self.doubling_constant = 2.0
 
     def value(self, t):
@@ -174,10 +176,8 @@ class StepProfile(CuspProfile):
             )
         for name, bound in (("lipschitz_constant", lipschitz_constant),
                             ("doubling_constant", doubling_constant)):
-            if bound is not None and not (isinstance(bound, numbers.Real)
-                                          and not isinstance(bound, bool)
-                                          and 0.0 < float(bound) < np.inf):
-                raise ProfileFormatError(f"{name}: need a finite number > 0, got {bound!r}")
+            if bound is not None:
+                _finite_above(name, bound, 0.0)
         self.breaks = breaks
         self.values = values
         self.kind = kind

@@ -264,13 +264,15 @@ def gradient_at(u: ScalarField, Z: np.ndarray) -> np.ndarray:
 
 def w1p_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme,
              n: int, with_detail: bool = False):
-    """L^p norm of the field plus L^p norm of its gradient magnitude."""
+    """L^p norm of u plus that of |grad u|, both from ``value_and_grad`` when u has it."""
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be in [1, inf), got {p}")
     Z, W = build_nodes(region, scheme, n)
-    part_u = _weighted_p_sum(u.fn(Z), W, p, Z) ** (1.0 / p)
+    vals, grads = u.value_and_grad(Z) if u.value_and_grad else (u.fn(Z), None)
+    part_u = _weighted_p_sum(vals, W, p, Z) ** (1.0 / p)
+    del vals  # freed before the gradient magnitude is formed
     with np.errstate(over="ignore"):
-        mag = np.linalg.norm(gradient_at(u, Z), axis=-1)
+        mag = np.linalg.norm(gradient_at(u, Z) if grads is None else grads, axis=-1)
     part_g = _weighted_p_sum(mag, W, p, Z) ** (1.0 / p)
 
     total = float(part_u + part_g)

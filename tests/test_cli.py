@@ -240,11 +240,12 @@ def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, fie
            "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
            "extend": dict({"functions": ["constant"], "trace_samples": 50,
                            "decay_rays": 30}, **extend)}
-    code, _ = run(tmp_path, cfg)
+    code, out = run(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == 3
     assert field in err
     assert "Traceback" not in err
+    assert not out.exists()  # rejected before any work
 
 
 PW = {"kind": "power", "exponent": 2.0, "coeff": 0.25}
@@ -286,13 +287,18 @@ def _sweep(**fields):
     ({"command": "lipschitzify", "profile": PW, "tolerance": True}, "tolerance"),
     ({"command": "lipschitzify", "profile": PW, "tolerance": float("inf")}, "tolerance"),
     ({"command": "lipschitzify", "profile": PW, "seed": True}, "seed"),
+    ({"command": "lipschitzify", "profile": {"kind": "linear", "slope": True}},
+     "profile.slope"),
+    ({"command": "lipschitzify", "profile": {"kind": "power", "exponent": float("inf")}},
+     "profile.exponent"),
+    ({"command": "lipschitzify", "profile": dict(PW, coeff=float("inf"))}, "profile.coeff"),
 ], ids=["sweep-p-inf", "sweep-q-nan", "sweep-n-2", "sweep-s_start-string",
         "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
         "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
         "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
         "csv-path-not-string", "section-not-object", "step-lipschitz-string",
         "tolerance-bool", "tolerance-inf",
-        "seed-bool"])
+        "seed-bool", "linear-slope-bool", "power-exponent-inf", "power-coeff-inf"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
     # the sweep grid is never built: every case must stop at validation
     def no_grid(*args, **kwargs):

@@ -1,8 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from fd_oracle import central_difference
-from helpers import cutoff_cusp_gradient, support_check
+from helpers import (
+    cutoff_cusp_gradient,
+    support_check,
+    unfused_extension,
+    unfused_straightened_input,
+)
 
+from cuspext import extension, geometry
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
     ExtensionContext,
@@ -14,7 +22,7 @@ from cuspext.extension import (
     extend_lipschitz,
     reflect_collar,
 )
-from cuspext.fields import LIBRARY, make_field
+from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
 from cuspext.lipschitzify import hat_profile
 from cuspext.profiles import CuspProfile, LinearProfile, PowerProfile, StepProfile
@@ -391,7 +399,104 @@ def test_non_finite_points_rejected(bad):
     u = make_field("axial", 3)
     direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
     conj = extend_general(u, StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
-    for f in (direct.fn, direct.grad, conj.field.fn, conj.hat_field.fn, conj.hat_field.grad):
+    for f in (direct.fn, direct.grad, direct.value_and_grad, conj.field.fn, conj.hat_field.fn,
+              conj.hat_field.grad, conj.hat_field.value_and_grad):
         for z in (np.array(bad), np.array([[0.5, 0.01, 0.0], bad])):
             with pytest.raises(ProfileDomainError, match="not finite"):
                 f(z)
+
+
+# one Lipschitz profile (direct route) and two steps (straightened route; the
+# second has psi(1) = 0.9, so that route also rescales radially)
+FUSED_PROFILES = {
+    "power": PowerProfile(2.0, 0.25),
+    "two-step": StepProfile([0.5, 1.0], [0.1, 0.2]),
+    "normalized-step": StepProfile([0.3, 1.0], [0.4, 0.9]),
+}
+
+
+def _mixed_points(spec, count, seed):
+    """Points of every ExtRegion: half over the whole box, half over the cusp."""
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([rng.uniform(-0.5, 3.5, count // 2),
+                        rng.uniform(0.0, 1.0, count - count // 2)])
+    direction = rng.normal(size=(count, spec.n - 1))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    r = rng.uniform(0.0, 2.5, count) * geometry.collar_radius(spec, t)
+    z = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
+    assert set(classify_extension_region(spec, z)) == set(ExtRegion)
+    return z
+
+
+@pytest.mark.parametrize("kind", sorted(FUSED_PROFILES))
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_fused_pass_matches_unfused_evaluators(kind, name):
+    # value_and_grad, fn and grad are views of one pass; each must equal the
+    # separate value and gradient evaluators bitwise, at every batch shape
+    psi = FUSED_PROFILES[kind]
+    u = make_field(name, 3)
+    ext = extend(u, psi, 3)
+    spec = ext.hat_context.spec
+    z = _mixed_points(spec, 3000, seed=12)
+    ref_input = u
+    if ext.frame == "straightened":
+        ref_input = unfused_straightened_input(u, psi, 3)
+        value, gradient = ext.hat_input.value_and_grad(z)
+        assert np.array_equal(value, ref_input.fn(z))
+        assert np.array_equal(gradient, ref_input.grad(z))
+        assert np.array_equal(ext.hat_input.grad(z), ref_input.grad(z))
+    ref, eu = unfused_extension(ext.hat_context, ref_input), ext.hat_field
+
+    label = classify_extension_region(spec, z)
+    points = [z[int(np.argmax(label == region))] for region in ExtRegion]
+    for batch in [z, z.reshape(30, 100, 3)] + points:
+        want_value, want_grad = ref.fn(batch), ref.grad(batch)
+        value, gradient = eu.value_and_grad(batch)
+        assert type(value) is type(want_value)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(gradient, want_grad)
+        assert np.array_equal(eu.fn(batch), want_value)
+        assert np.array_equal(eu.grad(batch), want_grad)
+
+
+def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    u = make_field("wave", 3)
+    conj = extend_general(u, FUSED_PROFILES["two-step"], 3)
+    direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
+    counted(geometry, "classify_extension_region")
+    counted(extension, "inverse_map")
+    for eu, spec in ((direct, POW_SPEC), (conj.hat_field, conj.hat_context.spec)):
+        z = _mixed_points(spec, 2000, seed=13)
+        no_cap = z[classify_extension_region(spec, z) != ExtRegion.END_CAP]
+        calls.clear()
+        eu.value_and_grad(no_cap)
+        assert calls["classify_extension_region"] == 1
+        calls.clear()
+        eu.value_and_grad(z)  # the end cap's mirror images take one more
+        assert calls["classify_extension_region"] == 2
+    calls.clear()
+    conj.hat_input.value_and_grad(z)
+    assert calls == {"inverse_map": 1}
+
+
+def test_value_view_reads_no_gradient():
+    def refuse(z):
+        raise AssertionError("a value-only evaluation read a gradient")
+
+    u = make_field("wave", 3)
+    quiet = ScalarField(u.name, u.fn, refuse, refuse)
+    z = _mixed_points(POW_SPEC, 500, seed=14)
+    for build in (lambda w: extend_lipschitz(ExtensionContext(POW_SPEC), w),
+                  lambda w: extend_general(w, FUSED_PROFILES["two-step"], 3).hat_field):
+        assert np.array_equal(build(quiet).fn(z), build(u).fn(z))

@@ -7,6 +7,7 @@ from helpers import profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspext import lipschitzify
 from cuspext.errors import ConvergenceError, ProfileDomainError, ProfileFormatError
 from cuspext.lipschitzify import (
     LipschitzizedProfile,
@@ -229,6 +230,21 @@ def test_lipschitzized_profile_view():
     grid = np.linspace(0.1, 1.0, 7)
     assert np.array_equal(hat.value(grid), hat_values(PowerProfile(2.0), grid))
     assert hat.doubling_constant == 4.0
+
+
+@pytest.mark.parametrize("source", [PowerProfile(2.0, 0.25), TWO_STEP,
+                                    CuspProfile.scaled(TWO_STEP, 0.5)],
+                         ids=["power", "two-step", "scaled"])
+def test_lipschitzized_value_at_1_needs_no_solve(source, monkeypatch):
+    hat = LipschitzizedProfile(source)
+    at_end = hat.value(1.0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("psi(1) of the hat profile ran a boundary-pair solve")
+
+    monkeypatch.setattr(lipschitzify, "_solve_many", no_solve)
+    assert hat.value_at_1 == at_end  # bitwise: the endpoint convention of _solve_many
+    assert hat.lipschitz_constant == 1.0 + at_end
 
 
 @pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])

@@ -84,6 +84,18 @@ def test_constructor_validation():
         StepProfile([0.5, 1.0], [0.0, 0.2])  # nonpositive
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: PowerProfile(float("inf")), "exponent"),
+    (lambda: PowerProfile(2.0, coeff=True), "coeff"),
+    (lambda: PowerProfile(2.0, coeff=float("inf")), "coeff"),
+    (lambda: LinearProfile(True), "slope"),
+    (lambda: LinearProfile(float("nan")), "slope"),
+], ids=["exponent-inf", "coeff-bool", "coeff-inf", "slope-bool", "slope-nan"])
+def test_analytic_profiles_reject_bool_and_non_finite(build, key):
+    with pytest.raises(ProfileFormatError, match=f"^{key}: need a finite number"):
+        build()
+
+
 def test_scaled_exact():
     psi = PowerProfile(2.0, 1.0).scaled(0.25)
     assert psi.value(0.5) == 0.0625

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -289,3 +290,25 @@ def test_gauss_rule_is_not_built_at_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def test_w1p_norm_prefers_value_and_grad():
+    # one fused call per norm, and the same bits as fn plus gradient_at
+    ext = extend_general(make_field("wave", 3), StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    region = region_extension(ext.hat_context.spec)
+    scheme = QuadratureScheme(t_levels=8, gauss_t=3, gauss_r=3, angular=6)
+    calls = []
+
+    def refuse(z):
+        raise AssertionError("w1p_norm read fn or grad of a field with value_and_grad")
+
+    def fused_call(z):
+        calls.append(z.shape)
+        return ext.hat_field.value_and_grad(z)
+
+    fused = replace(ext.hat_field, fn=refuse, grad=refuse, value_and_grad=fused_call)
+    apart = replace(ext.hat_field, value_and_grad=None)
+    for p in (1.0, 2.5):
+        assert (w1p_norm(fused, region, p, scheme, 3, with_detail=True)
+                == w1p_norm(apart, region, p, scheme, 3, with_detail=True))
+    assert len(calls) == 2
