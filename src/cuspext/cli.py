@@ -369,8 +369,11 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
                                **(opts["field_params"] if name == "tip-power" else {}))
               for name in opts["functions"]}
 
+    norm_reports = quadrature.extension_ratio(
+        list(fields.values()), psi, cfg.n, [(float(p), float(q)) for p, q in pq], scheme,
+        cfg.tolerance)
     reports, checks = [], {}
-    for name, u in fields.items():
+    for (name, u), field_reports in zip(fields.items(), norm_reports):
         # hat_* live in the frame the extension is built in: the
         # straightened one, or the original frame on the direct route
         ext = extend(u, psi, cfg.n, cfg.tolerance)
@@ -385,9 +388,7 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
         checks[f"decay_ok[{name}]"] = decay.ok
         checks[f"seam_ok[{name}]"] = seam_ok
-        norm_reports = quadrature.extension_ratio(
-            u, psi, cfg.n, [(float(p), float(q)) for p, q in pq], scheme, cfg.tolerance)
-        for (p, q), rep in zip(pq, norm_reports):
+        for (p, q), rep in zip(pq, field_reports):
             reports.append({"function": name, **rep.to_dict(),
                             "seam_worst": worst_seam})
             if cfg.dump_slices:

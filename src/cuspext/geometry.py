@@ -137,41 +137,42 @@ def classify_bilip_region(spec: DomainSpec, z):
     return label
 
 
-def on_cusp(t, f, fill) -> np.ndarray:
-    """f(t) on the points with 0 < t <= 1, ``fill()`` everywhere else.
+def collar_radius(spec: DomainSpec, t, with_slope: bool = False):
+    """R(t) = psi(min(t, 1)): the domain's radius, the collar's inner wall.
 
-    f sees only those points, so a profile whose values depend on the
-    batch (the re-profiled hat) gets the same batch whatever else the
-    call carries; ``fill`` runs only when some point lies elsewhere.
+    The profile sees only the points with 0 < t <= 1, so a profile whose
+    values depend on the batch (the re-profiled hat) gets the same batch
+    whatever else the call carries.  ``with_slope`` returns (R, R'),
+    with R' = 0 off the cusp, from one profile read (one hat solve per
+    distinct t on a re-profiled cusp).
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape)
     cusp = (t > 0.0) & (t <= 1.0)
+    R, dR = np.empty(t.shape), (np.zeros(t.shape) if with_slope else None)
     if np.any(cusp):
-        out[cusp] = f(t[cusp])
+        if with_slope:
+            R[cusp], dR[cusp] = spec.psi.value_and_derivative(t[cusp])
+        else:
+            R[cusp] = spec.psi.value(t[cusp])
     if not np.all(cusp):
-        out[~cusp] = fill()
-    return out
+        R[~cusp] = spec.psi1
+    return (R, dR) if with_slope else R
 
 
-def collar_radius(spec: DomainSpec, t) -> np.ndarray:
-    """R(t) = psi(min(t, 1)): the domain's radius, the collar's inner wall."""
-    return on_cusp(t, spec.psi.value, lambda: spec.psi1)
-
-
-def classify_extension_region(spec: DomainSpec, z):
+def classify_extension_region(spec: DomainSpec, z, R=None):
     """Assign each point to one branch of the extension geometry.
 
     On 0 < t <= 2, with R = psi(min(t, 1)): CORE for |x| <= R, COLLAR
     for R < |x| < 2R.  The end cap is 2 < t < 3, |x| < 2R = 2 psi(1).
     Points on outer collar boundaries fall to OUTSIDE, where the
-    extension vanishes anyway.
+    extension vanishes anyway.  A caller that has R(t) already passes
+    it as ``R`` and saves the profile read.
     """
     t, _, r = split(z, spec.n)
     scalar = t.ndim == 0
     t, r = np.atleast_1d(t), np.atleast_1d(r)
 
-    R = collar_radius(spec, t)
+    R = collar_radius(spec, t) if R is None else np.atleast_1d(R)
     body = (t > 0.0) & (t <= 2.0)
     label = np.full(t.shape, int(ExtRegion.OUTSIDE), dtype=np.int64)
     label[body & (r <= R)] = ExtRegion.CORE

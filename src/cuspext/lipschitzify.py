@@ -207,20 +207,27 @@ class LipschitzizedProfile(CuspProfile):
         self.doubling_constant = None if dbl is None else max(2.0, dbl)
 
     def _per_pair(self, t, read):
-        """read(t_sol, r_sol, on_jump) once per distinct abscissa of t."""
+        """read(t_sol, r_sol, on_jump) once per distinct abscissa of t.
+
+        A trailing axis of the read follows t's shape.
+        """
         t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t)
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        out = read(*_solve_many(self.source, uniq, self.tol))[inverse].reshape(flat.shape)
-        return out.reshape(t.shape) if t.ndim else float(out[0])
+        uniq, inverse = np.unique(t.reshape(-1), return_inverse=True)
+        out = read(*_solve_many(self.source, uniq, self.tol))[inverse]
+        out = out.reshape(t.shape + out.shape[1:])
+        return float(out) if out.ndim == 0 else out
 
     def value(self, t):
         return self._per_pair(t, lambda t_sol, r_sol, jump: r_sol)
 
     def derivative(self, t):
-        """Exact slope: 1 + psi(1) across a jump, else (1 + psi(1)) psi'/(1 + psi').
+        return self.value_and_derivative(t)[1]
 
-        Off a jump the pair moves along t + psi(t) = (1 + psi(1)) t_hat,
+    def value_and_derivative(self, t):
+        """Value and exact slope from one solve per distinct abscissa.
+
+        The slope is 1 + psi(1) across a jump, else (1 + psi(1)) psi'/(1 + psi'):
+        off a jump the pair moves along t + psi(t) = (1 + psi(1)) t_hat,
         so dt/dt_hat = (1 + psi(1)) / (1 + psi'(t)) and r = psi(t).
         """
         slope = profile_derivative(self.source)
@@ -228,15 +235,15 @@ class LipschitzizedProfile(CuspProfile):
             raise ValueError(f"{self.source!r} carries no closed-form slope")
         c = self.lipschitz_constant
 
-        def read(t_sol, _, jump):
+        def read(t_sol, r_sol, jump):
             out = np.full(t_sol.shape, c)
             off = ~jump
             if np.any(off):
                 d = np.asarray(slope(np.maximum(t_sol[off], 1e-300)), dtype=float)
                 out[off] = c * d / (1.0 + d)
-            return out
+            return np.stack([r_sol, out], axis=-1)
 
-        return self._per_pair(t, read)
+        return tuple(np.moveaxis(self._per_pair(t, read), -1, 0))
 
     def right_limit(self, t):
         return self.value(t)

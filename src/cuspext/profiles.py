@@ -68,6 +68,13 @@ class CuspProfile(ABC):
     def value_at_1(self) -> float:
         return float(self.value(1.0))
 
+    def value_and_derivative(self, t):
+        """(psi(t), psi'(t)); a re-profiled cusp reads both from one solve."""
+        slope = profile_derivative(self)
+        if slope is None:
+            raise ValueError(f"{self!r} carries no closed-form slope")
+        return self.value(t), slope(t)
+
     def breakpoints(self) -> np.ndarray:
         """Interior jump locations (empty for continuous kinds)."""
         return np.empty(0)

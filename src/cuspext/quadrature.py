@@ -262,26 +262,38 @@ def gradient_at(u: ScalarField, Z: np.ndarray) -> np.ndarray:
     return np.asarray(u.grad(np.asarray(Z, dtype=float)), dtype=float)
 
 
+def _w1p(u, Z, W, exponents, read=None) -> dict:
+    """{p: (W^{1,p} norm, detail)} from one read of u at the nodes Z.
+
+    ``read()`` (by default ``value_and_grad`` when u has it, else ``fn``)
+    gives the values and the gradients or None; None reads them with
+    ``gradient_at`` once the values are freed.
+    """
+    vals, grads = read() if read else (u.value_and_grad(Z) if u.value_and_grad
+                                        else (u.fn(Z), None))
+    lp = [_weighted_p_sum(vals, W, p, Z) ** (1.0 / p) for p in exponents]
+    del vals
+    with np.errstate(over="ignore"):
+        mag = np.linalg.norm(gradient_at(u, Z) if grads is None else grads, axis=-1)
+    del grads
+    out = {}
+    for p, part_u in zip(exponents, lp):
+        part_g = _weighted_p_sum(mag, W, p, Z) ** (1.0 / p)
+        # dropped_gradient_nodes is always 0; the key stays until the
+        # benchmark tracer stops reading it
+        out[p] = float(part_u + part_g), {"lp_part": float(part_u), "gradient_part": float(part_g),
+                                          "dropped_gradient_nodes": 0, "nodes": int(Z.shape[0])}
+    return out
+
+
 def w1p_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme,
              n: int, with_detail: bool = False):
     """L^p norm of u plus that of |grad u|, both from ``value_and_grad`` when u has it."""
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be in [1, inf), got {p}")
     Z, W = build_nodes(region, scheme, n)
-    vals, grads = u.value_and_grad(Z) if u.value_and_grad else (u.fn(Z), None)
-    part_u = _weighted_p_sum(vals, W, p, Z) ** (1.0 / p)
-    del vals  # freed before the gradient magnitude is formed
-    with np.errstate(over="ignore"):
-        mag = np.linalg.norm(gradient_at(u, Z) if grads is None else grads, axis=-1)
-    part_g = _weighted_p_sum(mag, W, p, Z) ** (1.0 / p)
-
-    total = float(part_u + part_g)
-    if with_detail:
-        # dropped_gradient_nodes is always 0; the key stays until the
-        # benchmark tracer stops reading it
-        return total, {"lp_part": float(part_u), "gradient_part": float(part_g),
-                       "dropped_gradient_nodes": 0, "nodes": int(Z.shape[0])}
-    return total
+    total, detail = _w1p(u, Z, W, [p])[p]
+    return (total, detail) if with_detail else total
 
 
 @dataclass(frozen=True)
@@ -314,57 +326,72 @@ def in_limit_region(n: int, p: float, q: float) -> bool:
     return 1.0 <= q < n - 1 and p >= (n - 1) * q / (n - 1 - q)
 
 
-def extension_ratio(u: ScalarField, psi, n: int, pq,
+def extension_ratio(fields, psi, n: int, pq,
                     scheme: QuadratureScheme | None = None,
-                    tol: float = DEFAULT_TOL) -> list[NormReport]:
-    """Extension-norm ratios with one-step refinement stability estimates.
+                    tol: float = DEFAULT_TOL) -> list[list[NormReport]]:
+    """Extension-norm ratios of several fields, with one-step refinement stability estimates.
 
-    One report per (p, q) pair, in order.  u is extended once, by
-    ``extension.extend``; the straightened route's norm is taken in the
-    straightened frame (equivalent up to the straightening map's
-    two-sided Lipschitz constant).  E does not depend on (p, q), so each
-    distinct p and q is integrated once per resolution.  The ratio's
+    One list per field, in order, of one report per (p, q) pair, in
+    order.  The route is chosen once, by ``extension.extend``; the
+    straightened route's norm is taken in the straightened frame
+    (equivalent up to the straightening map's two-sided Lipschitz
+    constant).  Only the final read of u depends on the field, so per
+    resolution each node set is built once and the extension nodes are
+    pulled back once (``ConjugatedExtension.pullback``); each field then
+    reads u and grad u once per node set for all its exponents and is
+    reduced to its norms before the next field is read.  The ratio's
     bound is existential, so the reports assert nothing about its size.
     """
     if scheme is None:
         scheme = QuadratureScheme()
+    fields = list(fields)
+    if not fields:
+        raise ValueError("need at least one field")
     for p, q in pq:
         if not 1.0 <= q <= p < np.inf:
             raise ValueError(f"need 1 <= q <= p < inf, got p={p}, q={q}")
-    ext = extend(u, psi, n, tol)
+    # the geometry, and so the pullback, is the same for every field
+    ext = extend(fields[0], psi, n, tol)
     dom_region = region_domain(DomainSpec(n, psi))
     ext_region = region_extension(ext.hat_context.spec)
+    ps, qs = list(dict.fromkeys(p for p, _ in pq)), list(dict.fromkeys(q for _, q in pq))
 
     def measure(sch):
-        nu = {p: w1p_norm(u, dom_region, p, sch, n, with_detail=True)
-              for p in dict.fromkeys(p for p, _ in pq)}
-        ne = {q: w1p_norm(ext.hat_field, ext_region, q, sch, n, with_detail=True)
-              for q in dict.fromkeys(q for _, q in pq)}
-        return nu, ne
+        """Per field: ({p: (norm u, detail)}, {q: (norm E u, detail)})."""
+        Z, W = build_nodes(dom_region, sch, n)
+        nu = [_w1p(u, Z, W, ps) for u in fields]
+        del Z, W  # freed before the extension nodes are built
+        Z, W = build_nodes(ext_region, sch, n)
+        push = ext.pullback(Z)
+        return list(zip(nu, [_w1p(None, Z, W, qs, lambda: push(u)) for u in fields]))
 
-    (nu_base, ne_base), (nu_refined, ne_refined) = measure(scheme), measure(scheme.refined())
-    reports = []
-    for p, q in pq:
-        (nu0, du0), (ne0, de0) = nu_base[p], ne_base[q]
-        (nu1, du1), (ne1, de1) = nu_refined[p], ne_refined[q]
-        warnings = ()
-        if not in_limit_region(n, p, q):
-            warnings = (f"(p, q) = ({p}, {q}) outside the guaranteed region "
-                        f"q < {n - 1}, p >= (n-1)q/(n-1-q); ratio reported unasserted",)
-        zero = nu1 <= 0.0
-        ratio0 = None if nu0 <= 0.0 else ne0 / nu0
-        ratio1 = None if zero else ne1 / nu1
-        delta = None
-        if ratio0 is not None and ratio1 is not None and ratio1 > 0.0:
-            delta = abs(ratio1 - ratio0) / ratio1
-        reports.append(NormReport(
-            p=float(p), q=float(q), norm_u_w1p=float(nu1), norm_eu_w1q=float(ne1),
-            ratio=ratio1, refinement_delta=delta,
-            resolution=asdict(scheme), frame=ext.frame, zero_denominator=bool(zero),
-            warnings=warnings,
-            detail={"base": {"norm_u": nu0, "norm_eu": ne0, **{f"u_{k}": v for k, v in du0.items()},
-                             **{f"eu_{k}": v for k, v in de0.items()}},
-                    "refined": {**{f"u_{k}": v for k, v in du1.items()},
-                                **{f"eu_{k}": v for k, v in de1.items()}}},
-        ))
-    return reports
+    out = []
+    for (nu_base, ne_base), (nu_refined, ne_refined) in zip(measure(scheme),
+                                                            measure(scheme.refined())):
+        reports = []
+        for p, q in pq:
+            (nu0, du0), (ne0, de0) = nu_base[p], ne_base[q]
+            (nu1, du1), (ne1, de1) = nu_refined[p], ne_refined[q]
+            warnings = ()
+            if not in_limit_region(n, p, q):
+                warnings = (f"(p, q) = ({p}, {q}) outside the guaranteed region "
+                            f"q < {n - 1}, p >= (n-1)q/(n-1-q); ratio reported unasserted",)
+            zero = nu1 <= 0.0
+            ratio0 = None if nu0 <= 0.0 else ne0 / nu0
+            ratio1 = None if zero else ne1 / nu1
+            delta = None
+            if ratio0 is not None and ratio1 is not None and ratio1 > 0.0:
+                delta = abs(ratio1 - ratio0) / ratio1
+            reports.append(NormReport(
+                p=float(p), q=float(q), norm_u_w1p=float(nu1), norm_eu_w1q=float(ne1),
+                ratio=ratio1, refinement_delta=delta,
+                resolution=asdict(scheme), frame=ext.frame, zero_denominator=bool(zero),
+                warnings=warnings,
+                detail={"base": {"norm_u": nu0, "norm_eu": ne0,
+                                 **{f"u_{k}": v for k, v in du0.items()},
+                                 **{f"eu_{k}": v for k, v in de0.items()}},
+                        "refined": {**{f"u_{k}": v for k, v in du1.items()},
+                                    **{f"eu_{k}": v for k, v in de1.items()}}},
+            ))
+        out.append(reports)
+    return out

@@ -67,9 +67,13 @@ def _inverse_branches(spec: DomainSpec, w):
     return s, rho, [in_wedge, in_tail, in_tube]
 
 
-def inverse_map(spec: DomainSpec, w):
-    """Invert branch-wise; image regions mirror the forward precedence."""
-    s, rho, branches = _inverse_branches(spec, w)
+def inverse_map(spec: DomainSpec, w, branches=None):
+    """Invert branch-wise; image regions mirror the forward precedence.
+
+    ``branches``, the ``_inverse_branches`` of w, lets a caller that
+    also needs ``inverse_partials`` split the points once.
+    """
+    s, rho, branches = branches or _inverse_branches(spec, w)
     psi1 = spec.psi1
     t = np.select(
         branches,
@@ -83,9 +87,9 @@ def inverse_map(spec: DomainSpec, w):
     return out
 
 
-def inverse_partials(spec: DomainSpec, w):
+def inverse_partials(spec: DomainSpec, w, branches=None):
     """(dt/ds, dt/d|y|) of inverse_map's axial row; its other rows are fixed."""
-    s, rho, branches = _inverse_branches(spec, w)
+    s, rho, branches = branches or _inverse_branches(spec, w)
     psi1 = spec.psi1
     d_s = np.select(branches, [1.0 + psi1, 1.0 + rho - psi1, 1.0], default=1.0)
     d_rho = np.select(branches, [-1.0, s - 2.0, 0.0], default=-1.0)

@@ -108,7 +108,9 @@ def _cutoff_collar(ctx, z):
 
 def _collar_chain_gradient(ctx, Z, u, slope):
     t, x, r, R = _split_collar(ctx, Z)
-    dR = geometry.on_cusp(t, slope, lambda: 0.0)
+    dR = np.zeros(t.shape)
+    cusp = (t > 0.0) & (t <= 1.0)
+    dR[cusp] = slope(t[cusp])
     rho = 1.5 * R - 0.5 * r
     cut = 2.0 - r / R
     w = np.concatenate([t[:, None], (rho / r)[:, None] * x], axis=1)

@@ -129,9 +129,9 @@ def test_criterion_5_norm_inequality():
         for coeff_exp in (2.0, 3.0):
             psi = PowerProfile(coeff_exp, 0.25)
             pq = ((2.0, 1.0), (4.0, 1.0), (4.0, 1.9))
-            for name in names:
-                u = make_field(name, 3)
-                reps = quadrature.extension_ratio(u, psi, 3, pq, scheme)
+            per_field = quadrature.extension_ratio([make_field(name, 3) for name in names],
+                                                   psi, 3, pq, scheme)
+            for name, reps in zip(names, per_field):
                 for (p, q), rep in zip(pq, reps):
                     assert rep.ratio is not None and np.isfinite(rep.ratio), \
                         (psi, p, q, name)

@@ -10,7 +10,7 @@ from helpers import (
     unfused_straightened_input,
 )
 
-from cuspext import extension, geometry
+from cuspext import extension, geometry, lipschitzify, transform
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
     ExtensionContext,
@@ -476,18 +476,23 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
     direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
     counted(geometry, "classify_extension_region")
     counted(extension, "inverse_map")
-    for eu, spec in ((direct, POW_SPEC), (conj.hat_field, conj.hat_context.spec)):
+    counted(extension, "_inverse_branches")
+    counted(transform, "_inverse_branches")  # where inverse_map looks it up
+    counted(lipschitzify, "_solve_many")
+    for eu, spec, solves in ((direct, POW_SPEC, 0), (conj.hat_field, conj.hat_context.spec, 1)):
         z = _mixed_points(spec, 2000, seed=13)
         no_cap = z[classify_extension_region(spec, z) != ExtRegion.END_CAP]
         calls.clear()
         eu.value_and_grad(no_cap)
-        assert calls["classify_extension_region"] == 1
+        # R and R' of every cusp point come from one hat solve
+        assert calls["classify_extension_region"] == 1 and calls["_solve_many"] == solves
         calls.clear()
         eu.value_and_grad(z)  # the end cap's mirror images take one more
-        assert calls["classify_extension_region"] == 2
+        assert calls["classify_extension_region"] == 2 and calls["_solve_many"] == solves
     calls.clear()
     conj.hat_input.value_and_grad(z)
-    assert calls == {"inverse_map": 1}
+    # one branch split per point serves the inverse map and its partials
+    assert calls == {"inverse_map": 1, "_inverse_branches": 1}
 
 
 def test_value_view_reads_no_gradient():

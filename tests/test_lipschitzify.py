@@ -273,6 +273,26 @@ def test_lipschitzized_derivative_closed_forms():
         == pytest.approx(2.0 * d / (1.0 + d), rel=1e-12)
 
 
+@pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
+def test_lipschitzized_value_and_derivative_share_one_solve(source, monkeypatch):
+    hat = LipschitzizedProfile(source)
+    t = np.concatenate([np.geomspace(1e-6, 1.0, 81), [0.5, 0.3, 1.0]]).reshape(3, 28)
+    want = hat.value(t), hat.derivative(t)
+    solves = []
+    real = lipschitzify._solve_many
+
+    def counted(*args):
+        solves.append(args[1].size)
+        return real(*args)
+
+    monkeypatch.setattr(lipschitzify, "_solve_many", counted)
+    value, slope = hat.value_and_derivative(t)
+    assert solves == [np.unique(t).size]
+    assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
+    assert value.shape == slope.shape == t.shape
+    assert hat.value_and_derivative(0.3) == (hat.value(0.3), hat.derivative(0.3))
+
+
 def test_lipschitzized_derivative_needs_source_slope():
     class NoSlope(CuspProfile):
         kind = "no-slope"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,9 +13,9 @@ from fd_oracle import central_difference
 
 from cuspext import quadrature
 from cuspext.errors import QuadratureError
-from cuspext.extension import extend_general
+from cuspext.extension import extend, extend_general
 from cuspext.fields import ScalarField, make_field
-from cuspext.geometry import DomainSpec
+from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
 from cuspext.profiles import PowerProfile, StepProfile
 from cuspext.quadrature import (
     QuadratureScheme,
@@ -198,8 +199,8 @@ def test_in_limit_region():
 
 def test_extension_ratio_report():
     small = QuadratureScheme(t_levels=25, gauss_t=4, gauss_r=4, angular=8)
-    [rep] = extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
-                            3, [(2.0, 1.0)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
+                              3, [(2.0, 1.0)], small)
     assert rep.frame == "direct"
     assert rep.ratio is not None and np.isfinite(rep.ratio)
     assert rep.refinement_delta is not None and rep.refinement_delta < 0.05
@@ -210,28 +211,30 @@ def test_extension_ratio_report():
 
 def test_extension_ratio_zero_denominator():
     small = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
-    [rep] = extension_ratio(make_field("constant", 3, value=0.0),
-                            PowerProfile(2.0, 0.25), 3, [(2.0, 1.0)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3, value=0.0)],
+                              PowerProfile(2.0, 0.25), 3, [(2.0, 1.0)], small)
     assert rep.zero_denominator and rep.ratio is None
 
 
 def test_extension_ratio_out_of_region_warns():
     small = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
-    [rep] = extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
-                            3, [(4.0, 1.9)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
+                              3, [(4.0, 1.9)], small)
     assert rep.warnings and "outside" in rep.warnings[0]
     assert np.isfinite(rep.ratio)
 
 
 def test_extension_ratio_validation(monkeypatch):
     with pytest.raises(ValueError):
-        extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
+        extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
                         3, [(1.0, 2.0)], SCHEME)
     # every pair is checked before any work starts
     monkeypatch.setattr(quadrature, "extend", None)
     with pytest.raises(ValueError, match=r"got p=1.0, q=2.0"):
-        extension_ratio(make_field("constant", 3), PowerProfile(2.0, 0.25),
+        extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
                         3, [(2.0, 1.0), (1.0, 2.0)], SCHEME)
+    with pytest.raises(ValueError, match="at least one field"):
+        extension_ratio([], PowerProfile(2.0, 0.25), 3, [(2.0, 1.0)], SCHEME)
 
 
 SMALL = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
@@ -241,26 +244,73 @@ SMALL = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
                          ids=["direct", "straightened"])
 def test_extension_ratio_report_does_not_depend_on_neighbours(psi):
     u = make_field("wave", 3)
-    [alone] = extension_ratio(u, psi, 3, [(4.0, 1.0)], SMALL)
-    pair = extension_ratio(u, psi, 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
+    [[alone]] = extension_ratio([u], psi, 3, [(4.0, 1.0)], SMALL)
+    [pair] = extension_ratio([u], psi, 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
     assert [(r.p, r.q) for r in pair] == [(2.0, 1.0), (4.0, 1.0)]
     assert json.dumps(alone.to_dict(), sort_keys=True) == \
         json.dumps(pair[1].to_dict(), sort_keys=True)
 
 
+@pytest.mark.parametrize("psi", [PowerProfile(2.0, 0.25), StepProfile([0.5, 1.0], [0.1, 0.2])],
+                         ids=["direct", "straightened"])
+def test_extension_ratio_reports_do_not_depend_on_other_fields(psi):
+    names = ("constant", "axial", "wave")
+    together = extension_ratio([make_field(name, 3) for name in names], psi, 3,
+                               [(2.0, 1.0), (4.0, 1.0)], SMALL)
+    for name, reports in zip(names, together):
+        [alone] = extension_ratio([make_field(name, 3)], psi, 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
+            [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
+
+
+def _pulled_back_count(spec, Z) -> int:
+    """Points where E reads u for nodes Z: each core and collar node, and
+    each end-cap node whose mirror image is a core or collar point."""
+    reads = (ExtRegion.CORE, ExtRegion.COLLAR)
+    label = classify_extension_region(spec, Z)
+    cap = Z[label == ExtRegion.END_CAP]
+    mirror = np.concatenate([4.0 - cap[:, :1], cap[:, 1:]], axis=1)
+    return int(np.isin(label, reads).sum() + np.isin(classify_extension_region(spec, mirror),
+                                                     reads).sum())
+
+
 def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
-    calls = []
-    real = quadrature.w1p_norm
-    u = make_field("constant", 3)
+    # the unit of work is a node set: per resolution one domain and one
+    # extension node set, and each field reads u and grad u once per domain
+    # node for every p and once per pulled-back extension point for every q
+    built = []
+    real_build = quadrature.build_nodes
 
-    def counting(f, region, p, *args, **kwargs):
-        calls.append(("u" if f is u else "E(u)", p))
-        return real(f, region, p, *args, **kwargs)
+    def build(region, scheme, n):
+        Z, W = real_build(region, scheme, n)
+        built.append(("domain" if len(region) == 2 else "extension", scheme.gauss_t, Z))
+        return Z, W
 
-    monkeypatch.setattr(quadrature, "w1p_norm", counting)
-    extension_ratio(u, PowerProfile(2.0, 0.25), 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
-    # per resolution: u at p = 2 and p = 4, E(u) once at the shared q = 1
-    assert sorted(calls) == sorted(2 * [("u", 2.0), ("u", 4.0), ("E(u)", 1.0)])
+    reads = Counter()
+
+    def counted(u):
+        def fn(z):
+            reads[u.name, "fn"] += z.shape[0]
+            return u.fn(z)
+
+        def grad(z):
+            reads[u.name, "grad"] += z.shape[0]
+            return u.grad(z)
+
+        return replace(u, fn=fn, grad=grad)
+
+    monkeypatch.setattr(quadrature, "build_nodes", build)
+    for psi in (PowerProfile(2.0, 0.25), StepProfile([0.5, 1.0], [0.1, 0.2])):
+        built.clear()
+        reads.clear()
+        fields = [counted(make_field(name, 3)) for name in ("constant", "axial", "wave")]
+        extension_ratio(fields, psi, 3, [(2.0, 1.0), (4.0, 1.0), (4.0, 1.5)], SMALL)
+        assert sorted(kind[:2] for kind in built) == \
+            [("domain", 3), ("domain", 6), ("extension", 3), ("extension", 6)]
+        hat_spec = extend(fields[0], psi, 3).hat_context.spec
+        want = sum(Z.shape[0] if kind == "domain" else _pulled_back_count(hat_spec, Z)
+                   for kind, _, Z in built)
+        assert reads == Counter({(u.name, part): want for u in fields for part in ("fn", "grad")})
 
 
 def test_extension_ratio_straightened_route():
@@ -268,7 +318,7 @@ def test_extension_ratio_straightened_route():
 
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     small = QuadratureScheme(t_levels=18, gauss_t=3, gauss_r=3, angular=6)
-    [rep] = extension_ratio(make_field("constant", 3), step, 3, [(2.0, 1.0)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3)], step, 3, [(2.0, 1.0)], small)
     assert rep.frame == "straightened"
     assert rep.ratio is not None and np.isfinite(rep.ratio) and rep.ratio > 0.0
 
