@@ -66,14 +66,6 @@ class RunConfig:
     dump_slices: bool = False
 
 
-def _default_tolerance() -> float:
-    raw = os.environ.get("CUSPEXT_TOL", DEFAULT_TOL)
-    try:
-        return float(raw)  # the tolerance check below applies to it too
-    except ValueError:
-        raise ConfigError(f"CUSPEXT_TOL: not a number: {raw!r}") from None
-
-
 # -- the config tables -------------------------------------------------------
 # Each table maps a key to (check, default); the default ... marks a required
 # key and None one left out when absent.  A check takes the value and its
@@ -114,7 +106,7 @@ def _table(table: dict, make=dict):
                 elif default is None:
                     continue
                 else:
-                    value = default() if callable(default) else default
+                    value = default
                 typed[key] = test(value, prefix + key) if test else value
             except ConfigError as err:
                 errors.append(str(err))
@@ -155,8 +147,8 @@ _TOP = {
     "command": (None, ...),
     "n": (_need(lambda v: type(v) is int and v >= 2, "an integer >= 2"), 3),
     "seed": (_need(lambda v: type(v) is int and v >= 0, "a nonnegative integer"), 0),
-    "tolerance": (_need(lambda v: _is_number(v) and v > 0.0,
-                        "a finite number > 0 (default: CUSPEXT_TOL)"), _default_tolerance),
+    "tolerance": (_need(lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
+                  DEFAULT_TOL),
     "profile": (_build_profile, ...),  # not read by the sweep, which runs power cusps t^s
 }
 
@@ -307,7 +299,7 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
         "lipschitz_constant": 1.0 + psi1,
         "max_lipschitz_slack": float(np.max(slack)),
         "quotient_hypothesis_holds": hypothesis_ok,
-        "monotone_quotient": {"ok": mq.ok, "violation": mq.violation},
+        "monotone_quotient": dataclasses.asdict(mq),
         "doubling_transfer": doubling,
         "checks": checks,
     }
@@ -340,9 +332,7 @@ def cmd_transform_verify(cfg: RunConfig) -> int:
         "round_trip_max_error": round_err,
         "seam_stretch": {k: {repr(d): v for d, v in per.items()}
                          for k, per in seams.items()},
-        "image": {"ok": image.ok, "forward_failures": image.forward_failures,
-                  "inverse_failures": image.inverse_failures,
-                  "counterexample": image.counterexample},
+        "image": dataclasses.asdict(image),
         "distortion": distortion.to_dict(),
         "checks": checks,
     }
@@ -372,15 +362,16 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     norm_reports = quadrature.extension_ratio(
         list(fields.values()), psi, cfg.n, [(float(p), float(q)) for p, q in pq], scheme,
         cfg.tolerance)
+    # hat_* live in the frame the extension is built in: the
+    # straightened one, or the original frame on the direct route
+    ext = extend(psi, cfg.n, cfg.tolerance)
+    ctx = ext.hat_context
     reports, checks = [], {}
     for (name, u), field_reports in zip(fields.items(), norm_reports):
-        # hat_* live in the frame the extension is built in: the
-        # straightened one, or the original frame on the direct route
-        ext = extend(u, psi, cfg.n, cfg.tolerance)
-        ctx, hat_eu = ext.hat_context, ext.hat_field
-        tr = verify.trace_check(ext.field, u, spec, opts["trace_samples"], cfg.seed)
-        decay = verify.boundary_decay_check(ctx, hat_eu, ext.hat_input, rays=opts["decay_rays"],
-                                            rng_seed=cfg.seed)
+        hat_eu = ext.hat_field(u)
+        tr = verify.trace_check(ext.field(u), u, spec, opts["trace_samples"], cfg.seed)
+        decay = verify.boundary_decay_check(ctx, hat_eu, ext.hat_input(u),
+                                            rays=opts["decay_rays"], rng_seed=cfg.seed)
         seams = verify.seam_continuity_check(ctx, hat_eu, per_seam=200, rng_seed=cfg.seed)
         cap = verify.seam_modulus_cap(ctx, u, cfg.seed)
         seam_ok, worst_seam = verify.seam_verdict(seams, cap)
@@ -406,13 +397,11 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
             else:
                 checks[key] = bool(np.isfinite(rep.ratio))
 
-    # linearity across the first two requested fields
+    # linearity across the first and the last requested fields
     rng = np.random.default_rng(cfg.seed)
     pts = transform.sample_box(cfg.n, 2000, rng, t_range=(-0.5, 3.5), radius=0.6)
     flist = list(fields.values())
-    u, v = flist[0], flist[-1]
-    lin = verify.linearity_check(lambda w: extend(w, psi, cfg.n, cfg.tolerance).field,
-                                 u, v, pts)
+    lin = verify.linearity_check(ext.field, flist[0], flist[-1], pts)
     checks["linearity_ok"] = lin.max_abs_error <= 1e-12
 
     report = {

@@ -103,19 +103,36 @@ def cutoff_cap(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
     return np.clip(3.0 - t, 0.0, 1.0)
 
 
+def _reader(w, with_grad: bool, inner=None):
+    """``read(u) -> (u, grad u)`` at points w, grad None without gradients.
+
+    With ``inner`` (``_inverse_pullback``) it reads u o inner: u at the
+    points inner pulls w back to, turned back by inner's chain rule.
+    """
+    if inner is not None:
+        z, chain = inner(w, with_grad)
+        return lambda u: chain(*_reader(z, with_grad)(u))
+
+    def read(u):
+        if not with_grad:
+            return np.asarray(u.fn(w), dtype=float), None
+        uw, gw = u.value_and_grad(w) if u.value_and_grad else (u.fn(w), u.grad(w))
+        return np.asarray(uw, dtype=float), np.asarray(gw, dtype=float)
+
+    return read
+
+
 def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
-    """E's field-independent half at (k, n) points Z; returns ``push(read)``.
+    """E's field-independent half at (k, n) points Z; returns ``push(u)``.
 
     Each point reads u at most once: the core at itself, the collar at
     its reflection, the end cap where its mirror image reads (one
-    recursive pullback).  ``push(read)`` takes u and grad u (None
-    without gradients) at one set of read points at a time from
-    ``read(points)``, so no read outlives its use, and returns E u and
-    grad E u at Z.  ``inner(w, with_grad) -> (points, chain)`` pulls the
-    read points on into u's own frame, where ``chain(uz, gz)`` turns u
-    and grad u back into the inner field at w.  The reflection keeps its
-    domain check on, so a classification bug surfaces as a domain error
-    instead of a silent wrong value.
+    recursive pullback), each through ``inner`` when given.
+    ``push(u)`` reads u and grad u (None without gradients) at one set
+    of read points at a time, so no read outlives its use, and returns
+    E u and grad E u at Z.  The reflection keeps its domain check on, so
+    a classification bug surfaces as a domain error instead of a silent
+    wrong value.
     """
     spec = ctx.spec
     k, n = Z.shape
@@ -124,38 +141,32 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
         geometry.collar_radius(spec, t), None)
     label = geometry.classify_extension_region(spec, Z, R)
 
-    def reader(w):
-        if inner is None:
-            return lambda read: read(w)
-        z, chain = inner(w, with_grad)
-        return lambda read: chain(*read(z))
-
     core, collar, cap = (label == ExtRegion.CORE, label == ExtRegion.COLLAR,
                          label == ExtRegion.END_CAP)
     del label
-    core_reads = reader(Z[core]) if np.any(core) else None
+    core_reads = _reader(Z[core], with_grad, inner) if np.any(core) else None
     collar_reads = cap_push = None
     if np.any(collar):
         _, x, r, R, reflected, cut = _split_collar(ctx, Z[collar], True, R[collar])
         x = np.ascontiguousarray(x)  # a view would keep the whole (k, n) copy
-        collar_reads = reader(reflected)
+        collar_reads = _reader(reflected, with_grad, inner)
         if with_grad:
             dR = dR[collar]
     if np.any(cap):
         cap_push = _pullback(ctx, end_cap_pullback(ctx, Z[cap], check=False), with_grad, inner)
         cap_cut = cutoff_cap(ctx, Z[cap], check=False)
 
-    def push(read):
+    def push(u):
         val = np.zeros(k)
         grad = np.zeros((k, n)) if with_grad else None
         if core_reads:
-            uw, gw = core_reads(read)
+            uw, gw = core_reads(u)
             val[core] = uw
             if with_grad:
                 grad[core] = gw
             del uw, gw
         if collar_reads:
-            uw, gw = collar_reads(read)
+            uw, gw = collar_reads(u)
             val[collar] = cut * uw
             if with_grad:
                 # product and chain rule with rho = 1.5 R - 0.5 r; r > 0 on the
@@ -173,7 +184,7 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
                     + (cut * rho / r)[:, None] * gw[:, 1:]
             del uw, gw
         if cap_push:
-            pv, pg = cap_push(read)
+            pv, pg = cap_push(u)
             val[cap] = cap_cut * pv
             if with_grad:
                 # d/dz of cutoff_cap(z) * E(4 - t, x): the mirror flips the axial row
@@ -216,132 +227,123 @@ def _inverse_pullback(norm_spec: DomainSpec, scale: float):
     return pull
 
 
-def _read(u: ScalarField, w, with_grad: bool):
-    """u and grad u (None without gradients) at points w."""
-    if not with_grad:
-        return np.asarray(u.fn(w), dtype=float), None
-    uw, gw = u.value_and_grad(w) if u.value_and_grad else (u.fn(w), u.grad(w))
-    return np.asarray(uw, dtype=float), np.asarray(gw, dtype=float)
+def _field(name: str, n: int, evaluate, with_grad: bool) -> ScalarField:
+    """A field over (..., n) points from ``evaluate(Z, with_grad) -> (values, grads)``.
 
-
-def _field_pullback(ctx: ExtensionContext, inner=None):
-    """``pullback(Z) -> push(v)``: E v and grad E v at Z for any field v, Z pulled back once."""
-
-    def pullback(Z):
-        push = _pullback(ctx, Z, True, inner)
-        return lambda v: push(lambda w: _read(v, w, True))
-
-    return pullback
-
-
-def extend_lipschitz(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
-    """Extend a field off the domain of a Lipschitz profile.
-
-    The evaluator is linear in u by construction and vanishes
-    identically outside the doubled domain.  Each view pulls its batch
-    back once (``_pullback``) and then reads u once at the
-    pulled-back points.  When the field carries an analytic gradient and
-    the profile a closed-form slope, the extension carries the
-    chain-rule gradient too (it is exact off the seam set, which has
-    measure zero), and ``value_and_grad`` returns both from one pass.
+    ``evaluate`` sees (k, n) batches.  The points are checked where they
+    enter: the last axis must be n wide, with every coordinate finite.
+    A 1-d point gives a scalar value.  ``with_grad`` adds the ``grad``
+    and ``value_and_grad`` views of the same evaluation.
     """
-    n = ctx.spec.n
 
-    def view(with_grad, pick):
-        """Evaluator over (..., n) points; a 1-d point gives a scalar value."""
-
+    def view(gradient, pick):
         def call(z):
             z = np.asarray(z, dtype=float)
+            if z.ndim == 0 or z.shape[-1] != n:
+                raise ValueError(f"point has dimension {z.shape[-1] if z.ndim else 0}, "
+                                 f"spec has n={n}")
             if not np.all(np.isfinite(z)):
                 raise ProfileDomainError("extension point is not finite")
-            push = _pullback(ctx, z.reshape(-1, n), with_grad)
-            val, grad = push(lambda w: _read(u, w, with_grad))
+            val, grad = evaluate(z.reshape(-1, n), gradient)
             if z.ndim == 1:
                 return pick(float(val[0]), None if grad is None else grad[0])
             return pick(val.reshape(z.shape[:-1]), None if grad is None else grad.reshape(z.shape))
 
         return call
 
-    grad = value_and_grad = None
-    if u.grad is not None and profile_derivative(ctx.spec.psi) is not None:
-        grad = view(True, lambda v, g: g)
-        value_and_grad = view(True, lambda v, g: (v, g))
-    return ScalarField(f"extend({u.name})", view(False, lambda v, g: v), grad, value_and_grad)
+    grads = (view(True, lambda v, g: g), view(True, lambda v, g: (v, g))) if with_grad else ()
+    return ScalarField(name, view(False, lambda v, g: v), *grads)
 
 
-@dataclass
-class ConjugatedExtension:
-    """Extension of a field off an arbitrary-profile domain.
+def extend_lipschitz(ctx: ExtensionContext, u: ScalarField, inner=None) -> ScalarField:
+    """Extend a field off the domain of a Lipschitz profile.
 
-    Built by straightening the domain onto its Lipschitz twin,
-    extending there, and pulling back: ``field`` is the extension in
-    original coordinates, ``hat_field`` the same object in straightened
-    coordinates (where quadrature is cheap and exact), and
-    ``hat_input`` the field pulled into straightened coordinates.  On
-    the direct route (``frame == "direct"``) the straightened frame is
-    the original one: ``field is hat_field`` and ``hat_input is u``.
-    ``pullback(Z)`` is the part of ``hat_field``'s evaluation that does
-    not depend on the field: it pulls (k, n) straightened points back
-    once and returns ``push(v) -> (E v, grad E v)`` at them for any
-    field v of the original frame.
+    The evaluator is linear in u by construction and vanishes
+    identically outside the doubled domain.  Each view pulls its batch
+    back once (``_pullback``) and then reads u once at the
+    pulled-back points, through ``inner`` when given: then the field
+    extended is u o inner.  When the field carries an analytic gradient
+    and the profile a closed-form slope, the extension carries the
+    chain-rule gradient too (it is exact off the seam set, which has
+    measure zero), and ``value_and_grad`` returns both from one pass.
     """
 
-    field: ScalarField
-    hat_field: ScalarField
-    hat_input: ScalarField
+    def evaluate(Z, with_grad):
+        return _pullback(ctx, Z, with_grad, inner)(u)
+
+    return _field(f"extend({u.name})", ctx.spec.n, evaluate,
+                  u.grad is not None and profile_derivative(ctx.spec.psi) is not None)
+
+
+@dataclass(frozen=True)
+class ConjugatedExtension:
+    """The extension operator E u = (E^(u o T^-1)) o T of one domain; it holds no field.
+
+    T straightens the domain onto its Lipschitz twin, which E^ extends;
+    ``inner`` is T^-1 with its partials (``_inverse_pullback``), and
+    every read of a field u goes through it.  ``hat_field(u)`` is
+    E^(u o T^-1), in straightened coordinates (where quadrature is cheap
+    and exact), ``field(u)`` is E u and ``hat_input(u)`` is u o T^-1.
+    On the direct route T is the identity: ``inner`` is None and
+    ``hat_input(u)`` is u.  ``pullback(Z)`` pulls (k, n) straightened
+    points back once and returns ``push(v) -> (E v, grad E v)`` at them
+    for any field v.
+    """
+
     hat_context: ExtensionContext
-    scale: float
-    frame: str  # "direct" | "straightened"
-    pullback: Callable[[np.ndarray], Callable[[ScalarField], tuple]]
+    scale: float = 1.0
+    norm_spec: DomainSpec | None = None  # the normalized original domain; None when direct
+    inner: Callable | None = None
+
+    @property
+    def frame(self) -> str:
+        return "direct" if self.inner is None else "straightened"
+
+    def hat_field(self, u: ScalarField) -> ScalarField:
+        return extend_lipschitz(self.hat_context, u, self.inner)
+
+    def hat_input(self, u: ScalarField) -> ScalarField:
+        if self.inner is None:
+            return u
+        return _field(f"{u.name}~straightened", self.hat_context.spec.n,
+                      lambda w, with_grad: _reader(w, with_grad, self.inner)(u),
+                      u.grad is not None)
+
+    def field(self, u: ScalarField) -> ScalarField:
+        hat = self.hat_field(u)
+        if self.inner is None:
+            return hat
+
+        def evaluate(z, with_grad):
+            z = z.copy()
+            z[:, 1:] *= self.scale
+            return hat.fn(forward_map(self.norm_spec, z)), None
+
+        return _field(f"extend({u.name})", self.hat_context.spec.n, evaluate, False)
+
+    def pullback(self, Z):
+        return _pullback(self.hat_context, Z, True, self.inner)
 
 
-def extend_general(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
-    """Extend off the domain of an arbitrary cusp profile.
+def extend_general(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
+    """The extension operator of an arbitrary cusp profile's domain, by straightening.
 
-    The restriction to the original domain reproduces u up to the
-    round-trip error of the straightening map (below 1e-8 for smooth
-    fields at the default tolerance).  When u carries an analytic
-    gradient, so do ``hat_input`` and ``hat_field``.
+    The restriction of ``field(u)`` to the original domain reproduces u
+    up to the round-trip error of the straightening map (below 1e-8 for
+    smooth fields at the default tolerance).  When u carries an
+    analytic gradient, so do ``hat_input(u)`` and ``hat_field(u)``.
     """
     norm_spec, scale = geometry.normalize(DomainSpec(n, psi))
-    hat = LipschitzizedProfile(norm_spec.psi, tol)
-    ctx = ExtensionContext(DomainSpec(n, hat))
-    inverse = _inverse_pullback(norm_spec, scale)
-
-    def hat_input_fn(w):
-        return u.fn(inverse(np.asarray(w, dtype=float), False)[0])
-
-    hat_input_grad = hat_input_value_and_grad = None
-    if u.grad is not None:
-        def hat_input_value_and_grad(w):
-            z, chain = inverse(np.asarray(w, dtype=float), True)
-            return chain(*_read(u, z, True))
-
-        def hat_input_grad(w):
-            return hat_input_value_and_grad(w)[1]
-
-    hat_input = ScalarField(f"{u.name}~straightened", hat_input_fn, hat_input_grad,
-                            hat_input_value_and_grad)
-    hat_field = extend_lipschitz(ctx, hat_input)
-
-    def fn(z):
-        z = np.array(z, dtype=float, copy=True)
-        z[..., 1:] *= scale
-        return hat_field.fn(forward_map(norm_spec, z))
-
-    field = ScalarField(f"extend({u.name})", fn)
-    return ConjugatedExtension(field, hat_field, hat_input, ctx, scale, "straightened",
-                               _field_pullback(ctx, inverse))
+    ctx = ExtensionContext(DomainSpec(n, LipschitzizedProfile(norm_spec.psi, tol)))
+    return ConjugatedExtension(ctx, scale, norm_spec, _inverse_pullback(norm_spec, scale))
 
 
-def extend(u: ScalarField, psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
-    """Extend u off the domain of psi along the profile's one route.
+def extend(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
+    """The extension operator of the domain of psi, along the profile's one route.
 
     A Lipschitz profile is extended in place (``frame == "direct"``);
     any other profile is straightened first (``extend_general``).
     """
     if psi.lipschitz_constant is not None:
-        ctx = ExtensionContext(DomainSpec(n, psi))
-        eu = extend_lipschitz(ctx, u)
-        return ConjugatedExtension(eu, eu, u, ctx, 1.0, "direct", _field_pullback(ctx))
-    return extend_general(u, psi, n, tol)
+        return ConjugatedExtension(ExtensionContext(DomainSpec(n, psi)))
+    return extend_general(psi, n, tol)

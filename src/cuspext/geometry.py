@@ -159,6 +159,18 @@ def collar_radius(spec: DomainSpec, t, with_slope: bool = False):
     return (R, dR) if with_slope else R
 
 
+def sample_ball(n: int, t, radius, rng: np.random.Generator) -> np.ndarray:
+    """Points (t, x), x uniform in the ball |x| < radius (one radius, or one per t).
+
+    The unit directions of all points are drawn before their radii;
+    seeded samples depend on that order.
+    """
+    direction = rng.normal(size=(len(t), n - 1))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    rad = radius * rng.uniform(0.0, 1.0, size=len(t)) ** (1.0 / (n - 1))
+    return np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
+
+
 def classify_extension_region(spec: DomainSpec, z, R=None):
     """Assign each point to one branch of the extension geometry.
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import QuadratureError
 from .extension import extend
 from .fields import ScalarField
-from .geometry import DomainSpec, collar_radius
+from .geometry import DomainSpec, collar_radius, sample_ball
 from .lipschitzify import DEFAULT_TOL
 
 
@@ -181,13 +181,8 @@ def _slab_nodes_mc(slab: Slab, scheme: QuadratureScheme, n: int,
     for a, b in zip(edges[:-1], edges[1:]):
         t = rng.uniform(a, b, size=per_panel)
         router = np.asarray(slab.radius(t), dtype=float)
-        direction = rng.normal(size=(per_panel, n - 1))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        rad = router * rng.uniform(0.0, 1.0, size=per_panel) ** (1.0 / (n - 1))
-        Z = np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
-        W = (b - a) * _ball_volume(n - 1, router) / per_panel
-        Zs.append(Z)
-        Ws.append(W)
+        Zs.append(sample_ball(n, t, router, rng))
+        Ws.append((b - a) * _ball_volume(n - 1, router) / per_panel)
     return np.concatenate(Zs), np.concatenate(Ws)
 
 
@@ -313,12 +308,7 @@ class NormReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "q": self.q, "norm_u_w1p": self.norm_u_w1p,
-                "norm_eu_w1q": self.norm_eu_w1q, "ratio": self.ratio,
-                "refinement_delta": self.refinement_delta,
-                "resolution": self.resolution, "frame": self.frame,
-                "zero_denominator": self.zero_denominator,
-                "warnings": list(self.warnings), "detail": self.detail}
+        return asdict(self)
 
 
 def in_limit_region(n: int, p: float, q: float) -> bool:
@@ -335,7 +325,7 @@ def extension_ratio(fields, psi, n: int, pq,
     order.  The route is chosen once, by ``extension.extend``; the
     straightened route's norm is taken in the straightened frame
     (equivalent up to the straightening map's two-sided Lipschitz
-    constant).  Only the final read of u depends on the field, so per
+    constant).  The operator depends on the domain alone, so per
     resolution each node set is built once and the extension nodes are
     pulled back once (``ConjugatedExtension.pullback``); each field then
     reads u and grad u once per node set for all its exponents and is
@@ -350,8 +340,7 @@ def extension_ratio(fields, psi, n: int, pq,
     for p, q in pq:
         if not 1.0 <= q <= p < np.inf:
             raise ValueError(f"need 1 <= q <= p < inf, got p={p}, q={q}")
-    # the geometry, and so the pullback, is the same for every field
-    ext = extend(fields[0], psi, n, tol)
+    ext = extend(psi, n, tol)
     dom_region = region_domain(DomainSpec(n, psi))
     ext_region = region_extension(ext.hat_context.spec)
     ps, qs = list(dict.fromkeys(p for p, _ in pq)), list(dict.fromkeys(q for _, q in pq))

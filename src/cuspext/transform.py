@@ -135,10 +135,7 @@ def sample_box(n: int, count: int, rng: np.random.Generator,
                t_range=BOX_T, radius: float = BOX_RADIUS) -> np.ndarray:
     """Uniform samples from a slab times a ball, axial coordinate first."""
     t = rng.uniform(t_range[0], t_range[1], size=count)
-    direction = rng.normal(size=(count, n - 1))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    rad = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / (n - 1))
-    return np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
+    return geometry.sample_ball(n, t, radius, rng)
 
 
 def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> DistortionReport:
@@ -177,11 +174,7 @@ class ImageCheckResult:
 def sample_domain(spec: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Random points of the open domain (any distribution suffices here)."""
     t = rng.uniform(1e-6, 2.0 - 1e-12, size=count)
-    bound = np.where(t <= 1.0, spec.psi.value(np.minimum(t, 1.0)), spec.psi1)
-    direction = rng.normal(size=(count, spec.n - 1))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    rad = bound * (1.0 - 1e-12) * rng.uniform(0.0, 1.0, size=count) ** (1.0 / (spec.n - 1))
-    return np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
+    return geometry.sample_ball(spec.n, t, geometry.collar_radius(spec, t) * (1.0 - 1e-12), rng)
 
 
 def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int,

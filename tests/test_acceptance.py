@@ -108,8 +108,8 @@ def test_criterion_4_extension_operator():
         # straightened route: trace within 1e-8
         for psi in (PowerProfile(2.0), TWO_STEP):
             u = make_field("wave", 3)
-            conj = extend_general(u, psi, 3)
-            rep = verify.trace_check(conj.field, u, DomainSpec(3, psi),
+            conj = extend_general(psi, 3)
+            rep = verify.trace_check(conj.field(u), u, DomainSpec(3, psi),
                                      count=10_000, rng_seed=6)
             assert rep.max_abs_error <= 1e-8
         # pointwise linearity at 1e-12

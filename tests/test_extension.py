@@ -193,19 +193,19 @@ def test_seam_detector_flags_shift_modes(shift_end_cap, offset):
 def test_extend_general_trace_step_profile():
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     u = make_field("wave", 3)
-    conj = extend_general(u, step, 3)
+    conj = extend_general(step, 3)
     spec = DomainSpec(3, step)
-    rep = verify.trace_check(conj.field, u, spec, count=10_000, rng_seed=7)
+    rep = verify.trace_check(conj.field(u), u, spec, count=10_000, rng_seed=7)
     assert rep.max_abs_error <= 1e-8
 
 
 def test_extend_general_trace_unnormalized_power():
     # psi(1) = 1 forces an internal radial rescale before straightening
     u = make_field("constant", 3)
-    conj = extend_general(u, PowerProfile(2.0), 3)
+    conj = extend_general(PowerProfile(2.0), 3)
     assert conj.scale == pytest.approx(0.25)
     spec = DomainSpec(3, PowerProfile(2.0))
-    rep = verify.trace_check(conj.field, u, spec, count=10_000, rng_seed=8)
+    rep = verify.trace_check(conj.field(u), u, spec, count=10_000, rng_seed=8)
     assert rep.max_abs_error <= 1e-8
 
 
@@ -214,10 +214,10 @@ def test_extend_general_matches_direct_on_domain():
     # the direct route on the domain itself (both reproduce u there)
     u = make_field("wave", 3)
     direct = extend_lipschitz(ExtensionContext(LIN_SPEC), u)
-    conj = extend_general(u, LinearProfile(0.25), 3)
+    conj = extend_general(LinearProfile(0.25), 3)
     rng = np.random.default_rng(9)
     z = sample_domain(LIN_SPEC, 5000, rng)
-    assert np.max(np.abs(direct.fn(z) - conj.field.fn(z))) <= 1e-9
+    assert np.max(np.abs(direct.fn(z) - conj.field(u).fn(z))) <= 1e-9
 
 
 def test_extend_general_linearity():
@@ -227,10 +227,7 @@ def test_extend_general_linearity():
     pts = np.concatenate([rng.uniform(-0.5, 3.5, size=(500, 1)),
                           rng.uniform(-0.6, 0.6, size=(500, 2))], axis=1)
 
-    def build(w):
-        return extend_general(w, PowerProfile(2.0), 3).field
-
-    rep = verify.linearity_check(build, u, v, pts)
+    rep = verify.linearity_check(extend_general(PowerProfile(2.0), 3).field, u, v, pts)
     assert rep.max_abs_error <= 1e-12
 
 
@@ -242,16 +239,16 @@ def test_extend_chooses_one_route(psi, frame):
     # extend is the one place the route is chosen; each route's fields are
     # bitwise those of the route's own constructor
     u = make_field("wave", 3)
-    ext = extend(u, psi, 3)
+    ext = extend(psi, 3)
     assert ext.frame == frame
     if frame == "direct":
-        assert ext.field is ext.hat_field and ext.hat_input is u and ext.scale == 1.0
+        assert ext.inner is None and ext.hat_input(u) is u and ext.scale == 1.0
         want = extend_lipschitz(ExtensionContext(DomainSpec(3, psi)), u)
-        pairs = [(ext.field, want)]
+        pairs = [(ext.field(u), want), (ext.hat_field(u), want)]
     else:
-        want = extend_general(u, psi, 3)
-        pairs = [(ext.field, want.field), (ext.hat_field, want.hat_field),
-                 (ext.hat_input, want.hat_input)]
+        want = extend_general(psi, 3)
+        pairs = [(ext.field(u), want.field(u)), (ext.hat_field(u), want.hat_field(u)),
+                 (ext.hat_input(u), want.hat_input(u))]
     rng = np.random.default_rng(11)
     z = np.concatenate([rng.uniform(-0.5, 3.5, size=(2000, 1)),
                         rng.uniform(-0.6, 0.6, size=(2000, 2))], axis=1)
@@ -337,8 +334,8 @@ def _straightened_samples(conj, seed=0):
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_straightened_gradient_matches_oracle(psi, name):
     # the second profile has psi(1) = 0.9, so the route rescales radially
-    conj = extend_general(make_field(name, 3), psi, 3)
-    eu = conj.hat_field
+    conj = extend_general(psi, 3)
+    eu = conj.hat_field(make_field(name, 3))
     z = _straightened_samples(conj)
     ana = eu.grad(z)
     num = central_difference(eu.fn, z, h=1e-7)
@@ -361,7 +358,7 @@ def test_every_library_field_has_gradient_on_both_routes(kind):
     z = np.array([[0.5, 0.01, 0.0], [1.5, 0.01, 0.0], [2.5, 0.01, 0.0]])
     for name in sorted(LIBRARY):
         u = make_field(name, 3)
-        fields = [extend_general(u, psi, 3).hat_field]
+        fields = [extend_general(psi, 3).hat_field(u)]
         if psi.lipschitz_constant is not None:
             fields.append(extend_lipschitz(ExtensionContext(DomainSpec(3, psi)), u))
         for eu in fields:
@@ -376,8 +373,8 @@ def test_straightened_collar_values_do_not_depend_on_batch(psi):
     # bisection near the tip does), so the collar reads it only on cusp
     # points: tube-collar and end-cap points sharing the call must leave
     # E(u) and grad E(u) at tip cusp-collar points bitwise unchanged
-    conj = extend_general(make_field("wave", 3), psi, 3)
-    eu = conj.hat_field
+    conj = extend_general(psi, 3)
+    eu = conj.hat_field(make_field("wave", 3))
     hat = conj.hat_context.spec.psi
     t = np.geomspace(1e-6, 1e-2, 40)
     cusp = np.stack([t, 1.5 * hat.value(t), np.zeros_like(t)], axis=1)
@@ -392,18 +389,34 @@ def test_straightened_collar_values_do_not_depend_on_batch(psi):
     assert np.array_equal(eu.grad(cusp), eu.grad(batch)[:t.size])
 
 
+def _entry_views(u):
+    """Every evaluator of the extension operator a point can enter, on both routes."""
+    direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
+    conj = extend_general(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    hat, hat_input = conj.hat_field(u), conj.hat_input(u)
+    return [direct.fn, direct.grad, direct.value_and_grad, conj.field(u).fn,
+            hat.fn, hat.grad, hat.value_and_grad,
+            hat_input.fn, hat_input.grad, hat_input.value_and_grad]
+
+
 @pytest.mark.parametrize("bad", [[np.nan, 0.1, 0.0], [0.5, np.nan, 0.0],
                                  [np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0]],
                          ids=["nan-t", "nan-x", "inf", "-inf"])
 def test_non_finite_points_rejected(bad):
-    u = make_field("axial", 3)
-    direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
-    conj = extend_general(u, StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
-    for f in (direct.fn, direct.grad, direct.value_and_grad, conj.field.fn, conj.hat_field.fn,
-              conj.hat_field.grad, conj.hat_field.value_and_grad):
+    for f in _entry_views(make_field("axial", 3)):
         for z in (np.array(bad), np.array([[0.5, 0.01, 0.0], bad])):
             with pytest.raises(ProfileDomainError, match="not finite"):
                 f(z)
+
+
+@pytest.mark.parametrize("bad", [0.5, [0.5, 0.01, 0.0, 0.7, 0.0, 0.0], [0.5, 0.01],
+                                 np.full((4, 2), 0.5), np.full((2, 3, 4), 0.5)],
+                         ids=["0-d", "6-vector", "2-vector", "(4, 2)", "(2, 3, 4)"])
+def test_points_of_wrong_dimension_rejected(bad):
+    # a 6-vector must not be read as two points of R^3
+    for f in _entry_views(make_field("axial", 3)):
+        with pytest.raises(ValueError, match=r"^point has dimension \d, spec has n=3$"):
+            f(np.array(bad))
 
 
 # one Lipschitz profile (direct route) and two steps (straightened route; the
@@ -435,17 +448,18 @@ def test_fused_pass_matches_unfused_evaluators(kind, name):
     # separate value and gradient evaluators bitwise, at every batch shape
     psi = FUSED_PROFILES[kind]
     u = make_field(name, 3)
-    ext = extend(u, psi, 3)
+    ext = extend(psi, 3)
     spec = ext.hat_context.spec
     z = _mixed_points(spec, 3000, seed=12)
     ref_input = u
     if ext.frame == "straightened":
         ref_input = unfused_straightened_input(u, psi, 3)
-        value, gradient = ext.hat_input.value_and_grad(z)
+        hat_input = ext.hat_input(u)
+        value, gradient = hat_input.value_and_grad(z)
         assert np.array_equal(value, ref_input.fn(z))
         assert np.array_equal(gradient, ref_input.grad(z))
-        assert np.array_equal(ext.hat_input.grad(z), ref_input.grad(z))
-    ref, eu = unfused_extension(ext.hat_context, ref_input), ext.hat_field
+        assert np.array_equal(hat_input.grad(z), ref_input.grad(z))
+    ref, eu = unfused_extension(ext.hat_context, ref_input), ext.hat_field(u)
 
     label = classify_extension_region(spec, z)
     points = [z[int(np.argmax(label == region))] for region in ExtRegion]
@@ -457,6 +471,21 @@ def test_fused_pass_matches_unfused_evaluators(kind, name):
         assert np.array_equal(gradient, want_grad)
         assert np.array_equal(eu.fn(batch), want_value)
         assert np.array_equal(eu.grad(batch), want_grad)
+
+
+@pytest.mark.parametrize("kind", ["two-step", "normalized-step"])
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_hat_field_reads_u_through_the_one_pullback(kind, name):
+    # E^(u o T^-1) reads u through the operator's inverse pullback; extending
+    # the pulled-back field u o T^-1 as a field of its own gives the same bits
+    ext = extend_general(FUSED_PROFILES[kind], 3)
+    u = make_field(name, 3)
+    z = _mixed_points(ext.hat_context.spec, 2000, seed=15)
+    got, want = ext.hat_field(u), extend_lipschitz(ext.hat_context, ext.hat_input(u))
+    assert np.array_equal(got.fn(z), want.fn(z))
+    assert np.array_equal(got.grad(z), want.grad(z))
+    for part, ref in zip(got.value_and_grad(z), want.value_and_grad(z)):
+        assert np.array_equal(part, ref)
 
 
 def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
@@ -472,14 +501,14 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     u = make_field("wave", 3)
-    conj = extend_general(u, FUSED_PROFILES["two-step"], 3)
+    conj = extend_general(FUSED_PROFILES["two-step"], 3)
     direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
     counted(geometry, "classify_extension_region")
     counted(extension, "inverse_map")
     counted(extension, "_inverse_branches")
     counted(transform, "_inverse_branches")  # where inverse_map looks it up
     counted(lipschitzify, "_solve_many")
-    for eu, spec, solves in ((direct, POW_SPEC, 0), (conj.hat_field, conj.hat_context.spec, 1)):
+    for eu, spec, solves in ((direct, POW_SPEC, 0), (conj.hat_field(u), conj.hat_context.spec, 1)):
         z = _mixed_points(spec, 2000, seed=13)
         no_cap = z[classify_extension_region(spec, z) != ExtRegion.END_CAP]
         calls.clear()
@@ -490,7 +519,7 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
         eu.value_and_grad(z)  # the end cap's mirror images take one more
         assert calls["classify_extension_region"] == 2 and calls["_solve_many"] == solves
     calls.clear()
-    conj.hat_input.value_and_grad(z)
+    conj.hat_input(u).value_and_grad(z)
     # one branch split per point serves the inverse map and its partials
     assert calls == {"inverse_map": 1, "_inverse_branches": 1}
 
@@ -503,5 +532,5 @@ def test_value_view_reads_no_gradient():
     quiet = ScalarField(u.name, u.fn, refuse, refuse)
     z = _mixed_points(POW_SPEC, 500, seed=14)
     for build in (lambda w: extend_lipschitz(ExtensionContext(POW_SPEC), w),
-                  lambda w: extend_general(w, FUSED_PROFILES["two-step"], 3).hat_field):
+                  extend_general(FUSED_PROFILES["two-step"], 3).hat_field):
         assert np.array_equal(build(quiet).fn(z), build(u).fn(z))

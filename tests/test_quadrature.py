@@ -176,8 +176,8 @@ def test_straightened_w11_norm_matches_oracle():
     # The straightened extension integrates its closed-form gradient at
     # every node.  The FD oracle over the same nodes must agree; its
     # stencil only misbehaves at deep tip nodes of negligible weight.
-    conj = extend_general(make_field("wave", 3), StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
-    eu = conj.hat_field
+    conj = extend_general(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    eu = conj.hat_field(make_field("wave", 3))
     region = region_extension(conj.hat_context.spec)
     small = QuadratureScheme(t_levels=20, gauss_t=4, gauss_r=4, angular=8)
     total, detail = w1p_norm(eu, region, 1.0, small, 3, with_detail=True)
@@ -307,7 +307,7 @@ def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
         extension_ratio(fields, psi, 3, [(2.0, 1.0), (4.0, 1.0), (4.0, 1.5)], SMALL)
         assert sorted(kind[:2] for kind in built) == \
             [("domain", 3), ("domain", 6), ("extension", 3), ("extension", 6)]
-        hat_spec = extend(fields[0], psi, 3).hat_context.spec
+        hat_spec = extend(psi, 3).hat_context.spec
         want = sum(Z.shape[0] if kind == "domain" else _pulled_back_count(hat_spec, Z)
                    for kind, _, Z in built)
         assert reads == Counter({(u.name, part): want for u in fields for part in ("fn", "grad")})
@@ -344,7 +344,8 @@ def test_gauss_rule_is_not_built_at_import():
 
 def test_w1p_norm_prefers_value_and_grad():
     # one fused call per norm, and the same bits as fn plus gradient_at
-    ext = extend_general(make_field("wave", 3), StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    ext = extend_general(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    eu = ext.hat_field(make_field("wave", 3))
     region = region_extension(ext.hat_context.spec)
     scheme = QuadratureScheme(t_levels=8, gauss_t=3, gauss_r=3, angular=6)
     calls = []
@@ -354,10 +355,10 @@ def test_w1p_norm_prefers_value_and_grad():
 
     def fused_call(z):
         calls.append(z.shape)
-        return ext.hat_field.value_and_grad(z)
+        return eu.value_and_grad(z)
 
-    fused = replace(ext.hat_field, fn=refuse, grad=refuse, value_and_grad=fused_call)
-    apart = replace(ext.hat_field, value_and_grad=None)
+    fused = replace(eu, fn=refuse, grad=refuse, value_and_grad=fused_call)
+    apart = replace(eu, value_and_grad=None)
     for p in (1.0, 2.5):
         assert (w1p_norm(fused, region, p, scheme, 3, with_detail=True)
                 == w1p_norm(apart, region, p, scheme, 3, with_detail=True))
