@@ -368,12 +368,13 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     ctx = ext.hat_context
     reports, checks = [], {}
     for (name, u), field_reports in zip(fields.items(), norm_reports):
-        hat_eu = ext.hat_field(u)
+        hat_eu, hat_u = ext.hat_field(u), ext.hat_input(u)
         tr = verify.trace_check(ext.field(u), u, spec, opts["trace_samples"], cfg.seed)
-        decay = verify.boundary_decay_check(ctx, hat_eu, ext.hat_input(u),
+        decay = verify.boundary_decay_check(ctx, hat_eu, hat_u,
                                             rays=opts["decay_rays"], rng_seed=cfg.seed)
         seams = verify.seam_continuity_check(ctx, hat_eu, per_seam=200, rng_seed=cfg.seed)
-        cap = verify.seam_modulus_cap(ctx, u, cfg.seed)
+        # the seams probe E^(u o T^-1), so the cap is taken from u o T^-1
+        cap = verify.seam_modulus_cap(ctx, hat_u, cfg.seed)
         seam_ok, worst_seam = verify.seam_verdict(seams, cap)
         trace_tol = 1e-12 if ext.frame == "direct" else 1e-8
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol

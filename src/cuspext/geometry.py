@@ -58,6 +58,33 @@ class ExtRegion(IntEnum):
     END_CAP = 3   # 2 < t < 3, |x| < 2 psi(1): damped to zero by t = 3
 
 
+# numpy reduces fewer than 8 entries left to right and more by pairwise
+# blocks, so only below this width does a running column sum reproduce
+# the bits of numpy's own vector norm.
+_PAIRWISE_WIDTH = 8
+
+
+def row_norm(x):
+    """Euclidean norm over the last axis, bitwise equal to numpy's norm(x, axis=-1).
+
+    Below width 8 it is the square root of a running sum of the squared
+    columns, without numpy's reduction machinery, whose set-up dominates
+    on short rows.  The squares go into one (..., m) temporary, as in
+    numpy's norm: per-column scratch buffers hold no less at once and
+    raised peak RSS through allocator layout alone.  Wider rows go to
+    numpy's norm, whose pairwise sum groups the squares differently.
+    """
+    x = np.asarray(x, dtype=float)
+    m = x.shape[-1]
+    if not 0 < m < _PAIRWISE_WIDTH:
+        return np.linalg.norm(x, axis=-1)
+    sq = np.square(x)
+    acc = sq[..., 0] if m == 1 else sq[..., 0] + sq[..., 1]
+    for j in range(2, m):
+        acc += sq[..., j]
+    return np.sqrt(acc)
+
+
 def split(z, n: int):
     """Validate a (..., n) point array and return (t, x, |x|)."""
     z = np.asarray(z, dtype=float)
@@ -65,7 +92,7 @@ def split(z, n: int):
         raise ValueError(f"point has dimension {z.shape[-1]}, spec has n={n}")
     t = z[..., 0]
     x = z[..., 1:]
-    return t, x, np.linalg.norm(x, axis=-1)
+    return t, x, row_norm(x)
 
 
 def contains(spec: DomainSpec, z) -> np.ndarray | bool:
@@ -106,32 +133,34 @@ def _require_normalized(spec: DomainSpec):
         )
 
 
-def classify_bilip_region(spec: DomainSpec, z):
+def classify_bilip_region(spec: DomainSpec, z, r=None):
     """Assign each point to one branch of the global transform.
 
     Precedence on shared closures is WEDGE > CYL_TAIL > FAR_TUBE > OUTER;
     the branch formulas agree there, so the order only fixes determinism.
+    The tail test reads the profile only off the wedge on 0 < t < 2.  A
+    caller that has |x| already (from ``split``) passes it as ``r``.
     """
     _require_normalized(spec)
-    t, _, r = split(z, spec.n)
+    if r is None:
+        t, _, r = split(z, spec.n)
+    else:
+        t = np.asarray(z, dtype=float)[..., 0]
     psi1 = spec.psi1
     scalar = t.ndim == 0
     t, r = np.atleast_1d(t), np.atleast_1d(r)
-    z_arr = np.asarray(z, dtype=float).reshape(-1, spec.n)
 
-    label = np.zeros(t.shape, dtype=np.int64)
     wedge = r <= 1.0 + psi1 - t
+    band = ~wedge & (t > 0.0) & (t < 2.0)
+    tail = np.zeros(t.shape, dtype=bool)
+    if np.any(band):
+        tail[band] = r[band] < collar_radius(spec, t[band])
+    # later writes take precedence; the rest satisfies
+    # |x| >= max(psi(1), 1 + psi(1) - t)
+    label = np.full(t.shape, int(BilipRegion.OUTER), dtype=np.int64)
+    label[(t >= 2.0) & (r <= psi1)] = BilipRegion.FAR_TUBE
+    label[tail] = BilipRegion.CYL_TAIL
     label[wedge] = BilipRegion.WEDGE
-    todo = ~wedge
-    if np.any(todo):
-        tail = todo & contains(spec, z_arr).reshape(t.shape)
-        label[tail] = BilipRegion.CYL_TAIL
-        todo &= ~tail
-    tube = todo & (t >= 2.0) & (r <= psi1)
-    label[tube] = BilipRegion.FAR_TUBE
-    todo &= ~tube
-    # remaining points satisfy |x| >= max(psi(1), 1 + psi(1) - t)
-    label[todo] = BilipRegion.OUTER
     if scalar:
         return BilipRegion(int(label[0]))
     return label
@@ -159,14 +188,20 @@ def collar_radius(spec: DomainSpec, t, with_slope: bool = False):
     return (R, dR) if with_slope else R
 
 
+def unit_directions(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k unit vectors in R^m: one (k, m) normal draw, each row divided by its norm."""
+    direction = rng.normal(size=(k, m))
+    direction /= row_norm(direction)[:, None]
+    return direction
+
+
 def sample_ball(n: int, t, radius, rng: np.random.Generator) -> np.ndarray:
     """Points (t, x), x uniform in the ball |x| < radius (one radius, or one per t).
 
     The unit directions of all points are drawn before their radii;
     seeded samples depend on that order.
     """
-    direction = rng.normal(size=(len(t), n - 1))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    direction = unit_directions(rng, len(t), n - 1)
     rad = radius * rng.uniform(0.0, 1.0, size=len(t)) ** (1.0 / (n - 1))
     return np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
 
@@ -206,14 +241,13 @@ def straddle_probe(f, n: int, draws, deltas, per_seam: int, seed: int) -> dict:
     out: dict = {}
     for delta in deltas:
         rng = np.random.default_rng(seed)
-        direction = rng.normal(size=(per_seam, n - 1))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        direction = unit_directions(rng, per_seam, n - 1)
         for draw in draws:
             for seam, (t, r, dt, dr) in draw(rng, 0.5 * delta).items():
                 base = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
                 off = np.concatenate([dt[:, None], dr[:, None] * direction], axis=1)
                 diff = np.asarray(f(base - off)) - np.asarray(f(base + off))
-                jump = np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
+                jump = np.abs(diff) if diff.ndim == 1 else row_norm(diff)
                 out.setdefault(seam, {})[delta] = float(jump.max())
     return out
 

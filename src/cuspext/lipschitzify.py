@@ -22,6 +22,10 @@ from .profiles import CuspProfile, LinearProfile, StepProfile, profile_derivativ
 
 DEFAULT_TOL = 1e-12
 MAX_BISECT_ITER = 200
+# Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
+# is exact for k <= 52), and floats in [0, 1) lie at most 2^-53 apart:
+# no bracket can close before the 53rd halving.
+FIRST_CLOSING_ITER = 53
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,10 @@ class HatPair:
 
 def _g_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
     """g(t) = t + psi(t), with the zero extension psi(t) = 0 for t <= 0."""
-    out = np.array(t, dtype=float, copy=True)
     pos = t > 0.0
+    if t.size and pos.all():
+        return t + psi.value(t)
+    out = np.array(t, dtype=float, copy=True)
     if np.any(pos):
         out[pos] += psi.value(t[pos])
     return out
@@ -55,28 +61,36 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float):
     be continuous, so derivative-based methods can cycle across a jump.
     An element stops once no float lies strictly inside its bracket;
     further halving could not move it, so each result is independent of
-    the rest of the batch.
+    the rest of the batch.  The loop carries only the live elements,
+    compacted, and writes a bracket back when its element stops.
     """
     psi1 = psi.value_at_1
     targets = (1.0 + psi1) * t_hats
-    lo = np.zeros_like(targets)
-    hi = np.ones_like(targets)
-    live = np.ones(targets.shape, dtype=bool)
-    for _ in range(MAX_BISECT_ITER):
-        lo_l, hi_l = lo[live], hi[live]
+    lo, hi = np.zeros(targets.shape), np.ones(targets.shape)
+    lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
+    # the live elements: flat positions, brackets and targets
+    at = np.arange(targets.size)
+    lo_l, hi_l, tg_l = lo_flat.copy(), hi_flat.copy(), targets.reshape(-1)
+    for k in range(1, MAX_BISECT_ITER + 1):
         mid = 0.5 * (lo_l + hi_l)
         gm = _g_values(psi, mid)
         if not np.all(np.isfinite(gm)):
             bad = mid[~np.isfinite(gm)][0]
             raise ConvergenceError(f"non-finite profile value near t={bad}",
                                    bracket=(float(bad), float(bad)))
-        below = gm <= targets[live]
-        lo_l = np.where(below, mid, lo_l)
-        hi_l = np.where(below, hi_l, mid)
-        lo[live], hi[live] = lo_l, hi_l
-        live[live] = np.nextafter(lo_l, hi_l) < hi_l
-        if not live.any():
+        below = gm <= tg_l
+        # in place; putmask is faster here than copyto(..., where=)
+        np.putmask(lo_l, below, mid)
+        np.putmask(hi_l, ~below, mid)
+        if k >= FIRST_CLOSING_ITER:
+            stop = np.nextafter(lo_l, hi_l) >= hi_l
+            if stop.any():
+                lo_flat[at[stop]], hi_flat[at[stop]] = lo_l[stop], hi_l[stop]
+                go = ~stop
+                at, lo_l, hi_l, tg_l = at[go], lo_l[go], hi_l[go], tg_l[go]
+        if not at.size:
             break
+    lo_flat[at], hi_flat[at] = lo_l, hi_l
     residual = targets - _g_values(psi, lo)
     width = hi - lo
     unresolved = (residual > tol) & (width > tol)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import QuadratureError
 from .extension import extend
 from .fields import ScalarField
-from .geometry import DomainSpec, collar_radius, sample_ball
+from .geometry import DomainSpec, collar_radius, row_norm, sample_ball
 from .lipschitzify import DEFAULT_TOL
 
 
@@ -269,7 +269,7 @@ def _w1p(u, Z, W, exponents, read=None) -> dict:
     lp = [_weighted_p_sum(vals, W, p, Z) ** (1.0 / p) for p in exponents]
     del vals
     with np.errstate(over="ignore"):
-        mag = np.linalg.norm(gradient_at(u, Z) if grads is None else grads, axis=-1)
+        mag = row_norm(gradient_at(u, Z) if grads is None else grads)
     del grads
     out = {}
     for p, part_u in zip(exponents, lp):

@@ -50,7 +50,7 @@ def _axial_partials(spec: DomainSpec, t, r, label):
 def forward_map(spec: DomainSpec, z):
     """Apply the transform; accepts (..., n) arrays, preserves x exactly."""
     t, _, r = geometry.split(z, spec.n)
-    label = geometry.classify_bilip_region(spec, z)
+    label = geometry.classify_bilip_region(spec, z, r)
     out = np.array(z, dtype=float, copy=True)
     out[..., 0] = _axial_forward(spec, t, r, np.asarray(label))
     return out
@@ -104,7 +104,7 @@ def jacobian(spec: DomainSpec, z) -> np.ndarray:
     zero on the axis.
     """
     t, x, r = geometry.split(z, spec.n)
-    label = np.asarray(geometry.classify_bilip_region(spec, z))
+    label = np.asarray(geometry.classify_bilip_region(spec, z, r))
     d_t, d_r = _axial_partials(spec, t, r, label)
     jac = np.array(np.broadcast_to(np.eye(spec.n), t.shape + (spec.n, spec.n)))
     jac[..., 0, 0] = d_t
@@ -145,15 +145,14 @@ def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> Disto
     rng = np.random.default_rng(rng_seed)
     a = sample_box(spec.n, pair_count, rng)
     b = sample_box(spec.n, pair_count, rng)
-    gap = np.linalg.norm(a - b, axis=1)
+    gap = geometry.row_norm(a - b)
     keep = gap > 1e-12  # degenerate pairs carry no quotient information
-    ratios = (np.linalg.norm(forward_map(spec, a[keep]) - forward_map(spec, b[keep]), axis=1)
-              / gap[keep])
+    ratios = geometry.row_norm(forward_map(spec, a[keep]) - forward_map(spec, b[keep])) / gap[keep]
 
     probes = sample_box(spec.n, pair_count, rng)
     t, _, r = geometry.split(probes, spec.n)
     # the Jacobian determinant is ds/dt (see jacobian)
-    dets, _ = _axial_partials(spec, t, r, geometry.classify_bilip_region(spec, probes))
+    dets, _ = _axial_partials(spec, t, r, geometry.classify_bilip_region(spec, probes, r))
     return DistortionReport(
         sample_count=int(keep.sum()),
         min_ratio=float(ratios.min()),

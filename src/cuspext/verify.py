@@ -82,8 +82,7 @@ def boundary_decay_check(ctx: ExtensionContext, ext_field: ScalarField,
     m_u = max(m_u, 1e-12)
 
     per = max(1, rays // 3)
-    direction = rng.normal(size=(per, n - 1))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    direction = geometry.unit_directions(rng, per, n - 1)
 
     worst = 0.0
     total = 0
@@ -143,12 +142,16 @@ def seam_continuity_check(ctx: ExtensionContext, ext_field: ScalarField,
 
 
 def seam_modulus_cap(ctx: ExtensionContext, u: ScalarField, seed: int) -> float:
-    """A priori linear-modulus bound for seam straddles of extend(u)."""
+    """A priori linear-modulus bound for seam straddles of the extension of u in ctx.
+
+    u is the field ctx's extension reads: on the straightened route the
+    hat input u o T^-1, not the original-frame field.
+    """
     rng = np.random.default_rng(seed)
     z = sample_domain(ctx.spec, 2000, rng)
     m_u = float(np.max(np.abs(np.asarray(u.fn(z))))) + 1e-9
     with np.errstate(over="ignore"):
-        g_u = float(np.max(np.linalg.norm(gradient_at(u, z), axis=-1)))
+        g_u = float(np.max(geometry.row_norm(gradient_at(u, z))))
     lip = ctx.spec.psi.lipschitz_constant or 0.0
     slope = (1.0 + 2.0 * lip) / float(ctx.spec.psi.value(0.05))
     return 4.0 * (slope * m_u + (1.0 + lip) * g_u + 1.0)

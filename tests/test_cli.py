@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext import cli, extension
+from cuspext import cli, extension, verify
 from cuspext.cli import main
+from cuspext.fields import make_field
+from cuspext.profiles import StepProfile
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -141,6 +143,37 @@ def test_extend_verify_builds_at_most_two_operators(tmp_path, monkeypatch, funct
     assert report["route"] == "straightened"
     assert len(report["norm_reports"]) == len(functions)
     assert 1 <= len(built) <= 2
+
+
+def test_extend_verify_seam_cap_reads_the_hat_input(tmp_path, monkeypatch):
+    # the seams probe E^(u o T^-1), so the cap comes from u o T^-1, not u
+    caps = []
+    real = verify.seam_verdict
+
+    def recorded(report, cap):
+        caps.append(cap)
+        return real(report, cap)
+
+    monkeypatch.setattr(verify, "seam_verdict", recorded)
+    cfg = {
+        "command": "extend-verify",
+        "profile": {"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2]},
+        "seed": 1,
+        "extend": {
+            "pq": [[2.0, 1.0]],
+            "functions": ["wave"],
+            "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6},
+            "trace_samples": 500,
+            "decay_rays": 60,
+        },
+    }
+    code, _ = run(tmp_path, cfg)
+    assert code == 0
+    ext = extension.extend(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
+    u = make_field("wave", 3)
+    want = verify.seam_modulus_cap(ext.hat_context, ext.hat_input(u), 1)
+    assert caps == [want]
+    assert want != verify.seam_modulus_cap(ext.hat_context, u, 1)
 
 
 def test_extend_verify_detects_shift_misconfiguration(tmp_path, shift_end_cap):

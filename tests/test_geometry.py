@@ -11,8 +11,11 @@ from cuspext.geometry import (
     contains,
     contains_with_margin,
     normalize,
+    row_norm,
+    split,
+    unit_directions,
 )
-from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
+from cuspext.profiles import CuspProfile, LinearProfile, PowerProfile, StepProfile
 
 
 @pytest.fixture
@@ -144,3 +147,99 @@ def test_contains_with_margin_step_jump():
     assert contains(spec, z) is False
     assert contains_with_margin(spec, z, 1e-8) is True
     assert contains_with_margin(spec, [0.5, 0.5, 0.0], 1e-8) is False
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_row_norm_matches_numpy_bitwise(m):
+    # exact below width 8 by the summation order; numpy's own norm above
+    rng = np.random.default_rng(m)
+    for shape in ((257, m), (5, 7, m)):
+        x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
+        assert row_norm(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+    # a strided view, as split passes it
+    z = rng.normal(size=(100, m + 1))
+    assert row_norm(z[:, 1:]).tobytes() == np.linalg.norm(z[:, 1:], axis=-1).tobytes()
+
+
+def test_row_norm_edge_cases():
+    assert row_norm(np.empty((0, 3))).shape == (0,)
+    assert row_norm(np.array([3.0, 4.0])) == 5.0  # one point: a scalar
+    with np.errstate(over="ignore"):
+        big = np.array([[1e200, 1e200], [1e154, 1e154]])
+        assert np.array_equal(row_norm(big), np.linalg.norm(big, axis=-1))
+        assert np.isinf(row_norm(big)[0])
+    bad = np.array([[np.nan, 1.0], [np.inf, np.nan], [1.0, 2.0]])
+    got = row_norm(bad)
+    assert np.isnan(got[:2]).all() and got[2] == np.linalg.norm([1.0, 2.0])
+
+
+def test_unit_directions_keeps_the_draw():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    got = unit_directions(a, 40, 2)
+    want = b.normal(size=(40, 2))
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert got.tobytes() == want.tobytes()
+    assert a.uniform() == b.uniform()  # the stream moved by the same amount
+
+
+def _seam_points(spec, rng, k=200):
+    """Points on the cone t + |x| = 1 + psi(1), the side |x| = psi(1) and the disk t = 2."""
+    psi1 = spec.psi1
+    r_cone = rng.uniform(0.0, 2.0, size=k)
+    t = np.concatenate([1.0 + psi1 - r_cone, rng.uniform(0.5, 4.0, size=k), np.full(k, 2.0)])
+    r = np.concatenate([r_cone, np.full(k, psi1), rng.uniform(0.0, psi1, size=k)])
+    return np.stack([t, r, np.zeros(3 * k)], axis=1)
+
+
+def test_classify_bilip_with_r_matches_without(spec_norm):
+    rng = np.random.default_rng(4)
+    box = np.concatenate([rng.uniform(-1.0, 4.0, size=(500, 1)),
+                          rng.uniform(-2.0, 2.0, size=(500, 2))], axis=1)
+    z = np.concatenate([_seam_points(spec_norm, rng), box])
+    _, _, r = split(z, spec_norm.n)
+    want = classify_bilip_region(spec_norm, z)
+    assert want.tobytes() == classify_bilip_region(spec_norm, z, r).tobytes()
+    grid = z[:600].reshape(20, 30, 3)
+    assert np.array_equal(classify_bilip_region(spec_norm, grid, split(grid, 3)[2]),
+                          want[:600].reshape(20, 30))
+    point = [1.8, 0.05, 0.0]
+    assert (classify_bilip_region(spec_norm, point, split(point, 3)[2])
+            is classify_bilip_region(spec_norm, point) is BilipRegion.CYL_TAIL)
+
+
+class _CountingProfile(CuspProfile):
+    """A profile that records every abscissa it is read at."""
+
+    kind = "counting"
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def value(self, t):
+        self.seen.append(np.array(t, dtype=float).reshape(-1))
+        return self.inner.value(t)
+
+    def right_limit(self, t):
+        return self.inner.right_limit(t)
+
+    @property
+    def value_at_1(self):
+        return self.inner.value_at_1
+
+    @property
+    def lipschitz_constant(self):
+        return self.inner.lipschitz_constant
+
+
+def test_classify_bilip_reads_profile_off_the_wedge_only():
+    psi = _CountingProfile(PowerProfile(2.0, 0.25))
+    spec = DomainSpec(3, psi)
+    rng = np.random.default_rng(5)
+    z = np.concatenate([_seam_points(spec, rng),
+                        np.concatenate([rng.uniform(-1.0, 4.0, size=(2000, 1)),
+                                        rng.uniform(-1.0, 1.0, size=(2000, 2))], axis=1)])
+    label = classify_bilip_region(spec, z)
+    t = z[:, 0]
+    read = (label != BilipRegion.WEDGE) & (t > 0.0) & (t <= 1.0)
+    assert read.any() and (label == BilipRegion.WEDGE).any()
+    assert np.array_equal(np.concatenate(psi.seen), t[read])

@@ -77,6 +77,40 @@ def test_generic_bisection_matches_step_fast_path():
     assert np.array_equal(j_b, j_f)
 
 
+def test_bisection_g_reads_are_fixed(monkeypatch):
+    # the compacted loop reads g exactly as often, on exactly as many points
+    calls = []
+    real = lipschitzify._g_values
+
+    def counted(psi, t):
+        calls.append(np.size(t))
+        return real(psi, t)
+
+    monkeypatch.setattr(lipschitzify, "_g_values", counted)
+    _solve_bisect(PowerProfile(2.0), np.geomspace(1e-9, 1.0, 1000), 1e-12)
+    assert (len(calls), sum(calls)) == (82, 67_525)
+
+
+def test_bisection_result_independent_of_batch():
+    # a jump profile through the generic solver, not the step fast path
+    ts = np.concatenate([np.linspace(0.01, 1.0, 150), np.geomspace(1e-12, 0.3, 50)])
+    whole = _solve_bisect(TWO_STEP, ts, 1e-12)
+    halves = [_solve_bisect(TWO_STEP, part, 1e-12) for part in (ts[::2], ts[1::2])]
+    for got, a, b in zip(whole, *halves):
+        assert got[::2].tobytes() == a.tobytes() and got[1::2].tobytes() == b.tobytes()
+    for i in (0, 77, 199):
+        single = _solve_bisect(TWO_STEP, ts[i:i + 1], 1e-12)
+        assert all(s[0] == w[i] for s, w in zip(single, whole))
+
+
+@pytest.mark.parametrize("psi", [PowerProfile(2.0), TWO_STEP], ids=["power", "two-step"])
+def test_bisection_2d_matches_flat(psi):
+    ts = np.geomspace(1e-6, 1.0, 60).reshape(6, 10)
+    for got, flat in zip(_solve_bisect(psi, ts, 1e-12), _solve_bisect(psi, ts.ravel(), 1e-12)):
+        assert got.shape == (6, 10) and got.ravel().tobytes() == flat.tobytes()
+    assert hat_values(psi, ts).ravel().tobytes() == hat_values(psi, ts.ravel()).tobytes()
+
+
 def test_hat_below_profile_infimum():
     # targets below inf(t + psi(t)) resolve to the zero-extension jump at t = 0
     pair = solve_hat_pair(TWO_STEP, 0.05)
