@@ -351,32 +351,28 @@ def cmd_transform_verify(cfg: RunConfig) -> int:
 
 def cmd_extend_verify(cfg: RunConfig) -> int:
     opts = cfg.options
-    pq, scheme = opts["pq"], opts["quadrature"]
-    psi = cfg.profile
-    spec = DomainSpec(cfg.n, psi)
-
+    pq, scheme, seed = opts["pq"], opts["quadrature"], cfg.seed
     fields = {name: make_field(name, cfg.n,
                                **(opts["field_params"] if name == "tip-power" else {}))
               for name in opts["functions"]}
+    flist = list(fields.values())
 
+    # one operator for the norm reports and every check; hat_* live in the
+    # frame the extension is built in: the straightened one, or the
+    # original frame on the direct route
+    ext = extend(cfg.profile, cfg.n, cfg.tolerance)
     norm_reports = quadrature.extension_ratio(
-        list(fields.values()), psi, cfg.n, [(float(p), float(q)) for p, q in pq], scheme,
-        cfg.tolerance)
-    # hat_* live in the frame the extension is built in: the
-    # straightened one, or the original frame on the direct route
-    ext = extend(psi, cfg.n, cfg.tolerance)
-    ctx = ext.hat_context
+        flist, ext, [(float(p), float(q)) for p, q in pq], scheme)
+    traces = verify.trace_check(ext, flist, opts["trace_samples"], seed)
+    decays = verify.boundary_decay_check(ext, flist, rays=opts["decay_rays"], rng_seed=seed)
+    seams = verify.seam_continuity_check(ext, flist, per_seam=200, rng_seed=seed)
+    # the seams probe E^(u o T^-1), so the cap is taken from u o T^-1
+    caps = verify.seam_modulus_cap(ext, flist, seed)
+    trace_tol = 1e-12 if ext.frame == "direct" else 1e-8
     reports, checks = [], {}
-    for (name, u), field_reports in zip(fields.items(), norm_reports):
-        hat_eu, hat_u = ext.hat_field(u), ext.hat_input(u)
-        tr = verify.trace_check(ext.field(u), u, spec, opts["trace_samples"], cfg.seed)
-        decay = verify.boundary_decay_check(ctx, hat_eu, hat_u,
-                                            rays=opts["decay_rays"], rng_seed=cfg.seed)
-        seams = verify.seam_continuity_check(ctx, hat_eu, per_seam=200, rng_seed=cfg.seed)
-        # the seams probe E^(u o T^-1), so the cap is taken from u o T^-1
-        cap = verify.seam_modulus_cap(ctx, hat_u, cfg.seed)
-        seam_ok, worst_seam = verify.seam_verdict(seams, cap)
-        trace_tol = 1e-12 if ext.frame == "direct" else 1e-8
+    for name, u, field_reports, tr, decay, seam, cap in zip(fields, flist, norm_reports, traces,
+                                                            decays, seams, caps):
+        seam_ok, worst_seam = verify.seam_verdict(seam, cap)
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
         checks[f"decay_ok[{name}]"] = decay.ok
         checks[f"seam_ok[{name}]"] = seam_ok
@@ -384,8 +380,9 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
             reports.append({"function": name, **rep.to_dict(),
                             "seam_worst": worst_seam})
             if cfg.dump_slices:
-                rows = quadrature.lp_slice_table(hat_eu, quadrature.region_extension(ctx.spec),
-                                                 float(q), scheme, cfg.n)
+                rows = quadrature.lp_slice_table(
+                    ext.hat_field(u), quadrature.region_extension(ext.hat_context.spec),
+                    float(q), scheme, cfg.n)
                 _write_csv(os.path.join(cfg.out_dir, f"slices_{name}_p{p}_q{q}.csv"), rows)
             in_region = quadrature.in_limit_region(cfg.n, float(p), float(q))
             key = f"ratio_ok[{name},p={p},q={q}]"
@@ -399,10 +396,9 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
                 checks[key] = bool(np.isfinite(rep.ratio))
 
     # linearity across the first and the last requested fields
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     pts = transform.sample_box(cfg.n, 2000, rng, t_range=(-0.5, 3.5), radius=0.6)
-    flist = list(fields.values())
-    lin = verify.linearity_check(ext.field, flist[0], flist[-1], pts)
+    [lin] = verify.linearity_check(ext, flist[:1], flist[-1], pts)
     checks["linearity_ok"] = lin.max_abs_error <= 1e-12
 
     report = {

@@ -279,17 +279,21 @@ def extend_lipschitz(ctx: ExtensionContext, u: ScalarField, inner=None) -> Scala
 class ConjugatedExtension:
     """The extension operator E u = (E^(u o T^-1)) o T of one domain; it holds no field.
 
-    T straightens the domain onto its Lipschitz twin, which E^ extends;
-    ``inner`` is T^-1 with its partials (``_inverse_pullback``), and
-    every read of a field u goes through it.  ``hat_field(u)`` is
-    E^(u o T^-1), in straightened coordinates (where quadrature is cheap
-    and exact), ``field(u)`` is E u and ``hat_input(u)`` is u o T^-1.
-    On the direct route T is the identity: ``inner`` is None and
-    ``hat_input(u)`` is u.  ``pullback(Z)`` pulls (k, n) straightened
-    points back once and returns ``push(v) -> (E v, grad E v)`` at them
-    for any field v.
+    ``spec`` is the original domain.  T straightens it onto its
+    Lipschitz twin, which E^ extends; ``inner`` is T^-1 with its
+    partials (``_inverse_pullback``), and every read of a field u goes
+    through it.  On the direct route T is the identity and ``inner`` is
+    None.  The pullbacks pull (k, n) points back once and return a
+    ``push(v) -> (values, gradients or None)`` for any field v:
+    ``pullback(W)`` for E^ at straightened points, ``field_pullback(Z)``
+    for E at original-frame points (values only) and
+    ``input_pullback(W)`` for v o T^-1.  The field views read through
+    them: ``hat_field(u)`` is E^(u o T^-1), in straightened coordinates
+    (where quadrature is cheap and exact), ``field(u)`` is E u and
+    ``hat_input(u)`` is u o T^-1 (u itself on the direct route).
     """
 
+    spec: DomainSpec
     hat_context: ExtensionContext
     scale: float = 1.0
     norm_spec: DomainSpec | None = None  # the normalized original domain; None when direct
@@ -305,24 +309,28 @@ class ConjugatedExtension:
     def hat_input(self, u: ScalarField) -> ScalarField:
         if self.inner is None:
             return u
-        return _field(f"{u.name}~straightened", self.hat_context.spec.n,
-                      lambda w, with_grad: _reader(w, with_grad, self.inner)(u),
+        return _field(f"{u.name}~straightened", self.spec.n,
+                      lambda w, with_grad: self.input_pullback(w, with_grad)(u),
                       u.grad is not None)
 
     def field(self, u: ScalarField) -> ScalarField:
-        hat = self.hat_field(u)
         if self.inner is None:
-            return hat
+            return self.hat_field(u)
+        return _field(f"extend({u.name})", self.spec.n,
+                      lambda z, with_grad: self.field_pullback(z)(u), False)
 
-        def evaluate(z, with_grad):
-            z = z.copy()
-            z[:, 1:] *= self.scale
-            return hat.fn(forward_map(self.norm_spec, z)), None
+    def pullback(self, W, with_grad: bool = True):
+        return _pullback(self.hat_context, W, with_grad, self.inner)
 
-        return _field(f"extend({u.name})", self.hat_context.spec.n, evaluate, False)
+    def field_pullback(self, Z):
+        if self.inner is None:
+            return self.pullback(Z, False)
+        z = Z.copy()
+        z[:, 1:] *= self.scale
+        return self.pullback(forward_map(self.norm_spec, z), False)
 
-    def pullback(self, Z):
-        return _pullback(self.hat_context, Z, True, self.inner)
+    def input_pullback(self, W, with_grad: bool = False):
+        return _reader(W, with_grad, self.inner)
 
 
 def extend_general(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
@@ -333,9 +341,10 @@ def extend_general(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension
     smooth fields at the default tolerance).  When u carries an
     analytic gradient, so do ``hat_input(u)`` and ``hat_field(u)``.
     """
-    norm_spec, scale = geometry.normalize(DomainSpec(n, psi))
+    spec = DomainSpec(n, psi)
+    norm_spec, scale = geometry.normalize(spec)
     ctx = ExtensionContext(DomainSpec(n, LipschitzizedProfile(norm_spec.psi, tol)))
-    return ConjugatedExtension(ctx, scale, norm_spec, _inverse_pullback(norm_spec, scale))
+    return ConjugatedExtension(spec, ctx, scale, norm_spec, _inverse_pullback(norm_spec, scale))
 
 
 def extend(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
@@ -345,5 +354,6 @@ def extend(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
     any other profile is straightened first (``extend_general``).
     """
     if psi.lipschitz_constant is not None:
-        return ConjugatedExtension(ExtensionContext(DomainSpec(n, psi)))
+        spec = DomainSpec(n, psi)
+        return ConjugatedExtension(spec, ExtensionContext(spec))
     return extend_general(psi, n, tol)

@@ -230,15 +230,18 @@ def classify_extension_region(spec: DomainSpec, z, R=None):
     return label
 
 
-def straddle_probe(f, n: int, draws, deltas, per_seam: int, seed: int) -> dict:
-    """Worst |f(a) - f(b)| over pairs straddling each seam: {seam: {delta: jump}}.
+def straddle_probe(f, n: int, draws, deltas, per_seam: int, seed: int) -> list[dict]:
+    """Worst |f(a) - f(b)| over pairs straddling each seam: {seam: {delta: jump}} per value.
 
     Per delta the generator restarts from ``seed`` and draws one unit x
     direction per pair; each ``draw(rng, h)`` then returns {seam: (t,
     |x|, dt, d|x|)} and the pair is base -/+ offset along that
-    direction, h = delta / 2.  Vector values compare in the 2-norm.
+    direction, h = delta / 2.  Every pair is drawn first; ``f`` is
+    called once, on all the points stacked (so no value may depend on
+    its batch), and returns a list of value arrays over them, one report
+    each.  Vector values compare in the 2-norm.
     """
-    out: dict = {}
+    keys, lower, upper = [], [], []
     for delta in deltas:
         rng = np.random.default_rng(seed)
         direction = unit_directions(rng, per_seam, n - 1)
@@ -246,9 +249,17 @@ def straddle_probe(f, n: int, draws, deltas, per_seam: int, seed: int) -> dict:
             for seam, (t, r, dt, dr) in draw(rng, 0.5 * delta).items():
                 base = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
                 off = np.concatenate([dt[:, None], dr[:, None] * direction], axis=1)
-                diff = np.asarray(f(base - off)) - np.asarray(f(base + off))
-                jump = np.abs(diff) if diff.ndim == 1 else row_norm(diff)
-                out.setdefault(seam, {})[delta] = float(jump.max())
+                keys.append((seam, delta))
+                lower.append(base - off)
+                upper.append(base + off)
+    out = []
+    for values in f(np.concatenate(lower + upper)):
+        diff = np.subtract(*np.split(np.asarray(values), 2))
+        jump = np.abs(diff) if diff.ndim == 1 else row_norm(diff)
+        report: dict = {}
+        for (seam, delta), worst in zip(keys, jump.reshape(len(keys), per_seam).max(axis=1)):
+            report.setdefault(seam, {})[delta] = float(worst)
+        out.append(report)
     return out
 
 

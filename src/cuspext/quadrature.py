@@ -20,10 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .extension import extend
+from .extension import ConjugatedExtension
 from .fields import ScalarField
 from .geometry import DomainSpec, collar_radius, row_norm, sample_ball
-from .lipschitzify import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -316,13 +315,12 @@ def in_limit_region(n: int, p: float, q: float) -> bool:
     return 1.0 <= q < n - 1 and p >= (n - 1) * q / (n - 1 - q)
 
 
-def extension_ratio(fields, psi, n: int, pq,
-                    scheme: QuadratureScheme | None = None,
-                    tol: float = DEFAULT_TOL) -> list[list[NormReport]]:
-    """Extension-norm ratios of several fields, with one-step refinement stability estimates.
+def extension_ratio(fields, ext: ConjugatedExtension, pq,
+                    scheme: QuadratureScheme | None = None) -> list[list[NormReport]]:
+    """Extension-norm ratios of several fields under ``ext``, with refinement stability estimates.
 
     One list per field, in order, of one report per (p, q) pair, in
-    order.  The route is chosen once, by ``extension.extend``; the
+    order.  ``ext`` is the domain's operator (``extension.extend``); the
     straightened route's norm is taken in the straightened frame
     (equivalent up to the straightening map's two-sided Lipschitz
     constant).  The operator depends on the domain alone, so per
@@ -340,8 +338,8 @@ def extension_ratio(fields, psi, n: int, pq,
     for p, q in pq:
         if not 1.0 <= q <= p < np.inf:
             raise ValueError(f"need 1 <= q <= p < inf, got p={p}, q={q}")
-    ext = extend(psi, n, tol)
-    dom_region = region_domain(DomainSpec(n, psi))
+    n = ext.spec.n
+    dom_region = region_domain(ext.spec)
     ext_region = region_extension(ext.hat_context.spec)
     ps, qs = list(dict.fromkeys(p for p, _ in pq)), list(dict.fromkeys(q for _, q in pq))
 

@@ -233,6 +233,6 @@ def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
             "disk": (np.full(k, 2.0), r_disk, hk, zero),
         }
 
-    jumps = geometry.straddle_probe(lambda z: forward_map(spec, z), spec.n, (seams,),
-                                    deltas, per_seam, rng_seed)
+    [jumps] = geometry.straddle_probe(lambda z: [forward_map(spec, z)], spec.n, (seams,),
+                                      deltas, per_seam, rng_seed)
     return {seam: {d: jump / d for d, jump in per.items()} for seam, per in jumps.items()}

@@ -1,8 +1,14 @@
-"""Behavioral checks on the extension operator: trace, linearity, decay.
+"""Behavioral checks on the extension operator: trace, linearity, decay, seams.
 
 These back both the test suite and the CLI's verification commands.
-Each check returns a small frozen report; pass/fail thresholds live
-with the caller so failure output stays inspectable.
+Each check takes the operator (``extension.ConjugatedExtension``) and a
+list of fields and returns one small frozen report per field, in
+order; pass/fail thresholds live with the caller so failure output
+stays inspectable.  The probe points depend on the seed alone: each
+check draws them all first, stacks its batches, pulls them back once
+and pushes every field through that one pullback.  Stacking relies on
+batch independence: a value must not depend on which other points share
+its batch.
 """
 
 from __future__ import annotations
@@ -12,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .extension import ExtensionContext
+from .extension import ConjugatedExtension
 from .fields import ScalarField, linear_combination
-from .geometry import DomainSpec
-from .quadrature import gradient_at
 from .transform import sample_domain
 
 
@@ -26,15 +30,19 @@ class TraceReport:
     exact: bool  # bitwise equality held at every sample
 
 
-def trace_check(ext_field: ScalarField, u: ScalarField, spec: DomainSpec,
-                count: int = 10_000, rng_seed: int = 0) -> TraceReport:
-    """Extension restricted to the domain must reproduce the field."""
+def trace_check(ext: ConjugatedExtension, fields, count: int = 10_000,
+                rng_seed: int = 0) -> list[TraceReport]:
+    """E u restricted to the original domain must reproduce u."""
     rng = np.random.default_rng(rng_seed)
-    z = sample_domain(spec, count, rng)
-    got = np.asarray(ext_field.fn(z), dtype=float)
-    want = np.asarray(u.fn(z), dtype=float)
-    err = np.abs(got - want)
-    return TraceReport(float(err.max()), count, bool(np.all(got == want)))
+    z = sample_domain(ext.spec, count, rng)
+    push = ext.field_pullback(z)
+    reports = []
+    for u in fields:
+        got = push(u)[0]
+        want = np.asarray(u.fn(z), dtype=float)
+        err = np.abs(got - want)
+        reports.append(TraceReport(float(err.max()), count, bool(np.all(got == want))))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -43,17 +51,18 @@ class LinearityReport:
     samples: int
 
 
-def linearity_check(build, u: ScalarField, v: ScalarField, points: np.ndarray,
-                    alpha: float = 0.7, beta: float = -1.3) -> LinearityReport:
-    """E(alpha u + beta v) against alpha E(u) + beta E(v) pointwise.
-
-    ``build`` maps a field to its extension field (either route).
-    """
-    eu = build(u).fn(points)
-    ev = build(v).fn(points)
-    ew = build(linear_combination(alpha, u, beta, v)).fn(points)
-    err = np.abs(ew - (alpha * eu + beta * ev))
-    return LinearityReport(float(err.max()), int(points.shape[0]))
+def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField, points: np.ndarray,
+                    alpha: float = 0.7, beta: float = -1.3) -> list[LinearityReport]:
+    """E(alpha u + beta v) against alpha E(u) + beta E(v) at original-frame points, per u."""
+    push = ext.field_pullback(points)
+    ev = push(v)[0]
+    reports = []
+    for u in fields:
+        eu = push(u)[0]
+        ew = push(linear_combination(alpha, u, beta, v))[0]
+        err = np.abs(ew - (alpha * eu + beta * ev))
+        reports.append(LinearityReport(float(err.max()), int(points.shape[0])))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -63,58 +72,61 @@ class DecayReport:
     rays: int
 
 
-def boundary_decay_check(ctx: ExtensionContext, ext_field: ScalarField,
-                         u: ScalarField, rays: int = 1000,
+def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
                          deltas=(1e-2, 1e-3, 1e-4), rng_seed: int = 0,
-                         safety: float = 2.0) -> DecayReport:
-    """Linear decay of the extension toward the outer boundary.
+                         safety: float = 2.0) -> list[DecayReport]:
+    """Linear decay of E^(u o T^-1) toward the outer boundary, in the straightened frame.
 
     Rays step inward from the collar/cap boundary; the admissible
     modulus per ray is the local cut-off slope times a sampled bound on
-    |u| (the tip is excluded: the modulus degenerates with the collar
-    width there, which is expected, not a defect).
+    |u o T^-1| (the tip is excluded: the modulus degenerates with the
+    collar width there, which is expected, not a defect).
     """
-    spec = ctx.spec
+    spec = ext.hat_context.spec
     n = spec.n
-    psi1 = ctx.psi1
+    psi1 = spec.psi1
     rng = np.random.default_rng(rng_seed)
-    m_u = float(np.abs(np.asarray(u.fn(sample_domain(spec, 4000, rng)))).max())
-    m_u = max(m_u, 1e-12)
+    read = ext.input_pullback(sample_domain(spec, 4000, rng))
 
     per = max(1, rays // 3)
     direction = geometry.unit_directions(rng, per, n - 1)
-
-    worst = 0.0
-    total = 0
+    points, radius = [], []  # radius: what the cut-off slope divides by
     for delta in deltas:
         # collar outer wall over the cusp (away from the tip), then the tube
         for t_lo, t_hi in ((0.05, 1.0), (1.0 + 1e-6, 3.0 - 1e-6)):
             t = rng.uniform(t_lo, t_hi, size=per)
             R = geometry.collar_radius(spec, t)
-            z = np.concatenate([t[:, None], ((2.0 * R - delta)[:, None]) * direction], axis=1)
-            cap = safety * m_u / R
-            worst = max(worst, float(np.max(np.abs(ext_field.fn(z)) / (cap * delta))))
-        # end disk t = 3
+            points.append(np.concatenate([t[:, None], ((2.0 * R - delta)[:, None]) * direction],
+                                         axis=1))
+            radius.append(R)
+        # end disk t = 3, whose cut-off has unit slope
         rad = rng.uniform(0.0, 2.0 * psi1 * 0.98, size=per)
-        z = np.concatenate([np.full((per, 1), 3.0 - delta),
-                            rad[:, None] * direction], axis=1)
-        cap = safety * m_u
-        worst = max(worst, float(np.max(np.abs(ext_field.fn(z)) / (cap * delta))))
-        total += 3 * per
-    return DecayReport(bool(worst <= 1.0), worst, total)
+        points.append(np.concatenate([np.full((per, 1), 3.0 - delta),
+                                      rad[:, None] * direction], axis=1))
+        radius.append(np.ones(per))
+    radius, delta = np.array(radius), np.repeat(deltas, 3)[:, None]
+    push = ext.pullback(np.concatenate(points), False)
+
+    reports = []
+    for u in fields:
+        m_u = max(float(np.abs(read(u)[0]).max()), 1e-12)
+        normalized = np.abs(push(u)[0].reshape(radius.shape)) / (safety * m_u / radius * delta)
+        worst = float(max(0.0, *normalized.max(axis=1)))
+        reports.append(DecayReport(bool(worst <= 1.0), worst, radius.size))
+    return reports
 
 
-def seam_continuity_check(ctx: ExtensionContext, ext_field: ScalarField,
+def seam_continuity_check(ext: ConjugatedExtension, fields,
                           deltas=(1e-3, 1e-5, 1e-7), per_seam: int = 200,
-                          rng_seed: int = 0) -> dict:
-    """Worst straddle jump per seam and separation: {seam: {delta: jump}}.
+                          rng_seed: int = 0) -> list[dict]:
+    """Worst straddle jump of E^(u o T^-1) per seam and separation: {seam: {delta: jump}} per u.
 
     For a continuous extension the jump scales linearly with the
     separation; a branch mismatch leaves an O(1) jump as delta shrinks.
     This check is the designated arbiter for the end-cap pullback.
     """
-    spec = ctx.spec
-    psi1 = ctx.psi1
+    spec = ext.hat_context.spec
+    psi1 = spec.psi1
     k = per_seam
 
     def collar(rng, h):
@@ -137,30 +149,41 @@ def seam_continuity_check(ctx: ExtensionContext, ext_field: ScalarField,
                 "cap-end": (np.full(k, 3.0), r, *axial),
                 "profile-junction": (np.full(k, 1.0), r_junction, *axial)}
 
-    return geometry.straddle_probe(ext_field.fn, spec.n, (collar, disks),
-                                   deltas, per_seam, rng_seed)
+    def values(Z):
+        push = ext.pullback(Z, False)
+        return [push(u)[0] for u in fields]
+
+    return geometry.straddle_probe(values, spec.n, (collar, disks), deltas, per_seam, rng_seed)
 
 
-def seam_modulus_cap(ctx: ExtensionContext, u: ScalarField, seed: int) -> float:
-    """A priori linear-modulus bound for seam straddles of the extension of u in ctx.
+def seam_modulus_cap(ext: ConjugatedExtension, fields, seed: int) -> list[float]:
+    """A priori linear-modulus bound for seam straddles of E^(u o T^-1), per u.
 
-    u is the field ctx's extension reads: on the straightened route the
-    hat input u o T^-1, not the original-frame field.
+    The bound reads u o T^-1, the field the seam check probes, not the
+    original-frame u.
     """
+    psi = ext.hat_context.spec.psi
     rng = np.random.default_rng(seed)
-    z = sample_domain(ctx.spec, 2000, rng)
-    m_u = float(np.max(np.abs(np.asarray(u.fn(z))))) + 1e-9
-    with np.errstate(over="ignore"):
-        g_u = float(np.max(geometry.row_norm(gradient_at(u, z))))
-    lip = ctx.spec.psi.lipschitz_constant or 0.0
-    slope = (1.0 + 2.0 * lip) / float(ctx.spec.psi.value(0.05))
-    return 4.0 * (slope * m_u + (1.0 + lip) * g_u + 1.0)
+    read = ext.input_pullback(sample_domain(ext.hat_context.spec, 2000, rng), True)
+    lip = psi.lipschitz_constant or 0.0
+    slope = (1.0 + 2.0 * lip) / float(psi.value(0.05))
+    caps = []
+    for u in fields:
+        values, grads = read(u)
+        m_u = float(np.max(np.abs(values))) + 1e-9
+        with np.errstate(over="ignore"):
+            g_u = float(np.max(geometry.row_norm(grads)))
+        caps.append(4.0 * (slope * m_u + (1.0 + lip) * g_u + 1.0))
+    return caps
 
 
 def seam_verdict(seam_report: dict, modulus_cap: float) -> tuple[bool, str | None]:
-    """Continuity verdict: every jump bounded by modulus_cap * delta."""
-    for seam, jumps in seam_report.items():
-        for delta, jump in jumps.items():
-            if jump > modulus_cap * delta:
-                return False, seam
-    return True, None
+    """Continuity verdict: every jump bounded by modulus_cap * delta.
+
+    A failing verdict names the seam with the largest jump / (modulus_cap * delta).
+    """
+    failing = [(jump / (modulus_cap * delta), seam) for seam, jumps in seam_report.items()
+               for delta, jump in jumps.items() if jump > modulus_cap * delta]
+    if not failing:
+        return True, None
+    return False, max(failing, key=lambda ratio_seam: ratio_seam[0])[1]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cuspext import admissibility, quadrature, transform, verify
-from cuspext.extension import ExtensionContext, extend_general, extend_lipschitz
+from cuspext.extension import extend, extend_general
 from cuspext.fields import make_field
 from cuspext.geometry import DomainSpec
 from cuspext.lipschitzify import (
@@ -95,29 +95,24 @@ def test_criterion_3_transformation():
 
 def test_criterion_4_extension_operator():
     with _Timer("4 extension operator", 60.0):
-        spec = DomainSpec(3, PowerProfile(2.0, 0.25))
-        ctx = ExtensionContext(spec)
+        ext = extend(PowerProfile(2.0, 0.25), 3)
         smooth = [make_field(n, 3) for n in ("constant", "axial", "radial-sq",
                                              "wave")]
-        for u in smooth:
-            eu = extend_lipschitz(ctx, u)
-            rep = verify.trace_check(eu, u, spec, count=10_000, rng_seed=5)
+        traces = verify.trace_check(ext, smooth, count=10_000, rng_seed=5)
+        decays = verify.boundary_decay_check(ext, smooth, rays=1000, rng_seed=5)
+        for u, rep, decay in zip(smooth, traces, decays):
             assert rep.exact and rep.max_abs_error == 0.0
-            decay = verify.boundary_decay_check(ctx, eu, u, rays=1000, rng_seed=5)
             assert decay.ok, (u.name, decay)
         # straightened route: trace within 1e-8
         for psi in (PowerProfile(2.0), TWO_STEP):
             u = make_field("wave", 3)
-            conj = extend_general(psi, 3)
-            rep = verify.trace_check(conj.field(u), u, DomainSpec(3, psi),
-                                     count=10_000, rng_seed=6)
+            [rep] = verify.trace_check(extend_general(psi, 3), [u], count=10_000, rng_seed=6)
             assert rep.max_abs_error <= 1e-8
         # pointwise linearity at 1e-12
         rng = np.random.default_rng(8)
         pts = np.concatenate([rng.uniform(-0.5, 3.5, size=(5000, 1)),
                               rng.uniform(-0.6, 0.6, size=(5000, 2))], axis=1)
-        rep = verify.linearity_check(lambda w: extend_lipschitz(ctx, w),
-                                     smooth[1], smooth[3], pts)
+        [rep] = verify.linearity_check(ext, [smooth[1]], smooth[3], pts)
         assert rep.max_abs_error <= 1e-12
 
 
@@ -130,7 +125,7 @@ def test_criterion_5_norm_inequality():
             psi = PowerProfile(coeff_exp, 0.25)
             pq = ((2.0, 1.0), (4.0, 1.0), (4.0, 1.9))
             per_field = quadrature.extension_ratio([make_field(name, 3) for name in names],
-                                                   psi, 3, pq, scheme)
+                                                   extend(psi, 3), pq, scheme)
             for name, reps in zip(names, per_field):
                 for (p, q), rep in zip(pq, reps):
                     assert rep.ratio is not None and np.isfinite(rep.ratio), \

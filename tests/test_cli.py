@@ -1,19 +1,22 @@
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext import cli, extension, verify
+from cuspext import cli, extension, geometry, transform, verify
 from cuspext.cli import main
 from cuspext.fields import make_field
 from cuspext.profiles import StepProfile
@@ -115,7 +118,7 @@ def test_extend_verify_command(tmp_path):
                          ids=["one-field", "four-fields"])
 def test_extend_verify_builds_at_most_two_operators(tmp_path, monkeypatch, functions):
     # the operator depends on the domain alone: one serves the norm reports and
-    # one the pointwise checks, whatever the number of fields (tip-power would
+    # every pointwise check, whatever the number of fields (tip-power would
     # need a finer rule than this one to pass its ratio check)
     built = []
     real = extension.extend_general
@@ -142,7 +145,47 @@ def test_extend_verify_builds_at_most_two_operators(tmp_path, monkeypatch, funct
     assert code == 0, report["checks"]
     assert report["route"] == "straightened"
     assert len(report["norm_reports"]) == len(functions)
-    assert 1 <= len(built) <= 2
+    assert len(built) == 1
+
+
+def test_extend_verify_geometry_work_does_not_grow_with_fields(tmp_path, monkeypatch):
+    # the norm reports and every check pull their points back once per run:
+    # four fields classify and invert the same points as one field does
+    counts = Counter()
+    real_classify, real_branches = geometry.classify_extension_region, transform._inverse_branches
+
+    def classify(spec, z, R=None):
+        counts["classify_extension_region calls"] += 1
+        counts["classify_extension_region points"] += int(np.prod(np.shape(z)[:-1]))
+        return real_classify(spec, z, R)
+
+    def branches(spec, w):
+        counts["_inverse_branches calls"] += 1
+        return real_branches(spec, w)
+
+    monkeypatch.setattr(geometry, "classify_extension_region", classify)
+    monkeypatch.setattr(extension, "_inverse_branches", branches)
+    monkeypatch.setattr(transform, "_inverse_branches", branches)
+    work = []
+    for functions in (["wave"], ["constant", "axial", "radial-sq", "wave"]):
+        counts.clear()
+        cfg = {
+            "command": "extend-verify",
+            "profile": {"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2]},
+            "seed": 3,
+            "extend": {
+                "pq": [[2.0, 1.0]],
+                "functions": functions,
+                "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6},
+                "trace_samples": 500,
+                "decay_rays": 60,
+            },
+        }
+        code, _ = run(tmp_path, cfg, outdir=f"out{len(functions)}")
+        assert code == 0
+        work.append(dict(counts))
+    assert work[0] == work[1]
+    assert min(work[0].values()) > 0
 
 
 def test_extend_verify_seam_cap_reads_the_hat_input(tmp_path, monkeypatch):
@@ -171,9 +214,10 @@ def test_extend_verify_seam_cap_reads_the_hat_input(tmp_path, monkeypatch):
     assert code == 0
     ext = extension.extend(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
     u = make_field("wave", 3)
-    want = verify.seam_modulus_cap(ext.hat_context, ext.hat_input(u), 1)
+    [want] = verify.seam_modulus_cap(ext, [u], 1)
     assert caps == [want]
-    assert want != verify.seam_modulus_cap(ext.hat_context, u, 1)
+    # u itself, read at the same straightened points, gives another cap
+    assert [want] != verify.seam_modulus_cap(dataclasses.replace(ext, inner=None), [u], 1)
 
 
 def test_extend_verify_detects_shift_misconfiguration(tmp_path, shift_end_cap):

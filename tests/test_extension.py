@@ -131,11 +131,9 @@ def test_extend_axial_reflection_value(lin_ctx):
     assert eu.fn(np.array([0.5, 1.5 * 0.125, 0.0])) == pytest.approx(0.25)
 
 
-def test_trace_identity_exact(pow_ctx):
-    for name in ("constant", "axial", "wave"):
-        u = make_field(name, 3)
-        eu = extend_lipschitz(pow_ctx, u)
-        rep = verify.trace_check(eu, u, POW_SPEC, count=10_000, rng_seed=1)
+def test_trace_identity_exact():
+    fields = [make_field(name, 3) for name in ("constant", "axial", "wave")]
+    for rep in verify.trace_check(extend(POW_SPEC.psi, 3), fields, count=10_000, rng_seed=1):
         assert rep.exact
         assert rep.max_abs_error == 0.0
 
@@ -147,28 +145,27 @@ def test_support_vanishes_outside(pow_ctx):
     assert rep.ok and rep.max_abs_outside == 0.0
 
 
-def test_linearity_pointwise(pow_ctx):
+def test_linearity_pointwise():
     u = make_field("axial", 3)
     v = make_field("radial-sq", 3)
     rng = np.random.default_rng(3)
     pts = np.concatenate([rng.uniform(-0.5, 3.5, size=(3000, 1)),
                           rng.uniform(-0.6, 0.6, size=(3000, 2))], axis=1)
-    rep = verify.linearity_check(lambda w: extend_lipschitz(pow_ctx, w), u, v, pts)
+    [rep] = verify.linearity_check(extend(POW_SPEC.psi, 3), [u], v, pts)
     assert rep.max_abs_error <= 1e-12
 
 
-def test_boundary_decay(pow_ctx):
-    for name in ("constant", "axial", "wave"):
-        u = make_field(name, 3)
-        eu = extend_lipschitz(pow_ctx, u)
-        rep = verify.boundary_decay_check(pow_ctx, eu, u, rays=999, rng_seed=4)
+def test_boundary_decay():
+    fields = [make_field(name, 3) for name in ("constant", "axial", "wave")]
+    for rep in verify.boundary_decay_check(extend(POW_SPEC.psi, 3), fields, rays=999,
+                                           rng_seed=4):
         assert rep.ok, rep
 
 
-def test_seam_continuity_mirror_passes(pow_ctx):
+def test_seam_continuity_mirror_passes():
     u = make_field("axial", 3)
-    eu = extend_lipschitz(pow_ctx, u)
-    report = verify.seam_continuity_check(pow_ctx, eu, per_seam=200, rng_seed=5)
+    [report] = verify.seam_continuity_check(extend(POW_SPEC.psi, 3), [u], per_seam=200,
+                                            rng_seed=5)
     cap = 4.0 * (1.0 / POW_SPEC.psi.value(0.05) + 2.0)
     ok, worst = verify.seam_verdict(report, cap)
     assert ok, (worst, report[worst] if worst else None)
@@ -179,10 +176,9 @@ def test_seam_detector_flags_shift_modes(shift_end_cap, offset):
     # the literal axial shifts leave an O(1) jump at the cap interface for
     # axially-varying fields; the seam check is the designated detector
     shift_end_cap(offset)
-    ctx = ExtensionContext(POW_SPEC)
     u = make_field("axial", 3)
-    eu = extend_lipschitz(ctx, u)
-    report = verify.seam_continuity_check(ctx, eu, per_seam=100, rng_seed=6)
+    [report] = verify.seam_continuity_check(extend(POW_SPEC.psi, 3), [u], per_seam=100,
+                                            rng_seed=6)
     cap = 4.0 * (1.0 / POW_SPEC.psi.value(0.05) + 2.0)
     ok, worst = verify.seam_verdict(report, cap)
     assert not ok
@@ -193,9 +189,7 @@ def test_seam_detector_flags_shift_modes(shift_end_cap, offset):
 def test_extend_general_trace_step_profile():
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     u = make_field("wave", 3)
-    conj = extend_general(step, 3)
-    spec = DomainSpec(3, step)
-    rep = verify.trace_check(conj.field(u), u, spec, count=10_000, rng_seed=7)
+    [rep] = verify.trace_check(extend_general(step, 3), [u], count=10_000, rng_seed=7)
     assert rep.max_abs_error <= 1e-8
 
 
@@ -204,8 +198,7 @@ def test_extend_general_trace_unnormalized_power():
     u = make_field("constant", 3)
     conj = extend_general(PowerProfile(2.0), 3)
     assert conj.scale == pytest.approx(0.25)
-    spec = DomainSpec(3, PowerProfile(2.0))
-    rep = verify.trace_check(conj.field(u), u, spec, count=10_000, rng_seed=8)
+    [rep] = verify.trace_check(conj, [u], count=10_000, rng_seed=8)
     assert rep.max_abs_error <= 1e-8
 
 
@@ -227,7 +220,7 @@ def test_extend_general_linearity():
     pts = np.concatenate([rng.uniform(-0.5, 3.5, size=(500, 1)),
                           rng.uniform(-0.6, 0.6, size=(500, 2))], axis=1)
 
-    rep = verify.linearity_check(extend_general(PowerProfile(2.0), 3).field, u, v, pts)
+    [rep] = verify.linearity_check(extend_general(PowerProfile(2.0), 3), [u], v, pts)
     assert rep.max_abs_error <= 1e-12
 
 

@@ -199,8 +199,8 @@ def test_in_limit_region():
 
 def test_extension_ratio_report():
     small = QuadratureScheme(t_levels=25, gauss_t=4, gauss_r=4, angular=8)
-    [[rep]] = extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
-                              3, [(2.0, 1.0)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3)], extend(PowerProfile(2.0, 0.25), 3),
+                              [(2.0, 1.0)], small)
     assert rep.frame == "direct"
     assert rep.ratio is not None and np.isfinite(rep.ratio)
     assert rep.refinement_delta is not None and rep.refinement_delta < 0.05
@@ -212,29 +212,28 @@ def test_extension_ratio_report():
 def test_extension_ratio_zero_denominator():
     small = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
     [[rep]] = extension_ratio([make_field("constant", 3, value=0.0)],
-                              PowerProfile(2.0, 0.25), 3, [(2.0, 1.0)], small)
+                              extend(PowerProfile(2.0, 0.25), 3), [(2.0, 1.0)], small)
     assert rep.zero_denominator and rep.ratio is None
 
 
 def test_extension_ratio_out_of_region_warns():
     small = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
-    [[rep]] = extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
-                              3, [(4.0, 1.9)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3)], extend(PowerProfile(2.0, 0.25), 3),
+                              [(4.0, 1.9)], small)
     assert rep.warnings and "outside" in rep.warnings[0]
     assert np.isfinite(rep.ratio)
 
 
 def test_extension_ratio_validation(monkeypatch):
+    ext = extend(PowerProfile(2.0, 0.25), 3)
     with pytest.raises(ValueError):
-        extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
-                        3, [(1.0, 2.0)], SCHEME)
+        extension_ratio([make_field("constant", 3)], ext, [(1.0, 2.0)], SCHEME)
     # every pair is checked before any work starts
-    monkeypatch.setattr(quadrature, "extend", None)
+    monkeypatch.setattr(quadrature, "build_nodes", None)
     with pytest.raises(ValueError, match=r"got p=1.0, q=2.0"):
-        extension_ratio([make_field("constant", 3)], PowerProfile(2.0, 0.25),
-                        3, [(2.0, 1.0), (1.0, 2.0)], SCHEME)
+        extension_ratio([make_field("constant", 3)], ext, [(2.0, 1.0), (1.0, 2.0)], SCHEME)
     with pytest.raises(ValueError, match="at least one field"):
-        extension_ratio([], PowerProfile(2.0, 0.25), 3, [(2.0, 1.0)], SCHEME)
+        extension_ratio([], ext, [(2.0, 1.0)], SCHEME)
 
 
 SMALL = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
@@ -244,8 +243,9 @@ SMALL = QuadratureScheme(t_levels=15, gauss_t=3, gauss_r=3, angular=6)
                          ids=["direct", "straightened"])
 def test_extension_ratio_report_does_not_depend_on_neighbours(psi):
     u = make_field("wave", 3)
-    [[alone]] = extension_ratio([u], psi, 3, [(4.0, 1.0)], SMALL)
-    [pair] = extension_ratio([u], psi, 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
+    ext = extend(psi, 3)
+    [[alone]] = extension_ratio([u], ext, [(4.0, 1.0)], SMALL)
+    [pair] = extension_ratio([u], ext, [(2.0, 1.0), (4.0, 1.0)], SMALL)
     assert [(r.p, r.q) for r in pair] == [(2.0, 1.0), (4.0, 1.0)]
     assert json.dumps(alone.to_dict(), sort_keys=True) == \
         json.dumps(pair[1].to_dict(), sort_keys=True)
@@ -255,10 +255,11 @@ def test_extension_ratio_report_does_not_depend_on_neighbours(psi):
                          ids=["direct", "straightened"])
 def test_extension_ratio_reports_do_not_depend_on_other_fields(psi):
     names = ("constant", "axial", "wave")
-    together = extension_ratio([make_field(name, 3) for name in names], psi, 3,
+    ext = extend(psi, 3)
+    together = extension_ratio([make_field(name, 3) for name in names], ext,
                                [(2.0, 1.0), (4.0, 1.0)], SMALL)
     for name, reports in zip(names, together):
-        [alone] = extension_ratio([make_field(name, 3)], psi, 3, [(2.0, 1.0), (4.0, 1.0)], SMALL)
+        [alone] = extension_ratio([make_field(name, 3)], ext, [(2.0, 1.0), (4.0, 1.0)], SMALL)
         assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == \
             [json.dumps(r.to_dict(), sort_keys=True) for r in alone]
 
@@ -304,7 +305,7 @@ def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
         built.clear()
         reads.clear()
         fields = [counted(make_field(name, 3)) for name in ("constant", "axial", "wave")]
-        extension_ratio(fields, psi, 3, [(2.0, 1.0), (4.0, 1.0), (4.0, 1.5)], SMALL)
+        extension_ratio(fields, extend(psi, 3), [(2.0, 1.0), (4.0, 1.0), (4.0, 1.5)], SMALL)
         assert sorted(kind[:2] for kind in built) == \
             [("domain", 3), ("domain", 6), ("extension", 3), ("extension", 6)]
         hat_spec = extend(psi, 3).hat_context.spec
@@ -318,7 +319,7 @@ def test_extension_ratio_straightened_route():
 
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     small = QuadratureScheme(t_levels=18, gauss_t=3, gauss_r=3, angular=6)
-    [[rep]] = extension_ratio([make_field("constant", 3)], step, 3, [(2.0, 1.0)], small)
+    [[rep]] = extension_ratio([make_field("constant", 3)], extend(step, 3), [(2.0, 1.0)], small)
     assert rep.frame == "straightened"
     assert rep.ratio is not None and np.isfinite(rep.ratio) and rep.ratio > 0.0
 

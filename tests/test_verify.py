@@ -1,0 +1,132 @@
+"""The operator checks: one pullback per probe set, read alike by every field."""
+
+import numpy as np
+import pytest
+
+from cuspext import geometry, transform, verify
+from cuspext.extension import extend
+from cuspext.fields import LIBRARY, make_field
+from cuspext.geometry import DomainSpec, normalize
+from cuspext.profiles import PowerProfile, StepProfile
+from cuspext.transform import sample_domain
+
+TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2], doubling_constant=2.0)
+# psi(1) = 0.6 > 1/4, so the straightened route rescales x first
+WIDE_STEP = StepProfile([0.5, 1.0], [0.3, 0.6])
+PROFILES = [PowerProfile(2.0, 0.25), TWO_STEP, WIDE_STEP]
+PROFILE_IDS = ["direct-power", "straightened-two-step", "straightened-rescaled-step"]
+
+
+def test_seam_verdict_names_the_worst_seam():
+    # both seams fail; the later one in draw order is worse relative to its delta
+    report = {"cap-interface": {1e-3: 0.2, 1e-5: 0.0},
+              "cap-end": {1e-3: 0.0, 1e-5: 0.01}}
+    assert verify.seam_verdict(report, 10.0) == (False, "cap-end")
+    assert verify.seam_verdict(report, 1e4) == (True, None)
+
+
+@pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
+def test_check_reports_do_not_depend_on_other_fields(psi):
+    # every check pulls its points back once for all fields; a field's
+    # report must be bitwise the one it gets alone
+    ext = extend(psi, 3)
+    fields = [make_field(name, 3) for name in LIBRARY]
+    v = make_field("wave", 3)
+    pts = transform.sample_box(3, 400, np.random.default_rng(3), t_range=(-0.5, 3.5), radius=0.6)
+    checks = [
+        lambda fs: verify.trace_check(ext, fs, count=1000, rng_seed=1),
+        lambda fs: verify.boundary_decay_check(ext, fs, rays=150, rng_seed=2),
+        lambda fs: verify.seam_continuity_check(ext, fs, per_seam=40, rng_seed=3),
+        lambda fs: verify.seam_modulus_cap(ext, fs, 4),
+        lambda fs: verify.linearity_check(ext, fs, v, pts),
+    ]
+    for check in checks:
+        together = check(fields)
+        assert len(together) == len(fields)
+        for u, report in zip(fields, together):
+            assert repr(check([u])) == repr([report])
+
+
+def per_batch_straddle(f, n, draws, deltas, per_seam, seed):
+    """straddle_probe as one call of f per side of each seam batch."""
+    out = {}
+    for delta in deltas:
+        rng = np.random.default_rng(seed)
+        direction = geometry.unit_directions(rng, per_seam, n - 1)
+        for draw in draws:
+            for seam, (t, r, dt, dr) in draw(rng, 0.5 * delta).items():
+                base = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
+                off = np.concatenate([dt[:, None], dr[:, None] * direction], axis=1)
+                diff = np.asarray(f(base - off)) - np.asarray(f(base + off))
+                jump = np.abs(diff) if diff.ndim == 1 else geometry.row_norm(diff)
+                out.setdefault(seam, {})[delta] = float(jump.max())
+    return out
+
+
+@pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
+def test_seam_probes_match_per_batch_probe(psi, monkeypatch):
+    # the map's and the extension's seam checks, stacked and probed one batch at a time
+    ext, fields = extend(psi, 3), [make_field(name, 3) for name in LIBRARY]
+    spec, _ = normalize(DomainSpec(3, psi))
+    deltas, per_seam, seed = (1e-3, 1e-5, 1e-7), 60, 9
+    got = (transform.seam_continuity(spec, deltas, per_seam, seed),
+           verify.seam_continuity_check(ext, fields, deltas, per_seam, seed))
+
+    def per_batch(count):
+        return lambda f, *args: [per_batch_straddle(lambda z, i=i: f(z)[i], *args)
+                                 for i in range(count)]
+
+    monkeypatch.setattr(geometry, "straddle_probe", per_batch(1))
+    want = (transform.seam_continuity(spec, deltas, per_seam, seed),)
+    monkeypatch.setattr(geometry, "straddle_probe", per_batch(len(fields)))
+    want += (verify.seam_continuity_check(ext, fields, deltas, per_seam, seed),)
+    assert repr(got) == repr(want)
+
+
+def per_field_decay(ext, u, rays, deltas, seed, safety=2.0):
+    """boundary_decay_check for one field, one extension call per batch of rays."""
+    spec = ext.hat_context.spec
+    rng = np.random.default_rng(seed)
+    hat_u, eu = ext.hat_input(u), ext.hat_field(u)
+    m_u = max(float(np.abs(np.asarray(hat_u.fn(sample_domain(spec, 4000, rng)))).max()), 1e-12)
+    per = max(1, rays // 3)
+    direction = geometry.unit_directions(rng, per, spec.n - 1)
+    worst = 0.0
+    for delta in deltas:
+        for t_lo, t_hi in ((0.05, 1.0), (1.0 + 1e-6, 3.0 - 1e-6)):
+            t = rng.uniform(t_lo, t_hi, size=per)
+            R = geometry.collar_radius(spec, t)
+            z = np.concatenate([t[:, None], ((2.0 * R - delta)[:, None]) * direction], axis=1)
+            worst = max(worst, float(np.max(np.abs(eu.fn(z)) / (safety * m_u / R * delta))))
+        rad = rng.uniform(0.0, 2.0 * spec.psi1 * 0.98, size=per)
+        z = np.concatenate([np.full((per, 1), 3.0 - delta), rad[:, None] * direction], axis=1)
+        worst = max(worst, float(np.max(np.abs(eu.fn(z)) / (safety * m_u * delta))))
+    return verify.DecayReport(worst <= 1.0, worst, 3 * per * len(deltas))
+
+
+@pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
+def test_boundary_decay_matches_per_batch_loop(psi):
+    ext, fields = extend(psi, 3), [make_field(name, 3) for name in LIBRARY]
+    got = verify.boundary_decay_check(ext, fields, rays=300, rng_seed=5)
+    assert repr(got) == repr([per_field_decay(ext, u, 300, (1e-2, 1e-3, 1e-4), 5)
+                              for u in fields])
+
+
+def test_straddle_probe_calls_f_once():
+    calls = []
+
+    def f(Z):
+        calls.append(Z.shape)
+        return [Z[:, 0], Z]
+
+    def draws(rng, h):
+        k = 5
+        return {"a": (rng.uniform(0.0, 1.0, k), np.ones(k), np.full(k, h), np.zeros(k)),
+                "b": (np.ones(k), rng.uniform(0.0, 1.0, k), np.zeros(k), np.full(k, h))}
+
+    scalar, vector = geometry.straddle_probe(f, 3, (draws,), (1e-2, 1e-4), 5, 0)
+    assert calls == [(2 * 2 * 2 * 5, 3)]
+    want = per_batch_straddle(lambda z: z[:, 0], 3, (draws,), (1e-2, 1e-4), 5, 0)
+    assert scalar == want
+    assert list(scalar) == ["a", "b"] and list(scalar["a"]) == [1e-2, 1e-4]
+    assert vector == per_batch_straddle(lambda z: z, 3, (draws,), (1e-2, 1e-4), 5, 0)
