@@ -127,12 +127,15 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
 
     Each point reads u at most once: the core at itself, the collar at
     its reflection, the end cap where its mirror image reads (one
-    recursive pullback), each through ``inner`` when given.
-    ``push(u)`` reads u and grad u (None without gradients) at one set
-    of read points at a time, so no read outlives its use, and returns
-    E u and grad E u at Z.  The reflection keeps its domain check on, so
-    a classification bug surfaces as a domain error instead of a silent
-    wrong value.
+    recursive pullback), each through ``inner`` when given.  The three
+    regions are held as integer index arrays, which scatter faster than
+    boolean masks.  ``push(u)`` reads u and grad u (None without
+    gradients) at one set of read points at a time, so no read outlives
+    its use, and returns E u and grad E u at Z.  It writes the gradient
+    one column at a time: 1-d operations cost less than broadcasting a
+    (k, 1) factor over (k, n - 1) columns.  The reflection keeps its
+    domain check on, so a classification bug surfaces as a domain error
+    instead of a silent wrong value.
     """
     spec = ctx.spec
     k, n = Z.shape
@@ -141,18 +144,18 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
         geometry.collar_radius(spec, t), None)
     label = geometry.classify_extension_region(spec, Z, R)
 
-    core, collar, cap = (label == ExtRegion.CORE, label == ExtRegion.COLLAR,
-                         label == ExtRegion.END_CAP)
+    core, collar, cap = (np.flatnonzero(label == region) for region in
+                         (ExtRegion.CORE, ExtRegion.COLLAR, ExtRegion.END_CAP))
     del label
-    core_reads = _reader(Z[core], with_grad, inner) if np.any(core) else None
+    core_reads = _reader(Z[core], with_grad, inner) if core.size else None
     collar_reads = cap_push = None
-    if np.any(collar):
+    if collar.size:
         _, x, r, R, reflected, cut = _split_collar(ctx, Z[collar], True, R[collar])
         x = np.ascontiguousarray(x)  # a view would keep the whole (k, n) copy
         collar_reads = _reader(reflected, with_grad, inner)
         if with_grad:
             dR = dR[collar]
-    if np.any(cap):
+    if cap.size:
         cap_push = _pullback(ctx, end_cap_pullback(ctx, Z[cap], check=False), with_grad, inner)
         cap_cut = cutoff_cap(ctx, Z[cap], check=False)
 
@@ -179,18 +182,19 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
                 grad[collar, 0] = (r * dR / R ** 2) * uw \
                     + cut * (gw[:, 0] + 1.5 * dR * gx_dot_x / r)
                 radial_term = (-0.5 * r - rho) / r ** 3
-                grad[collar, 1:] = (-(1.0 / (r * R)) * uw
-                                    + cut * radial_term * gx_dot_x)[:, None] * x \
-                    + (cut * rho / r)[:, None] * gw[:, 1:]
+                a = -(1.0 / (r * R)) * uw + cut * radial_term * gx_dot_x
+                b = cut * rho / r
+                for j in range(1, n):
+                    grad[collar, j] = a * x[:, j - 1] + b * gw[:, j]
             del uw, gw
         if cap_push:
             pv, pg = cap_push(u)
             val[cap] = cap_cut * pv
             if with_grad:
                 # d/dz of cutoff_cap(z) * E(4 - t, x): the mirror flips the axial row
-                gcap = cap_cut[:, None] * pg
-                gcap[:, 0] = -pv - cap_cut * pg[:, 0]
-                grad[cap] = gcap
+                grad[cap, 0] = -pv - cap_cut * pg[:, 0]
+                for j in range(1, n):
+                    grad[cap, j] = cap_cut * pg[:, j]
         return val, grad
 
     return push
@@ -219,7 +223,8 @@ def _inverse_pullback(norm_spec: DomainSpec, scale: float):
             radial = g[..., 0] * d_rho / rho
             out = np.empty_like(g)
             out[..., 0] = g[..., 0] * d_s
-            out[..., 1:] = radial[..., None] * y + g[..., 1:] / scale
+            for j in range(1, g.shape[-1]):
+                out[..., j] = radial * y[..., j - 1] + g[..., j] / scale
             return uz, out
 
         return z, chain

@@ -2,8 +2,9 @@
 
 Fields are vectorized over (..., n) point arrays.  Every library field
 carries its analytic gradient, so norm computations stay exact.  The
-extension's fields also carry ``value_and_grad(Z)``: ``(fn(Z), grad(Z))``
-from one cheaper pass, which ``quadrature.w1p_norm`` prefers.
+extension's fields and ``wave`` also carry ``value_and_grad(Z)``:
+``(fn(Z), grad(Z))``, bitwise, from one cheaper pass, which
+``quadrature.w1p_norm`` and the extension's reads prefer.
 """
 
 from __future__ import annotations
@@ -69,13 +70,19 @@ def wave_field(n: int) -> ScalarField:
     def fn(z):
         return np.sin(np.pi * z[..., 0]) * np.cos(np.pi * z[..., 1])
 
-    def grad(z):
+    def value_and_grad(z):
+        # fn and grad from four trigonometric evaluations
+        sin_t, cos_t = np.sin(np.pi * z[..., 0]), np.cos(np.pi * z[..., 0])
+        sin_x, cos_x = np.sin(np.pi * z[..., 1]), np.cos(np.pi * z[..., 1])
         g = np.zeros(z.shape)
-        g[..., 0] = np.pi * np.cos(np.pi * z[..., 0]) * np.cos(np.pi * z[..., 1])
-        g[..., 1] = -np.pi * np.sin(np.pi * z[..., 0]) * np.sin(np.pi * z[..., 1])
-        return g
+        g[..., 0] = np.pi * cos_t * cos_x
+        g[..., 1] = -np.pi * sin_t * sin_x
+        return sin_t * cos_x, g
 
-    return ScalarField("wave", fn, grad)
+    def grad(z):
+        return value_and_grad(z)[1]
+
+    return ScalarField("wave", fn, grad, value_and_grad)
 
 
 def tip_power_field(n: int, gamma: float = 0.5, delta_cap: float = 2.0 ** -10) -> ScalarField:

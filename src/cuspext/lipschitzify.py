@@ -139,9 +139,9 @@ def _solve_step(psi: StepProfile, t_hats: np.ndarray):
 
 def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
     t_hats = np.asarray(t_hats, dtype=float)
-    if np.any(t_hats <= 0.0) or np.any(t_hats > 1.0):
-        bad = t_hats[(t_hats <= 0.0) | (t_hats > 1.0)]
-        raise ProfileDomainError(f"t_hat outside (0, 1]: {np.atleast_1d(bad)[0]!r}")
+    outside = ~((t_hats > 0.0) & (t_hats <= 1.0))  # NaN included
+    if np.any(outside):
+        raise ProfileDomainError(f"t_hat outside (0, 1]: {t_hats[outside].flat[0]!r}")
     if isinstance(psi, LinearProfile):
         # linear profiles are fixed points: t + c t = (1 + c) t_hat forces t = t_hat
         return t_hats.copy(), psi.slope * t_hats, np.zeros(t_hats.shape, dtype=bool)
@@ -223,10 +223,18 @@ class LipschitzizedProfile(CuspProfile):
     def _per_pair(self, t, read):
         """read(t_sol, r_sol, on_jump) once per distinct abscissa of t.
 
-        A trailing axis of the read follows t's shape.
+        A trailing axis of the read follows t's shape.  Runs of equal
+        consecutive abscissae (a quadrature column repeats each t across
+        its cross-section) collapse to their first entry before
+        ``np.unique`` sorts, which solves the same set.
         """
         t = np.asarray(t, dtype=float)
-        uniq, inverse = np.unique(t.reshape(-1), return_inverse=True)
+        flat = t.reshape(-1)
+        head = np.ones(flat.shape, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        uniq, inverse = np.unique(flat[starts], return_inverse=True)
+        inverse = np.repeat(inverse, np.diff(starts, append=flat.size))
         out = read(*_solve_many(self.source, uniq, self.tol))[inverse]
         out = out.reshape(t.shape + out.shape[1:])
         return float(out) if out.ndim == 0 else out

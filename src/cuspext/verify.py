@@ -111,7 +111,7 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
     for u in fields:
         m_u = max(float(np.abs(read(u)[0]).max()), 1e-12)
         normalized = np.abs(push(u)[0].reshape(radius.shape)) / (safety * m_u / radius * delta)
-        worst = float(max(0.0, *normalized.max(axis=1)))
+        worst = float(np.max(normalized, initial=0.0))  # NaN propagates and fails
         reports.append(DecayReport(bool(worst <= 1.0), worst, radius.size))
     return reports
 
@@ -180,10 +180,12 @@ def seam_modulus_cap(ext: ConjugatedExtension, fields, seed: int) -> list[float]
 def seam_verdict(seam_report: dict, modulus_cap: float) -> tuple[bool, str | None]:
     """Continuity verdict: every jump bounded by modulus_cap * delta.
 
-    A failing verdict names the seam with the largest jump / (modulus_cap * delta).
+    A NaN jump fails.  A failing verdict names the seam with the largest
+    jump / (modulus_cap * delta), a NaN one first.
     """
     failing = [(jump / (modulus_cap * delta), seam) for seam, jumps in seam_report.items()
-               for delta, jump in jumps.items() if jump > modulus_cap * delta]
+               for delta, jump in jumps.items() if not jump <= modulus_cap * delta]
     if not failing:
         return True, None
-    return False, max(failing, key=lambda ratio_seam: ratio_seam[0])[1]
+    return False, max(failing, key=lambda ratio_seam: (np.isnan(ratio_seam[0]),
+                                                       ratio_seam[0]))[1]

@@ -438,7 +438,9 @@ def _mixed_points(spec, count, seed):
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_fused_pass_matches_unfused_evaluators(kind, name):
     # value_and_grad, fn and grad are views of one pass; each must equal the
-    # separate value and gradient evaluators bitwise, at every batch shape
+    # separate value and gradient evaluators bitwise, at every batch shape:
+    # helpers.unfused_extension keeps the row-wise broadcast formulas over
+    # boolean masks that the push's column-wise, index-set form must match
     psi = FUSED_PROFILES[kind]
     u = make_field(name, 3)
     ext = extend(psi, 3)

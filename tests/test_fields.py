@@ -27,6 +27,21 @@ def test_analytic_gradient_matches_fd(name):
     assert np.max(np.linalg.norm(ana - num, axis=-1) / scale) <= 1e-5
 
 
+def test_wave_value_and_grad_is_fn_and_grad_bitwise():
+    u = make_field("wave", 3)
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-3.0, 3.0, size=(2000, 3))
+    for batch in (z, z.reshape(40, 50, 3), z[7]):
+        value, gradient = u.value_and_grad(batch)
+        assert np.array_equal(value, u.fn(batch))
+        assert np.array_equal(gradient, u.grad(batch))
+        # the gradient is the six-call formula's, grouped as it was
+        expected = np.zeros(batch.shape)
+        expected[..., 0] = np.pi * np.cos(np.pi * batch[..., 0]) * np.cos(np.pi * batch[..., 1])
+        expected[..., 1] = -np.pi * np.sin(np.pi * batch[..., 0]) * np.sin(np.pi * batch[..., 1])
+        assert np.array_equal(gradient, expected)
+
+
 def test_field_values():
     z = np.array([0.5, 0.3, -0.4])
     assert make_field("constant", 3).fn(z) == 1.0

@@ -134,6 +134,18 @@ def test_hat_domain_errors():
         solve_hat_pair(PowerProfile(2.0), 0.5, tol=0.0)
 
 
+@pytest.mark.parametrize("psi", [PowerProfile(2.0), TWO_STEP, LinearProfile(0.25)],
+                         ids=["bisection", "step", "linear"])
+def test_hat_solve_rejects_nan(psi):
+    # NaN fails both t_hat > 0 and t_hat <= 1, so it is rejected where it enters
+    with pytest.raises(ProfileDomainError, match="nan"):
+        hat_values(psi, [0.5, np.nan])
+    with pytest.raises(ProfileDomainError):
+        solve_hat_pair(psi, float("nan"))
+    with pytest.raises(ProfileDomainError):
+        LipschitzizedProfile(psi).value(np.array([np.nan, 0.3]))
+
+
 def test_convergence_error_carries_bracket():
     class BrokenProfile(CuspProfile):
         kind = "broken"
@@ -325,6 +337,55 @@ def test_lipschitzized_value_and_derivative_share_one_solve(source, monkeypatch)
     assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
     assert value.shape == slope.shape == t.shape
     assert hat.value_and_derivative(0.3) == (hat.value(0.3), hat.derivative(0.3))
+
+
+def _unique_per_pair(hat, t, read):
+    """LipschitzizedProfile._per_pair with np.unique over every abscissa."""
+    t = np.asarray(t, dtype=float)
+    uniq, inverse = np.unique(t.reshape(-1), return_inverse=True)
+    out = read(*lipschitzify._solve_many(hat.source, uniq, hat.tol))[inverse]
+    out = out.reshape(t.shape + out.shape[1:])
+    return float(out) if out.ndim == 0 else out
+
+
+_RUNS = np.repeat(np.geomspace(1e-5, 1.0, 40), 25)  # a quadrature-like t column
+PER_PAIR_INPUTS = {
+    "sorted": _RUNS,
+    "shuffled": np.random.default_rng(8).permutation(_RUNS),
+    "all-equal": np.full(50, 0.3),
+    "single-point": np.array([0.7]),
+    "scalar": np.float64(0.45),
+    "empty": np.array([]),
+    "2-d": _RUNS.reshape(25, 40),  # runs cross the rows
+}
+
+
+@pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
+@pytest.mark.parametrize("case", sorted(PER_PAIR_INPUTS))
+def test_per_pair_run_collapse_matches_unique(source, case, monkeypatch):
+    # collapsing runs of equal abscissae first solves the same set, so every
+    # read is bitwise that of np.unique over all the abscissae
+    hat, t = LipschitzizedProfile(source), PER_PAIR_INPUTS[case]
+
+    def read(t_sol, r_sol, jump):
+        return np.stack([t_sol, r_sol, jump], axis=-1)
+
+    solved = []
+    real = lipschitzify._solve_many
+
+    def recorded(psi, t_hats, tol):
+        solved.append(t_hats.copy())
+        return real(psi, t_hats, tol)
+
+    monkeypatch.setattr(lipschitzify, "_solve_many", recorded)
+    got = hat._per_pair(t, read)
+    want = _unique_per_pair(hat, t, read)
+    assert len(solved) == 2 and np.array_equal(solved[0], solved[1])
+    assert got.shape == want.shape == np.shape(t) + (3,)
+    assert np.array_equal(got, want)
+    value, slope = hat.value_and_derivative(t)
+    assert np.array_equal(value, _unique_per_pair(hat, t, lambda ts, rs, j: rs))
+    assert np.shape(value) == np.shape(slope) == np.shape(t)
 
 
 def test_lipschitzized_derivative_needs_source_slope():

@@ -278,7 +278,8 @@ def _pulled_back_count(spec, Z) -> int:
 def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
     # the unit of work is a node set: per resolution one domain and one
     # extension node set, and each field reads u and grad u once per domain
-    # node for every p and once per pulled-back extension point for every q
+    # node for every p and once per pulled-back extension point for every q,
+    # through value_and_grad when the field has it (wave), else fn and grad
     built = []
     real_build = quadrature.build_nodes
 
@@ -298,7 +299,12 @@ def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
             reads[u.name, "grad"] += z.shape[0]
             return u.grad(z)
 
-        return replace(u, fn=fn, grad=grad)
+        def value_and_grad(z):
+            reads[u.name, "value_and_grad"] += z.shape[0]
+            return u.value_and_grad(z)
+
+        return replace(u, fn=fn, grad=grad,
+                       value_and_grad=value_and_grad if u.value_and_grad else None)
 
     monkeypatch.setattr(quadrature, "build_nodes", build)
     for psi in (PowerProfile(2.0, 0.25), StepProfile([0.5, 1.0], [0.1, 0.2])):
@@ -311,7 +317,9 @@ def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
         hat_spec = extend(psi, 3).hat_context.spec
         want = sum(Z.shape[0] if kind == "domain" else _pulled_back_count(hat_spec, Z)
                    for kind, _, Z in built)
-        assert reads == Counter({(u.name, part): want for u in fields for part in ("fn", "grad")})
+        assert reads == Counter({("const[1.0]", "fn"): want, ("const[1.0]", "grad"): want,
+                                 ("axial", "fn"): want, ("axial", "grad"): want,
+                                 ("wave", "value_and_grad"): want})
 
 
 def test_extension_ratio_straightened_route():

@@ -5,7 +5,7 @@ import pytest
 
 from cuspext import geometry, transform, verify
 from cuspext.extension import extend
-from cuspext.fields import LIBRARY, make_field
+from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, normalize
 from cuspext.profiles import PowerProfile, StepProfile
 from cuspext.transform import sample_domain
@@ -23,6 +23,25 @@ def test_seam_verdict_names_the_worst_seam():
               "cap-end": {1e-3: 0.0, 1e-5: 0.01}}
     assert verify.seam_verdict(report, 10.0) == (False, "cap-end")
     assert verify.seam_verdict(report, 1e4) == (True, None)
+
+
+def test_seam_verdict_fails_a_nan_jump():
+    nan = float("nan")
+    assert verify.seam_verdict({"cap-end": {1e-3: nan}}, 1.0) == (False, "cap-end")
+    # a NaN jump is named before any finite failure, wherever it sits
+    report = {"cap-end": {1e-3: nan}, "cap-interface": {1e-3: 5.0}}
+    assert verify.seam_verdict(report, 1.0) == (False, "cap-end")
+    report = {"cap-interface": {1e-3: 5.0, 1e-5: 0.0}, "cap-end": {1e-3: 0.0, 1e-5: nan}}
+    assert verify.seam_verdict(report, 1.0) == (False, "cap-end")
+
+
+@pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
+def test_boundary_decay_fails_a_nan_field(psi):
+    nan_field = ScalarField("nan", lambda z: np.full(z.shape[:-1], np.nan))
+    ok_field = make_field("wave", 3)
+    bad, good = verify.boundary_decay_check(extend(psi, 3), [nan_field, ok_field], rays=60)
+    assert not bad.ok and np.isnan(bad.max_normalized)
+    assert good.ok and 0.0 < good.max_normalized <= 1.0
 
 
 @pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
