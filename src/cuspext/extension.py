@@ -247,8 +247,7 @@ def _field(name: str, n: int, evaluate, with_grad: bool) -> ScalarField:
             if z.ndim == 0 or z.shape[-1] != n:
                 raise ValueError(f"point has dimension {z.shape[-1] if z.ndim else 0}, "
                                  f"spec has n={n}")
-            if not np.all(np.isfinite(z)):
-                raise ProfileDomainError("extension point is not finite")
+            geometry._finite(z)
             val, grad = evaluate(z.reshape(-1, n), gradient)
             if z.ndim == 1:
                 return pick(float(val[0]), None if grad is None else grad[0])

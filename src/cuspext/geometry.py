@@ -12,7 +12,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import NotNormalizedError
+from .errors import NotNormalizedError, ProfileDomainError
 from .profiles import CuspProfile
 
 # The domain is the cusp {0 < t <= 1, |x| < psi(t)} joined to the tube
@@ -133,37 +133,48 @@ def _require_normalized(spec: DomainSpec):
         )
 
 
-def classify_bilip_region(spec: DomainSpec, z, r=None):
-    """Assign each point to one branch of the global transform.
+def _finite(z):
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ProfileDomainError("point is not finite")
+    return z
 
-    Precedence on shared closures is WEDGE > CYL_TAIL > FAR_TUBE > OUTER;
-    the branch formulas agree there, so the order only fixes determinism.
-    The tail test reads the profile only off the wedge on 0 < t < 2.  A
-    caller that has |x| already (from ``split``) passes it as ``r``.
+
+def bilip_branches(spec: DomainSpec, t, r):
+    """Indices of the WEDGE, CYL_TAIL and OUTER points of finite 1-d (t, |x|).
+
+    FAR_TUBE, last in BilipRegion's order as here, is the rest.  Precedence
+    on shared closures is WEDGE > CYL_TAIL > FAR_TUBE > OUTER; the branch
+    formulas agree there, so the order only fixes determinism.  The tail
+    test reads the profile only off the wedge on 0 < t < 2.
     """
     _require_normalized(spec)
-    if r is None:
-        t, _, r = split(z, spec.n)
-    else:
-        t = np.asarray(z, dtype=float)[..., 0]
-    psi1 = spec.psi1
-    scalar = t.ndim == 0
-    t, r = np.atleast_1d(t), np.atleast_1d(r)
-
+    psi1 = spec.psi1  # a profile read per access
     wedge = r <= 1.0 + psi1 - t
-    band = ~wedge & (t > 0.0) & (t < 2.0)
-    tail = np.zeros(t.shape, dtype=bool)
-    if np.any(band):
-        tail[band] = r[band] < collar_radius(spec, t[band])
-    # later writes take precedence; the rest satisfies
-    # |x| >= max(psi(1), 1 + psi(1) - t)
-    label = np.full(t.shape, int(BilipRegion.OUTER), dtype=np.int64)
-    label[(t >= 2.0) & (r <= psi1)] = BilipRegion.FAR_TUBE
-    label[tail] = BilipRegion.CYL_TAIL
-    label[wedge] = BilipRegion.WEDGE
-    if scalar:
+    rest = ~wedge
+    band = np.flatnonzero(rest & (t > 0.0) & (t < 2.0))
+    tail = band[r[band] < collar_radius(spec, t[band])]
+    rest[tail] = False
+    rest &= (t < 2.0) | (r > psi1)  # off the far tube t >= 2, |x| <= psi(1)
+    # so the outer rest satisfies |x| >= max(psi(1), 1 + psi(1) - t)
+    return np.flatnonzero(wedge), tail, np.flatnonzero(rest)
+
+
+def classify_bilip_region(spec: DomainSpec, z, r=None):
+    """Label each point with its branch of the global transform, from ``bilip_branches``.
+
+    A caller that has |x| already (from ``split``) passes it as ``r``.
+    A non-finite point raises ProfileDomainError.
+    """
+    t = _finite(z)[..., 0]
+    if r is None:
+        r = split(z, spec.n)[2]
+    label = np.full(t.size, int(BilipRegion.FAR_TUBE), dtype=np.int64)
+    for region, points in zip(BilipRegion, bilip_branches(spec, t.reshape(-1), np.reshape(r, -1))):
+        label[points] = region
+    if t.ndim == 0:
         return BilipRegion(int(label[0]))
-    return label
+    return label.reshape(t.shape)
 
 
 def collar_radius(spec: DomainSpec, t, with_slope: bool = False):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import BilipRegion, DomainSpec, contains_with_margin
+from .geometry import DomainSpec, contains_with_margin
 from .lipschitzify import LipschitzizedProfile
 
 # Sampling box covering all four regions after normalization.
@@ -21,38 +21,35 @@ BOX_T = (-1.0, 4.0)
 BOX_RADIUS = 2.0
 
 
-def _axial_forward(spec: DomainSpec, t, r, label):
+def _axial_forward(spec: DomainSpec, t, r):
+    """T's axial coordinate s at 1-d (t, |x|), each branch formula on its own points."""
+    wedge, tail, outer = geometry.bilip_branches(spec, t, r)
     psi1 = spec.psi1
-    return np.select(
-        [label == BilipRegion.WEDGE,
-         label == BilipRegion.CYL_TAIL,
-         label == BilipRegion.OUTER],
-        [(t + r) / (1.0 + psi1),
-         (t + 2.0 * (r - psi1)) / (1.0 + r - psi1),
-         t + r - psi1],
-        default=t,
-    )
+    s = t.copy()  # the far-tube identity
+    s[wedge] = (t[wedge] + r[wedge]) / (1.0 + psi1)
+    s[tail] = (t[tail] + 2.0 * (r[tail] - psi1)) / (1.0 + r[tail] - psi1)
+    s[outer] = t[outer] + r[outer] - psi1
+    return s
 
 
-def _axial_partials(spec: DomainSpec, t, r, label):
-    """(ds/dt, ds/d|x|) of the forward axial branch each point falls in."""
+def _axial_partials(spec: DomainSpec, t, r):
+    """(ds/dt, ds/d|x|) at 1-d (t, |x|), from _axial_forward's branch split."""
+    wedge, tail, outer = geometry.bilip_branches(spec, t, r)
     psi1 = spec.psi1
-    tail = 1.0 + r - psi1
-    branches = [label == BilipRegion.WEDGE,
-                label == BilipRegion.CYL_TAIL,
-                label == BilipRegion.OUTER]
-    d_t = np.select(branches, [1.0 / (1.0 + psi1), 1.0 / tail, 1.0], default=1.0)
-    d_r = np.select(branches, [1.0 / (1.0 + psi1), (2.0 - t) / tail ** 2, 1.0],
-                    default=0.0)
+    d_t, d_r = np.ones(t.shape), np.zeros(t.shape)  # the far-tube identity
+    d_t[wedge] = d_r[wedge] = 1.0 / (1.0 + psi1)
+    tail_den = 1.0 + r[tail] - psi1
+    d_t[tail] = 1.0 / tail_den
+    d_r[tail] = (2.0 - t[tail]) / tail_den ** 2
+    d_r[outer] = 1.0
     return d_t, d_r
 
 
 def forward_map(spec: DomainSpec, z):
-    """Apply the transform; accepts (..., n) arrays, preserves x exactly."""
-    t, _, r = geometry.split(z, spec.n)
-    label = geometry.classify_bilip_region(spec, z, r)
+    """Apply the transform; accepts finite (..., n) arrays, preserves x exactly."""
+    t, _, r = geometry.split(geometry._finite(z), spec.n)
     out = np.array(z, dtype=float, copy=True)
-    out[..., 0] = _axial_forward(spec, t, r, np.asarray(label))
+    out[..., 0] = _axial_forward(spec, t.reshape(-1), np.reshape(r, -1)).reshape(t.shape)
     return out
 
 
@@ -71,28 +68,29 @@ def inverse_map(spec: DomainSpec, w, branches=None):
     """Invert branch-wise; image regions mirror the forward precedence.
 
     ``branches``, the ``_inverse_branches`` of w, lets a caller that
-    also needs ``inverse_partials`` split the points once.
+    also needs ``inverse_partials`` split the points once, and skips the
+    finite check.
     """
-    s, rho, branches = branches or _inverse_branches(spec, w)
+    s, rho, (wedge, tail, tube) = branches or _inverse_branches(spec, geometry._finite(w))
     psi1 = spec.psi1
-    t = np.select(
-        branches,
-        [(1.0 + psi1) * s - rho,
-         s * (1.0 + rho - psi1) - 2.0 * (rho - psi1),
-         s],
-        default=s - rho + psi1,
-    )
     out = np.array(w, dtype=float, copy=True)
-    out[..., 0] = t
+    t = out[..., 0]
+    t[...] = s - rho + psi1  # the outer rest; the other branches overwrite their points
+    t[wedge] = (1.0 + psi1) * s[wedge] - rho[wedge]
+    t[tail] = s[tail] * (1.0 + rho[tail] - psi1) - 2.0 * (rho[tail] - psi1)
+    t[tube] = s[tube]
     return out
 
 
 def inverse_partials(spec: DomainSpec, w, branches=None):
     """(dt/ds, dt/d|y|) of inverse_map's axial row; its other rows are fixed."""
-    s, rho, branches = branches or _inverse_branches(spec, w)
+    s, rho, (wedge, tail, tube) = branches or _inverse_branches(spec, geometry._finite(w))
     psi1 = spec.psi1
-    d_s = np.select(branches, [1.0 + psi1, 1.0 + rho - psi1, 1.0], default=1.0)
-    d_rho = np.select(branches, [-1.0, s - 2.0, 0.0], default=-1.0)
+    d_s, d_rho = np.ones(s.shape), np.full(s.shape, -1.0)  # the outer rest
+    d_s[wedge] = 1.0 + psi1
+    d_s[tail] = 1.0 + rho[tail] - psi1
+    d_rho[tail] = s[tail] - 2.0
+    d_rho[tube] = 0.0
     return d_s, d_rho
 
 
@@ -103,12 +101,11 @@ def jacobian(spec: DomainSpec, z) -> np.ndarray:
     ds/dt of the point's BilipRegion.  The |x| direction is taken as
     zero on the axis.
     """
-    t, x, r = geometry.split(z, spec.n)
-    label = np.asarray(geometry.classify_bilip_region(spec, z, r))
-    d_t, d_r = _axial_partials(spec, t, r, label)
+    t, x, r = geometry.split(geometry._finite(z), spec.n)
+    d_t, d_r = _axial_partials(spec, t.reshape(-1), np.reshape(r, -1))
     jac = np.array(np.broadcast_to(np.eye(spec.n), t.shape + (spec.n, spec.n)))
-    jac[..., 0, 0] = d_t
-    jac[..., 0, 1:] = (d_r / np.maximum(r, 1e-300))[..., None] * x
+    jac[..., 0, 0] = d_t.reshape(t.shape)
+    jac[..., 0, 1:] = (d_r.reshape(t.shape) / np.maximum(r, 1e-300))[..., None] * x
     return jac
 
 
@@ -139,20 +136,28 @@ def sample_box(n: int, count: int, rng: np.random.Generator,
 
 
 def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> DistortionReport:
-    """Difference-quotient and Jacobian extremes over random box pairs."""
+    """Difference-quotient and Jacobian extremes over random box pairs.
+
+    T copies x, so only the axial column of d = a - b is recomputed: |d|
+    then has the bits of |forward_map(a) - forward_map(b)|.  The Jacobian
+    determinant is ds/dt of each probe's branch (see jacobian).
+    """
     if pair_count < 1:
         raise ValueError(f"pair_count must be >= 1, got {pair_count}")
     rng = np.random.default_rng(rng_seed)
     a = sample_box(spec.n, pair_count, rng)
     b = sample_box(spec.n, pair_count, rng)
-    gap = geometry.row_norm(a - b)
+    d = a - b
+    gap = geometry.row_norm(d)
     keep = gap > 1e-12  # degenerate pairs carry no quotient information
-    ratios = geometry.row_norm(forward_map(spec, a[keep]) - forward_map(spec, b[keep])) / gap[keep]
+    if not keep.all():
+        a, b, d, gap = a[keep], b[keep], d[keep], gap[keep]
+    d[:, 0] = (_axial_forward(spec, a[:, 0], geometry.row_norm(a[:, 1:]))
+               - _axial_forward(spec, b[:, 0], geometry.row_norm(b[:, 1:])))
+    ratios = geometry.row_norm(d) / gap
 
     probes = sample_box(spec.n, pair_count, rng)
-    t, _, r = geometry.split(probes, spec.n)
-    # the Jacobian determinant is ds/dt (see jacobian)
-    dets, _ = _axial_partials(spec, t, r, geometry.classify_bilip_region(spec, probes, r))
+    dets, _ = _axial_partials(spec, probes[:, 0], geometry.row_norm(probes[:, 1:]))
     return DistortionReport(
         sample_count=int(keep.sum()),
         min_ratio=float(ratios.min()),

@@ -5,13 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cuspext import extension, geometry
+from cuspext import extension, geometry, transform
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
-from cuspext.geometry import DomainSpec, ExtRegion
+from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
 from cuspext.profiles import StepProfile, profile_derivative, save_profile_csv
-from cuspext.transform import inverse_map, inverse_partials, sample_box
+from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
 
 
 def cutoff_cusp_gradient(ctx: ExtensionContext, z, slope=None) -> np.ndarray:
@@ -183,3 +183,112 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
 
     return ScalarField(f"extend({u.name})", batched(eval_inner, cap_value, float),
                        batched(grad_inner, cap_gradient, lambda g: g))
+
+
+# -- the straightening map with every branch formula on every point -----------
+# The reference the branch-split transform must match bitwise: a label array
+# from mask precedence, every branch formula evaluated on every point and
+# one picked per point with np.select, as the library did before it split
+# each point into T's branches once.
+
+
+def select_bilip_labels(spec: DomainSpec, z) -> np.ndarray:
+    """classify_bilip_region's int64 labels, always an array of t's shape."""
+    geometry._require_normalized(spec)
+    t, _, r = geometry.split(z, spec.n)
+    psi1 = spec.psi1
+    shape = t.shape
+    t, r = np.atleast_1d(t), np.atleast_1d(r)
+    wedge = r <= 1.0 + psi1 - t
+    band = ~wedge & (t > 0.0) & (t < 2.0)
+    tail = np.zeros(t.shape, dtype=bool)
+    if np.any(band):
+        tail[band] = r[band] < geometry.collar_radius(spec, t[band])
+    # later writes take precedence
+    label = np.full(t.shape, int(BilipRegion.OUTER), dtype=np.int64)
+    label[(t >= 2.0) & (r <= psi1)] = BilipRegion.FAR_TUBE
+    label[tail] = BilipRegion.CYL_TAIL
+    label[wedge] = BilipRegion.WEDGE
+    return label.reshape(shape)
+
+
+def _forward_branches(label):
+    return [label == BilipRegion.WEDGE, label == BilipRegion.CYL_TAIL,
+            label == BilipRegion.OUTER]
+
+
+def _select_axial(spec, t, r, label):
+    psi1 = spec.psi1
+    return np.select(
+        _forward_branches(label),
+        [(t + r) / (1.0 + psi1), (t + 2.0 * (r - psi1)) / (1.0 + r - psi1), t + r - psi1],
+        default=t,
+    )
+
+
+def _select_partials(spec, t, r, label):
+    psi1 = spec.psi1
+    tail = 1.0 + r - psi1
+    branches = _forward_branches(label)
+    d_t = np.select(branches, [1.0 / (1.0 + psi1), 1.0 / tail, 1.0], default=1.0)
+    d_r = np.select(branches, [1.0 / (1.0 + psi1), (2.0 - t) / tail ** 2, 1.0],
+                    default=0.0)
+    return d_t, d_r
+
+
+def select_forward_map(spec: DomainSpec, z) -> np.ndarray:
+    t, _, r = geometry.split(z, spec.n)
+    out = np.array(z, dtype=float, copy=True)
+    out[..., 0] = _select_axial(spec, t, r, select_bilip_labels(spec, z))
+    return out
+
+
+def select_jacobian(spec: DomainSpec, z) -> np.ndarray:
+    t, x, r = geometry.split(z, spec.n)
+    d_t, d_r = _select_partials(spec, t, r, select_bilip_labels(spec, z))
+    jac = np.array(np.broadcast_to(np.eye(spec.n), t.shape + (spec.n, spec.n)))
+    jac[..., 0, 0] = d_t
+    jac[..., 0, 1:] = (d_r / np.maximum(r, 1e-300))[..., None] * x
+    return jac
+
+
+def select_inverse_map(spec: DomainSpec, w) -> np.ndarray:
+    s, rho, branches = transform._inverse_branches(spec, w)
+    psi1 = spec.psi1
+    out = np.array(w, dtype=float, copy=True)
+    out[..., 0] = np.select(
+        branches,
+        [(1.0 + psi1) * s - rho, s * (1.0 + rho - psi1) - 2.0 * (rho - psi1), s],
+        default=s - rho + psi1,
+    )
+    return out
+
+
+def select_inverse_partials(spec: DomainSpec, w):
+    s, rho, branches = transform._inverse_branches(spec, w)
+    psi1 = spec.psi1
+    d_s = np.select(branches, [1.0 + psi1, 1.0 + rho - psi1, 1.0], default=1.0)
+    d_rho = np.select(branches, [-1.0, s - 2.0, 0.0], default=-1.0)
+    return d_s, d_rho
+
+
+def select_distortion_sample(spec: DomainSpec, pair_count: int,
+                             rng_seed: int) -> DistortionReport:
+    """distortion_sample from two full forward images; draws via transform.sample_box."""
+    rng = np.random.default_rng(rng_seed)
+    a = transform.sample_box(spec.n, pair_count, rng)
+    b = transform.sample_box(spec.n, pair_count, rng)
+    gap = geometry.row_norm(a - b)
+    keep = gap > 1e-12
+    ratios = geometry.row_norm(select_forward_map(spec, a[keep])
+                               - select_forward_map(spec, b[keep])) / gap[keep]
+    probes = transform.sample_box(spec.n, pair_count, rng)
+    t, _, r = geometry.split(probes, spec.n)
+    dets, _ = _select_partials(spec, t, r, select_bilip_labels(spec, probes))
+    return DistortionReport(
+        sample_count=int(keep.sum()),
+        min_ratio=float(ratios.min()),
+        max_ratio=float(ratios.max()),
+        min_jacobian=float(np.abs(dets).min()),
+        max_jacobian=float(np.abs(dets).max()),
+    )

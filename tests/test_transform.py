@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 from fd_oracle import central_difference
+from helpers import (
+    select_bilip_labels,
+    select_distortion_sample,
+    select_forward_map,
+    select_inverse_map,
+    select_inverse_partials,
+    select_jacobian,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext.errors import NotNormalizedError
-from cuspext.geometry import BilipRegion, DomainSpec, classify_bilip_region
+from cuspext import geometry, transform
+from cuspext.errors import NotNormalizedError, ProfileDomainError
+from cuspext.geometry import BilipRegion, DomainSpec, classify_bilip_region, normalize
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
 from cuspext.transform import (
     distortion_sample,
@@ -169,3 +178,113 @@ def test_identity_region_ratios_are_one():
 def test_round_trip_property(t, x1, x2):
     z = np.array([t, x1, x2])
     assert np.max(np.abs(inverse_map(SPEC, forward_map(SPEC, z)) - z)) <= 1e-9
+
+
+ORACLE_SPECS = {
+    "power": SPEC,
+    "two-step": DomainSpec(3, StepProfile([0.5, 1.0], [0.1, 0.2])),
+    "normalized-step": normalize(DomainSpec(3, StepProfile([0.3, 1.0], [0.3, 0.6])))[0],
+}
+
+
+def _seam_points(spec: DomainSpec) -> np.ndarray:
+    """Points on every branch boundary and in every branch, (k, 3)."""
+    psi1 = spec.psi1
+    rng = np.random.default_rng(7)
+    r = np.array([0.0, 0.25 * psi1, psi1, 0.3, 1.0 + psi1, 1.7])
+    t = np.array([-0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 2.0 + 1e-12, 3.5])
+    cusp_t = np.array([0.2, 0.5, 0.7, 1.0])
+    rt = [
+        ((1.0 + psi1) - r, r),  # cone t + |x| = 1 + psi(1)
+        (np.array([1.0, 1.4, 2.0, 3.0]), np.full(4, psi1)),  # side |x| = psi(1), t >= 1
+        (np.full(4, 2.0), np.array([0.0, 0.3, 0.9, 1.0]) * psi1),  # disk t = 2
+        (cusp_t, spec.psi.value(cusp_t)),  # the domain's wall |x| = psi(t)
+        (np.repeat(t, r.size), np.tile(r, t.size)),  # t <= 0, t >= 2, r = 0 and between
+    ]
+    t_all = np.concatenate([t for t, _ in rt])
+    r_all = np.concatenate([r for _, r in rt])
+    on_axis = np.stack([t_all, r_all, np.zeros_like(r_all)], axis=1)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=r_all.size)
+    turned = np.stack([t_all, r_all * np.cos(angle), r_all * np.sin(angle)], axis=1)
+    return np.concatenate([on_axis, turned, sample_box(3, 400, rng)])
+
+
+def _batches(points: np.ndarray):
+    k = points.shape[0] // 2 * 2
+    return [points[0], points, points[:k].reshape(2, k // 2, 3), points[:0]]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_branch_split_matches_select_oracle_bitwise(spec):
+    points = _seam_points(spec)
+    labels = select_bilip_labels(spec, points)
+    assert set(labels) == {int(b) for b in BilipRegion}
+    images = transform.forward_map(spec, points)
+    psi1 = spec.psi1
+    image_seams = np.array([[1.0, 0.1, 0.0], [2.0, 0.5 * psi1, 0.0], [1.5, psi1, 0.0],
+                            [2.5, psi1, 0.0], [0.5, 0.0, 0.0], [3.0, 2.0, 0.0]])
+    for z in _batches(points):
+        assert _same_bits(transform.forward_map(spec, z), select_forward_map(spec, z))
+        assert _same_bits(transform.jacobian(spec, z), select_jacobian(spec, z))
+        assert _same_bits(classify_bilip_region(spec, z), select_bilip_labels(spec, z))
+        r = geometry.split(z, 3)[2]
+        assert _same_bits(classify_bilip_region(spec, z, r), select_bilip_labels(spec, z))
+    for w in _batches(np.concatenate([images, image_seams])):
+        assert _same_bits(transform.inverse_map(spec, w), select_inverse_map(spec, w))
+        for got, want in zip(transform.inverse_partials(spec, w),
+                             select_inverse_partials(spec, w)):
+            assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
+def test_distortion_sample_matches_select_oracle(spec):
+    for seed in (0, 1, 1009):
+        assert transform.distortion_sample(spec, 5_000, seed) == \
+            select_distortion_sample(spec, 5_000, seed)
+
+
+def test_distortion_sample_degenerate_pairs_match_oracle(monkeypatch):
+    real, drawn = transform.sample_box, []
+
+    def sample_box_with_repeats(n, count, rng, **kwargs):
+        z = real(n, count, rng, **kwargs)
+        if len(drawn) % 3 == 1:  # b of each (a, b, probes): repeat some rows of a
+            z[::7] = drawn[-1][::7]
+            z[3::7] = drawn[-1][3::7] + 1e-13
+        drawn.append(z)
+        return z
+
+    monkeypatch.setattr(transform, "sample_box", sample_box_with_repeats)
+    for spec in ORACLE_SPECS.values():
+        got = transform.distortion_sample(spec, 700, 1)
+        assert got == select_distortion_sample(spec, 700, 1)
+        assert got.sample_count == 500
+
+
+def test_distortion_sample_skips_the_finite_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "_finite", calls.append)
+    transform.distortion_sample(SPEC, 100, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1], ids=["t", "x"])
+def test_non_finite_points_are_rejected(bad, column):
+    point = np.array([0.5, 0.1, 0.0])
+    point[column] = bad
+    batch = np.stack([np.array([0.5, 0.1, 0.0]), point, np.array([3.0, 0.0, 0.1])])
+    for z in (point, batch):
+        for call in (lambda z: transform.forward_map(SPEC, z),
+                     lambda z: transform.jacobian(SPEC, z),
+                     lambda z: classify_bilip_region(SPEC, z),
+                     lambda z: classify_bilip_region(SPEC, z, geometry.split(z, 3)[2]),
+                     lambda z: transform.inverse_map(SPEC, z),
+                     lambda z: transform.inverse_partials(SPEC, z)):
+            with pytest.raises(ProfileDomainError, match="not finite"):
+                call(z)
