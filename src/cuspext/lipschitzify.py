@@ -26,6 +26,8 @@ MAX_BISECT_ITER = 200
 # is exact for k <= 52), and floats in [0, 1) lie at most 2^-53 apart:
 # no bracket can close before the 53rd halving.
 FIRST_CLOSING_ITER = 53
+# the bracket widths 2^-1 ... 2^-52 of the halvings before that one
+_DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, FIRST_CLOSING_ITER))
 
 
 @dataclass(frozen=True)
@@ -45,52 +47,71 @@ class HatPair:
 
 def _g_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
     """g(t) = t + psi(t), with the zero extension psi(t) = 0 for t <= 0."""
-    pos = t > 0.0
-    if t.size and pos.all():
+    if t.size and t.min() > 0.0:  # NaN fails the comparison
         return t + psi.value(t)
     out = np.array(t, dtype=float, copy=True)
+    pos = t > 0.0
     if np.any(pos):
         out[pos] += psi.value(t[pos])
     return out
 
 
-def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float):
+def _g_finite(gm: np.ndarray, mid: np.ndarray) -> None:
+    """Raise ConvergenceError at the first midpoint where g is not finite."""
+    if not np.isfinite(gm).all():
+        bad = mid[~np.isfinite(gm)][0]
+        raise ConvergenceError(f"non-finite profile value near t={bad}",
+                               bracket=(float(bad), float(bad)))
+
+
+def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float, psi1: float):
     """Vectorized bisection of g on [0, 1]; handles jump gaps.
 
     Bisection is the only safe choice here: g is monotone but need not
     be continuous, so derivative-based methods can cycle across a jump.
     An element stops once no float lies strictly inside its bracket;
     further halving could not move it, so each result is independent of
-    the rest of the batch.  The loop carries only the live elements,
-    compacted, and writes a bracket back when its element stops.
+    the rest of the batch.  ``psi1`` is psi(1), read once by the caller.
+
+    The halvings run in two phases with the bits of plain bisection,
+    mid = (lo + hi) / 2.  After k halvings every bracket is
+    [lo, lo + 2^-k] with lo a multiple of 2^-k in [0, 1), so through
+    halving 52 the dyadic phase keeps only lo: the midpoint lo + 2^-k
+    and the update lo += 2^-k * (g(mid) <= target) are both exact, and
+    no bracket can stop yet (FIRST_CLOSING_ITER).  The closing phase
+    starts from the exact hi = lo + 2^-52 and carries only the live
+    elements, compacted, writing a bracket back when its element stops.
     """
-    psi1 = psi.value_at_1
     targets = (1.0 + psi1) * t_hats
-    lo, hi = np.zeros(targets.shape), np.ones(targets.shape)
-    lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
+    tg_flat = targets.reshape(-1)
+    lo_flat = np.zeros(tg_flat.shape)
+    if tg_flat.size:
+        for step in _DYADIC_STEPS:
+            mid = lo_flat + step
+            gm = _g_values(psi, mid)
+            _g_finite(gm, mid)
+            lo_flat += step * (gm <= tg_flat)
+    hi_flat = lo_flat + _DYADIC_STEPS[-1]
     # the live elements: flat positions, brackets and targets
-    at = np.arange(targets.size)
-    lo_l, hi_l, tg_l = lo_flat.copy(), hi_flat.copy(), targets.reshape(-1)
-    for k in range(1, MAX_BISECT_ITER + 1):
+    at = np.arange(tg_flat.size)
+    lo_l, hi_l, tg_l = lo_flat.copy(), hi_flat.copy(), tg_flat
+    for _ in range(FIRST_CLOSING_ITER, MAX_BISECT_ITER + 1):
+        if not at.size:
+            break
         mid = 0.5 * (lo_l + hi_l)
         gm = _g_values(psi, mid)
-        if not np.all(np.isfinite(gm)):
-            bad = mid[~np.isfinite(gm)][0]
-            raise ConvergenceError(f"non-finite profile value near t={bad}",
-                                   bracket=(float(bad), float(bad)))
+        _g_finite(gm, mid)
         below = gm <= tg_l
         # in place; putmask is faster here than copyto(..., where=)
         np.putmask(lo_l, below, mid)
         np.putmask(hi_l, ~below, mid)
-        if k >= FIRST_CLOSING_ITER:
-            stop = np.nextafter(lo_l, hi_l) >= hi_l
-            if stop.any():
-                lo_flat[at[stop]], hi_flat[at[stop]] = lo_l[stop], hi_l[stop]
-                go = ~stop
-                at, lo_l, hi_l, tg_l = at[go], lo_l[go], hi_l[go], tg_l[go]
-        if not at.size:
-            break
+        stop = np.nextafter(lo_l, hi_l) >= hi_l
+        if stop.any():
+            lo_flat[at[stop]], hi_flat[at[stop]] = lo_l[stop], hi_l[stop]
+            go = ~stop
+            at, lo_l, hi_l, tg_l = at[go], lo_l[go], hi_l[go], tg_l[go]
     lo_flat[at], hi_flat[at] = lo_l, hi_l
+    lo, hi = lo_flat.reshape(targets.shape), hi_flat.reshape(targets.shape)
     residual = targets - _g_values(psi, lo)
     width = hi - lo
     unresolved = (residual > tol) & (width > tol)
@@ -121,9 +142,8 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float):
     return t_sol, r_sol, on_jump
 
 
-def _solve_step(psi: StepProfile, t_hats: np.ndarray):
-    """Closed-form pairs for step profiles via piece lookup."""
-    psi1 = psi.value_at_1
+def _solve_step(psi: StepProfile, t_hats: np.ndarray, psi1: float):
+    """Closed-form pairs for step profiles via piece lookup; psi1 = psi(1)."""
     targets = (1.0 + psi1) * t_hats
     hi_vals = psi.breaks + psi.values  # g at right endpoints, strictly increasing
     idx = np.searchsorted(hi_vals, targets, side="left")
@@ -138,6 +158,8 @@ def _solve_step(psi: StepProfile, t_hats: np.ndarray):
 
 
 def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
+    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     t_hats = np.asarray(t_hats, dtype=float)
     outside = ~((t_hats > 0.0) & (t_hats <= 1.0))  # NaN included
     if np.any(outside):
@@ -146,22 +168,21 @@ def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
         # linear profiles are fixed points: t + c t = (1 + c) t_hat forces t = t_hat
         return t_hats.copy(), psi.slope * t_hats, np.zeros(t_hats.shape, dtype=bool)
     at_end = t_hats == 1.0
+    psi1 = psi.value_at_1  # one profile call per solve
     if isinstance(psi, StepProfile):
-        t_sol, r_sol, jump = _solve_step(psi, t_hats)
+        t_sol, r_sol, jump = _solve_step(psi, t_hats, psi1)
     else:
-        t_sol, r_sol, jump = _solve_bisect(psi, t_hats, tol)
+        t_sol, r_sol, jump = _solve_bisect(psi, t_hats, tol, psi1)
     if np.any(at_end):
         # endpoint convention: hat_psi(1) = psi(1) via the pair (1, psi(1))
         t_sol[at_end] = 1.0
-        r_sol[at_end] = psi.value_at_1
+        r_sol[at_end] = psi1
         jump[at_end] = False
     return t_sol, r_sol, jump
 
 
 def solve_hat_pair(psi: CuspProfile, t_hat: float, tol: float = DEFAULT_TOL) -> HatPair:
     """Solve for the unique boundary pair at a single t_hat in (0, 1]."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     t_sol, r_sol, jump = _solve_many(psi, np.atleast_1d(float(t_hat)), tol)
     return HatPair(float(t_hat), float(t_sol[0]), float(r_sol[0]), bool(jump[0]))
 
@@ -188,7 +209,7 @@ def hat_profile(psi: CuspProfile, grid, tol: float = DEFAULT_TOL) -> StepProfile
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ProfileFormatError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0.0):
+    if not (np.diff(grid) > 0.0).all():  # NaN fails the comparison
         raise ProfileFormatError("grid must be strictly ascending")
     if grid[-1] != 1.0:
         raise ProfileFormatError(f"grid must end at 1.0, got {grid[-1]}")
@@ -340,6 +361,9 @@ def verify_doubling_transfer(psi: CuspProfile, grid, c_psi: float | None = None,
     if c_psi is None:
         raise ValueError("profile has no doubling constant; pass c_psi explicitly")
     grid = np.asarray(grid, dtype=float)
+    if not np.isfinite(grid).all():
+        bad = grid[~np.isfinite(grid)].flat[0]
+        raise ProfileDomainError(f"grid point not finite: {bad!r}")
     psi1 = psi.value_at_1
     grid = grid[(grid > 0.0) & (grid <= 1.0 / (2.0 * (1.0 + psi1)))]
     if grid.size == 0:

@@ -29,6 +29,9 @@ def _finite_above(name: str, value, low: float) -> float:
 
 def _check_t(t):
     t = np.asarray(t, dtype=float)
+    # two reductions accept a batch; the mask below only names the first bad value
+    if t.size and t.min() > 0.0 and t.max() <= 1.0 + _T_EPS:
+        return t
     bad = ~((t > 0.0) & (t <= 1.0 + _T_EPS))  # NaN fails both comparisons
     if np.any(bad):
         first = np.atleast_1d(t)[np.atleast_1d(bad)][0]

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from cuspext import extension, geometry, transform
-from cuspext.errors import ProfileDomainError
+from cuspext.errors import ConvergenceError, ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
-from cuspext.profiles import StepProfile, profile_derivative, save_profile_csv
+from cuspext.lipschitzify import FIRST_CLOSING_ITER, MAX_BISECT_ITER
+from cuspext.profiles import _T_EPS, StepProfile, profile_derivative, save_profile_csv
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
 
 
@@ -292,3 +293,78 @@ def select_distortion_sample(spec: DomainSpec, pair_count: int,
         min_jacobian=float(np.abs(dets).min()),
         max_jacobian=float(np.abs(dets).max()),
     )
+
+
+# -- the hat solve's one-phase bisection and the mask-only domain check ------
+# The references the two-phase bisection and the two-reduction ``_check_t``
+# must match bitwise: every halving forms mid = (lo + hi) / 2 and moves
+# both ends with a mask, and every domain check builds the full mask.
+
+
+def mask_check_t(t):
+    """The profile argument check as one mask over the whole batch."""
+    t = np.asarray(t, dtype=float)
+    bad = ~((t > 0.0) & (t <= 1.0 + _T_EPS))  # NaN fails both comparisons
+    if np.any(bad):
+        first = np.atleast_1d(t)[np.atleast_1d(bad)][0]
+        raise ProfileDomainError(f"profile argument outside (0, 1]: {first!r}")
+    return t
+
+
+def _one_phase_g(psi, t):
+    pos = t > 0.0
+    if t.size and pos.all():
+        return t + psi.value(t)
+    out = np.array(t, dtype=float, copy=True)
+    if np.any(pos):
+        out[pos] += psi.value(t[pos])
+    return out
+
+
+def one_phase_solve_bisect(psi, t_hats, tol):
+    """The generic hat solve with one bisection loop from halving 1 on."""
+    targets = (1.0 + psi.value_at_1) * t_hats
+    lo, hi = np.zeros(targets.shape), np.ones(targets.shape)
+    lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
+    at = np.arange(targets.size)
+    lo_l, hi_l, tg_l = lo_flat.copy(), hi_flat.copy(), targets.reshape(-1)
+    for k in range(1, MAX_BISECT_ITER + 1):
+        mid = 0.5 * (lo_l + hi_l)
+        gm = _one_phase_g(psi, mid)
+        if not np.all(np.isfinite(gm)):
+            bad = mid[~np.isfinite(gm)][0]
+            raise ConvergenceError(f"non-finite profile value near t={bad}",
+                                   bracket=(float(bad), float(bad)))
+        below = gm <= tg_l
+        np.putmask(lo_l, below, mid)
+        np.putmask(hi_l, ~below, mid)
+        if k >= FIRST_CLOSING_ITER:
+            stop = np.nextafter(lo_l, hi_l) >= hi_l
+            if stop.any():
+                lo_flat[at[stop]], hi_flat[at[stop]] = lo_l[stop], hi_l[stop]
+                go = ~stop
+                at, lo_l, hi_l, tg_l = at[go], lo_l[go], hi_l[go], tg_l[go]
+        if not at.size:
+            break
+    lo_flat[at], hi_flat[at] = lo_l, hi_l
+    residual = targets - _one_phase_g(psi, lo)
+    unresolved = (residual > tol) & (hi - lo > tol)
+    if np.any(unresolved):
+        i = int(np.argmax(unresolved))
+        raise ConvergenceError(f"bisection stalled at t_hat={t_hats[i]}",
+                               bracket=(float(lo[i]), float(hi[i])))
+    t_sol = lo.copy()
+    on_jump = residual > tol
+    if np.any(on_jump):
+        breaks = psi.breakpoints()
+        if breaks.size:
+            idx = np.searchsorted(breaks, lo[on_jump])
+            for cand in (idx - 1, idx):
+                ok = (cand >= 0) & (cand < breaks.size)
+                b = np.where(ok, breaks[np.clip(cand, 0, breaks.size - 1)], np.nan)
+                snap = ok & (np.abs(b - lo[on_jump]) <= np.maximum(tol, 1e-14))
+                sub = t_sol[on_jump]
+                sub[snap] = b[snap]
+                t_sol[on_jump] = sub
+        t_sol[on_jump & (lo <= 1e-17)] = 0.0
+    return t_sol, targets - t_sol, on_jump

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fd_oracle import central_difference
-from helpers import profile_to_csv_text
+from helpers import one_phase_solve_bisect, profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +34,11 @@ TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2], doubling_constant=2.0)
 # root (sqrt(5) - 1)/2, so the re-profiled value is (3 - sqrt(5))/2
 T_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def bisect(psi, ts):
+    """The generic solver as ``_solve_many`` calls it, with psi(1) read once."""
+    return _solve_bisect(psi, ts, 1e-12, psi.value_at_1)
 
 
 def test_hat_pair_power_oracle():
@@ -71,7 +76,7 @@ def test_generic_bisection_matches_step_fast_path():
     for i, t in enumerate(ts):
         pair = solve_hat_pair(TWO_STEP, t)
         t_f[i], r_f[i], j_f[i] = pair.t_component, pair.r_component, pair.on_jump
-    t_b, r_b, j_b = _solve_bisect(TWO_STEP, ts, 1e-12)
+    t_b, r_b, j_b = bisect(TWO_STEP, ts)
     assert np.max(np.abs(t_b - t_f)) <= 1e-11
     assert np.max(np.abs(r_b - r_f)) <= 1e-11
     assert np.array_equal(j_b, j_f)
@@ -87,28 +92,152 @@ def test_bisection_g_reads_are_fixed(monkeypatch):
         return real(psi, t)
 
     monkeypatch.setattr(lipschitzify, "_g_values", counted)
-    _solve_bisect(PowerProfile(2.0), np.geomspace(1e-9, 1.0, 1000), 1e-12)
+    bisect(PowerProfile(2.0), np.geomspace(1e-9, 1.0, 1000))
     assert (len(calls), sum(calls)) == (82, 67_525)
 
 
 def test_bisection_result_independent_of_batch():
     # a jump profile through the generic solver, not the step fast path
     ts = np.concatenate([np.linspace(0.01, 1.0, 150), np.geomspace(1e-12, 0.3, 50)])
-    whole = _solve_bisect(TWO_STEP, ts, 1e-12)
-    halves = [_solve_bisect(TWO_STEP, part, 1e-12) for part in (ts[::2], ts[1::2])]
+    whole = bisect(TWO_STEP, ts)
+    halves = [bisect(TWO_STEP, part) for part in (ts[::2], ts[1::2])]
     for got, a, b in zip(whole, *halves):
         assert got[::2].tobytes() == a.tobytes() and got[1::2].tobytes() == b.tobytes()
     for i in (0, 77, 199):
-        single = _solve_bisect(TWO_STEP, ts[i:i + 1], 1e-12)
+        single = bisect(TWO_STEP, ts[i:i + 1])
         assert all(s[0] == w[i] for s, w in zip(single, whole))
 
 
 @pytest.mark.parametrize("psi", [PowerProfile(2.0), TWO_STEP], ids=["power", "two-step"])
 def test_bisection_2d_matches_flat(psi):
     ts = np.geomspace(1e-6, 1.0, 60).reshape(6, 10)
-    for got, flat in zip(_solve_bisect(psi, ts, 1e-12), _solve_bisect(psi, ts.ravel(), 1e-12)):
+    for got, flat in zip(bisect(psi, ts), bisect(psi, ts.ravel())):
         assert got.shape == (6, 10) and got.ravel().tobytes() == flat.tobytes()
     assert hat_values(psi, ts).ravel().tobytes() == hat_values(psi, ts.ravel()).tobytes()
+
+
+# the grids of the two-phase parity check: down to 1e-12 and up to t_hat = 1,
+# 2-d, a single point, empty, and t_hat = 1 alone
+PARITY_GRIDS = [np.stack([np.geomspace(1e-12, 1.0, 40), np.linspace(0.025, 1.0, 40)]),
+                np.array([0.37]), np.empty(0), np.array([1.0])]
+
+
+def assert_same_solve(psi, ts):
+    got, want = bisect(psi, ts), one_phase_solve_bisect(psi, ts, 1e-12)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_two_phase_bisection_matches_one_phase_power():
+    # the dyadic phase keeps only lo; each of its sums is exact, so the
+    # bits are those of mid = (lo + hi) / 2 from the first halving on
+    sigmas = np.round(np.arange(1.1, 4.05, 0.1), 12).tolist() + [7.3]
+    for sigma in sigmas:
+        for coeff in (0.25, 1.0, 3.7):
+            for ts in PARITY_GRIDS:
+                assert_same_solve(PowerProfile(sigma, coeff), ts)
+
+
+@pytest.mark.parametrize("psi", [CuspProfile.scaled(PowerProfile(2.5), 0.3), TWO_STEP,
+                                 CuspProfile.scaled(TWO_STEP, 2.0)],
+                         ids=["scaled-power", "two-step", "scaled-two-step"])
+def test_two_phase_bisection_matches_one_phase_views(psi):
+    for ts in PARITY_GRIDS + [np.linspace(0.01, 1.0, 300)]:
+        assert_same_solve(psi, ts)
+
+
+class NanBelow(CuspProfile):
+    """t^2 with NaN below ``cut``; psi(1) = 1 whatever the cut."""
+
+    kind = "nan-below"
+
+    def __init__(self, cut):
+        self.cut = cut
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < self.cut, np.nan, t * t)
+
+    def right_limit(self, t):
+        return self.value(t)
+
+    @property
+    def lipschitz_constant(self):
+        return None
+
+    @property
+    def value_at_1(self):
+        return 1.0
+
+
+@pytest.mark.parametrize("cut, ts", [(2.0, [0.5]), (0.3, [0.01, 0.9]), (1e-20, [0.6, 1e-21])],
+                         ids=["everywhere", "dyadic-phase", "closing-phase"])
+def test_two_phase_bisection_errors_match_one_phase(cut, ts):
+    ts = np.array(ts)
+    with pytest.raises(ConvergenceError) as want:
+        one_phase_solve_bisect(NanBelow(cut), ts, 1e-12)
+    with pytest.raises(ConvergenceError) as got:
+        bisect(NanBelow(cut), ts)
+    assert str(got.value) == str(want.value)
+    assert got.value.bracket == want.value.bracket
+
+
+def test_bisection_empty_batch_runs_no_halving(monkeypatch):
+    calls = []
+    real = lipschitzify._g_values
+
+    def counted(psi, t):
+        calls.append(np.size(t))
+        return real(psi, t)
+
+    monkeypatch.setattr(lipschitzify, "_g_values", counted)
+    t_sol, r_sol, jump = bisect(PowerProfile(2.0), np.empty((0, 3)))
+    assert calls == [0]  # only the residual read; no halving runs
+    assert t_sol.shape == r_sol.shape == jump.shape == (0, 3)
+
+
+class CountedPower(PowerProfile):
+    def __init__(self):
+        super().__init__(2.0)
+        self.ndims = []
+
+    def value(self, t):
+        self.ndims.append(np.ndim(t))
+        return super().value(t)
+
+
+class CountedStep(StepProfile):
+    def __init__(self):
+        super().__init__([0.5, 1.0], [0.1, 0.2])
+        self.ndims = []
+
+    def value(self, t):
+        self.ndims.append(np.ndim(t))
+        return super().value(t)
+
+
+@pytest.mark.parametrize("make", [CountedPower, CountedStep], ids=["bisection", "step"])
+def test_hat_solve_reads_psi1_once(make):
+    # psi(1) scales the targets and is the endpoint value: one read serves both
+    psi = make()
+    vals = hat_values(psi, [0.3, 1.0])
+    assert psi.ndims.count(0) == 1
+    assert vals[1] == psi.value_at_1
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
+@pytest.mark.parametrize("psi", [PowerProfile(2.0), TWO_STEP, LinearProfile(0.25)],
+                         ids=["bisection", "step", "linear"])
+def test_hat_solve_rejects_bad_tol(psi, tol):
+    grid = np.array([0.1, 0.3, 0.7, 1.0])
+    for call in (lambda: hat_values(psi, grid, tol),
+                 lambda: solve_hat_pair(psi, 0.3, tol),
+                 lambda: hat_profile(psi, grid, tol),
+                 lambda: LipschitzizedProfile(psi, tol).value(grid),
+                 lambda: verify_monotone_quotient(psi, grid, tol),
+                 lambda: verify_doubling_transfer(psi, grid, 2.0, tol)):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call()
 
 
 def test_hat_below_profile_infimum():
@@ -165,7 +294,7 @@ def test_convergence_error_carries_bracket():
             return 1.0
 
     with pytest.raises(ConvergenceError) as err:
-        _solve_bisect(BrokenProfile(), np.array([0.5]), 1e-12)
+        bisect(BrokenProfile(), np.array([0.5]))
     assert err.value.bracket is not None
 
 
@@ -258,6 +387,9 @@ def test_hat_profile_grid_validation():
         hat_profile(psi, [0.5, 0.5, 1.0])
     with pytest.raises(ProfileFormatError, match="nonempty"):
         hat_profile(psi, [])
+    for grid in ([0.5, np.nan, 1.0], [np.nan, 1.0], [np.nan, np.nan, 1.0]):
+        with pytest.raises(ProfileFormatError, match="ascending"):
+            hat_profile(psi, grid)
 
 
 def test_hat_profile_csv_round_trip():
@@ -430,6 +562,16 @@ def test_doubling_transfer():
     assert res.ok and res.bound == 2.0
     with pytest.raises(ValueError, match="doubling"):
         verify_doubling_transfer(StepProfile([1.0], [0.2]), grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_doubling_transfer_rejects_non_finite_grid(bad, where):
+    # the range filter would drop these and judge the rest
+    grid = [0.1, 0.2]
+    grid.insert(where, bad)
+    with pytest.raises(ProfileDomainError, match="not finite"):
+        verify_doubling_transfer(PowerProfile(2.0), grid)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import profile_to_csv_text
+from helpers import mask_check_t, profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from cuspext.profiles import (
     LinearProfile,
     PowerProfile,
     StepProfile,
+    _check_t,
     eval_profile,
     load_profile_csv,
     make_profile,
@@ -65,6 +66,52 @@ def test_non_finite_arguments_rejected(t):
             psi.value(np.array([0.5, t]))
         with pytest.raises(ProfileDomainError):
             psi.right_limit(t)
+
+
+CHECK_T_INPUTS = {
+    "nan-first": [np.nan, 0.5, 0.7],
+    "nan-middle": [0.5, np.nan, 0.7],
+    "nan-last": [0.5, 0.7, np.nan],
+    "zero": [0.5, 0.0],
+    "negative-zero": [0.3, -0.0, 0.9],
+    "inf": [0.5, np.inf],
+    "-inf": [-np.inf, 0.5],
+    "just-above-1-accepted": [0.5, 1.0 + 1e-15],
+    "above-1": [0.5, 1.0 + 3e-15],
+    "bad-after-bad": [0.5, 2.0, -1.0, np.nan],
+    "inside": np.geomspace(1e-300, 1.0, 9),
+    "0-d": 0.5,
+    "0-d-nan": np.nan,
+    "0-d-zero": 0.0,
+    "0-d-above": 1.5,
+    "empty": np.empty(0),
+    "2-d": np.linspace(0.1, 1.0, 6).reshape(2, 3),
+    "2-d-bad": [[0.5, 0.6], [1.5, 0.0]],
+}
+
+
+@pytest.mark.parametrize("t", list(CHECK_T_INPUTS.values()), ids=list(CHECK_T_INPUTS))
+def test_check_t_parity_with_mask_check(t):
+    # the two reductions reject exactly what the full mask rejects, and
+    # the mask still names the first bad value
+    try:
+        want = mask_check_t(t)
+    except ProfileDomainError as err:
+        with pytest.raises(ProfileDomainError) as got:
+            _check_t(t)
+        assert str(got.value) == str(err)
+        return
+    got = _check_t(t)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_check_t_edges():
+    assert _check_t([0.5, 1.0 + 1e-15])[1] == 1.0 + 1e-15
+    with pytest.raises(ProfileDomainError, match=re.escape(repr(1.0 + 3e-15))):
+        _check_t([0.5, 1.0 + 3e-15])
+    with pytest.raises(ProfileDomainError, match=re.escape("-0.0")):
+        _check_t([0.3, -0.0])
 
 
 def test_constructor_validation():
