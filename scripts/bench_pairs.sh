@@ -12,8 +12,12 @@
 # base tree is extracted with `git archive` into a temporary directory, so
 # nothing is left behind but the git-ignored run records under the working
 # tree's perfbench/_runs/.  Prints, for every end-to-end metric of
-# BENCHMARK.json, each side's median and quartiles and the number of pairs
-# the change won (ties count for neither side).  Exits 0 when every run is
+# BENCHMARK.json, each side's median and quartiles, the number of pairs
+# the change won (ties count for neither side) and a verdict: "gain holds"
+# when the change won at least 9/10 of the pairs and the medians differ by
+# more than the base's interquartile range, "worse than bound" when the
+# change's median is worse than the base's by more than the metric's bound
+# (a share of the base's median), else "no claim".  Exits 0 when every run is
 # "correct", 1 when one is not or fails, and 2 on a usage error.  PYTHON
 # overrides the interpreter (default python3); BENCH_SECONDS overrides
 # run_seconds, for a short smoke run only, never for a claim.
@@ -74,9 +78,26 @@ runs = {side: [json.load(open(f"{work}/{side}-{i}.json")) for i in range(pairs)]
         for side in ("base", "change")}
 
 
+def quartiles(values):
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def spread(values):
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = quartiles(values)
     return f"{statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def verdict(base, change, wins, sign, bound):
+    """The claim rule: a gain needs 9/10 of the pairs won and the medians
+    apart by more than the base's interquartile range; a regression is the
+    change's median worse than the base's by more than the bound's share."""
+    q1, _, q3 = quartiles(base)
+    gain = sign * (statistics.median(base) - statistics.median(change))
+    if 10 * wins >= 9 * len(base) and gain > q3 - q1:
+        return "gain holds"
+    if -gain > bound * statistics.median(base):
+        return "worse than bound"
+    return "no claim"
 
 
 ok = all(run["correct"] is True for side in runs.values() for run in side)
@@ -90,7 +111,8 @@ for metric in bench["end_to_end"]:
         continue
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     print(f"{name} ({metric['unit']}, median [quartiles]): base {spread(base)}"
-          f"  change {spread(change)}  change won {wins}/{pairs}")
+          f"  change {spread(change)}  change won {wins}/{pairs}: "
+          f"{verdict(base, change, wins, sign, metric['bound'])}")
 print("every run correct" if ok else "a run was not correct")
 sys.exit(0 if ok else 1)
 EOF

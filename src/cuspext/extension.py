@@ -133,7 +133,8 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
     gradients) at one set of read points at a time, so no read outlives
     its use, and returns E u and grad E u at Z.  It writes the gradient
     one column at a time: 1-d operations cost less than broadcasting a
-    (k, 1) factor over (k, n - 1) columns.  The reflection keeps its
+    (k, 1) factor over (k, n - 1) columns.  The collar's chain-rule
+    factors do not depend on u and are taken once per pullback.  The reflection keeps its
     domain check on, so a classification bug surfaces as a domain error
     instead of a silent wrong value.
     """
@@ -154,7 +155,17 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
         x = np.ascontiguousarray(x)  # a view would keep the whole (k, n) copy
         collar_reads = _reader(reflected, with_grad, inner)
         if with_grad:
+            # the chain rule's field-independent factors, once per pullback;
+            # with rho = 1.5 R - 0.5 r, r > 0 on the collar, and the clip of
+            # the cut-off never acts there:
+            # cutoff gradient: d/dt = r R'/R^2, d/dx = -x/(r R)
+            # reflected-point motion: d w_x/dt = 1.5 R' x/r,
+            # D w_x/Dx = (rho/r) I + x x^T (-0.5 r - rho)/r^3
             dR = dR[collar]
+            rho = 1.5 * R - 0.5 * r
+            cut_dt, motion_dt, cut_dx = r * dR / R ** 2, 1.5 * dR, -(1.0 / (r * R))
+            motion_radial = cut * ((-0.5 * r - rho) / r ** 3)
+            motion_diag = cut * rho / r
     if cap.size:
         cap_push = _pullback(ctx, end_cap_pullback(ctx, Z[cap], check=False), with_grad, inner)
         cap_cut = cutoff_cap(ctx, Z[cap], check=False)
@@ -172,20 +183,12 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
             uw, gw = collar_reads(u)
             val[collar] = cut * uw
             if with_grad:
-                # product and chain rule with rho = 1.5 R - 0.5 r; r > 0 on the
-                # collar, and the clip of the cut-off never acts there
-                # cutoff gradient: d/dt = r R'/R^2, d/dx = -x/(r R)
-                # reflected-point motion: d w_x/dt = 1.5 R' x/r,
-                # D w_x/Dx = (rho/r) I + x x^T (-0.5 r - rho)/r^3
-                rho = 1.5 * R - 0.5 * r
+                # product and chain rule through the factors above
                 gx_dot_x = np.einsum("ij,ij->i", gw[:, 1:], x)
-                grad[collar, 0] = (r * dR / R ** 2) * uw \
-                    + cut * (gw[:, 0] + 1.5 * dR * gx_dot_x / r)
-                radial_term = (-0.5 * r - rho) / r ** 3
-                a = -(1.0 / (r * R)) * uw + cut * radial_term * gx_dot_x
-                b = cut * rho / r
+                grad[collar, 0] = cut_dt * uw + cut * (gw[:, 0] + motion_dt * gx_dot_x / r)
+                a = cut_dx * uw + motion_radial * gx_dot_x
                 for j in range(1, n):
-                    grad[collar, j] = a * x[:, j - 1] + b * gw[:, j]
+                    grad[collar, j] = a * x[:, j - 1] + motion_diag * gw[:, j]
             del uw, gw
         if cap_push:
             pv, pg = cap_push(u)

@@ -149,7 +149,7 @@ def bilip_branches(spec: DomainSpec, t, r):
     test reads the profile only off the wedge on 0 < t < 2.
     """
     _require_normalized(spec)
-    psi1 = spec.psi1  # a profile read per access
+    psi1 = spec.psi1
     wedge = r <= 1.0 + psi1 - t
     rest = ~wedge
     band = np.flatnonzero(rest & (t > 0.0) & (t < 2.0))

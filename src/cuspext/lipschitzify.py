@@ -168,7 +168,7 @@ def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
         # linear profiles are fixed points: t + c t = (1 + c) t_hat forces t = t_hat
         return t_hats.copy(), psi.slope * t_hats, np.zeros(t_hats.shape, dtype=bool)
     at_end = t_hats == 1.0
-    psi1 = psi.value_at_1  # one profile call per solve
+    psi1 = psi.value_at_1
     if isinstance(psi, StepProfile):
         t_sol, r_sol, jump = _solve_step(psi, t_hats, psi1)
     else:

@@ -9,6 +9,7 @@ interpolated between breakpoints, so jump semantics stay exact.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
 from abc import ABC, abstractmethod
 
@@ -44,7 +45,8 @@ class CuspProfile(ABC):
 
     ``value(t)`` returns psi(t), which equals the left limit by
     left-continuity; ``right_limit(t)`` returns lim_{s->t+} psi(s), with
-    the convention right_limit(1) = psi(1).
+    the convention right_limit(1) = psi(1).  A profile is not mutated
+    after construction, so values derived from it may be cached on it.
     """
 
     kind: str
@@ -67,8 +69,9 @@ class CuspProfile(ABC):
     def lipschitz_constant(self) -> float | None:
         """Lipschitz bound when the profile is Lipschitz, else None."""
 
-    @property
+    @functools.cached_property
     def value_at_1(self) -> float:
+        """psi(1), read once per profile object (profiles are not mutated)."""
         return float(self.value(1.0))
 
     def value_and_derivative(self, t):

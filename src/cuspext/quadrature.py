@@ -24,6 +24,12 @@ from .extension import ConjugatedExtension
 from .fields import ScalarField
 from .geometry import DomainSpec, collar_radius, row_norm, sample_ball
 
+# Nodes read at a time by a W^{1,p} norm: a block's pullback and field
+# reads stay small, and only the per-node values and |grad| of every
+# field span the node set.  On the extend workloads 8,192 and 16,384
+# read peak RSS within 0.5 MB of each other, 32,768 3 to 5 MB more.
+BLOCK_NODES = 16384
+
 
 @dataclass(frozen=True)
 class QuadratureScheme:
@@ -200,11 +206,12 @@ def build_nodes(region, scheme: QuadratureScheme, n: int):
 
 
 def _check_finite(values: np.ndarray, Z: np.ndarray):
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise QuadratureError(f"non-finite integrand sample at node {tuple(Z[i])}",
-                              node=tuple(Z[i]))
+    # one reduction accepts; the mask below only names the first bad node
+    if np.isfinite(values).all():
+        return
+    i = int(np.argmax(~np.isfinite(values)))
+    raise QuadratureError(f"non-finite integrand sample at node {tuple(Z[i])}",
+                          node=tuple(Z[i]))
 
 
 def lp_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme, n: int) -> float:
@@ -256,27 +263,48 @@ def gradient_at(u: ScalarField, Z: np.ndarray) -> np.ndarray:
     return np.asarray(u.grad(np.asarray(Z, dtype=float)), dtype=float)
 
 
-def _w1p(u, Z, W, exponents, read=None) -> dict:
-    """{p: (W^{1,p} norm, detail)} from one read of u at the nodes Z.
+def _read_at(Zb):
+    """``push(u) -> (u, grad u)`` at the nodes Zb: one ``value_and_grad`` when u has it."""
 
-    ``read()`` (by default ``value_and_grad`` when u has it, else ``fn``)
-    gives the values and the gradients or None; None reads them with
-    ``gradient_at`` once the values are freed.
+    def push(u):
+        if u.value_and_grad:
+            return u.value_and_grad(Zb)
+        return u.fn(Zb), gradient_at(u, Zb)
+
+    return push
+
+
+def _w1p_blocked(fields, Z, W, exponents, pullback=_read_at) -> list[dict]:
+    """Per field, {p: (W^{1,p} norm, detail)}, reading the nodes Z one block at a time.
+
+    Per block of BLOCK_NODES nodes Zb, ``pullback(Zb)`` gives a
+    ``push(u) -> (values, gradients)`` that every field goes through (by
+    default u read at Zb itself), so no read's working state spans the
+    whole node set.  Only each field's values and |grad| are kept, in
+    node order, and every reduction runs on a field's full arrays: the
+    sums keep the bits of one unblocked read, a non-finite node is named
+    as it would be there, and a field's values are checked before its
+    gradients.
     """
-    vals, grads = read() if read else (u.value_and_grad(Z) if u.value_and_grad
-                                        else (u.fn(Z), None))
-    lp = [_weighted_p_sum(vals, W, p, Z) ** (1.0 / p) for p in exponents]
-    del vals
-    with np.errstate(over="ignore"):
-        mag = row_norm(gradient_at(u, Z) if grads is None else grads)
-    del grads
-    out = {}
-    for p, part_u in zip(exponents, lp):
-        part_g = _weighted_p_sum(mag, W, p, Z) ** (1.0 / p)
+    k = Z.shape[0]
+    vals, mags = np.empty((len(fields), k)), np.empty((len(fields), k))
+    for i in range(0, k, BLOCK_NODES):
+        j = i + BLOCK_NODES
+        push = pullback(Z[i:j])
+        for f, u in enumerate(fields):
+            vals[f, i:j], g = push(u)
+            with np.errstate(over="ignore"):
+                mags[f, i:j] = row_norm(g)
+            del g
+    out = []
+    for v, mag in zip(vals, mags):
+        lp = [_weighted_p_sum(v, W, p, Z) ** (1.0 / p) for p in exponents]
+        gp = [_weighted_p_sum(mag, W, p, Z) ** (1.0 / p) for p in exponents]
         # dropped_gradient_nodes is always 0; the key stays until the
         # benchmark tracer stops reading it
-        out[p] = float(part_u + part_g), {"lp_part": float(part_u), "gradient_part": float(part_g),
-                                          "dropped_gradient_nodes": 0, "nodes": int(Z.shape[0])}
+        out.append({p: (float(a + b), {"lp_part": float(a), "gradient_part": float(b),
+                                        "dropped_gradient_nodes": 0, "nodes": k})
+                    for p, a, b in zip(exponents, lp, gp)})
     return out
 
 
@@ -286,7 +314,7 @@ def w1p_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme,
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be in [1, inf), got {p}")
     Z, W = build_nodes(region, scheme, n)
-    total, detail = _w1p(u, Z, W, [p])[p]
+    total, detail = _w1p_blocked([u], Z, W, [p])[0][p]
     return (total, detail) if with_detail else total
 
 
@@ -323,12 +351,17 @@ def extension_ratio(fields, ext: ConjugatedExtension, pq,
     order.  ``ext`` is the domain's operator (``extension.extend``); the
     straightened route's norm is taken in the straightened frame
     (equivalent up to the straightening map's two-sided Lipschitz
-    constant).  The operator depends on the domain alone, so per
-    resolution each node set is built once and the extension nodes are
-    pulled back once (``ConjugatedExtension.pullback``); each field then
-    reads u and grad u once per node set for all its exponents and is
-    reduced to its norms before the next field is read.  The ratio's
-    bound is existential, so the reports assert nothing about its size.
+    constant).  The ratio's bound is existential, so the reports assert
+    nothing about its size.
+
+    Per resolution the domain and the extension node sets are each
+    built once and read in blocks of BLOCK_NODES nodes.  The operator
+    depends on the domain alone, so each block of extension nodes is
+    pulled back once (``ConjugatedExtension.pullback``) and every field
+    is pushed through that one pullback; a domain block reads each field
+    directly.  Each field keeps only its values and |grad u| per node,
+    and each is reduced to its norms for every exponent over the whole
+    node set at once, so the blocks change no bit of a report.
     """
     if scheme is None:
         scheme = QuadratureScheme()
@@ -346,11 +379,10 @@ def extension_ratio(fields, ext: ConjugatedExtension, pq,
     def measure(sch):
         """Per field: ({p: (norm u, detail)}, {q: (norm E u, detail)})."""
         Z, W = build_nodes(dom_region, sch, n)
-        nu = [_w1p(u, Z, W, ps) for u in fields]
+        nu = _w1p_blocked(fields, Z, W, ps)
         del Z, W  # freed before the extension nodes are built
         Z, W = build_nodes(ext_region, sch, n)
-        push = ext.pullback(Z)
-        return list(zip(nu, [_w1p(None, Z, W, qs, lambda: push(u)) for u in fields]))
+        return list(zip(nu, _w1p_blocked(fields, Z, W, qs, ext.pullback)))
 
     out = []
     for (nu_base, ne_base), (nu_refined, ne_refined) in zip(measure(scheme),

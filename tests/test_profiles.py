@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspext.errors import ProfileDomainError, ProfileFormatError
+from cuspext.geometry import DomainSpec
 from cuspext.profiles import (
     CuspProfile,
     LinearProfile,
@@ -253,3 +254,22 @@ def test_profile_invariants_random(step, t):
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) >= 0.0)
     assert step.right_limit(t) >= step.value(t)
+
+
+@pytest.mark.parametrize("psi", [PowerProfile(2.0, 0.25), LinearProfile(0.3),
+                                 StepProfile([0.5, 1.0], [0.1, 0.2]),
+                                 CuspProfile.scaled(StepProfile([0.5, 1.0], [0.1, 0.2]), 0.5)],
+                         ids=["power", "linear", "step", "scaled"])
+def test_psi1_is_read_once_per_profile(psi, monkeypatch):
+    spec = DomainSpec(3, psi)
+    direct = float(psi.value(1.0))
+    first = spec.psi1
+
+    def refuse(t):
+        raise AssertionError("psi(1) was read from the profile again")
+
+    monkeypatch.setattr(psi, "value", refuse)
+    again = spec.psi1
+    assert np.float64(again).tobytes() == np.float64(first).tobytes() \
+        == np.float64(direct).tobytes()
+    assert spec.normalized == (2.0 * direct < 1.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -320,6 +321,80 @@ def test_extension_ratio_integrates_each_exponent_once(monkeypatch):
         assert reads == Counter({("const[1.0]", "fn"): want, ("const[1.0]", "grad"): want,
                                  ("axial", "fn"): want, ("axial", "grad"): want,
                                  ("wave", "value_and_grad"): want})
+
+
+# node counts 144 and 1152 (domain), 320 and 2560 (extension) on either
+# route: none is a multiple of 7 or of 999
+BLOCKED = QuadratureScheme(t_levels=8, gauss_t=2, gauss_r=2, angular=4)
+
+
+@pytest.mark.parametrize("psi", [PowerProfile(2.0, 0.25), StepProfile([0.5, 1.0], [0.1, 0.2])],
+                         ids=["direct", "straightened"])
+def test_node_blocks_change_no_bit(psi, monkeypatch):
+    ext = extend(psi, 3)
+    fields = [make_field(name, 3) for name in ("constant", "axial", "wave")]
+    eu = ext.hat_field(fields[2])
+
+    def run():
+        reports = extension_ratio(fields, ext, [(2.0, 1.0), (4.0, 1.0)], BLOCKED)
+        norms = [w1p_norm(eu, region_extension(ext.hat_context.spec), 4.0, BLOCKED.refined(), 3,
+                          with_detail=True),
+                 w1p_norm(fields[1], region_domain(ext.spec), 2.0, BLOCKED.refined(), 3,
+                          with_detail=True)]
+        return json.dumps([[r.to_dict() for r in rs] for rs in reports] + norms, sort_keys=True)
+
+    assert quadrature.BLOCK_NODES >= 2560  # one block per node set
+    whole = run()
+    for block in (7, 999, 2560):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+        assert run() == whole
+
+
+def test_node_blocks_name_the_same_nonfinite_node(monkeypatch):
+    # |v|^p overflows on the cusp slab, whose nodes come first, and v is NaN
+    # on the far tube, read blocks later: every value is checked before any
+    # |v|^p, so each block size names the same NaN node
+    def fn(z):
+        t = z[..., 0]
+        return np.where(t < 0.5, 1e200, np.where(t > 1.5, np.nan, 1.0))
+
+    bad = ScalarField("bad", fn, lambda z: np.ones(z.shape))
+    ext = extend(T2Q.psi, 3)
+    messages = set()
+    for block in (quadrature.BLOCK_NODES, 7):
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+        for call in (lambda: w1p_norm(bad, region_domain(T2Q), 2.0, BLOCKED, 3),
+                     lambda: extension_ratio([bad], ext, [(2.0, 1.0)], BLOCKED)):
+            with pytest.raises(QuadratureError) as err:
+                call()
+            assert err.value.node[0] > 1.5
+            messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("psi", [PowerProfile(2.0, 0.25), StepProfile([0.5, 1.0], [0.1, 0.2])],
+                         ids=["direct", "straightened"])
+def test_extension_ratio_peak_memory_is_set_by_the_block(psi):
+    # the extend workloads' scheme; its refined extension node set (N nodes)
+    # dominates.  Held at once: nodes and weights, each field's values and
+    # |grad| per node, two reduction temporaries of N floats, and one
+    # block's pullback and reads, allowed 16 floats per block node and axis
+    scheme = QuadratureScheme(t_levels=40, gauss_t=5, gauss_r=5, angular=10)
+    fields = [make_field(name, 3) for name in ("constant", "axial", "wave")]
+    ext = extend(psi, 3)
+    # a first run builds the Gauss rules, importing numpy.polynomial
+    extension_ratio(fields, ext, [(2.0, 1.0)], QuadratureScheme(t_levels=2, gauss_t=1,
+                                                                 gauss_r=1, angular=2))
+    N = build_nodes(region_extension(ext.hat_context.spec), scheme.refined(), 3)[0].shape[0]
+    n, F, B = 3, len(fields), quadrature.BLOCK_NODES
+    bound = 8 * (N * (n + 1 + 2 * F + 2) + 16 * n * B)
+    tracemalloc.start()
+    try:
+        extension_ratio(fields, ext, [(2.0, 1.0), (4.0, 1.0)], scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_extension_ratio_straightened_route():
