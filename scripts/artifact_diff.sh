@@ -5,7 +5,8 @@
 #
 #     scripts/artifact_diff.sh <base-ref>
 #
-# Runs every perfbench/workloads config at seeds 1 and 1009, with and
+# Runs every perfbench/workloads config at seeds 1 and 1009, plus four
+# admissibility sweeps off the workload's q = n-1 line, with and
 # without --dump-points --dump-slices, once on <base-ref> and once on the
 # working tree, and prints `diff -rq` of the two output trees (each run's
 # exit code included).  The base tree is extracted with `git archive`
@@ -40,6 +41,15 @@ raw["seed"] = int(sys.argv[2])
 json.dump(raw, open(sys.argv[3], "w"))' \
             "$config" "$seed" "$work/configs/$(basename "$config" .json)-seed$seed.json"
     done
+done
+
+# (n, p, q, s_stop) of sweeps the tip-sweep workload, at (3, 4, 2), cannot
+# see: the s2 frontier, the limit case, and n = 4 at q = n-1 and on the
+# limit-case boundary p = (n-1)q/(n-1-q) = 6
+for sweep in "3 1.5 1.0 6.0" "3 2.0 1.0 4.0" "4 6.0 3.0 4.0" "4 6.0 2.0 4.0"; do
+    read -r n p q stop <<< "$sweep"
+    printf '{"command": "admissibility-sweep", "n": %s, "seed": 0, "sweep": {"p": %s, "q": %s, "s_start": 1.1, "s_stop": %s, "s_step": 0.1}}\n' \
+        "$n" "$p" "$q" "$stop" > "$work/configs/sweep-n$n-p$p-q$q.json"
 done
 
 run_tree() {  # run_tree <source tree> <label>

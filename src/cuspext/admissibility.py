@@ -153,6 +153,26 @@ def check_doubling(psi: CuspProfile, grid) -> DoublingCheck:
     return DoublingCheck(max_ratio, not unbounded, float(grid[i]))
 
 
+# One bound function per extension mechanism, of (n, s, p) -> (p_min, q_max):
+# at comparison exponent s the mechanism applies iff p_min <= p and q <= q_max.
+MECHANISM_BOUNDS = {
+    "E1": lambda n, s, p: ((1.0 + (n - 1) * s) / n, n * p / (1.0 + (n - 1) * s)),
+    "E2": lambda n, s, p: ((1.0 + (n - 1) * s) / (2.0 + (n - 2) * s),
+                           (1.0 + (n - 1) * s) * p / (1.0 + (n - 1) * s + (s - 1.0) * p)),
+    "E3": lambda n, s, p: (((n - 1) ** 2 * s + (n - 1)) / n, n - 1),
+}
+
+
+def limit_p_min(n: int, q: float) -> float:
+    """Least p of the limit case, (n-1)q/(n-1-q); inf once q >= n-1."""
+    return math.inf if q >= n - 1 else (n - 1) * q / (n - 1 - q)
+
+
+def in_limit_region(n: int, p: float, q: float) -> bool:
+    """Limit case: the parameter region where the extension-norm bound is guaranteed."""
+    return 1.0 <= q < n - 1 and p >= limit_p_min(n, q)
+
+
 @dataclass(frozen=True)
 class Thresholds:
     s1: float | None
@@ -160,10 +180,12 @@ class Thresholds:
 
 
 def thresholds(n: int, p: float, q: float) -> Thresholds:
-    """Sharpness exponents: above them the power-cusp domain stops extending.
+    """Sharpness exponents, the bound table's two closed-form inverses.
 
-    s1 applies at q = n-1 (p >= n-1); s2 applies for q < n-1 with
-    q <= p < (n-1)q/(n-1-q).  Other parameter combinations raise.
+    Above them the power-cusp domain stops extending.  s1, where E3's
+    p_min reaches p, applies at q = n-1 (p >= n-1); s2, where E2's q_max
+    falls to q, applies for q < n-1 with q <= p < limit_p_min(n, q).
+    Other parameter combinations raise.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -172,7 +194,7 @@ def thresholds(n: int, p: float, q: float) -> Thresholds:
             raise ValueError(f"s1 needs p >= n-1 = {n - 1}, got {p}")
         return Thresholds((n * p - (n - 1)) / (n - 1) ** 2, None)
     if q < n - 1:
-        limit = (n - 1) * q / (n - 1 - q)
+        limit = limit_p_min(n, q)
         if not q <= p:
             raise ValueError(f"need q <= p, got p={p}, q={q}")
         if not p < limit:
@@ -181,6 +203,13 @@ def thresholds(n: int, p: float, q: float) -> Thresholds:
             )
         return Thresholds(None, (p * q + p - q) / (p * q + (n - 1) * (q - p)))
     raise ValueError(f"q must be <= n-1 = {n - 1}, got {q}")
+
+
+def _thresholds_or_none(n: int, p: float, q: float) -> Thresholds | None:
+    try:
+        return thresholds(n, p, q)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -210,65 +239,40 @@ def admissible_pq(n: int, s: float, p: float, q: float) -> AdmissibilityVerdict:
         raise ValueError(f"s must be > 1, got {s}")
     if not 1.0 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
-    e1_p_min = (1.0 + (n - 1) * s) / n
-    e1_q_max = n * p / (1.0 + (n - 1) * s)
-    e2_p_min = (1.0 + (n - 1) * s) / (2.0 + (n - 2) * s)
-    e2_q_max = (1.0 + (n - 1) * s) * p / (1.0 + (n - 1) * s + (s - 1.0) * p)
-    e3_p_min = ((n - 1) ** 2 * s + (n - 1)) / n
-    limit_p_min = math.inf if q >= n - 1 else (n - 1) * q / (n - 1 - q)
-
-    mechanisms = []
-    if e1_p_min <= p and q <= e1_q_max:
-        mechanisms.append("E1")
-    if e2_p_min <= p and q <= e2_q_max:
-        mechanisms.append("E2")
-    if e3_p_min <= p and q <= n - 1:
-        mechanisms.append("E3")
-    if q < n - 1 and p >= limit_p_min:
+    bounds = {name: bound(n, s, p) for name, bound in MECHANISM_BOUNDS.items()}
+    mechanisms = [name for name, (p_min, q_max) in bounds.items() if p_min <= p and q <= q_max]
+    if in_limit_region(n, p, q):
         mechanisms.append("LimitCase")
-
-    thr = None
-    try:
-        thr = thresholds(n, p, q)
-    except ValueError:
-        pass
+    (e1_p_min, e1_q_max), (e2_p_min, e2_q_max), (e3_p_min, _) = bounds.values()
     return AdmissibilityVerdict(
         n=n, s=float(s), p=float(p), q=float(q), mechanisms=tuple(mechanisms),
         condition_values={"e1_p_min": e1_p_min, "e1_q_max": e1_q_max,
                           "e2_p_min": e2_p_min, "e2_q_max": e2_q_max,
-                          "e3_p_min": e3_p_min, "limit_p_min": limit_p_min},
-        thresholds=thr,
+                          "e3_p_min": e3_p_min, "limit_p_min": limit_p_min(n, q)},
+        thresholds=_thresholds_or_none(n, p, q),
     )
 
 
 def power_cusp_admissible(n: int, sigma: float, p: float, q: float):
     """Extension verdict for the power cusp with exponent sigma.
 
-    Optimizes each mechanism over its free comparison exponent s.  The
-    plain tip condition holds iff s > sigma strictly; the log-weighted
-    one also holds at s = sigma, which closes the q = n-1 frontier.
-    Returns (admissible, mechanisms tuple).
+    The bound table read at s = sigma.  E1 and E2 need the plain tip
+    condition, which holds iff s > sigma; their p_min grows and q_max
+    falls strictly with s, so some s > sigma passes iff sigma passes
+    strictly.  E3's log-weighted condition holds at s = sigma itself, so
+    E3 is read closed, which closes the q = n-1 frontier.  Returns
+    (admissible, mechanisms tuple).
     """
     if not sigma > 1.0:
         raise ValueError(f"sigma must be > 1, got {sigma}")
     if not 1.0 <= q <= p:
         raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
     mechanisms = []
-    # E1: both bounds cap s from above; the q bound is the tighter one
-    s_q1 = (n * p / q - 1.0) / (n - 1.0)
-    if sigma < s_q1:
-        mechanisms.append("E1")
-    # E2: p bound caps s only when (n-1) - (n-2)p > 0
-    coeff = (n - 1.0) - (n - 2.0) * p
-    s_p2 = (2.0 * p - 1.0) / coeff if coeff > 0.0 else math.inf
-    denom = p * q + (n - 1.0) * (q - p)
-    s_q2 = (p * q + p - q) / denom if denom > 0.0 else math.inf
-    if sigma < min(s_p2, s_q2):
-        mechanisms.append("E2")
-    # E3: log-weighted condition holds at s = sigma itself
-    if q <= n - 1 and ((n - 1.0) ** 2 * sigma + (n - 1.0)) / n <= p:
-        mechanisms.append("E3")
-    if q < n - 1 and p >= (n - 1.0) * q / (n - 1.0 - q):
+    for name, bound in MECHANISM_BOUNDS.items():
+        p_min, q_max = bound(n, sigma, p)
+        if (p_min <= p and q <= q_max) if name == "E3" else (p_min < p and q < q_max):
+            mechanisms.append(name)
+    if in_limit_region(n, p, q):
         mechanisms.append("LimitCase")
     return bool(mechanisms), tuple(mechanisms)
 
@@ -280,12 +284,7 @@ def sweep_power_cusp(n: int, p: float, q: float, sigmas) -> list[dict]:
     cannot push a value across an exact frontier.
     """
     rows = []
-    thr_s1 = thr_s2 = None
-    try:
-        thr = thresholds(n, p, q)
-        thr_s1, thr_s2 = thr.s1, thr.s2
-    except ValueError:
-        pass
+    thr = _thresholds_or_none(n, p, q) or Thresholds(None, None)
     from .lipschitzify import verify_monotone_quotient
 
     hyp_grid = np.geomspace(1e-4, 1.0, 24)
@@ -307,8 +306,8 @@ def sweep_power_cusp(n: int, p: float, q: float, sigmas) -> list[dict]:
             "inc1_partial": inc1.partial_sum if inc1 else "",
             "inc2_self": inc2.classification if inc2 else "",
             "inc2_value": "" if (inc2 is None or inc2.value is None) else inc2.value,
-            "s1": "" if thr_s1 is None else thr_s1,
-            "s2": "" if thr_s2 is None else thr_s2,
+            "s1": "" if thr.s1 is None else thr.s1,
+            "s2": "" if thr.s2 is None else thr.s2,
         })
     return rows
 

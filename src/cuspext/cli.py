@@ -376,15 +376,18 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
         checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
         checks[f"decay_ok[{name}]"] = decay.ok
         checks[f"seam_ok[{name}]"] = seam_ok
+        slices = {}  # one table per q: it does not depend on p
         for (p, q), rep in zip(pq, field_reports):
             reports.append({"function": name, **rep.to_dict(),
                             "seam_worst": worst_seam})
             if cfg.dump_slices:
-                rows = quadrature.lp_slice_table(
-                    ext.hat_field(u), quadrature.region_extension(ext.hat_context.spec),
-                    float(q), scheme, cfg.n)
-                _write_csv(os.path.join(cfg.out_dir, f"slices_{name}_p{p}_q{q}.csv"), rows)
-            in_region = quadrature.in_limit_region(cfg.n, float(p), float(q))
+                if float(q) not in slices:
+                    slices[float(q)] = quadrature.lp_slice_table(
+                        ext.hat_field(u), quadrature.region_extension(ext.hat_context.spec),
+                        float(q), scheme, cfg.n)
+                _write_csv(os.path.join(cfg.out_dir, f"slices_{name}_p{p}_q{q}.csv"),
+                           slices[float(q)])
+            in_region = admissibility.in_limit_region(cfg.n, float(p), float(q))
             key = f"ratio_ok[{name},p={p},q={q}]"
             if rep.zero_denominator:
                 checks[key] = True  # flagged, nothing to assert

@@ -49,7 +49,7 @@ class ExtensionContext:
         return self.spec.psi1
 
 
-def _split_collar(ctx: ExtensionContext, z, check: bool, R=None):
+def _split_collar(ctx: ExtensionContext, z, R=None):
     """(t, x, |x|, R(t), reflection, cut-off) of collar points, checked against its closure.
 
     The reflection fixes t and maps the radius r to 1.5 R - 0.5 r, with
@@ -59,23 +59,22 @@ def _split_collar(ctx: ExtensionContext, z, check: bool, R=None):
     t, x, r = geometry.split(z, ctx.spec.n)
     if R is None:
         R = geometry.collar_radius(ctx.spec, t)
-    if check:
-        bad = (t <= 0.0) | (t > 2.0) | (r < R * (1.0 - 1e-12)) | (r > 2.0 * R * (1.0 + 1e-12))
-        if np.any(bad):
-            raise ProfileDomainError("point outside the collar closure")
+    bad = (t <= 0.0) | (t > 2.0) | (r < R * (1.0 - 1e-12)) | (r > 2.0 * R * (1.0 + 1e-12))
+    if np.any(bad):
+        raise ProfileDomainError("point outside the collar closure")
     reflected = np.array(z, dtype=float, copy=True)
     reflected[..., 1:] = x * ((1.5 * R - 0.5 * r) / np.maximum(r, 1e-300))[..., None]
     return t, x, r, R, reflected, np.clip(2.0 - r / R, 0.0, 1.0)
 
 
-def reflect_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
+def reflect_collar(ctx: ExtensionContext, z) -> np.ndarray:
     """Fold the collar back into the domain, fixing |x| = R(t)."""
-    return _split_collar(ctx, z, check)[4]
+    return _split_collar(ctx, z)[4]
 
 
-def cutoff_collar(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
+def cutoff_collar(ctx: ExtensionContext, z) -> np.ndarray:
     """Affine weight: 1 on |x| = R(t), 0 on |x| = 2 R(t)."""
-    return _split_collar(ctx, z, check)[5]
+    return _split_collar(ctx, z)[5]
 
 
 def _split_cap(ctx: ExtensionContext, z, check: bool):
@@ -151,7 +150,7 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
     core_reads = _reader(Z[core], with_grad, inner) if core.size else None
     collar_reads = cap_push = None
     if collar.size:
-        _, x, r, R, reflected, cut = _split_collar(ctx, Z[collar], True, R[collar])
+        _, x, r, R, reflected, cut = _split_collar(ctx, Z[collar], R[collar])
         x = np.ascontiguousarray(x)  # a view would keep the whole (k, n) copy
         collar_reads = _reader(reflected, with_grad, inner)
         if with_grad:

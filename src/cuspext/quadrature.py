@@ -338,11 +338,6 @@ class NormReport:
         return asdict(self)
 
 
-def in_limit_region(n: int, p: float, q: float) -> bool:
-    """Parameter region where the extension-norm bound is guaranteed."""
-    return 1.0 <= q < n - 1 and p >= (n - 1) * q / (n - 1 - q)
-
-
 def extension_ratio(fields, ext: ConjugatedExtension, pq,
                     scheme: QuadratureScheme | None = None) -> list[list[NormReport]]:
     """Extension-norm ratios of several fields under ``ext``, with refinement stability estimates.
@@ -363,6 +358,8 @@ def extension_ratio(fields, ext: ConjugatedExtension, pq,
     and each is reduced to its norms for every exponent over the whole
     node set at once, so the blocks change no bit of a report.
     """
+    from .admissibility import in_limit_region
+
     if scheme is None:
         scheme = QuadratureScheme()
     fields = list(fields)

@@ -1,6 +1,7 @@
 """Test-side helpers the library itself never calls."""
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,3 +369,68 @@ def one_phase_solve_bisect(psi, t_hats, tol):
                 t_sol[on_jump] = sub
         t_sol[on_jump & (lo <= 1e-17)] = 0.0
     return t_sol, targets - t_sol, on_jump
+
+
+# -- the mechanism inequalities written out per caller -------------------------
+# The references the one bound table must match: admissible_pq with every
+# bound spelled out, and power_cusp_admissible with E1 and E2 inverted by
+# hand into caps on s, as the library did before the table.
+
+
+def spelled_out_admissible_pq(n, s, p, q):
+    """(mechanisms, condition_values) of admissible_pq at fixed (n, s, p, q)."""
+    e1_p_min = (1.0 + (n - 1) * s) / n
+    e1_q_max = n * p / (1.0 + (n - 1) * s)
+    e2_p_min = (1.0 + (n - 1) * s) / (2.0 + (n - 2) * s)
+    e2_q_max = (1.0 + (n - 1) * s) * p / (1.0 + (n - 1) * s + (s - 1.0) * p)
+    e3_p_min = ((n - 1) ** 2 * s + (n - 1)) / n
+    limit_p_min = math.inf if q >= n - 1 else (n - 1) * q / (n - 1 - q)
+
+    mechanisms = []
+    if e1_p_min <= p and q <= e1_q_max:
+        mechanisms.append("E1")
+    if e2_p_min <= p and q <= e2_q_max:
+        mechanisms.append("E2")
+    if e3_p_min <= p and q <= n - 1:
+        mechanisms.append("E3")
+    if q < n - 1 and p >= limit_p_min:
+        mechanisms.append("LimitCase")
+    return tuple(mechanisms), {"e1_p_min": e1_p_min, "e1_q_max": e1_q_max,
+                               "e2_p_min": e2_p_min, "e2_q_max": e2_q_max,
+                               "e3_p_min": e3_p_min, "limit_p_min": limit_p_min}
+
+
+def inverted_power_cusp_admissible(n, sigma, p, q):
+    """(admissible, mechanisms) of the power cusp, E1 and E2 as caps on s."""
+    mechanisms = []
+    # E1: both bounds cap s from above; the q bound is the tighter one
+    s_q1 = (n * p / q - 1.0) / (n - 1.0)
+    if sigma < s_q1:
+        mechanisms.append("E1")
+    # E2: p bound caps s only when (n-1) - (n-2)p > 0
+    coeff = (n - 1.0) - (n - 2.0) * p
+    s_p2 = (2.0 * p - 1.0) / coeff if coeff > 0.0 else math.inf
+    denom = p * q + (n - 1.0) * (q - p)
+    s_q2 = (p * q + p - q) / denom if denom > 0.0 else math.inf
+    if sigma < min(s_p2, s_q2):
+        mechanisms.append("E2")
+    # E3: log-weighted condition holds at s = sigma itself
+    if q <= n - 1 and ((n - 1.0) ** 2 * sigma + (n - 1.0)) / n <= p:
+        mechanisms.append("E3")
+    if q < n - 1 and p >= (n - 1.0) * q / (n - 1.0 - q):
+        mechanisms.append("LimitCase")
+    return bool(mechanisms), tuple(mechanisms)
+
+
+def mechanism_frontiers(n, p, q):
+    """The sigmas at which a power-cusp mechanism can switch, from the caps on s."""
+    coeff = (n - 1.0) - (n - 2.0) * p
+    denom = p * q + (n - 1.0) * (q - p)
+    caps = [(n * p / q - 1.0) / (n - 1.0),            # E1's q bound
+            (n * p - 1.0) / (n - 1.0),                # E1's p bound
+            (n * p - (n - 1.0)) / (n - 1.0) ** 2]     # E3's p bound
+    if coeff > 0.0:
+        caps.append((2.0 * p - 1.0) / coeff)          # E2's p bound
+    if denom > 0.0:
+        caps.append((p * q + p - q) / denom)          # E2's q bound
+    return caps

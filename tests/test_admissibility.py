@@ -2,17 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from helpers import (
+    inverted_power_cusp_admissible,
+    mechanism_frontiers,
+    spelled_out_admissible_pq,
+)
 
 from cuspext import admissibility
 from cuspext.admissibility import (
     CONVERGENT,
     DIVERGENT,
     INCONCLUSIVE,
+    MECHANISM_BOUNDS,
     admissible_pq,
     check_doubling,
     check_inc1,
     check_inc2,
     frontier_from_sweep,
+    in_limit_region,
+    limit_p_min,
     power_cusp_admissible,
     sweep_power_cusp,
     thresholds,
@@ -292,3 +300,135 @@ def test_sweep_builds_the_gauss_rule_once(monkeypatch):
     assert len(calls) <= 1
     xi, wt = gauss_rule(16)
     assert not (xi.flags.writeable or wt.flags.writeable)
+
+
+# -- the bound table against the inequalities written out per caller ---------
+
+def _random_inputs(rng, count, p_max=12.0):
+    """(n, s, p, q) with 3 <= n <= 6, 1 < s < 12 and 1 <= q <= p < p_max."""
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        p = float(rng.uniform(1.0, p_max))
+        yield n, float(rng.uniform(1.001, 12.0)), p, float(rng.uniform(1.0, p))
+
+
+def _decimal_inputs():
+    """(n, s, p, q) on decimal grids, where the frontiers fall on exact decimals."""
+    grid = np.round(np.arange(1.0, 8.001, 0.5), 12)
+    for n in (3, 4, 5):
+        for p in grid:
+            for q in grid[grid <= p]:
+                for s in np.round(np.arange(1.1, 8.01, 0.3), 12):
+                    yield n, float(s), float(p), float(q)
+
+
+def test_admissible_pq_matches_spelled_out_bitwise():
+    rng = np.random.default_rng(17)
+    inputs = [*_random_inputs(rng, 20_000), *_decimal_inputs()]
+    for n, s, p, q in inputs:
+        verdict = admissible_pq(n, s, p, q)
+        mechanisms, values = spelled_out_admissible_pq(n, s, p, q)
+        assert verdict.mechanisms == mechanisms, (n, s, p, q)
+        assert list(verdict.condition_values) == list(values)
+        assert [v.hex() for v in verdict.condition_values.values()] == \
+            [float(v).hex() for v in values.values()], (n, s, p, q)
+
+
+# (n, p, q) of every repo sweep: the tip-sweep workload, the CLI and
+# acceptance tests, and the configs scripts/artifact_diff.sh adds
+REPO_SWEEPS = [(3, 4.0, 2.0), (3, 1.5, 1.0), (3, 2.0, 1.0), (4, 6.0, 3.0), (4, 6.0, 2.0),
+               (3, 5.0, 2.0), (3, 4.0, 1.0)]
+
+
+@pytest.mark.parametrize("n, p, q", REPO_SWEEPS, ids=str)
+def test_power_cusp_verdicts_unchanged_on_repo_sweep_grids(n, p, q):
+    # every sigma grid the CLI builds from a start in {1.01, 1.05, 1.1, 1.5}
+    # and a step of 0.1, 0.05 or 0.01, up to sigma = 12
+    for step in (0.1, 0.05, 0.01):
+        for start in (1.01, 1.05, 1.1, 1.5):
+            count = int(round((12.0 - start) / step)) + 1
+            for sigma in np.round(np.linspace(start, start + step * (count - 1), count), 12):
+                assert power_cusp_admissible(n, float(sigma), p, q) == \
+                    inverted_power_cusp_admissible(n, float(sigma), p, q), (sigma, step)
+
+
+def _off_tie(n, sigma, p, q, rel=1e-9):
+    return all(abs(sigma - f) > rel * abs(f) for f in mechanism_frontiers(n, p, q))
+
+
+def test_power_cusp_matches_inverted_caps_off_ties():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for n, sigma, p, q in _random_inputs(rng, 20_000):
+        if _off_tie(n, sigma, p, q):
+            checked += 1
+            assert power_cusp_admissible(n, sigma, p, q) == \
+                inverted_power_cusp_admissible(n, sigma, p, q), (n, sigma, p, q)
+    assert checked > 19_000
+
+
+def test_power_cusp_is_the_exists_s_scan():
+    # E1 and E2 need some s > sigma, E3 holds at s = sigma itself, and the
+    # limit case does not depend on s
+    rng = np.random.default_rng(29)
+    offsets = np.geomspace(1e-10, 50.0, 120)
+    for n, sigma, p, q in _random_inputs(rng, 600):
+        if not _off_tie(n, sigma, p, q):
+            continue
+        above = [set(admissible_pq(n, float(s), p, q).mechanisms)
+                 for s in sigma * (1.0 + offsets)]
+        at = set(admissible_pq(n, sigma, p, q).mechanisms)
+        _, mechanisms = power_cusp_admissible(n, sigma, p, q)
+        for name in ("E1", "E2"):
+            assert (name in mechanisms) == any(name in m for m in above), (name, n, sigma, p, q)
+        assert ("E3" in mechanisms) == ("E3" in at), (n, sigma, p, q)
+        for m in [at, *above]:
+            assert ("LimitCase" in mechanisms) == ("LimitCase" in m), (n, sigma, p, q)
+
+
+def test_exact_frontier_where_e1_e2_e3_meet():
+    # (3, 4, 2): s_q1 = s_q2 = s1 = 2.5 exactly
+    assert admissible_pq(3, 2.5, 4.0, 2.0).mechanisms == ("E1", "E2", "E3")
+    assert power_cusp_admissible(3, 2.5, 4.0, 2.0) == (True, ("E3",))
+    assert power_cusp_admissible(3, 2.5 - 1e-9, 4.0, 2.0) == (True, ("E1", "E2", "E3"))
+    assert power_cusp_admissible(3, 2.5 + 1e-9, 4.0, 2.0) == (False, ())
+
+
+def test_exact_frontier_s2():
+    # (3, 1.5, 1): E2's q_max falls to q = 1 exactly at s2 = 4
+    assert thresholds(3, 1.5, 1.0).s2 == 4.0
+    assert MECHANISM_BOUNDS["E2"](3, 4.0, 1.5)[1] == 1.0
+    assert admissible_pq(3, 4.0, 1.5, 1.0).mechanisms == ("E2",)
+    assert power_cusp_admissible(3, 4.0, 1.5, 1.0) == (False, ())
+    assert power_cusp_admissible(3, 4.0 - 1e-9, 1.5, 1.0) == (True, ("E2",))
+
+
+def test_exact_limit_case_boundary():
+    # (n, q) = (3, 1): the limit case starts at p = (n-1)q/(n-1-q) = 2
+    assert limit_p_min(3, 1.0) == 2.0
+    assert limit_p_min(3, 2.0) == math.inf
+    below = float(np.nextafter(2.0, 0.0))
+    assert in_limit_region(3, 2.0, 1.0) and not in_limit_region(3, below, 1.0)
+    for sigma in (1.5, 4.0, 40.0):
+        assert "LimitCase" in power_cusp_admissible(3, sigma, 2.0, 1.0)[1]
+        assert "LimitCase" not in power_cusp_admissible(3, sigma, below, 1.0)[1]
+        assert "LimitCase" in admissible_pq(3, sigma, 2.0, 1.0).mechanisms
+        assert "LimitCase" not in admissible_pq(3, sigma, below, 1.0).mechanisms
+    with pytest.raises(ValueError, match="no finite threshold"):
+        thresholds(3, 2.0, 1.0)
+    assert thresholds(3, below, 1.0).s2 > 0.0
+
+
+def test_thresholds_are_roots_of_their_bounds():
+    # s1 is where E3's p_min reaches p, s2 where E2's q_max falls to q
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        n = int(rng.integers(3, 7))
+        p = float(rng.uniform(n - 1, 20.0))
+        s1 = thresholds(n, p, float(n - 1)).s1
+        assert abs(MECHANISM_BOUNDS["E3"](n, s1, p)[0] - p) <= 4 * np.spacing(p), (n, p)
+        q = float(rng.uniform(1.0, n - 1))
+        p = float(rng.uniform(q, min(limit_p_min(n, q), 1e6)))
+        if p < limit_p_min(n, q):
+            s2 = thresholds(n, p, q).s2
+            assert abs(MECHANISM_BOUNDS["E2"](n, s2, p)[1] - q) <= 4 * np.spacing(q), (n, p, q)

@@ -284,6 +284,34 @@ def test_extend_verify_dump_slices(tmp_path):
     assert rows and sum(float(r["contribution"]) for r in rows) > 0.0
 
 
+def test_extend_verify_dumps_one_slice_table_per_field_and_q(tmp_path, monkeypatch):
+    # the table depends on q alone: two pairs sharing q = 1 share one table,
+    # and each pair still gets its own file
+    real, seen = cli.quadrature.lp_slice_table, []
+    monkeypatch.setattr(cli.quadrature, "lp_slice_table",
+                        lambda u, region, q, *rest: seen.append((u.name, q))
+                        or real(u, region, q, *rest))
+    cfg = {
+        "command": "extend-verify",
+        "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+        "seed": 1,
+        "extend": {
+            "pq": [[2.0, 1.0], [4.0, 1.0], [4.0, 2.0]],
+            "functions": ["constant", "wave"],
+            "quadrature": {"t_levels": 6, "gauss_t": 2, "gauss_r": 2, "angular": 4},
+            "trace_samples": 20,
+            "decay_rays": 5,
+        },
+    }
+    run(tmp_path, cfg, extra=["--dump-slices"])
+    assert len(set(seen)) == len(seen) == 4  # (field, q) pairs, each once
+    assert Counter(q for _, q in seen) == {1.0: 2, 2.0: 2}
+    for u in ("constant", "wave"):
+        q1 = [(tmp_path / "out" / f"slices_{u}_p{p}_q1.0.csv").read_bytes() for p in (2.0, 4.0)]
+        assert q1[0] == q1[1]
+        assert (tmp_path / "out" / f"slices_{u}_p4.0_q2.0.csv").read_bytes() != q1[0]
+
+
 @pytest.mark.parametrize("gamma", [77.0, 200.0])
 def test_numeric_error_exit_code(tmp_path, gamma):
     # gamma = 77 overflows |u|^p inside the quadrature; gamma = 200 already

@@ -13,6 +13,7 @@ import pytest
 from fd_oracle import central_difference
 
 from cuspext import quadrature
+from cuspext.admissibility import in_limit_region
 from cuspext.errors import QuadratureError
 from cuspext.extension import extend, extend_general
 from cuspext.fields import ScalarField, make_field
@@ -23,7 +24,6 @@ from cuspext.quadrature import (
     build_nodes,
     extension_ratio,
     gradient_at,
-    in_limit_region,
     lp_norm,
     region_domain,
     region_extension,
