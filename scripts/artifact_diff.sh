@@ -6,10 +6,11 @@
 #     scripts/artifact_diff.sh <base-ref>
 #
 # Runs every perfbench/workloads config at seeds 1 and 1009, plus four
-# admissibility sweeps off the workload's q = n-1 line, with and
-# without --dump-points --dump-slices, once on <base-ref> and once on the
-# working tree, and prints `diff -rq` of the two output trees (each run's
-# exit code included).  The base tree is extracted with `git archive`
+# admissibility sweeps off the workload's q = n-1 line, an extend-verify
+# run outside the guaranteed region, and lipschitzify and transform-verify
+# on the two-step profile, with and without --dump-points --dump-slices,
+# once on <base-ref> and once on the working tree, and prints `diff -rq`
+# of the two output trees (each run's exit code included).  The base tree is extracted with `git archive`
 # into a temporary directory, so no worktree metadata is left behind.
 # Exits 0 when every artifact is identical, 1 when one differs and 2 on
 # a usage error.  PYTHON overrides the interpreter (default python3).
@@ -51,6 +52,23 @@ for sweep in "3 1.5 1.0 6.0" "3 2.0 1.0 4.0" "4 6.0 3.0 4.0" "4 6.0 2.0 4.0"; do
     printf '{"command": "admissibility-sweep", "n": %s, "seed": 0, "sweep": {"p": %s, "q": %s, "s_start": 1.1, "s_stop": %s, "s_step": 0.1}}\n' \
         "$n" "$p" "$q" "$stop" > "$work/configs/sweep-n$n-p$p-q$q.json"
 done
+
+# verdict branches the workloads cannot reach: (p, q) = (4, 1.9) lies outside
+# the guaranteed region, so ratio_ok asserts finiteness alone and the report
+# carries the warning, with tip-power's field_params; the two-step profile has
+# no quotient hypothesis, so lipschitzify reports no monotone_quotient_ok
+step='{"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2], "doubling_constant": 2.0}'
+cat > "$work/configs/extend-outside-region.json" <<'JSON'
+{"command": "extend-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+ "n": 3, "seed": 1,
+ "extend": {"pq": [[4.0, 1.9]], "functions": ["tip-power", "wave"],
+            "field_params": {"gamma": 0.75},
+            "quadrature": {"t_levels": 20, "gauss_t": 3, "gauss_r": 3, "angular": 6}}}
+JSON
+printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' "$step" \
+    > "$work/configs/lipschitzify-two-step.json"
+printf '{"command": "transform-verify", "profile": %s, "n": 3, "seed": 1}\n' "$step" \
+    > "$work/configs/transform-two-step.json"
 
 run_tree() {  # run_tree <source tree> <label>
     local config stem out code

@@ -277,6 +277,12 @@ def power_cusp_admissible(n: int, sigma: float, p: float, q: float):
     return bool(mechanisms), tuple(mechanisms)
 
 
+def sigma_grid(start: float, stop: float, step: float, count: int) -> np.ndarray:
+    """``count`` exponents from ``start`` by ``step``, rounded to 12 decimals, cut at ``stop``."""
+    sigmas = np.round(np.linspace(start, start + step * (count - 1), count), 12)
+    return sigmas[sigmas <= stop + 1e-12]  # a rounded-up count carries the last one past stop
+
+
 def sweep_power_cusp(n: int, p: float, q: float, sigmas) -> list[dict]:
     """Admissibility sweep over power-cusp exponents, one dict per row.
 

@@ -25,19 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, admissibility, quadrature, transform, verify
+from . import __version__, admissibility, lipschitzify, quadrature, transform, verify
 from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError, unknown_key
 from .extension import extend
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
-from .lipschitzify import (
-    DEFAULT_TOL,
-    hat_profile,
-    hat_values,
-    quotient_hypothesis_holds,
-    verify_doubling_transfer,
-    verify_monotone_quotient,
-)
+from .lipschitzify import DEFAULT_TOL, hat_profile
 from .profiles import PROFILE_KEYS, load_profile_csv, make_profile, save_profile_csv
 
 EXIT_OK = 0
@@ -50,6 +43,7 @@ COMMANDS = ("lipschitzify", "transform-verify", "extend-verify", "admissibility-
 # each sweep row runs two dyadic tail checks (tens of milliseconds), so
 # 10 000 rows already take minutes; larger grids are config mistakes
 SWEEP_MAX_ROWS = 10_000
+DUMP_POINTS = 10_000  # at most this many round-trip samples go to transform_points.csv
 
 
 @dataclass
@@ -176,12 +170,13 @@ SECTIONS = {
         "end_cap_map": (_need(lambda v: v == "mirror",
                               "'mirror' (the shift variants were removed)"), "mirror"),
         "trace_samples": (COUNT, 10000), "decay_rays": (COUNT, 1000),
-        # the keyword parameters of fields.tip_power_field, the one field that takes any;
-        # their ranges are checked here, before the command builds the field
+        # the keyword parameters of fields.tip_power_field, the one field that takes any,
+        # typed as {"tip-power": params}; their ranges are checked here, before the
+        # command builds the field
         "field_params": (_table({
             "gamma": (_need(lambda v: _is_number(v) and v > 0.0, "a finite number > 0"), None),
             "delta_cap": (_need(lambda v: _is_number(v) and 0.0 < v < 1.0, "0 < delta_cap < 1"),
-                          None)}), {}),
+                          None)}, make=lambda **params: {"tip-power": params}), {}),
         # the keys are the scheme's fields, and the scheme checks its own values
         "quadrature": (_table({f.name: (None, f.default)
                                for f in dataclasses.fields(quadrature.QuadratureScheme)},
@@ -249,12 +244,6 @@ def build_run_config(args, raw: dict) -> RunConfig:
                      options=top[SECTIONS[top["command"]][0]], echo=echo)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_csv(path: str, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -262,178 +251,111 @@ def _write_csv(path: str, rows: list) -> None:
         writer.writerows(rows)
 
 
+def _write_report(cfg: RunConfig, name: str, report: dict, checks: dict) -> int:
+    """Write ``report`` with every check as its verdict; the run's exit code.
+
+    A check is a record with ``ok`` or a tuple of them, passing when each does.
+    """
+    report["checks"] = {key: all(c.ok for c in rec) if isinstance(rec, tuple) else rec.ok
+                        for key, rec in checks.items()}
+    with open(os.path.join(cfg.out_dir, name), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return EXIT_OK if all(report["checks"].values()) else EXIT_CHECK_FAILED
+
+
 def cmd_lipschitzify(cfg: RunConfig) -> int:
     opts = cfg.options
-    spaced = np.geomspace if opts["grid_spacing"] == "log" else np.linspace
+    spaced = {"log": np.geomspace, "linear": np.linspace}[opts["grid_spacing"]]
     grid = spaced(opts["grid_start"], 1.0, opts["grid_count"])
     grid[-1] = 1.0  # a one-point grid is [1.0]
-    psi = cfg.profile
-    psi1 = psi.value_at_1
-    table = hat_profile(psi, grid, cfg.tolerance)
-    save_profile_csv(table, os.path.join(cfg.out_dir, "hat_profile.csv"))
-
-    rng = np.random.default_rng(cfg.seed)
-    pairs = rng.uniform(1e-9, 1.0, size=(opts["pair_count"], 2))
-    va = hat_values(psi, pairs[:, 0], cfg.tolerance)
-    vb = hat_values(psi, pairs[:, 1], cfg.tolerance)
-    slack = np.abs(va - vb) - (1.0 + psi1) * np.abs(pairs[:, 0] - pairs[:, 1])
-    lip_ok = bool(np.max(slack) <= 2.0 * cfg.tolerance)
-
-    hypothesis_ok = quotient_hypothesis_holds(psi, grid)
-    mq = verify_monotone_quotient(psi, grid, cfg.tolerance)
-    doubling = None
-    if psi.doubling_constant is not None:
-        sub = grid[grid <= 1.0 / (2.0 * (1.0 + psi1))]
-        if sub.size:
-            dt = verify_doubling_transfer(psi, sub, tol=cfg.tolerance)
-            doubling = {"ok": dt.ok, "bound": dt.bound, "max_ratio": dt.max_ratio}
-
-    checks = {"lipschitz_bound_ok": lip_ok}
-    if hypothesis_ok:
-        checks["monotone_quotient_ok"] = mq.ok
-    if doubling is not None:
-        checks["doubling_transfer_ok"] = doubling["ok"]
+    psi, psi1 = cfg.profile, cfg.profile.value_at_1
+    save_profile_csv(hat_profile(psi, grid, cfg.tolerance),
+                     os.path.join(cfg.out_dir, "hat_profile.csv"))
+    hypothesis, mq, checks = lipschitzify.verify_transfer(psi, grid, opts["pair_count"],
+                                                          cfg.seed, cfg.tolerance)
+    doubling = checks.get("doubling_transfer_ok")
     report = {
         "config_echo": cfg.echo,
         "grid": {"count": int(grid.size), "start": float(grid[0])},
         "lipschitz_constant": 1.0 + psi1,
-        "max_lipschitz_slack": float(np.max(slack)),
-        "quotient_hypothesis_holds": hypothesis_ok,
+        "max_lipschitz_slack": checks["lipschitz_bound_ok"].value,
+        "quotient_hypothesis_holds": hypothesis,
         "monotone_quotient": dataclasses.asdict(mq),
-        "doubling_transfer": doubling,
-        "checks": checks,
+        "doubling_transfer": doubling and {"ok": doubling.ok, "bound": doubling.bound,
+                                           "max_ratio": doubling.max_ratio},
     }
-    _write_json(os.path.join(cfg.out_dir, "lipschitzify_report.json"), report)
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return _write_report(cfg, "lipschitzify_report.json", report, checks)
 
 
 def cmd_transform_verify(cfg: RunConfig) -> int:
-    opts = cfg.options
-    n_round = opts["round_trip_samples"]
     spec, scale = normalize(DomainSpec(cfg.n, cfg.profile))
-    rng = np.random.default_rng(cfg.seed)
-    z = transform.sample_box(cfg.n, n_round, rng)
-    round_err = float(np.max(np.abs(
-        transform.inverse_map(spec, transform.forward_map(spec, z)) - z)))
-    seams = transform.seam_continuity(spec, tuple(opts["seam_deltas"]), opts["seam_samples"],
-                                      cfg.seed)
-    stretch = [k for per in seams.values() for k in per.values()]
-    seam_ok = max(stretch) <= 100.0 and max(stretch) / max(min(stretch), 1e-300) <= 10.0
-    image = transform.verify_image(spec, opts["image_samples"], cfg.seed, cfg.tolerance)
-    distortion = transform.distortion_sample(spec, opts["distortion_pairs"], cfg.seed)
-    finite_ok = (0.0 < distortion.min_ratio <= distortion.max_ratio < np.inf
-                 and 0.0 < distortion.min_jacobian)
-
-    checks = {"round_trip_ok": round_err <= 1e-9, "seam_continuity_ok": bool(seam_ok),
-              "image_ok": image.ok, "distortion_finite_ok": bool(finite_ok)}
+    seams, distortion, checks = transform.verify_transform(spec, cfg.seed, cfg.tolerance,
+                                                           **cfg.options)
     report = {
         "config_echo": cfg.echo,
         "normalization_scale": scale,
-        "round_trip_max_error": round_err,
+        "round_trip_max_error": checks["round_trip_ok"].value,
         "seam_stretch": {k: {repr(d): v for d, v in per.items()}
                          for k, per in seams.items()},
-        "image": dataclasses.asdict(image),
-        "distortion": distortion.to_dict(),
-        "checks": checks,
+        "image": dataclasses.asdict(checks["image_ok"]),
+        "distortion": dataclasses.asdict(distortion),
     }
-    _write_json(os.path.join(cfg.out_dir, "transform_report.json"), report)
+    code = _write_report(cfg, "transform_report.json", report, checks)
     if cfg.dump_points:
-        pts = transform.sample_box(cfg.n, min(n_round, 10000),
+        pts = transform.sample_box(cfg.n, min(cfg.options["round_trip_samples"], DUMP_POINTS),
                                    np.random.default_rng(cfg.seed))
-        img = transform.forward_map(spec, pts)
-        with open(os.path.join(cfg.out_dir, "transform_points.csv"), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"z{i}" for i in range(cfg.n)] + [f"Oz{i}" for i in range(cfg.n)])
-            writer.writerows([repr(float(v)) for v in (*a, *b)] for a, b in zip(pts, img))
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+        header = [f"z{i}" for i in range(cfg.n)] + [f"Oz{i}" for i in range(cfg.n)]
+        _write_csv(os.path.join(cfg.out_dir, "transform_points.csv"),
+                   [dict(zip(header, map(repr, map(float, row))))
+                    for row in np.hstack([pts, transform.forward_map(spec, pts)])])
+    return code
 
 
 def cmd_extend_verify(cfg: RunConfig) -> int:
     opts = cfg.options
-    pq, scheme, seed = opts["pq"], opts["quadrature"], cfg.seed
-    fields = {name: make_field(name, cfg.n,
-                               **(opts["field_params"] if name == "tip-power" else {}))
+    pq, scheme = opts["pq"], opts["quadrature"]
+    fields = {name: make_field(name, cfg.n, **opts["field_params"].get(name, {}))
               for name in opts["functions"]}
-    flist = list(fields.values())
-
-    # one operator for the norm reports and every check; hat_* live in the
-    # frame the extension is built in: the straightened one, or the
-    # original frame on the direct route
+    # one operator for the norm reports and every check
     ext = extend(cfg.profile, cfg.n, cfg.tolerance)
-    norm_reports = quadrature.extension_ratio(
-        flist, ext, [(float(p), float(q)) for p, q in pq], scheme)
-    traces = verify.trace_check(ext, flist, opts["trace_samples"], seed)
-    decays = verify.boundary_decay_check(ext, flist, rays=opts["decay_rays"], rng_seed=seed)
-    seams = verify.seam_continuity_check(ext, flist, per_seam=200, rng_seed=seed)
-    # the seams probe E^(u o T^-1), so the cap is taken from u o T^-1
-    caps = verify.seam_modulus_cap(ext, flist, seed)
-    trace_tol = 1e-12 if ext.frame == "direct" else 1e-8
-    reports, checks = [], {}
-    for name, u, field_reports, tr, decay, seam, cap in zip(fields, flist, norm_reports, traces,
-                                                            decays, seams, caps):
-        seam_ok, worst_seam = verify.seam_verdict(seam, cap)
-        checks[f"trace_ok[{name}]"] = tr.max_abs_error <= trace_tol
-        checks[f"decay_ok[{name}]"] = decay.ok
-        checks[f"seam_ok[{name}]"] = seam_ok
-        slices = {}  # one table per q: it does not depend on p
-        for (p, q), rep in zip(pq, field_reports):
-            reports.append({"function": name, **rep.to_dict(),
-                            "seam_worst": worst_seam})
-            if cfg.dump_slices:
-                if float(q) not in slices:
-                    slices[float(q)] = quadrature.lp_slice_table(
-                        ext.hat_field(u), quadrature.region_extension(ext.hat_context.spec),
-                        float(q), scheme, cfg.n)
+    norm_reports, seam_worst, checks = verify.verify_extension(
+        ext, fields, pq, scheme, opts["trace_samples"], opts["decay_rays"], cfg.seed)
+    if cfg.dump_slices:
+        # in the frame the extension is built in; one table per q: it does not depend on p
+        region = quadrature.region_extension(ext.hat_context.spec)
+        for name, u in fields.items():
+            tables = {q: quadrature.lp_slice_table(ext.hat_field(u), region, q, scheme, cfg.n)
+                      for q in dict.fromkeys(float(q) for _, q in pq)}
+            for p, q in pq:
                 _write_csv(os.path.join(cfg.out_dir, f"slices_{name}_p{p}_q{q}.csv"),
-                           slices[float(q)])
-            in_region = admissibility.in_limit_region(cfg.n, float(p), float(q))
-            key = f"ratio_ok[{name},p={p},q={q}]"
-            if rep.zero_denominator:
-                checks[key] = True  # flagged, nothing to assert
-            elif in_region:
-                checks[key] = (np.isfinite(rep.ratio)
-                               and rep.refinement_delta is not None
-                               and rep.refinement_delta < 0.05)
-            else:
-                checks[key] = bool(np.isfinite(rep.ratio))
-
-    # linearity across the first and the last requested fields
-    rng = np.random.default_rng(seed)
-    pts = transform.sample_box(cfg.n, 2000, rng, t_range=(-0.5, 3.5), radius=0.6)
-    [lin] = verify.linearity_check(ext, flist[:1], flist[-1], pts)
-    checks["linearity_ok"] = lin.max_abs_error <= 1e-12
-
+                           tables[float(q)])
     report = {
         "config_echo": cfg.echo,
         "route": ext.frame,
         "end_cap_map": "mirror",
-        "norm_reports": reports,
-        "linearity_max_error": lin.max_abs_error,
-        "checks": checks,
+        "norm_reports": [{"function": name, **rep.to_dict(), "seam_worst": worst}
+                         for name, reports, worst in zip(fields, norm_reports, seam_worst)
+                         for rep in reports],
+        "linearity_max_error": checks["linearity_ok"].value,
     }
-    _write_json(os.path.join(cfg.out_dir, "extend_report.json"), report)
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return _write_report(cfg, "extend_report.json", report, checks)
 
 
 def cmd_admissibility_sweep(cfg: RunConfig) -> int:
     opts = cfg.options
-    p, q, start, stop, step, count = (opts[k] for k in ("p", "q", "s_start", "s_stop", "s_step",
-                                                          "rows"))
-    sigmas = np.round(np.linspace(start, start + step * (count - 1), count), 12)
-    sigmas = sigmas[sigmas <= stop + 1e-12]
+    p, q = opts["p"], opts["q"]
+    sigmas = admissibility.sigma_grid(*(opts[k] for k in ("s_start", "s_stop", "s_step", "rows")))
     rows = admissibility.sweep_power_cusp(cfg.n, float(p), float(q), sigmas)
     _write_csv(os.path.join(cfg.out_dir, "admissibility_sweep.csv"), rows)
-    frontier = admissibility.frontier_from_sweep(rows)
     report = {
         "config_echo": cfg.echo,
         "p": p, "q": q,
-        "frontier_sigma": frontier,
+        "frontier_sigma": admissibility.frontier_from_sweep(rows),
         "rows": len(rows),
-        "checks": {"sweep_completed": True},
     }
-    _write_json(os.path.join(cfg.out_dir, "admissibility_report.json"), report)
-    return EXIT_OK
+    # the sweep tabulates and asserts nothing: an empty tuple of records
+    return _write_report(cfg, "admissibility_report.json", report, {"sweep_completed": ()})
 
 
 DISPATCH = {

@@ -1,4 +1,22 @@
-"""Exception types shared across the package, and the unknown-key message."""
+"""Exception types, the check record and the unknown-key message, shared across the package."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Check:
+    """A measured value and the bound it must not exceed: ``ok`` is value <= bound, so NaN fails.
+
+    x < b is kept as bound nextafter(b, 0), 0 < x as Check(-x, -nextafter(0, 1))
+    and x < inf as bound sys.float_info.max: the same comparisons, bit for bit.
+    """
+
+    value: float
+    bound: float
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.value <= self.bound)
 
 
 class CuspExtError(Exception):

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ProfileDomainError, ProfileFormatError
+from .errors import Check, ConvergenceError, ProfileDomainError, ProfileFormatError
 from .profiles import CuspProfile, LinearProfile, StepProfile, profile_derivative
 
 DEFAULT_TOL = 1e-12
+LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to tol of solver error
 MAX_BISECT_ITER = 200
 # Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
 # is exact for k <= 52), and floats in [0, 1) lie at most 2^-53 apart:
@@ -349,12 +350,12 @@ class DoublingTransferResult:
 
 
 def verify_doubling_transfer(psi: CuspProfile, grid, c_psi: float | None = None,
-                             tol: float = DEFAULT_TOL) -> DoublingTransferResult:
+                             tol: float = DEFAULT_TOL) -> DoublingTransferResult | None:
     """Check hat_psi(2t) <= max(2, C) * hat_psi(t) on the admissible range.
 
     C defaults to the profile's stored doubling constant.  Only grid
     points with t <= 1 / (2 (1 + psi(1))) are testable, since the pair
-    at 2t must exist.
+    at 2t must exist; with none of them the result is None.
     """
     if c_psi is None:
         c_psi = psi.doubling_constant
@@ -367,7 +368,7 @@ def verify_doubling_transfer(psi: CuspProfile, grid, c_psi: float | None = None,
     psi1 = psi.value_at_1
     grid = grid[(grid > 0.0) & (grid <= 1.0 / (2.0 * (1.0 + psi1)))]
     if grid.size == 0:
-        raise ValueError("no grid points inside (0, 1/(2(1+psi(1)))]")
+        return None
     h1 = hat_values(psi, grid, tol)
     h2 = hat_values(psi, 2.0 * grid, tol)
     ratios = h2 / h1
@@ -377,3 +378,18 @@ def verify_doubling_transfer(psi: CuspProfile, grid, c_psi: float | None = None,
     # error, which dominates the ratio near the tip where values vanish
     ok = np.max(h2 - bound * h1) <= (1.0 + bound) * tol
     return DoublingTransferResult(bool(ok), bound, float(ratios[i]), float(grid[i]))
+
+
+def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int, tol: float):
+    """The re-profiled cusp's transfer checks: (hypothesis holds, monotone quotient, checks)."""
+    pairs = np.random.default_rng(rng_seed).uniform(1e-9, 1.0, size=(pair_count, 2))
+    va, vb = hat_values(psi, pairs[:, 0], tol), hat_values(psi, pairs[:, 1], tol)
+    slack = np.abs(va - vb) - (1.0 + psi.value_at_1) * np.abs(pairs[:, 0] - pairs[:, 1])
+    checks = {"lipschitz_bound_ok": Check(float(np.max(slack)), LIPSCHITZ_SLACK_TOLS * tol)}
+    hypothesis = quotient_hypothesis_holds(psi, grid)
+    mq = verify_monotone_quotient(psi, grid, tol)
+    if hypothesis:
+        checks["monotone_quotient_ok"] = mq
+    if psi.doubling_constant is not None and (dt := verify_doubling_transfer(psi, grid, tol=tol)):
+        checks["doubling_transfer_ok"] = dt
+    return hypothesis, mq, checks

@@ -8,17 +8,23 @@ and each branch inverts in closed form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
+from .errors import Check
 from .geometry import DomainSpec, contains_with_margin
 from .lipschitzify import LipschitzizedProfile
 
 # Sampling box covering all four regions after normalization.
 BOX_T = (-1.0, 4.0)
 BOX_RADIUS = 2.0
+
+ROUND_TRIP_TOL = 1e-9
+SEAM_STRETCH_MAX = 100.0  # a branch mismatch makes a straddle stretch grow like 1/delta
+SEAM_SPREAD_MAX = 10.0  # largest over smallest stretch
 
 
 def _axial_forward(spec: DomainSpec, t, r):
@@ -123,9 +129,6 @@ class DistortionReport:
     max_ratio: float
     min_jacobian: float
     max_jacobian: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def sample_box(n: int, count: int, rng: np.random.Generator,
@@ -241,3 +244,26 @@ def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
     [jumps] = geometry.straddle_probe(lambda z: [forward_map(spec, z)], spec.n, (seams,),
                                       deltas, per_seam, rng_seed)
     return {seam: {d: jump / d for d, jump in per.items()} for seam, per in jumps.items()}
+
+
+def verify_transform(spec: DomainSpec, rng_seed: int, tol: float, round_trip_samples: int,
+                     image_samples: int, distortion_pairs: int, seam_samples: int,
+                     seam_deltas):
+    """The map's round-trip, seam, image and distortion checks: (stretches, distortion, checks)."""
+    z = sample_box(spec.n, round_trip_samples, np.random.default_rng(rng_seed))
+    round_err = float(np.max(np.abs(inverse_map(spec, forward_map(spec, z)) - z)))
+    seams = seam_continuity(spec, tuple(seam_deltas), seam_samples, rng_seed)
+    stretch = [k for per in seams.values() for k in per.values()]
+    top, least = float(np.max(stretch)), float(np.min(stretch))  # both NaN if any is
+    image = verify_image(spec, image_samples, rng_seed, tol)
+    d = distortion_sample(spec, distortion_pairs, rng_seed)
+    positive = -float(np.nextafter(0.0, 1.0))  # Check(-x, positive) is 0 < x
+    return seams, d, {
+        "round_trip_ok": Check(round_err, ROUND_TRIP_TOL),
+        "seam_continuity_ok": (Check(top, SEAM_STRETCH_MAX),
+                               Check(top / max(least, 1e-300), SEAM_SPREAD_MAX)),
+        "image_ok": image,
+        "distortion_finite_ok": (Check(-d.min_ratio, positive), Check(d.min_ratio, d.max_ratio),
+                                 Check(d.max_ratio, sys.float_info.max),
+                                 Check(-d.min_jacobian, positive)),
+    }

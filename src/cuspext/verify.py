@@ -1,86 +1,62 @@
 """Behavioral checks on the extension operator: trace, linearity, decay, seams.
 
-These back both the test suite and the CLI's verification commands.
 Each check takes the operator (``extension.ConjugatedExtension``) and a
-list of fields and returns one small frozen report per field, in
-order; pass/fail thresholds live with the caller so failure output
-stays inspectable.  The probe points depend on the seed alone: each
-check draws them all first, stacks its batches, pulls them back once
-and pushes every field through that one pullback.  Stacking relies on
-batch independence: a value must not depend on which other points share
-its batch.
+list of fields and returns one ``Check`` record per field, in order, its
+bound a constant of this module; verify_extension runs them all for the
+CLI.  The probe points depend on the seed alone: each check draws them
+all first, stacks its batches, pulls them back once and pushes every
+field through that one pullback.  Stacking relies on batch independence:
+a value must not depend on which other points share its batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
-from . import geometry
+from . import geometry, quadrature
+from .admissibility import in_limit_region
+from .errors import Check
 from .extension import ConjugatedExtension
 from .fields import ScalarField, linear_combination
-from .transform import sample_domain
+from .transform import sample_box, sample_domain
 
-
-@dataclass(frozen=True)
-class TraceReport:
-    max_abs_error: float
-    samples: int
-    exact: bool  # bitwise equality held at every sample
+TRACE_TOL = {"direct": 1e-12, "straightened": 1e-8}  # by route; straightened goes via T and back
+LINEARITY_TOL = 1e-12
+LINEARITY_PROBES = 2000  # points of the slab -0.5 < t < 3.5 times the ball |x| < 0.6
+REFINEMENT_DELTA_BOUND = float(np.nextafter(0.05, 0.0))  # refinement_delta < 0.05
 
 
 def trace_check(ext: ConjugatedExtension, fields, count: int = 10_000,
-                rng_seed: int = 0) -> list[TraceReport]:
-    """E u restricted to the original domain must reproduce u."""
+                rng_seed: int = 0) -> list[Check]:
+    """Worst |E u - u| on the original domain; 0.0 means bitwise equality at every sample."""
     rng = np.random.default_rng(rng_seed)
     z = sample_domain(ext.spec, count, rng)
     push = ext.field_pullback(z)
-    reports = []
-    for u in fields:
-        got = push(u)[0]
-        want = np.asarray(u.fn(z), dtype=float)
-        err = np.abs(got - want)
-        reports.append(TraceReport(float(err.max()), count, bool(np.all(got == want))))
-    return reports
-
-
-@dataclass(frozen=True)
-class LinearityReport:
-    max_abs_error: float
-    samples: int
+    return [Check(float(np.abs(push(u)[0] - np.asarray(u.fn(z), dtype=float)).max()),
+                  TRACE_TOL[ext.frame]) for u in fields]
 
 
 def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField, points: np.ndarray,
-                    alpha: float = 0.7, beta: float = -1.3) -> list[LinearityReport]:
-    """E(alpha u + beta v) against alpha E(u) + beta E(v) at original-frame points, per u."""
+                    alpha: float = 0.7, beta: float = -1.3) -> list[Check]:
+    """Worst |E(alpha u + beta v) - alpha E(u) - beta E(v)| at original-frame points, per u."""
     push = ext.field_pullback(points)
     ev = push(v)[0]
-    reports = []
-    for u in fields:
-        eu = push(u)[0]
-        ew = push(linear_combination(alpha, u, beta, v))[0]
-        err = np.abs(ew - (alpha * eu + beta * ev))
-        reports.append(LinearityReport(float(err.max()), int(points.shape[0])))
-    return reports
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    ok: bool
-    max_normalized: float  # worst |E| / (cap * delta) over all rays
-    rays: int
+    return [Check(float(np.abs(push(linear_combination(alpha, u, beta, v))[0]
+                               - (alpha * push(u)[0] + beta * ev)).max()), LINEARITY_TOL)
+            for u in fields]
 
 
 def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
                          deltas=(1e-2, 1e-3, 1e-4), rng_seed: int = 0,
-                         safety: float = 2.0) -> list[DecayReport]:
+                         safety: float = 2.0) -> list[Check]:
     """Linear decay of E^(u o T^-1) toward the outer boundary, in the straightened frame.
 
     Rays step inward from the collar/cap boundary; the admissible
     modulus per ray is the local cut-off slope times a sampled bound on
     |u o T^-1| (the tip is excluded: the modulus degenerates with the
-    collar width there, which is expected, not a defect).
+    collar width there, which is expected, not a defect).  Bound 1 on the worst |E| / modulus.
     """
     spec = ext.hat_context.spec
     n = spec.n
@@ -111,20 +87,34 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
     for u in fields:
         m_u = max(float(np.abs(read(u)[0]).max()), 1e-12)
         normalized = np.abs(push(u)[0].reshape(radius.shape)) / (safety * m_u / radius * delta)
-        worst = float(np.max(normalized, initial=0.0))  # NaN propagates and fails
-        reports.append(DecayReport(bool(worst <= 1.0), worst, radius.size))
+        reports.append(Check(float(np.max(normalized, initial=0.0)), 1.0))  # NaN propagates
     return reports
 
 
 def seam_continuity_check(ext: ConjugatedExtension, fields,
                           deltas=(1e-3, 1e-5, 1e-7), per_seam: int = 200,
-                          rng_seed: int = 0) -> list[dict]:
-    """Worst straddle jump of E^(u o T^-1) per seam and separation: {seam: {delta: jump}} per u.
+                          rng_seed: int = 0) -> list[tuple[tuple[Check, ...], str | None]]:
+    """Continuity of E^(u o T^-1) across every seam, per u: (checks, worst seam).
 
-    For a continuous extension the jump scales linearly with the
-    separation; a branch mismatch leaves an O(1) jump as delta shrinks.
-    This check is the designated arbiter for the end-cap pullback.
+    One Check per seam and separation bounds seam_jumps' jump by cap * delta
+    (seam_modulus_cap, same seed): a branch mismatch leaves an O(1) jump as delta
+    shrinks, so this is the arbiter for the end-cap pullback.  The worst seam,
+    None if all pass, has the largest failing jump / (cap * delta), NaN first.
     """
+    out = []
+    for jumps, cap in zip(seam_jumps(ext, fields, deltas, per_seam, rng_seed),
+                          seam_modulus_cap(ext, fields, rng_seed)):
+        named = [(seam, Check(jump, cap * delta))
+                 for seam, per in jumps.items() for delta, jump in per.items()]
+        failing = [(c.value / c.bound, seam) for seam, c in named if not c.ok]
+        worst = max(failing, key=lambda ratio_seam: (np.isnan(ratio_seam[0]), ratio_seam[0]),
+                    default=(0.0, None))[1]
+        out.append((tuple(c for _, c in named), worst))
+    return out
+
+
+def seam_jumps(ext: ConjugatedExtension, fields, deltas, per_seam: int, rng_seed: int) -> list:
+    """Worst straddle jump of E^(u o T^-1) per seam and separation: {seam: {delta: jump}} per u."""
     spec = ext.hat_context.spec
     psi1 = spec.psi1
     k = per_seam
@@ -177,15 +167,35 @@ def seam_modulus_cap(ext: ConjugatedExtension, fields, seed: int) -> list[float]
     return caps
 
 
-def seam_verdict(seam_report: dict, modulus_cap: float) -> tuple[bool, str | None]:
-    """Continuity verdict: every jump bounded by modulus_cap * delta.
+def ratio_check(n: int, report: quadrature.NormReport) -> tuple[Check, ...]:
+    """Empty at a zero denominator, else a finite ratio and, in the limit region, delta < 0.05."""
+    if report.zero_denominator:
+        return ()
+    finite = Check(abs(report.ratio), sys.float_info.max)
+    if not in_limit_region(n, report.p, report.q):
+        return (finite,)
+    delta = np.nan if report.refinement_delta is None else report.refinement_delta
+    return finite, Check(delta, REFINEMENT_DELTA_BOUND)
 
-    A NaN jump fails.  A failing verdict names the seam with the largest
-    jump / (modulus_cap * delta), a NaN one first.
-    """
-    failing = [(jump / (modulus_cap * delta), seam) for seam, jumps in seam_report.items()
-               for delta, jump in jumps.items() if not jump <= modulus_cap * delta]
-    if not failing:
-        return True, None
-    return False, max(failing, key=lambda ratio_seam: (np.isnan(ratio_seam[0]),
-                                                       ratio_seam[0]))[1]
+
+def verify_extension(ext: ConjugatedExtension, fields: dict, pq, scheme, trace_samples: int,
+                     decay_rays: int, rng_seed: int):
+    """The extend-verify run on ``fields`` ({name: field}): (norm reports, worst seams, checks)."""
+    flist = list(fields.values())
+    # the norm reports first, so that no probe array is held across them
+    norm_reports = quadrature.extension_ratio(flist, ext, [(float(p), float(q)) for p, q in pq],
+                                              scheme)
+    traces = trace_check(ext, flist, trace_samples, rng_seed)
+    decays = boundary_decay_check(ext, flist, rays=decay_rays, rng_seed=rng_seed)
+    seams = seam_continuity_check(ext, flist, rng_seed=rng_seed)
+    checks = {}
+    for name, reports, trace, decay, (seam, _) in zip(fields, norm_reports, traces, decays, seams):
+        checks.update({f"trace_ok[{name}]": trace, f"decay_ok[{name}]": decay,
+                       f"seam_ok[{name}]": seam})
+        for (p, q), rep in zip(pq, reports):
+            checks[f"ratio_ok[{name},p={p},q={q}]"] = ratio_check(ext.spec.n, rep)
+    # linearity across the first and the last fields
+    pts = sample_box(ext.spec.n, LINEARITY_PROBES, np.random.default_rng(rng_seed),
+                     t_range=(-0.5, 3.5), radius=0.6)
+    [checks["linearity_ok"]] = linearity_check(ext, flist[:1], flist[-1], pts)
+    return norm_reports, [worst for _, worst in seams], checks

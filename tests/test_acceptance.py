@@ -101,19 +101,19 @@ def test_criterion_4_extension_operator():
         traces = verify.trace_check(ext, smooth, count=10_000, rng_seed=5)
         decays = verify.boundary_decay_check(ext, smooth, rays=1000, rng_seed=5)
         for u, rep, decay in zip(smooth, traces, decays):
-            assert rep.exact and rep.max_abs_error == 0.0
+            assert rep.value == 0.0  # bitwise equality at every sample
             assert decay.ok, (u.name, decay)
         # straightened route: trace within 1e-8
         for psi in (PowerProfile(2.0), TWO_STEP):
             u = make_field("wave", 3)
             [rep] = verify.trace_check(extend_general(psi, 3), [u], count=10_000, rng_seed=6)
-            assert rep.max_abs_error <= 1e-8
+            assert rep.value <= 1e-8
         # pointwise linearity at 1e-12
         rng = np.random.default_rng(8)
         pts = np.concatenate([rng.uniform(-0.5, 3.5, size=(5000, 1)),
                               rng.uniform(-0.6, 0.6, size=(5000, 2))], axis=1)
         [rep] = verify.linearity_check(ext, [smooth[1]], smooth[3], pts)
-        assert rep.max_abs_error <= 1e-12
+        assert rep.value <= 1e-12
 
 
 def test_criterion_5_norm_inequality():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext import cli, extension, geometry, transform, verify
+from cuspext import cli, extension, geometry, quadrature, transform, verify
 from cuspext.cli import main
 from cuspext.fields import make_field
 from cuspext.profiles import StepProfile
@@ -190,14 +190,15 @@ def test_extend_verify_geometry_work_does_not_grow_with_fields(tmp_path, monkeyp
 
 def test_extend_verify_seam_cap_reads_the_hat_input(tmp_path, monkeypatch):
     # the seams probe E^(u o T^-1), so the cap comes from u o T^-1, not u
-    caps = []
-    real = verify.seam_verdict
+    bounds = []
+    real = verify.seam_continuity_check
 
-    def recorded(report, cap):
-        caps.append(cap)
-        return real(report, cap)
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        bounds.append([c.bound for checks, _ in out for c in checks])
+        return out
 
-    monkeypatch.setattr(verify, "seam_verdict", recorded)
+    monkeypatch.setattr(verify, "seam_continuity_check", recorded)
     cfg = {
         "command": "extend-verify",
         "profile": {"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2]},
@@ -215,7 +216,8 @@ def test_extend_verify_seam_cap_reads_the_hat_input(tmp_path, monkeypatch):
     ext = extension.extend(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
     u = make_field("wave", 3)
     [want] = verify.seam_modulus_cap(ext, [u], 1)
-    assert caps == [want]
+    # one bound cap * delta per seam and separation, seven seams
+    assert bounds == [[want * delta for _ in range(7) for delta in (1e-3, 1e-5, 1e-7)]]
     # u itself, read at the same straightened points, gives another cap
     assert [want] != verify.seam_modulus_cap(dataclasses.replace(ext, inner=None), [u], 1)
 
@@ -240,6 +242,78 @@ def test_extend_verify_detects_shift_misconfiguration(tmp_path, shift_end_cap):
     report = json.loads((out / "extend_report.json").read_text())
     assert report["checks"]["seam_ok[axial]"] is False
     assert report["norm_reports"][0]["seam_worst"] == "cap-interface"
+
+
+SMALL_TRANSFORM = {
+    "command": "transform-verify",
+    "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+    "seed": 2,
+    "transform": {"round_trip_samples": 500, "image_samples": 300,
+                  "distortion_pairs": 500, "seam_samples": 20},
+}
+
+
+def test_transform_verify_fails_a_nan_seam_stretch(tmp_path, monkeypatch):
+    # Python's max() skips a NaN that is not first; the stretch record must not
+    real = transform.seam_continuity
+
+    def nan_disk(*args):
+        stretch = real(*args)
+        stretch["disk"][1e-5] = float("nan")
+        return stretch
+
+    monkeypatch.setattr(transform, "seam_continuity", nan_disk)
+    code, out = run(tmp_path, SMALL_TRANSFORM)
+    assert code == 2
+    checks = json.loads((out / "transform_report.json").read_text())["checks"]
+    assert checks.pop("seam_continuity_ok") is False
+    assert all(checks.values())
+
+
+SMALL_EXTEND = {
+    "command": "extend-verify",
+    "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+    "n": 3,
+    "seed": 1,
+    "extend": {
+        "pq": [[2.0, 1.0], [4.0, 1.9]],
+        "functions": ["constant"],
+        "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6},
+        "trace_samples": 500,
+        "decay_rays": 60,
+    },
+}
+
+
+def _patch_norm_reports(monkeypatch, **changes):
+    """Make extension_ratio report ``changes`` at (p, q) = (2, 1)."""
+    real = quadrature.extension_ratio
+
+    def patched(*args, **kwargs):
+        return [[dataclasses.replace(rep, **changes) if (rep.p, rep.q) == (2.0, 1.0) else rep
+                 for rep in reports] for reports in real(*args, **kwargs)]
+
+    monkeypatch.setattr(quadrature, "extension_ratio", patched)
+
+
+def test_extend_verify_fails_an_infinite_ratio_in_the_limit_region(tmp_path, monkeypatch):
+    # the limit-region rule once returned np.False_, which json.dump cannot write
+    _patch_norm_reports(monkeypatch, ratio=float("inf"))
+    code, out = run(tmp_path, SMALL_EXTEND)
+    assert code == 2
+    checks = json.loads((out / "extend_report.json").read_text())["checks"]
+    assert checks.pop("ratio_ok[constant,p=2.0,q=1.0]") is False
+    assert all(checks.values())
+
+
+def test_extend_verify_zero_denominator_asserts_nothing(tmp_path, monkeypatch):
+    # even a NaN ratio passes: an empty tuple of records
+    _patch_norm_reports(monkeypatch, zero_denominator=True, ratio=float("nan"),
+                        refinement_delta=None)
+    code, out = run(tmp_path, SMALL_EXTEND)
+    assert code == 0
+    checks = json.loads((out / "extend_report.json").read_text())["checks"]
+    assert checks["ratio_ok[constant,p=2.0,q=1.0]"] is True
 
 
 def test_extend_verify_out_of_region_warns_not_fails(tmp_path):

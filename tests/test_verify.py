@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cuspext import geometry, transform, verify
+from cuspext.errors import Check
 from cuspext.extension import extend
 from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, normalize
@@ -17,22 +18,36 @@ PROFILES = [PowerProfile(2.0, 0.25), TWO_STEP, WIDE_STEP]
 PROFILE_IDS = ["direct-power", "straightened-two-step", "straightened-rescaled-step"]
 
 
-def test_seam_verdict_names_the_worst_seam():
+def seam_verdict(monkeypatch, jumps, cap):
+    """seam_continuity_check's (verdict, worst seam) on one field's jump table and cap."""
+    monkeypatch.setattr(verify, "seam_jumps", lambda ext, fields, *args: [jumps])
+    monkeypatch.setattr(verify, "seam_modulus_cap", lambda ext, fields, seed: [cap])
+    [(checks, worst)] = verify.seam_continuity_check(None, [None])
+    assert repr(checks) == repr(tuple(Check(jump, cap * delta) for per in jumps.values()
+                                      for delta, jump in per.items()))
+    return all(c.ok for c in checks), worst
+
+
+def test_seam_verdict_names_the_worst_seam(monkeypatch):
     # both seams fail; the later one in draw order is worse relative to its delta
     report = {"cap-interface": {1e-3: 0.2, 1e-5: 0.0},
               "cap-end": {1e-3: 0.0, 1e-5: 0.01}}
-    assert verify.seam_verdict(report, 10.0) == (False, "cap-end")
-    assert verify.seam_verdict(report, 1e4) == (True, None)
+    assert seam_verdict(monkeypatch, report, 10.0) == (False, "cap-end")
+    assert seam_verdict(monkeypatch, report, 1e4) == (True, None)
+    # a jump exactly at cap * delta passes
+    assert seam_verdict(monkeypatch, {"cap-end": {1e-3: 10.0 * 1e-3}}, 10.0) == (True, None)
 
 
-def test_seam_verdict_fails_a_nan_jump():
+def test_seam_verdict_fails_a_nan_jump(monkeypatch):
     nan = float("nan")
-    assert verify.seam_verdict({"cap-end": {1e-3: nan}}, 1.0) == (False, "cap-end")
+    assert seam_verdict(monkeypatch, {"cap-end": {1e-3: nan}}, 1.0) == (False, "cap-end")
     # a NaN jump is named before any finite failure, wherever it sits
     report = {"cap-end": {1e-3: nan}, "cap-interface": {1e-3: 5.0}}
-    assert verify.seam_verdict(report, 1.0) == (False, "cap-end")
+    assert seam_verdict(monkeypatch, report, 1.0) == (False, "cap-end")
     report = {"cap-interface": {1e-3: 5.0, 1e-5: 0.0}, "cap-end": {1e-3: 0.0, 1e-5: nan}}
-    assert verify.seam_verdict(report, 1.0) == (False, "cap-end")
+    assert seam_verdict(monkeypatch, report, 1.0) == (False, "cap-end")
+    # so does a NaN cap
+    assert seam_verdict(monkeypatch, {"cap-end": {1e-3: 0.0}}, nan) == (False, "cap-end")
 
 
 @pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
@@ -40,8 +55,8 @@ def test_boundary_decay_fails_a_nan_field(psi):
     nan_field = ScalarField("nan", lambda z: np.full(z.shape[:-1], np.nan))
     ok_field = make_field("wave", 3)
     bad, good = verify.boundary_decay_check(extend(psi, 3), [nan_field, ok_field], rays=60)
-    assert not bad.ok and np.isnan(bad.max_normalized)
-    assert good.ok and 0.0 < good.max_normalized <= 1.0
+    assert not bad.ok and np.isnan(bad.value) and bad.bound == 1.0
+    assert good.ok and 0.0 < good.value <= 1.0
 
 
 @pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
@@ -56,6 +71,7 @@ def test_check_reports_do_not_depend_on_other_fields(psi):
         lambda fs: verify.trace_check(ext, fs, count=1000, rng_seed=1),
         lambda fs: verify.boundary_decay_check(ext, fs, rays=150, rng_seed=2),
         lambda fs: verify.seam_continuity_check(ext, fs, per_seam=40, rng_seed=3),
+        lambda fs: verify.seam_jumps(ext, fs, (1e-3, 1e-5), 40, 3),
         lambda fs: verify.seam_modulus_cap(ext, fs, 4),
         lambda fs: verify.linearity_check(ext, fs, v, pts),
     ]
@@ -89,7 +105,7 @@ def test_seam_probes_match_per_batch_probe(psi, monkeypatch):
     spec, _ = normalize(DomainSpec(3, psi))
     deltas, per_seam, seed = (1e-3, 1e-5, 1e-7), 60, 9
     got = (transform.seam_continuity(spec, deltas, per_seam, seed),
-           verify.seam_continuity_check(ext, fields, deltas, per_seam, seed))
+           verify.seam_jumps(ext, fields, deltas, per_seam, seed))
 
     def per_batch(count):
         return lambda f, *args: [per_batch_straddle(lambda z, i=i: f(z)[i], *args)
@@ -98,7 +114,7 @@ def test_seam_probes_match_per_batch_probe(psi, monkeypatch):
     monkeypatch.setattr(geometry, "straddle_probe", per_batch(1))
     want = (transform.seam_continuity(spec, deltas, per_seam, seed),)
     monkeypatch.setattr(geometry, "straddle_probe", per_batch(len(fields)))
-    want += (verify.seam_continuity_check(ext, fields, deltas, per_seam, seed),)
+    want += (verify.seam_jumps(ext, fields, deltas, per_seam, seed),)
     assert repr(got) == repr(want)
 
 
@@ -120,7 +136,7 @@ def per_field_decay(ext, u, rays, deltas, seed, safety=2.0):
         rad = rng.uniform(0.0, 2.0 * spec.psi1 * 0.98, size=per)
         z = np.concatenate([np.full((per, 1), 3.0 - delta), rad[:, None] * direction], axis=1)
         worst = max(worst, float(np.max(np.abs(eu.fn(z)) / (safety * m_u * delta))))
-    return verify.DecayReport(worst <= 1.0, worst, 3 * per * len(deltas))
+    return Check(worst, 1.0)
 
 
 @pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
