@@ -7,10 +7,12 @@
 #
 # Runs every perfbench/workloads config at seeds 1 and 1009, plus four
 # admissibility sweeps off the workload's q = n-1 line, an extend-verify
-# run outside the guaranteed region, and lipschitzify and transform-verify
-# on the two-step profile, with and without --dump-points --dump-slices,
-# once on <base-ref> and once on the working tree, and prints `diff -rq`
-# of the two output trees (each run's exit code included).  The base tree is extracted with `git archive`
+# run outside the guaranteed region, lipschitzify and transform-verify on
+# the two-step profile, transform-verify at n = 2 and n = 4 with counts off
+# the block size, and an n = 4 extend-verify on Monte Carlo nodes, with and
+# without --dump-points --dump-slices, once on <base-ref> and once on the
+# working tree, and prints `diff -rq` of the two output trees (each run's
+# exit code included).  The base tree is extracted with `git archive`
 # into a temporary directory, so no worktree metadata is left behind.
 # Exits 0 when every artifact is identical, 1 when one differs and 2 on
 # a usage error.  PYTHON overrides the interpreter (default python3).
@@ -69,6 +71,22 @@ printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' "$step"
     > "$work/configs/lipschitzify-two-step.json"
 printf '{"command": "transform-verify", "profile": %s, "n": 3, "seed": 1}\n' "$step" \
     > "$work/configs/transform-two-step.json"
+
+# every caller of geometry.sample_ball at n != 3: transform-verify at n = 2
+# and n = 4, with counts that are not multiples of geometry.BLOCK_NODES, and
+# an n = 4 extend-verify, whose Monte Carlo nodes (quadrature._slab_nodes_mc)
+# are ball samples
+for n in 2 4; do
+    printf '{"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25}, "n": %s, "seed": 1, "transform": {"round_trip_samples": 40001, "image_samples": 3001, "distortion_pairs": 33333, "seam_samples": 77}}\n' \
+        "$n" > "$work/configs/transform-n$n-blocks.json"
+done
+cat > "$work/configs/extend-n4-mc.json" <<'JSON'
+{"command": "extend-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+ "n": 4, "seed": 1,
+ "extend": {"pq": [[2.0, 1.0]], "functions": ["constant", "wave"],
+            "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6,
+                           "mc_samples": 3000}}}
+JSON
 
 run_tree() {  # run_tree <source tree> <label>
     local config stem out code

@@ -43,7 +43,9 @@ COMMANDS = ("lipschitzify", "transform-verify", "extend-verify", "admissibility-
 # each sweep row runs two dyadic tail checks (tens of milliseconds), so
 # 10 000 rows already take minutes; larger grids are config mistakes
 SWEEP_MAX_ROWS = 10_000
-DUMP_POINTS = 10_000  # at most this many round-trip samples go to transform_points.csv
+# transform_points.csv: min(round_trip_samples, DUMP_POINTS) box points of its own, drawn at
+# the run's seed, and their images; past the cap only their t column is the round trip's
+DUMP_POINTS = 10_000
 
 
 @dataclass

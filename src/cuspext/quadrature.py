@@ -19,16 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .errors import QuadratureError
 from .extension import ConjugatedExtension
 from .fields import ScalarField
 from .geometry import DomainSpec, collar_radius, row_norm, sample_ball
-
-# Nodes read at a time by a W^{1,p} norm: a block's pullback and field
-# reads stay small, and only the per-node values and |grad| of every
-# field span the node set.  On the extend workloads 8,192 and 16,384
-# read peak RSS within 0.5 MB of each other, 32,768 3 to 5 MB more.
-BLOCK_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -277,7 +272,7 @@ def _read_at(Zb):
 def _w1p_blocked(fields, Z, W, exponents, pullback=_read_at) -> list[dict]:
     """Per field, {p: (W^{1,p} norm, detail)}, reading the nodes Z one block at a time.
 
-    Per block of BLOCK_NODES nodes Zb, ``pullback(Zb)`` gives a
+    Per block of geometry.BLOCK_NODES nodes Zb, ``pullback(Zb)`` gives a
     ``push(u) -> (values, gradients)`` that every field goes through (by
     default u read at Zb itself), so no read's working state spans the
     whole node set.  Only each field's values and |grad| are kept, in
@@ -288,13 +283,12 @@ def _w1p_blocked(fields, Z, W, exponents, pullback=_read_at) -> list[dict]:
     """
     k = Z.shape[0]
     vals, mags = np.empty((len(fields), k)), np.empty((len(fields), k))
-    for i in range(0, k, BLOCK_NODES):
-        j = i + BLOCK_NODES
-        push = pullback(Z[i:j])
+    for rows in geometry.blocks(k):
+        push = pullback(Z[rows])
         for f, u in enumerate(fields):
-            vals[f, i:j], g = push(u)
+            vals[f, rows], g = push(u)
             with np.errstate(over="ignore"):
-                mags[f, i:j] = row_norm(g)
+                mags[f, rows] = row_norm(g)
             del g
     out = []
     for v, mag in zip(vals, mags):
@@ -349,8 +343,8 @@ def extension_ratio(fields, ext: ConjugatedExtension, pq,
     constant).  The ratio's bound is existential, so the reports assert
     nothing about its size.
 
-    Per resolution the domain and the extension node sets are each
-    built once and read in blocks of BLOCK_NODES nodes.  The operator
+    Per resolution the domain and the extension node sets are each built
+    once and read in blocks of geometry.BLOCK_NODES nodes.  The operator
     depends on the domain alone, so each block of extension nodes is
     pulled back once (``ConjugatedExtension.pullback``) and every field
     is pushed through that one pullback; a domain block reads each field

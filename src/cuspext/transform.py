@@ -138,18 +138,21 @@ def sample_box(n: int, count: int, rng: np.random.Generator,
     return geometry.sample_ball(n, t, radius, rng)
 
 
-def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> DistortionReport:
-    """Difference-quotient and Jacobian extremes over random box pairs.
+def _extremes(blocks) -> tuple[float, float, int]:
+    """(min, max, size) over arrays read one at a time; an empty one adds nothing.
+
+    np.min and np.max are exact and, unlike Python's, keep a NaN of any array.
+    """
+    low, high, size = np.array([(x.min(), x.max(), x.size) for x in blocks if x.size]).T
+    return float(np.min(low)), float(np.max(high)), int(size.sum())
+
+
+def _quotients(spec: DomainSpec, a, b):
+    """|T(a) - T(b)| / |a - b| over the pairs of (a, b) more than 1e-12 apart.
 
     T copies x, so only the axial column of d = a - b is recomputed: |d|
-    then has the bits of |forward_map(a) - forward_map(b)|.  The Jacobian
-    determinant is ds/dt of each probe's branch (see jacobian).
+    then has the bits of |forward_map(a) - forward_map(b)|.
     """
-    if pair_count < 1:
-        raise ValueError(f"pair_count must be >= 1, got {pair_count}")
-    rng = np.random.default_rng(rng_seed)
-    a = sample_box(spec.n, pair_count, rng)
-    b = sample_box(spec.n, pair_count, rng)
     d = a - b
     gap = geometry.row_norm(d)
     keep = gap > 1e-12  # degenerate pairs carry no quotient information
@@ -157,17 +160,30 @@ def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> Disto
         a, b, d, gap = a[keep], b[keep], d[keep], gap[keep]
     d[:, 0] = (_axial_forward(spec, a[:, 0], geometry.row_norm(a[:, 1:]))
                - _axial_forward(spec, b[:, 0], geometry.row_norm(b[:, 1:])))
-    ratios = geometry.row_norm(d) / gap
+    return geometry.row_norm(d) / gap
 
+
+def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> DistortionReport:
+    """Difference-quotient and Jacobian extremes over random box pairs.
+
+    The pairs and the probes are drawn whole (a seeded sample takes all
+    its t values, then its directions, then its radii) and read in
+    geometry.BLOCK_NODES blocks, with the bits of one whole read.  The
+    Jacobian determinant is ds/dt of each probe's branch (see jacobian).
+    """
+    if pair_count < 1:
+        raise ValueError(f"pair_count must be >= 1, got {pair_count}")
+    rng = np.random.default_rng(rng_seed)
+    a = sample_box(spec.n, pair_count, rng)
+    b = sample_box(spec.n, pair_count, rng)
+    low, high, kept = _extremes(_quotients(spec, a[rows], b[rows])
+                                for rows in geometry.blocks(pair_count))
+    del a, b  # before the probes are drawn
     probes = sample_box(spec.n, pair_count, rng)
-    dets, _ = _axial_partials(spec, probes[:, 0], geometry.row_norm(probes[:, 1:]))
-    return DistortionReport(
-        sample_count=int(keep.sum()),
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
-        min_jacobian=float(np.abs(dets).min()),
-        max_jacobian=float(np.abs(dets).max()),
-    )
+    jac_low, jac_high, _ = _extremes(
+        np.abs(_axial_partials(spec, probes[rows, 0], geometry.row_norm(probes[rows, 1:]))[0])
+        for rows in geometry.blocks(pair_count))
+    return DistortionReport(kept, low, high, jac_low, jac_high)
 
 
 @dataclass(frozen=True)
@@ -250,8 +266,15 @@ def verify_transform(spec: DomainSpec, rng_seed: int, tol: float, round_trip_sam
                      image_samples: int, distortion_pairs: int, seam_samples: int,
                      seam_deltas):
     """The map's round-trip, seam, image and distortion checks: (stretches, distortion, checks)."""
+    for name, count in (("round_trip_samples", round_trip_samples),
+                        ("image_samples", image_samples), ("distortion_pairs", distortion_pairs),
+                        ("seam_samples", seam_samples)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     z = sample_box(spec.n, round_trip_samples, np.random.default_rng(rng_seed))
-    round_err = float(np.max(np.abs(inverse_map(spec, forward_map(spec, z)) - z)))
+    _, round_err, _ = _extremes(np.abs(inverse_map(spec, forward_map(spec, z[rows])) - z[rows])
+                                for rows in geometry.blocks(round_trip_samples))
+    del z  # before the later stages draw their samples
     seams = seam_continuity(spec, tuple(seam_deltas), seam_samples, rng_seed)
     stretch = [k for per in seams.values() for k in per.values()]
     top, least = float(np.max(stretch)), float(np.min(stretch))  # both NaN if any is

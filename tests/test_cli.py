@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cuspext import cli, extension, geometry, quadrature, transform, verify
 from cuspext.cli import main
 from cuspext.fields import make_field
-from cuspext.profiles import StepProfile
+from cuspext.profiles import PowerProfile, StepProfile
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -89,6 +89,32 @@ def test_transform_verify_command(tmp_path):
     assert all(report["checks"].values())
     assert report["round_trip_max_error"] <= 1e-9
     assert (out / "transform_points.csv").exists()
+
+
+@pytest.mark.parametrize("samples", [2_000, 12_000])
+def test_transform_points_csv_holds_its_own_box_sample(tmp_path, samples):
+    # min(round_trip_samples, DUMP_POINTS) box points drawn at the run's seed and
+    # their images; past the cap they share only the t column of the round-trip sample
+    cfg = {
+        "command": "transform-verify",
+        "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
+        "seed": 2,
+        "transform": {"round_trip_samples": samples, "image_samples": 500,
+                      "distortion_pairs": 500, "seam_samples": 20},
+    }
+    code, out = run(tmp_path, cfg, extra=["--dump-points"])
+    assert code == 0
+    with open(out / "transform_points.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["z0", "z1", "z2", "Oz0", "Oz1", "Oz2"]
+    k = min(samples, cli.DUMP_POINTS)
+    spec, _ = geometry.normalize(geometry.DomainSpec(3, PowerProfile(2.0, 0.25)))
+    pts = transform.sample_box(3, k, np.random.default_rng(2))
+    assert rows[1:] == [[repr(float(v)) for v in row]
+                        for row in np.hstack([pts, transform.forward_map(spec, pts)])]
+    round_trip = transform.sample_box(3, samples, np.random.default_rng(2))[:k]
+    assert np.array_equal(pts[:, 0], round_trip[:, 0])
+    assert np.array_equal(pts, round_trip) == (samples <= cli.DUMP_POINTS)
 
 
 def test_extend_verify_command(tmp_path):

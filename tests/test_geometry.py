@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cuspext import geometry
 from cuspext.errors import NotNormalizedError
 from cuspext.geometry import (
     BilipRegion,
@@ -12,6 +13,7 @@ from cuspext.geometry import (
     contains_with_margin,
     normalize,
     row_norm,
+    sample_ball,
     split,
     unit_directions,
 )
@@ -173,6 +175,14 @@ def test_row_norm_edge_cases():
     assert np.isnan(got[:2]).all() and got[2] == np.linalg.norm([1.0, 2.0])
 
 
+def _whole_sample_ball(n, t, radius, rng):
+    """sample_ball as one whole-array formula: the draw the blocked, in-place one keeps."""
+    direction = rng.normal(size=(len(t), n - 1))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    rad = radius * rng.uniform(0.0, 1.0, size=len(t)) ** (1.0 / (n - 1))
+    return np.concatenate([t[:, None], rad[:, None] * direction], axis=1)
+
+
 def test_unit_directions_keeps_the_draw():
     a, b = np.random.default_rng(3), np.random.default_rng(3)
     got = unit_directions(a, 40, 2)
@@ -180,6 +190,23 @@ def test_unit_directions_keeps_the_draw():
     want /= np.linalg.norm(want, axis=1, keepdims=True)
     assert got.tobytes() == want.tobytes()
     assert a.uniform() == b.uniform()  # the stream moved by the same amount
+
+    # across block boundaries, and every sample_ball step (radii last, in place)
+    block = geometry.BLOCK_NODES
+    for n in (2, 3, 4):
+        for k in (0, 1, block - 1, block + 1):
+            a, b = np.random.default_rng(k + n), np.random.default_rng(k + n)
+            got = unit_directions(a, k, n - 1)
+            want = b.normal(size=(k, n - 1))
+            want /= np.linalg.norm(want, axis=1, keepdims=True)
+            assert got.shape == (k, n - 1) and got.tobytes() == want.tobytes()
+            assert a.uniform() == b.uniform()
+            t = np.random.default_rng(k).uniform(-1.0, 4.0, size=k)
+            for radius in (2.0, 0.1 + t * t):  # one radius, then one per point
+                got = sample_ball(n, t, radius, a)
+                want = _whole_sample_ball(n, t, radius, b)
+                assert got.shape == (k, n) and got.tobytes() == want.tobytes()
+                assert a.uniform() == b.uniform()
 
 
 def _seam_points(spec, rng, k=200):

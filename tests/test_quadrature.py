@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from fd_oracle import central_difference
 
-from cuspext import quadrature
+from cuspext import geometry, quadrature
 from cuspext.admissibility import in_limit_region
 from cuspext.errors import QuadratureError
 from cuspext.extension import extend, extend_general
@@ -343,10 +343,10 @@ def test_node_blocks_change_no_bit(psi, monkeypatch):
                           with_detail=True)]
         return json.dumps([[r.to_dict() for r in rs] for rs in reports] + norms, sort_keys=True)
 
-    assert quadrature.BLOCK_NODES >= 2560  # one block per node set
+    assert geometry.BLOCK_NODES >= 2560  # one block per node set
     whole = run()
     for block in (7, 999, 2560):
-        monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block)
         assert run() == whole
 
 
@@ -361,8 +361,8 @@ def test_node_blocks_name_the_same_nonfinite_node(monkeypatch):
     bad = ScalarField("bad", fn, lambda z: np.ones(z.shape))
     ext = extend(T2Q.psi, 3)
     messages = set()
-    for block in (quadrature.BLOCK_NODES, 7):
-        monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+    for block in (geometry.BLOCK_NODES, 7):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block)
         for call in (lambda: w1p_norm(bad, region_domain(T2Q), 2.0, BLOCKED, 3),
                      lambda: extension_ratio([bad], ext, [(2.0, 1.0)], BLOCKED)):
             with pytest.raises(QuadratureError) as err:
@@ -386,7 +386,7 @@ def test_extension_ratio_peak_memory_is_set_by_the_block(psi):
     extension_ratio(fields, ext, [(2.0, 1.0)], QuadratureScheme(t_levels=2, gauss_t=1,
                                                                  gauss_r=1, angular=2))
     N = build_nodes(region_extension(ext.hat_context.spec), scheme.refined(), 3)[0].shape[0]
-    n, F, B = 3, len(fields), quadrature.BLOCK_NODES
+    n, F, B = 3, len(fields), geometry.BLOCK_NODES
     bound = 8 * (N * (n + 1 + 2 * F + 2) + 16 * n * B)
     tracemalloc.start()
     try:

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from fd_oracle import central_difference
@@ -12,7 +15,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext import geometry, transform
+from cuspext import cli, geometry, transform
 from cuspext.errors import NotNormalizedError, ProfileDomainError
 from cuspext.geometry import BilipRegion, DomainSpec, classify_bilip_region, normalize
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
@@ -264,6 +267,112 @@ def test_distortion_sample_degenerate_pairs_match_oracle(monkeypatch):
         got = transform.distortion_sample(spec, 700, 1)
         assert got == select_distortion_sample(spec, 700, 1)
         assert got.sample_count == 500
+
+
+# counts off every tested block size; a block of 4096 holds each whole
+BLOCKED_COUNTS = {"round_trip_samples": 2_503, "image_samples": 301, "distortion_pairs": 2_111,
+                  "seam_samples": 23, "seam_deltas": [1e-3, 1e-5, 1e-7]}
+
+
+def _bits(result):
+    """verify_transform's result with every float as its hex string."""
+    if dataclasses.is_dataclass(result):
+        return _bits(dataclasses.asdict(result))
+    if isinstance(result, dict):
+        return {repr(k): _bits(v) for k, v in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [_bits(v) for v in result]
+    return float(result).hex() if isinstance(result, float) else result
+
+
+@pytest.mark.parametrize("spec", [SPEC, ORACLE_SPECS["normalized-step"]],
+                         ids=["power", "normalized-step"])
+def test_transform_blocks_change_no_bit(spec, monkeypatch):
+    def run():
+        return _bits(transform.verify_transform(spec, 1, 1e-12, **BLOCKED_COUNTS))
+
+    whole = run()
+    for block in (7, 999, 4096):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block)
+        assert run() == whole
+
+
+def test_distortion_sample_all_degenerate_first_block(monkeypatch):
+    real, drawn = transform.sample_box, []
+
+    def sample_box_repeating_a(n, count, rng, **kwargs):
+        z = real(n, count, rng, **kwargs)
+        if len(drawn) % 3 == 1:  # b of each (a, b, probes): its first 7 pairs repeat a's
+            z[:7] = drawn[-1][:7]
+        drawn.append(z)
+        return z
+
+    monkeypatch.setattr(transform, "sample_box", sample_box_repeating_a)
+    for block in (7, 999, 4096):
+        monkeypatch.setattr(geometry, "BLOCK_NODES", block)
+        for spec in ORACLE_SPECS.values():
+            got = transform.distortion_sample(spec, 2_111, 1)
+            assert got == select_distortion_sample(spec, 2_111, 1)
+            assert got.sample_count == 2_104
+
+
+@pytest.mark.parametrize("block", [7, 999, 4096])
+def test_nan_in_the_last_block_fails(block, monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK_NODES", block)
+    count = BLOCKED_COUNTS["round_trip_samples"]
+    last = forward_map(SPEC, sample_box(3, count, np.random.default_rng(1))[-1])
+    real_inverse = transform.inverse_map
+
+    def inverse_losing_the_last_point(spec, w, branches=None):
+        out = real_inverse(spec, w, branches)
+        out[np.all(w == last, axis=-1), 0] = np.nan
+        return out
+
+    monkeypatch.setattr(transform, "inverse_map", inverse_losing_the_last_point)
+    _, _, checks = transform.verify_transform(SPEC, 1, 1e-12, **BLOCKED_COUNTS)
+    assert np.isnan(checks["round_trip_ok"].value) and not checks["round_trip_ok"].ok
+
+    monkeypatch.setattr(transform, "inverse_map", real_inverse)
+    pairs = BLOCKED_COUNTS["distortion_pairs"]
+    a_last = sample_box(3, pairs, np.random.default_rng(1))[-1]
+    real_quotients = transform._quotients
+
+    def quotients_losing_the_last_pair(spec, a, b):
+        ratios = real_quotients(spec, a, b)
+        if np.array_equal(a[-1], a_last):
+            ratios[-1] = np.nan
+        return ratios
+
+    monkeypatch.setattr(transform, "_quotients", quotients_losing_the_last_pair)
+    _, d, checks = transform.verify_transform(SPEC, 1, 1e-12, **BLOCKED_COUNTS)
+    assert np.isnan(d.min_ratio) and np.isnan(d.max_ratio)
+    assert not all(check.ok for check in checks["distortion_finite_ok"])
+
+
+@pytest.mark.parametrize("name", ["round_trip_samples", "image_samples", "distortion_pairs",
+                                  "seam_samples"])
+def test_verify_transform_rejects_counts_below_one(name):
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            transform.verify_transform(SPEC, 1, 1e-12, **dict(BLOCKED_COUNTS, **{name: count}))
+
+
+def test_verify_transform_peak_memory_is_set_by_the_samples():
+    # the CLI defaults; S is one (100_000, n) sample.  Held at once while the
+    # distortion pairs' b is drawn: a, b's (k, n) array, its t column, its
+    # unit directions and its radii (3 S + S / n) and one block's scratch
+    options = {k: default for k, (_, default) in cli.SECTIONS["transform-verify"][1].items()}
+    assert options["round_trip_samples"] == options["distortion_pairs"] == 100_000
+    n = 3
+    sample = 100_000 * n * 8
+    transform.verify_transform(SPEC, 1, 1e-12, **BLOCKED_COUNTS)  # imports and caches
+    tracemalloc.start()
+    try:
+        transform.verify_transform(SPEC, 1, 1e-12, **options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sample, f"peak {peak / 1e6:.1f} MB, bound {4 * sample / 1e6:.1f} MB"
 
 
 def test_distortion_sample_skips_the_finite_check(monkeypatch):
