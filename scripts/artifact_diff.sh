@@ -9,7 +9,9 @@
 # admissibility sweeps off the workload's q = n-1 line, an extend-verify
 # run outside the guaranteed region, lipschitzify and transform-verify on
 # the two-step profile, transform-verify at n = 2 and n = 4 with counts off
-# the block size, and an n = 4 extend-verify on Monte Carlo nodes, with and
+# the block size, an n = 4 extend-verify on Monte Carlo nodes, and small
+# runs on the profile paths no workload reaches (a rescaled power and step
+# profile, a linear profile, a csv table, the radial-sq field), with and
 # without --dump-points --dump-slices, once on <base-ref> and once on the
 # working tree, and prints `diff -rq` of the two output trees (each run's
 # exit code included).  The base tree is extracted with `git archive`
@@ -87,6 +89,25 @@ cat > "$work/configs/extend-n4-mc.json" <<'JSON'
             "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6,
                            "mc_samples": 3000}}}
 JSON
+
+# profile paths the configs above do not reach, on small schemes: geometry.normalize
+# rescales a power cusp with coeff 1 and the step profile with psi(1) = 0.6
+# (PowerProfile.scaled, StepProfile.scaled), a linear profile, a csv table read by
+# load_profile_csv, and the radial-sq field
+small_transform='"transform": {"round_trip_samples": 5000, "image_samples": 2000, "distortion_pairs": 5000, "seam_samples": 50}'
+small_extend='"trace_samples": 500, "decay_rays": 60, "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6}'
+linear='{"kind": "linear", "slope": 0.25}'
+printf '{"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1.0}, "n": 3, "seed": 1, %s}\n' \
+    "$small_transform" > "$work/configs/transform-power-rescaled.json"
+printf '{"command": "extend-verify", "profile": {"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.3, 0.6]}, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0]], "functions": ["radial-sq", "wave"], %s}}\n' \
+    "$small_extend" > "$work/configs/extend-step-rescaled.json"
+printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' "$linear" \
+    > "$work/configs/lipschitzify-linear.json"
+printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0]], "functions": ["axial"], %s}}\n' \
+    "$linear" "$small_extend" > "$work/configs/extend-linear.json"
+printf 'breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n' > "$work/profile.csv"
+printf '{"command": "lipschitzify", "profile": {"kind": "csv", "path": "%s"}, "n": 3, "seed": 1}\n' \
+    "$work/profile.csv" > "$work/configs/lipschitzify-csv.json"
 
 run_tree() {  # run_tree <source tree> <label>
     local config stem out code

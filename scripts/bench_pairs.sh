@@ -9,9 +9,13 @@
 # <pairs> times (default 10) in each tree, at seed <seed> (default 1), for
 # BENCHMARK.json's run_seconds; the side that runs first alternates from
 # pair to pair.  Each tree runs its own perfbench/ on its own src/.  The
-# base tree is extracted with `git archive` into a temporary directory, so
-# nothing is left behind but the git-ignored run records under the working
-# tree's perfbench/_runs/.  Prints, for every end-to-end metric of
+# base tree is extracted with `git archive` into a temporary directory, and
+# the working tree's src/, perfbench/ and BENCHMARK.json are copied as they
+# stand into a sibling directory whose path has the same length, since peak
+# RSS moves with the length of the source path alone.  The copy's
+# perfbench/_runs links to the working tree's, so nothing is left behind but
+# the git-ignored run records there (their git_sha is null: the copy is not
+# a checkout).  Prints, for every end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles, the number of pairs
 # the change won (ties count for neither side) and a verdict: "gain holds"
 # when the change won at least 9/10 of the pairs and the medians differ by
@@ -37,14 +41,17 @@ seconds=${BENCH_SECONDS:-$("$python" -c 'import json, sys
 print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")}
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/base-tree"
+mkdir -p "$work/base-tree" "$work/work-tree" "$root/perfbench/_runs"
 git -C "$root" archive "$base" | tar -x -C "$work/base-tree"
+tar -C "$root" --exclude=_runs --exclude=__pycache__ -cf - src perfbench BENCHMARK.json \
+    | tar -x -C "$work/work-tree"
+ln -s "$root/perfbench/_runs" "$work/work-tree/perfbench/_runs"
 if ! git -C "$root" diff --quiet "$base" -- perfbench BENCHMARK.json; then
     echo "warning: perfbench/ or BENCHMARK.json differ between the trees" >&2
 fi
 
 run_side() {  # run_side <base|change> <pair index>
-    local tree=$root
+    local tree=$work/work-tree
     [ "$1" = base ] && tree=$work/base-tree
     # the last line of run.py's output is its result object
     if "$python" "$tree/perfbench/run.py" --workload "$workload" --seed "$seed" \

@@ -40,7 +40,6 @@ from .lipschitzify import (
     HatPair,
     LipschitzizedProfile,
     hat_profile,
-    hat_psi,
     hat_values,
     solve_hat_pair,
     verify_doubling_transfer,
@@ -51,7 +50,6 @@ from .profiles import (
     LinearProfile,
     PowerProfile,
     StepProfile,
-    eval_profile,
     load_profile_csv,
     make_profile,
     save_profile_csv,

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import gauss_rule
+from .lipschitzify import verify_monotone_quotient
 from .profiles import CuspProfile, PowerProfile
-from .quadrature import gauss_rule
 
 TAIL_LEVELS = 60
 RATIO_THRESHOLD = 0.999
@@ -226,10 +227,6 @@ class AdmissibilityVerdict:
     def mechanism(self) -> str:
         return self.mechanisms[0] if self.mechanisms else "None"
 
-    @property
-    def admissible(self) -> bool:
-        return bool(self.mechanisms)
-
 
 def admissible_pq(n: int, s: float, p: float, q: float) -> AdmissibilityVerdict:
     """Evaluate every extension mechanism's inequality at fixed (n, s, p, q)."""
@@ -291,8 +288,6 @@ def sweep_power_cusp(n: int, p: float, q: float, sigmas) -> list[dict]:
     """
     rows = []
     thr = _thresholds_or_none(n, p, q) or Thresholds(None, None)
-    from .lipschitzify import verify_monotone_quotient
-
     hyp_grid = np.geomspace(1e-4, 1.0, 24)
     for sigma in np.round(np.asarray(sigmas, dtype=float), 12):
         ok, mechanisms = power_cusp_admissible(n, float(sigma), p, q)

@@ -9,8 +9,8 @@ output):
   extend-verify       extension-norm reports plus operator checks
   admissibility-sweep frontier table over power-cusp exponents
 
-Exit codes: 0 all checks pass, 2 check failure, 3 configuration error,
-4 numeric error.
+Exit codes: 0 all checks pass, 2 check failure, 3 configuration error
+(a run too large for memory included), 4 numeric error.
 """
 
 from __future__ import annotations
@@ -392,6 +392,10 @@ def main(argv=None) -> int:
         return DISPATCH[cfg.command](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as err:
+        print(f"config error: out of memory ({err}); lower n, a count or the resolution",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, QuadratureError, OverflowError, FloatingPointError) as err:
         print(f"numeric error: {err}", file=sys.stderr)

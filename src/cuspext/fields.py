@@ -22,9 +22,6 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     value_and_grad: Callable[[np.ndarray], tuple] | None = None
 
-    def __call__(self, z):
-        return self.fn(np.asarray(z, dtype=float))
-
 
 def constant_field(n: int, value: float = 1.0) -> ScalarField:
     def fn(z):

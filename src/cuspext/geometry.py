@@ -7,6 +7,7 @@ vectorized over leading axes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -62,6 +63,19 @@ class ExtRegion(IntEnum):
 # draws); on the extend workloads 8,192 read peak RSS within 0.5 MB of this, 32,768 3-5 MB more.
 BLOCK_NODES = 16384
 
+
+@functools.cache
+def gauss_rule(deg: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    Built on first use: importing ``numpy.polynomial`` at import time
+    would cost every command a few milliseconds and some memory.
+    """
+    xi, wt = np.polynomial.legendre.leggauss(deg)
+    xi.flags.writeable = wt.flags.writeable = False
+    return xi, wt
+
+
 # numpy reduces fewer than 8 entries left to right and more by pairwise
 # blocks, so only below this width does a running column sum reproduce
 # the bits of numpy's own vector norm.
@@ -101,11 +115,7 @@ def split(z, n: int):
 
 def contains(spec: DomainSpec, z) -> np.ndarray | bool:
     """Strict membership in the open domain."""
-    t, _, r = split(z, spec.n)
-    scalar = t.ndim == 0
-    t, r = np.atleast_1d(t), np.atleast_1d(r)
-    out = (t > 0.0) & (t < 2.0) & (r < collar_radius(spec, t))
-    return bool(out[0]) if scalar else out
+    return contains_with_margin(spec, z, 0.0)
 
 
 def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray | bool:
@@ -120,7 +130,7 @@ def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray | bool:
     scalar = t.ndim == 0
     t, r = np.atleast_1d(t), np.atleast_1d(r)
     psi1 = spec.psi1
-    te = np.clip(t + band, 1e-300, 1.0)
+    te = np.minimum(t + band, 1.0)  # > 0 on the cusp points: t + band > 0 exactly there
     cusp = (t > -band) & (t <= 1.0 + band)
     in_cusp = np.zeros(t.shape, dtype=bool)
     if np.any(cusp):

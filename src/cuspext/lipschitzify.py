@@ -22,6 +22,7 @@ from .profiles import CuspProfile, LinearProfile, StepProfile, profile_derivativ
 
 DEFAULT_TOL = 1e-12
 LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to tol of solver error
+QUOTIENT_REL_SLACK = 1e-9  # the share of a quotient that a later one may drop by
 MAX_BISECT_ITER = 200
 # Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
 # is exact for k <= 52), and floats in [0, 1) lie at most 2^-53 apart:
@@ -39,11 +40,6 @@ class HatPair:
     t_component: float
     r_component: float
     on_jump: bool
-
-    @property
-    def radial_dominant(self) -> bool:
-        """True when the radial part of the pair dominates the axial one."""
-        return self.r_component >= self.t_component
 
 
 def _g_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
@@ -188,13 +184,8 @@ def solve_hat_pair(psi: CuspProfile, t_hat: float, tol: float = DEFAULT_TOL) -> 
     return HatPair(float(t_hat), float(t_sol[0]), float(r_sol[0]), bool(jump[0]))
 
 
-def hat_psi(psi: CuspProfile, t_hat: float, tol: float = DEFAULT_TOL) -> float:
-    """Value of the Lipschitz re-profiling at a single point."""
-    return solve_hat_pair(psi, t_hat, tol).r_component
-
-
 def hat_values(psi: CuspProfile, t_hats, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized hat_psi over an array of points in (0, 1]."""
+    """The re-profiling hat_psi at a point (a float) or an array of points in (0, 1]."""
     t_hats = np.asarray(t_hats, dtype=float)
     _, r_sol, _ = _solve_many(psi, np.atleast_1d(t_hats), tol)
     return r_sol.reshape(t_hats.shape) if t_hats.ndim else float(r_sol[0])
@@ -289,9 +280,6 @@ class LipschitzizedProfile(CuspProfile):
 
         return tuple(np.moveaxis(self._per_pair(t, read), -1, 0))
 
-    def right_limit(self, t):
-        return self.value(t)
-
     @property
     def value_at_1(self) -> float:
         # the endpoint pair (1, psi(1)) of _solve_many: bitwise value(1.0), no solve
@@ -322,8 +310,8 @@ class MonotoneQuotientResult:
     violation: tuple | None  # (t_hat_1, t_hat_2, q1, q2)
 
 
-def verify_monotone_quotient(psi: CuspProfile, grid, tol: float = DEFAULT_TOL,
-                             rel_slack: float = 1e-9) -> MonotoneQuotientResult:
+def verify_monotone_quotient(psi: CuspProfile, grid,
+                             tol: float = DEFAULT_TOL) -> MonotoneQuotientResult:
     """Check hat_psi(t)/t is nondecreasing across the grid.
 
     Meaningful under the hypothesis that psi(t)/t is itself
@@ -332,7 +320,7 @@ def verify_monotone_quotient(psi: CuspProfile, grid, tol: float = DEFAULT_TOL,
     """
     grid = np.sort(np.asarray(grid, dtype=float))
     q = hat_values(psi, grid, tol) / grid
-    drop = q[1:] < q[:-1] * (1.0 - rel_slack) - tol
+    drop = q[1:] < q[:-1] * (1.0 - QUOTIENT_REL_SLACK) - tol
     if np.any(drop):
         i = int(np.argmax(drop))
         return MonotoneQuotientResult(
@@ -349,18 +337,16 @@ class DoublingTransferResult:
     argmax: float | None
 
 
-def verify_doubling_transfer(psi: CuspProfile, grid, c_psi: float | None = None,
+def verify_doubling_transfer(psi: CuspProfile, grid,
                              tol: float = DEFAULT_TOL) -> DoublingTransferResult | None:
     """Check hat_psi(2t) <= max(2, C) * hat_psi(t) on the admissible range.
 
-    C defaults to the profile's stored doubling constant.  Only grid
-    points with t <= 1 / (2 (1 + psi(1))) are testable, since the pair
-    at 2t must exist; with none of them the result is None.
+    C is the profile's stored doubling constant.  Only grid points with
+    t <= 1 / (2 (1 + psi(1))) are testable, since the pair at 2t must
+    exist; with none of them the result is None.
     """
-    if c_psi is None:
-        c_psi = psi.doubling_constant
-    if c_psi is None:
-        raise ValueError("profile has no doubling constant; pass c_psi explicitly")
+    if psi.doubling_constant is None:
+        raise ValueError("profile has no doubling constant")
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         bad = grid[~np.isfinite(grid)].flat[0]
@@ -372,7 +358,7 @@ def verify_doubling_transfer(psi: CuspProfile, grid, c_psi: float | None = None,
     h1 = hat_values(psi, grid, tol)
     h2 = hat_values(psi, 2.0 * grid, tol)
     ratios = h2 / h1
-    bound = max(2.0, float(c_psi))
+    bound = max(2.0, float(psi.doubling_constant))
     i = int(np.argmax(ratios))
     # additive slack: each hat value carries up to tol of absolute solver
     # error, which dominates the ratio near the tip where values vanish

@@ -56,9 +56,9 @@ class CuspProfile(ABC):
     def value(self, t):
         ...
 
-    @abstractmethod
     def right_limit(self, t):
-        ...
+        """lim_{s->t+} psi(s): the value itself for a continuous kind."""
+        return self.value(t)
 
     def scaled(self, factor: float) -> "CuspProfile":
         """Profile with all values multiplied by ``factor`` > 0."""
@@ -85,9 +85,6 @@ class CuspProfile(ABC):
         """Interior jump locations (empty for continuous kinds)."""
         return np.empty(0)
 
-    def __call__(self, t):
-        return self.value(t)
-
 
 class PowerProfile(CuspProfile):
     """psi(t) = coeff * t**exponent with exponent > 1."""
@@ -96,6 +93,8 @@ class PowerProfile(CuspProfile):
 
     def __init__(self, exponent: float, coeff: float = 1.0):
         self.exponent = _finite_above("exponent", exponent, 1.0)
+        if self.exponent >= 1024.0:  # 2**exponent overflows the float range
+            raise ProfileFormatError(f"exponent: need a finite number < 1024, got {exponent!r}")
         self.coeff = _finite_above("coeff", coeff, 0.0)
         # psi(2t) / psi(t) == 2**s exactly
         self.doubling_constant = 2.0 ** self.exponent
@@ -103,9 +102,6 @@ class PowerProfile(CuspProfile):
     def value(self, t):
         t = _check_t(t)
         return self.coeff * t ** self.exponent
-
-    def right_limit(self, t):
-        return self.value(t)
 
     def scaled(self, factor):
         return PowerProfile(self.exponent, self.coeff * factor)
@@ -135,9 +131,6 @@ class LinearProfile(CuspProfile):
     def value(self, t):
         t = _check_t(t)
         return self.slope * t
-
-    def right_limit(self, t):
-        return self.value(t)
 
     def scaled(self, factor):
         return LinearProfile(self.slope * factor)
@@ -267,19 +260,6 @@ def profile_derivative(psi: CuspProfile):
             return None
         return lambda t: psi.factor * base(t)
     return getattr(psi, "derivative", None)
-
-
-def eval_profile(psi: CuspProfile, t: float, side: str = "value") -> float:
-    """One-sided profile evaluation; side is one of value|left|right.
-
-    ``value`` and ``left`` coincide by left-continuity; ``right`` reads
-    the limit from above (equal to psi(1) at t = 1 by convention).
-    """
-    if side in ("value", "left"):
-        return float(psi.value(t))
-    if side == "right":
-        return float(psi.right_limit(t))
-    raise ValueError(f"side must be value|left|right, got {side!r}")
 
 
 # the config keys each kind reads; make_profile rejects any other

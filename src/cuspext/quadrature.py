@@ -11,7 +11,6 @@ dimensions fall back to stratified Monte Carlo.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
@@ -20,10 +19,14 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
+from .admissibility import in_limit_region
 from .errors import QuadratureError
 from .extension import ConjugatedExtension
 from .fields import ScalarField
-from .geometry import DomainSpec, collar_radius, row_norm, sample_ball
+from .geometry import DomainSpec, collar_radius, gauss_rule, row_norm, sample_ball
+
+
+T_RATIO = 0.5  # graded tip panels: each edge is this share of the next
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class QuadratureScheme:
     """Resolution knobs; ``refined()`` is one uniform doubling step."""
 
     t_levels: int = 40
-    t_ratio: float = 0.5
     gauss_t: int = 8
     gauss_r: int = 8
     angular: int = 16
@@ -45,15 +47,13 @@ class QuadratureScheme:
             if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
                     and value >= low):
                 raise ValueError(f"{name}: need an integer >= {low}, got {value!r}")
-        if not (isinstance(self.t_ratio, numbers.Real) and 0.0 < self.t_ratio < 1.0):
-            raise ValueError(f"t_ratio: need 0 < t_ratio < 1, got {self.t_ratio!r}")
         try:
-            smallest = self.t_ratio ** self.t_levels
+            smallest = T_RATIO ** self.t_levels
         except OverflowError:  # t_levels beyond the float range
             smallest = 0.0
         if not smallest > 0.0:
             raise ValueError(f"t_levels: the smallest graded panel edge "
-                             f"t_ratio ** t_levels underflows to 0 at {self.t_levels}")
+                             f"{T_RATIO} ** t_levels underflows to 0 at {self.t_levels}")
 
     def refined(self) -> "QuadratureScheme":
         return replace(self, gauss_t=2 * self.gauss_t, gauss_r=2 * self.gauss_r,
@@ -102,7 +102,7 @@ def _t_panels(slab: Slab, scheme: QuadratureScheme) -> np.ndarray:
     if slab.graded:
         if slab.t0 != 0.0:
             raise ValueError("graded slabs must start at t = 0")
-        edges = slab.t1 * scheme.t_ratio ** np.arange(scheme.t_levels, -1, -1)
+        edges = slab.t1 * T_RATIO ** np.arange(scheme.t_levels, -1, -1)
     else:
         npan = max(1, round(slab.t1 - slab.t0))
         edges = np.linspace(slab.t0, slab.t1, npan + 1)
@@ -110,18 +110,6 @@ def _t_panels(slab: Slab, scheme: QuadratureScheme) -> np.ndarray:
         edges = np.union1d(edges, [b for b in slab.t_breaks
                                    if edges[0] < b < edges[-1]])
     return edges
-
-
-@functools.cache
-def gauss_rule(deg: int) -> tuple:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
-
-    Built on first use: importing ``numpy.polynomial`` at import time
-    would cost every command a few milliseconds and some memory.
-    """
-    xi, wt = np.polynomial.legendre.leggauss(deg)
-    xi.flags.writeable = wt.flags.writeable = False
-    return xi, wt
 
 
 def _slab_nodes(slab: Slab, scheme: QuadratureScheme, n: int):
@@ -294,10 +282,8 @@ def _w1p_blocked(fields, Z, W, exponents, pullback=_read_at) -> list[dict]:
     for v, mag in zip(vals, mags):
         lp = [_weighted_p_sum(v, W, p, Z) ** (1.0 / p) for p in exponents]
         gp = [_weighted_p_sum(mag, W, p, Z) ** (1.0 / p) for p in exponents]
-        # dropped_gradient_nodes is always 0; the key stays until the
-        # benchmark tracer stops reading it
         out.append({p: (float(a + b), {"lp_part": float(a), "gradient_part": float(b),
-                                        "dropped_gradient_nodes": 0, "nodes": k})
+                                        "nodes": k})
                     for p, a, b in zip(exponents, lp, gp)})
     return out
 
@@ -352,8 +338,6 @@ def extension_ratio(fields, ext: ConjugatedExtension, pq,
     and each is reduced to its norms for every exponent over the whole
     node set at once, so the blocks change no bit of a report.
     """
-    from .admissibility import in_limit_region
-
     if scheme is None:
         scheme = QuadratureScheme()
     fields = list(fields)

@@ -23,6 +23,7 @@ BOX_T = (-1.0, 4.0)
 BOX_RADIUS = 2.0
 
 ROUND_TRIP_TOL = 1e-9
+IMAGE_BAND = 1e-8  # the boundary layer that verify_image leaves unjudged
 SEAM_STRETCH_MAX = 100.0  # a branch mismatch makes a straddle stretch grow like 1/delta
 SEAM_SPREAD_MAX = 10.0  # largest over smallest stretch
 
@@ -201,21 +202,21 @@ def sample_domain(spec: DomainSpec, count: int, rng: np.random.Generator) -> np.
 
 
 def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int,
-                 tol: float = 1e-12, band: float = 1e-8) -> ImageCheckResult:
+                 tol: float = 1e-12) -> ImageCheckResult:
     """Check the transform maps the domain onto its Lipschitz twin.
 
     Membership on the twin side evaluates the re-profiled radius with
-    the hat solver, so assertions allow a ``band`` margin: failures are
-    only counted outside a band-width boundary layer.
+    the hat solver, so assertions allow an IMAGE_BAND margin: failures
+    are only counted outside a band-width boundary layer.
     """
     hat = LipschitzizedProfile(spec.psi, tol)
     hat_spec = DomainSpec(spec.n, hat)
     rng = np.random.default_rng(rng_seed)
 
     z = sample_domain(spec, sample_count, rng)
-    ok_fwd = contains_with_margin(hat_spec, forward_map(spec, z), band)
+    ok_fwd = contains_with_margin(hat_spec, forward_map(spec, z), IMAGE_BAND)
     w = sample_domain(hat_spec, sample_count, rng)
-    ok_inv = contains_with_margin(spec, inverse_map(spec, w), band)
+    ok_inv = contains_with_margin(spec, inverse_map(spec, w), IMAGE_BAND)
 
     counter = None
     if not np.all(ok_fwd):

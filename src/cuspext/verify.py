@@ -25,6 +25,9 @@ from .transform import sample_box, sample_domain
 TRACE_TOL = {"direct": 1e-12, "straightened": 1e-8}  # by route; straightened goes via T and back
 LINEARITY_TOL = 1e-12
 LINEARITY_PROBES = 2000  # points of the slab -0.5 < t < 3.5 times the ball |x| < 0.6
+LINEARITY_ALPHA, LINEARITY_BETA = 0.7, -1.3  # the combination alpha u + beta v
+DECAY_DELTAS = (1e-2, 1e-3, 1e-4)  # ray steps inward from the outer boundary
+SEAM_DELTAS = (1e-3, 1e-5, 1e-7)  # straddle separations across every seam
 REFINEMENT_DELTA_BOUND = float(np.nextafter(0.05, 0.0))  # refinement_delta < 0.05
 
 
@@ -38,9 +41,10 @@ def trace_check(ext: ConjugatedExtension, fields, count: int = 10_000,
                   TRACE_TOL[ext.frame]) for u in fields]
 
 
-def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField, points: np.ndarray,
-                    alpha: float = 0.7, beta: float = -1.3) -> list[Check]:
+def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField,
+                    points: np.ndarray) -> list[Check]:
     """Worst |E(alpha u + beta v) - alpha E(u) - beta E(v)| at original-frame points, per u."""
+    alpha, beta = LINEARITY_ALPHA, LINEARITY_BETA
     push = ext.field_pullback(points)
     ev = push(v)[0]
     return [Check(float(np.abs(push(linear_combination(alpha, u, beta, v))[0]
@@ -49,8 +53,7 @@ def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField, points: np
 
 
 def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
-                         deltas=(1e-2, 1e-3, 1e-4), rng_seed: int = 0,
-                         safety: float = 2.0) -> list[Check]:
+                         rng_seed: int = 0, safety: float = 2.0) -> list[Check]:
     """Linear decay of E^(u o T^-1) toward the outer boundary, in the straightened frame.
 
     Rays step inward from the collar/cap boundary; the admissible
@@ -67,7 +70,7 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
     per = max(1, rays // 3)
     direction = geometry.unit_directions(rng, per, n - 1)
     points, radius = [], []  # radius: what the cut-off slope divides by
-    for delta in deltas:
+    for delta in DECAY_DELTAS:
         # collar outer wall over the cusp (away from the tip), then the tube
         for t_lo, t_hi in ((0.05, 1.0), (1.0 + 1e-6, 3.0 - 1e-6)):
             t = rng.uniform(t_lo, t_hi, size=per)
@@ -80,7 +83,7 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
         points.append(np.concatenate([np.full((per, 1), 3.0 - delta),
                                       rad[:, None] * direction], axis=1))
         radius.append(np.ones(per))
-    radius, delta = np.array(radius), np.repeat(deltas, 3)[:, None]
+    radius, delta = np.array(radius), np.repeat(DECAY_DELTAS, 3)[:, None]
     push = ext.pullback(np.concatenate(points), False)
 
     reports = []
@@ -91,8 +94,7 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
     return reports
 
 
-def seam_continuity_check(ext: ConjugatedExtension, fields,
-                          deltas=(1e-3, 1e-5, 1e-7), per_seam: int = 200,
+def seam_continuity_check(ext: ConjugatedExtension, fields, per_seam: int = 200,
                           rng_seed: int = 0) -> list[tuple[tuple[Check, ...], str | None]]:
     """Continuity of E^(u o T^-1) across every seam, per u: (checks, worst seam).
 
@@ -102,7 +104,7 @@ def seam_continuity_check(ext: ConjugatedExtension, fields,
     None if all pass, has the largest failing jump / (cap * delta), NaN first.
     """
     out = []
-    for jumps, cap in zip(seam_jumps(ext, fields, deltas, per_seam, rng_seed),
+    for jumps, cap in zip(seam_jumps(ext, fields, SEAM_DELTAS, per_seam, rng_seed),
                           seam_modulus_cap(ext, fields, rng_seed)):
         named = [(seam, Check(jump, cap * delta))
                  for seam, per in jumps.items() for delta, jump in per.items()]

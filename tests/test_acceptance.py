@@ -88,8 +88,7 @@ def test_criterion_3_transformation():
             assert max(vals) <= 10.0
             assert max(vals) / min(vals) <= 3.0  # stable across deltas
         for psi in (PowerProfile(2.0, 0.25), TWO_STEP):
-            res = transform.verify_image(DomainSpec(3, psi), 10_000, rng_seed=11,
-                                         band=1e-8)
+            res = transform.verify_image(DomainSpec(3, psi), 10_000, rng_seed=11)
             assert res.ok, res.counterexample
 
 

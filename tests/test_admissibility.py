@@ -25,8 +25,8 @@ from cuspext.admissibility import (
     sweep_power_cusp,
     thresholds,
 )
+from cuspext.geometry import gauss_rule
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
-from cuspext.quadrature import gauss_rule
 
 
 def test_inc1_convergent_oracle():

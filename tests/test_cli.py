@@ -470,10 +470,11 @@ def test_extend_verify_validation(tmp_path, capsys):
     ({"functions": ["tip-power"], "field_params": {"gamma": -1}}, "extend.field_params"),
     ({"quadrature": {"gauss_t": True}}, "extend.quadrature.gauss_t"),
     ({"quadrature": {"seed": "x"}}, "extend.quadrature.seed"),
+    ({"quadrature": {"t_ratio": 0.5}}, "extend.quadrature.t_ratio: unknown key"),
 ], ids=["pq-string", "pq-inf", "gauss_t-0", "angular-0", "t_levels-underflow",
         "decay_rays-string", "trace_samples-bool", "field_params-string",
         "field_params-list", "field_params-unknown-key", "field_params-gamma-negative",
-        "gauss_t-bool", "quadrature-seed-string"])
+        "gauss_t-bool", "quadrature-seed-string", "t_ratio-is-a-constant"])
 def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, field):
     cfg = {"command": "extend-verify",
            "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -531,13 +532,15 @@ def _sweep(**fields):
     ({"command": "lipschitzify", "profile": {"kind": "power", "exponent": float("inf")}},
      "profile.exponent"),
     ({"command": "lipschitzify", "profile": dict(PW, coeff=float("inf"))}, "profile.coeff"),
+    ({"command": "lipschitzify", "profile": dict(PW, exponent=1024.0)}, "profile: exponent:"),
 ], ids=["sweep-p-inf", "sweep-q-nan", "sweep-n-2", "sweep-s_start-string",
         "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
         "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
         "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
         "csv-path-not-string", "section-not-object", "step-lipschitz-string",
         "tolerance-bool", "tolerance-inf",
-        "seed-bool", "linear-slope-bool", "power-exponent-inf", "power-coeff-inf"])
+        "seed-bool", "linear-slope-bool", "power-exponent-inf", "power-coeff-inf",
+        "power-exponent-overflow"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
     # the sweep grid is never built: every case must stop at validation
     def no_grid(*args, **kwargs):
@@ -619,6 +622,21 @@ def test_transform_zero_samples_rejected(tmp_path):
     }
     code, _ = run(tmp_path, cfg)
     assert code == 3
+
+
+def test_out_of_memory_exits_config_error(tmp_path, capsys, monkeypatch):
+    # a count too large for memory fails at allocation; raised here, since a real
+    # huge allocation can succeed under memory overcommit
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setattr(transform, "verify_transform", too_large)
+    code, out = run(tmp_path, {"command": "transform-verify", "profile": PW})
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Unable to allocate 74.5 GiB" in err and "lower n, a count or the resolution" in err
+    assert "Traceback" not in err
+    assert out.is_dir()  # created before the command ran, as for every other error
 
 
 def test_admissibility_sweep_command(tmp_path):

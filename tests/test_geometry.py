@@ -37,6 +37,8 @@ def test_contains_examples(spec_t2):
     assert contains(spec_t2, [1.5, 0.9, 0.0]) is True    # tube part
     assert contains(spec_t2, [2.0, 0.0, 0.0]) is False   # tube is open at t = 2
     assert contains(spec_t2, [-0.1, 0.0, 0.0]) is False
+    # below 1e-300 the radius is read at t itself: psi(1e-310) = 2.5e-311 > 0 = |x|
+    assert contains(DomainSpec(3, LinearProfile(0.25)), [1e-310, 0.0, 0.0]) is True
 
 
 def test_contains_dimension_mismatch(spec_t2):

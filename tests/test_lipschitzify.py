@@ -13,7 +13,6 @@ from cuspext.lipschitzify import (
     LipschitzizedProfile,
     _solve_bisect,
     hat_profile,
-    hat_psi,
     hat_values,
     quotient_hypothesis_holds,
     solve_hat_pair,
@@ -235,7 +234,7 @@ def test_hat_solve_rejects_bad_tol(psi, tol):
                  lambda: hat_profile(psi, grid, tol),
                  lambda: LipschitzizedProfile(psi, tol).value(grid),
                  lambda: verify_monotone_quotient(psi, grid, tol),
-                 lambda: verify_doubling_transfer(psi, grid, 2.0, tol)):
+                 lambda: verify_doubling_transfer(psi, grid, tol)):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             call()
 
@@ -246,12 +245,13 @@ def test_hat_below_profile_infimum():
     assert pair.t_component == 0.0
     assert pair.r_component == pytest.approx(1.2 * 0.05, abs=1e-14)
     assert pair.on_jump
-    assert hat_psi(TWO_STEP, 0.05) > 0.0
+    assert hat_values(TWO_STEP, 0.05) > 0.0
 
 
 def test_hat_endpoint_convention():
     for psi in (PowerProfile(2.0), TWO_STEP, LinearProfile(0.3)):
-        assert hat_psi(psi, 1.0) == psi.value_at_1
+        value = hat_values(psi, 1.0)
+        assert type(value) is float and value == psi.value_at_1
 
 
 def test_hat_domain_errors():
@@ -358,11 +358,6 @@ def test_squeeze_bound_continuous():
         lo = psi.value(pair.t_component) if pair.t_component > 0 else 0.0
         hi = psi.value(2.0 * t)
         assert lo - 1e-12 <= pair.r_component <= hi + 1e-12
-
-
-def test_radial_dominant_predicate():
-    pair = solve_hat_pair(PowerProfile(2.0), 0.5)
-    assert pair.radial_dominant == (pair.r_component >= pair.t_component)
 
 
 def test_hat_profile_materialization():

@@ -15,7 +15,6 @@ from cuspext.profiles import (
     PowerProfile,
     StepProfile,
     _check_t,
-    eval_profile,
     load_profile_csv,
     make_profile,
     save_profile_csv,
@@ -23,22 +22,21 @@ from cuspext.profiles import (
 
 
 def test_power_eval():
-    assert eval_profile(PowerProfile(2.0), 0.5) == 0.25
+    assert PowerProfile(2.0).value(0.5) == 0.25
 
 
 def test_step_sides():
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
-    assert eval_profile(step, 0.5) == 0.1
-    assert eval_profile(step, 0.5, "left") == 0.1
-    assert eval_profile(step, 0.5, "right") == 0.2
-    assert eval_profile(step, 0.3) == 0.1
-    assert eval_profile(step, 0.7) == 0.2
+    assert step.value(0.5) == 0.1
+    assert step.right_limit(0.5) == 0.2
+    assert step.value(0.3) == 0.1
+    assert step.value(0.7) == 0.2
 
 
 def test_right_limit_at_endpoint_is_value():
-    assert eval_profile(LinearProfile(0.25), 1.0, "right") == 0.25
+    assert LinearProfile(0.25).right_limit(1.0) == 0.25
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
-    assert eval_profile(step, 1.0, "right") == 0.2
+    assert step.right_limit(1.0) == 0.2
 
 
 def test_step_left_continuity_at_breakpoints():
@@ -52,8 +50,6 @@ def test_domain_errors():
     for t in (0.0, -0.5, 1.0 + 1e-9):
         with pytest.raises(ProfileDomainError):
             psi.value(t)
-    with pytest.raises(ValueError):
-        eval_profile(psi, 0.5, side="middle")
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -118,6 +114,7 @@ def test_check_t_edges():
 def test_constructor_validation():
     with pytest.raises(ProfileFormatError):
         PowerProfile(1.0)  # exponent must exceed 1
+    assert PowerProfile(1023.0).doubling_constant == 2.0 ** 1023  # finite below 1024
     with pytest.raises(ProfileFormatError):
         PowerProfile(2.0, coeff=0.0)
     with pytest.raises(ProfileFormatError):
@@ -134,11 +131,14 @@ def test_constructor_validation():
 
 @pytest.mark.parametrize("build, key", [
     (lambda: PowerProfile(float("inf")), "exponent"),
+    (lambda: PowerProfile(1024.0), "exponent"),  # 2**exponent overflows
+    (lambda: PowerProfile(1e300), "exponent"),
     (lambda: PowerProfile(2.0, coeff=True), "coeff"),
     (lambda: PowerProfile(2.0, coeff=float("inf")), "coeff"),
     (lambda: LinearProfile(True), "slope"),
     (lambda: LinearProfile(float("nan")), "slope"),
-], ids=["exponent-inf", "coeff-bool", "coeff-inf", "slope-bool", "slope-nan"])
+], ids=["exponent-inf", "exponent-1024", "exponent-1e300", "coeff-bool", "coeff-inf",
+        "slope-bool", "slope-nan"])
 def test_analytic_profiles_reject_bool_and_non_finite(build, key):
     with pytest.raises(ProfileFormatError, match=f"^{key}: need a finite number"):
         build()

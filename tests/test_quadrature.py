@@ -183,7 +183,6 @@ def test_straightened_w11_norm_matches_oracle():
     small = QuadratureScheme(t_levels=20, gauss_t=4, gauss_r=4, angular=8)
     total, detail = w1p_norm(eu, region, 1.0, small, 3, with_detail=True)
     assert np.isfinite(total) and total > 0.0
-    assert detail["dropped_gradient_nodes"] == 0
     oracle = ScalarField(eu.name, eu.fn, lambda Z: central_difference(eu.fn, Z, h=1e-7))
     total_fd, detail_fd = w1p_norm(oracle, region, 1.0, small, 3, with_detail=True)
     assert detail_fd["gradient_part"] == pytest.approx(detail["gradient_part"], rel=1e-8)
