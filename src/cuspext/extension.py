@@ -67,16 +67,6 @@ def _split_collar(ctx: ExtensionContext, z, R=None):
     return t, x, r, R, reflected, np.clip(2.0 - r / R, 0.0, 1.0)
 
 
-def reflect_collar(ctx: ExtensionContext, z) -> np.ndarray:
-    """Fold the collar back into the domain, fixing |x| = R(t)."""
-    return _split_collar(ctx, z)[4]
-
-
-def cutoff_collar(ctx: ExtensionContext, z) -> np.ndarray:
-    """Affine weight: 1 on |x| = R(t), 0 on |x| = 2 R(t)."""
-    return _split_collar(ctx, z)[5]
-
-
 def _split_cap(ctx: ExtensionContext, z, check: bool):
     """Axial coordinate of end-cap points, checked against the cap closure."""
     t, _, r = geometry.split(z, ctx.spec.n)

@@ -113,11 +113,6 @@ def split(z, n: int):
     return t, x, row_norm(x)
 
 
-def contains(spec: DomainSpec, z) -> np.ndarray | bool:
-    """Strict membership in the open domain."""
-    return contains_with_margin(spec, z, 0.0)
-
-
 def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray | bool:
     """Membership relaxed by ``band`` in every strict inequality.
 

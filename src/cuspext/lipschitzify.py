@@ -32,16 +32,6 @@ FIRST_CLOSING_ITER = 53
 _DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, FIRST_CLOSING_ITER))
 
 
-@dataclass(frozen=True)
-class HatPair:
-    """Boundary pair solving t + r = (1 + psi(1)) * t_hat."""
-
-    t_hat: float
-    t_component: float
-    r_component: float
-    on_jump: bool
-
-
 def _g_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
     """g(t) = t + psi(t), with the zero extension psi(t) = 0 for t <= 0."""
     if t.size and t.min() > 0.0:  # NaN fails the comparison
@@ -178,12 +168,6 @@ def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
     return t_sol, r_sol, jump
 
 
-def solve_hat_pair(psi: CuspProfile, t_hat: float, tol: float = DEFAULT_TOL) -> HatPair:
-    """Solve for the unique boundary pair at a single t_hat in (0, 1]."""
-    t_sol, r_sol, jump = _solve_many(psi, np.atleast_1d(float(t_hat)), tol)
-    return HatPair(float(t_hat), float(t_sol[0]), float(r_sol[0]), bool(jump[0]))
-
-
 def hat_values(psi: CuspProfile, t_hats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The re-profiling hat_psi at a point (a float) or an array of points in (0, 1]."""
     t_hats = np.asarray(t_hats, dtype=float)
@@ -195,8 +179,8 @@ def hat_profile(psi: CuspProfile, grid, tol: float = DEFAULT_TOL) -> StepProfile
     """Materialize the re-profiling on a grid as a tabulated profile.
 
     The grid must ascend and end at 1.0 so the table is total on (0, 1].
-    The result carries lipschitz_constant = 1 + psi(1), the exact bound
-    of the underlying function (the table itself is a step sampling).
+    The table is a step sampling, so like any table it carries no
+    Lipschitz constant, though the function it samples has 1 + psi(1).
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -212,7 +196,6 @@ def hat_profile(psi: CuspProfile, grid, tol: float = DEFAULT_TOL) -> StepProfile
                                bracket=err.bracket) from err
     dbl = psi.doubling_constant
     return StepProfile(grid, np.maximum.accumulate(vals), kind="tabulated",
-                       lipschitz_constant=1.0 + psi.value_at_1,
                        doubling_constant=None if dbl is None else max(2.0, dbl))
 
 

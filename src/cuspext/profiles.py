@@ -1,9 +1,10 @@
 """Cusp profiles: positive, increasing, left-continuous functions on (0, 1].
 
 A profile psi describes the opening radius of an outward cuspidal domain.
-Analytic kinds (power, linear) carry exact one-sided limits; step and
-tabulated kinds are left-continuous step functions and are never
-interpolated between breakpoints, so jump semantics stay exact.
+Analytic kinds (power, linear) carry their Lipschitz constant; step and
+tabulated kinds are left-continuous step functions, never interpolated
+between breakpoints, so jump semantics stay exact.  A table carries no
+Lipschitz constant, so the extension always straightens it first.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ class CuspProfile(ABC):
     """Common interface for cusp profiles.
 
     ``value(t)`` returns psi(t), which equals the left limit by
-    left-continuity; ``right_limit(t)`` returns lim_{s->t+} psi(s), with
-    the convention right_limit(1) = psi(1).  A profile is not mutated
-    after construction, so values derived from it may be cached on it.
+    left-continuity.  A profile is not mutated after construction, so
+    values derived from it may be cached on it.
     """
 
     kind: str
@@ -55,10 +55,6 @@ class CuspProfile(ABC):
     @abstractmethod
     def value(self, t):
         ...
-
-    def right_limit(self, t):
-        """lim_{s->t+} psi(s): the value itself for a continuous kind."""
-        return self.value(t)
 
     def scaled(self, factor: float) -> "CuspProfile":
         """Profile with all values multiplied by ``factor`` > 0."""
@@ -153,11 +149,10 @@ class StepProfile(CuspProfile):
     The value ``values[i]`` holds on (breaks[i-1], breaks[i]] (with
     breaks[-1] == 1 so the profile is total on (0, 1]).  ``kind`` is
     "step" for hand-authored tables and "tabulated" for sampled data;
-    the semantics are identical.
+    the semantics are identical.  Its Lipschitz constant is None.
     """
 
     def __init__(self, breaks, values, kind: str = "step",
-                 lipschitz_constant: float | None = None,
                  doubling_constant: float | None = None):
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -180,14 +175,11 @@ class StepProfile(CuspProfile):
             raise ProfileFormatError(
                 f"row {breaks.size - 1}: last breakpoint must be 1.0, got {breaks[-1]}"
             )
-        for name, bound in (("lipschitz_constant", lipschitz_constant),
-                            ("doubling_constant", doubling_constant)):
-            if bound is not None:
-                _finite_above(name, bound, 0.0)
+        if doubling_constant is not None:
+            _finite_above("doubling_constant", doubling_constant, 0.0)
         self.breaks = breaks
         self.values = values
         self.kind = kind
-        self._lipschitz = lipschitz_constant
         self.doubling_constant = doubling_constant
 
     def value(self, t):
@@ -196,21 +188,13 @@ class StepProfile(CuspProfile):
         idx = np.minimum(idx, self.breaks.size - 1)
         return self.values[idx]
 
-    def right_limit(self, t):
-        t = _check_t(t)
-        idx = np.searchsorted(self.breaks, t, side="right")
-        idx = np.minimum(idx, self.breaks.size - 1)
-        return self.values[idx]
-
     def scaled(self, factor):
-        lip = None if self._lipschitz is None else self._lipschitz * factor
-        dbl = self.doubling_constant
         return StepProfile(self.breaks, self.values * factor, kind=self.kind,
-                           lipschitz_constant=lip, doubling_constant=dbl)
+                           doubling_constant=self.doubling_constant)
 
     @property
     def lipschitz_constant(self):
-        return self._lipschitz
+        return None
 
     def breakpoints(self):
         return self.breaks[:-1].copy()
@@ -236,9 +220,6 @@ class _ScaledView(CuspProfile):
 
     def value(self, t):
         return self.factor * self.base.value(t)
-
-    def right_limit(self, t):
-        return self.factor * self.base.right_limit(t)
 
     def scaled(self, factor):
         return _ScaledView(self.base, self.factor * factor)
@@ -266,8 +247,8 @@ def profile_derivative(psi: CuspProfile):
 PROFILE_KEYS = {
     "power": ("exponent", "coeff"),
     "linear": ("slope",),
-    "step": ("breakpoints", "values", "lipschitz_constant", "doubling_constant"),
-    "tabulated": ("breakpoints", "values", "lipschitz_constant", "doubling_constant"),
+    "step": ("breakpoints", "values", "doubling_constant"),
+    "tabulated": ("breakpoints", "values", "doubling_constant"),
 }
 
 
@@ -285,7 +266,6 @@ def make_profile(kind: str, **params) -> CuspProfile:
         if kind == "linear":
             return LinearProfile(params["slope"])
         return StepProfile(params["breakpoints"], params["values"], kind=kind,
-                           lipschitz_constant=params.get("lipschitz_constant"),
                            doubling_constant=params.get("doubling_constant"))
     except KeyError as err:
         raise ProfileFormatError(f"kind {kind!r} needs {err.args[0]}") from None

@@ -93,11 +93,6 @@ def region_extension(spec: DomainSpec) -> tuple:
     )
 
 
-def region_tube(t0: float, t1: float, radius: float) -> tuple:
-    """A plain cylinder slab (axial interval times a fixed ball)."""
-    return (Slab(float(t0), float(t1), lambda t, v=float(radius): np.full_like(t, v)),)
-
-
 def _t_panels(slab: Slab, scheme: QuadratureScheme) -> np.ndarray:
     if slab.graded:
         if slab.t0 != 0.0:
@@ -195,25 +190,6 @@ def _check_finite(values: np.ndarray, Z: np.ndarray):
     i = int(np.argmax(~np.isfinite(values)))
     raise QuadratureError(f"non-finite integrand sample at node {tuple(Z[i])}",
                           node=tuple(Z[i]))
-
-
-def lp_norm(u: ScalarField, region, p: float, scheme: QuadratureScheme, n: int) -> float:
-    """(integral of |u|^p over the region) ** (1/p).
-
-    Parameters
-    ----------
-    u : ScalarField
-        Field evaluable on the region.
-    region : tuple of Slab
-        From region_domain / region_extension / region_tube.
-    p : float
-        Exponent in [1, inf).
-    scheme, n : resolution and ambient dimension.
-    """
-    if not 1.0 <= p < np.inf:
-        raise ValueError(f"p must be in [1, inf), got {p}")
-    Z, W = build_nodes(region, scheme, n)
-    return float(_weighted_p_sum(u.fn(Z), W, p, Z) ** (1.0 / p))
 
 
 def _weighted_p_sum(vals, W, p, Z) -> float:

@@ -152,13 +152,16 @@ def seam_modulus_cap(ext: ConjugatedExtension, fields, seed: int) -> list[float]
     """A priori linear-modulus bound for seam straddles of E^(u o T^-1), per u.
 
     The bound reads u o T^-1, the field the seam check probes, not the
-    original-frame u.
+    original-frame u.  A profile that reads 0 at t = 0.05, or a cap that
+    is not finite, would let every straddle pass: that raises
+    FloatingPointError instead.
     """
     psi = ext.hat_context.spec.psi
     rng = np.random.default_rng(seed)
     read = ext.input_pullback(sample_domain(ext.hat_context.spec, 2000, rng), True)
-    lip = psi.lipschitz_constant or 0.0
-    slope = (1.0 + 2.0 * lip) / float(psi.value(0.05))
+    lip = psi.lipschitz_constant
+    tip = float(psi.value(0.05))
+    slope = (1.0 + 2.0 * lip) / tip if tip > 0.0 else np.inf
     caps = []
     for u in fields:
         values, grads = read(u)
@@ -166,6 +169,9 @@ def seam_modulus_cap(ext: ConjugatedExtension, fields, seed: int) -> list[float]
         with np.errstate(over="ignore"):
             g_u = float(np.max(geometry.row_norm(grads)))
         caps.append(4.0 * (slope * m_u + (1.0 + lip) * g_u + 1.0))
+    if not np.isfinite(caps).all():
+        raise FloatingPointError(f"seam modulus cap not finite: psi(0.05) = {tip!r}, "
+                                 f"caps {caps}")
     return caps
 
 

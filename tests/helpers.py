@@ -11,8 +11,9 @@ from cuspext.errors import ConvergenceError, ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
-from cuspext.lipschitzify import FIRST_CLOSING_ITER, MAX_BISECT_ITER
+from cuspext.lipschitzify import DEFAULT_TOL, FIRST_CLOSING_ITER, MAX_BISECT_ITER, _solve_many
 from cuspext.profiles import _T_EPS, StepProfile, profile_derivative, save_profile_csv
+from cuspext.quadrature import Slab, _weighted_p_sum, build_nodes
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
 
 
@@ -56,6 +57,23 @@ def profile_to_csv_text(profile: StepProfile) -> str:
     buf = io.StringIO()
     save_profile_csv(profile, buf)
     return buf.getvalue()
+
+
+def hat_pair(psi, t_hat: float, tol: float = DEFAULT_TOL):
+    """(t, r, on_jump) of the boundary pair t + r = (1 + psi(1)) t_hat, from one solve."""
+    t_sol, r_sol, jump = _solve_many(psi, np.atleast_1d(float(t_hat)), tol)
+    return float(t_sol[0]), float(r_sol[0]), bool(jump[0])
+
+
+def region_tube(t0: float, t1: float, radius: float) -> tuple:
+    """A plain cylinder slab (axial interval times a fixed ball)."""
+    return (Slab(float(t0), float(t1), lambda t, v=float(radius): np.full_like(t, v)),)
+
+
+def lp_norm(u: ScalarField, region, p: float, scheme, n: int) -> float:
+    """(integral of |u|^p over the region) ** (1/p), non-finite samples raising QuadratureError."""
+    Z, W = build_nodes(region, scheme, n)
+    return float(_weighted_p_sum(u.fn(Z), W, p, Z) ** (1.0 / p))
 
 
 # -- the extension as separate value and gradient evaluators -----------------

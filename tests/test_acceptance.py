@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import lp_norm, region_tube
 
 from cuspext import admissibility, quadrature, transform, verify
 from cuspext.extension import extend, extend_general
@@ -136,15 +137,14 @@ def test_criterion_5_norm_inequality():
 def test_criterion_6_quadrature_oracle():
     with _Timer("6 quadrature oracle", 5.0):
         scheme = quadrature.QuadratureScheme()
-        vol = quadrature.lp_norm(make_field("constant", 3),
-                                 quadrature.region_domain(DomainSpec(3, PowerProfile(2.0))),
-                                 1.0, scheme, 3)
+        vol = lp_norm(make_field("constant", 3),
+                      quadrature.region_domain(DomainSpec(3, PowerProfile(2.0))), 1.0, scheme, 3)
         assert abs(vol - 6.0 * math.pi / 5.0) <= 1e-4 * (6.0 * math.pi / 5.0)
         # degree-3 exactness over the tube
-        region = quadrature.region_tube(1.0, 2.0, 0.25)
+        region = region_tube(1.0, 2.0, 0.25)
         cubic = quadrature.ScalarField("t3", lambda z: z[..., 0] ** 3)
         want = math.pi * 0.25 ** 2 * 15.0 / 4.0
-        got = quadrature.lp_norm(cubic, region, 1.0, scheme, 3)
+        got = lp_norm(cubic, region, 1.0, scheme, 3)
         assert abs(got - want) <= 1e-12 * want
 
 

@@ -434,6 +434,30 @@ def test_numeric_error_exit_code(tmp_path, gamma):
     assert code == 4
 
 
+TINY_EXTEND = {
+    "pq": [[2.0, 1.0]],
+    "functions": ["constant"],
+    "quadrature": {"t_levels": 6, "gauss_t": 2, "gauss_r": 2, "angular": 4},
+    "trace_samples": 50,
+    "decay_rays": 10,
+}
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "power", "exponent": 1000.0, "coeff": 0.25},
+    {"kind": "step", "breakpoints": [0.5, 1.0], "values": [1e-300, 0.2]},
+], ids=["power-1000", "step-1e-300"])
+def test_seam_cap_of_a_vanishing_tip_exits_numeric_error(tmp_path, capsys, profile):
+    # psi (or its hat) reads 0.0 at t = 0.05: the seam cap's slope term has
+    # no finite value, and no seam check may pass against an infinite cap
+    cfg = {"command": "extend-verify", "profile": profile, "seed": 3, "extend": TINY_EXTEND}
+    code, _ = run(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "numeric error" in err and "psi(0.05) = 0.0" in err
+    assert "Traceback" not in err
+
+
 def test_extend_verify_validation(tmp_path, capsys):
     base = {
         "command": "extend-verify",
@@ -523,7 +547,7 @@ def _sweep(**fields):
     ({"command": "lipschitzify", "profile": PW, "lipschitzify": [1]}, "lipschitzify"),
     ({"command": "lipschitzify", "profile": {"kind": "step", "breakpoints": [1.0],
                                              "values": [0.2], "lipschitz_constant": "abc"}},
-     "profile: lipschitz_constant"),
+     "profile.lipschitz_constant: unknown key"),
     ({"command": "lipschitzify", "profile": PW, "tolerance": True}, "tolerance"),
     ({"command": "lipschitzify", "profile": PW, "tolerance": float("inf")}, "tolerance"),
     ({"command": "lipschitzify", "profile": PW, "seed": True}, "seed"),
@@ -533,6 +557,12 @@ def _sweep(**fields):
      "profile.exponent"),
     ({"command": "lipschitzify", "profile": dict(PW, coeff=float("inf"))}, "profile.coeff"),
     ({"command": "lipschitzify", "profile": dict(PW, exponent=1024.0)}, "profile: exponent:"),
+    # a table's route is derived from its type: a declared constant took the
+    # direct route across the jump at t = 0.5
+    ({"command": "extend-verify", "profile": {"kind": "step", "breakpoints": [0.5, 1.0],
+                                              "values": [0.1, 0.2], "lipschitz_constant": 1.2}},
+     "profile.lipschitz_constant: unknown key; known keys: kind, breakpoints, values, "
+     "doubling_constant"),
 ], ids=["sweep-p-inf", "sweep-q-nan", "sweep-n-2", "sweep-s_start-string",
         "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
         "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
@@ -540,7 +570,7 @@ def _sweep(**fields):
         "csv-path-not-string", "section-not-object", "step-lipschitz-string",
         "tolerance-bool", "tolerance-inf",
         "seed-bool", "linear-slope-bool", "power-exponent-inf", "power-coeff-inf",
-        "power-exponent-overflow"])
+        "power-exponent-overflow", "step-lipschitz-declared"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
     # the sweep grid is never built: every case must stop at validation
     def no_grid(*args, **kwargs):

@@ -14,13 +14,12 @@ from cuspext import extension, geometry, lipschitzify, transform
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
     ExtensionContext,
+    _split_collar,
     cutoff_cap,
-    cutoff_collar,
     end_cap_pullback,
     extend,
     extend_general,
     extend_lipschitz,
-    reflect_collar,
 )
 from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
@@ -49,35 +48,42 @@ def test_context_requires_lipschitz_profile():
         ExtensionContext(DomainSpec(3, step))
 
 
+@pytest.mark.parametrize("psi", [StepProfile([1.0], [0.2]), StepProfile([0.5, 1.0], [0.1, 0.2]),
+                                 hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20))],
+                         ids=["one-row", "two-step", "hat-table"])
+def test_a_table_is_always_straightened(psi):
+    # the route follows the profile's type: a table carries no Lipschitz constant
+    assert psi.lipschitz_constant is None
+    assert extend(psi, 3).frame == "straightened"
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
 def test_collar_reflection_and_cutoff(lin_ctx, t):
     # one collar over cusp and tube: R(t) = psi(min(t, 1)) = 0.25 min(t, 1)
     R = 0.25 * min(t, 1.0)
-    mid = reflect_collar(lin_ctx, [t, 1.5 * R, 0.0])
+    mid = _split_collar(lin_ctx, [t, 1.5 * R, 0.0])[4]
     assert np.linalg.norm(mid[1:]) == pytest.approx(0.75 * R)
-    inner = reflect_collar(lin_ctx, [t, R * (1 + 1e-13), 0.0])
+    inner = _split_collar(lin_ctx, [t, R * (1 + 1e-13), 0.0])[4]
     assert np.linalg.norm(inner[1:]) == pytest.approx(R, rel=1e-9)
-    outer = reflect_collar(lin_ctx, [t, 2 * R * (1 - 1e-13), 0.0])
+    outer = _split_collar(lin_ctx, [t, 2 * R * (1 - 1e-13), 0.0])[4]
     assert np.linalg.norm(outer[1:]) == pytest.approx(R / 2, rel=1e-9)
     assert mid[0] == t  # axial coordinate preserved
-    assert cutoff_collar(lin_ctx, [t, R, 0.0]) == pytest.approx(1.0)
-    assert cutoff_collar(lin_ctx, [t, 1.5 * R, 0.0]) == pytest.approx(0.5)
-    assert cutoff_collar(lin_ctx, [t, 2 * R, 0.0]) == pytest.approx(0.0)
+    assert _split_collar(lin_ctx, [t, R, 0.0])[5] == pytest.approx(1.0)
+    assert _split_collar(lin_ctx, [t, 1.5 * R, 0.0])[5] == pytest.approx(0.5)
+    assert _split_collar(lin_ctx, [t, 2 * R, 0.0])[5] == pytest.approx(0.0)
     for bad in ([t, 3 * R, 0.0], [t, 0.5 * R, 0.0], [2.5, 1.5 * R, 0.0]):
         with pytest.raises(ProfileDomainError):
-            reflect_collar(lin_ctx, bad)
-        with pytest.raises(ProfileDomainError):
-            cutoff_collar(lin_ctx, bad)
+            _split_collar(lin_ctx, bad)
 
 
 def test_cutoff_cusp_values(lin_ctx):
     t = 0.5
     pv = 0.125
-    assert cutoff_collar(lin_ctx, [t, pv, 0.0]) == pytest.approx(1.0)
-    assert cutoff_collar(lin_ctx, [t, 1.5 * pv, 0.0]) == pytest.approx(0.5)
-    assert cutoff_collar(lin_ctx, [t, 2 * pv, 0.0]) == pytest.approx(0.0)
+    assert _split_collar(lin_ctx, [t, pv, 0.0])[5] == pytest.approx(1.0)
+    assert _split_collar(lin_ctx, [t, 1.5 * pv, 0.0])[5] == pytest.approx(0.5)
+    assert _split_collar(lin_ctx, [t, 2 * pv, 0.0])[5] == pytest.approx(0.0)
     with pytest.raises(ProfileDomainError):
-        cutoff_collar(lin_ctx, [1.5, 0.2, 0.0])
+        _split_collar(lin_ctx, [1.5, 0.2, 0.0])
 
 
 def test_cutoff_cusp_gradient_oracle(lin_ctx):

@@ -9,7 +9,6 @@ from cuspext.geometry import (
     ExtRegion,
     classify_bilip_region,
     classify_extension_region,
-    contains,
     contains_with_margin,
     normalize,
     row_norm,
@@ -32,18 +31,19 @@ def spec_norm():
 
 
 def test_contains_examples(spec_t2):
-    assert contains(spec_t2, [0.5, 0.1, 0.0]) is True
-    assert contains(spec_t2, [0.5, 0.25, 0.0]) is False  # boundary excluded
-    assert contains(spec_t2, [1.5, 0.9, 0.0]) is True    # tube part
-    assert contains(spec_t2, [2.0, 0.0, 0.0]) is False   # tube is open at t = 2
-    assert contains(spec_t2, [-0.1, 0.0, 0.0]) is False
+    assert contains_with_margin(spec_t2, [0.5, 0.1, 0.0], 0.0) is True
+    assert contains_with_margin(spec_t2, [0.5, 0.25, 0.0], 0.0) is False  # boundary excluded
+    assert contains_with_margin(spec_t2, [1.5, 0.9, 0.0], 0.0) is True    # tube part
+    assert contains_with_margin(spec_t2, [2.0, 0.0, 0.0], 0.0) is False   # tube is open at t = 2
+    assert contains_with_margin(spec_t2, [-0.1, 0.0, 0.0], 0.0) is False
     # below 1e-300 the radius is read at t itself: psi(1e-310) = 2.5e-311 > 0 = |x|
-    assert contains(DomainSpec(3, LinearProfile(0.25)), [1e-310, 0.0, 0.0]) is True
+    assert contains_with_margin(DomainSpec(3, LinearProfile(0.25)), [1e-310, 0.0, 0.0],
+                                0.0) is True
 
 
 def test_contains_dimension_mismatch(spec_t2):
     with pytest.raises(ValueError, match="dimension"):
-        contains(spec_t2, [0.5, 0.1])
+        contains_with_margin(spec_t2, [0.5, 0.1], 0.0)
 
 
 def test_contains_rotation_invariance(spec_t2):
@@ -56,7 +56,8 @@ def test_contains_rotation_invariance(spec_t2):
                     [np.sin(theta), np.cos(theta)]])
     zr = z.copy()
     zr[:, 1:] = z[:, 1:] @ rot.T
-    assert np.array_equal(contains(spec_t2, z), contains(spec_t2, zr))
+    assert np.array_equal(contains_with_margin(spec_t2, z, 0.0),
+                          contains_with_margin(spec_t2, zr, 0.0))
 
 
 def test_classify_bilip_examples(spec_norm):
@@ -87,7 +88,7 @@ def test_classify_partition_covers_box(spec_norm):
     assert np.all(r[label == BilipRegion.WEDGE]
                   <= 1.0 + psi1 - t[label == BilipRegion.WEDGE])
     tail = label == BilipRegion.CYL_TAIL
-    assert np.all(contains(spec_norm, z[tail]))
+    assert np.all(contains_with_margin(spec_norm, z[tail], 0.0))
     tube = label == BilipRegion.FAR_TUBE
     assert np.all((t[tube] >= 2.0) & (r[tube] <= psi1))
     outer = label == BilipRegion.OUTER
@@ -148,7 +149,7 @@ def test_contains_with_margin_step_jump():
     spec = DomainSpec(3, StepProfile([0.5, 1.0], [0.1, 0.2]))
     # just left of the jump at the higher radius: inside the band only
     z = [0.5 - 1e-12, 0.15, 0.0]
-    assert contains(spec, z) is False
+    assert contains_with_margin(spec, z, 0.0) is False
     assert contains_with_margin(spec, z, 1e-8) is True
     assert contains_with_margin(spec, [0.5, 0.5, 0.0], 1e-8) is False
 
@@ -247,9 +248,6 @@ class _CountingProfile(CuspProfile):
     def value(self, t):
         self.seen.append(np.array(t, dtype=float).reshape(-1))
         return self.inner.value(t)
-
-    def right_limit(self, t):
-        return self.inner.right_limit(t)
 
     @property
     def value_at_1(self):

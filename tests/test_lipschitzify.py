@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fd_oracle import central_difference
-from helpers import one_phase_solve_bisect, profile_to_csv_text
+from helpers import hat_pair, one_phase_solve_bisect, profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from cuspext.lipschitzify import (
     hat_profile,
     hat_values,
     quotient_hypothesis_holds,
-    solve_hat_pair,
     verify_doubling_transfer,
     verify_monotone_quotient,
 )
@@ -41,27 +40,27 @@ def bisect(psi, ts):
 
 
 def test_hat_pair_power_oracle():
-    pair = solve_hat_pair(PowerProfile(2.0), 0.5)
-    assert abs(pair.t_component - T_GOLDEN) <= 1e-12
-    assert abs(pair.r_component - R_GOLDEN) <= 1e-12
-    assert not pair.on_jump
-    assert pair.t_component + pair.r_component == pytest.approx(1.0, abs=1e-12)
+    t, r, on_jump = hat_pair(PowerProfile(2.0), 0.5)
+    assert abs(t - T_GOLDEN) <= 1e-12
+    assert abs(r - R_GOLDEN) <= 1e-12
+    assert not on_jump
+    assert t + r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hat_linear_fixed_point_exact():
     lin = LinearProfile(0.25)
     grid = np.linspace(0.01, 1.0, 100)
     assert np.array_equal(hat_values(lin, grid), lin.value(grid))
-    pair = solve_hat_pair(lin, 0.37)
-    assert pair.t_component == 0.37 and not pair.on_jump
+    t, _, on_jump = hat_pair(lin, 0.37)
+    assert t == 0.37 and not on_jump
 
 
 def test_hat_step_jump_gap():
     # target 1.2 * 0.55 = 0.66 falls in the jump gap [0.6, 0.7] at t = 0.5
-    pair = solve_hat_pair(TWO_STEP, 0.55)
-    assert pair.t_component == 0.5
-    assert pair.r_component == pytest.approx(0.16, abs=1e-14)
-    assert pair.on_jump
+    t, r, on_jump = hat_pair(TWO_STEP, 0.55)
+    assert t == 0.5
+    assert r == pytest.approx(0.16, abs=1e-14)
+    assert on_jump
     # affine with slope 1 + psi(1) across the jump interval
     lo, hi = 0.6 / 1.2, 0.7 / 1.2
     ts = np.linspace(lo + 1e-9, hi - 1e-9, 50)
@@ -73,8 +72,7 @@ def test_generic_bisection_matches_step_fast_path():
     ts = np.linspace(0.05, 0.999, 97)
     t_f, r_f, j_f = (np.empty(97), np.empty(97), np.empty(97, dtype=bool))
     for i, t in enumerate(ts):
-        pair = solve_hat_pair(TWO_STEP, t)
-        t_f[i], r_f[i], j_f[i] = pair.t_component, pair.r_component, pair.on_jump
+        t_f[i], r_f[i], j_f[i] = hat_pair(TWO_STEP, t)
     t_b, r_b, j_b = bisect(TWO_STEP, ts)
     assert np.max(np.abs(t_b - t_f)) <= 1e-11
     assert np.max(np.abs(r_b - r_f)) <= 1e-11
@@ -157,9 +155,6 @@ class NanBelow(CuspProfile):
         t = np.asarray(t, dtype=float)
         return np.where(t < self.cut, np.nan, t * t)
 
-    def right_limit(self, t):
-        return self.value(t)
-
     @property
     def lipschitz_constant(self):
         return None
@@ -230,7 +225,7 @@ def test_hat_solve_reads_psi1_once(make):
 def test_hat_solve_rejects_bad_tol(psi, tol):
     grid = np.array([0.1, 0.3, 0.7, 1.0])
     for call in (lambda: hat_values(psi, grid, tol),
-                 lambda: solve_hat_pair(psi, 0.3, tol),
+                 lambda: hat_pair(psi, 0.3, tol),
                  lambda: hat_profile(psi, grid, tol),
                  lambda: LipschitzizedProfile(psi, tol).value(grid),
                  lambda: verify_monotone_quotient(psi, grid, tol),
@@ -241,10 +236,10 @@ def test_hat_solve_rejects_bad_tol(psi, tol):
 
 def test_hat_below_profile_infimum():
     # targets below inf(t + psi(t)) resolve to the zero-extension jump at t = 0
-    pair = solve_hat_pair(TWO_STEP, 0.05)
-    assert pair.t_component == 0.0
-    assert pair.r_component == pytest.approx(1.2 * 0.05, abs=1e-14)
-    assert pair.on_jump
+    t, r, on_jump = hat_pair(TWO_STEP, 0.05)
+    assert t == 0.0
+    assert r == pytest.approx(1.2 * 0.05, abs=1e-14)
+    assert on_jump
     assert hat_values(TWO_STEP, 0.05) > 0.0
 
 
@@ -256,11 +251,11 @@ def test_hat_endpoint_convention():
 
 def test_hat_domain_errors():
     with pytest.raises(ProfileDomainError):
-        solve_hat_pair(PowerProfile(2.0), 0.0)
+        hat_pair(PowerProfile(2.0), 0.0)
     with pytest.raises(ProfileDomainError):
-        solve_hat_pair(PowerProfile(2.0), 1.5)
+        hat_pair(PowerProfile(2.0), 1.5)
     with pytest.raises(ValueError):
-        solve_hat_pair(PowerProfile(2.0), 0.5, tol=0.0)
+        hat_pair(PowerProfile(2.0), 0.5, tol=0.0)
 
 
 @pytest.mark.parametrize("psi", [PowerProfile(2.0), TWO_STEP, LinearProfile(0.25)],
@@ -270,7 +265,7 @@ def test_hat_solve_rejects_nan(psi):
     with pytest.raises(ProfileDomainError, match="nan"):
         hat_values(psi, [0.5, np.nan])
     with pytest.raises(ProfileDomainError):
-        solve_hat_pair(psi, float("nan"))
+        hat_pair(psi, float("nan"))
     with pytest.raises(ProfileDomainError):
         LipschitzizedProfile(psi).value(np.array([np.nan, 0.3]))
 
@@ -281,9 +276,6 @@ def test_convergence_error_carries_bracket():
 
         def value(self, t):
             return np.full_like(np.asarray(t, dtype=float), np.nan)
-
-        def right_limit(self, t):
-            return self.value(t)
 
         @property
         def lipschitz_constant(self):
@@ -354,10 +346,10 @@ def test_squeeze_bound_continuous():
     psi = PowerProfile(2.0)
     ts = np.linspace(0.01, 0.49, 50)  # below 1/(1 + psi(1)) = 0.5
     for t in ts:
-        pair = solve_hat_pair(psi, t)
-        lo = psi.value(pair.t_component) if pair.t_component > 0 else 0.0
+        t_comp, r, _ = hat_pair(psi, t)
+        lo = psi.value(t_comp) if t_comp > 0 else 0.0
         hi = psi.value(2.0 * t)
-        assert lo - 1e-12 <= pair.r_component <= hi + 1e-12
+        assert lo - 1e-12 <= r <= hi + 1e-12
 
 
 def test_hat_profile_materialization():
@@ -365,7 +357,7 @@ def test_hat_profile_materialization():
     grid = np.array([0.25, 0.5, 0.75, 1.0])
     table = hat_profile(psi, grid)
     assert table.kind == "tabulated"
-    assert table.lipschitz_constant == 2.0  # 1 + psi(1)
+    assert table.lipschitz_constant is None  # a table never carries one, a hat table included
     assert table.value(0.5) == pytest.approx(R_GOLDEN, abs=1e-12)
     assert table.value(1.0) == 1.0
     singleton = hat_profile(psi, [1.0])
@@ -397,7 +389,6 @@ def test_hat_profile_csv_round_trip():
 def test_lipschitzized_profile_view():
     hat = LipschitzizedProfile(PowerProfile(2.0))
     assert hat.value(0.5) == pytest.approx(R_GOLDEN, abs=1e-12)
-    assert hat.right_limit(0.5) == hat.value(0.5)
     assert hat.lipschitz_constant == 2.0
     assert hat.value_at_1 == 1.0
     grid = np.linspace(0.1, 1.0, 7)
@@ -440,8 +431,7 @@ def test_lipschitzized_derivative_closed_forms():
     assert hat.derivative(0.55) == c
     assert hat.derivative(0.3) == 0.0  # flat on a step
     # smooth source: (1 + psi(1)) psi'(t) / (1 + psi'(t)) at the pair's t
-    pair = solve_hat_pair(PowerProfile(2.0), 0.5)
-    d = 2.0 * pair.t_component
+    d = 2.0 * hat_pair(PowerProfile(2.0), 0.5)[0]
     assert LipschitzizedProfile(PowerProfile(2.0)).derivative(0.5) \
         == pytest.approx(2.0 * d / (1.0 + d), rel=1e-12)
 
@@ -523,9 +513,6 @@ def test_lipschitzized_derivative_needs_source_slope():
         def value(self, t):
             return PowerProfile(2.0).value(t)
 
-        def right_limit(self, t):
-            return self.value(t)
-
     with pytest.raises(ValueError, match="closed-form slope"):
         LipschitzizedProfile(NoSlope()).derivative(0.5)
 
@@ -569,16 +556,24 @@ def test_doubling_transfer_rejects_non_finite_grid(bad, where):
         verify_doubling_transfer(PowerProfile(2.0), grid)
 
 
+def right_limit(psi, t):
+    """lim_{s->t+} psi(s), psi(1) at t = 1: the next row of a step table, else psi(t)."""
+    if isinstance(psi, StepProfile):
+        i = min(int(np.searchsorted(psi.breaks, t, side="right")), psi.breaks.size - 1)
+        return float(psi.values[i])
+    return float(psi.value(t))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=1e-4, max_value=1.0),
        st.sampled_from([PowerProfile(2.0), PowerProfile(1.5), PowerProfile(4.0),
                         LinearProfile(0.7), TWO_STEP]))
 def test_hat_pair_identity_property(t_hat, psi):
     tol = 1e-12
-    pair = solve_hat_pair(psi, t_hat, tol)
+    t, r, _ = hat_pair(psi, t_hat, tol)
     target = (1.0 + psi.value_at_1) * t_hat
-    assert abs(pair.t_component + pair.r_component - target) <= tol
-    t = pair.t_component
+    assert abs(t + r - target) <= tol
     lo = float(psi.value(t)) if t > 0.0 else 0.0
-    hi = float(psi.right_limit(min(max(t, 1e-12), 1.0)))
-    assert lo - tol <= pair.r_component <= hi + tol
+    hi = right_limit(psi, min(max(t, 1e-12), 1.0))
+    assert lo - tol <= r <= hi + tol
+

@@ -28,15 +28,8 @@ def test_power_eval():
 def test_step_sides():
     step = StepProfile([0.5, 1.0], [0.1, 0.2])
     assert step.value(0.5) == 0.1
-    assert step.right_limit(0.5) == 0.2
     assert step.value(0.3) == 0.1
     assert step.value(0.7) == 0.2
-
-
-def test_right_limit_at_endpoint_is_value():
-    assert LinearProfile(0.25).right_limit(1.0) == 0.25
-    step = StepProfile([0.5, 1.0], [0.1, 0.2])
-    assert step.right_limit(1.0) == 0.2
 
 
 def test_step_left_continuity_at_breakpoints():
@@ -61,8 +54,6 @@ def test_non_finite_arguments_rejected(t):
             psi.value(t)
         with pytest.raises(ProfileDomainError):
             psi.value(np.array([0.5, t]))
-        with pytest.raises(ProfileDomainError):
-            psi.right_limit(t)
 
 
 CHECK_T_INPUTS = {
@@ -150,6 +141,7 @@ def test_scaled_exact():
     assert psi.lipschitz_constant == 0.5
     step = StepProfile([0.5, 1.0], [0.1, 0.2]).scaled(2.0)
     assert step.value(0.5) == 0.2
+    assert step.lipschitz_constant is None  # a table is never Lipschitz, rescaled or not
     lin = LinearProfile(0.5).scaled(0.5)
     assert lin.value(1.0) == 0.25
 
@@ -162,9 +154,6 @@ def test_scaled_view_for_generic_profiles():
 
         def value(self, t):
             return base.value(t)
-
-        def right_limit(self, t):
-            return base.right_limit(t)
 
         @property
         def lipschitz_constant(self):
@@ -193,11 +182,13 @@ def test_make_profile():
 @pytest.mark.parametrize("kind, params, message", [
     ("power", {"exponent": 2.0, "coef": 0.25}, "coef: unknown key; did you mean 'coeff'?"),
     ("linear", {"slope": 0.25, "exponent": 2.0}, "exponent: unknown key; known keys: slope"),
-    ("step", {"breakpoints": [1.0], "values": [0.1], "lipschitz_const": 1.0},
-     "lipschitz_const: unknown key; did you mean 'lipschitz_constant'?"),
+    ("step", {"breakpoints": [1.0], "values": [0.1], "doubling_const": 2.0},
+     "doubling_const: unknown key; did you mean 'doubling_constant'?"),
     ("power", {"coeff": 0.25}, "kind 'power' needs exponent"),
     ("step", {"breakpoints": [1.0], "values": [0.1], "doubling_constant": "abc"},
      "doubling_constant: need a finite number > 0, got 'abc'"),
+    ("tabulated", {"breakpoints": [1.0], "values": [0.1], "lipschitz_constant": 1.2},
+     "lipschitz_constant: unknown key; known keys: breakpoints, values, doubling_constant"),
 ])
 def test_make_profile_rejects_bad_keys(kind, params, message):
     with pytest.raises(ProfileFormatError, match=re.escape(message)):
@@ -247,13 +238,12 @@ def step_profiles(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(step_profiles(), st.floats(min_value=1e-6, max_value=1.0))
-def test_profile_invariants_random(step, t):
+@given(step_profiles())
+def test_profile_invariants_random(step):
     grid = np.linspace(1e-6, 1.0, 64)
     vals = step.value(grid)
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) >= 0.0)
-    assert step.right_limit(t) >= step.value(t)
 
 
 @pytest.mark.parametrize("psi", [PowerProfile(2.0, 0.25), LinearProfile(0.3),

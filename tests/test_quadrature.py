@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fd_oracle import central_difference
+from helpers import lp_norm, region_tube
 
 from cuspext import geometry, quadrature
 from cuspext.admissibility import in_limit_region
@@ -24,10 +25,8 @@ from cuspext.quadrature import (
     build_nodes,
     extension_ratio,
     gradient_at,
-    lp_norm,
     region_domain,
     region_extension,
-    region_tube,
     w1p_norm,
 )
 
@@ -96,7 +95,7 @@ def test_nonfinite_sample_raises_with_node():
 
 def test_p_validation():
     with pytest.raises(ValueError):
-        lp_norm(make_field("constant", 3), region_domain(T2), 0.5, SCHEME, 3)
+        w1p_norm(make_field("constant", 3), region_domain(T2), 0.5, SCHEME, 3)
     with pytest.raises(ValueError):
         w1p_norm(make_field("constant", 3), region_domain(T2), np.inf, SCHEME, 3)
 

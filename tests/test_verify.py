@@ -1,5 +1,7 @@
 """The operator checks: one pullback per probe set, read alike by every field."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ def test_boundary_decay_fails_a_nan_field(psi):
     bad, good = verify.boundary_decay_check(extend(psi, 3), [nan_field, ok_field], rays=60)
     assert not bad.ok and np.isnan(bad.value) and bad.bound == 1.0
     assert good.ok and 0.0 < good.value <= 1.0
+
+
+@pytest.mark.parametrize("exponent, tip", [(236.0, "2.26"), (1000.0, "0.0")],
+                         ids=["cap-overflows", "tip-underflows"])
+def test_seam_cap_is_finite_or_raises(exponent, tip):
+    # psi(0.05) = 0.25 * 0.05**s: a cap of inf would pass every straddle
+    ext = extend(PowerProfile(exponent, 0.25), 3)
+    with pytest.raises(FloatingPointError, match=re.escape(f"psi(0.05) = {tip}")):
+        verify.seam_modulus_cap(ext, [make_field("constant", 3)], 1)
 
 
 @pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
