@@ -8,7 +8,9 @@
 # Runs every perfbench/workloads config at seeds 1 and 1009, plus four
 # admissibility sweeps off the workload's q = n-1 line, an extend-verify
 # run outside the guaranteed region, lipschitzify and transform-verify on
-# the two-step profile, transform-verify at n = 2 and n = 4 with counts off
+# the two-step profile, extend-verify on it with two q values (so that
+# --dump-slices writes several tables per field on the straightened route),
+# transform-verify at n = 2 and n = 4 with counts off
 # the block size, an n = 4 extend-verify on Monte Carlo nodes, and small
 # runs on the profile paths no workload reaches (a rescaled power and step
 # profile, a linear profile, a csv table, the radial-sq field), with and
@@ -96,6 +98,9 @@ JSON
 # load_profile_csv, and the radial-sq field
 small_transform='"transform": {"round_trip_samples": 5000, "image_samples": 2000, "distortion_pairs": 5000, "seam_samples": 50}'
 small_extend='"trace_samples": 500, "decay_rays": 60, "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6}'
+# the two-step profile on the straightened route, at two q: one slice table per field and q
+printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0], [4.0, 1.5]], "functions": ["constant", "wave"], %s}}\n' \
+    "$step" "$small_extend" > "$work/configs/extend-two-step-two-q.json"
 linear='{"kind": "linear", "slope": 0.25}'
 printf '{"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1.0}, "n": 3, "seed": 1, %s}\n' \
     "$small_transform" > "$work/configs/transform-power-rescaled.json"

@@ -37,26 +37,25 @@ class TailCheck:
     value: float | None      # partial sum, only when convergent
     partial_sum: float
     last_ratio: float | None
-    levels: int
 
 
-def _panel_integrals(f, first: int, levels: int, breaks) -> np.ndarray:
-    """Gauss integrals of f over [2^-k-1, 2^-k] for k = first, ..., first + levels - 1.
+def _panel_integrals(f, first: int, breaks) -> np.ndarray:
+    """Gauss integrals of f over [2^-k-1, 2^-k] for k = first, ..., first + TAIL_LEVELS - 1.
 
     Each panel is split at the breakpoints strictly inside it, and f is
     evaluated once on every sub-interval's nodes together.  A panel's
     total adds its sub-intervals in ascending order, starting from 0.0.
     """
     xi, wt = gauss_rule(_PANEL_GAUSS)
-    edges = np.ldexp(1.0, -np.arange(first + levels, first - 1, -1))  # ascending
+    edges = np.ldexp(1.0, -np.arange(first + TAIL_LEVELS, first - 1, -1))  # ascending
     inner = breaks[(breaks > edges[0]) & (breaks < edges[-1])]
     cuts = np.union1d(edges, inner)
     lo, hi = cuts[:-1], cuts[1:]
     mid, hal = 0.5 * (lo + hi), 0.5 * (hi - lo)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         vals = f(mid[:, None] + hal[:, None] * xi)
-    totals = np.zeros(levels)
-    # unbuffered, in sub-interval order; panel index levels - 1 is k = first
+    totals = np.zeros(TAIL_LEVELS)
+    # unbuffered, in sub-interval order; panel index TAIL_LEVELS - 1 is k = first
     np.add.at(totals, np.searchsorted(edges, lo, side="right") - 1,
               hal * np.sum(wt * vals, axis=1))
     return totals[::-1]
@@ -64,30 +63,28 @@ def _panel_integrals(f, first: int, levels: int, breaks) -> np.ndarray:
 
 def _classify_tail(arr: np.ndarray) -> TailCheck:
     # arr[i] integrates the i-th dyadic panel, moving toward the tip
-    levels = arr.size
     finite_sum = float(np.sum(arr[np.isfinite(arr)]))
     if np.any(~np.isfinite(arr)) or np.any(arr > _HUGE):
-        return TailCheck(DIVERGENT, None, finite_sum, None, levels)
+        return TailCheck(DIVERGENT, None, finite_sum, None)
     tail = arr[-RATIO_WINDOW - 1:]
     if np.all(tail < _TINY):
         # panel masses vanished below representable size
-        return TailCheck(CONVERGENT, finite_sum, finite_sum, 0.0, levels)
+        return TailCheck(CONVERGENT, finite_sum, finite_sum, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = tail[1:] / tail[:-1]
     ratios = ratios[np.isfinite(ratios)]
     if ratios.size == 0:
-        return TailCheck(INCONCLUSIVE, None, finite_sum, None, levels)
+        return TailCheck(INCONCLUSIVE, None, finite_sum, None)
     last = float(ratios[-1])
     if np.max(ratios) <= RATIO_THRESHOLD:
-        return TailCheck(CONVERGENT, finite_sum, finite_sum, last, levels)
+        return TailCheck(CONVERGENT, finite_sum, finite_sum, last)
     if np.min(ratios) >= RATIO_THRESHOLD:
         # no geometric decay: panel masses hold steady or grow
-        return TailCheck(DIVERGENT, None, finite_sum, last, levels)
-    return TailCheck(INCONCLUSIVE, None, finite_sum, last, levels)
+        return TailCheck(DIVERGENT, None, finite_sum, last)
+    return TailCheck(INCONCLUSIVE, None, finite_sum, last)
 
 
-def check_inc1(psi: CuspProfile, s: float, n: int,
-               levels: int = TAIL_LEVELS) -> TailCheck:
+def check_inc1(psi: CuspProfile, s: float, n: int) -> TailCheck:
     """Tip integrability of (t^s / psi(t))^(n/(s-1)) dt/t over (0, 1]."""
     if not s > 1.0:
         raise ValueError(f"s must be > 1, got {s}")
@@ -99,11 +96,10 @@ def check_inc1(psi: CuspProfile, s: float, n: int,
     def f(t):
         return (t ** s / psi.value(t)) ** expo / t
 
-    return _classify_tail(_panel_integrals(f, 0, levels, breaks))
+    return _classify_tail(_panel_integrals(f, 0, breaks))
 
 
-def check_inc2(psi: CuspProfile, s: float, n: int, p: float,
-               levels: int = TAIL_LEVELS) -> TailCheck:
+def check_inc2(psi: CuspProfile, s: float, n: int, p: float) -> TailCheck:
     """Log-weighted tip integrability over (0, 1/2].
 
     The weight |log(psi(t)/t)|^(-alpha) with alpha = (n-2)p/(p+1-n)
@@ -125,7 +121,7 @@ def check_inc2(psi: CuspProfile, s: float, n: int, p: float,
         v = psi.value(t)
         return (t ** s / v) ** expo / t * np.abs(np.log(v / t)) ** -alpha
 
-    return _classify_tail(_panel_integrals(f, 1, levels, breaks))
+    return _classify_tail(_panel_integrals(f, 1, breaks))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError
 from .extension import extend
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
-from .lipschitzify import DEFAULT_TOL, hat_profile
+from .lipschitzify import hat_profile
 from .profiles import PROFILE_KEYS, load_profile_csv, make_profile, save_profile_csv
 
 EXIT_OK = 0
@@ -54,7 +54,6 @@ class RunConfig:
     profile: object
     n: int
     seed: int
-    tolerance: float
     out_dir: str
     options: dict = field(default_factory=dict)  # the command's section, typed
     echo: dict = field(default_factory=dict)
@@ -143,8 +142,6 @@ _TOP = {
     "command": (None, ...),
     "n": (_need(lambda v: type(v) is int and v >= 2, "an integer >= 2"), 3),
     "seed": (_need(lambda v: type(v) is int and v >= 0, "a nonnegative integer"), 0),
-    "tolerance": (_need(lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
-                  DEFAULT_TOL),
     "profile": (_build_profile, ...),  # not read by the sweep, which runs power cusps t^s
 }
 
@@ -239,11 +236,10 @@ def validate(args, raw: dict) -> dict:
 def build_run_config(args, raw: dict) -> RunConfig:
     top = validate(args, raw)
     profile = top.pop("profile", None)
-    echo = {k: top[k] for k in ("command", "n", "seed", "tolerance")}
+    echo = {k: top[k] for k in ("command", "n", "seed")}
     echo.update(profile=None if profile is None else raw["profile"], version=__version__)
     return RunConfig(command=top["command"], profile=profile, n=top["n"], seed=int(top["seed"]),
-                     tolerance=float(top["tolerance"]), out_dir=args.out,
-                     options=top[SECTIONS[top["command"]][0]], echo=echo)
+                     out_dir=args.out, options=top[SECTIONS[top["command"]][0]], echo=echo)
 
 
 def _write_csv(path: str, rows: list) -> None:
@@ -272,10 +268,9 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
     grid = spaced(opts["grid_start"], 1.0, opts["grid_count"])
     grid[-1] = 1.0  # a one-point grid is [1.0]
     psi, psi1 = cfg.profile, cfg.profile.value_at_1
-    save_profile_csv(hat_profile(psi, grid, cfg.tolerance),
+    save_profile_csv(hat_profile(psi, grid),
                      os.path.join(cfg.out_dir, "hat_profile.csv"))
-    hypothesis, mq, checks = lipschitzify.verify_transfer(psi, grid, opts["pair_count"],
-                                                          cfg.seed, cfg.tolerance)
+    hypothesis, mq, checks = lipschitzify.verify_transfer(psi, grid, opts["pair_count"], cfg.seed)
     doubling = checks.get("doubling_transfer_ok")
     report = {
         "config_echo": cfg.echo,
@@ -292,8 +287,7 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
 
 def cmd_transform_verify(cfg: RunConfig) -> int:
     spec, scale = normalize(DomainSpec(cfg.n, cfg.profile))
-    seams, distortion, checks = transform.verify_transform(spec, cfg.seed, cfg.tolerance,
-                                                           **cfg.options)
+    seams, distortion, checks = transform.verify_transform(spec, cfg.seed, **cfg.options)
     report = {
         "config_echo": cfg.echo,
         "normalization_scale": scale,
@@ -320,7 +314,7 @@ def cmd_extend_verify(cfg: RunConfig) -> int:
     fields = {name: make_field(name, cfg.n, **opts["field_params"].get(name, {}))
               for name in opts["functions"]}
     # one operator for the norm reports and every check
-    ext = extend(cfg.profile, cfg.n, cfg.tolerance)
+    ext = extend(cfg.profile, cfg.n)
     norm_reports, seam_worst, checks = verify.verify_extension(
         ext, fields, pq, scheme, opts["trace_samples"], opts["decay_rays"], cfg.seed)
     if cfg.dump_slices:

@@ -23,7 +23,7 @@ from . import geometry
 from .errors import ProfileDomainError
 from .fields import ScalarField
 from .geometry import DomainSpec, ExtRegion
-from .lipschitzify import DEFAULT_TOL, LipschitzizedProfile
+from .lipschitzify import LipschitzizedProfile
 from .profiles import profile_derivative
 from .transform import _inverse_branches, forward_map, inverse_map, inverse_partials
 
@@ -329,21 +329,21 @@ class ConjugatedExtension:
         return _reader(W, with_grad, self.inner)
 
 
-def extend_general(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
+def extend_general(psi, n: int) -> ConjugatedExtension:
     """The extension operator of an arbitrary cusp profile's domain, by straightening.
 
     The restriction of ``field(u)`` to the original domain reproduces u
     up to the round-trip error of the straightening map (below 1e-8 for
-    smooth fields at the default tolerance).  When u carries an
-    analytic gradient, so do ``hat_input(u)`` and ``hat_field(u)``.
+    smooth fields).  When u carries an analytic gradient, so do
+    ``hat_input(u)`` and ``hat_field(u)``.
     """
     spec = DomainSpec(n, psi)
     norm_spec, scale = geometry.normalize(spec)
-    ctx = ExtensionContext(DomainSpec(n, LipschitzizedProfile(norm_spec.psi, tol)))
+    ctx = ExtensionContext(DomainSpec(n, LipschitzizedProfile(norm_spec.psi)))
     return ConjugatedExtension(spec, ctx, scale, norm_spec, _inverse_pullback(norm_spec, scale))
 
 
-def extend(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
+def extend(psi, n: int) -> ConjugatedExtension:
     """The extension operator of the domain of psi, along the profile's one route.
 
     A Lipschitz profile is extended in place (``frame == "direct"``);
@@ -352,4 +352,4 @@ def extend(psi, n: int, tol: float = DEFAULT_TOL) -> ConjugatedExtension:
     if psi.lipschitz_constant is not None:
         spec = DomainSpec(n, psi)
         return ConjugatedExtension(spec, ExtensionContext(spec))
-    return extend_general(psi, n, tol)
+    return extend_general(psi, n)

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import Check, ConvergenceError, ProfileDomainError, ProfileFormatError
 from .profiles import CuspProfile, LinearProfile, StepProfile, profile_derivative
 
-DEFAULT_TOL = 1e-12
-LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to tol of solver error
+SOLVE_TOL = 1e-12  # the on-jump test, the breakpoint snap and the check slacks
+LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to SOLVE_TOL of solver error
 QUOTIENT_REL_SLACK = 1e-9  # the share of a quotient that a later one may drop by
 MAX_BISECT_ITER = 200
 # Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
@@ -32,14 +32,14 @@ FIRST_CLOSING_ITER = 53
 _DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, FIRST_CLOSING_ITER))
 
 
-def _g_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
-    """g(t) = t + psi(t), with the zero extension psi(t) = 0 for t <= 0."""
+def _psi_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
+    """psi(t), with the zero extension psi(t) = 0 for t <= 0; g(t) is t + psi(t)."""
     if t.size and t.min() > 0.0:  # NaN fails the comparison
-        return t + psi.value(t)
-    out = np.array(t, dtype=float, copy=True)
+        return psi.value(t)
+    out = np.zeros(t.shape)
     pos = t > 0.0
     if np.any(pos):
-        out[pos] += psi.value(t[pos])
+        out[pos] = psi.value(t[pos])
     return out
 
 
@@ -51,7 +51,7 @@ def _g_finite(gm: np.ndarray, mid: np.ndarray) -> None:
                                bracket=(float(bad), float(bad)))
 
 
-def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float, psi1: float):
+def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     """Vectorized bisection of g on [0, 1]; handles jump gaps.
 
     Bisection is the only safe choice here: g is monotone but need not
@@ -67,7 +67,9 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float, psi1: float)
     and the update lo += 2^-k * (g(mid) <= target) are both exact, and
     no bracket can stop yet (FIRST_CLOSING_ITER).  The closing phase
     starts from the exact hi = lo + 2^-52 and carries only the live
-    elements, compacted, writing a bracket back when its element stops.
+    elements, compacted, writing lo back when its element stops.  No
+    bracket ends wider than 2^-52, far inside SOLVE_TOL, so a residual
+    above SOLVE_TOL means the bracket closed on a jump of psi.
     """
     targets = (1.0 + psi1) * t_hats
     tg_flat = targets.reshape(-1)
@@ -75,18 +77,17 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float, psi1: float)
     if tg_flat.size:
         for step in _DYADIC_STEPS:
             mid = lo_flat + step
-            gm = _g_values(psi, mid)
+            gm = mid + _psi_values(psi, mid)
             _g_finite(gm, mid)
             lo_flat += step * (gm <= tg_flat)
-    hi_flat = lo_flat + _DYADIC_STEPS[-1]
     # the live elements: flat positions, brackets and targets
     at = np.arange(tg_flat.size)
-    lo_l, hi_l, tg_l = lo_flat.copy(), hi_flat.copy(), tg_flat
+    lo_l, hi_l, tg_l = lo_flat.copy(), lo_flat + _DYADIC_STEPS[-1], tg_flat
     for _ in range(FIRST_CLOSING_ITER, MAX_BISECT_ITER + 1):
         if not at.size:
             break
         mid = 0.5 * (lo_l + hi_l)
-        gm = _g_values(psi, mid)
+        gm = mid + _psi_values(psi, mid)
         _g_finite(gm, mid)
         below = gm <= tg_l
         # in place; putmask is faster here than copyto(..., where=)
@@ -94,22 +95,14 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float, psi1: float)
         np.putmask(hi_l, ~below, mid)
         stop = np.nextafter(lo_l, hi_l) >= hi_l
         if stop.any():
-            lo_flat[at[stop]], hi_flat[at[stop]] = lo_l[stop], hi_l[stop]
+            lo_flat[at[stop]] = lo_l[stop]
             go = ~stop
             at, lo_l, hi_l, tg_l = at[go], lo_l[go], hi_l[go], tg_l[go]
-    lo_flat[at], hi_flat[at] = lo_l, hi_l
-    lo, hi = lo_flat.reshape(targets.shape), hi_flat.reshape(targets.shape)
-    residual = targets - _g_values(psi, lo)
-    width = hi - lo
-    unresolved = (residual > tol) & (width > tol)
-    if np.any(unresolved):
-        i = int(np.argmax(unresolved))
-        raise ConvergenceError(
-            f"bisection stalled at t_hat={t_hats[i]}",
-            bracket=(float(lo[i]), float(hi[i])),
-        )
+    lo_flat[at] = lo_l
+    lo = lo_flat.reshape(targets.shape)
+    psi_lo = _psi_values(psi, lo)
     t_sol = lo.copy()
-    on_jump = residual > tol
+    on_jump = targets - (lo + psi_lo) > SOLVE_TOL
     if np.any(on_jump):
         # the bracket collapsed onto a jump of psi; snap to the profile's
         # breakpoint when one sits inside the collapsed bracket
@@ -119,13 +112,15 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, tol: float, psi1: float)
             for cand in (idx - 1, idx):
                 ok = (cand >= 0) & (cand < breaks.size)
                 b = np.where(ok, breaks[np.clip(cand, 0, breaks.size - 1)], np.nan)
-                snap = ok & (np.abs(b - lo[on_jump]) <= np.maximum(tol, 1e-14))
+                snap = ok & (np.abs(b - lo[on_jump]) <= SOLVE_TOL)
                 sub = t_sol[on_jump]
                 sub[snap] = b[snap]
                 t_sol[on_jump] = sub
         # targets below inf g resolve to the zero-extension jump at t = 0
         t_sol[on_jump & (lo <= 1e-17)] = 0.0
-    r_sol = targets - t_sol
+    # off a jump r = psi(t) keeps its relative accuracy at the tip, where target - t
+    # cancels; r = target - t fills jump gaps and the zero extension at t = 0
+    r_sol = np.where(on_jump | (lo <= 0.0), targets - t_sol, psi_lo)
     return t_sol, r_sol, on_jump
 
 
@@ -144,9 +139,7 @@ def _solve_step(psi: StepProfile, t_hats: np.ndarray, psi1: float):
     return t_sol, r_sol, targets < lo_open
 
 
-def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
-    if not 0.0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+def _solve_many(psi: CuspProfile, t_hats: np.ndarray):
     t_hats = np.asarray(t_hats, dtype=float)
     outside = ~((t_hats > 0.0) & (t_hats <= 1.0))  # NaN included
     if np.any(outside):
@@ -159,7 +152,7 @@ def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
     if isinstance(psi, StepProfile):
         t_sol, r_sol, jump = _solve_step(psi, t_hats, psi1)
     else:
-        t_sol, r_sol, jump = _solve_bisect(psi, t_hats, tol, psi1)
+        t_sol, r_sol, jump = _solve_bisect(psi, t_hats, psi1)
     if np.any(at_end):
         # endpoint convention: hat_psi(1) = psi(1) via the pair (1, psi(1))
         t_sol[at_end] = 1.0
@@ -168,14 +161,14 @@ def _solve_many(psi: CuspProfile, t_hats: np.ndarray, tol: float):
     return t_sol, r_sol, jump
 
 
-def hat_values(psi: CuspProfile, t_hats, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hat_values(psi: CuspProfile, t_hats) -> np.ndarray:
     """The re-profiling hat_psi at a point (a float) or an array of points in (0, 1]."""
     t_hats = np.asarray(t_hats, dtype=float)
-    _, r_sol, _ = _solve_many(psi, np.atleast_1d(t_hats), tol)
+    _, r_sol, _ = _solve_many(psi, np.atleast_1d(t_hats))
     return r_sol.reshape(t_hats.shape) if t_hats.ndim else float(r_sol[0])
 
 
-def hat_profile(psi: CuspProfile, grid, tol: float = DEFAULT_TOL) -> StepProfile:
+def hat_profile(psi: CuspProfile, grid) -> StepProfile:
     """Materialize the re-profiling on a grid as a tabulated profile.
 
     The grid must ascend and end at 1.0 so the table is total on (0, 1].
@@ -190,7 +183,7 @@ def hat_profile(psi: CuspProfile, grid, tol: float = DEFAULT_TOL) -> StepProfile
     if grid[-1] != 1.0:
         raise ProfileFormatError(f"grid must end at 1.0, got {grid[-1]}")
     try:
-        vals = hat_values(psi, grid, tol)
+        vals = hat_values(psi, grid)
     except ConvergenceError as err:
         raise ConvergenceError(f"hat solve failed on grid: {err}",
                                bracket=err.bracket) from err
@@ -210,9 +203,8 @@ class LipschitzizedProfile(CuspProfile):
 
     kind = "lipschitzized"
 
-    def __init__(self, source: CuspProfile, tol: float = DEFAULT_TOL):
+    def __init__(self, source: CuspProfile):
         self.source = source
-        self.tol = float(tol)
         dbl = source.doubling_constant
         self.doubling_constant = None if dbl is None else max(2.0, dbl)
 
@@ -231,7 +223,7 @@ class LipschitzizedProfile(CuspProfile):
         starts = np.flatnonzero(head)
         uniq, inverse = np.unique(flat[starts], return_inverse=True)
         inverse = np.repeat(inverse, np.diff(starts, append=flat.size))
-        out = read(*_solve_many(self.source, uniq, self.tol))[inverse]
+        out = read(*_solve_many(self.source, uniq))[inverse]
         out = out.reshape(t.shape + out.shape[1:])
         return float(out) if out.ndim == 0 else out
 
@@ -293,8 +285,7 @@ class MonotoneQuotientResult:
     violation: tuple | None  # (t_hat_1, t_hat_2, q1, q2)
 
 
-def verify_monotone_quotient(psi: CuspProfile, grid,
-                             tol: float = DEFAULT_TOL) -> MonotoneQuotientResult:
+def verify_monotone_quotient(psi: CuspProfile, grid) -> MonotoneQuotientResult:
     """Check hat_psi(t)/t is nondecreasing across the grid.
 
     Meaningful under the hypothesis that psi(t)/t is itself
@@ -302,8 +293,8 @@ def verify_monotone_quotient(psi: CuspProfile, grid,
     hypothesis dependence rather than a solver defect.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
-    q = hat_values(psi, grid, tol) / grid
-    drop = q[1:] < q[:-1] * (1.0 - QUOTIENT_REL_SLACK) - tol
+    q = hat_values(psi, grid) / grid
+    drop = q[1:] < q[:-1] * (1.0 - QUOTIENT_REL_SLACK) - SOLVE_TOL
     if np.any(drop):
         i = int(np.argmax(drop))
         return MonotoneQuotientResult(
@@ -320,8 +311,7 @@ class DoublingTransferResult:
     argmax: float | None
 
 
-def verify_doubling_transfer(psi: CuspProfile, grid,
-                             tol: float = DEFAULT_TOL) -> DoublingTransferResult | None:
+def verify_doubling_transfer(psi: CuspProfile, grid) -> DoublingTransferResult | None:
     """Check hat_psi(2t) <= max(2, C) * hat_psi(t) on the admissible range.
 
     C is the profile's stored doubling constant.  Only grid points with
@@ -338,27 +328,27 @@ def verify_doubling_transfer(psi: CuspProfile, grid,
     grid = grid[(grid > 0.0) & (grid <= 1.0 / (2.0 * (1.0 + psi1)))]
     if grid.size == 0:
         return None
-    h1 = hat_values(psi, grid, tol)
-    h2 = hat_values(psi, 2.0 * grid, tol)
+    h1 = hat_values(psi, grid)
+    h2 = hat_values(psi, 2.0 * grid)
     ratios = h2 / h1
     bound = max(2.0, float(psi.doubling_constant))
     i = int(np.argmax(ratios))
-    # additive slack: each hat value carries up to tol of absolute solver
+    # additive slack: each hat value carries up to SOLVE_TOL of absolute solver
     # error, which dominates the ratio near the tip where values vanish
-    ok = np.max(h2 - bound * h1) <= (1.0 + bound) * tol
+    ok = np.max(h2 - bound * h1) <= (1.0 + bound) * SOLVE_TOL
     return DoublingTransferResult(bool(ok), bound, float(ratios[i]), float(grid[i]))
 
 
-def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int, tol: float):
+def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int):
     """The re-profiled cusp's transfer checks: (hypothesis holds, monotone quotient, checks)."""
     pairs = np.random.default_rng(rng_seed).uniform(1e-9, 1.0, size=(pair_count, 2))
-    va, vb = hat_values(psi, pairs[:, 0], tol), hat_values(psi, pairs[:, 1], tol)
+    va, vb = hat_values(psi, pairs[:, 0]), hat_values(psi, pairs[:, 1])
     slack = np.abs(va - vb) - (1.0 + psi.value_at_1) * np.abs(pairs[:, 0] - pairs[:, 1])
-    checks = {"lipschitz_bound_ok": Check(float(np.max(slack)), LIPSCHITZ_SLACK_TOLS * tol)}
+    checks = {"lipschitz_bound_ok": Check(float(np.max(slack)), LIPSCHITZ_SLACK_TOLS * SOLVE_TOL)}
     hypothesis = quotient_hypothesis_holds(psi, grid)
-    mq = verify_monotone_quotient(psi, grid, tol)
+    mq = verify_monotone_quotient(psi, grid)
     if hypothesis:
         checks["monotone_quotient_ok"] = mq
-    if psi.doubling_constant is not None and (dt := verify_doubling_transfer(psi, grid, tol=tol)):
+    if psi.doubling_constant is not None and (dt := verify_doubling_transfer(psi, grid)):
         checks["doubling_transfer_ok"] = dt
     return hypothesis, mq, checks

@@ -201,15 +201,14 @@ def sample_domain(spec: DomainSpec, count: int, rng: np.random.Generator) -> np.
     return geometry.sample_ball(spec.n, t, geometry.collar_radius(spec, t) * (1.0 - 1e-12), rng)
 
 
-def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int,
-                 tol: float = 1e-12) -> ImageCheckResult:
+def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int) -> ImageCheckResult:
     """Check the transform maps the domain onto its Lipschitz twin.
 
     Membership on the twin side evaluates the re-profiled radius with
     the hat solver, so assertions allow an IMAGE_BAND margin: failures
     are only counted outside a band-width boundary layer.
     """
-    hat = LipschitzizedProfile(spec.psi, tol)
+    hat = LipschitzizedProfile(spec.psi)
     hat_spec = DomainSpec(spec.n, hat)
     rng = np.random.default_rng(rng_seed)
 
@@ -263,7 +262,7 @@ def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
     return {seam: {d: jump / d for d, jump in per.items()} for seam, per in jumps.items()}
 
 
-def verify_transform(spec: DomainSpec, rng_seed: int, tol: float, round_trip_samples: int,
+def verify_transform(spec: DomainSpec, rng_seed: int, round_trip_samples: int,
                      image_samples: int, distortion_pairs: int, seam_samples: int,
                      seam_deltas):
     """The map's round-trip, seam, image and distortion checks: (stretches, distortion, checks)."""
@@ -279,7 +278,7 @@ def verify_transform(spec: DomainSpec, rng_seed: int, tol: float, round_trip_sam
     seams = seam_continuity(spec, tuple(seam_deltas), seam_samples, rng_seed)
     stretch = [k for per in seams.values() for k in per.values()]
     top, least = float(np.max(stretch)), float(np.min(stretch))  # both NaN if any is
-    image = verify_image(spec, image_samples, rng_seed, tol)
+    image = verify_image(spec, image_samples, rng_seed)
     d = distortion_sample(spec, distortion_pairs, rng_seed)
     positive = -float(np.nextafter(0.0, 1.0))  # Check(-x, positive) is 0 < x
     return seams, d, {

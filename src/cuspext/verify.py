@@ -27,6 +27,7 @@ LINEARITY_TOL = 1e-12
 LINEARITY_PROBES = 2000  # points of the slab -0.5 < t < 3.5 times the ball |x| < 0.6
 LINEARITY_ALPHA, LINEARITY_BETA = 0.7, -1.3  # the combination alpha u + beta v
 DECAY_DELTAS = (1e-2, 1e-3, 1e-4)  # ray steps inward from the outer boundary
+DECAY_SAFETY = 2.0  # the admissible decay modulus's factor over the cut-off bound
 SEAM_DELTAS = (1e-3, 1e-5, 1e-7)  # straddle separations across every seam
 REFINEMENT_DELTA_BOUND = float(np.nextafter(0.05, 0.0))  # refinement_delta < 0.05
 
@@ -53,13 +54,17 @@ def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField,
 
 
 def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
-                         rng_seed: int = 0, safety: float = 2.0) -> list[Check]:
+                         rng_seed: int = 0) -> list[Check]:
     """Linear decay of E^(u o T^-1) toward the outer boundary, in the straightened frame.
 
     Rays step inward from the collar/cap boundary; the admissible
     modulus per ray is the local cut-off slope times a sampled bound on
     |u o T^-1| (the tip is excluded: the modulus degenerates with the
     collar width there, which is expected, not a defect).  Bound 1 on the worst |E| / modulus.
+    A cusp ray steps inward by min(delta, R(t)), so it ends in the collar even
+    where the collar is narrower than delta; a collar of no width (R(t) = 0, as
+    where the profile underflows) has no ray to test, so it raises
+    FloatingPointError naming t and R(t).
     """
     spec = ext.hat_context.spec
     n = spec.n
@@ -69,27 +74,32 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
 
     per = max(1, rays // 3)
     direction = geometry.unit_directions(rng, per, n - 1)
-    points, radius = [], []  # radius: what the cut-off slope divides by
+    points, fall = [], []  # fall: the cut-off's drop over the step, slope times step
     for delta in DECAY_DELTAS:
         # collar outer wall over the cusp (away from the tip), then the tube
         for t_lo, t_hi in ((0.05, 1.0), (1.0 + 1e-6, 3.0 - 1e-6)):
             t = rng.uniform(t_lo, t_hi, size=per)
             R = geometry.collar_radius(spec, t)
-            points.append(np.concatenate([t[:, None], ((2.0 * R - delta)[:, None]) * direction],
+            if not np.all(R > 0.0):
+                i = int(np.argmin(R > 0.0))
+                raise FloatingPointError(f"decay ray in a collar of no width at "
+                                         f"t = {t.item(i)!r}: R(t) = {R.item(i)!r}")
+            step = np.minimum(delta, R)
+            points.append(np.concatenate([t[:, None], ((2.0 * R - step)[:, None]) * direction],
                                          axis=1))
-            radius.append(R)
+            fall.append(step / R)
         # end disk t = 3, whose cut-off has unit slope
         rad = rng.uniform(0.0, 2.0 * psi1 * 0.98, size=per)
         points.append(np.concatenate([np.full((per, 1), 3.0 - delta),
                                       rad[:, None] * direction], axis=1))
-        radius.append(np.ones(per))
-    radius, delta = np.array(radius), np.repeat(DECAY_DELTAS, 3)[:, None]
+        fall.append(np.full(per, delta))
+    fall = np.array(fall)
     push = ext.pullback(np.concatenate(points), False)
 
     reports = []
     for u in fields:
         m_u = max(float(np.abs(read(u)[0]).max()), 1e-12)
-        normalized = np.abs(push(u)[0].reshape(radius.shape)) / (safety * m_u / radius * delta)
+        normalized = np.abs(push(u)[0].reshape(fall.shape)) / (DECAY_SAFETY * m_u * fall)
         reports.append(Check(float(np.max(normalized, initial=0.0)), 1.0))  # NaN propagates
     return reports
 
@@ -194,8 +204,9 @@ def verify_extension(ext: ConjugatedExtension, fields: dict, pq, scheme, trace_s
     norm_reports = quadrature.extension_ratio(flist, ext, [(float(p), float(q)) for p, q in pq],
                                               scheme)
     traces = trace_check(ext, flist, trace_samples, rng_seed)
-    decays = boundary_decay_check(ext, flist, rays=decay_rays, rng_seed=rng_seed)
+    # the seams before the decay: a tip that reads 0 is named by seam_modulus_cap
     seams = seam_continuity_check(ext, flist, rng_seed=rng_seed)
+    decays = boundary_decay_check(ext, flist, rays=decay_rays, rng_seed=rng_seed)
     checks = {}
     for name, reports, trace, decay, (seam, _) in zip(fields, norm_reports, traces, decays, seams):
         checks.update({f"trace_ok[{name}]": trace, f"decay_ok[{name}]": decay,

@@ -11,7 +11,7 @@ from cuspext.errors import ConvergenceError, ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
-from cuspext.lipschitzify import DEFAULT_TOL, FIRST_CLOSING_ITER, MAX_BISECT_ITER, _solve_many
+from cuspext.lipschitzify import FIRST_CLOSING_ITER, MAX_BISECT_ITER, SOLVE_TOL, _solve_many
 from cuspext.profiles import _T_EPS, StepProfile, profile_derivative, save_profile_csv
 from cuspext.quadrature import Slab, _weighted_p_sum, build_nodes
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
@@ -59,9 +59,9 @@ def profile_to_csv_text(profile: StepProfile) -> str:
     return buf.getvalue()
 
 
-def hat_pair(psi, t_hat: float, tol: float = DEFAULT_TOL):
+def hat_pair(psi, t_hat: float):
     """(t, r, on_jump) of the boundary pair t + r = (1 + psi(1)) t_hat, from one solve."""
-    t_sol, r_sol, jump = _solve_many(psi, np.atleast_1d(float(t_hat)), tol)
+    t_sol, r_sol, jump = _solve_many(psi, np.atleast_1d(float(t_hat)))
     return float(t_sol[0]), float(r_sol[0]), bool(jump[0])
 
 
@@ -330,17 +330,21 @@ def mask_check_t(t):
     return t
 
 
-def _one_phase_g(psi, t):
+def _one_phase_psi(psi, t):
     pos = t > 0.0
     if t.size and pos.all():
-        return t + psi.value(t)
-    out = np.array(t, dtype=float, copy=True)
+        return psi.value(t)
+    out = np.zeros(t.shape)
     if np.any(pos):
-        out[pos] += psi.value(t[pos])
+        out[pos] = psi.value(t[pos])
     return out
 
 
-def one_phase_solve_bisect(psi, t_hats, tol):
+def _one_phase_g(psi, t):
+    return t + _one_phase_psi(psi, t)
+
+
+def one_phase_solve_bisect(psi, t_hats):
     """The generic hat solve with one bisection loop from halving 1 on."""
     targets = (1.0 + psi.value_at_1) * t_hats
     lo, hi = np.zeros(targets.shape), np.ones(targets.shape)
@@ -366,14 +370,9 @@ def one_phase_solve_bisect(psi, t_hats, tol):
         if not at.size:
             break
     lo_flat[at], hi_flat[at] = lo_l, hi_l
-    residual = targets - _one_phase_g(psi, lo)
-    unresolved = (residual > tol) & (hi - lo > tol)
-    if np.any(unresolved):
-        i = int(np.argmax(unresolved))
-        raise ConvergenceError(f"bisection stalled at t_hat={t_hats[i]}",
-                               bracket=(float(lo[i]), float(hi[i])))
+    psi_lo = _one_phase_psi(psi, lo)
     t_sol = lo.copy()
-    on_jump = residual > tol
+    on_jump = targets - (lo + psi_lo) > SOLVE_TOL
     if np.any(on_jump):
         breaks = psi.breakpoints()
         if breaks.size:
@@ -381,12 +380,13 @@ def one_phase_solve_bisect(psi, t_hats, tol):
             for cand in (idx - 1, idx):
                 ok = (cand >= 0) & (cand < breaks.size)
                 b = np.where(ok, breaks[np.clip(cand, 0, breaks.size - 1)], np.nan)
-                snap = ok & (np.abs(b - lo[on_jump]) <= np.maximum(tol, 1e-14))
+                snap = ok & (np.abs(b - lo[on_jump]) <= SOLVE_TOL)
                 sub = t_sol[on_jump]
                 sub[snap] = b[snap]
                 t_sol[on_jump] = sub
         t_sol[on_jump & (lo <= 1e-17)] = 0.0
-    return t_sol, targets - t_sol, on_jump
+    # r = psi(t) off a jump; target - t on jump gaps and at t = 0
+    return t_sol, np.where(on_jump | (lo <= 0.0), targets - t_sol, psi_lo), on_jump
 
 
 # -- the mechanism inequalities written out per caller -------------------------

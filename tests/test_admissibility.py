@@ -14,6 +14,7 @@ from cuspext.admissibility import (
     DIVERGENT,
     INCONCLUSIVE,
     MECHANISM_BOUNDS,
+    TAIL_LEVELS,
     admissible_pq,
     check_doubling,
     check_inc1,
@@ -26,6 +27,7 @@ from cuspext.admissibility import (
     thresholds,
 )
 from cuspext.geometry import gauss_rule
+from cuspext.lipschitzify import LipschitzizedProfile
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
 
 
@@ -71,6 +73,21 @@ def test_inc2_parameter_errors():
         check_inc2(PowerProfile(2.0), 2.0, 3, 2.0)
     with pytest.raises(ValueError):
         check_inc2(PowerProfile(2.0), 2.0, 3, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reprofiled_power_cusp_keeps_every_tail_class():
+    # the re-profiling hat_psi is comparable to psi, so each tail class of
+    # psi = 0.25 t^sigma reads the same on hat_psi, down to the 2^-60 panels
+    # where a hat value that cancelled to 0.0 made the integrand infinite
+    for sigma in (1.5, 2.0, 3.0, 5.0):
+        psi = PowerProfile(sigma, 0.25)
+        hat = LipschitzizedProfile(psi)
+        for s in (sigma - 0.25, sigma + 0.25, sigma + 1.0):
+            assert (check_inc1(hat, s, 3).classification
+                    == check_inc1(psi, s, 3).classification), (sigma, s)
+        assert (check_inc2(hat, sigma, 3, 4.0).classification
+                == check_inc2(psi, sigma, 3, 4.0).classification), sigma
 
 
 def test_inc_checks_step_profile():
@@ -278,9 +295,9 @@ def test_vectorised_panels_equal_per_panel_loop(monkeypatch, check, args, breaks
     vectorised = admissibility._panel_integrals
     pairs = []
 
-    def looped(f, first, levels, breaks):
-        pairs.append((vectorised(f, first, levels, breaks),
-                      _looped_panels(f, first, levels, breaks)))
+    def looped(f, first, breaks):
+        pairs.append((vectorised(f, first, breaks),
+                      _looped_panels(f, first, TAIL_LEVELS, breaks)))
         return pairs[-1][1]
 
     monkeypatch.setattr(admissibility, "_panel_integrals", looped)

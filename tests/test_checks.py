@@ -78,7 +78,7 @@ PAIRS = np.random.default_rng(1).uniform(1e-9, 1.0, size=(500, 2))
 def lipschitz_record(monkeypatch, hat=None):
     if hat is not None:
         monkeypatch.setattr(lipschitzify, "hat_values", hat)
-    _, _, checks = lipschitzify.verify_transfer(PowerProfile(2.0), GRID, 500, 1, 1e-12)
+    _, _, checks = lipschitzify.verify_transfer(PowerProfile(2.0), GRID, 500, 1)
     return checks["lipschitz_bound_ok"]
 
 
@@ -86,14 +86,14 @@ def test_lipschitz_bound_record(monkeypatch):
     # psi(1) = 1, so the Lipschitz constant is 2 and the bound 2 tol
     psi, a, b = PowerProfile(2.0), PAIRS[:, 0], PAIRS[:, 1]
     hat = lipschitzify.hat_values
-    slack = np.abs(hat(psi, a, 1e-12) - hat(psi, b, 1e-12)) - 2.0 * np.abs(a - b)
+    slack = np.abs(hat(psi, a) - hat(psi, b)) - 2.0 * np.abs(a - b)
     check = lipschitz_record(monkeypatch)
     assert check == Check(float(np.max(slack)), 2e-12) and check.ok
     # a 3-Lipschitz stand-in for the hat profile breaks the bound by max |a - b|
-    check = lipschitz_record(monkeypatch, lambda psi, t, tol: 3.0 * np.asarray(t))
+    check = lipschitz_record(monkeypatch, lambda psi, t: 3.0 * np.asarray(t))
     slack = np.abs(3.0 * a - 3.0 * b) - 2.0 * np.abs(a - b)
     assert check == Check(float(np.max(slack)), 2e-12) and not check.ok
-    check = lipschitz_record(monkeypatch, lambda psi, t, tol: np.where(t > 0.5, np.nan, t))
+    check = lipschitz_record(monkeypatch, lambda psi, t: np.where(t > 0.5, np.nan, t))
     assert np.isnan(check.value) and not check.ok
 
 
@@ -101,9 +101,9 @@ def test_doubling_transfer_without_a_testable_point_is_absent():
     # a one-point grid [1.0] lies outside t <= 1 / (2 (1 + psi(1)))
     psi = PowerProfile(2.0)
     assert lipschitzify.verify_doubling_transfer(psi, [1.0]) is None
-    _, _, checks = lipschitzify.verify_transfer(psi, np.array([1.0]), 10, 1, 1e-12)
+    _, _, checks = lipschitzify.verify_transfer(psi, np.array([1.0]), 10, 1)
     assert "doubling_transfer_ok" not in checks
-    _, _, checks = lipschitzify.verify_transfer(psi, GRID, 10, 1, 1e-12)
+    _, _, checks = lipschitzify.verify_transfer(psi, GRID, 10, 1)
     assert checks["doubling_transfer_ok"].ok
 
 
@@ -115,7 +115,7 @@ SMALL = {"round_trip_samples": 300, "image_samples": 200, "distortion_pairs": 30
 
 
 def transform_checks():
-    return transform.verify_transform(SPEC, 1, 1e-12, **SMALL)[2]
+    return transform.verify_transform(SPEC, 1, **SMALL)[2]
 
 
 def test_round_trip_record(monkeypatch):
@@ -206,12 +206,13 @@ def test_linearity_record():
     assert np.isnan(nan.value) and not nan.ok
 
 
-def test_decay_record_fails_beyond_its_modulus():
+def test_decay_record_fails_beyond_its_modulus(monkeypatch):
     ext, fields = extend(POWER, 3), [make_field("wave", 3)]
     [good] = verify.boundary_decay_check(ext, fields, rays=90, rng_seed=3)
-    [tight] = verify.boundary_decay_check(ext, fields, rays=90, rng_seed=3, safety=1e-9)
+    monkeypatch.setattr(verify, "DECAY_SAFETY", 1e-9)
+    [tight] = verify.boundary_decay_check(ext, fields, rays=90, rng_seed=3)
     assert good.bound == tight.bound == 1.0 and good.ok
-    # the worst ray's normalised value scales with 1 / safety
+    # the worst ray's normalised value scales with 1 / DECAY_SAFETY
     assert tight.value == pytest.approx(good.value * 2.0 / 1e-9, rel=1e-9)
     assert not tight.ok
 

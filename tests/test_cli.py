@@ -548,8 +548,11 @@ def _sweep(**fields):
     ({"command": "lipschitzify", "profile": {"kind": "step", "breakpoints": [1.0],
                                              "values": [0.2], "lipschitz_constant": "abc"}},
      "profile.lipschitz_constant: unknown key"),
-    ({"command": "lipschitzify", "profile": PW, "tolerance": True}, "tolerance"),
-    ({"command": "lipschitzify", "profile": PW, "tolerance": float("inf")}, "tolerance"),
+    # the solver tolerance is the constant lipschitzify.SOLVE_TOL: any value is an unknown key
+    ({"command": "lipschitzify", "profile": PW, "tolerance": True}, "tolerance: unknown key"),
+    ({"command": "lipschitzify", "profile": PW, "tolerance": float("inf")},
+     "tolerance: unknown key"),
+    ({"command": "lipschitzify", "profile": PW, "tolerance": 1e-12}, "tolerance: unknown key"),
     ({"command": "lipschitzify", "profile": PW, "seed": True}, "seed"),
     ({"command": "lipschitzify", "profile": {"kind": "linear", "slope": True}},
      "profile.slope"),
@@ -568,7 +571,7 @@ def _sweep(**fields):
         "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
         "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
         "csv-path-not-string", "section-not-object", "step-lipschitz-string",
-        "tolerance-bool", "tolerance-inf",
+        "tolerance-bool", "tolerance-inf", "tolerance-default",
         "seed-bool", "linear-slope-bool", "power-exponent-inf", "power-coeff-inf",
         "power-exponent-overflow", "step-lipschitz-declared"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
@@ -740,14 +743,14 @@ EXT_PROBE = {"command": "extend-verify", "profile": PW,
 @pytest.mark.parametrize("cfg, key, hint", [
     (dict(LIP_PROBE, profile={"kind": "power", "exponent": 2, "coef": 0.25}), "profile.coef",
      "coeff"),
-    (dict(LIP_PROBE, tolerence=1e-3), "tolerence", "tolerance"),
+    (dict(LIP_PROBE, sede=1), "sede", "seed"),
     (dict(LIP_PROBE, lipschitzify={"pair_cont": 5}), "lipschitzify.pair_cont", "pair_count"),
     (_sweep(s_stp=5.0), "sweep.s_stp", "s_stop"),
     (dict(SWEEP, transform={"round_trip_samples": 5}), "transform", "sweep"),
     (dict(SWEEP, profile=PW), "profile", "sweep"),
     (dict(EXT_PROBE, extend={"quadrature": {"gaus_t": 3}}), "extend.quadrature.gaus_t",
      "gauss_t"),
-], ids=["profile-coef", "tolerence", "pair_cont", "s_stp", "sweep-foreign-section",
+], ids=["profile-coef", "sede", "pair_cont", "s_stp", "sweep-foreign-section",
         "sweep-profile", "quadrature-gaus_t"])
 def test_unknown_keys_exit_config_error_with_suggestion(tmp_path, capsys, monkeypatch,
                                                         cfg, key, hint):
@@ -795,7 +798,7 @@ FUZZ_BASES = {
                          "transform": {"round_trip_samples": 5, "image_samples": 5,
                                        "distortion_pairs": 5, "seam_samples": 5,
                                        "seam_deltas": [1e-3]}},
-    "extend-verify": {"command": "extend-verify", "tolerance": 1e-12,
+    "extend-verify": {"command": "extend-verify", "seed": 0,
                       "profile": {"kind": "step", "breakpoints": [0.5, 1.0],
                                   "values": [0.1, 0.2], "doubling_constant": 2.0},
                       "extend": {"pq": [[2.0, 1.0]], "functions": ["tip-power"],

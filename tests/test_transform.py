@@ -289,7 +289,7 @@ def _bits(result):
                          ids=["power", "normalized-step"])
 def test_transform_blocks_change_no_bit(spec, monkeypatch):
     def run():
-        return _bits(transform.verify_transform(spec, 1, 1e-12, **BLOCKED_COUNTS))
+        return _bits(transform.verify_transform(spec, 1, **BLOCKED_COUNTS))
 
     whole = run()
     for block in (7, 999, 4096):
@@ -329,7 +329,7 @@ def test_nan_in_the_last_block_fails(block, monkeypatch):
         return out
 
     monkeypatch.setattr(transform, "inverse_map", inverse_losing_the_last_point)
-    _, _, checks = transform.verify_transform(SPEC, 1, 1e-12, **BLOCKED_COUNTS)
+    _, _, checks = transform.verify_transform(SPEC, 1, **BLOCKED_COUNTS)
     assert np.isnan(checks["round_trip_ok"].value) and not checks["round_trip_ok"].ok
 
     monkeypatch.setattr(transform, "inverse_map", real_inverse)
@@ -344,7 +344,7 @@ def test_nan_in_the_last_block_fails(block, monkeypatch):
         return ratios
 
     monkeypatch.setattr(transform, "_quotients", quotients_losing_the_last_pair)
-    _, d, checks = transform.verify_transform(SPEC, 1, 1e-12, **BLOCKED_COUNTS)
+    _, d, checks = transform.verify_transform(SPEC, 1, **BLOCKED_COUNTS)
     assert np.isnan(d.min_ratio) and np.isnan(d.max_ratio)
     assert not all(check.ok for check in checks["distortion_finite_ok"])
 
@@ -354,7 +354,7 @@ def test_nan_in_the_last_block_fails(block, monkeypatch):
 def test_verify_transform_rejects_counts_below_one(name):
     for count in (0, -1):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            transform.verify_transform(SPEC, 1, 1e-12, **dict(BLOCKED_COUNTS, **{name: count}))
+            transform.verify_transform(SPEC, 1, **dict(BLOCKED_COUNTS, **{name: count}))
 
 
 def test_verify_transform_peak_memory_is_set_by_the_samples():
@@ -365,10 +365,10 @@ def test_verify_transform_peak_memory_is_set_by_the_samples():
     assert options["round_trip_samples"] == options["distortion_pairs"] == 100_000
     n = 3
     sample = 100_000 * n * 8
-    transform.verify_transform(SPEC, 1, 1e-12, **BLOCKED_COUNTS)  # imports and caches
+    transform.verify_transform(SPEC, 1, **BLOCKED_COUNTS)  # imports and caches
     tracemalloc.start()
     try:
-        transform.verify_transform(SPEC, 1, 1e-12, **options)
+        transform.verify_transform(SPEC, 1, **options)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

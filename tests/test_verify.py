@@ -70,6 +70,34 @@ def test_seam_cap_is_finite_or_raises(exponent, tip):
         verify.seam_modulus_cap(ext, [make_field("constant", 3)], 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_decay_check_refuses_a_collar_of_no_width():
+    # 0.25 t^1000 underflows to 0 below t = 0.47: a ray there has no collar to
+    # step into and would read 0 / inf = 0 without being tested
+    ext = extend(PowerProfile(1000.0, 0.25), 3)
+    fields = [make_field("constant", 3), make_field("wave", 3)]
+    with pytest.raises(FloatingPointError, match=r"collar of no width at t = .*: R\(t\) = 0\.0$"):
+        verify.boundary_decay_check(ext, fields, rays=60, rng_seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [2.0, 236.0])
+def test_decay_rays_end_in_the_collar(monkeypatch, exponent):
+    # 0.25 t^2 is narrower than delta = 1e-2 below t = 0.2: a cusp ray stepping
+    # in by delta would cross the axis there, and below R = delta / 4 it would
+    # leave the support, read 0 and pass untested
+    ext = extend(PowerProfile(exponent, 0.25), 3)
+    pulled, pullback = [], type(ext).pullback
+    monkeypatch.setattr(type(ext), "pullback",
+                        lambda self, z, *args: pulled.append(z) or pullback(self, z, *args))
+    verify.boundary_decay_check(ext, [make_field("wave", 3)], rays=3000, rng_seed=1)
+    cusp = pulled[0].reshape(3, 3, 1000, 3)[:, 0]  # per delta: cusp, tube, end disk
+    R = geometry.collar_radius(ext.hat_context.spec, cusp[..., 0])
+    r = np.hypot(cusp[..., 1], cusp[..., 2])  # a squared norm underflows at R ~ 1e-258
+    assert (R < 1e-2).any()
+    assert np.all(r >= R * (1.0 - 1e-12)) and np.all(r <= 2.0 * R)
+
+
 @pytest.mark.parametrize("psi", PROFILES, ids=PROFILE_IDS)
 def test_check_reports_do_not_depend_on_other_fields(psi):
     # every check pulls its points back once for all fields; a field's
@@ -142,8 +170,9 @@ def per_field_decay(ext, u, rays, deltas, seed, safety=2.0):
         for t_lo, t_hi in ((0.05, 1.0), (1.0 + 1e-6, 3.0 - 1e-6)):
             t = rng.uniform(t_lo, t_hi, size=per)
             R = geometry.collar_radius(spec, t)
-            z = np.concatenate([t[:, None], ((2.0 * R - delta)[:, None]) * direction], axis=1)
-            worst = max(worst, float(np.max(np.abs(eu.fn(z)) / (safety * m_u / R * delta))))
+            step = np.minimum(delta, R)
+            z = np.concatenate([t[:, None], ((2.0 * R - step)[:, None]) * direction], axis=1)
+            worst = max(worst, float(np.max(np.abs(eu.fn(z)) / (safety * m_u * (step / R)))))
         rad = rng.uniform(0.0, 2.0 * spec.psi1 * 0.98, size=per)
         z = np.concatenate([np.full((per, 1), 3.0 - delta), rad[:, None] * direction], axis=1)
         worst = max(worst, float(np.max(np.abs(eu.fn(z)) / (safety * m_u * delta))))
