@@ -8,7 +8,8 @@
 # Runs every perfbench/workloads config at seeds 1 and 1009, plus four
 # admissibility sweeps off the workload's q = n-1 line, an extend-verify
 # run outside the guaranteed region, lipschitzify and transform-verify on
-# the two-step profile, extend-verify on it with two q values (so that
+# the two-step profile, lipschitzify on it with a declared doubling
+# constant of 1e300, extend-verify on it with two q values (so that
 # --dump-slices writes several tables per field on the straightened route),
 # transform-verify at n = 2 and n = 4 with counts off
 # the block size, an n = 4 extend-verify on Monte Carlo nodes, and small
@@ -73,6 +74,11 @@ cat > "$work/configs/extend-outside-region.json" <<'JSON'
 JSON
 printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' "$step" \
     > "$work/configs/lipschitzify-two-step.json"
+# a declared doubling constant is a claim checked against the rows, never the
+# bound: doubling_transfer.bound stays the rows' max(2, C) = 2.0
+printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' \
+    '{"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2], "doubling_constant": 1e300}' \
+    > "$work/configs/lipschitzify-two-step-declared-1e300.json"
 printf '{"command": "transform-verify", "profile": %s, "n": 3, "seed": 1}\n' "$step" \
     > "$work/configs/transform-two-step.json"
 

@@ -84,6 +84,24 @@ def _classify_tail(arr: np.ndarray) -> TailCheck:
     return TailCheck(INCONCLUSIVE, None, finite_sum, last)
 
 
+def _tail_profile(psi: CuspProfile, t) -> np.ndarray:
+    """psi(t) for a tail integrand; raises FloatingPointError at the first t where it is not > 0.
+
+    The panels reach t = 2^-61, where a profile can underflow to 0 (t^18
+    does below t = 2^-59.7) and make the integrand 0/0 or x/0.  Its panel
+    would then read as DIVERGENT, a guess, not a class: a tail class
+    needs a positive, finite profile value at every node.
+    """
+    v = np.asarray(psi.value(t), dtype=float)
+    bad = ~((v > 0.0) & (v < np.inf))  # NaN fails both comparisons
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise FloatingPointError(f"tail check: profile value {float(v.flat[i])!r} at t = "
+                                 f"{float(np.broadcast_to(t, v.shape).flat[i])!r}, "
+                                 f"need > 0 and finite")
+    return v
+
+
 def check_inc1(psi: CuspProfile, s: float, n: int) -> TailCheck:
     """Tip integrability of (t^s / psi(t))^(n/(s-1)) dt/t over (0, 1]."""
     if not s > 1.0:
@@ -94,7 +112,7 @@ def check_inc1(psi: CuspProfile, s: float, n: int) -> TailCheck:
     breaks = psi.breakpoints()
 
     def f(t):
-        return (t ** s / psi.value(t)) ** expo / t
+        return (t ** s / _tail_profile(psi, t)) ** expo / t
 
     return _classify_tail(_panel_integrals(f, 0, breaks))
 
@@ -118,7 +136,7 @@ def check_inc2(psi: CuspProfile, s: float, n: int, p: float) -> TailCheck:
     breaks = psi.breakpoints()
 
     def f(t):
-        v = psi.value(t)
+        v = _tail_profile(psi, t)
         return (t ** s / v) ** expo / t * np.abs(np.log(v / t)) ** -alpha
 
     return _classify_tail(_panel_integrals(f, 1, breaks))

@@ -149,15 +149,11 @@ _TOP = {
 SECTIONS = {
     "lipschitzify": ("lipschitzify", {
         "grid_count": (COUNT, 200), "pair_count": (COUNT, 10000),
-        "grid_spacing": (_need(lambda v: v in ("log", "linear"), "log or linear"), "log"),
         "grid_start": (_need(lambda v: _is_number(v) and 0.0 < v < 1.0, "0 < start < 1"), 1e-6),
     }),
     "transform-verify": ("transform", {
         "round_trip_samples": (COUNT, 100000), "image_samples": (COUNT, 10000),
         "distortion_pairs": (COUNT, 100000), "seam_samples": (COUNT, 200),
-        "seam_deltas": (_need(lambda v: isinstance(v, list) and v != [] and all(
-            _is_number(d) and d > 0.0 for d in v), "a nonempty list of numbers > 0"),
-            [1e-3, 1e-5, 1e-7]),
     }),
     "extend-verify": ("extend", {
         "pq": (_need(lambda v: isinstance(v, list) and v != [] and all(  # numbers: see below
@@ -264,8 +260,7 @@ def _write_report(cfg: RunConfig, name: str, report: dict, checks: dict) -> int:
 
 def cmd_lipschitzify(cfg: RunConfig) -> int:
     opts = cfg.options
-    spaced = {"log": np.geomspace, "linear": np.linspace}[opts["grid_spacing"]]
-    grid = spaced(opts["grid_start"], 1.0, opts["grid_count"])
+    grid = np.geomspace(opts["grid_start"], 1.0, opts["grid_count"])
     grid[-1] = 1.0  # a one-point grid is [1.0]
     psi, psi1 = cfg.profile, cfg.profile.value_at_1
     save_profile_csv(hat_profile(psi, grid),

@@ -24,7 +24,6 @@ from .errors import ProfileDomainError
 from .fields import ScalarField
 from .geometry import DomainSpec, ExtRegion
 from .lipschitzify import LipschitzizedProfile
-from .profiles import profile_derivative
 from .transform import _inverse_branches, forward_map, inverse_map, inverse_partials
 
 
@@ -43,10 +42,6 @@ class ExtensionContext:
         if self.spec.psi.lipschitz_constant is None:
             raise ValueError("extension requires a Lipschitz profile; "
                              "build one with lipschitzify first")
-
-    @property
-    def psi1(self) -> float:
-        return self.spec.psi1
 
 
 def _split_collar(ctx: ExtensionContext, z, R=None):
@@ -67,29 +62,16 @@ def _split_collar(ctx: ExtensionContext, z, R=None):
     return t, x, r, R, reflected, np.clip(2.0 - r / R, 0.0, 1.0)
 
 
-def _split_cap(ctx: ExtensionContext, z, check: bool):
-    """Axial coordinate of end-cap points, checked against the cap closure."""
-    t, _, r = geometry.split(z, ctx.spec.n)
-    if check:
-        # the cap cylinder shares the collar's doubled opening radius 2 psi(1)
-        bad = (t < 2.0) | (t > 3.0) | (r > 2.0 * ctx.psi1 * (1.0 + 1e-12))
-        if np.any(bad):
-            raise ProfileDomainError("point outside the end cap closure")
-    return t
-
-
-def end_cap_pullback(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
+def end_cap_pullback(z) -> np.ndarray:
     """Mirror the end cap onto the tube: (t, x) -> (4 - t, x)."""
-    t = _split_cap(ctx, z, check)
     out = np.array(z, dtype=float, copy=True)
-    out[..., 0] = 4.0 - t
+    out[..., 0] = 4.0 - out[..., 0]
     return out
 
 
-def cutoff_cap(ctx: ExtensionContext, z, check: bool = True) -> np.ndarray:
+def cutoff_cap(z) -> np.ndarray:
     """Affine weight: 1 at t = 2, 0 at t = 3."""
-    t = _split_cap(ctx, z, check)
-    return np.clip(3.0 - t, 0.0, 1.0)
+    return np.clip(3.0 - np.asarray(z, dtype=float)[..., 0], 0.0, 1.0)
 
 
 def _reader(w, with_grad: bool, inner=None):
@@ -156,8 +138,8 @@ def _pullback(ctx: ExtensionContext, Z, with_grad: bool, inner=None):
             motion_radial = cut * ((-0.5 * r - rho) / r ** 3)
             motion_diag = cut * rho / r
     if cap.size:
-        cap_push = _pullback(ctx, end_cap_pullback(ctx, Z[cap], check=False), with_grad, inner)
-        cap_cut = cutoff_cap(ctx, Z[cap], check=False)
+        cap_push = _pullback(ctx, end_cap_pullback(Z[cap]), with_grad, inner)
+        cap_cut = cutoff_cap(Z[cap])
 
     def push(u):
         val = np.zeros(k)
@@ -258,17 +240,16 @@ def extend_lipschitz(ctx: ExtensionContext, u: ScalarField, inner=None) -> Scala
     identically outside the doubled domain.  Each view pulls its batch
     back once (``_pullback``) and then reads u once at the
     pulled-back points, through ``inner`` when given: then the field
-    extended is u o inner.  When the field carries an analytic gradient
-    and the profile a closed-form slope, the extension carries the
-    chain-rule gradient too (it is exact off the seam set, which has
-    measure zero), and ``value_and_grad`` returns both from one pass.
+    extended is u o inner.  When the field carries an analytic gradient,
+    the extension carries the chain-rule gradient too (it is exact off
+    the seam set, which has measure zero; every profile has a closed-form
+    slope), and ``value_and_grad`` returns both from one pass.
     """
 
     def evaluate(Z, with_grad):
         return _pullback(ctx, Z, with_grad, inner)(u)
 
-    return _field(f"extend({u.name})", ctx.spec.n, evaluate,
-                  u.grad is not None and profile_derivative(ctx.spec.psi) is not None)
+    return _field(f"extend({u.name})", ctx.spec.n, evaluate, u.grad is not None)
 
 
 @dataclass(frozen=True)

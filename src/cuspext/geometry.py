@@ -62,6 +62,8 @@ class ExtRegion(IntEnum):
 # Points a blocked pass reads at a time (W^{1,p} norms, transform-verify, direction
 # draws); on the extend workloads 8,192 read peak RSS within 0.5 MB of this, 32,768 3-5 MB more.
 BLOCK_NODES = 16384
+# the straddle separations of every seam probe, of the map and of the extension alike
+SEAM_DELTAS = (1e-3, 1e-5, 1e-7)
 
 
 @functools.cache
@@ -261,19 +263,19 @@ def classify_extension_region(spec: DomainSpec, z, R=None):
     return label
 
 
-def straddle_probe(f, n: int, draws, deltas, per_seam: int, seed: int) -> list[dict]:
+def straddle_probe(f, n: int, draws, per_seam: int, seed: int) -> list[dict]:
     """Worst |f(a) - f(b)| over pairs straddling each seam: {seam: {delta: jump}} per value.
 
-    Per delta the generator restarts from ``seed`` and draws one unit x
-    direction per pair; each ``draw(rng, h)`` then returns {seam: (t,
-    |x|, dt, d|x|)} and the pair is base -/+ offset along that
-    direction, h = delta / 2.  Every pair is drawn first; ``f`` is
-    called once, on all the points stacked (so no value may depend on
-    its batch), and returns a list of value arrays over them, one report
-    each.  Vector values compare in the 2-norm.
+    Per delta of SEAM_DELTAS the generator restarts from ``seed`` and
+    draws one unit x direction per pair; each ``draw(rng, h)`` then
+    returns {seam: (t, |x|, dt, d|x|)} and the pair is base -/+ offset
+    along that direction, h = delta / 2.  Every pair is drawn first;
+    ``f`` is called once, on all the points stacked (so no value may
+    depend on its batch), and returns a list of value arrays over them,
+    one report each.  Vector values compare in the 2-norm.
     """
     keys, lower, upper = [], [], []
-    for delta in deltas:
+    for delta in SEAM_DELTAS:
         rng = np.random.default_rng(seed)
         direction = unit_directions(rng, per_seam, n - 1)
         for draw in draws:

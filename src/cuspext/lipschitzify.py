@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, ConvergenceError, ProfileDomainError, ProfileFormatError
-from .profiles import CuspProfile, LinearProfile, StepProfile, profile_derivative
+from .profiles import CuspProfile, LinearProfile, StepProfile
 
 SOLVE_TOL = 1e-12  # the on-jump test, the breakpoint snap and the check slacks
 LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to SOLVE_TOL of solver error
@@ -173,7 +173,8 @@ def hat_profile(psi: CuspProfile, grid) -> StepProfile:
 
     The grid must ascend and end at 1.0 so the table is total on (0, 1].
     The table is a step sampling, so like any table it carries no
-    Lipschitz constant, though the function it samples has 1 + psi(1).
+    Lipschitz constant, though the function it samples has 1 + psi(1),
+    and its doubling constant is that of its own rows.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -187,9 +188,7 @@ def hat_profile(psi: CuspProfile, grid) -> StepProfile:
     except ConvergenceError as err:
         raise ConvergenceError(f"hat solve failed on grid: {err}",
                                bracket=err.bracket) from err
-    dbl = psi.doubling_constant
-    return StepProfile(grid, np.maximum.accumulate(vals), kind="tabulated",
-                       doubling_constant=None if dbl is None else max(2.0, dbl))
+    return StepProfile(grid, np.maximum.accumulate(vals), kind="tabulated")
 
 
 class LipschitzizedProfile(CuspProfile):
@@ -205,8 +204,7 @@ class LipschitzizedProfile(CuspProfile):
 
     def __init__(self, source: CuspProfile):
         self.source = source
-        dbl = source.doubling_constant
-        self.doubling_constant = None if dbl is None else max(2.0, dbl)
+        self.doubling_constant = max(2.0, source.doubling_constant)
 
     def _per_pair(self, t, read):
         """read(t_sol, r_sol, on_jump) once per distinct abscissa of t.
@@ -240,9 +238,7 @@ class LipschitzizedProfile(CuspProfile):
         off a jump the pair moves along t + psi(t) = (1 + psi(1)) t_hat,
         so dt/dt_hat = (1 + psi(1)) / (1 + psi'(t)) and r = psi(t).
         """
-        slope = profile_derivative(self.source)
-        if slope is None:
-            raise ValueError(f"{self.source!r} carries no closed-form slope")
+        slope = self.source.derivative
         c = self.lipschitz_constant
 
         def read(t_sol, r_sol, jump):
@@ -314,12 +310,10 @@ class DoublingTransferResult:
 def verify_doubling_transfer(psi: CuspProfile, grid) -> DoublingTransferResult | None:
     """Check hat_psi(2t) <= max(2, C) * hat_psi(t) on the admissible range.
 
-    C is the profile's stored doubling constant.  Only grid points with
-    t <= 1 / (2 (1 + psi(1))) are testable, since the pair at 2t must
-    exist; with none of them the result is None.
+    C is the profile's doubling constant, which a table derives from its
+    rows.  Only grid points with t <= 1 / (2 (1 + psi(1))) are testable,
+    since the pair at 2t must exist; with none of them the result is None.
     """
-    if psi.doubling_constant is None:
-        raise ValueError("profile has no doubling constant")
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(grid).all():
         bad = grid[~np.isfinite(grid)].flat[0]
@@ -349,6 +343,6 @@ def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int):
     mq = verify_monotone_quotient(psi, grid)
     if hypothesis:
         checks["monotone_quotient_ok"] = mq
-    if psi.doubling_constant is not None and (dt := verify_doubling_transfer(psi, grid)):
+    if dt := verify_doubling_transfer(psi, grid):
         checks["doubling_transfer_ok"] = dt
     return hypothesis, mq, checks

@@ -4,7 +4,8 @@ A profile psi describes the opening radius of an outward cuspidal domain.
 Analytic kinds (power, linear) carry their Lipschitz constant; step and
 tabulated kinds are left-continuous step functions, never interpolated
 between breakpoints, so jump semantics stay exact.  A table carries no
-Lipschitz constant, so the extension always straightens it first.
+Lipschitz constant, so the extension always straightens it first; its
+doubling constant is derived from its rows.
 """
 
 from __future__ import annotations
@@ -50,11 +51,15 @@ class CuspProfile(ABC):
     """
 
     kind: str
-    doubling_constant: float | None = None
+    doubling_constant: float  # sup of psi(2t) / psi(t) over 0 < t <= 1/2
 
     @abstractmethod
     def value(self, t):
         ...
+
+    @abstractmethod
+    def derivative(self, t):
+        """psi'(t) in closed form; a table's is 0, its jumps having measure zero."""
 
     def scaled(self, factor: float) -> "CuspProfile":
         """Profile with all values multiplied by ``factor`` > 0."""
@@ -72,10 +77,7 @@ class CuspProfile(ABC):
 
     def value_and_derivative(self, t):
         """(psi(t), psi'(t)); a re-profiled cusp reads both from one solve."""
-        slope = profile_derivative(self)
-        if slope is None:
-            raise ValueError(f"{self!r} carries no closed-form slope")
-        return self.value(t), slope(t)
+        return self.value(t), self.derivative(t)
 
     def breakpoints(self) -> np.ndarray:
         """Interior jump locations (empty for continuous kinds)."""
@@ -149,11 +151,14 @@ class StepProfile(CuspProfile):
     The value ``values[i]`` holds on (breaks[i-1], breaks[i]] (with
     breaks[-1] == 1 so the profile is total on (0, 1]).  ``kind`` is
     "step" for hand-authored tables and "tabulated" for sampled data;
-    the semantics are identical.  Its Lipschitz constant is None.
+    the semantics are identical.  Its Lipschitz constant is None, and its
+    doubling constant is the exact supremum of psi(2t) / psi(t) over
+    0 < t <= 1/2: both psi and psi(2 .) are constant between consecutive
+    cuts (the breakpoints and their halves) and left-continuous, so the
+    supremum is the largest ratio at a cut in (0, 1/2].
     """
 
-    def __init__(self, breaks, values, kind: str = "step",
-                 doubling_constant: float | None = None):
+    def __init__(self, breaks, values, kind: str = "step"):
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
         if breaks.ndim != 1 or breaks.shape != values.shape or breaks.size == 0:
@@ -175,12 +180,18 @@ class StepProfile(CuspProfile):
             raise ProfileFormatError(
                 f"row {breaks.size - 1}: last breakpoint must be 1.0, got {breaks[-1]}"
             )
-        if doubling_constant is not None:
-            _finite_above("doubling_constant", doubling_constant, 0.0)
         self.breaks = breaks
         self.values = values
         self.kind = kind
-        self.doubling_constant = doubling_constant
+        # read off the rows, not through value: the last breakpoint is 1.0, so
+        # every index of a point in (0, 1] is in range.  The cuts need no sort:
+        # np.union1d would import numpy.ma, about 1 MB of peak RSS
+        cuts = np.concatenate([breaks, 0.5 * breaks])
+        cuts = cuts[(cuts > 0.0) & (cuts <= 0.5)]
+        at_cut = values[np.searchsorted(breaks, cuts, side="left")]
+        at_double = values[np.searchsorted(breaks, 2.0 * cuts, side="left")]
+        with np.errstate(over="ignore"):  # a ratio past the float range reads inf
+            self.doubling_constant = float(np.max(at_double / at_cut))
 
     def value(self, t):
         t = _check_t(t)
@@ -189,8 +200,7 @@ class StepProfile(CuspProfile):
         return self.values[idx]
 
     def scaled(self, factor):
-        return StepProfile(self.breaks, self.values * factor, kind=self.kind,
-                           doubling_constant=self.doubling_constant)
+        return StepProfile(self.breaks, self.values * factor, kind=self.kind)
 
     @property
     def lipschitz_constant(self):
@@ -232,15 +242,8 @@ class _ScaledView(CuspProfile):
     def breakpoints(self):
         return self.base.breakpoints()
 
-
-def profile_derivative(psi: CuspProfile):
-    """Callable psi'(t) for kinds carrying a closed-form slope, else None."""
-    if isinstance(psi, _ScaledView):
-        base = profile_derivative(psi.base)
-        if base is None:
-            return None
-        return lambda t: psi.factor * base(t)
-    return getattr(psi, "derivative", None)
+    def derivative(self, t):
+        return self.factor * self.base.derivative(t)
 
 
 # the config keys each kind reads; make_profile rejects any other
@@ -253,7 +256,11 @@ PROFILE_KEYS = {
 
 
 def make_profile(kind: str, **params) -> CuspProfile:
-    """Construct a profile from a config-style description."""
+    """Construct a profile from a config-style description.
+
+    A table's ``doubling_constant`` is a claim checked against the
+    constant of its rows, never a value any computation reads.
+    """
     if kind not in PROFILE_KEYS:
         raise ProfileFormatError(f"unknown profile kind {kind!r}")
     unknown = [unknown_key(key, key, PROFILE_KEYS[kind])
@@ -265,10 +272,15 @@ def make_profile(kind: str, **params) -> CuspProfile:
             return PowerProfile(params["exponent"], params.get("coeff", 1.0))
         if kind == "linear":
             return LinearProfile(params["slope"])
-        return StepProfile(params["breakpoints"], params["values"], kind=kind,
-                           doubling_constant=params.get("doubling_constant"))
+        table = StepProfile(params["breakpoints"], params["values"], kind=kind)
     except KeyError as err:
         raise ProfileFormatError(f"kind {kind!r} needs {err.args[0]}") from None
+    declared = params.get("doubling_constant")
+    if declared is not None and (_finite_above("doubling_constant", declared, 0.0)
+                                 < table.doubling_constant):
+        raise ProfileFormatError(f"doubling_constant: declared {declared!r} is below "
+                                 f"the rows' constant {table.doubling_constant!r}")
+    return table
 
 
 def load_profile_csv(path_or_buffer) -> StepProfile:

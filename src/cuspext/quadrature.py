@@ -38,15 +38,13 @@ class QuadratureScheme:
     gauss_r: int = 8
     angular: int = 16
     mc_samples: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("t_levels", 1), ("gauss_t", 1), ("gauss_r", 1), ("angular", 1),
-                          ("mc_samples", 1), ("seed", 0)):
+        for name in ("t_levels", "gauss_t", "gauss_r", "angular", "mc_samples"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                    and value >= low):
-                raise ValueError(f"{name}: need an integer >= {low}, got {value!r}")
+                    and value >= 1):
+                raise ValueError(f"{name}: need an integer >= 1, got {value!r}")
         try:
             smallest = T_RATIO ** self.t_levels
         except OverflowError:  # t_levels beyond the float range
@@ -172,7 +170,7 @@ def _slab_nodes_mc(slab: Slab, scheme: QuadratureScheme, n: int,
 def build_nodes(region, scheme: QuadratureScheme, n: int):
     """Quadrature nodes and weights for a region."""
     Zs, Ws = [], []
-    rng = np.random.default_rng(scheme.seed)
+    rng = np.random.default_rng(0)  # the Monte Carlo nodes (n >= 4) of every run are the same
     for slab in region:
         if n <= 3:
             Z, W = _slab_nodes(slab, scheme, n)

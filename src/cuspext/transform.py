@@ -230,9 +230,8 @@ def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int) -> ImageChe
     )
 
 
-def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
-                    per_seam: int = 200, rng_seed: int = 0) -> dict:
-    """Worst straddle-pair stretch factor per seam and separation.
+def seam_continuity(spec: DomainSpec, per_seam: int = 200, rng_seed: int = 0) -> dict:
+    """Worst straddle-pair stretch factor per seam and separation (geometry.SEAM_DELTAS).
 
     A continuous piecewise map keeps the factor bounded and stable as
     the separation shrinks; a branch mismatch shows up as a factor
@@ -258,13 +257,12 @@ def seam_continuity(spec: DomainSpec, deltas=(1e-3, 1e-5, 1e-7),
         }
 
     [jumps] = geometry.straddle_probe(lambda z: [forward_map(spec, z)], spec.n, (seams,),
-                                      deltas, per_seam, rng_seed)
+                                      per_seam, rng_seed)
     return {seam: {d: jump / d for d, jump in per.items()} for seam, per in jumps.items()}
 
 
 def verify_transform(spec: DomainSpec, rng_seed: int, round_trip_samples: int,
-                     image_samples: int, distortion_pairs: int, seam_samples: int,
-                     seam_deltas):
+                     image_samples: int, distortion_pairs: int, seam_samples: int):
     """The map's round-trip, seam, image and distortion checks: (stretches, distortion, checks)."""
     for name, count in (("round_trip_samples", round_trip_samples),
                         ("image_samples", image_samples), ("distortion_pairs", distortion_pairs),
@@ -275,7 +273,7 @@ def verify_transform(spec: DomainSpec, rng_seed: int, round_trip_samples: int,
     _, round_err, _ = _extremes(np.abs(inverse_map(spec, forward_map(spec, z[rows])) - z[rows])
                                 for rows in geometry.blocks(round_trip_samples))
     del z  # before the later stages draw their samples
-    seams = seam_continuity(spec, tuple(seam_deltas), seam_samples, rng_seed)
+    seams = seam_continuity(spec, seam_samples, rng_seed)
     stretch = [k for per in seams.values() for k in per.values()]
     top, least = float(np.max(stretch)), float(np.min(stretch))  # both NaN if any is
     image = verify_image(spec, image_samples, rng_seed)

@@ -28,7 +28,7 @@ LINEARITY_PROBES = 2000  # points of the slab -0.5 < t < 3.5 times the ball |x| 
 LINEARITY_ALPHA, LINEARITY_BETA = 0.7, -1.3  # the combination alpha u + beta v
 DECAY_DELTAS = (1e-2, 1e-3, 1e-4)  # ray steps inward from the outer boundary
 DECAY_SAFETY = 2.0  # the admissible decay modulus's factor over the cut-off bound
-SEAM_DELTAS = (1e-3, 1e-5, 1e-7)  # straddle separations across every seam
+SEAM_PAIRS = 200  # straddle pairs per seam and separation (geometry.SEAM_DELTAS)
 REFINEMENT_DELTA_BOUND = float(np.nextafter(0.05, 0.0))  # refinement_delta < 0.05
 
 
@@ -104,7 +104,7 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
     return reports
 
 
-def seam_continuity_check(ext: ConjugatedExtension, fields, per_seam: int = 200,
+def seam_continuity_check(ext: ConjugatedExtension, fields,
                           rng_seed: int = 0) -> list[tuple[tuple[Check, ...], str | None]]:
     """Continuity of E^(u o T^-1) across every seam, per u: (checks, worst seam).
 
@@ -114,7 +114,7 @@ def seam_continuity_check(ext: ConjugatedExtension, fields, per_seam: int = 200,
     None if all pass, has the largest failing jump / (cap * delta), NaN first.
     """
     out = []
-    for jumps, cap in zip(seam_jumps(ext, fields, SEAM_DELTAS, per_seam, rng_seed),
+    for jumps, cap in zip(seam_jumps(ext, fields, rng_seed),
                           seam_modulus_cap(ext, fields, rng_seed)):
         named = [(seam, Check(jump, cap * delta))
                  for seam, per in jumps.items() for delta, jump in per.items()]
@@ -125,11 +125,11 @@ def seam_continuity_check(ext: ConjugatedExtension, fields, per_seam: int = 200,
     return out
 
 
-def seam_jumps(ext: ConjugatedExtension, fields, deltas, per_seam: int, rng_seed: int) -> list:
+def seam_jumps(ext: ConjugatedExtension, fields, rng_seed: int) -> list:
     """Worst straddle jump of E^(u o T^-1) per seam and separation: {seam: {delta: jump}} per u."""
     spec = ext.hat_context.spec
     psi1 = spec.psi1
-    k = per_seam
+    k = SEAM_PAIRS
 
     def collar(rng, h):
         # radial pairs across the inner and outer walls, cusp then tube
@@ -155,7 +155,7 @@ def seam_jumps(ext: ConjugatedExtension, fields, deltas, per_seam: int, rng_seed
         push = ext.pullback(Z, False)
         return [push(u)[0] for u in fields]
 
-    return geometry.straddle_probe(values, spec.n, (collar, disks), deltas, per_seam, rng_seed)
+    return geometry.straddle_probe(values, spec.n, (collar, disks), SEAM_PAIRS, rng_seed)
 
 
 def seam_modulus_cap(ext: ConjugatedExtension, fields, seed: int) -> list[float]:

@@ -15,7 +15,7 @@ def shift_end_cap(monkeypatch):
     """
 
     def install(offset: float):
-        def shifted(ctx, z, check=True):
+        def shifted(z):
             out = np.array(z, dtype=float, copy=True)
             out[..., 0] -= offset
             return out

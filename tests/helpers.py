@@ -12,7 +12,7 @@ from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
 from cuspext.lipschitzify import FIRST_CLOSING_ITER, MAX_BISECT_ITER, SOLVE_TOL, _solve_many
-from cuspext.profiles import _T_EPS, StepProfile, profile_derivative, save_profile_csv
+from cuspext.profiles import _T_EPS, StepProfile, save_profile_csv
 from cuspext.quadrature import Slab, _weighted_p_sum, build_nodes
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
 
@@ -24,9 +24,7 @@ def cutoff_cusp_gradient(ctx: ExtensionContext, z, slope=None) -> np.ndarray:
     """
     t, x, r = geometry.split(z, ctx.spec.n)
     if slope is None:
-        slope = profile_derivative(ctx.spec.psi)
-        if slope is None:
-            raise ValueError("pass slope for profiles without a closed-form derivative")
+        slope = ctx.spec.psi.derivative
     pv = geometry.collar_radius(ctx.spec, t)
     g = np.zeros(np.shape(z))
     g[..., 0] = r * np.asarray(slope(t)) / pv ** 2
@@ -149,7 +147,7 @@ def _collar_chain_gradient(ctx, Z, u, slope):
 def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
     """extend_lipschitz's field with ``fn`` and ``grad`` evaluated apart."""
     spec = ctx.spec
-    slope = profile_derivative(spec.psi)
+    slope = spec.psi.derivative
 
     def batched(inner, cap_value, scalar_value):
         def call(z):
@@ -160,7 +158,7 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
             out, label = inner(Z)
             cap = label == ExtRegion.END_CAP
             if np.any(cap):
-                pulled = extension.end_cap_pullback(ctx, Z[cap], check=False)
+                pulled = extension.end_cap_pullback(Z[cap])
                 out[cap] = cap_value(Z[cap], pulled)
             if z.ndim == 1:
                 return scalar_value(out[0])
@@ -180,7 +178,7 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
         return out, label
 
     def cap_value(Z, pulled):
-        return cutoff_cap(ctx, Z, check=False) * eval_inner(pulled)[0]
+        return cutoff_cap(Z) * eval_inner(pulled)[0]
 
     def grad_inner(Z):
         label = geometry.classify_extension_region(spec, Z)
@@ -196,7 +194,7 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
     def cap_gradient(Z, pulled):
         val_inner, _ = eval_inner(pulled)
         g_inner, _ = grad_inner(pulled)
-        cut = cutoff_cap(ctx, Z, check=False)
+        cut = cutoff_cap(Z)
         gcap = cut[:, None] * g_inner
         gcap[:, 0] = -val_inner - cut * g_inner[:, 0]
         return gcap

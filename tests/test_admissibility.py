@@ -40,6 +40,7 @@ def test_inc1_convergent_oracle():
 
 def test_inc1_divergent_and_self_edge():
     assert check_inc1(PowerProfile(2.0), 2.0, 3).classification == DIVERGENT
+    assert check_inc1(PowerProfile(2.0), 1.5, 3).classification == DIVERGENT  # panels grow
     for s in (1.5, 2.0, 3.0):
         assert check_inc1(PowerProfile(s), s, 3).classification == DIVERGENT
 
@@ -88,6 +89,24 @@ def test_reprofiled_power_cusp_keeps_every_tail_class():
                     == check_inc1(psi, s, 3).classification), (sigma, s)
         assert (check_inc2(hat, sigma, 3, 4.0).classification
                 == check_inc2(psi, sigma, 3, 4.0).classification), sigma
+
+
+class NanTip(PowerProfile):
+    def value(self, t):
+        return np.where(np.asarray(t) < 1e-3, np.nan, super().value(t))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check, args, value", [
+    (check_inc1, (PowerProfile(20.0, 0.25), 21.0, 3), "0.0"),  # integrand 4^0.15 t^-0.85
+    (check_inc2, (PowerProfile(18.0), 18.0, 3, 4.0), "0.0"),  # sigma = 18 of a p = 4 sweep
+    (check_inc1, (NanTip(2.0), 3.0, 3), "nan"),
+], ids=["inc1", "inc2", "inc1-nan"])
+def test_tail_check_raises_where_the_profile_is_not_positive(check, args, value):
+    # deep in the tail the profile reads 0 (0.25 t^20 below t = 2^-53.7, t^18 below
+    # t = 2^-59.7), and 0 / 0 is no tail class
+    with pytest.raises(FloatingPointError, match=f"profile value {value} at t = "):
+        check(*args)
 
 
 def test_inc_checks_step_profile():

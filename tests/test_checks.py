@@ -111,7 +111,7 @@ def test_doubling_transfer_without_a_testable_point_is_absent():
 
 SPEC = normalize(DomainSpec(3, POWER))[0]
 SMALL = {"round_trip_samples": 300, "image_samples": 200, "distortion_pairs": 300,
-         "seam_samples": 20, "seam_deltas": [1e-3, 1e-5]}
+         "seam_samples": 20}
 
 
 def transform_checks():

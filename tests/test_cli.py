@@ -493,12 +493,13 @@ def test_extend_verify_validation(tmp_path, capsys):
     ({"functions": ["tip-power"], "field_params": {"zzz": 1}}, "extend.field_params"),
     ({"functions": ["tip-power"], "field_params": {"gamma": -1}}, "extend.field_params"),
     ({"quadrature": {"gauss_t": True}}, "extend.quadrature.gauss_t"),
-    ({"quadrature": {"seed": "x"}}, "extend.quadrature.seed"),
+    # the Monte Carlo nodes draw from the constant seed 0: any value is an unknown key
+    ({"quadrature": {"seed": 0}}, "extend.quadrature.seed: unknown key"),
     ({"quadrature": {"t_ratio": 0.5}}, "extend.quadrature.t_ratio: unknown key"),
 ], ids=["pq-string", "pq-inf", "gauss_t-0", "angular-0", "t_levels-underflow",
         "decay_rays-string", "trace_samples-bool", "field_params-string",
         "field_params-list", "field_params-unknown-key", "field_params-gamma-negative",
-        "gauss_t-bool", "quadrature-seed-string", "t_ratio-is-a-constant"])
+        "gauss_t-bool", "quadrature-seed-is-a-constant", "t_ratio-is-a-constant"])
 def test_extend_malformed_fields_exit_config_error(tmp_path, capsys, extend, field):
     cfg = {"command": "extend-verify",
            "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25},
@@ -533,14 +534,18 @@ def _sweep(**fields):
       "transform": {"round_trip_samples": 2.5}}, "transform.round_trip_samples"),
     ({"command": "transform-verify", "profile": PW,
       "transform": {"seam_samples": 0}}, "transform.seam_samples"),
+    # every seam probe reads the separations geometry.SEAM_DELTAS
     ({"command": "transform-verify", "profile": PW,
-      "transform": {"seam_deltas": "x"}}, "transform.seam_deltas"),
+      "transform": {"seam_deltas": [1e-3, 1e-5, 1e-7]}}, "transform.seam_deltas: unknown key"),
     ({"command": "lipschitzify", "profile": PW,
       "lipschitzify": {"pair_count": "x"}}, "lipschitzify.pair_count"),
     ({"command": "lipschitzify", "profile": PW,
       "lipschitzify": {"pair_count": 0}}, "lipschitzify.pair_count"),
     ({"command": "lipschitzify", "profile": PW,
       "lipschitzify": {"grid_start": "x"}}, "lipschitzify.grid_start"),
+    # the grid is always geometric
+    ({"command": "lipschitzify", "profile": PW,
+      "lipschitzify": {"grid_spacing": "log"}}, "lipschitzify.grid_spacing: unknown key"),
     ({"command": "lipschitzify", "profile": {"kind": "csv", "path": "no/such/profile.csv"}},
      "profile.path"),
     ({"command": "lipschitzify", "profile": {"kind": "csv", "path": 5}}, "profile.path"),
@@ -566,14 +571,19 @@ def _sweep(**fields):
                                               "values": [0.1, 0.2], "lipschitz_constant": 1.2}},
      "profile.lipschitz_constant: unknown key; known keys: kind, breakpoints, values, "
      "doubling_constant"),
+    # a declared doubling constant is a claim checked against the rows' own
+    ({"command": "lipschitzify", "profile": {"kind": "step", "breakpoints": [0.5, 1.0],
+                                             "values": [0.1, 0.2], "doubling_constant": 1.5}},
+     "profile: doubling_constant: declared 1.5 is below the rows' constant 2.0"),
 ], ids=["sweep-p-inf", "sweep-q-nan", "sweep-n-2", "sweep-s_start-string",
         "sweep-s_stop-bool", "sweep-rows-over-limit", "round_trip_samples-string",
-        "round_trip_samples-float", "seam_samples-0", "seam_deltas-string",
-        "pair_count-string", "pair_count-0", "grid_start-string", "csv-missing-path",
+        "round_trip_samples-float", "seam_samples-0", "seam_deltas-is-a-constant",
+        "pair_count-string", "pair_count-0", "grid_start-string", "grid_spacing-is-log",
+        "csv-missing-path",
         "csv-path-not-string", "section-not-object", "step-lipschitz-string",
         "tolerance-bool", "tolerance-inf", "tolerance-default",
         "seed-bool", "linear-slope-bool", "power-exponent-inf", "power-coeff-inf",
-        "power-exponent-overflow", "step-lipschitz-declared"])
+        "power-exponent-overflow", "step-lipschitz-declared", "step-doubling-below-rows"])
 def test_malformed_fields_exit_config_error(tmp_path, capsys, monkeypatch, cfg, field):
     # the sweep grid is never built: every case must stop at validation
     def no_grid(*args, **kwargs):
@@ -612,6 +622,31 @@ def test_sweep_row_limit_checked_before_any_array(tmp_path, capsys, monkeypatch,
         assert "sweep.s_step" in capsys.readouterr().err
 
 
+TWO_STEP_ROWS = {"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2]}
+
+
+@pytest.mark.parametrize("declared", [None, 2.0, 1e300], ids=["undeclared", "exact", "1e300"])
+def test_table_doubling_bound_comes_from_its_rows(tmp_path, declared):
+    # a declared value reaches no computation: the bound is max(2, C) of the rows
+    profile = TWO_STEP_ROWS if declared is None else dict(TWO_STEP_ROWS,
+                                                           doubling_constant=declared)
+    code, out = run(tmp_path, dict(BASE_LIP, profile=profile))
+    report = json.loads((out / "lipschitzify_report.json").read_text())
+    assert code == 0
+    assert report["doubling_transfer"]["bound"] == 2.0 and report["doubling_transfer"]["ok"]
+    assert report["checks"]["doubling_transfer_ok"] is True
+
+
+def test_sweep_through_an_underflowing_profile_exits_numeric_error(tmp_path, capsys):
+    # t^18 and t^19 read 0 at the deepest tail panels, where no class can be read
+    code, out = run(tmp_path, _sweep(s_start=16.0, s_stop=19.0, s_step=1.0))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "numeric error: tail check: profile value 0.0 at t = " in err
+    assert "Traceback" not in err
+    assert not (out / "admissibility_sweep.csv").exists()
+
+
 def test_dump_flags_are_run_config_fields(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setitem(cli.DISPATCH, "lipschitzify", lambda cfg: seen.append(cfg) or 0)
@@ -621,8 +656,8 @@ def test_dump_flags_are_run_config_fields(tmp_path, monkeypatch):
     assert flagged.dump_points and flagged.dump_slices
     assert not plain.dump_points and not plain.dump_slices
     # options is the command's section, typed and with its defaults filled in
-    assert flagged.options == plain.options == {"grid_count": 60, "grid_spacing": "log",
-                                                "grid_start": 1e-6, "pair_count": 2000}
+    assert flagged.options == plain.options == {"grid_count": 60, "grid_start": 1e-6,
+                                                "pair_count": 2000}
     raw = copy.deepcopy(BASE_LIP)
     cli.build_run_config(argparse.Namespace(command="lipschitzify", seed=7, out="unused"), raw)
     assert raw == BASE_LIP  # the user's config is untouched, overrides included
@@ -793,18 +828,17 @@ JSON_VALUES = st.sampled_from([10 ** 400, -(10 ** 400), 0, -1, True, float("inf"
 
 FUZZ_BASES = {
     "lipschitzify": dict(LIP_PROBE, lipschitzify={
-        "grid_count": 5, "grid_spacing": "log", "grid_start": 1e-3, "pair_count": 5}),
+        "grid_count": 5, "grid_start": 1e-3, "pair_count": 5}),
     "transform-verify": {"command": "transform-verify", "profile": PW, "n": 3, "seed": 0,
                          "transform": {"round_trip_samples": 5, "image_samples": 5,
-                                       "distortion_pairs": 5, "seam_samples": 5,
-                                       "seam_deltas": [1e-3]}},
+                                       "distortion_pairs": 5, "seam_samples": 5}},
     "extend-verify": {"command": "extend-verify", "seed": 0,
                       "profile": {"kind": "step", "breakpoints": [0.5, 1.0],
                                   "values": [0.1, 0.2], "doubling_constant": 2.0},
                       "extend": {"pq": [[2.0, 1.0]], "functions": ["tip-power"],
                                  "end_cap_map": "mirror", "trace_samples": 5,
                                  "decay_rays": 5, "field_params": {"gamma": 0.5},
-                                 "quadrature": {"t_levels": 3, "gauss_t": 2, "seed": 0}}},
+                                 "quadrature": {"t_levels": 3, "gauss_t": 2}}},
     "admissibility-sweep": _sweep(s_start=1.1, s_stop=1.5, s_step=0.1),
 }
 

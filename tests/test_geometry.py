@@ -249,6 +249,9 @@ class _CountingProfile(CuspProfile):
         self.seen.append(np.array(t, dtype=float).reshape(-1))
         return self.inner.value(t)
 
+    def derivative(self, t):
+        return self.inner.derivative(t)
+
     @property
     def value_at_1(self):
         return self.inner.value_at_1

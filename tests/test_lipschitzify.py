@@ -26,7 +26,7 @@ from cuspext.profiles import (
     load_profile_csv,
 )
 
-TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2], doubling_constant=2.0)
+TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2])
 
 # bisection oracle for psi = t^2, t_hat = 1/2: t + t^2 = 1 has the positive
 # root (sqrt(5) - 1)/2, so the re-profiled value is (3 - sqrt(5))/2
@@ -156,6 +156,10 @@ class NanBelow(CuspProfile):
         t = np.asarray(t, dtype=float)
         return np.where(t < self.cut, np.nan, t * t)
 
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < self.cut, np.nan, 2.0 * t)
+
     @property
     def lipschitz_constant(self):
         return None
@@ -260,6 +264,8 @@ def test_convergence_error_carries_bracket():
 
         def value(self, t):
             return np.full_like(np.asarray(t, dtype=float), np.nan)
+
+        derivative = value
 
         @property
         def lipschitz_constant(self):
@@ -504,18 +510,6 @@ def test_per_pair_run_collapse_matches_unique(source, case, monkeypatch):
     assert np.shape(value) == np.shape(slope) == np.shape(t)
 
 
-def test_lipschitzized_derivative_needs_source_slope():
-    class NoSlope(CuspProfile):
-        kind = "no-slope"
-        lipschitz_constant = None
-
-        def value(self, t):
-            return PowerProfile(2.0).value(t)
-
-    with pytest.raises(ValueError, match="closed-form slope"):
-        LipschitzizedProfile(NoSlope()).derivative(0.5)
-
-
 def test_quotient_hypothesis():
     grid = np.geomspace(1e-3, 1.0, 50)
     assert quotient_hypothesis_holds(PowerProfile(2.0), grid)
@@ -541,8 +535,20 @@ def test_doubling_transfer():
     assert res.ok and res.max_ratio == pytest.approx(2.0, abs=1e-9)
     res = verify_doubling_transfer(TWO_STEP, grid)
     assert res.ok and res.bound == 2.0
-    with pytest.raises(ValueError, match="doubling"):
-        verify_doubling_transfer(StepProfile([1.0], [0.2]), grid)
+    # a one-row table's rows give C = 1, so the bound is 2
+    res = verify_doubling_transfer(StepProfile([1.0], [0.2]), grid)
+    assert res.ok and res.bound == 2.0
+
+
+def test_doubling_transfer_holds_with_the_rows_constant():
+    # the bound max(2, C) with C read off the table's own rows, on random tables
+    grid = np.geomspace(1e-6, 0.5, 200)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        breaks = np.unique(np.append(rng.uniform(0.01, 0.99, rng.integers(0, 12)), 1.0))
+        table = StepProfile(breaks, np.sort(rng.uniform(1e-3, 1.0, breaks.size)))
+        res = verify_doubling_transfer(table, grid)
+        assert res.ok and res.bound == max(2.0, table.doubling_constant), (table.breaks, res)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

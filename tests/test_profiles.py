@@ -151,9 +151,13 @@ def test_scaled_view_for_generic_profiles():
 
     class Wrapper(type(base).__mro__[1]):  # CuspProfile
         kind = "wrapped"
+        doubling_constant = base.doubling_constant
 
         def value(self, t):
             return base.value(t)
+
+        def derivative(self, t):
+            return base.derivative(t)
 
         @property
         def lipschitz_constant(self):
@@ -168,6 +172,37 @@ def test_doubling_constants():
     assert PowerProfile(2.0).doubling_constant == 4.0
     assert PowerProfile(3.0).doubling_constant == 8.0
     assert LinearProfile(0.3).doubling_constant == 2.0
+
+
+# dyadic breakpoints 2^-20 ... 1 under values 4^-20 ... 1, a staircase under t^2
+STAIRCASE = StepProfile(2.0 ** -np.arange(20, -1, -1), 4.0 ** -np.arange(20, -1, -1))
+# every piece of psi(2t) / psi(t) on the tables below holds at least one grid point
+DOUBLING_GRID = np.geomspace(2.0 ** -22, 0.5, 4000)
+
+
+def random_table(seed):
+    """A table with breakpoints on the grid k / 64 and random nondecreasing values."""
+    rng = np.random.default_rng(seed)
+    breaks = np.append(np.sort(rng.choice(np.arange(1, 64), size=8, replace=False)) / 64.0, 1.0)
+    return StepProfile(breaks, 1e-3 + np.cumsum(rng.uniform(0.0, 1.0, breaks.size) ** 3))
+
+
+@pytest.mark.parametrize("psi, want", [
+    (StepProfile([0.5, 1.0], [0.1, 0.2]), 2.0),
+    (load_profile_csv(io.StringIO("breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n")), 2.0),
+    (STAIRCASE, 4.0),
+    (StepProfile([1.0], [0.2]), 1.0),
+    (random_table(3), None),
+    (random_table(4), None),
+], ids=["two-step", "csv", "staircase", "one-row", "random-3", "random-4"])
+def test_table_doubling_constant_is_the_sup_of_its_rows(psi, want):
+    grid_sup = float(np.max(psi.value(2.0 * DOUBLING_GRID) / psi.value(DOUBLING_GRID)))
+    assert psi.doubling_constant == grid_sup
+    assert want is None or psi.doubling_constant == want
+    # an upper bound off the grid too, and the same for a rescaled table
+    t = np.random.default_rng(0).uniform(0.0, 0.5, 10_000) + 1e-12
+    assert np.all(psi.value(2.0 * t) <= psi.doubling_constant * psi.value(t))
+    assert psi.scaled(0.3).doubling_constant == pytest.approx(psi.doubling_constant, rel=1e-15)
 
 
 def test_make_profile():

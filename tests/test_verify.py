@@ -13,7 +13,7 @@ from cuspext.geometry import DomainSpec, normalize
 from cuspext.profiles import PowerProfile, StepProfile
 from cuspext.transform import sample_domain
 
-TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2], doubling_constant=2.0)
+TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2])
 # psi(1) = 0.6 > 1/4, so the straightened route rescales x first
 WIDE_STEP = StepProfile([0.5, 1.0], [0.3, 0.6])
 PROFILES = [PowerProfile(2.0, 0.25), TWO_STEP, WIDE_STEP]
@@ -109,8 +109,8 @@ def test_check_reports_do_not_depend_on_other_fields(psi):
     checks = [
         lambda fs: verify.trace_check(ext, fs, count=1000, rng_seed=1),
         lambda fs: verify.boundary_decay_check(ext, fs, rays=150, rng_seed=2),
-        lambda fs: verify.seam_continuity_check(ext, fs, per_seam=40, rng_seed=3),
-        lambda fs: verify.seam_jumps(ext, fs, (1e-3, 1e-5), 40, 3),
+        lambda fs: verify.seam_continuity_check(ext, fs, rng_seed=3),
+        lambda fs: verify.seam_jumps(ext, fs, 3),
         lambda fs: verify.seam_modulus_cap(ext, fs, 4),
         lambda fs: verify.linearity_check(ext, fs, v, pts),
     ]
@@ -121,10 +121,10 @@ def test_check_reports_do_not_depend_on_other_fields(psi):
             assert repr(check([u])) == repr([report])
 
 
-def per_batch_straddle(f, n, draws, deltas, per_seam, seed):
+def per_batch_straddle(f, n, draws, per_seam, seed):
     """straddle_probe as one call of f per side of each seam batch."""
     out = {}
-    for delta in deltas:
+    for delta in geometry.SEAM_DELTAS:
         rng = np.random.default_rng(seed)
         direction = geometry.unit_directions(rng, per_seam, n - 1)
         for draw in draws:
@@ -142,18 +142,17 @@ def test_seam_probes_match_per_batch_probe(psi, monkeypatch):
     # the map's and the extension's seam checks, stacked and probed one batch at a time
     ext, fields = extend(psi, 3), [make_field(name, 3) for name in LIBRARY]
     spec, _ = normalize(DomainSpec(3, psi))
-    deltas, per_seam, seed = (1e-3, 1e-5, 1e-7), 60, 9
-    got = (transform.seam_continuity(spec, deltas, per_seam, seed),
-           verify.seam_jumps(ext, fields, deltas, per_seam, seed))
+    per_seam, seed = 60, 9
+    got = (transform.seam_continuity(spec, per_seam, seed), verify.seam_jumps(ext, fields, seed))
 
     def per_batch(count):
         return lambda f, *args: [per_batch_straddle(lambda z, i=i: f(z)[i], *args)
                                  for i in range(count)]
 
     monkeypatch.setattr(geometry, "straddle_probe", per_batch(1))
-    want = (transform.seam_continuity(spec, deltas, per_seam, seed),)
+    want = (transform.seam_continuity(spec, per_seam, seed),)
     monkeypatch.setattr(geometry, "straddle_probe", per_batch(len(fields)))
-    want += (verify.seam_jumps(ext, fields, deltas, per_seam, seed),)
+    want += (verify.seam_jumps(ext, fields, seed),)
     assert repr(got) == repr(want)
 
 
@@ -199,9 +198,9 @@ def test_straddle_probe_calls_f_once():
         return {"a": (rng.uniform(0.0, 1.0, k), np.ones(k), np.full(k, h), np.zeros(k)),
                 "b": (np.ones(k), rng.uniform(0.0, 1.0, k), np.zeros(k), np.full(k, h))}
 
-    scalar, vector = geometry.straddle_probe(f, 3, (draws,), (1e-2, 1e-4), 5, 0)
-    assert calls == [(2 * 2 * 2 * 5, 3)]
-    want = per_batch_straddle(lambda z: z[:, 0], 3, (draws,), (1e-2, 1e-4), 5, 0)
+    scalar, vector = geometry.straddle_probe(f, 3, (draws,), 5, 0)
+    assert calls == [(2 * len(geometry.SEAM_DELTAS) * 2 * 5, 3)]
+    want = per_batch_straddle(lambda z: z[:, 0], 3, (draws,), 5, 0)
     assert scalar == want
-    assert list(scalar) == ["a", "b"] and list(scalar["a"]) == [1e-2, 1e-4]
-    assert vector == per_batch_straddle(lambda z: z, 3, (draws,), (1e-2, 1e-4), 5, 0)
+    assert list(scalar) == ["a", "b"] and list(scalar["a"]) == list(geometry.SEAM_DELTAS)
+    assert vector == per_batch_straddle(lambda z: z, 3, (draws,), 5, 0)
