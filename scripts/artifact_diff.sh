@@ -12,7 +12,9 @@
 # constant of 1e300, extend-verify on it with two q values (so that
 # --dump-slices writes several tables per field on the straightened route),
 # transform-verify at n = 2 and n = 4 with counts off
-# the block size, an n = 4 extend-verify on Monte Carlo nodes, and small
+# the block size, an n = 4 extend-verify on Monte Carlo nodes, lipschitzify
+# on a power cusp with grids from 1e-12 and from 1e-100 (the hat solve's
+# closing phase at the tip), and small
 # runs on the profile paths no workload reaches (a rescaled power and step
 # profile, a linear profile, a csv table, the radial-sq field), with and
 # without --dump-points --dump-slices, once on <base-ref> and once on the
@@ -104,6 +106,12 @@ JSON
 # load_profile_csv, and the radial-sq field
 small_transform='"transform": {"round_trip_samples": 5000, "image_samples": 2000, "distortion_pairs": 5000, "seam_samples": 50}'
 small_extend='"trace_samples": 500, "decay_rays": 60, "quadrature": {"t_levels": 12, "gauss_t": 3, "gauss_r": 3, "angular": 6}'
+# the closing phase of the hat solve at the tip of a power cusp: grid_start 1e-12, and
+# 1e-100, where the tip brackets close only near halving 383 (t near 2^-331)
+for start in 1e-12 1e-100; do
+    printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 2.7, "coeff": 0.6}, "n": 3, "seed": 1, "lipschitzify": {"grid_start": %s}}\n' \
+        "$start" > "$work/configs/lipschitzify-power-tip-$start.json"
+done
 # the two-step profile on the straightened route, at two q: one slice table per field and q
 printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0], [4.0, 1.5]], "functions": ["constant", "wave"], %s}}\n' \
     "$step" "$small_extend" > "$work/configs/extend-two-step-two-q.json"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import gauss_rule
+from .geometry import gauss_rule, sorted_union
 from .lipschitzify import verify_monotone_quotient
 from .profiles import CuspProfile, PowerProfile
 
@@ -49,7 +49,7 @@ def _panel_integrals(f, first: int, breaks) -> np.ndarray:
     xi, wt = gauss_rule(_PANEL_GAUSS)
     edges = np.ldexp(1.0, -np.arange(first + TAIL_LEVELS, first - 1, -1))  # ascending
     inner = breaks[(breaks > edges[0]) & (breaks < edges[-1])]
-    cuts = np.union1d(edges, inner)
+    cuts = sorted_union(edges, inner)
     lo, hi = cuts[:-1], cuts[1:]
     mid, hal = 0.5 * (lo + hi), 0.5 * (hi - lo)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):

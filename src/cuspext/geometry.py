@@ -78,6 +78,14 @@ def gauss_rule(deg: int) -> tuple:
     return xi, wt
 
 
+def sorted_union(a, b) -> np.ndarray:
+    """The sorted distinct values of a and b, as np.union1d, which imports numpy.ma."""
+    cuts = np.sort(np.concatenate((a, b), axis=None))
+    keep = np.ones(cuts.shape, dtype=bool)
+    np.not_equal(cuts[1:], cuts[:-1], out=keep[1:])
+    return cuts[keep]
+
+
 # numpy reduces fewer than 8 entries left to right and more by pairwise
 # blocks, so only below this width does a running column sum reproduce
 # the bits of numpy's own vector norm.

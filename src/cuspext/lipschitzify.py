@@ -13,6 +13,7 @@ jump pair at t = 0 and hat_psi stays positive all the way down.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,14 @@ from .profiles import CuspProfile, LinearProfile, StepProfile
 SOLVE_TOL = 1e-12  # the on-jump test, the breakpoint snap and the check slacks
 LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to SOLVE_TOL of solver error
 QUOTIENT_REL_SLACK = 1e-9  # the share of a quotient that a later one may drop by
-MAX_BISECT_ITER = 200
 # Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
 # is exact for k <= 52), and floats in [0, 1) lie at most 2^-53 apart:
 # no bracket can close before the 53rd halving.
 FIRST_CLOSING_ITER = 53
+# An open bracket stays exactly 2^-k wide (see _solve_bisect) and floats
+# lie at least 2^-1074 apart, the least subnormal: every bracket has
+# closed by halving 1074.
+LAST_CLOSING_ITER = sys.float_info.mant_dig - sys.float_info.min_exp
 # the bracket widths 2^-1 ... 2^-52 of the halvings before that one
 _DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, FIRST_CLOSING_ITER))
 
@@ -70,6 +74,20 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     elements, compacted, writing lo back when its element stops.  No
     bracket ends wider than 2^-52, far inside SOLVE_TOL, so a residual
     above SOLVE_TOL means the bracket closed on a jump of psi.
+
+    The closing halvings stay exact: while a float lies strictly inside
+    [lo, lo + 2^-k], either lo = 0 or the bracket lies in one binade
+    whose float spacing is below 2^-k, and either way the midpoint
+    lo + 2^-(k+1) is a float.  As floats lie at least 2^-1074 apart,
+    every bracket has closed by halving 1074 (LAST_CLOSING_ITER); one
+    still open after it raises ConvergenceError with its bracket.
+
+    The solve reads g at its midpoints through the unchecked
+    ``psi._eval``, since every midpoint lies in (0, 1] whatever the
+    targets: in the dyadic phase lo is a multiple of 2 * step below 1,
+    so step <= mid <= 1 - step, and in the closing phase the bracket is
+    open, so 0 <= lo < mid < hi <= 1.  Only the final read at lo, which
+    may be 0, goes through ``_psi_values``.
     """
     targets = (1.0 + psi1) * t_hats
     tg_flat = targets.reshape(-1)
@@ -77,17 +95,17 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     if tg_flat.size:
         for step in _DYADIC_STEPS:
             mid = lo_flat + step
-            gm = mid + _psi_values(psi, mid)
+            gm = mid + psi._eval(mid)
             _g_finite(gm, mid)
             lo_flat += step * (gm <= tg_flat)
     # the live elements: flat positions, brackets and targets
     at = np.arange(tg_flat.size)
     lo_l, hi_l, tg_l = lo_flat.copy(), lo_flat + _DYADIC_STEPS[-1], tg_flat
-    for _ in range(FIRST_CLOSING_ITER, MAX_BISECT_ITER + 1):
+    for _ in range(FIRST_CLOSING_ITER, LAST_CLOSING_ITER + 1):
         if not at.size:
             break
         mid = 0.5 * (lo_l + hi_l)
-        gm = mid + _psi_values(psi, mid)
+        gm = mid + psi._eval(mid)
         _g_finite(gm, mid)
         below = gm <= tg_l
         # in place; putmask is faster here than copyto(..., where=)
@@ -98,7 +116,9 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
             lo_flat[at[stop]] = lo_l[stop]
             go = ~stop
             at, lo_l, hi_l, tg_l = at[go], lo_l[go], hi_l[go], tg_l[go]
-    lo_flat[at] = lo_l
+    if at.size:
+        raise ConvergenceError(f"bracket still open after halving {LAST_CLOSING_ITER}",
+                               bracket=(float(lo_l[0]), float(hi_l[0])))
     lo = lo_flat.reshape(targets.shape)
     psi_lo = _psi_values(psi, lo)
     t_sol = lo.copy()

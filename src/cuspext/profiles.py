@@ -46,8 +46,13 @@ class CuspProfile(ABC):
     """Common interface for cusp profiles.
 
     ``value(t)`` returns psi(t), which equals the left limit by
-    left-continuity.  A profile is not mutated after construction, so
-    values derived from it may be cached on it.
+    left-continuity, after checking that t lies in (0, 1].  ``_eval(t)``
+    is the same formula without the check, for callers that build their
+    arguments inside (0, 1] themselves; a kind defines its formula there
+    and its ``value`` checks and then calls it.  By default ``_eval`` is
+    ``value``, so a profile that defines only ``value`` keeps its check.
+    A profile is not mutated after construction, so values derived from
+    it may be cached on it.
     """
 
     kind: str
@@ -56,6 +61,10 @@ class CuspProfile(ABC):
     @abstractmethod
     def value(self, t):
         ...
+
+    def _eval(self, t):
+        """psi(t) for an array t already inside (0, 1]."""
+        return self.value(t)
 
     @abstractmethod
     def derivative(self, t):
@@ -98,7 +107,9 @@ class PowerProfile(CuspProfile):
         self.doubling_constant = 2.0 ** self.exponent
 
     def value(self, t):
-        t = _check_t(t)
+        return self._eval(_check_t(t))
+
+    def _eval(self, t):
         return self.coeff * t ** self.exponent
 
     def scaled(self, factor):
@@ -127,7 +138,9 @@ class LinearProfile(CuspProfile):
         self.doubling_constant = 2.0
 
     def value(self, t):
-        t = _check_t(t)
+        return self._eval(_check_t(t))
+
+    def _eval(self, t):
         return self.slope * t
 
     def scaled(self, factor):
@@ -194,7 +207,9 @@ class StepProfile(CuspProfile):
             self.doubling_constant = float(np.max(at_double / at_cut))
 
     def value(self, t):
-        t = _check_t(t)
+        return self._eval(_check_t(t))
+
+    def _eval(self, t):
         idx = np.searchsorted(self.breaks, t, side="left")
         idx = np.minimum(idx, self.breaks.size - 1)
         return self.values[idx]
@@ -230,6 +245,9 @@ class _ScaledView(CuspProfile):
 
     def value(self, t):
         return self.factor * self.base.value(t)
+
+    def _eval(self, t):
+        return self.factor * self.base._eval(t)
 
     def scaled(self, factor):
         return _ScaledView(self.base, self.factor * factor)

@@ -23,7 +23,7 @@ from .admissibility import in_limit_region
 from .errors import QuadratureError
 from .extension import ConjugatedExtension
 from .fields import ScalarField
-from .geometry import DomainSpec, collar_radius, gauss_rule, row_norm, sample_ball
+from .geometry import DomainSpec, collar_radius, gauss_rule, row_norm, sample_ball, sorted_union
 
 
 T_RATIO = 0.5  # graded tip panels: each edge is this share of the next
@@ -100,8 +100,7 @@ def _t_panels(slab: Slab, scheme: QuadratureScheme) -> np.ndarray:
         npan = max(1, round(slab.t1 - slab.t0))
         edges = np.linspace(slab.t0, slab.t1, npan + 1)
     if slab.t_breaks:
-        edges = np.union1d(edges, [b for b in slab.t_breaks
-                                   if edges[0] < b < edges[-1]])
+        edges = sorted_union(edges, [b for b in slab.t_breaks if edges[0] < b < edges[-1]])
     return edges
 
 

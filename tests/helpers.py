@@ -11,7 +11,7 @@ from cuspext.errors import ConvergenceError, ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
-from cuspext.lipschitzify import FIRST_CLOSING_ITER, MAX_BISECT_ITER, SOLVE_TOL, _solve_many
+from cuspext.lipschitzify import FIRST_CLOSING_ITER, LAST_CLOSING_ITER, SOLVE_TOL, _solve_many
 from cuspext.profiles import _T_EPS, StepProfile, save_profile_csv
 from cuspext.quadrature import Slab, _weighted_p_sum, build_nodes
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
@@ -349,7 +349,7 @@ def one_phase_solve_bisect(psi, t_hats):
     lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
     at = np.arange(targets.size)
     lo_l, hi_l, tg_l = lo_flat.copy(), hi_flat.copy(), targets.reshape(-1)
-    for k in range(1, MAX_BISECT_ITER + 1):
+    for k in range(1, LAST_CLOSING_ITER + 1):
         mid = 0.5 * (lo_l + hi_l)
         gm = _one_phase_g(psi, mid)
         if not np.all(np.isfinite(gm)):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cuspext import cli, extension, geometry, quadrature, transform, verify
 from cuspext.cli import main
 from cuspext.fields import make_field
-from cuspext.profiles import PowerProfile, StepProfile
+from cuspext.profiles import PowerProfile, StepProfile, load_profile_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -54,6 +54,20 @@ def test_lipschitzify_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["breakpoint", "value"]
     assert len(rows) == 61
+
+
+def test_lipschitzify_grid_down_to_1e_100(tmp_path):
+    # every bracket closes, down to t_hat = 1e-100: the tip row is psi(t) of the
+    # boundary pair (mpmath: 2.134397008551464e-270), not a zero-extension guess
+    cfg = dict(BASE_LIP, profile={"kind": "power", "exponent": 2.7, "coeff": 0.6},
+               lipschitzify={"grid_start": 1e-100, "grid_count": 60, "pair_count": 2000})
+    code, out = run(tmp_path, cfg)
+    report = json.loads((out / "lipschitzify_report.json").read_text())
+    assert code == 0, report["checks"]
+    assert report["checks"]["monotone_quotient_ok"] is True
+    table = load_profile_csv(out / "hat_profile.csv")
+    assert table.breaks[0] == 1e-100
+    assert table.values[0] == pytest.approx(2.134397008551464e-270, rel=1e-15)
 
 
 def test_lipschitzify_linear_table_is_identity(tmp_path):
@@ -813,6 +827,27 @@ def test_valid_config_does_not_import_difflib():
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
+
+
+def test_sweep_and_step_extend_do_not_import_numpy_ma(tmp_path):
+    # np.union1d and np.unique without return_inverse load numpy.ma: 0.6 MB of tip-sweep peak RSS
+    configs = [dict(SWEEP, seed=0), {
+        "command": "extend-verify", "seed": 0, "profile": TWO_STEP_ROWS,
+        "extend": {"pq": [[2.0, 1.0]], "functions": ["constant", "wave"],
+                   "trace_samples": 50, "decay_rays": 10,
+                   "quadrature": {"t_levels": 6, "gauss_t": 3, "gauss_r": 3, "angular": 6}}}]
+    argv = []
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        argv.append(["--config", str(path), "--out", str(tmp_path / f"out{i}")])
+    code = ("import json, sys; from cuspext import cli; "
+            "print([cli.main(a) for a in json.loads(sys.argv[1])], 'numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[0, 0] False"
 
 
 # -- fuzzing the validator ---------------------------------------------------

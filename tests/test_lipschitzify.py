@@ -79,19 +79,42 @@ def test_generic_bisection_matches_step_fast_path():
     assert np.array_equal(j_b, j_f)
 
 
-def test_bisection_g_reads_are_fixed(monkeypatch):
-    # the compacted loop reads g exactly as often, on exactly as many points;
-    # every read of g, and the final read of psi(lo), goes through _psi_values
-    calls = []
+class EvalLog(PowerProfile):
+    """t^2 logging the size of each unchecked read; value reads through _eval too."""
+
+    def __init__(self):
+        super().__init__(2.0)
+        self.reads = []
+
+    def _eval(self, t):
+        self.reads.append(np.size(t))
+        return super()._eval(t)
+
+
+def logged_solve(monkeypatch, ts):
+    """(sizes of the _eval reads, sizes of the _psi_values reads, result) of one solve."""
+    psi = EvalLog()
+    psi1 = psi.value_at_1
+    psi.reads.clear()  # the read of psi(1) is the caller's
+    finals = []
     real = lipschitzify._psi_values
 
     def counted(psi, t):
-        calls.append(np.size(t))
+        finals.append(np.size(t))
         return real(psi, t)
 
     monkeypatch.setattr(lipschitzify, "_psi_values", counted)
-    bisect(PowerProfile(2.0), np.geomspace(1e-9, 1.0, 1000))
-    assert (len(calls), sum(calls)) == (82, 67_525)
+    out = _solve_bisect(psi, ts, psi1)
+    return psi.reads, finals, out
+
+
+def test_bisection_g_reads_are_fixed(monkeypatch):
+    # the compacted loop reads g exactly as often, on exactly as many points:
+    # each halving reads _eval, and the final read of psi(lo) goes through
+    # _psi_values, whose value call is the last _eval read
+    reads, finals, _ = logged_solve(monkeypatch, np.geomspace(1e-9, 1.0, 1000))
+    assert (len(reads), sum(reads)) == (82, 67_525)
+    assert finals == reads[-1:] == [1000]
 
 
 def test_bisection_result_independent_of_batch():
@@ -182,17 +205,48 @@ def test_two_phase_bisection_errors_match_one_phase(cut, ts):
 
 
 def test_bisection_empty_batch_runs_no_halving(monkeypatch):
-    calls = []
-    real = lipschitzify._psi_values
-
-    def counted(psi, t):
-        calls.append(np.size(t))
-        return real(psi, t)
-
-    monkeypatch.setattr(lipschitzify, "_psi_values", counted)
-    t_sol, r_sol, jump = bisect(PowerProfile(2.0), np.empty((0, 3)))
-    assert calls == [0]  # only the residual read; no halving runs
+    reads, finals, (t_sol, r_sol, jump) = logged_solve(monkeypatch, np.empty((0, 3)))
+    assert (reads, finals) == ([], [0])  # only the residual read; no halving runs
     assert t_sol.shape == r_sol.shape == jump.shape == (0, 3)
+
+
+class InsideOnly:
+    """Mixin: the unchecked read asserts 0 < t <= 1 on every call (NaN fails)."""
+
+    def _eval(self, t):
+        assert np.all((t > 0.0) & (t <= 1.0)), t
+        return super()._eval(t)
+
+
+class InsidePower(InsideOnly, PowerProfile):
+    pass
+
+
+class InsideStep(InsideOnly, StepProfile):
+    pass
+
+
+@pytest.mark.parametrize("inside, plain", [
+    (InsidePower(2.7, 0.6), PowerProfile(2.7, 0.6)),
+    (CuspProfile.scaled(InsidePower(2.5), 0.3), CuspProfile.scaled(PowerProfile(2.5), 0.3)),
+    (CuspProfile.scaled(InsideStep([0.5, 1.0], [0.1, 0.2]), 2.0),
+     CuspProfile.scaled(TWO_STEP, 2.0)),
+], ids=["power", "scaled-power", "scaled-two-step"])
+def test_bisection_reads_eval_only_inside_the_domain(inside, plain):
+    # every midpoint lies in (0, 1], down to the subnormals that the brackets of
+    # the scaled two-step view halve to at its t = 0 jump
+    for ts in PARITY_GRIDS + [np.array([1e-300, 1e-100, 0.05])]:
+        for got, want in zip(bisect(inside, ts), bisect(plain, ts)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_bracket_open_after_the_last_halving_raises(monkeypatch):
+    # unreachable with the derived bound; a lower one leaves a tip bracket open
+    monkeypatch.setattr(lipschitzify, "LAST_CLOSING_ITER", 60)
+    with pytest.raises(ConvergenceError, match="still open") as err:
+        bisect(PowerProfile(2.0), np.array([0.5, 1e-30]))
+    lo, hi = err.value.bracket
+    assert 0.0 <= lo < 1e-30 < hi
 
 
 class CountedPower(PowerProfile):
@@ -304,8 +358,10 @@ def test_hat_values_tip_relative_accuracy():
 def test_hat_values_match_mpmath_down_to_the_tip(exponent, coeff):
     # off a jump the solve returns r = psi(t), which does not cancel as target - t
     # does: for 0.25 t^2 at t_hat = 1e-18 that difference is 0.0, the value 3.90625e-37
+    # t_hat runs down to 1e-300; the comparison keeps the points where psi does
+    # not underflow, which closing brackets up to halving 1074 reaches
     mpmath = pytest.importorskip("mpmath")
-    pts = np.geomspace(1e-18, 0.99, 60)
+    pts = np.geomspace(1e-300, 0.99, 160)
     got = hat_values(PowerProfile(exponent, coeff), pts)
     want = []
     with mpmath.workdps(60):
@@ -314,7 +370,10 @@ def test_hat_values_match_mpmath_down_to_the_tip(exponent, coeff):
             # Newton from t = target, right of the root of the convex t + c t^s - target
             t = mpmath.findroot(lambda t: t + coeff * t ** exponent - target, target)
             want.append(float(coeff * t ** exponent))
-    assert np.max(np.abs(got - want) / np.array(want)) <= 1e-14
+    want = np.array(want)
+    normal = want >= np.finfo(float).tiny
+    assert pts[normal].min() < 1e-60  # a bound of 200 halvings leaves brackets open here
+    assert np.max(np.abs(got - want)[normal] / want[normal]) <= 1e-14
 
 
 @pytest.mark.parametrize("psi", [PowerProfile(2.0), PowerProfile(3.0), TWO_STEP])

@@ -102,6 +102,25 @@ def test_check_t_edges():
         _check_t([0.3, -0.0])
 
 
+EVERY_KIND = {"power": PowerProfile(2.7, 0.6), "linear": LinearProfile(0.3),
+              "step": StepProfile([0.25, 0.5, 1.0], [0.05, 0.1, 0.2]),
+              "tabulated": StepProfile([0.5, 1.0], [0.1, 0.2], kind="tabulated"),
+              "scaled": CuspProfile.scaled(StepProfile([0.5, 1.0], [0.1, 0.2]), 0.5)}
+
+
+@pytest.mark.parametrize("psi", list(EVERY_KIND.values()), ids=list(EVERY_KIND))
+def test_value_is_the_checked_eval(psi):
+    # value checks t and then reads the kind's formula, _eval, bit for bit
+    for t in (np.geomspace(1e-300, 1.0, 41), np.linspace(0.01, 1.0, 12).reshape(3, 4),
+              np.array([0.25, 0.5, 1.0, 1.0 + 1e-15])):
+        assert np.asarray(psi.value(t)).tobytes() == np.asarray(psi._eval(t)).tobytes()
+    for bad in (0.0, -1.0, 1.0 + 1e-14, np.nan):
+        with pytest.raises(ProfileDomainError):
+            psi.value(bad)
+        with pytest.raises(ProfileDomainError):
+            psi.value(np.array([0.5, bad]))
+
+
 def test_constructor_validation():
     with pytest.raises(ProfileFormatError):
         PowerProfile(1.0)  # exponent must exceed 1
