@@ -14,7 +14,9 @@
 # transform-verify at n = 2 and n = 4 with counts off
 # the block size, an n = 4 extend-verify on Monte Carlo nodes, lipschitzify
 # on a power cusp with grids from 1e-12 and from 1e-100 (the hat solve's
-# closing phase at the tip), and small
+# closing phase at the tip), three edge configs that end in exit 3 (a sweep
+# whose first row rounds to 1.0, a sweep whose grid would overflow, and
+# lipschitzify on t^2 from 1e-200, where the hat underflows), and small
 # runs on the profile paths no workload reaches (a rescaled power and step
 # profile, a linear profile, a csv table, the radial-sq field), with and
 # without --dump-points --dump-slices, once on <base-ref> and once on the
@@ -112,6 +114,15 @@ for start in 1e-12 1e-100; do
     printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 2.7, "coeff": 0.6}, "n": 3, "seed": 1, "lipschitzify": {"grid_start": %s}}\n' \
         "$start" > "$work/configs/lipschitzify-power-tip-$start.json"
 done
+# edge configs whose exit code is compared: a sweep start that rounds to 1.0 at
+# 12 decimals, a sweep grid past the power exponents' bound, and a hat that
+# underflows to 0 at the grid's first point
+printf '{"command": "admissibility-sweep", "n": 3, "seed": 0, "sweep": {"p": 4.0, "q": 2.0, "s_start": 1.0000000000004}}\n' \
+    > "$work/configs/sweep-start-rounds-to-1.json"
+printf '{"command": "admissibility-sweep", "n": 3, "seed": 0, "sweep": {"p": 4.0, "q": 2.0, "s_start": 1.1, "s_stop": 1e300, "s_step": 1e299}}\n' \
+    > "$work/configs/sweep-stop-1e300.json"
+printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 2.0}, "n": 3, "seed": 1, "lipschitzify": {"grid_start": 1e-200}}\n' \
+    > "$work/configs/lipschitzify-power-underflow-1e-200.json"
 # the two-step profile on the straightened route, at two q: one slice table per field and q
 printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0], [4.0, 1.5]], "functions": ["constant", "wave"], %s}}\n' \
     "$step" "$small_extend" > "$work/configs/extend-two-step-two-q.json"

@@ -11,7 +11,7 @@ explicit "inconclusive", never a silent guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class TailCheck:
     classification: str
     value: float | None      # partial sum, only when convergent
     partial_sum: float
-    last_ratio: float | None
 
 
 def _panel_integrals(f, first: int, breaks) -> np.ndarray:
@@ -65,23 +64,22 @@ def _classify_tail(arr: np.ndarray) -> TailCheck:
     # arr[i] integrates the i-th dyadic panel, moving toward the tip
     finite_sum = float(np.sum(arr[np.isfinite(arr)]))
     if np.any(~np.isfinite(arr)) or np.any(arr > _HUGE):
-        return TailCheck(DIVERGENT, None, finite_sum, None)
+        return TailCheck(DIVERGENT, None, finite_sum)
     tail = arr[-RATIO_WINDOW - 1:]
     if np.all(tail < _TINY):
         # panel masses vanished below representable size
-        return TailCheck(CONVERGENT, finite_sum, finite_sum, 0.0)
+        return TailCheck(CONVERGENT, finite_sum, finite_sum)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = tail[1:] / tail[:-1]
     ratios = ratios[np.isfinite(ratios)]
     if ratios.size == 0:
-        return TailCheck(INCONCLUSIVE, None, finite_sum, None)
-    last = float(ratios[-1])
+        return TailCheck(INCONCLUSIVE, None, finite_sum)
     if np.max(ratios) <= RATIO_THRESHOLD:
-        return TailCheck(CONVERGENT, finite_sum, finite_sum, last)
+        return TailCheck(CONVERGENT, finite_sum, finite_sum)
     if np.min(ratios) >= RATIO_THRESHOLD:
         # no geometric decay: panel masses hold steady or grow
-        return TailCheck(DIVERGENT, None, finite_sum, last)
-    return TailCheck(INCONCLUSIVE, None, finite_sum, last)
+        return TailCheck(DIVERGENT, None, finite_sum)
+    return TailCheck(INCONCLUSIVE, None, finite_sum)
 
 
 def _tail_profile(psi: CuspProfile, t) -> np.ndarray:
@@ -140,32 +138,6 @@ def check_inc2(psi: CuspProfile, s: float, n: int, p: float) -> TailCheck:
         return (t ** s / v) ** expo / t * np.abs(np.log(v / t)) ** -alpha
 
     return _classify_tail(_panel_integrals(f, 1, breaks))
-
-
-@dataclass(frozen=True)
-class DoublingCheck:
-    max_ratio: float
-    bounded: bool
-    argmax_t: float
-
-
-def check_doubling(psi: CuspProfile, grid) -> DoublingCheck:
-    """Max of psi(2t)/psi(t) over a grid in (0, 1/2).
-
-    Flags unbounded growth when the ratio climbs monotonically past
-    1e6 toward the tip.
-    """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0 or grid[0] <= 0.0 or grid[-1] >= 0.5:
-        raise ValueError("grid must lie inside (0, 1/2)")
-    with np.errstate(over="ignore", divide="ignore"):
-        ratios = np.asarray(psi.value(2.0 * grid), dtype=float) / \
-            np.asarray(psi.value(grid), dtype=float)
-    i = int(np.argmax(ratios))
-    max_ratio = float(ratios[i])
-    growing_to_tip = bool(np.all(np.diff(ratios) <= 1e-12))  # sorted by ascending t
-    unbounded = (not np.isfinite(max_ratio)) or (max_ratio > 1e6 and growing_to_tip)
-    return DoublingCheck(max_ratio, not unbounded, float(grid[i]))
 
 
 # One bound function per extension mechanism, of (n, s, p) -> (p_min, q_max):
@@ -227,43 +199,6 @@ def _thresholds_or_none(n: int, p: float, q: float) -> Thresholds | None:
         return None
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    n: int
-    s: float
-    p: float
-    q: float
-    mechanisms: tuple  # subset of ("E1", "E2", "E3", "LimitCase")
-    condition_values: dict = field(default_factory=dict)
-    thresholds: Thresholds | None = None
-
-    @property
-    def mechanism(self) -> str:
-        return self.mechanisms[0] if self.mechanisms else "None"
-
-
-def admissible_pq(n: int, s: float, p: float, q: float) -> AdmissibilityVerdict:
-    """Evaluate every extension mechanism's inequality at fixed (n, s, p, q)."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if not s > 1.0:
-        raise ValueError(f"s must be > 1, got {s}")
-    if not 1.0 <= q <= p:
-        raise ValueError(f"need 1 <= q <= p, got p={p}, q={q}")
-    bounds = {name: bound(n, s, p) for name, bound in MECHANISM_BOUNDS.items()}
-    mechanisms = [name for name, (p_min, q_max) in bounds.items() if p_min <= p and q <= q_max]
-    if in_limit_region(n, p, q):
-        mechanisms.append("LimitCase")
-    (e1_p_min, e1_q_max), (e2_p_min, e2_q_max), (e3_p_min, _) = bounds.values()
-    return AdmissibilityVerdict(
-        n=n, s=float(s), p=float(p), q=float(q), mechanisms=tuple(mechanisms),
-        condition_values={"e1_p_min": e1_p_min, "e1_q_max": e1_q_max,
-                          "e2_p_min": e2_p_min, "e2_q_max": e2_q_max,
-                          "e3_p_min": e3_p_min, "limit_p_min": limit_p_min(n, q)},
-        thresholds=_thresholds_or_none(n, p, q),
-    )
-
-
 def power_cusp_admissible(n: int, sigma: float, p: float, q: float):
     """Extension verdict for the power cusp with exponent sigma.
 
@@ -303,22 +238,18 @@ def sweep_power_cusp(n: int, p: float, q: float, sigmas) -> list[dict]:
     rows = []
     thr = _thresholds_or_none(n, p, q) or Thresholds(None, None)
     hyp_grid = np.geomspace(1e-4, 1.0, 24)
-    for sigma in np.round(np.asarray(sigmas, dtype=float), 12):
-        ok, mechanisms = power_cusp_admissible(n, float(sigma), p, q)
-        psi = PowerProfile(float(sigma)) if sigma > 1.0 else None
-        inc1 = check_inc1(psi, float(sigma), n) if psi is not None else None
-        inc2 = None
-        if psi is not None and p > n - 1:
-            inc2 = check_inc2(psi, float(sigma), n, p)
-        hypothesis = (verify_monotone_quotient(psi, hyp_grid).ok
-                      if psi is not None else "")
+    for sigma in map(float, np.round(np.asarray(sigmas, dtype=float), 12)):
+        ok, mechanisms = power_cusp_admissible(n, sigma, p, q)
+        psi = PowerProfile(sigma)
+        inc1 = check_inc1(psi, sigma, n)
+        inc2 = check_inc2(psi, sigma, n, p) if p > n - 1 else None
         rows.append({
-            "sigma": float(sigma),
+            "sigma": sigma,
             "admissible": ok,
             "mechanisms": "+".join(mechanisms) if mechanisms else "None",
-            "hypothesis_ok": hypothesis,
-            "inc1_self": inc1.classification if inc1 else "",
-            "inc1_partial": inc1.partial_sum if inc1 else "",
+            "hypothesis_ok": verify_monotone_quotient(psi, hyp_grid).ok,
+            "inc1_self": inc1.classification,
+            "inc1_partial": inc1.partial_sum,
             "inc2_self": inc2.classification if inc2 else "",
             "inc2_value": "" if (inc2 is None or inc2.value is None) else inc2.value,
             "s1": "" if thr.s1 is None else thr.s1,

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, admissibility, lipschitzify, quadrature, transform, verify
-from .errors import ConfigError, ConvergenceError, CuspExtError, QuadratureError, unknown_key
+from .errors import (ConfigError, ConvergenceError, CuspExtError, ProfileDomainError,
+                     QuadratureError, unknown_key)
 from .extension import extend
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
 from .lipschitzify import hat_profile
-from .profiles import PROFILE_KEYS, load_profile_csv, make_profile, save_profile_csv
+from .profiles import MAX_EXPONENT, PROFILE_KEYS, load_profile_csv, make_profile, save_profile_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -202,6 +203,13 @@ def _cross_field_errors(command: str, top: dict) -> list:
         errors.append(f"sweep: need 1 < s_start < s_stop and s_step > 0, "
                       f"got {start}, {stop}, {step}")
     else:
+        # each row of the grid the command runs is a power exponent: sigma_grid keeps
+        # rows up to s_stop + 1e-12, and its first row is s_start rounded to 12 decimals
+        if not stop + 1e-12 < MAX_EXPONENT:
+            errors.append(f"sweep.s_stop: need s_stop + 1e-12 < {MAX_EXPONENT:g}, the bound of "
+                          f"a power exponent, got {stop}")
+        elif not np.round(start, 12) > 1.0:  # start < 1024: the rounding cannot overflow
+            errors.append(f"sweep.s_start: {start} rounds to 1.0 at 12 decimals, need > 1")
         # counted before any array exists and kept for the command; min() keeps an
         # overflow out of int()
         opts["rows"] = int(round(min((stop - start) / step, SWEEP_MAX_ROWS))) + 1
@@ -263,8 +271,11 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
     grid = np.geomspace(opts["grid_start"], 1.0, opts["grid_count"])
     grid[-1] = 1.0  # a one-point grid is [1.0]
     psi, psi1 = cfg.profile, cfg.profile.value_at_1
-    save_profile_csv(hat_profile(psi, grid),
-                     os.path.join(cfg.out_dir, "hat_profile.csv"))
+    try:
+        table = hat_profile(psi, grid)
+    except ProfileDomainError as err:  # the hat underflows to 0 at the grid's first point
+        raise ConfigError(f"lipschitzify.grid_start: {err}") from None
+    save_profile_csv(table, os.path.join(cfg.out_dir, "hat_profile.csv"))
     hypothesis, mq, checks = lipschitzify.verify_transfer(psi, grid, opts["pair_count"], cfg.seed)
     doubling = checks.get("doubling_transfer_ok")
     report = {

@@ -199,11 +199,9 @@ def classify_bilip_region(spec: DomainSpec, z, r=None):
 def collar_radius(spec: DomainSpec, t, with_slope: bool = False):
     """R(t) = psi(min(t, 1)): the domain's radius, the collar's inner wall.
 
-    The profile sees only the points with 0 < t <= 1, so a profile whose
-    values depend on the batch (the re-profiled hat) gets the same batch
-    whatever else the call carries.  ``with_slope`` returns (R, R'),
-    with R' = 0 off the cusp, from one profile read (one hat solve per
-    distinct t on a re-profiled cusp).
+    The profile sees only the points with 0 < t <= 1, its domain.
+    ``with_slope`` returns (R, R'), with R' = 0 off the cusp, from one
+    profile read (one hat solve per point on a re-profiled cusp).
     """
     t = np.asarray(t, dtype=float)
     cusp = (t > 0.0) & (t <= 1.0)

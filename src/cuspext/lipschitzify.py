@@ -208,16 +208,19 @@ def hat_profile(psi: CuspProfile, grid) -> StepProfile:
     except ConvergenceError as err:
         raise ConvergenceError(f"hat solve failed on grid: {err}",
                                bracket=err.bracket) from err
+    if not vals[0] > 0.0:  # the hat is positive on (0, 1] and ascends: only underflow reads 0
+        raise ProfileDomainError(f"hat value {float(vals[0])!r} at t_hat = {float(grid[0])!r} "
+                                 f"has underflowed, need > 0")
     return StepProfile(grid, np.maximum.accumulate(vals), kind="tabulated")
 
 
 class LipschitzizedProfile(CuspProfile):
     """Continuous on-demand view of the re-profiled cusp.
 
-    Evaluation solves the boundary pair per query point (with a
-    duplicate-collapsing pass, so structured grids cost one solve per
-    distinct abscissa).  Left and right limits coincide: the function
-    is Lipschitz with constant 1 + psi(1).
+    Evaluation solves the boundary pair of every query point, repeats
+    included; each solve is independent of the rest of the batch.  Left
+    and right limits coincide: the function is Lipschitz with constant
+    1 + psi(1).
     """
 
     kind = "lipschitzized"
@@ -226,50 +229,30 @@ class LipschitzizedProfile(CuspProfile):
         self.source = source
         self.doubling_constant = max(2.0, source.doubling_constant)
 
-    def _per_pair(self, t, read):
-        """read(t_sol, r_sol, on_jump) once per distinct abscissa of t.
-
-        A trailing axis of the read follows t's shape.  Runs of equal
-        consecutive abscissae (a quadrature column repeats each t across
-        its cross-section) collapse to their first entry before
-        ``np.unique`` sorts, which solves the same set.
-        """
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        head = np.ones(flat.shape, dtype=bool)
-        np.not_equal(flat[1:], flat[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        uniq, inverse = np.unique(flat[starts], return_inverse=True)
-        inverse = np.repeat(inverse, np.diff(starts, append=flat.size))
-        out = read(*_solve_many(self.source, uniq))[inverse]
-        out = out.reshape(t.shape + out.shape[1:])
-        return float(out) if out.ndim == 0 else out
-
     def value(self, t):
-        return self._per_pair(t, lambda t_sol, r_sol, jump: r_sol)
+        t = np.asarray(t, dtype=float)
+        r_sol = _solve_many(self.source, t.reshape(-1))[1].reshape(t.shape)
+        return r_sol if t.ndim else float(r_sol)
 
     def derivative(self, t):
         return self.value_and_derivative(t)[1]
 
     def value_and_derivative(self, t):
-        """Value and exact slope from one solve per distinct abscissa.
+        """Value and exact slope from one solve per point.
 
         The slope is 1 + psi(1) across a jump, else (1 + psi(1)) psi'/(1 + psi'):
         off a jump the pair moves along t + psi(t) = (1 + psi(1)) t_hat,
         so dt/dt_hat = (1 + psi(1)) / (1 + psi'(t)) and r = psi(t).
         """
-        slope = self.source.derivative
+        t = np.asarray(t, dtype=float)
+        t_sol, r_sol, jump = _solve_many(self.source, t.reshape(-1))
         c = self.lipschitz_constant
-
-        def read(t_sol, r_sol, jump):
-            out = np.full(t_sol.shape, c)
-            off = ~jump
-            if np.any(off):
-                d = np.asarray(slope(np.maximum(t_sol[off], 1e-300)), dtype=float)
-                out[off] = c * d / (1.0 + d)
-            return np.stack([r_sol, out], axis=-1)
-
-        return tuple(np.moveaxis(self._per_pair(t, read), -1, 0))
+        slope = np.full(t_sol.shape, c)
+        off = ~jump
+        if np.any(off):
+            d = np.asarray(self.source.derivative(np.maximum(t_sol[off], 1e-300)), dtype=float)
+            slope[off] = c * d / (1.0 + d)
+        return r_sol.reshape(t.shape)[()], slope.reshape(t.shape)[()]
 
     @property
     def value_at_1(self) -> float:
@@ -324,7 +307,6 @@ class DoublingTransferResult:
     ok: bool
     bound: float
     max_ratio: float
-    argmax: float | None
 
 
 def verify_doubling_transfer(psi: CuspProfile, grid) -> DoublingTransferResult | None:
@@ -344,13 +326,11 @@ def verify_doubling_transfer(psi: CuspProfile, grid) -> DoublingTransferResult |
         return None
     h1 = hat_values(psi, grid)
     h2 = hat_values(psi, 2.0 * grid)
-    ratios = h2 / h1
     bound = max(2.0, float(psi.doubling_constant))
-    i = int(np.argmax(ratios))
     # additive slack: each hat value carries up to SOLVE_TOL of absolute solver
     # error, which dominates the ratio near the tip where values vanish
     ok = np.max(h2 - bound * h1) <= (1.0 + bound) * SOLVE_TOL
-    return DoublingTransferResult(bool(ok), bound, float(ratios[i]), float(grid[i]))
+    return DoublingTransferResult(bool(ok), bound, float(np.max(h2 / h1)))
 
 
 def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int):

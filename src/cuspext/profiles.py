@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ProfileDomainError, ProfileFormatError, unknown_key
 
 _T_EPS = 1e-15
+MAX_EXPONENT = 1024.0  # a power exponent's doubling constant 2**exponent overflows from here
 
 
 def _finite_above(name: str, value, low: float) -> float:
@@ -100,7 +101,7 @@ class PowerProfile(CuspProfile):
 
     def __init__(self, exponent: float, coeff: float = 1.0):
         self.exponent = _finite_above("exponent", exponent, 1.0)
-        if self.exponent >= 1024.0:  # 2**exponent overflows the float range
+        if self.exponent >= MAX_EXPONENT:
             raise ProfileFormatError(f"exponent: need a finite number < 1024, got {exponent!r}")
         self.coeff = _finite_above("coeff", coeff, 0.0)
         # psi(2t) / psi(t) == 2**s exactly

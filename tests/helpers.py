@@ -388,13 +388,13 @@ def one_phase_solve_bisect(psi, t_hats):
 
 
 # -- the mechanism inequalities written out per caller -------------------------
-# The references the one bound table must match: admissible_pq with every
-# bound spelled out, and power_cusp_admissible with E1 and E2 inverted by
+# The references the one bound table must match: the table read with every
+# bound closed, spelled out, and power_cusp_admissible with E1 and E2 inverted by
 # hand into caps on s, as the library did before the table.
 
 
 def spelled_out_admissible_pq(n, s, p, q):
-    """(mechanisms, condition_values) of admissible_pq at fixed (n, s, p, q)."""
+    """(mechanisms, bound values) of the bound table read closed at fixed (n, s, p, q)."""
     e1_p_min = (1.0 + (n - 1) * s) / n
     e1_q_max = n * p / (1.0 + (n - 1) * s)
     e2_p_min = (1.0 + (n - 1) * s) / (2.0 + (n - 2) * s)

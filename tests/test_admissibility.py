@@ -15,8 +15,6 @@ from cuspext.admissibility import (
     INCONCLUSIVE,
     MECHANISM_BOUNDS,
     TAIL_LEVELS,
-    admissible_pq,
-    check_doubling,
     check_inc1,
     check_inc2,
     frontier_from_sweep,
@@ -28,7 +26,7 @@ from cuspext.admissibility import (
 )
 from cuspext.geometry import gauss_rule
 from cuspext.lipschitzify import LipschitzizedProfile
-from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
+from cuspext.profiles import PowerProfile, StepProfile
 
 
 def test_inc1_convergent_oracle():
@@ -115,57 +113,20 @@ def test_inc_checks_step_profile():
     assert check_inc1(step, 2.0, 3).classification == CONVERGENT
 
 
-def test_doubling_power_exact():
-    grid = np.geomspace(1e-4, 0.49, 80)
-    for s in (1.5, 2.0, 3.0):
-        res = check_doubling(PowerProfile(s), grid)
-        assert res.bounded
-        assert res.max_ratio == pytest.approx(2.0 ** s, rel=1e-12)
-    assert check_doubling(LinearProfile(0.3), grid).max_ratio == pytest.approx(2.0)
-
-
-def test_doubling_flags_unbounded():
-    # tabulated exp(-1/t): the doubling ratio exp(1/(2t)) blows up at the tip
-    grid = np.geomspace(0.01, 0.49, 40)
-    nodes = np.unique(np.concatenate([grid, 2.0 * grid, [1.0]]))
-    psi = StepProfile(nodes, np.exp(-1.0 / nodes))
-    res = check_doubling(psi, grid)
-    assert not res.bounded
-    assert res.max_ratio > 1e6
-
-
-def test_doubling_grid_validation():
-    with pytest.raises(ValueError):
-        check_doubling(PowerProfile(2.0), [0.6])
-
-
 def test_admissible_pq_examples():
     # E1 bound: n p / (1 + (n-1)s) = 15/5 = 3, so q = 3 rides E1
-    v = admissible_pq(3, 2.0, 5.0, 3.0)
-    assert "E1" in v.mechanisms
-    assert v.condition_values["e1_q_max"] == pytest.approx(3.0)
+    mechanisms, values = spelled_out_admissible_pq(3, 2.0, 5.0, 3.0)
+    assert "E1" in mechanisms
+    assert values["e1_q_max"] == pytest.approx(3.0)
     # limit case: (n-1)q/(n-1-q) = 2 <= p
-    v = admissible_pq(3, 2.0, 2.0, 1.0)
-    assert "LimitCase" in v.mechanisms
+    assert "LimitCase" in spelled_out_admissible_pq(3, 2.0, 2.0, 1.0)[0]
     # nothing applies at p = q = 1
-    v = admissible_pq(3, 2.0, 1.0, 1.0)
-    assert v.mechanisms == ()
-    assert v.mechanism == "None"
-
-
-def test_admissible_pq_validation():
-    with pytest.raises(ValueError):
-        admissible_pq(2, 2.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        admissible_pq(3, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        admissible_pq(3, 2.0, 1.0, 2.0)
+    assert spelled_out_admissible_pq(3, 2.0, 1.0, 1.0)[0] == ()
 
 
 def test_limit_case_is_s_independent():
     for s in (1.1, 2.0, 5.0, 50.0):
-        v = admissible_pq(3, s, 2.0, 1.0)
-        assert ("LimitCase" in v.mechanisms)
+        assert "LimitCase" in spelled_out_admissible_pq(3, s, 2.0, 1.0)[0]
 
 
 def test_q_monotonicity():
@@ -177,8 +138,8 @@ def test_q_monotonicity():
         p = float(rng.uniform(1.0, 8.0))
         q2 = float(rng.uniform(1.0, p))
         q1 = float(rng.uniform(1.0, q2))
-        m1 = set(admissible_pq(n, s, p, q1).mechanisms)
-        m2 = set(admissible_pq(n, s, p, q2).mechanisms)
+        m1 = set(spelled_out_admissible_pq(n, s, p, q1)[0])
+        m2 = set(spelled_out_admissible_pq(n, s, p, q2)[0])
         assert m2 <= m1
 
 
@@ -258,7 +219,7 @@ def test_threshold_consistency_fine_grid():
     for s in np.round(np.arange(2.3, 2.71, 0.01), 12):
         assert check_inc2(PowerProfile(float(s)), float(s), n, p).classification \
             == CONVERGENT
-        e3 = "E3" in admissible_pq(n, float(s), p, q).mechanisms
+        e3 = "E3" in spelled_out_admissible_pq(n, float(s), p, q)[0]
         if s <= s1 - 0.01:
             assert e3, s
         elif s >= s1 + 0.01:
@@ -359,14 +320,19 @@ def _decimal_inputs():
 
 
 def test_admissible_pq_matches_spelled_out_bitwise():
+    # the bound table read at s with every bound closed, against the same
+    # inequalities written out
     rng = np.random.default_rng(17)
     inputs = [*_random_inputs(rng, 20_000), *_decimal_inputs()]
     for n, s, p, q in inputs:
-        verdict = admissible_pq(n, s, p, q)
+        bounds = {name: bound(n, s, p) for name, bound in MECHANISM_BOUNDS.items()}
+        closed = [name for name, (p_min, q_max) in bounds.items() if p_min <= p and q <= q_max]
+        closed += ["LimitCase"] if in_limit_region(n, p, q) else []
+        (e1_p_min, e1_q_max), (e2_p_min, e2_q_max), (e3_p_min, _) = bounds.values()
         mechanisms, values = spelled_out_admissible_pq(n, s, p, q)
-        assert verdict.mechanisms == mechanisms, (n, s, p, q)
-        assert list(verdict.condition_values) == list(values)
-        assert [v.hex() for v in verdict.condition_values.values()] == \
+        assert tuple(closed) == mechanisms, (n, s, p, q)
+        assert [float(v).hex() for v in (e1_p_min, e1_q_max, e2_p_min, e2_q_max, e3_p_min,
+                                          limit_p_min(n, q))] == \
             [float(v).hex() for v in values.values()], (n, s, p, q)
 
 
@@ -411,9 +377,9 @@ def test_power_cusp_is_the_exists_s_scan():
     for n, sigma, p, q in _random_inputs(rng, 600):
         if not _off_tie(n, sigma, p, q):
             continue
-        above = [set(admissible_pq(n, float(s), p, q).mechanisms)
+        above = [set(spelled_out_admissible_pq(n, float(s), p, q)[0])
                  for s in sigma * (1.0 + offsets)]
-        at = set(admissible_pq(n, sigma, p, q).mechanisms)
+        at = set(spelled_out_admissible_pq(n, sigma, p, q)[0])
         _, mechanisms = power_cusp_admissible(n, sigma, p, q)
         for name in ("E1", "E2"):
             assert (name in mechanisms) == any(name in m for m in above), (name, n, sigma, p, q)
@@ -424,7 +390,7 @@ def test_power_cusp_is_the_exists_s_scan():
 
 def test_exact_frontier_where_e1_e2_e3_meet():
     # (3, 4, 2): s_q1 = s_q2 = s1 = 2.5 exactly
-    assert admissible_pq(3, 2.5, 4.0, 2.0).mechanisms == ("E1", "E2", "E3")
+    assert spelled_out_admissible_pq(3, 2.5, 4.0, 2.0)[0] == ("E1", "E2", "E3")
     assert power_cusp_admissible(3, 2.5, 4.0, 2.0) == (True, ("E3",))
     assert power_cusp_admissible(3, 2.5 - 1e-9, 4.0, 2.0) == (True, ("E1", "E2", "E3"))
     assert power_cusp_admissible(3, 2.5 + 1e-9, 4.0, 2.0) == (False, ())
@@ -434,7 +400,7 @@ def test_exact_frontier_s2():
     # (3, 1.5, 1): E2's q_max falls to q = 1 exactly at s2 = 4
     assert thresholds(3, 1.5, 1.0).s2 == 4.0
     assert MECHANISM_BOUNDS["E2"](3, 4.0, 1.5)[1] == 1.0
-    assert admissible_pq(3, 4.0, 1.5, 1.0).mechanisms == ("E2",)
+    assert spelled_out_admissible_pq(3, 4.0, 1.5, 1.0)[0] == ("E2",)
     assert power_cusp_admissible(3, 4.0, 1.5, 1.0) == (False, ())
     assert power_cusp_admissible(3, 4.0 - 1e-9, 1.5, 1.0) == (True, ("E2",))
 
@@ -448,8 +414,8 @@ def test_exact_limit_case_boundary():
     for sigma in (1.5, 4.0, 40.0):
         assert "LimitCase" in power_cusp_admissible(3, sigma, 2.0, 1.0)[1]
         assert "LimitCase" not in power_cusp_admissible(3, sigma, below, 1.0)[1]
-        assert "LimitCase" in admissible_pq(3, sigma, 2.0, 1.0).mechanisms
-        assert "LimitCase" not in admissible_pq(3, sigma, below, 1.0).mechanisms
+        assert "LimitCase" in spelled_out_admissible_pq(3, sigma, 2.0, 1.0)[0]
+        assert "LimitCase" not in spelled_out_admissible_pq(3, sigma, below, 1.0)[0]
     with pytest.raises(ValueError, match="no finite threshold"):
         thresholds(3, 2.0, 1.0)
     assert thresholds(3, below, 1.0).s2 > 0.0

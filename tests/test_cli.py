@@ -615,18 +615,18 @@ class _GridReached(Exception):
     pass
 
 
-@pytest.mark.parametrize("s_stop, passes", [(5001.0, True), (5001.5, False)],
+@pytest.mark.parametrize("s_stop, passes", [(1001.4, True), (1001.5, False)],
                          ids=["at-limit", "one-over"])
 def test_sweep_row_limit_checked_before_any_array(tmp_path, capsys, monkeypatch,
                                                   s_stop, passes):
-    # 1.5 + 0.5 k for k < SWEEP_MAX_ROWS: exactly the limit, then one row more
+    # 1.5 + 0.1 k for k < SWEEP_MAX_ROWS: exactly the limit, then one row more
     assert cli.SWEEP_MAX_ROWS == 10_000
 
     def reached(*args, **kwargs):
         raise _GridReached
 
     monkeypatch.setattr(cli.np, "linspace", reached)
-    cfg = _sweep(s_start=1.5, s_stop=s_stop, s_step=0.5)
+    cfg = _sweep(s_start=1.5, s_stop=s_stop, s_step=0.1)
     if passes:
         with pytest.raises(_GridReached):
             run(tmp_path, cfg)
@@ -649,6 +649,31 @@ def test_table_doubling_bound_comes_from_its_rows(tmp_path, declared):
     assert code == 0
     assert report["doubling_transfer"]["bound"] == 2.0 and report["doubling_transfer"]["ok"]
     assert report["checks"]["doubling_transfer_ok"] is True
+
+
+@pytest.mark.parametrize("cfg, code, field", [
+    # s_start > 1 passed the range check, but the grid's first row rounds to 1.0
+    (_sweep(s_start=1.0000000000004), 3, "sweep.s_start: 1.0000000000004 rounds to 1.0"),
+    # 11 rows by count, but rounding such a grid to 12 decimals overflows past 1e296
+    (_sweep(s_start=1.1, s_stop=1e300, s_step=1e299), 3, "sweep.s_stop: need s_stop + 1e-12"),
+    # the hat of t^2 underflows to 0 at the grid's first point
+    (dict(BASE_LIP, lipschitzify={"grid_start": 1e-200}), 3,
+     "lipschitzify.grid_start: hat value 0.0 at t_hat = 1e-200 has underflowed"),
+    ({"command": "extend-verify", "profile": {"kind": "power", "exponent": 1000.0, "coeff": 0.25},
+      "seed": 3, "extend": TINY_EXTEND}, 4, "psi(0.05) = 0.0"),
+    ({"command": "extend-verify", "seed": 3, "extend": TINY_EXTEND,
+      "profile": {"kind": "step", "breakpoints": [0.5, 1.0], "values": [1e-300, 0.2]}},
+     4, "psi(0.05) = 0.0"),
+], ids=["sweep-start-rounds-to-1", "sweep-stop-overflows-the-grid", "lipschitzify-hat-underflow",
+        "extend-power-1000", "extend-step-1e-300"])
+def test_edge_configs_end_in_an_exit_code_with_a_field_level_message(tmp_path, capsys, cfg,
+                                                                     code, field):
+    # exit 0, 2, 3 or 4 with a message naming the field, never a traceback; a
+    # RuntimeWarning fails the test (pyproject.toml)
+    assert run(tmp_path, cfg)[0] == code
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_sweep_through_an_underflowing_profile_exits_numeric_error(tmp_path, capsys):

@@ -514,19 +514,10 @@ def test_lipschitzized_value_and_derivative_share_one_solve(source, monkeypatch)
 
     monkeypatch.setattr(lipschitzify, "_solve_many", counted)
     value, slope = hat.value_and_derivative(t)
-    assert solves == [np.unique(t).size]
+    assert solves == [t.size]
     assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
     assert value.shape == slope.shape == t.shape
     assert hat.value_and_derivative(0.3) == (hat.value(0.3), hat.derivative(0.3))
-
-
-def _unique_per_pair(hat, t, read):
-    """LipschitzizedProfile._per_pair with np.unique over every abscissa."""
-    t = np.asarray(t, dtype=float)
-    uniq, inverse = np.unique(t.reshape(-1), return_inverse=True)
-    out = read(*lipschitzify._solve_many(hat.source, uniq))[inverse]
-    out = out.reshape(t.shape + out.shape[1:])
-    return float(out) if out.ndim == 0 else out
 
 
 _RUNS = np.repeat(np.geomspace(1e-5, 1.0, 40), 25)  # a quadrature-like t column
@@ -543,30 +534,18 @@ PER_PAIR_INPUTS = {
 
 @pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
 @pytest.mark.parametrize("case", sorted(PER_PAIR_INPUTS))
-def test_per_pair_run_collapse_matches_unique(source, case, monkeypatch):
-    # collapsing runs of equal abscissae first solves the same set, so every
-    # read is bitwise that of np.unique over all the abscissae
+def test_per_pair_run_collapse_matches_unique(source, case):
+    # every abscissa is solved where it stands, repeats included, with no run
+    # collapse: each value and slope is bitwise that of its abscissa solved alone
     hat, t = LipschitzizedProfile(source), PER_PAIR_INPUTS[case]
-
-    def read(t_sol, r_sol, jump):
-        return np.stack([t_sol, r_sol, jump], axis=-1)
-
-    solved = []
-    real = lipschitzify._solve_many
-
-    def recorded(psi, t_hats):
-        solved.append(t_hats.copy())
-        return real(psi, t_hats)
-
-    monkeypatch.setattr(lipschitzify, "_solve_many", recorded)
-    got = hat._per_pair(t, read)
-    want = _unique_per_pair(hat, t, read)
-    assert len(solved) == 2 and np.array_equal(solved[0], solved[1])
-    assert got.shape == want.shape == np.shape(t) + (3,)
-    assert np.array_equal(got, want)
+    alone = {x: hat.value_and_derivative(np.array([x])) for x in np.unique(t)}
     value, slope = hat.value_and_derivative(t)
-    assert np.array_equal(value, _unique_per_pair(hat, t, lambda ts, rs, j: rs))
     assert np.shape(value) == np.shape(slope) == np.shape(t)
+    for got, k in ((value, 0), (slope, 1)):
+        want = np.array([alone[x][k][0] for x in np.reshape(t, -1)]).reshape(np.shape(t))
+        assert np.array_equal(got, want)
+    read = hat.value(t)
+    assert np.shape(read) == np.shape(t) and np.array_equal(read, value)
 
 
 def test_quotient_hypothesis():

@@ -14,8 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cuspext"
 UNREACHED = {
     "classify_bilip_region": "perfbench/tracer.py patches it",
     "w1p_norm": "perfbench/tracer.py patches it",
-    "admissible_pq": "the transfer-theorem check of an arbitrary cusp will call it",
-    "check_doubling": "the transfer-theorem check can gate its doubling hypothesis on it",
     "jacobian": "the closed-form bi-Lipschitz constants probe sigma_max with it",
 }
 
