@@ -16,7 +16,10 @@
 # on a power cusp with grids from 1e-12 and from 1e-100 (the hat solve's
 # closing phase at the tip), three edge configs that end in exit 3 (a sweep
 # whose first row rounds to 1.0, a sweep whose grid would overflow, and
-# lipschitzify on t^2 from 1e-200, where the hat underflows), and small
+# lipschitzify on t^2 from 1e-200, where the hat underflows), two tip
+# tables (the two-step rows with psi = 1e-17 on the first, through
+# lipschitzify and extend-verify, and the 61-row dyadic staircase, through
+# lipschitzify and transform-verify), and small
 # runs on the profile paths no workload reaches (a rescaled power and step
 # profile, a linear profile, a csv table, the radial-sq field), with and
 # without --dump-points --dump-slices, once on <base-ref> and once on the
@@ -138,6 +141,22 @@ printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend":
 printf 'breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n' > "$work/profile.csv"
 printf '{"command": "lipschitzify", "profile": {"kind": "csv", "path": "%s"}, "n": 3, "seed": 1}\n' \
     "$work/profile.csv" > "$work/configs/lipschitzify-csv.json"
+
+# tip tables, whose hat heights at the tip are rows far below the breaks: the
+# two-step rows with 1e-17 on the first, and the dyadic staircase (breaks 2^-k,
+# values 0.25 * 4^-k, k = 0 ... 60)
+tip='{"kind": "step", "breakpoints": [0.5, 1.0], "values": [1e-17, 0.2]}'
+printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' "$tip" \
+    > "$work/configs/lipschitzify-tip-1e-17.json"
+printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0]], "functions": ["constant", "wave"], %s}}\n' \
+    "$tip" "$small_extend" > "$work/configs/extend-tip-1e-17.json"
+staircase=$("$python" -c 'import json
+print(json.dumps({"kind": "step", "breakpoints": [2.0 ** -k for k in range(60, -1, -1)],
+                  "values": [0.25 * 4.0 ** -k for k in range(60, -1, -1)]}))')
+printf '{"command": "lipschitzify", "profile": %s, "n": 3, "seed": 1}\n' "$staircase" \
+    > "$work/configs/lipschitzify-staircase.json"
+printf '{"command": "transform-verify", "profile": %s, "n": 3, "seed": 1, %s}\n' \
+    "$staircase" "$small_transform" > "$work/configs/transform-staircase.json"
 
 run_tree() {  # run_tree <source tree> <label>
     local config stem out code

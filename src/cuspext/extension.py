@@ -23,7 +23,7 @@ from . import geometry
 from .errors import ProfileDomainError
 from .fields import ScalarField
 from .geometry import DomainSpec, ExtRegion
-from .lipschitzify import LipschitzizedProfile
+from .lipschitzify import reprofile
 from .transform import _inverse_branches, forward_map, inverse_map, inverse_partials
 
 
@@ -320,7 +320,7 @@ def extend_general(psi, n: int) -> ConjugatedExtension:
     """
     spec = DomainSpec(n, psi)
     norm_spec, scale = geometry.normalize(spec)
-    ctx = ExtensionContext(DomainSpec(n, LipschitzizedProfile(norm_spec.psi)))
+    ctx = ExtensionContext(DomainSpec(n, reprofile(norm_spec.psi)))
     return ConjugatedExtension(spec, ctx, scale, norm_spec, _inverse_pullback(norm_spec, scale))
 
 

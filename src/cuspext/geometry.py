@@ -201,7 +201,7 @@ def collar_radius(spec: DomainSpec, t, with_slope: bool = False):
 
     The profile sees only the points with 0 < t <= 1, its domain.
     ``with_slope`` returns (R, R'), with R' = 0 off the cusp, from one
-    profile read (one hat solve per point on a re-profiled cusp).
+    profile read; only a profile with a closed-form slope has R'.
     """
     t = np.asarray(t, dtype=float)
     cusp = (t > 0.0) & (t <= 1.0)

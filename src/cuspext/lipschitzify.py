@@ -9,6 +9,7 @@ with slope exactly 1 + psi(1), and continuity stretches move slower.
 
 psi is extended by zero for t <= 0, so targets below inf g resolve to a
 jump pair at t = 0 and hat_psi stays positive all the way down.
+``reprofile`` reads hat_psi in closed form where it can, else by bisection.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, ConvergenceError, ProfileDomainError, ProfileFormatError
-from .profiles import CuspProfile, LinearProfile, StepProfile
+from .profiles import CuspProfile, LinearProfile, PiecewiseLinearProfile, StepProfile, _check_t
 
-SOLVE_TOL = 1e-12  # the on-jump test, the breakpoint snap and the check slacks
+SOLVE_TOL = 1e-12  # the on-jump test and the check slacks
 LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to SOLVE_TOL of solver error
 QUOTIENT_REL_SLACK = 1e-9  # the share of a quotient that a later one may drop by
 # Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
@@ -123,69 +124,43 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     psi_lo = _psi_values(psi, lo)
     t_sol = lo.copy()
     on_jump = targets - (lo + psi_lo) > SOLVE_TOL
-    if np.any(on_jump):
-        # the bracket collapsed onto a jump of psi; snap to the profile's
-        # breakpoint when one sits inside the collapsed bracket
-        breaks = psi.breakpoints()
-        if breaks.size:
-            idx = np.searchsorted(breaks, lo[on_jump])
-            for cand in (idx - 1, idx):
-                ok = (cand >= 0) & (cand < breaks.size)
-                b = np.where(ok, breaks[np.clip(cand, 0, breaks.size - 1)], np.nan)
-                snap = ok & (np.abs(b - lo[on_jump]) <= SOLVE_TOL)
-                sub = t_sol[on_jump]
-                sub[snap] = b[snap]
-                t_sol[on_jump] = sub
-        # targets below inf g resolve to the zero-extension jump at t = 0
-        t_sol[on_jump & (lo <= 1e-17)] = 0.0
+    # targets below inf g resolve to the zero-extension jump at t = 0
+    t_sol[on_jump & (lo <= 1e-17)] = 0.0
     # off a jump r = psi(t) keeps its relative accuracy at the tip, where target - t
     # cancels; r = target - t fills jump gaps and the zero extension at t = 0
     r_sol = np.where(on_jump | (lo <= 0.0), targets - t_sol, psi_lo)
     return t_sol, r_sol, on_jump
 
 
-def _solve_step(psi: StepProfile, t_hats: np.ndarray, psi1: float):
-    """Closed-form pairs for step profiles via piece lookup; psi1 = psi(1)."""
-    targets = (1.0 + psi1) * t_hats
-    hi_vals = psi.breaks + psi.values  # g at right endpoints, strictly increasing
-    idx = np.searchsorted(hi_vals, targets, side="left")
-    idx = np.minimum(idx, psi.breaks.size - 1)
-    left_break = np.where(idx > 0, psi.breaks[np.maximum(idx - 1, 0)], 0.0)
-    lo_open = left_break + psi.values[idx]  # g just right of the piece's left end
-    inside = targets > lo_open
-    t_sol = np.where(inside, targets - psi.values[idx], left_break)
-    r_sol = targets - t_sol
-    # on_jump is strict: r exactly at the right limit counts as a plain solve
-    return t_sol, r_sol, targets < lo_open
+def reprofile(psi: CuspProfile) -> CuspProfile:
+    """The re-profiling hat_psi of psi, Lipschitz with constant c = 1 + psi(1).
 
-
-def _solve_many(psi: CuspProfile, t_hats: np.ndarray):
-    t_hats = np.asarray(t_hats, dtype=float)
-    outside = ~((t_hats > 0.0) & (t_hats <= 1.0))  # NaN included
-    if np.any(outside):
-        raise ProfileDomainError(f"t_hat outside (0, 1]: {t_hats[outside].flat[0]!r}")
+    A linear profile is its own: t + a t = (1 + a) t_hat forces t = t_hat.
+    A table's is piecewise linear on 2m+1 vertices for its m rows (breaks
+    b_i, values v_i): slope c from (0, 0) to (v_0/c, v_0), then v_i held
+    up to (b_i + v_i)/c and slope c across the jump at b_i up to
+    ((b_i + v_(i+1))/c, v_(i+1)); a row's height is its value exactly.
+    Any other profile gets the bisection view.
+    """
     if isinstance(psi, LinearProfile):
-        # linear profiles are fixed points: t + c t = (1 + c) t_hat forces t = t_hat
-        return t_hats.copy(), psi.slope * t_hats, np.zeros(t_hats.shape, dtype=bool)
-    at_end = t_hats == 1.0
-    psi1 = psi.value_at_1
-    if isinstance(psi, StepProfile):
-        t_sol, r_sol, jump = _solve_step(psi, t_hats, psi1)
-    else:
-        t_sol, r_sol, jump = _solve_bisect(psi, t_hats, psi1)
-    if np.any(at_end):
-        # endpoint convention: hat_psi(1) = psi(1) via the pair (1, psi(1))
-        t_sol[at_end] = 1.0
-        r_sol[at_end] = psi1
-        jump[at_end] = False
-    return t_sol, r_sol, jump
+        return psi
+    if not isinstance(psi, StepProfile):
+        return LipschitzizedProfile(psi)
+    c = 1.0 + psi.value_at_1
+    m = psi.breaks.size
+    vertices, heights, slopes = np.zeros(2 * m + 1), np.zeros(2 * m + 1), np.zeros(2 * m)
+    vertices[1::2] = (np.concatenate([[0.0], psi.breaks[:-1]]) + psi.values) / c
+    vertices[2::2] = (psi.breaks + psi.values) / c  # the last is c / c = 1 exactly
+    heights[1::2] = heights[2::2] = psi.values
+    slopes[0::2] = c
+    return PiecewiseLinearProfile(vertices, heights, slopes, max(2.0, psi.doubling_constant))
 
 
 def hat_values(psi: CuspProfile, t_hats) -> np.ndarray:
     """The re-profiling hat_psi at a point (a float) or an array of points in (0, 1]."""
-    t_hats = np.asarray(t_hats, dtype=float)
-    _, r_sol, _ = _solve_many(psi, np.atleast_1d(t_hats))
-    return r_sol.reshape(t_hats.shape) if t_hats.ndim else float(r_sol[0])
+    t_hats = _check_t(t_hats)
+    r_sol = reprofile(psi)._eval(t_hats)
+    return r_sol if t_hats.ndim else float(r_sol)
 
 
 def hat_profile(psi: CuspProfile, grid) -> StepProfile:
@@ -215,12 +190,13 @@ def hat_profile(psi: CuspProfile, grid) -> StepProfile:
 
 
 class LipschitzizedProfile(CuspProfile):
-    """Continuous on-demand view of the re-profiled cusp.
+    """The bisection view of the re-profiled cusp: values only.
 
     Evaluation solves the boundary pair of every query point, repeats
     included; each solve is independent of the rest of the batch.  Left
     and right limits coincide: the function is Lipschitz with constant
-    1 + psi(1).
+    1 + psi(1).  It has no slope; tables and linear profiles, whose hats
+    a command differentiates, get closed forms from ``reprofile``.
     """
 
     kind = "lipschitzized"
@@ -230,33 +206,17 @@ class LipschitzizedProfile(CuspProfile):
         self.doubling_constant = max(2.0, source.doubling_constant)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        r_sol = _solve_many(self.source, t.reshape(-1))[1].reshape(t.shape)
+        return self._eval(_check_t(t))
+
+    def _eval(self, t):
+        # one bisection per point, and the endpoint convention hat_psi(1) = psi(1)
+        t, psi1 = np.asarray(t, dtype=float), self.source.value_at_1
+        r_sol = np.where(t == 1.0, psi1, _solve_bisect(self.source, t, psi1)[1])
         return r_sol if t.ndim else float(r_sol)
-
-    def derivative(self, t):
-        return self.value_and_derivative(t)[1]
-
-    def value_and_derivative(self, t):
-        """Value and exact slope from one solve per point.
-
-        The slope is 1 + psi(1) across a jump, else (1 + psi(1)) psi'/(1 + psi'):
-        off a jump the pair moves along t + psi(t) = (1 + psi(1)) t_hat,
-        so dt/dt_hat = (1 + psi(1)) / (1 + psi'(t)) and r = psi(t).
-        """
-        t = np.asarray(t, dtype=float)
-        t_sol, r_sol, jump = _solve_many(self.source, t.reshape(-1))
-        c = self.lipschitz_constant
-        slope = np.full(t_sol.shape, c)
-        off = ~jump
-        if np.any(off):
-            d = np.asarray(self.source.derivative(np.maximum(t_sol[off], 1e-300)), dtype=float)
-            slope[off] = c * d / (1.0 + d)
-        return r_sol.reshape(t.shape)[()], slope.reshape(t.shape)[()]
 
     @property
     def value_at_1(self) -> float:
-        # the endpoint pair (1, psi(1)) of _solve_many: bitwise value(1.0), no solve
+        # the endpoint convention of _eval: bitwise value(1.0), no solve
         return self.source.value_at_1
 
     @property

@@ -1,11 +1,11 @@
 """Cusp profiles: positive, increasing, left-continuous functions on (0, 1].
 
 A profile psi describes the opening radius of an outward cuspidal domain.
-Analytic kinds (power, linear) carry their Lipschitz constant; step and
-tabulated kinds are left-continuous step functions, never interpolated
-between breakpoints, so jump semantics stay exact.  A table carries no
-Lipschitz constant, so the extension always straightens it first; its
-doubling constant is derived from its rows.
+Analytic kinds (power, linear) carry their Lipschitz constant and slope;
+step and tabulated kinds are left-continuous step functions, never
+interpolated between breakpoints, so jump semantics stay exact.  A table
+carries neither, so the extension always straightens it first, onto a
+PiecewiseLinearProfile; its doubling constant is derived from its rows.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class CuspProfile(ABC):
         """psi(t) for an array t already inside (0, 1]."""
         return self.value(t)
 
-    @abstractmethod
     def derivative(self, t):
-        """psi'(t) in closed form; a table's is 0, its jumps having measure zero."""
+        """psi'(t) in closed form, which only the Lipschitz kinds have."""
+        raise NotImplementedError(f"a {self.kind} profile has no closed-form slope")
 
     def scaled(self, factor: float) -> "CuspProfile":
         """Profile with all values multiplied by ``factor`` > 0."""
@@ -86,7 +86,7 @@ class CuspProfile(ABC):
         return float(self.value(1.0))
 
     def value_and_derivative(self, t):
-        """(psi(t), psi'(t)); a re-profiled cusp reads both from one solve."""
+        """(psi(t), psi'(t)), for the kinds that have a slope."""
         return self.value(t), self.derivative(t)
 
     def breakpoints(self) -> np.ndarray:
@@ -225,12 +225,40 @@ class StepProfile(CuspProfile):
     def breakpoints(self):
         return self.breaks[:-1].copy()
 
-    def derivative(self, t):
-        # flat between breakpoints; the jumps themselves have measure zero
-        return np.zeros_like(_check_t(t))
-
     def __repr__(self):
         return f"StepProfile(kind={self.kind!r}, nodes={self.breaks.size})"
+
+
+class PiecewiseLinearProfile(CuspProfile):
+    """Continuous profile through (vertices[k], heights[k]), both ascending from 0.
+
+    ``slopes[k]``, the exact slope on (vertices[k], vertices[k + 1]], is
+    given, not divided out, so the Lipschitz constant is its largest bitwise.
+    ``np.interp`` returns a vertex's height exactly; there are no jumps.
+    """
+
+    kind = "piecewise-linear"
+
+    def __init__(self, vertices, heights, slopes, doubling_constant: float):
+        self.vertices, self.heights, self.slopes = vertices, heights, slopes
+        self.doubling_constant = doubling_constant
+
+    def value(self, t):
+        return self._eval(_check_t(t))
+
+    def _eval(self, t):
+        return np.interp(t, self.vertices, self.heights)
+
+    def derivative(self, t):
+        # t in (0, 1] lies on the piece k with vertices[k] < t <= vertices[k + 1]
+        return self.slopes[np.searchsorted(self.vertices[1:-1], _check_t(t), side="left")]
+
+    @property
+    def lipschitz_constant(self):
+        return float(np.max(self.slopes))
+
+    def __repr__(self):
+        return f"PiecewiseLinearProfile(vertices={self.vertices.size})"
 
 
 class _ScaledView(CuspProfile):

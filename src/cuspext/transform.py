@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import Check
 from .geometry import DomainSpec, contains_with_margin
-from .lipschitzify import LipschitzizedProfile
+from .lipschitzify import reprofile
 
 # Sampling box covering all four regions after normalization.
 BOX_T = (-1.0, 4.0)
@@ -204,12 +204,11 @@ def sample_domain(spec: DomainSpec, count: int, rng: np.random.Generator) -> np.
 def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int) -> ImageCheckResult:
     """Check the transform maps the domain onto its Lipschitz twin.
 
-    Membership on the twin side evaluates the re-profiled radius with
-    the hat solver, so assertions allow an IMAGE_BAND margin: failures
+    Membership on the twin side evaluates the re-profiled radius
+    (``reprofile``), so assertions allow an IMAGE_BAND margin: failures
     are only counted outside a band-width boundary layer.
     """
-    hat = LipschitzizedProfile(spec.psi)
-    hat_spec = DomainSpec(spec.n, hat)
+    hat_spec = DomainSpec(spec.n, reprofile(spec.psi))
     rng = np.random.default_rng(rng_seed)
 
     z = sample_domain(spec, sample_count, rng)

@@ -11,7 +11,15 @@ from cuspext.errors import ConvergenceError, ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
-from cuspext.lipschitzify import FIRST_CLOSING_ITER, LAST_CLOSING_ITER, SOLVE_TOL, _solve_many
+from cuspext.lipschitzify import (
+    FIRST_CLOSING_ITER,
+    LAST_CLOSING_ITER,
+    SOLVE_TOL,
+    LipschitzizedProfile,
+    _solve_bisect,
+    hat_values,
+    reprofile,
+)
 from cuspext.profiles import _T_EPS, StepProfile, save_profile_csv
 from cuspext.quadrature import Slab, _weighted_p_sum, build_nodes
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
@@ -57,10 +65,30 @@ def profile_to_csv_text(profile: StepProfile) -> str:
     return buf.getvalue()
 
 
+# the dyadic staircase: breakpoints 2^-k under values 0.25 * 4^-k, k = 60 ... 0
+DYADIC_STAIRCASE = StepProfile(2.0 ** -np.arange(60, -1, -1), 0.25 * 4.0 ** -np.arange(60, -1, -1))
+
+
 def hat_pair(psi, t_hat: float):
-    """(t, r, on_jump) of the boundary pair t + r = (1 + psi(1)) t_hat, from one solve."""
-    t_sol, r_sol, jump = _solve_many(psi, np.atleast_1d(float(t_hat)))
-    return float(t_sol[0]), float(r_sol[0]), bool(jump[0])
+    """(t, r, on_jump) of the boundary pair t + r = c t_hat, with c = 1 + psi(1).
+
+    A linear profile is its own re-profiling and pairs t_hat with itself;
+    a source with the bisection view reads the pair from ``_solve_bisect``.
+    A table's hat alternates pieces: piece 2i climbs across the jump at the
+    break before row i (at t = 0 for row 0), and piece 2i + 1 holds row
+    i's value, where t = c t_hat - r.
+    """
+    t_hat = float(t_hat)
+    r, hat = hat_values(psi, t_hat), reprofile(psi)  # hat_values rejects t_hat outside (0, 1]
+    if hat is psi:
+        return t_hat, r, False
+    if isinstance(hat, LipschitzizedProfile):
+        t_sol, r_sol, jump = _solve_bisect(psi, np.array([t_hat]), psi.value_at_1)
+        return float(t_sol[0]), float(r_sol[0]), bool(jump[0])
+    k = int(np.searchsorted(hat.vertices[1:-1], t_hat))
+    if k % 2:
+        return (1.0 + psi.value_at_1) * t_hat - r, r, False
+    return (float(psi.breaks[k // 2 - 1]) if k else 0.0), r, True
 
 
 def region_tube(t0: float, t1: float, radius: float) -> tuple:
@@ -371,18 +399,7 @@ def one_phase_solve_bisect(psi, t_hats):
     psi_lo = _one_phase_psi(psi, lo)
     t_sol = lo.copy()
     on_jump = targets - (lo + psi_lo) > SOLVE_TOL
-    if np.any(on_jump):
-        breaks = psi.breakpoints()
-        if breaks.size:
-            idx = np.searchsorted(breaks, lo[on_jump])
-            for cand in (idx - 1, idx):
-                ok = (cand >= 0) & (cand < breaks.size)
-                b = np.where(ok, breaks[np.clip(cand, 0, breaks.size - 1)], np.nan)
-                snap = ok & (np.abs(b - lo[on_jump]) <= SOLVE_TOL)
-                sub = t_sol[on_jump]
-                sub[snap] = b[snap]
-                t_sol[on_jump] = sub
-        t_sol[on_jump & (lo <= 1e-17)] = 0.0
+    t_sol[on_jump & (lo <= 1e-17)] = 0.0
     # r = psi(t) off a jump; target - t on jump gaps and at t = 0
     return t_sol, np.where(on_jump | (lo <= 0.0), targets - t_sol, psi_lo), on_jump
 

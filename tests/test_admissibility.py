@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    DYADIC_STAIRCASE,
     inverted_power_cusp_admissible,
     mechanism_frontiers,
     spelled_out_admissible_pq,
@@ -25,7 +26,7 @@ from cuspext.admissibility import (
     thresholds,
 )
 from cuspext.geometry import gauss_rule
-from cuspext.lipschitzify import LipschitzizedProfile
+from cuspext.lipschitzify import LipschitzizedProfile, reprofile
 from cuspext.profiles import PowerProfile, StepProfile
 
 
@@ -87,6 +88,21 @@ def test_reprofiled_power_cusp_keeps_every_tail_class():
                     == check_inc1(psi, s, 3).classification), (sigma, s)
         assert (check_inc2(hat, sigma, 3, 4.0).classification
                 == check_inc2(psi, sigma, 3, 4.0).classification), sigma
+
+
+@pytest.mark.filterwarnings("error")
+def test_reprofiled_staircase_keeps_every_tail_class():
+    # the staircase's hat holds each row's value on the row's flat piece,
+    # 0.25 * 4^-60 at t_hat = 2^-61 where target - t read 0.0, so psi and
+    # hat_psi read the same tail classes
+    psi = DYADIC_STAIRCASE
+    hat = reprofile(psi)
+    assert hat.value(2.0 ** -61) == 0.25 * 4.0 ** -60
+    for s in (1.5, 2.0, 2.5, 3.0, 4.0):
+        assert (check_inc1(hat, s, 3).classification
+                == check_inc1(psi, s, 3).classification), s
+        assert (check_inc2(hat, s, 3, 4.0).classification
+                == check_inc2(psi, s, 3, 4.0).classification), s
 
 
 class NanTip(PowerProfile):

@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from helpers import (
     unfused_straightened_input,
 )
 
-from cuspext import extension, geometry, lipschitzify, transform
+from cuspext import extension, geometry, transform
 from cuspext.errors import ProfileDomainError
 from cuspext.extension import (
     ExtensionContext,
@@ -24,7 +25,13 @@ from cuspext.extension import (
 from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
 from cuspext.lipschitzify import hat_profile
-from cuspext.profiles import CuspProfile, LinearProfile, PowerProfile, StepProfile
+from cuspext.profiles import (
+    CuspProfile,
+    LinearProfile,
+    PowerProfile,
+    StepProfile,
+    load_profile_csv,
+)
 from cuspext.transform import sample_domain
 from cuspext import verify
 
@@ -305,20 +312,13 @@ def test_extension_analytic_gradient_all_regions(pow_ctx, name):
     assert np.max(np.linalg.norm(ana - num, axis=1) / scale) <= 1e-5
 
 
-def _hat_kinks(step):
-    """t_hat where the re-profiled step switches between a jump and a flat."""
-    c = 1.0 + step.values[-1]
-    b, v = step.breaks[:-1], step.values
-    return np.concatenate([[v[0]], b + v[:-1], b + v[1:]]) / c
-
-
 def _straightened_samples(conj, seed=0):
-    """Interior points of every extension region, clear of every kink."""
+    """Interior points of every extension region, clear of every kink of the hat."""
     rng = np.random.default_rng(seed)
     hat = conj.hat_context.spec.psi
     psi1 = conj.hat_context.spec.psi1
     t = rng.uniform(0.05, 0.95, 200)
-    t = t[np.min(np.abs(t[:, None] - _hat_kinks(hat.source)[None, :]), axis=1) > 1e-4]
+    t = t[np.min(np.abs(t[:, None] - hat.vertices[None, :]), axis=1) > 1e-4]
     th = rng.uniform(0.0, 2.0 * np.pi, t.size)
     rings = [(t, frac * hat.value(t)) for frac in (0.6, 1.5)]  # cusp core, collar
     for lo, hi in ((1.1, 1.9), (2.1, 2.9)):  # tube and end cap
@@ -343,12 +343,15 @@ def test_straightened_gradient_matches_oracle(psi, name):
     assert np.max(np.linalg.norm(ana - num, axis=1) / scale) <= 1e-6
 
 
+# the profiles whose straightened route has a slope: a linear profile is its own
+# re-profiling and a table's is piecewise linear; psi(1) = 0.9 of the normalized step
+# makes the route rescale radially
 GUARD_PROFILES = {
-    "power": PowerProfile(2.0),
     "linear": LinearProfile(0.25),
     "step": StepProfile([0.5, 1.0], [0.1, 0.2]),
     "tabulated": hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20)),
-    "scaled": CuspProfile.scaled(StepProfile([0.5, 1.0], [0.1, 0.2]), 0.5),
+    "csv": load_profile_csv(io.StringIO("breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n")),
+    "normalized-step": StepProfile([0.3, 1.0], [0.4, 0.9]),
 }
 
 
@@ -366,13 +369,13 @@ def test_every_library_field_has_gradient_on_both_routes(kind):
             assert np.all(np.isfinite(eu.grad(z))), (kind, name)
 
 
-@pytest.mark.parametrize("psi", [StepProfile([0.5, 1.0], [0.1, 0.2]), PowerProfile(2.0)],
-                         ids=["two-step", "power"])
+@pytest.mark.parametrize("psi", [StepProfile([0.5, 1.0], [0.1, 0.2]),
+                                 StepProfile([0.3, 1.0], [0.4, 0.9])],
+                         ids=["two-step", "normalized-step"])
 def test_straightened_collar_values_do_not_depend_on_batch(psi):
-    # the hat profile's values can depend on its batch (the power hat's
-    # bisection near the tip does), so the collar reads it only on cusp
-    # points: tube-collar and end-cap points sharing the call must leave
-    # E(u) and grad E(u) at tip cusp-collar points bitwise unchanged
+    # the collar reads the hat profile only on cusp points: tube-collar and
+    # end-cap points sharing the call must leave E(u) and grad E(u) at tip
+    # cusp-collar points bitwise unchanged
     conj = extend_general(psi, 3)
     eu = conj.hat_field(make_field("wave", 3))
     hat = conj.hat_context.spec.psi
@@ -509,17 +512,17 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
     counted(extension, "inverse_map")
     counted(extension, "_inverse_branches")
     counted(transform, "_inverse_branches")  # where inverse_map looks it up
-    counted(lipschitzify, "_solve_many")
-    for eu, spec, solves in ((direct, POW_SPEC, 0), (conj.hat_field(u), conj.hat_context.spec, 1)):
+    counted(CuspProfile, "value_and_derivative")
+    for eu, spec in ((direct, POW_SPEC), (conj.hat_field(u), conj.hat_context.spec)):
         z = _mixed_points(spec, 2000, seed=13)
         no_cap = z[classify_extension_region(spec, z) != ExtRegion.END_CAP]
         calls.clear()
         eu.value_and_grad(no_cap)
-        # R and R' of every cusp point come from one hat solve
-        assert calls["classify_extension_region"] == 1 and calls["_solve_many"] == solves
+        # R and R' of every cusp point come from one profile read
+        assert calls["classify_extension_region"] == 1 and calls["value_and_derivative"] == 1
         calls.clear()
-        eu.value_and_grad(z)  # the end cap's mirror images take one more
-        assert calls["classify_extension_region"] == 2 and calls["_solve_many"] == solves
+        eu.value_and_grad(z)  # the end cap's mirror images take one more, off the cusp
+        assert calls["classify_extension_region"] == 2 and calls["value_and_derivative"] == 1
     calls.clear()
     conj.hat_input(u).value_and_grad(z)
     # one branch split per point serves the inverse map and its partials

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fd_oracle import central_difference
-from helpers import hat_pair, one_phase_solve_bisect, profile_to_csv_text
+from helpers import DYADIC_STAIRCASE, hat_pair, one_phase_solve_bisect, profile_to_csv_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from cuspext.lipschitzify import (
     hat_profile,
     hat_values,
     quotient_hypothesis_holds,
+    reprofile,
     verify_doubling_transfer,
     verify_monotone_quotient,
 )
@@ -28,6 +29,17 @@ from cuspext.profiles import (
 
 TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2])
 
+
+def random_table(rows, seed):
+    """A table with breaks and values drawn uniform, as the doubling-transfer tests draw them."""
+    rng = np.random.default_rng(seed)
+    breaks = np.append(np.sort(rng.uniform(0.01, 0.99, rows - 1)), 1.0)
+    return StepProfile(breaks, np.sort(rng.uniform(1e-3, 1.0, rows)), kind="tabulated")
+
+
+ORACLE_TABLES = {"two-step": TWO_STEP, "random-41": random_table(41, 7),
+                 "staircase": DYADIC_STAIRCASE}
+
 # bisection oracle for psi = t^2, t_hat = 1/2: t + t^2 = 1 has the positive
 # root (sqrt(5) - 1)/2, so the re-profiled value is (3 - sqrt(5))/2
 T_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -35,7 +47,7 @@ R_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def bisect(psi, ts):
-    """The generic solver as ``_solve_many`` calls it, with psi(1) read once."""
+    """The generic solver as the bisection view calls it, with psi(1) read once."""
     return _solve_bisect(psi, ts, psi.value_at_1)
 
 
@@ -53,6 +65,7 @@ def test_hat_linear_fixed_point_exact():
     assert np.array_equal(hat_values(lin, grid), lin.value(grid))
     t, _, on_jump = hat_pair(lin, 0.37)
     assert t == 0.37 and not on_jump
+    assert reprofile(lin) is lin  # a linear profile is its own re-profiling
 
 
 def test_hat_step_jump_gap():
@@ -69,6 +82,7 @@ def test_hat_step_jump_gap():
 
 
 def test_generic_bisection_matches_step_fast_path():
+    # the bisection of a table against the pairs read off its piecewise-linear hat
     ts = np.linspace(0.05, 0.999, 97)
     t_f, r_f, j_f = (np.empty(97), np.empty(97), np.empty(97, dtype=bool))
     for i, t in enumerate(ts):
@@ -77,6 +91,42 @@ def test_generic_bisection_matches_step_fast_path():
     assert np.max(np.abs(t_b - t_f)) <= 1e-11
     assert np.max(np.abs(r_b - r_f)) <= 1e-11
     assert np.array_equal(j_b, j_f)
+    ts = np.concatenate([np.geomspace(1e-20, 1.0, 200), np.linspace(0.001, 0.999, 200)])
+    for table in ORACLE_TABLES.values():
+        assert np.max(np.abs(bisect(table, ts)[1] - reprofile(table).value(ts))) <= 1e-11
+
+
+def mp_table_hat(psi, t_hat, mpmath):
+    """r of t + r = c t_hat for a table, in exact arithmetic, with c = 1 + psi(1) as a float.
+
+    psi is extended by zero for t <= 0.  r fills the jump at a row's left
+    end b when b + psi(b) < target <= b + psi(b+), and is the row's value
+    where the target lands on the row.
+    """
+    target = mpmath.mpf(1.0 + psi.value_at_1) * mpmath.mpf(t_hat)
+    left = mpmath.mpf(0)
+    for b, v in zip(psi.breaks, psi.values):
+        if target <= left + mpmath.mpf(v):
+            return target - left
+        if target <= mpmath.mpf(b) + mpmath.mpf(v):
+            return mpmath.mpf(v)
+        left = mpmath.mpf(b)
+    return mpmath.mpf(psi.values[-1])  # c t_hat past g(1) = 1 + psi(1) in exact arithmetic
+
+
+@pytest.mark.parametrize("table", sorted(ORACLE_TABLES))
+def test_table_hat_matches_mpmath_down_to_the_tip(table):
+    # a row's height is read off the table, so the staircase keeps 0.25 * 4^-60
+    # at t_hat = 2^-61, where the step solve's target - t read 0.0
+    mpmath = pytest.importorskip("mpmath")
+    psi = ORACLE_TABLES[table]
+    rng = np.random.default_rng(21)
+    ts = np.concatenate([10.0 ** rng.uniform(-40.0, 0.0, 300), rng.uniform(1e-3, 1.0, 100),
+                         [1e-300, 2.0 ** -61, 1.0]])
+    got = reprofile(psi).value(ts)
+    with mpmath.workdps(50):
+        want = np.array([float(mp_table_hat(psi, x, mpmath)) for x in ts])
+    assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
 class EvalLog(PowerProfile):
@@ -470,14 +520,14 @@ def test_lipschitzized_value_at_1_needs_no_solve(source, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("psi(1) of the hat profile ran a boundary-pair solve")
 
-    monkeypatch.setattr(lipschitzify, "_solve_many", no_solve)
-    assert hat.value_at_1 == at_end  # bitwise: the endpoint convention of _solve_many
+    monkeypatch.setattr(lipschitzify, "_solve_bisect", no_solve)
+    assert hat.value_at_1 == at_end  # bitwise: the view's endpoint convention
     assert hat.lipschitz_constant == 1.0 + at_end
 
 
-@pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
+@pytest.mark.parametrize("source", [TWO_STEP], ids=["step"])
 def test_lipschitzized_derivative_matches_oracle(source):
-    hat = LipschitzizedProfile(source)
+    hat = reprofile(source)
     t = np.geomspace(1e-4, 0.99, 60)
     # the step source's re-profiling kinks where jumps and flats meet:
     # t_hat = 0.1/1.2 (end of the t -> 0 jump), 0.6/1.2 and 0.7/1.2
@@ -488,36 +538,19 @@ def test_lipschitzized_derivative_matches_oracle(source):
 
 
 def test_lipschitzized_derivative_closed_forms():
-    c = 1.0 + TWO_STEP.value_at_1
-    hat = LipschitzizedProfile(TWO_STEP)
-    # the t -> 0 jump and the jump at t = 1/2 climb at exactly 1 + psi(1)
-    assert hat.derivative(1e-9) == c
-    assert hat.derivative(0.55) == c
-    assert hat.derivative(0.3) == 0.0  # flat on a step
-    # smooth source: (1 + psi(1)) psi'(t) / (1 + psi'(t)) at the pair's t
-    d = 2.0 * hat_pair(PowerProfile(2.0), 0.5)[0]
-    assert LipschitzizedProfile(PowerProfile(2.0)).derivative(0.5) \
-        == pytest.approx(2.0 * d / (1.0 + d), rel=1e-12)
-
-
-@pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
-def test_lipschitzized_value_and_derivative_share_one_solve(source, monkeypatch):
-    hat = LipschitzizedProfile(source)
-    t = np.concatenate([np.geomspace(1e-6, 1.0, 81), [0.5, 0.3, 1.0]]).reshape(3, 28)
-    want = hat.value(t), hat.derivative(t)
-    solves = []
-    real = lipschitzify._solve_many
-
-    def counted(*args):
-        solves.append(args[1].size)
-        return real(*args)
-
-    monkeypatch.setattr(lipschitzify, "_solve_many", counted)
-    value, slope = hat.value_and_derivative(t)
-    assert solves == [t.size]
-    assert np.array_equal(value, want[0]) and np.array_equal(slope, want[1])
-    assert value.shape == slope.shape == t.shape
-    assert hat.value_and_derivative(0.3) == (hat.value(0.3), hat.derivative(0.3))
+    for psi in ORACLE_TABLES.values():
+        c = 1.0 + psi.value_at_1
+        hat = reprofile(psi)
+        assert hat.lipschitz_constant == c  # bitwise
+        assert hat.breakpoints().size == 0 and hat.value_at_1 == psi.value_at_1
+        # the t -> 0 jump and each jump between rows climb at exactly 1 + psi(1), where
+        # a float lies between its vertices; each row is flat, at the row's value
+        lo, hi = hat.vertices[:-1:2], hat.vertices[1::2]
+        mid = 0.5 * (lo + hi)
+        assert np.all(hat.derivative(mid[(lo < mid) & (mid < hi)]) == c)
+        flats = 0.5 * (hat.vertices[1::2] + hat.vertices[2::2])
+        assert np.all(hat.derivative(flats) == 0.0)
+        assert np.array_equal(hat.value(flats), psi.values)
 
 
 _RUNS = np.repeat(np.geomspace(1e-5, 1.0, 40), 25)  # a quadrature-like t column
@@ -536,16 +569,13 @@ PER_PAIR_INPUTS = {
 @pytest.mark.parametrize("case", sorted(PER_PAIR_INPUTS))
 def test_per_pair_run_collapse_matches_unique(source, case):
     # every abscissa is solved where it stands, repeats included, with no run
-    # collapse: each value and slope is bitwise that of its abscissa solved alone
+    # collapse: each value is bitwise that of its abscissa solved alone
     hat, t = LipschitzizedProfile(source), PER_PAIR_INPUTS[case]
-    alone = {x: hat.value_and_derivative(np.array([x])) for x in np.unique(t)}
-    value, slope = hat.value_and_derivative(t)
-    assert np.shape(value) == np.shape(slope) == np.shape(t)
-    for got, k in ((value, 0), (slope, 1)):
-        want = np.array([alone[x][k][0] for x in np.reshape(t, -1)]).reshape(np.shape(t))
-        assert np.array_equal(got, want)
-    read = hat.value(t)
-    assert np.shape(read) == np.shape(t) and np.array_equal(read, value)
+    alone = {x: hat.value(np.array([x])) for x in np.unique(t)}
+    value = hat.value(t)
+    assert np.shape(value) == np.shape(t)
+    want = np.array([alone[x][0] for x in np.reshape(t, -1)]).reshape(np.shape(t))
+    assert np.array_equal(value, want)
 
 
 def test_quotient_hypothesis():
