@@ -457,37 +457,36 @@ TINY_EXTEND = {
 }
 
 
-@pytest.mark.parametrize("profile", [
-    {"kind": "power", "exponent": 1000.0, "coeff": 0.25},
-], ids=["power-1000"])
-def test_seam_cap_of_a_vanishing_tip_exits_numeric_error(tmp_path, capsys, profile):
+def _tip_table(tip):
+    return {"kind": "step", "breakpoints": [0.5, 1.0], "values": [tip, 0.2]}
+
+
+@pytest.mark.parametrize("profile, code", [
+    ({"kind": "power", "exponent": 1000.0, "coeff": 0.25}, 4),
+    (_tip_table(1e-300), 0),
+    (_tip_table(1e-17), 0),
+], ids=["power-1000", "step-1e-300", "step-1e-17"])
+def test_seam_cap_of_a_vanishing_tip_exits_numeric_error(tmp_path, capsys, profile, code):
     # psi reads 0.0 at t = 0.05: the seam cap's slope term has no finite
-    # value, and no seam check may pass against an infinite cap
+    # value, and no seam check may pass against an infinite cap. A table's
+    # tip does not vanish: the hat holds the first row's value on its flat
+    # piece, so it reads 1e-300 (or 1e-17) at t = 0.05, the seam cap is
+    # finite, the collar keeps its width and every check passes
     cfg = {"command": "extend-verify", "profile": profile, "seed": 3, "extend": TINY_EXTEND}
-    code, _ = run(tmp_path, cfg)
+    assert run(tmp_path, cfg)[0] == code
     err = capsys.readouterr().err
-    assert code == 4
-    assert "numeric error" in err and "psi(0.05) = 0.0" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("tip", [1e-300, 1e-17], ids=["1e-300", "1e-17"])
-def test_tip_table_extends_with_every_check_true(tmp_path, capsys, tip):
-    # the hat holds the first row's value on its flat piece, so it reads tip, not
-    # 0.0, at t = 0.05: the seam cap is finite and the collar keeps its width
-    profile = {"kind": "step", "breakpoints": [0.5, 1.0], "values": [tip, 0.2]}
-    cfg = {"command": "extend-verify", "profile": profile, "seed": 3, "extend": TINY_EXTEND}
-    code, out = run(tmp_path, cfg)
-    checks = json.loads((out / "extend_report.json").read_text())["checks"]
-    assert code == 0 and checks and all(checks.values())
-    assert "Traceback" not in capsys.readouterr().err
+    if code:
+        assert "numeric error" in err and "psi(0.05) = 0.0" in err
+    else:
+        checks = json.loads((tmp_path / "out" / "extend_report.json").read_text())["checks"]
+        assert err == "" and checks and all(checks.values())
 
 
 def test_tip_table_doubling_ratio_is_its_rows_ratio(tmp_path):
     # hat values at t and 2t are the rows' 1e-17 and 0.2 exactly, so the ratio is
     # the rows' constant; target - t read 0.0 there, and the ratio NaN
-    profile = {"kind": "step", "breakpoints": [0.5, 1.0], "values": [1e-17, 0.2]}
-    code, out = run(tmp_path, dict(BASE_LIP, profile=profile))
+    code, out = run(tmp_path, dict(BASE_LIP, profile=_tip_table(1e-17)))
     transfer = json.loads((out / "lipschitzify_report.json").read_text())["doubling_transfer"]
     assert code == 0 and transfer["ok"]
     assert transfer["max_ratio"] == transfer["bound"] == 0.2 / 1e-17
@@ -682,15 +681,19 @@ def test_table_doubling_bound_comes_from_its_rows(tmp_path, declared):
      "lipschitzify.grid_start: hat value 0.0 at t_hat = 1e-200 has underflowed"),
     ({"command": "extend-verify", "profile": {"kind": "power", "exponent": 1000.0, "coeff": 0.25},
       "seed": 3, "extend": TINY_EXTEND}, 4, "psi(0.05) = 0.0"),
+    # exited 4 with psi(0.05) = 0.0 while the table's hat cancelled to 0.0 at its tip
+    ({"command": "extend-verify", "profile": _tip_table(1e-300), "seed": 3,
+      "extend": TINY_EXTEND}, 0, None),
 ], ids=["sweep-start-rounds-to-1", "sweep-stop-overflows-the-grid", "lipschitzify-hat-underflow",
-        "extend-power-1000"])
+        "extend-power-1000", "extend-step-1e-300"])
 def test_edge_configs_end_in_an_exit_code_with_a_field_level_message(tmp_path, capsys, cfg,
                                                                      code, field):
-    # exit 0, 2, 3 or 4 with a message naming the field, never a traceback; a
-    # RuntimeWarning fails the test (pyproject.toml)
+    # exit 2, 3 or 4 with a message naming the field, or exit 0 with no
+    # message at all, never a traceback; a RuntimeWarning fails the test
+    # (pyproject.toml)
     assert run(tmp_path, cfg)[0] == code
     err = capsys.readouterr().err
-    assert field in err
+    assert (field in err) if code else (err == "")
     assert "Traceback" not in err
 
 
