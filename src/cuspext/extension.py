@@ -242,8 +242,9 @@ def extend_lipschitz(ctx: ExtensionContext, u: ScalarField, inner=None) -> Scala
     pulled-back points, through ``inner`` when given: then the field
     extended is u o inner.  When the field carries an analytic gradient,
     the extension carries the chain-rule gradient too (it is exact off
-    the seam set, which has measure zero; every profile has a closed-form
-    slope), and ``value_and_grad`` returns both from one pass.
+    the seam set, which has measure zero; every profile a route hands it
+    has a closed-form slope, which the bisection view has not), and
+    ``value_and_grad`` returns both from one pass.
     """
 
     def evaluate(Z, with_grad):

@@ -13,8 +13,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import NotNormalizedError, ProfileDomainError
-from .profiles import CuspProfile
+from .errors import NotNormalizedError, ProfileDomainError, ProfileFormatError
+from .profiles import CuspProfile, StepProfile
 
 # The domain is the cusp {0 < t <= 1, |x| < psi(t)} joined to the tube
 # {1 <= t < 2, |x| < psi(1)}; the origin is its only singular boundary point.
@@ -201,14 +201,15 @@ def collar_radius(spec: DomainSpec, t, with_slope: bool = False):
 
     The profile sees only the points with 0 < t <= 1, its domain.
     ``with_slope`` returns (R, R'), with R' = 0 off the cusp, from one
-    profile read; only a profile with a closed-form slope has R'.
+    value and one slope read; only a profile with a closed-form slope
+    has R'.
     """
     t = np.asarray(t, dtype=float)
     cusp = (t > 0.0) & (t <= 1.0)
     R, dR = np.empty(t.shape), (np.zeros(t.shape) if with_slope else None)
     if np.any(cusp):
         if with_slope:
-            R[cusp], dR[cusp] = spec.psi.value_and_derivative(t[cusp])
+            R[cusp], dR[cusp] = spec.psi.value(t[cusp]), spec.psi.derivative(t[cusp])
         else:
             R[cusp] = spec.psi.value(t[cusp])
     if not np.all(cusp):
@@ -308,10 +309,16 @@ def normalize(spec: DomainSpec):
     Returns (normalized spec, scale factor).  Identity when
     psi(1) <= 1/4 already; otherwise the profile is multiplied by
     1/(4 psi(1)), giving psi(1) = 1/4 exactly.  The factor maps domain
-    points via (t, x) -> (t, scale * x).
+    points via (t, x) -> (t, scale * x).  A table whose first row would
+    underflow to 0 under it raises ProfileFormatError naming that row.
     """
     psi1 = spec.psi1
     if psi1 <= 0.25:
         return spec, 1.0
     scale = 1.0 / (4.0 * psi1)
+    # the rows ascend, so row 0 is the first to underflow
+    if isinstance(spec.psi, StepProfile) and not spec.psi.values[0] * scale > 0.0:
+        raise ProfileFormatError(f"profile.values: row 0 = {float(spec.psi.values[0])!r} "
+                                 f"underflows to 0.0 under the normalizing factor "
+                                 f"1/(4 psi(1)) = {scale!r}")
     return DomainSpec(spec.n, spec.psi.scaled(scale)), scale

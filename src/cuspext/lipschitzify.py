@@ -2,14 +2,13 @@
 
 For a profile psi the map g(t) = t + psi(t) is strictly increasing but
 may jump.  Solving t + r = (1 + psi(1)) * t_hat for the boundary pair
-(t, r), with r filling the jump gap [psi(t), psi(t+)] when the target
-lands inside one, produces a new profile hat_psi(t_hat) = r that is
-Lipschitz with constant 1 + psi(1): the jump intervals are traversed
-with slope exactly 1 + psi(1), and continuity stretches move slower.
+(t, r) produces a new profile hat_psi(t_hat) = r that is Lipschitz with
+constant 1 + psi(1): each jump of psi becomes a piece of slope exactly
+1 + psi(1), and continuity stretches move slower.
 
-psi is extended by zero for t <= 0, so targets below inf g resolve to a
-jump pair at t = 0 and hat_psi stays positive all the way down.
-``reprofile`` reads hat_psi in closed form where it can, else by bisection.
+``reprofile`` owns the jumps: a table's hat is piecewise linear, read off
+its rows, and a linear profile is its own.  Only a continuous source gets
+the bisection view, which solves g(t) = target for t and reads r = psi(t).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import Check, ConvergenceError, ProfileDomainError, ProfileFormatError
 from .profiles import CuspProfile, LinearProfile, PiecewiseLinearProfile, StepProfile, _check_t
 
-SOLVE_TOL = 1e-12  # the on-jump test and the check slacks
+SOLVE_TOL = 1e-12  # the check slacks' allowance for solver error
 LIPSCHITZ_SLACK_TOLS = 2.0  # each hat value carries up to SOLVE_TOL of solver error
 QUOTIENT_REL_SLACK = 1e-9  # the share of a quotient that a later one may drop by
 # Halving [0, 1] k times leaves brackets exactly 2^-k wide (every sum
@@ -37,17 +36,6 @@ LAST_CLOSING_ITER = sys.float_info.mant_dig - sys.float_info.min_exp
 _DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, FIRST_CLOSING_ITER))
 
 
-def _psi_values(psi: CuspProfile, t: np.ndarray) -> np.ndarray:
-    """psi(t), with the zero extension psi(t) = 0 for t <= 0; g(t) is t + psi(t)."""
-    if t.size and t.min() > 0.0:  # NaN fails the comparison
-        return psi.value(t)
-    out = np.zeros(t.shape)
-    pos = t > 0.0
-    if np.any(pos):
-        out[pos] = psi.value(t[pos])
-    return out
-
-
 def _g_finite(gm: np.ndarray, mid: np.ndarray) -> None:
     """Raise ConvergenceError at the first midpoint where g is not finite."""
     if not np.isfinite(gm).all():
@@ -56,14 +44,13 @@ def _g_finite(gm: np.ndarray, mid: np.ndarray) -> None:
                                bracket=(float(bad), float(bad)))
 
 
-def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
-    """Vectorized bisection of g on [0, 1]; handles jump gaps.
+def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float) -> np.ndarray:
+    """The boundary pair's t of each t_hat: the floor of its closed bracket of g on [0, 1].
 
-    Bisection is the only safe choice here: g is monotone but need not
-    be continuous, so derivative-based methods can cycle across a jump.
-    An element stops once no float lies strictly inside its bracket;
-    further halving could not move it, so each result is independent of
-    the rest of the batch.  ``psi1`` is psi(1), read once by the caller.
+    Bisection needs only that g is monotone.  An element stops once no
+    float lies strictly inside its bracket; further halving could not
+    move it, so each result is independent of the rest of the batch.
+    ``psi1`` is psi(1), read once by the caller.
 
     The halvings run in two phases with the bits of plain bisection,
     mid = (lo + hi) / 2.  After k halvings every bracket is
@@ -72,9 +59,7 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     and the update lo += 2^-k * (g(mid) <= target) are both exact, and
     no bracket can stop yet (FIRST_CLOSING_ITER).  The closing phase
     starts from the exact hi = lo + 2^-52 and carries only the live
-    elements, compacted, writing lo back when its element stops.  No
-    bracket ends wider than 2^-52, far inside SOLVE_TOL, so a residual
-    above SOLVE_TOL means the bracket closed on a jump of psi.
+    elements, compacted, writing lo back when its element stops.
 
     The closing halvings stay exact: while a float lies strictly inside
     [lo, lo + 2^-k], either lo = 0 or the bracket lies in one binade
@@ -87,8 +72,7 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     ``psi._eval``, since every midpoint lies in (0, 1] whatever the
     targets: in the dyadic phase lo is a multiple of 2 * step below 1,
     so step <= mid <= 1 - step, and in the closing phase the bracket is
-    open, so 0 <= lo < mid < hi <= 1.  Only the final read at lo, which
-    may be 0, goes through ``_psi_values``.
+    open, so 0 <= lo < mid < hi <= 1.
     """
     targets = (1.0 + psi1) * t_hats
     tg_flat = targets.reshape(-1)
@@ -120,16 +104,7 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float):
     if at.size:
         raise ConvergenceError(f"bracket still open after halving {LAST_CLOSING_ITER}",
                                bracket=(float(lo_l[0]), float(hi_l[0])))
-    lo = lo_flat.reshape(targets.shape)
-    psi_lo = _psi_values(psi, lo)
-    t_sol = lo.copy()
-    on_jump = targets - (lo + psi_lo) > SOLVE_TOL
-    # targets below inf g resolve to the zero-extension jump at t = 0
-    t_sol[on_jump & (lo <= 1e-17)] = 0.0
-    # off a jump r = psi(t) keeps its relative accuracy at the tip, where target - t
-    # cancels; r = target - t fills jump gaps and the zero extension at t = 0
-    r_sol = np.where(on_jump | (lo <= 0.0), targets - t_sol, psi_lo)
-    return t_sol, r_sol, on_jump
+    return lo_flat.reshape(targets.shape)
 
 
 def reprofile(psi: CuspProfile) -> CuspProfile:
@@ -140,7 +115,8 @@ def reprofile(psi: CuspProfile) -> CuspProfile:
     b_i, values v_i): slope c from (0, 0) to (v_0/c, v_0), then v_i held
     up to (b_i + v_i)/c and slope c across the jump at b_i up to
     ((b_i + v_(i+1))/c, v_(i+1)); a row's height is its value exactly.
-    Any other profile gets the bisection view.
+    So the tables own every jump: any other profile gets the bisection
+    view, which takes continuous sources only.
     """
     if isinstance(psi, LinearProfile):
         return psi
@@ -190,18 +166,22 @@ def hat_profile(psi: CuspProfile, grid) -> StepProfile:
 
 
 class LipschitzizedProfile(CuspProfile):
-    """The bisection view of the re-profiled cusp: values only.
+    """The bisection view of a continuous source's re-profiling: values only.
 
-    Evaluation solves the boundary pair of every query point, repeats
-    included; each solve is independent of the rest of the batch.  Left
-    and right limits coincide: the function is Lipschitz with constant
-    1 + psi(1).  It has no slope; tables and linear profiles, whose hats
-    a command differentiates, get closed forms from ``reprofile``.
+    Evaluation solves the boundary pair's t of every query point, repeats
+    included, and reads r = psi(t); each solve is independent of the rest
+    of the batch.  The function is Lipschitz with constant 1 + psi(1) and
+    has no slope.  A source that jumps is rejected: tables, whose hats a
+    command differentiates, get closed forms from ``reprofile``.
     """
 
     kind = "lipschitzized"
 
     def __init__(self, source: CuspProfile):
+        if source.breakpoints().size:
+            raise ProfileFormatError(f"the bisection view needs a continuous source, but this "
+                                     f"{source.kind} profile jumps at t = "
+                                     f"{float(source.breakpoints()[0])!r}")
         self.source = source
         self.doubling_constant = max(2.0, source.doubling_constant)
 
@@ -209,9 +189,13 @@ class LipschitzizedProfile(CuspProfile):
         return self._eval(_check_t(t))
 
     def _eval(self, t):
-        # one bisection per point, and the endpoint convention hat_psi(1) = psi(1)
+        # r = psi(t) at each point's own bisection, with the endpoint convention
+        # hat_psi(1) = psi(1); a bracket that closes at 0 leaves r = c t_hat, the target
         t, psi1 = np.asarray(t, dtype=float), self.source.value_at_1
-        r_sol = np.where(t == 1.0, psi1, _solve_bisect(self.source, t, psi1)[1])
+        t_sol = _solve_bisect(self.source, t, psi1)
+        at_0 = t_sol == 0.0
+        r_sol = self.source._eval(np.where(at_0, 1.0, t_sol))  # every read inside (0, 1]
+        r_sol = np.where(t == 1.0, psi1, np.where(at_0, (1.0 + psi1) * t, r_sol))
         return r_sol if t.ndim else float(r_sol)
 
     @property

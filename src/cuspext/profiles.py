@@ -85,10 +85,6 @@ class CuspProfile(ABC):
         """psi(1), read once per profile object (profiles are not mutated)."""
         return float(self.value(1.0))
 
-    def value_and_derivative(self, t):
-        """(psi(t), psi'(t)), for the kinds that have a slope."""
-        return self.value(t), self.derivative(t)
-
     def breakpoints(self) -> np.ndarray:
         """Interior jump locations (empty for continuous kinds)."""
         return np.empty(0)

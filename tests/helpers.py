@@ -73,7 +73,8 @@ def hat_pair(psi, t_hat: float):
     """(t, r, on_jump) of the boundary pair t + r = c t_hat, with c = 1 + psi(1).
 
     A linear profile is its own re-profiling and pairs t_hat with itself;
-    a source with the bisection view reads the pair from ``_solve_bisect``.
+    a continuous source with the bisection view reads t from
+    ``_solve_bisect`` and r from the view, and lands on no jump.
     A table's hat alternates pieces: piece 2i climbs across the jump at the
     break before row i (at t = 0 for row 0), and piece 2i + 1 holds row
     i's value, where t = c t_hat - r.
@@ -83,8 +84,7 @@ def hat_pair(psi, t_hat: float):
     if hat is psi:
         return t_hat, r, False
     if isinstance(hat, LipschitzizedProfile):
-        t_sol, r_sol, jump = _solve_bisect(psi, np.array([t_hat]), psi.value_at_1)
-        return float(t_sol[0]), float(r_sol[0]), bool(jump[0])
+        return float(_solve_bisect(psi, np.array([t_hat]), psi.value_at_1)[0]), r, False
     k = int(np.searchsorted(hat.vertices[1:-1], t_hat))
     if k % 2:
         return (1.0 + psi.value_at_1) * t_hat - r, r, False
@@ -370,8 +370,8 @@ def _one_phase_g(psi, t):
     return t + _one_phase_psi(psi, t)
 
 
-def one_phase_solve_bisect(psi, t_hats):
-    """The generic hat solve with one bisection loop from halving 1 on."""
+def one_phase_bracket_floor(psi, t_hats):
+    """The floor of each closed bracket of g, with one bisection loop from halving 1 on."""
     targets = (1.0 + psi.value_at_1) * t_hats
     lo, hi = np.zeros(targets.shape), np.ones(targets.shape)
     lo_flat, hi_flat = lo.reshape(-1), hi.reshape(-1)
@@ -396,6 +396,17 @@ def one_phase_solve_bisect(psi, t_hats):
         if not at.size:
             break
     lo_flat[at], hi_flat[at] = lo_l, hi_l
+    return lo
+
+
+def one_phase_solve_bisect(psi, t_hats):
+    """(t, r, on_jump) of the jump-aware hat solve on ``one_phase_bracket_floor``'s brackets.
+
+    psi is extended by zero for t <= 0, so targets below inf g resolve to
+    a jump pair at t = 0; r fills the jump gap a target lands in.
+    """
+    targets = (1.0 + psi.value_at_1) * t_hats
+    lo = one_phase_bracket_floor(psi, t_hats)
     psi_lo = _one_phase_psi(psi, lo)
     t_sol = lo.copy()
     on_jump = targets - (lo + psi_lo) > SOLVE_TOL

@@ -671,6 +671,9 @@ def test_table_doubling_bound_comes_from_its_rows(tmp_path, declared):
     assert report["checks"]["doubling_transfer_ok"] is True
 
 
+UNDERFLOWING_TABLE = {"kind": "step", "breakpoints": [1e-300, 1.0], "values": [1e-300, 1e300]}
+
+
 @pytest.mark.parametrize("cfg, code, field", [
     # s_start > 1 passed the range check, but the grid's first row rounds to 1.0
     (_sweep(s_start=1.0000000000004), 3, "sweep.s_start: 1.0000000000004 rounds to 1.0"),
@@ -684,8 +687,16 @@ def test_table_doubling_bound_comes_from_its_rows(tmp_path, declared):
     # exited 4 with psi(0.05) = 0.0 while the table's hat cancelled to 0.0 at its tip
     ({"command": "extend-verify", "profile": _tip_table(1e-300), "seed": 3,
       "extend": TINY_EXTEND}, 0, None),
+    # a valid table whose row 0 underflows under the normalizing factor 1/(4 psi(1));
+    # the message named row 0 of the rescaled table, whose value read 0.0
+    ({"command": "transform-verify", "profile": UNDERFLOWING_TABLE, "seed": 1}, 3,
+     "profile.values: row 0 = 1e-300 underflows to 0.0 under the normalizing factor "
+     "1/(4 psi(1)) = 2.5e-301"),
+    ({"command": "extend-verify", "profile": UNDERFLOWING_TABLE, "seed": 1,
+      "extend": TINY_EXTEND}, 3, "profile.values: row 0 = 1e-300 underflows"),
 ], ids=["sweep-start-rounds-to-1", "sweep-stop-overflows-the-grid", "lipschitzify-hat-underflow",
-        "extend-power-1000", "extend-step-1e-300"])
+        "extend-power-1000", "extend-step-1e-300", "transform-normalization-underflow",
+        "extend-normalization-underflow"])
 def test_edge_configs_end_in_an_exit_code_with_a_field_level_message(tmp_path, capsys, cfg,
                                                                      code, field):
     # exit 2, 3 or 4 with a message naming the field, or exit 0 with no

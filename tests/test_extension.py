@@ -26,8 +26,8 @@ from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
 from cuspext.lipschitzify import hat_profile
 from cuspext.profiles import (
-    CuspProfile,
     LinearProfile,
+    PiecewiseLinearProfile,
     PowerProfile,
     StepProfile,
     load_profile_csv,
@@ -512,17 +512,18 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
     counted(extension, "inverse_map")
     counted(extension, "_inverse_branches")
     counted(transform, "_inverse_branches")  # where inverse_map looks it up
-    counted(CuspProfile, "value_and_derivative")
+    counted(PowerProfile, "derivative")  # the direct route's profile
+    counted(PiecewiseLinearProfile, "derivative")  # the two-step profile's hat
     for eu, spec in ((direct, POW_SPEC), (conj.hat_field(u), conj.hat_context.spec)):
         z = _mixed_points(spec, 2000, seed=13)
         no_cap = z[classify_extension_region(spec, z) != ExtRegion.END_CAP]
         calls.clear()
         eu.value_and_grad(no_cap)
-        # R and R' of every cusp point come from one profile read
-        assert calls["classify_extension_region"] == 1 and calls["value_and_derivative"] == 1
+        # R' of every cusp point comes from one slope read
+        assert calls["classify_extension_region"] == 1 and calls["derivative"] == 1
         calls.clear()
         eu.value_and_grad(z)  # the end cap's mirror images take one more, off the cusp
-        assert calls["classify_extension_region"] == 2 and calls["value_and_derivative"] == 1
+        assert calls["classify_extension_region"] == 2 and calls["derivative"] == 1
     calls.clear()
     conj.hat_input(u).value_and_grad(z)
     # one branch split per point serves the inverse map and its partials

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 from fd_oracle import central_difference
-from helpers import DYADIC_STAIRCASE, hat_pair, one_phase_solve_bisect, profile_to_csv_text
+from helpers import (
+    DYADIC_STAIRCASE,
+    hat_pair,
+    one_phase_bracket_floor,
+    one_phase_solve_bisect,
+    profile_to_csv_text,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +53,7 @@ R_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def bisect(psi, ts):
-    """The generic solver as the bisection view calls it, with psi(1) read once."""
+    """The boundary pairs' t as the bisection view solves them, with psi(1) read once."""
     return _solve_bisect(psi, ts, psi.value_at_1)
 
 
@@ -82,18 +88,19 @@ def test_hat_step_jump_gap():
 
 
 def test_generic_bisection_matches_step_fast_path():
-    # the bisection of a table against the pairs read off its piecewise-linear hat
+    # the jump-aware bisection of a table against the pairs read off its piecewise-linear hat
     ts = np.linspace(0.05, 0.999, 97)
     t_f, r_f, j_f = (np.empty(97), np.empty(97), np.empty(97, dtype=bool))
     for i, t in enumerate(ts):
         t_f[i], r_f[i], j_f[i] = hat_pair(TWO_STEP, t)
-    t_b, r_b, j_b = bisect(TWO_STEP, ts)
+    t_b, r_b, j_b = one_phase_solve_bisect(TWO_STEP, ts)
     assert np.max(np.abs(t_b - t_f)) <= 1e-11
     assert np.max(np.abs(r_b - r_f)) <= 1e-11
     assert np.array_equal(j_b, j_f)
     ts = np.concatenate([np.geomspace(1e-20, 1.0, 200), np.linspace(0.001, 0.999, 200)])
     for table in ORACLE_TABLES.values():
-        assert np.max(np.abs(bisect(table, ts)[1] - reprofile(table).value(ts))) <= 1e-11
+        r_b = one_phase_solve_bisect(table, ts)[1]
+        assert np.max(np.abs(r_b - reprofile(table).value(ts))) <= 1e-11
 
 
 def mp_table_hat(psi, t_hat, mpmath):
@@ -141,49 +148,56 @@ class EvalLog(PowerProfile):
         return super()._eval(t)
 
 
-def logged_solve(monkeypatch, ts):
-    """(sizes of the _eval reads, sizes of the _psi_values reads, result) of one solve."""
+def logged_solve(ts):
+    """(sizes of the _eval reads, result) of one solve."""
     psi = EvalLog()
     psi1 = psi.value_at_1
     psi.reads.clear()  # the read of psi(1) is the caller's
-    finals = []
-    real = lipschitzify._psi_values
-
-    def counted(psi, t):
-        finals.append(np.size(t))
-        return real(psi, t)
-
-    monkeypatch.setattr(lipschitzify, "_psi_values", counted)
-    out = _solve_bisect(psi, ts, psi1)
-    return psi.reads, finals, out
+    return psi.reads, _solve_bisect(psi, ts, psi1)
 
 
-def test_bisection_g_reads_are_fixed(monkeypatch):
+def test_bisection_g_reads_are_fixed():
     # the compacted loop reads g exactly as often, on exactly as many points:
-    # each halving reads _eval, and the final read of psi(lo) goes through
-    # _psi_values, whose value call is the last _eval read
-    reads, finals, _ = logged_solve(monkeypatch, np.geomspace(1e-9, 1.0, 1000))
-    assert (len(reads), sum(reads)) == (82, 67_525)
-    assert finals == reads[-1:] == [1000]
+    # each halving reads _eval once; the view then reads psi(t) once, at the floors
+    ts = np.geomspace(1e-9, 1.0, 1000)
+    reads, _ = logged_solve(ts)
+    assert (len(reads), sum(reads)) == (81, 66_525)
+    psi = EvalLog()
+    hat = LipschitzizedProfile(psi)
+    assert hat.value_at_1 == 1.0
+    psi.reads.clear()
+    hat.value(ts)
+    assert psi.reads == reads + [1000]
+
+
+def assert_same_solve(psi, ts):
+    """The bracket floors bitwise those of the one-phase loop, and a view's r its r."""
+    got, want = bisect(psi, ts), one_phase_bracket_floor(psi, ts)
+    assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if not psi.breakpoints().size:
+        # the reference's r, with the view's endpoint convention hat_psi(1) = psi(1)
+        r_want = np.where(ts == 1.0, psi.value_at_1, one_phase_solve_bisect(psi, ts)[1])
+        assert hat_values(psi, ts).tobytes() == r_want.tobytes()
 
 
 def test_bisection_result_independent_of_batch():
-    # a jump profile through the generic solver, not the step fast path
+    # the bisection itself, whose loop is the same for a jump profile
     ts = np.concatenate([np.linspace(0.01, 1.0, 150), np.geomspace(1e-12, 0.3, 50)])
-    whole = bisect(TWO_STEP, ts)
-    halves = [bisect(TWO_STEP, part) for part in (ts[::2], ts[1::2])]
-    for got, a, b in zip(whole, *halves):
-        assert got[::2].tobytes() == a.tobytes() and got[1::2].tobytes() == b.tobytes()
-    for i in (0, 77, 199):
-        single = bisect(TWO_STEP, ts[i:i + 1])
-        assert all(s[0] == w[i] for s, w in zip(single, whole))
+    for psi in (PowerProfile(2.0), TWO_STEP):
+        whole = bisect(psi, ts)
+        a, b = (bisect(psi, part) for part in (ts[::2], ts[1::2]))
+        assert whole[::2].tobytes() == a.tobytes() and whole[1::2].tobytes() == b.tobytes()
+        for i in (0, 77, 199):
+            assert bisect(psi, ts[i:i + 1])[0] == whole[i]
+        assert_same_solve(psi, ts)
 
 
 @pytest.mark.parametrize("psi", [PowerProfile(2.0), TWO_STEP], ids=["power", "two-step"])
 def test_bisection_2d_matches_flat(psi):
     ts = np.geomspace(1e-6, 1.0, 60).reshape(6, 10)
-    for got, flat in zip(bisect(psi, ts), bisect(psi, ts.ravel())):
-        assert got.shape == (6, 10) and got.ravel().tobytes() == flat.tobytes()
+    got = bisect(psi, ts)
+    assert got.shape == (6, 10) and got.ravel().tobytes() == bisect(psi, ts.ravel()).tobytes()
+    assert_same_solve(psi, ts)
     assert hat_values(psi, ts).ravel().tobytes() == hat_values(psi, ts.ravel()).tobytes()
 
 
@@ -191,12 +205,6 @@ def test_bisection_2d_matches_flat(psi):
 # 2-d, a single point, empty, and t_hat = 1 alone
 PARITY_GRIDS = [np.stack([np.geomspace(1e-12, 1.0, 40), np.linspace(0.025, 1.0, 40)]),
                 np.array([0.37]), np.empty(0), np.array([1.0])]
-
-
-def assert_same_solve(psi, ts):
-    got, want = bisect(psi, ts), one_phase_solve_bisect(psi, ts)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_two_phase_bisection_matches_one_phase_power():
@@ -242,6 +250,30 @@ class NanBelow(CuspProfile):
         return 1.0
 
 
+def test_view_values_match_one_phase_reference_bitwise():
+    # r = psi(t) at the bracket floor is the jump-aware reference's r on a power
+    # source, from the least subnormal t_hat up to the endpoint convention at 1.
+    # The last pair's g(5e-324) = 1.5e-323 rounds above its target 2.5 * 5e-324, so
+    # that bracket closes at 0, where the view returns the target c t_hat
+    ts = np.array([5e-324, 1e-323, 2.2e-308, 1e-300, 1e-200, 1e-100, 1e-20, 0.3, 0.999999, 1.0])
+    pairs = [(s, a) for s in (1.1, 2.0, 2.7, 7.3, 1000.0) for a in (1e-3, 0.25, 1.0, 3.7)]
+    for sigma, coeff in pairs + [(1.0000001, 1.5)]:
+        psi = PowerProfile(sigma, coeff)
+        t_ref, r_ref, jump = one_phase_solve_bisect(psi, ts)
+        assert not jump.any() and t_ref.tobytes() == bisect(psi, ts).tobytes()
+        r_want = np.where(ts == 1.0, psi.value_at_1, r_ref)
+        assert hat_values(psi, ts).tobytes() == r_want.tobytes(), (sigma, coeff)
+    assert t_ref[0] == 0.0 and r_ref[0] == 2.5 * 5e-324
+
+
+def test_bisection_view_rejects_jump_sources():
+    # a table's jumps are owned by its piecewise-linear hat; the view never fills a gap
+    with pytest.raises(ProfileFormatError, match="continuous source"):
+        LipschitzizedProfile(TWO_STEP)
+    with pytest.raises(ProfileFormatError, match="jumps at t = 0.5"):
+        reprofile(CuspProfile.scaled(TWO_STEP, 2.0))
+
+
 @pytest.mark.parametrize("cut, ts", [(2.0, [0.5]), (0.3, [0.01, 0.9]), (1e-20, [0.6, 1e-21])],
                          ids=["everywhere", "dyadic-phase", "closing-phase"])
 def test_two_phase_bisection_errors_match_one_phase(cut, ts):
@@ -254,10 +286,12 @@ def test_two_phase_bisection_errors_match_one_phase(cut, ts):
     assert got.value.bracket == want.value.bracket
 
 
-def test_bisection_empty_batch_runs_no_halving(monkeypatch):
-    reads, finals, (t_sol, r_sol, jump) = logged_solve(monkeypatch, np.empty((0, 3)))
-    assert (reads, finals) == ([], [0])  # only the residual read; no halving runs
-    assert t_sol.shape == r_sol.shape == jump.shape == (0, 3)
+def test_bisection_empty_batch_runs_no_halving():
+    ts = np.empty((0, 3))
+    reads, t_sol = logged_solve(ts)
+    assert reads == []  # no halving runs
+    assert t_sol.shape == (0, 3)
+    assert_same_solve(PowerProfile(2.0), ts)
 
 
 class InsideOnly:
@@ -284,10 +318,12 @@ class InsideStep(InsideOnly, StepProfile):
 ], ids=["power", "scaled-power", "scaled-two-step"])
 def test_bisection_reads_eval_only_inside_the_domain(inside, plain):
     # every midpoint lies in (0, 1], down to the subnormals that the brackets of
-    # the scaled two-step view halve to at its t = 0 jump
+    # the scaled two-step view halve to at its t = 0 jump; so does the view's read
+    # of psi at the floors
     for ts in PARITY_GRIDS + [np.array([1e-300, 1e-100, 0.05])]:
-        for got, want in zip(bisect(inside, ts), bisect(plain, ts)):
-            assert got.tobytes() == want.tobytes()
+        assert bisect(inside, ts).tobytes() == bisect(plain, ts).tobytes()
+        if not plain.breakpoints().size:
+            assert hat_values(inside, ts).tobytes() == hat_values(plain, ts).tobytes()
 
 
 def test_bracket_open_after_the_last_halving_raises(monkeypatch):
@@ -359,7 +395,7 @@ def test_hat_solve_rejects_nan(psi):
     with pytest.raises(ProfileDomainError):
         hat_pair(psi, float("nan"))
     with pytest.raises(ProfileDomainError):
-        LipschitzizedProfile(psi).value(np.array([np.nan, 0.3]))
+        reprofile(psi).value(np.array([np.nan, 0.3]))
 
 
 def test_convergence_error_carries_bracket():
@@ -510,11 +546,11 @@ def test_lipschitzized_profile_view():
     assert hat.doubling_constant == 4.0
 
 
-@pytest.mark.parametrize("source", [PowerProfile(2.0, 0.25), TWO_STEP,
-                                    CuspProfile.scaled(TWO_STEP, 0.5)],
+@pytest.mark.parametrize("source", [PowerProfile(2.0, 0.25), TWO_STEP, TWO_STEP.scaled(0.5)],
                          ids=["power", "two-step", "scaled"])
 def test_lipschitzized_value_at_1_needs_no_solve(source, monkeypatch):
-    hat = LipschitzizedProfile(source)
+    # the view of a power source and the piecewise-linear hat of a table alike
+    hat = reprofile(source)
     at_end = hat.value(1.0)
 
     def no_solve(*args, **kwargs):
@@ -568,9 +604,10 @@ PER_PAIR_INPUTS = {
 @pytest.mark.parametrize("source", [PowerProfile(2.0), TWO_STEP], ids=["power", "step"])
 @pytest.mark.parametrize("case", sorted(PER_PAIR_INPUTS))
 def test_per_pair_run_collapse_matches_unique(source, case):
-    # every abscissa is solved where it stands, repeats included, with no run
-    # collapse: each value is bitwise that of its abscissa solved alone
-    hat, t = LipschitzizedProfile(source), PER_PAIR_INPUTS[case]
+    # every abscissa is read where it stands, repeats included, with no run
+    # collapse: each value of the view (power) and of a table's piecewise-linear
+    # hat (step) is bitwise that of its abscissa read alone
+    hat, t = reprofile(source), PER_PAIR_INPUTS[case]
     alone = {x: hat.value(np.array([x])) for x in np.unique(t)}
     value = hat.value(t)
     assert np.shape(value) == np.shape(t)
