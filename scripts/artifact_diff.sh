@@ -15,11 +15,12 @@
 # the block size, an n = 4 extend-verify on Monte Carlo nodes, lipschitzify
 # on a power cusp with grids from 1e-12 and from 1e-100 (the hat solve's
 # closing phase at the tip), lipschitzify on t^1.05 from 1e-300 (the only
-# run whose hat values are subnormal, 2.07e-315 first), five edge configs
+# run whose hat values are subnormal, 2.07e-315 first), eight edge configs
 # that end in exit 3 (a sweep whose first row rounds to 1.0, a sweep whose
 # grid would overflow, lipschitzify on t^2 from 1e-200, where the hat
-# underflows, and transform-verify and extend-verify on a table whose row 0
-# underflows under the normalizing factor 1/(4 psi(1))), two tip
+# underflows, transform-verify and extend-verify on a table whose row 0
+# underflows under the normalizing factor 1/(4 psi(1)), and three runs with
+# psi(1) = 1e308, where that factor underflows to 0), two tip
 # tables (the two-step rows with psi = 1e-17 on the first, through
 # lipschitzify and extend-verify, and the 61-row dyadic staircase, through
 # lipschitzify and transform-verify), and small
@@ -126,8 +127,10 @@ printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 1.0
     > "$work/configs/lipschitzify-power-subnormal-1e-300.json"
 # edge configs whose exit code is compared: a sweep start that rounds to 1.0 at
 # 12 decimals, a sweep grid past the power exponents' bound, a hat that
-# underflows to 0 at the grid's first point, and a table whose row 0 underflows
-# under the normalizing factor, through transform-verify and extend-verify
+# underflows to 0 at the grid's first point, a table whose row 0 underflows
+# under the normalizing factor, through transform-verify and extend-verify, and
+# profiles with psi(1) = 1e308, whose factor 1/(4 psi(1)) underflows to 0: a
+# table through both commands and a power cusp through transform-verify
 printf '{"command": "admissibility-sweep", "n": 3, "seed": 0, "sweep": {"p": 4.0, "q": 2.0, "s_start": 1.0000000000004}}\n' \
     > "$work/configs/sweep-start-rounds-to-1.json"
 printf '{"command": "admissibility-sweep", "n": 3, "seed": 0, "sweep": {"p": 4.0, "q": 2.0, "s_start": 1.1, "s_stop": 1e300, "s_step": 1e299}}\n' \
@@ -135,10 +138,15 @@ printf '{"command": "admissibility-sweep", "n": 3, "seed": 0, "sweep": {"p": 4.0
 printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 2.0}, "n": 3, "seed": 1, "lipschitzify": {"grid_start": 1e-200}}\n' \
     > "$work/configs/lipschitzify-power-underflow-1e-200.json"
 underflowing='{"kind": "step", "breakpoints": [1e-300, 1.0], "values": [1e-300, 1e300]}'
+overflowing='{"kind": "step", "breakpoints": [0.5, 1.0], "values": [1.0, 1e308]}'
 for command in transform-verify extend-verify; do
     printf '{"command": "%s", "profile": %s, "n": 3, "seed": 1}\n' "$command" "$underflowing" \
         > "$work/configs/$command-normalization-underflow.json"
+    printf '{"command": "%s", "profile": %s, "n": 3, "seed": 1}\n' "$command" "$overflowing" \
+        > "$work/configs/$command-psi1-overflow-step.json"
 done
+printf '{"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1e308}, "n": 3, "seed": 1}\n' \
+    > "$work/configs/transform-verify-psi1-overflow-power.json"
 # the two-step profile on the straightened route, at two q: one slice table per field and q
 printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0], [4.0, 1.5]], "functions": ["constant", "wave"], %s}}\n' \
     "$step" "$small_extend" > "$work/configs/extend-two-step-two-q.json"

@@ -21,8 +21,13 @@
 # when the change won at least 9/10 of the pairs and the medians differ by
 # more than the base's interquartile range, "worse than bound" when the
 # change's median is worse than the base's by more than the metric's bound
-# (a share of the base's median), else "no claim".  Exits 0 when every run is
-# "correct", 1 when one is not or fails, and 2 on a usage error.  PYTHON
+# (a share of the base's median), else "no claim".  The last line is one
+# JSON object, the record of the comparison: every pair's two result objects
+# (run.py's last lines) and which side ran first, each metric's summary and
+# verdict, both commits (the working tree's HEAD, and whether src/,
+# perfbench/ or BENCHMARK.json differ from it), the interpreter's Python and
+# numpy versions, nproc and PYTHONDONTWRITEBYTECODE.  Exits 0 when every run
+# is "correct", 1 when one is not or fails, and 2 on a usage error.  PYTHON
 # overrides the interpreter (default python3); BENCH_SECONDS overrides
 # run_seconds, for a short smoke run only, never for a claim.
 set -euo pipefail
@@ -73,12 +78,19 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
+head=$(git -C "$root" rev-parse HEAD)
+dirty=$(git -C "$root" status --porcelain -- src perfbench BENCHMARK.json)
 echo "$workload, seed $seed, $pairs pairs of $seconds s runs, side run first alternating"
 echo "base $base against the working tree (change)"
-"$python" - "$root/BENCHMARK.json" "$work" "$pairs" <<'EOF'
+"$python" - "$root/BENCHMARK.json" "$work" "$pairs" "$workload" "$seed" "$seconds" "$base" \
+    "$head" "${dirty:+true}" <<'EOF'
 import json
+import os
+import platform
 import statistics
 import sys
+
+import numpy as np
 
 bench, work, pairs = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
 runs = {side: [json.load(open(f"{work}/{side}-{i}.json")) for i in range(pairs)]
@@ -108,6 +120,7 @@ def verdict(base, change, wins, sign, bound):
 
 
 ok = all(run["correct"] is True for side in runs.values() for run in side)
+summary = {}
 for metric in bench["end_to_end"]:
     name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
     try:
@@ -117,9 +130,24 @@ for metric in bench["end_to_end"]:
         print(f"{name}: missing from a run")
         continue
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    summary[name] = {side: dict(zip(("q1", "median", "q3"), quartiles(values)))
+                     for side, values in (("base", base), ("change", change))}
+    summary[name].update(change_won=wins, verdict=verdict(base, change, wins, sign,
+                                                          metric["bound"]))
     print(f"{name} ({metric['unit']}, median [quartiles]): base {spread(base)}"
-          f"  change {spread(change)}  change won {wins}/{pairs}: "
-          f"{verdict(base, change, wins, sign, metric['bound'])}")
+          f"  change {spread(change)}  change won {wins}/{pairs}: {summary[name]['verdict']}")
 print("every run correct" if ok else "a run was not correct")
+workload, seed, seconds, base_sha, head, dirty = sys.argv[4:10]
+print(json.dumps({
+    "workload": workload, "seed": int(seed), "pairs": pairs, "seconds": float(seconds),
+    "base_commit": base_sha, "change_commit": head, "change_dirty": dirty == "true",
+    "python": platform.python_version(), "numpy": np.__version__,
+    "nproc": len(os.sched_getaffinity(0)),
+    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    "every_run_correct": ok, "metrics": summary,
+    "pair_results": [{"first": "base" if i % 2 == 0 else "change",
+                      "base": runs["base"][i], "change": runs["change"][i]}
+                     for i in range(pairs)],
+}))
 sys.exit(0 if ok else 1)
 EOF

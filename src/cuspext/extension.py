@@ -44,16 +44,14 @@ class ExtensionContext:
                              "build one with lipschitzify first")
 
 
-def _split_collar(ctx: ExtensionContext, z, R=None):
+def _split_collar(ctx: ExtensionContext, z, R):
     """(t, x, |x|, R(t), reflection, cut-off) of collar points, checked against its closure.
 
     The reflection fixes t and maps the radius r to 1.5 R - 0.5 r, with
-    R = psi(min(t, 1)); the cut-off is the affine weight 2 - r/R.  A
-    caller that has R(t) already passes it as ``R``.
+    R = psi(min(t, 1)) the collar radius at the points, which the caller
+    passes; the cut-off is the affine weight 2 - r/R.
     """
     t, x, r = geometry.split(z, ctx.spec.n)
-    if R is None:
-        R = geometry.collar_radius(ctx.spec, t)
     bad = (t <= 0.0) | (t > 2.0) | (r < R * (1.0 - 1e-12)) | (r > 2.0 * R * (1.0 + 1e-12))
     if np.any(bad):
         raise ProfileDomainError("point outside the collar closure")

@@ -309,13 +309,18 @@ def normalize(spec: DomainSpec):
     Returns (normalized spec, scale factor).  Identity when
     psi(1) <= 1/4 already; otherwise the profile is multiplied by
     1/(4 psi(1)), giving psi(1) = 1/4 exactly.  The factor maps domain
-    points via (t, x) -> (t, scale * x).  A table whose first row would
-    underflow to 0 under it raises ProfileFormatError naming that row.
+    points via (t, x) -> (t, scale * x).  A psi(1) from 4.5e307 up, where
+    4 psi(1) overflows and the factor reads 0, raises ProfileFormatError
+    naming psi(1) and the factor; so does a table whose first row would
+    underflow to 0 under the factor, naming that row.
     """
     psi1 = spec.psi1
     if psi1 <= 0.25:
         return spec, 1.0
     scale = 1.0 / (4.0 * psi1)
+    if not scale > 0.0:
+        raise ProfileFormatError(f"profile: psi(1) = {psi1!r} is too large to normalize: "
+                                 f"the factor 1/(4 psi(1)) underflows to {scale!r}")
     # the rows ascend, so row 0 is the first to underflow
     if isinstance(spec.psi, StepProfile) and not spec.psi.values[0] * scale > 0.0:
         raise ProfileFormatError(f"profile.values: row 0 = {float(spec.psi.values[0])!r} "

@@ -36,21 +36,51 @@ LAST_CLOSING_ITER = sys.float_info.mant_dig - sys.float_info.min_exp
 _DYADIC_STEPS = np.ldexp(1.0, -np.arange(1, FIRST_CLOSING_ITER))
 
 
-def _g_finite(gm: np.ndarray, mid: np.ndarray) -> None:
-    """Raise ConvergenceError at the first midpoint where g is not finite."""
+def _read_runs(psis, x: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """psis[i]._eval on profile i's own run of x, in place order.
+
+    x[j] belongs to position at[j] of a flat stack of rows ``width``
+    long; ``at`` ascends, so each row's entries form one contiguous run
+    of x.  A single profile's run is x whole, read without a split; an
+    empty run is not read.
+    """
+    if len(psis) == 1:
+        return psis[0]._eval(x)
+    cuts = np.searchsorted(at, np.arange(len(psis) + 1) * width).tolist()
+    out = np.empty_like(x)
+    for psi, lo, hi in zip(psis, cuts, cuts[1:]):
+        if lo < hi:
+            out[lo:hi] = psi._eval(x[lo:hi])
+    return out
+
+
+def _g(psis, mid: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """g = t + psi(t) at the midpoints; ConvergenceError at the first where it is not finite."""
+    gm = mid + _read_runs(psis, mid, at, width)
     if not np.isfinite(gm).all():
         bad = mid[~np.isfinite(gm)][0]
         raise ConvergenceError(f"non-finite profile value near t={bad}",
                                bracket=(float(bad), float(bad)))
+    return gm
 
 
-def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float) -> np.ndarray:
+def _solve_bisect(psis, t_hats: np.ndarray, psi1s) -> np.ndarray:
     """The boundary pair's t of each t_hat: the floor of its closed bracket of g on [0, 1].
 
+    ``t_hats`` has one row per profile of ``psis``, and ``psi1s`` holds
+    their psi(1), read once by the caller; row i solves g = t + psis[i](t).
     Bisection needs only that g is monotone.  An element stops once no
     float lies strictly inside its bracket; further halving could not
-    move it, so each result is independent of the rest of the batch.
-    ``psi1`` is psi(1), read once by the caller.
+    move it, so each result is independent of the rest of the stack.
+
+    Each halving runs once over the whole stack: the midpoint, the
+    comparison, the update, the stop test and the compaction are
+    elementwise, so stacking moves no bit.  Only the profile reads are
+    per row: each profile reads its own row's run of live elements,
+    which stays contiguous because compaction keeps the flat order.  No
+    read spans two rows, so every power keeps its own scalar exponent:
+    numpy's ``**`` takes the ``np.square`` path at exactly 2.0, and one
+    array of exponents across rows would switch loops and move bits.
 
     The halvings run in two phases with the bits of plain bisection,
     mid = (lo + hi) / 2.  After k halvings every bracket is
@@ -74,25 +104,21 @@ def _solve_bisect(psi: CuspProfile, t_hats: np.ndarray, psi1: float) -> np.ndarr
     so step <= mid <= 1 - step, and in the closing phase the bracket is
     open, so 0 <= lo < mid < hi <= 1.
     """
-    targets = (1.0 + psi1) * t_hats
+    targets = (1.0 + np.asarray(psi1s, dtype=float)[:, None]) * t_hats
     tg_flat = targets.reshape(-1)
     lo_flat = np.zeros(tg_flat.shape)
+    width, at = targets.shape[1], np.arange(tg_flat.size)
     if tg_flat.size:
         for step in _DYADIC_STEPS:
             mid = lo_flat + step
-            gm = mid + psi._eval(mid)
-            _g_finite(gm, mid)
-            lo_flat += step * (gm <= tg_flat)
+            lo_flat += step * (_g(psis, mid, at, width) <= tg_flat)
     # the live elements: flat positions, brackets and targets
-    at = np.arange(tg_flat.size)
     lo_l, hi_l, tg_l = lo_flat.copy(), lo_flat + _DYADIC_STEPS[-1], tg_flat
     for _ in range(FIRST_CLOSING_ITER, LAST_CLOSING_ITER + 1):
         if not at.size:
             break
         mid = 0.5 * (lo_l + hi_l)
-        gm = mid + psi._eval(mid)
-        _g_finite(gm, mid)
-        below = gm <= tg_l
+        below = _g(psis, mid, at, width) <= tg_l
         # in place; putmask is faster here than copyto(..., where=)
         np.putmask(lo_l, below, mid)
         np.putmask(hi_l, ~below, mid)
@@ -170,9 +196,11 @@ class LipschitzizedProfile(CuspProfile):
 
     Evaluation solves the boundary pair's t of every query point, repeats
     included, and reads r = psi(t); each solve is independent of the rest
-    of the batch.  The function is Lipschitz with constant 1 + psi(1) and
-    has no slope.  A source that jumps is rejected: tables, whose hats a
-    command differentiates, get closed forms from ``reprofile``.
+    of the batch.  A batch is the one-row case of ``_stacked_values``,
+    which solves many views' rows at once.  The function is Lipschitz
+    with constant 1 + psi(1) and has no slope.  A source that jumps is
+    rejected: tables, whose hats a command differentiates, get closed
+    forms from ``reprofile``.
     """
 
     kind = "lipschitzized"
@@ -189,13 +217,8 @@ class LipschitzizedProfile(CuspProfile):
         return self._eval(_check_t(t))
 
     def _eval(self, t):
-        # r = psi(t) at each point's own bisection, with the endpoint convention
-        # hat_psi(1) = psi(1); a bracket that closes at 0 leaves r = c t_hat, the target
-        t, psi1 = np.asarray(t, dtype=float), self.source.value_at_1
-        t_sol = _solve_bisect(self.source, t, psi1)
-        at_0 = t_sol == 0.0
-        r_sol = self.source._eval(np.where(at_0, 1.0, t_sol))  # every read inside (0, 1]
-        r_sol = np.where(t == 1.0, psi1, np.where(at_0, (1.0 + psi1) * t, r_sol))
+        t = np.asarray(t, dtype=float)
+        r_sol = _stacked_values([self], t.reshape(1, -1)).reshape(t.shape)
         return r_sol if t.ndim else float(r_sol)
 
     @property
@@ -209,6 +232,24 @@ class LipschitzizedProfile(CuspProfile):
 
     def __repr__(self):
         return f"LipschitzizedProfile({self.source!r})"
+
+
+def _stacked_values(views, t_hats: np.ndarray) -> np.ndarray:
+    """Row i of ``t_hats`` through bisection view i, all rows in one stacked solve.
+
+    r = psi(t) at each point's bracket floor, read per row as the solve
+    reads g, with the endpoint convention hat_psi(1) = psi(1); a bracket
+    that closes at 0 leaves r = c t_hat, the target.
+    """
+    sources = [view.source for view in views]
+    psi1s = np.array([psi.value_at_1 for psi in sources])
+    t_sol = _solve_bisect(sources, t_hats, psi1s)
+    at_0 = t_sol == 0.0
+    reads = np.where(at_0, 1.0, t_sol).reshape(-1)  # every read inside (0, 1]
+    r_sol = _read_runs(sources, reads, np.arange(reads.size), t_hats.shape[1])
+    r_sol = r_sol.reshape(t_hats.shape)
+    psi1s = psi1s[:, None]
+    return np.where(t_hats == 1.0, psi1s, np.where(at_0, (1.0 + psi1s) * t_hats, r_sol))
 
 
 def quotient_hypothesis_holds(psi: CuspProfile, grid) -> bool:
@@ -236,14 +277,31 @@ def verify_monotone_quotient(psi: CuspProfile, grid) -> MonotoneQuotientResult:
     hypothesis dependence rather than a solver defect.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
-    q = hat_values(psi, grid) / grid
-    drop = q[1:] < q[:-1] * (1.0 - QUOTIENT_REL_SLACK) - SOLVE_TOL
+    q, drop = _quotient_drops(hat_values(psi, grid), grid)
     if np.any(drop):
         i = int(np.argmax(drop))
         return MonotoneQuotientResult(
             False, (float(grid[i]), float(grid[i + 1]), float(q[i]), float(q[i + 1]))
         )
     return MonotoneQuotientResult(True, None)
+
+
+def monotone_quotient_ok(psis, grid) -> np.ndarray:
+    """``verify_monotone_quotient(psi, grid).ok`` of each profile, from one stacked solve.
+
+    Each profile must be one that ``reprofile`` gives the bisection view,
+    as the power cusps of an admissibility sweep are.
+    """
+    grid = np.sort(_check_t(grid))
+    views = [LipschitzizedProfile(psi) for psi in psis]
+    hats = _stacked_values(views, np.broadcast_to(grid, (len(views), grid.size)))
+    return ~_quotient_drops(hats, grid)[1].any(axis=-1)
+
+
+def _quotient_drops(hats: np.ndarray, grid: np.ndarray):
+    """(q, drop): q = hat/t along the last axis, and where each next q drops past the slacks."""
+    q = hats / grid
+    return q, q[..., 1:] < q[..., :-1] * (1.0 - QUOTIENT_REL_SLACK) - SOLVE_TOL
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def hat_pair(psi, t_hat: float):
     if hat is psi:
         return t_hat, r, False
     if isinstance(hat, LipschitzizedProfile):
-        return float(_solve_bisect(psi, np.array([t_hat]), psi.value_at_1)[0]), r, False
+        return float(_solve_bisect([psi], np.array([[t_hat]]), [psi.value_at_1])[0, 0]), r, False
     k = int(np.searchsorted(hat.vertices[1:-1], t_hat))
     if k % 2:
         return (1.0 + psi.value_at_1) * t_hat - r, r, False

@@ -9,7 +9,7 @@ from helpers import (
     spelled_out_admissible_pq,
 )
 
-from cuspext import admissibility
+from cuspext import admissibility, lipschitzify
 from cuspext.admissibility import (
     CONVERGENT,
     DIVERGENT,
@@ -26,7 +26,7 @@ from cuspext.admissibility import (
     thresholds,
 )
 from cuspext.geometry import gauss_rule
-from cuspext.lipschitzify import LipschitzizedProfile, reprofile
+from cuspext.lipschitzify import LipschitzizedProfile, reprofile, verify_monotone_quotient
 from cuspext.profiles import PowerProfile, StepProfile
 
 
@@ -302,6 +302,25 @@ def test_vectorised_panels_equal_per_panel_loop(monkeypatch, check, args, breaks
     assert check(psi, *args) == want  # every TailCheck field, exactly
     [(got_panels, want_panels)] = pairs
     assert np.array_equal(got_panels, want_panels)
+
+
+def test_sweep_solves_every_hypothesis_row_in_one_stacked_solve(monkeypatch):
+    # one boundary-pair solve for the whole sweep, not one per row, and each
+    # row's hypothesis_ok that of the one-profile check on the sweep's grid
+    real, solves = lipschitzify._solve_bisect, []
+
+    def counted(psis, t_hats, psi1s):
+        solves.append(len(psis))
+        return real(psis, t_hats, psi1s)
+
+    monkeypatch.setattr(lipschitzify, "_solve_bisect", counted)
+    rows = sweep_power_cusp(3, 4.0, 2.0, np.arange(1.1, 4.05, 0.1))
+    assert solves == [len(rows)] == [30]
+    monkeypatch.undo()
+    grid = np.geomspace(1e-4, 1.0, 24)
+    assert {2.0, 2.5} <= {row["sigma"] for row in rows}
+    assert [row["hypothesis_ok"] for row in rows] == [
+        verify_monotone_quotient(PowerProfile(row["sigma"]), grid).ok for row in rows]
 
 
 def test_sweep_builds_the_gauss_rule_once(monkeypatch):

@@ -672,6 +672,9 @@ def test_table_doubling_bound_comes_from_its_rows(tmp_path, declared):
 
 
 UNDERFLOWING_TABLE = {"kind": "step", "breakpoints": [1e-300, 1.0], "values": [1e-300, 1e300]}
+OVERFLOWING_TABLE = {"kind": "step", "breakpoints": [0.5, 1.0], "values": [1.0, 1e308]}
+_PSI1_OVERFLOW = ("profile: psi(1) = 1e+308 is too large to normalize: "
+                  "the factor 1/(4 psi(1)) underflows to 0.0")
 
 
 @pytest.mark.parametrize("cfg, code, field", [
@@ -694,9 +697,17 @@ UNDERFLOWING_TABLE = {"kind": "step", "breakpoints": [1e-300, 1.0], "values": [1
      "1/(4 psi(1)) = 2.5e-301"),
     ({"command": "extend-verify", "profile": UNDERFLOWING_TABLE, "seed": 1,
       "extend": TINY_EXTEND}, 3, "profile.values: row 0 = 1e-300 underflows"),
+    # from psi(1) = 4.5e307 up 4 psi(1) overflows and the factor reads 0.0: the messages
+    # named the rescaled coeff 0.0, or row 0 = 1.0 of a table that does not underflow
+    ({"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1e308},
+      "seed": 1}, 3, _PSI1_OVERFLOW),
+    ({"command": "transform-verify", "profile": OVERFLOWING_TABLE, "seed": 1}, 3, _PSI1_OVERFLOW),
+    ({"command": "extend-verify", "profile": OVERFLOWING_TABLE, "seed": 1,
+      "extend": TINY_EXTEND}, 3, _PSI1_OVERFLOW),
 ], ids=["sweep-start-rounds-to-1", "sweep-stop-overflows-the-grid", "lipschitzify-hat-underflow",
         "extend-power-1000", "extend-step-1e-300", "transform-normalization-underflow",
-        "extend-normalization-underflow"])
+        "extend-normalization-underflow", "transform-power-psi1-overflow",
+        "transform-step-psi1-overflow", "extend-step-psi1-overflow"])
 def test_edge_configs_end_in_an_exit_code_with_a_field_level_message(tmp_path, capsys, cfg,
                                                                      code, field):
     # exit 2, 3 or 4 with a message naming the field, or exit 0 with no

@@ -64,33 +64,38 @@ def test_a_table_is_always_straightened(psi):
     assert extend(psi, 3).frame == "straightened"
 
 
+def split_collar(ctx, z):
+    """_split_collar at one point, with the collar radius at its t passed explicitly."""
+    return _split_collar(ctx, z, geometry.collar_radius(ctx.spec, z[0]))
+
+
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
 def test_collar_reflection_and_cutoff(lin_ctx, t):
     # one collar over cusp and tube: R(t) = psi(min(t, 1)) = 0.25 min(t, 1)
     R = 0.25 * min(t, 1.0)
-    mid = _split_collar(lin_ctx, [t, 1.5 * R, 0.0])[4]
+    mid = split_collar(lin_ctx, [t, 1.5 * R, 0.0])[4]
     assert np.linalg.norm(mid[1:]) == pytest.approx(0.75 * R)
-    inner = _split_collar(lin_ctx, [t, R * (1 + 1e-13), 0.0])[4]
+    inner = split_collar(lin_ctx, [t, R * (1 + 1e-13), 0.0])[4]
     assert np.linalg.norm(inner[1:]) == pytest.approx(R, rel=1e-9)
-    outer = _split_collar(lin_ctx, [t, 2 * R * (1 - 1e-13), 0.0])[4]
+    outer = split_collar(lin_ctx, [t, 2 * R * (1 - 1e-13), 0.0])[4]
     assert np.linalg.norm(outer[1:]) == pytest.approx(R / 2, rel=1e-9)
     assert mid[0] == t  # axial coordinate preserved
-    assert _split_collar(lin_ctx, [t, R, 0.0])[5] == pytest.approx(1.0)
-    assert _split_collar(lin_ctx, [t, 1.5 * R, 0.0])[5] == pytest.approx(0.5)
-    assert _split_collar(lin_ctx, [t, 2 * R, 0.0])[5] == pytest.approx(0.0)
+    assert split_collar(lin_ctx, [t, R, 0.0])[5] == pytest.approx(1.0)
+    assert split_collar(lin_ctx, [t, 1.5 * R, 0.0])[5] == pytest.approx(0.5)
+    assert split_collar(lin_ctx, [t, 2 * R, 0.0])[5] == pytest.approx(0.0)
     for bad in ([t, 3 * R, 0.0], [t, 0.5 * R, 0.0], [2.5, 1.5 * R, 0.0]):
         with pytest.raises(ProfileDomainError):
-            _split_collar(lin_ctx, bad)
+            split_collar(lin_ctx, bad)
 
 
 def test_cutoff_cusp_values(lin_ctx):
     t = 0.5
     pv = 0.125
-    assert _split_collar(lin_ctx, [t, pv, 0.0])[5] == pytest.approx(1.0)
-    assert _split_collar(lin_ctx, [t, 1.5 * pv, 0.0])[5] == pytest.approx(0.5)
-    assert _split_collar(lin_ctx, [t, 2 * pv, 0.0])[5] == pytest.approx(0.0)
+    assert split_collar(lin_ctx, [t, pv, 0.0])[5] == pytest.approx(1.0)
+    assert split_collar(lin_ctx, [t, 1.5 * pv, 0.0])[5] == pytest.approx(0.5)
+    assert split_collar(lin_ctx, [t, 2 * pv, 0.0])[5] == pytest.approx(0.0)
     with pytest.raises(ProfileDomainError):
-        _split_collar(lin_ctx, [1.5, 0.2, 0.0])
+        split_collar(lin_ctx, [1.5, 0.2, 0.0])
 
 
 def test_cutoff_cusp_gradient_oracle(lin_ctx):

@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 from cuspext import lipschitzify
 from cuspext.errors import ConvergenceError, ProfileDomainError, ProfileFormatError
 from cuspext.lipschitzify import (
+    FIRST_CLOSING_ITER,
     LipschitzizedProfile,
     _solve_bisect,
+    _stacked_values,
     hat_profile,
     hat_values,
+    monotone_quotient_ok,
     quotient_hypothesis_holds,
     reprofile,
     verify_doubling_transfer,
@@ -54,7 +57,7 @@ R_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 def bisect(psi, ts):
     """The boundary pairs' t as the bisection view solves them, with psi(1) read once."""
-    return _solve_bisect(psi, ts, psi.value_at_1)
+    return _solve_bisect([psi], ts.reshape(1, -1), [psi.value_at_1]).reshape(ts.shape)
 
 
 def test_hat_pair_power_oracle():
@@ -153,7 +156,7 @@ def logged_solve(ts):
     psi = EvalLog()
     psi1 = psi.value_at_1
     psi.reads.clear()  # the read of psi(1) is the caller's
-    return psi.reads, _solve_bisect(psi, ts, psi1)
+    return psi.reads, _solve_bisect([psi], ts.reshape(1, -1), [psi1]).reshape(ts.shape)
 
 
 def test_bisection_g_reads_are_fixed():
@@ -255,15 +258,39 @@ def test_view_values_match_one_phase_reference_bitwise():
     # source, from the least subnormal t_hat up to the endpoint convention at 1.
     # The last pair's g(5e-324) = 1.5e-323 rounds above its target 2.5 * 5e-324, so
     # that bracket closes at 0, where the view returns the target c t_hat
+    # The same pairs as the rows of one stack keep those bits row by row: 2.0 is
+    # the exponent at which ** squares, and 2.5 makes the tail exponent n/(s-1) 2
     ts = np.array([5e-324, 1e-323, 2.2e-308, 1e-300, 1e-200, 1e-100, 1e-20, 0.3, 0.999999, 1.0])
-    pairs = [(s, a) for s in (1.1, 2.0, 2.7, 7.3, 1000.0) for a in (1e-3, 0.25, 1.0, 3.7)]
-    for sigma, coeff in pairs + [(1.0000001, 1.5)]:
-        psi = PowerProfile(sigma, coeff)
+    pairs = [(s, a) for s in (1.1, 2.0, 2.5, 2.7, 7.3, 1000.0) for a in (1e-3, 0.25, 1.0, 3.7)]
+    psis = [PowerProfile(sigma, coeff) for sigma, coeff in pairs + [(1.0000001, 1.5)]]
+    want = []
+    for psi in psis:
         t_ref, r_ref, jump = one_phase_solve_bisect(psi, ts)
         assert not jump.any() and t_ref.tobytes() == bisect(psi, ts).tobytes()
         r_want = np.where(ts == 1.0, psi.value_at_1, r_ref)
-        assert hat_values(psi, ts).tobytes() == r_want.tobytes(), (sigma, coeff)
+        assert hat_values(psi, ts).tobytes() == r_want.tobytes(), psi
+        want.append((t_ref, r_want))
     assert t_ref[0] == 0.0 and r_ref[0] == 2.5 * 5e-324
+    stack = np.broadcast_to(ts, (len(psis), ts.size))
+    t_stack = _solve_bisect(psis, stack, [psi.value_at_1 for psi in psis])
+    r_stack = _stacked_values([LipschitzizedProfile(psi) for psi in psis], stack)
+    for psi, (t_want, r_want), t_row, r_row in zip(psis, want, t_stack, r_stack):
+        assert t_row.tobytes() == t_want.tobytes() and r_row.tobytes() == r_want.tobytes(), psi
+
+
+def test_stacked_rows_do_not_depend_on_their_neighbours():
+    # a row keeps the bits of its profile's one-row solve whichever rows share
+    # the stack and in whatever order; each row has its own points
+    rng = np.random.default_rng(28)
+    psis = [PowerProfile(s, a) for s in (1.1, 2.0, 2.5, 7.3, 1000.0) for a in (0.25, 3.7)]
+    grids = np.sort(10.0 ** rng.uniform(-300.0, 0.0, (len(psis), 31)), axis=1)
+    grids[:, -1] = 1.0
+    alone = [LipschitzizedProfile(psi).value(grid) for psi, grid in zip(psis, grids)]
+    for _ in range(12):
+        pick = rng.permutation(len(psis))[:rng.integers(1, len(psis) + 1)]
+        got = _stacked_values([LipschitzizedProfile(psis[i]) for i in pick], grids[pick])
+        for row, i in zip(got, pick):
+            assert row.tobytes() == alone[i].tobytes(), psis[i]
 
 
 def test_bisection_view_rejects_jump_sources():
@@ -292,6 +319,14 @@ def test_bisection_empty_batch_runs_no_halving():
     assert reads == []  # no halving runs
     assert t_sol.shape == (0, 3)
     assert_same_solve(PowerProfile(2.0), ts)
+    # neither does a stack of no rows, nor one whose rows have no points
+    assert _solve_bisect([], np.empty((0, 3)), []).shape == (0, 3)
+    psis = [EvalLog(), EvalLog()]
+    psi1s = [psi.value_at_1 for psi in psis]
+    for psi in psis:
+        psi.reads.clear()
+    assert _solve_bisect(psis, np.empty((2, 0)), psi1s).shape == (2, 0)
+    assert [psi.reads for psi in psis] == [[], []]
 
 
 class InsideOnly:
@@ -324,6 +359,35 @@ def test_bisection_reads_eval_only_inside_the_domain(inside, plain):
         assert bisect(inside, ts).tobytes() == bisect(plain, ts).tobytes()
         if not plain.breakpoints().size:
             assert hat_values(inside, ts).tobytes() == hat_values(plain, ts).tobytes()
+
+
+class MidLog(InsideOnly, PowerProfile):
+    """A power whose unchecked reads assert 0 < t <= 1 and keep a copy of their points."""
+
+    def __init__(self, exponent, coeff):
+        super().__init__(exponent, coeff)
+        self.reads = []
+
+    def _eval(self, t):
+        self.reads.append(np.array(t))
+        return super()._eval(t)
+
+
+def test_stacked_solve_reads_each_profile_on_its_own_row_only():
+    # in a stack, each profile reads exactly the midpoints of its one-row solve,
+    # halving by halving: its own row's, all inside (0, 1], and no more reads
+    grids = np.stack([np.geomspace(1e-12, 1.0, 40), np.linspace(0.025, 1.0, 40),
+                      np.full(40, 0.37), np.geomspace(5e-324, 1e-100, 40)])
+    params = [(2.0, 1.0), (2.5, 0.25), (7.3, 3.7), (1.0000001, 1.5)]
+    stacked, alone = [MidLog(*p) for p in params], [MidLog(*p) for p in params]
+    for psi in stacked + alone:
+        assert psi.value_at_1 > 0.0
+        psi.reads.clear()
+    _solve_bisect(stacked, grids, [psi.value_at_1 for psi in stacked])
+    for psi, solo, grid in zip(stacked, alone, grids):
+        _solve_bisect([solo], grid[None], [solo.value_at_1])
+        assert len(psi.reads) == len(solo.reads) >= FIRST_CLOSING_ITER
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(psi.reads, solo.reads))
 
 
 def test_bracket_open_after_the_last_halving_raises(monkeypatch):
@@ -630,6 +694,11 @@ def test_monotone_quotient():
     res = verify_monotone_quotient(flat, grid)
     assert not res.ok
     assert res.violation is not None
+    # the stacked check: one solve, each row's ok that of the one-profile check;
+    # a table's piecewise-linear hat is continuous, and its flats make the quotient drop
+    psis = [PowerProfile(2.0), reprofile(TWO_STEP), PowerProfile(2.5, 0.25)]
+    want = [verify_monotone_quotient(psi, grid).ok for psi in psis]
+    assert monotone_quotient_ok(psis, grid).tolist() == want == [True, False, True]
 
 
 def test_doubling_transfer():
