@@ -12,15 +12,18 @@
 # constant of 1e300, extend-verify on it with two q values (so that
 # --dump-slices writes several tables per field on the straightened route),
 # transform-verify at n = 2 and n = 4 with counts off
-# the block size, an n = 4 extend-verify on Monte Carlo nodes, lipschitzify
+# the block size, an n = 4 extend-verify on Monte Carlo nodes, n = 2
+# extend-verify on t^2 and on the two-step profile (the tensor rule's n = 2
+# directions), lipschitzify
 # on a power cusp with grids from 1e-12 and from 1e-100 (the hat solve's
 # closing phase at the tip), lipschitzify on t^1.05 from 1e-300 (the only
-# run whose hat values are subnormal, 2.07e-315 first), eight edge configs
+# run whose hat values are subnormal, 2.07e-315 first), nine edge configs
 # that end in exit 3 (a sweep whose first row rounds to 1.0, a sweep whose
 # grid would overflow, lipschitzify on t^2 from 1e-200, where the hat
 # underflows, transform-verify and extend-verify on a table whose row 0
-# underflows under the normalizing factor 1/(4 psi(1)), and three runs with
-# psi(1) = 1e308, where that factor underflows to 0), two tip
+# underflows under the normalizing factor 1/(4 psi(1)), three runs with
+# psi(1) = 1e308, where that factor underflows to 0, and extend-verify on
+# the power cusp with psi(1) = 1e308, whose Lipschitz constant is inf), two tip
 # tables (the two-step rows with psi = 1e-17 on the first, through
 # lipschitzify and extend-verify, and the 61-row dyadic staircase, through
 # lipschitzify and transform-verify), and small
@@ -147,9 +150,18 @@ for command in transform-verify extend-verify; do
 done
 printf '{"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1e308}, "n": 3, "seed": 1}\n' \
     > "$work/configs/transform-verify-psi1-overflow-power.json"
+# the direct route with a Lipschitz constant of inf, on a small scheme
+printf '{"command": "extend-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1e308}, "n": 3, "seed": 1, "extend": {%s}}\n' \
+    "$small_extend" > "$work/configs/extend-verify-psi1-overflow-power.json"
 # the two-step profile on the straightened route, at two q: one slice table per field and q
 printf '{"command": "extend-verify", "profile": %s, "n": 3, "seed": 1, "extend": {"pq": [[2.0, 1.0], [4.0, 1.5]], "functions": ["constant", "wave"], %s}}\n' \
     "$step" "$small_extend" > "$work/configs/extend-two-step-two-q.json"
+# the tensor rule at n = 2 (quadrature._slab_nodes' two directions), on the
+# direct route (t^2) and on the straightened route (the two-step profile)
+printf '{"command": "extend-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 0.25}, "n": 2, "seed": 1, "extend": {%s}}\n' \
+    "$small_extend" > "$work/configs/extend-n2-power.json"
+printf '{"command": "extend-verify", "profile": %s, "n": 2, "seed": 1, "extend": {%s}}\n' \
+    "$step" "$small_extend" > "$work/configs/extend-n2-two-step.json"
 linear='{"kind": "linear", "slope": 0.25}'
 printf '{"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1.0}, "n": 3, "seed": 1, %s}\n' \
     "$small_transform" > "$work/configs/transform-power-rescaled.json"

@@ -34,7 +34,6 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class TailCheck:
     classification: str
-    value: float | None      # partial sum, only when convergent
     partial_sum: float
 
 
@@ -64,22 +63,22 @@ def _classify_tail(arr: np.ndarray) -> TailCheck:
     # arr[i] integrates the i-th dyadic panel, moving toward the tip
     finite_sum = float(np.sum(arr[np.isfinite(arr)]))
     if np.any(~np.isfinite(arr)) or np.any(arr > _HUGE):
-        return TailCheck(DIVERGENT, None, finite_sum)
+        return TailCheck(DIVERGENT, finite_sum)
     tail = arr[-RATIO_WINDOW - 1:]
     if np.all(tail < _TINY):
         # panel masses vanished below representable size
-        return TailCheck(CONVERGENT, finite_sum, finite_sum)
+        return TailCheck(CONVERGENT, finite_sum)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = tail[1:] / tail[:-1]
     ratios = ratios[np.isfinite(ratios)]
     if ratios.size == 0:
-        return TailCheck(INCONCLUSIVE, None, finite_sum)
+        return TailCheck(INCONCLUSIVE, finite_sum)
     if np.max(ratios) <= RATIO_THRESHOLD:
-        return TailCheck(CONVERGENT, finite_sum, finite_sum)
+        return TailCheck(CONVERGENT, finite_sum)
     if np.min(ratios) >= RATIO_THRESHOLD:
         # no geometric decay: panel masses hold steady or grow
-        return TailCheck(DIVERGENT, None, finite_sum)
-    return TailCheck(INCONCLUSIVE, None, finite_sum)
+        return TailCheck(DIVERGENT, finite_sum)
+    return TailCheck(INCONCLUSIVE, finite_sum)
 
 
 def _tail_profile(psi: CuspProfile, t) -> np.ndarray:
@@ -255,7 +254,8 @@ def sweep_power_cusp(n: int, p: float, q: float, sigmas) -> list[dict]:
             "inc1_self": inc1.classification,
             "inc1_partial": inc1.partial_sum,
             "inc2_self": inc2.classification if inc2 else "",
-            "inc2_value": "" if (inc2 is None or inc2.value is None) else inc2.value,
+            "inc2_value": (inc2.partial_sum if inc2 and inc2.classification == CONVERGENT
+                           else ""),
             "s1": "" if thr.s1 is None else thr.s1,
             "s2": "" if thr.s2 is None else thr.s2,
         })

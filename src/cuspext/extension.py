@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .errors import ProfileDomainError
+from .errors import ProfileDomainError, ProfileFormatError
 from .fields import ScalarField
 from .geometry import DomainSpec, ExtRegion
 from .lipschitzify import reprofile
@@ -31,17 +31,24 @@ from .transform import _inverse_branches, forward_map, inverse_map, inverse_part
 class ExtensionContext:
     """Frozen geometry for the extension of one domain spec.
 
-    The profile must carry a finite Lipschitz constant: the collar
-    reflection distorts by the profile slope, and an unbounded slope
-    breaks the construction (re-profile first in that case).
+    The profile must carry a Lipschitz constant: the collar reflection
+    distorts by the profile slope, and an unbounded slope breaks the
+    construction (re-profile first in that case).  That constant and
+    2 psi(1), the collar's outer wall and the end cap's radius, must be
+    finite, or ProfileFormatError names the one that is not.
     """
 
     spec: DomainSpec
 
     def __post_init__(self):
-        if self.spec.psi.lipschitz_constant is None:
+        lip = self.spec.psi.lipschitz_constant
+        if lip is None:
             raise ValueError("extension requires a Lipschitz profile; "
                              "build one with lipschitzify first")
+        for name, value in (("Lipschitz constant", lip), ("2 psi(1)", 2.0 * self.spec.psi1)):
+            if not np.isfinite(value):
+                raise ProfileFormatError(f"profile: {name} = {float(value)!r} is not finite; "
+                                         f"the extension needs it finite")
 
 
 def _split_collar(ctx: ExtensionContext, z, R):
@@ -204,14 +211,22 @@ def _inverse_pullback(norm_spec: DomainSpec, scale: float):
     return pull
 
 
-def _field(name: str, n: int, evaluate, with_grad: bool) -> ScalarField:
-    """A field over (..., n) points from ``evaluate(Z, with_grad) -> (values, grads)``.
+def extend_lipschitz(ctx: ExtensionContext, u: ScalarField, inner=None) -> ScalarField:
+    """Extend a field off the domain of a Lipschitz profile.
 
-    ``evaluate`` sees (k, n) batches.  The points are checked where they
-    enter: the last axis must be n wide, with every coordinate finite.
-    A 1-d point gives a scalar value.  ``with_grad`` adds the ``grad``
-    and ``value_and_grad`` views of the same evaluation.
+    The evaluator is linear in u by construction and vanishes
+    identically outside the doubled domain.  Each view pulls its batch
+    back once (``_pullback``) and then reads u once at the
+    pulled-back points, through ``inner`` when given: then the field
+    extended is u o inner.  The views take (..., n) points, checked
+    where they enter: the last axis must be n wide, with every
+    coordinate finite.  When the field carries an analytic gradient,
+    the extension carries the chain-rule gradient too (it is exact off
+    the seam set, which has measure zero; every profile a route hands it
+    has a closed-form slope, which the bisection view has not), and
+    ``value_and_grad`` returns both from one pass.
     """
+    n = ctx.spec.n
 
     def view(gradient, pick):
         def call(z):
@@ -220,35 +235,14 @@ def _field(name: str, n: int, evaluate, with_grad: bool) -> ScalarField:
                 raise ValueError(f"point has dimension {z.shape[-1] if z.ndim else 0}, "
                                  f"spec has n={n}")
             geometry._finite(z)
-            val, grad = evaluate(z.reshape(-1, n), gradient)
-            if z.ndim == 1:
-                return pick(float(val[0]), None if grad is None else grad[0])
+            val, grad = _pullback(ctx, z.reshape(-1, n), gradient, inner)(u)
             return pick(val.reshape(z.shape[:-1]), None if grad is None else grad.reshape(z.shape))
 
         return call
 
-    grads = (view(True, lambda v, g: g), view(True, lambda v, g: (v, g))) if with_grad else ()
-    return ScalarField(name, view(False, lambda v, g: v), *grads)
-
-
-def extend_lipschitz(ctx: ExtensionContext, u: ScalarField, inner=None) -> ScalarField:
-    """Extend a field off the domain of a Lipschitz profile.
-
-    The evaluator is linear in u by construction and vanishes
-    identically outside the doubled domain.  Each view pulls its batch
-    back once (``_pullback``) and then reads u once at the
-    pulled-back points, through ``inner`` when given: then the field
-    extended is u o inner.  When the field carries an analytic gradient,
-    the extension carries the chain-rule gradient too (it is exact off
-    the seam set, which has measure zero; every profile a route hands it
-    has a closed-form slope, which the bisection view has not), and
-    ``value_and_grad`` returns both from one pass.
-    """
-
-    def evaluate(Z, with_grad):
-        return _pullback(ctx, Z, with_grad, inner)(u)
-
-    return _field(f"extend({u.name})", ctx.spec.n, evaluate, u.grad is not None)
+    grads = ((view(True, lambda v, g: g), view(True, lambda v, g: (v, g)))
+             if u.grad is not None else ())
+    return ScalarField(f"extend({u.name})", view(False, lambda v, g: v), *grads)
 
 
 @dataclass(frozen=True)
@@ -263,10 +257,9 @@ class ConjugatedExtension:
     ``push(v) -> (values, gradients or None)`` for any field v:
     ``pullback(W)`` for E^ at straightened points, ``field_pullback(Z)``
     for E at original-frame points (values only) and
-    ``input_pullback(W)`` for v o T^-1.  The field views read through
-    them: ``hat_field(u)`` is E^(u o T^-1), in straightened coordinates
-    (where quadrature is cheap and exact), ``field(u)`` is E u and
-    ``hat_input(u)`` is u o T^-1 (u itself on the direct route).
+    ``input_pullback(W)`` for v o T^-1.  The one field view,
+    ``hat_field(u)``, is E^(u o T^-1) in straightened coordinates (where
+    quadrature is cheap and exact).
     """
 
     spec: DomainSpec
@@ -281,19 +274,6 @@ class ConjugatedExtension:
 
     def hat_field(self, u: ScalarField) -> ScalarField:
         return extend_lipschitz(self.hat_context, u, self.inner)
-
-    def hat_input(self, u: ScalarField) -> ScalarField:
-        if self.inner is None:
-            return u
-        return _field(f"{u.name}~straightened", self.spec.n,
-                      lambda w, with_grad: self.input_pullback(w, with_grad)(u),
-                      u.grad is not None)
-
-    def field(self, u: ScalarField) -> ScalarField:
-        if self.inner is None:
-            return self.hat_field(u)
-        return _field(f"extend({u.name})", self.spec.n,
-                      lambda z, with_grad: self.field_pullback(z)(u), False)
 
     def pullback(self, W, with_grad: bool = True):
         return _pullback(self.hat_context, W, with_grad, self.inner)
@@ -312,10 +292,10 @@ class ConjugatedExtension:
 def extend_general(psi, n: int) -> ConjugatedExtension:
     """The extension operator of an arbitrary cusp profile's domain, by straightening.
 
-    The restriction of ``field(u)`` to the original domain reproduces u
-    up to the round-trip error of the straightening map (below 1e-8 for
-    smooth fields).  When u carries an analytic gradient, so do
-    ``hat_input(u)`` and ``hat_field(u)``.
+    E u, read through ``field_pullback``, reproduces u on the original
+    domain up to the round-trip error of the straightening map (below
+    1e-8 for smooth fields).  When u carries an analytic gradient, so do
+    ``input_pullback(W, True)`` and ``hat_field(u)``.
     """
     spec = DomainSpec(n, psi)
     norm_spec, scale = geometry.normalize(spec)

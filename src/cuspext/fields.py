@@ -130,14 +130,9 @@ def make_field(name: str, n: int, **params) -> ScalarField:
 
 
 def linear_combination(alpha: float, u: ScalarField, beta: float, v: ScalarField) -> ScalarField:
-    """alpha*u + beta*v with gradients combined when both are present."""
+    """alpha*u + beta*v, values only."""
 
     def fn(z):
         return alpha * u.fn(z) + beta * v.fn(z)
 
-    grad = None
-    if u.grad is not None and v.grad is not None:
-        def grad(z):
-            return alpha * u.grad(z) + beta * v.grad(z)
-
-    return ScalarField(f"{alpha}*{u.name}+{beta}*{v.name}", fn, grad)
+    return ScalarField(f"{alpha}*{u.name}+{beta}*{v.name}", fn)

@@ -123,7 +123,7 @@ def split(z, n: int):
     return t, x, row_norm(x)
 
 
-def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray | bool:
+def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray:
     """Membership relaxed by ``band`` in every strict inequality.
 
     Used to exclude a thin boundary layer from exactness assertions: a
@@ -132,8 +132,6 @@ def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray | bool:
     profiles stay relaxed across their breakpoints.
     """
     t, _, r = split(z, spec.n)
-    scalar = t.ndim == 0
-    t, r = np.atleast_1d(t), np.atleast_1d(r)
     psi1 = spec.psi1
     te = np.minimum(t + band, 1.0)  # > 0 on the cusp points: t + band > 0 exactly there
     cusp = (t > -band) & (t <= 1.0 + band)
@@ -141,8 +139,7 @@ def contains_with_margin(spec: DomainSpec, z, band: float) -> np.ndarray | bool:
     if np.any(cusp):
         in_cusp[cusp] = r[cusp] < spec.psi.value(te[cusp]) + band
     in_tube = (t >= 1.0 - band) & (t < 2.0 + band) & (r < psi1 + band)
-    out = in_cusp | in_tube
-    return bool(out[0]) if scalar else out
+    return in_cusp | in_tube
 
 
 def _require_normalized(spec: DomainSpec):
@@ -246,27 +243,21 @@ def sample_ball(n: int, t, radius, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def classify_extension_region(spec: DomainSpec, z, R=None):
+def classify_extension_region(spec: DomainSpec, z, R):
     """Assign each point to one branch of the extension geometry.
 
-    On 0 < t <= 2, with R = psi(min(t, 1)): CORE for |x| <= R, COLLAR
-    for R < |x| < 2R.  The end cap is 2 < t < 3, |x| < 2R = 2 psi(1).
-    Points on outer collar boundaries fall to OUTSIDE, where the
-    extension vanishes anyway.  A caller that has R(t) already passes
-    it as ``R`` and saves the profile read.
+    On 0 < t <= 2, with R = psi(min(t, 1)) the collar radius at the
+    points (``collar_radius``), which the caller passes: CORE for
+    |x| <= R, COLLAR for R < |x| < 2R.  The end cap is 2 < t < 3,
+    |x| < 2R = 2 psi(1).  Points on outer collar boundaries fall to
+    OUTSIDE, where the extension vanishes anyway.
     """
     t, _, r = split(z, spec.n)
-    scalar = t.ndim == 0
-    t, r = np.atleast_1d(t), np.atleast_1d(r)
-
-    R = collar_radius(spec, t) if R is None else np.atleast_1d(R)
     body = (t > 0.0) & (t <= 2.0)
     label = np.full(t.shape, int(ExtRegion.OUTSIDE), dtype=np.int64)
     label[body & (r <= R)] = ExtRegion.CORE
     label[body & (r > R) & (r < 2.0 * R)] = ExtRegion.COLLAR
     label[(t > 2.0) & (t < 3.0) & (r < 2.0 * R)] = ExtRegion.END_CAP
-    if scalar:
-        return ExtRegion(int(label[0]))
     return label
 
 

@@ -159,10 +159,8 @@ def reprofile(psi: CuspProfile) -> CuspProfile:
 
 
 def hat_values(psi: CuspProfile, t_hats) -> np.ndarray:
-    """The re-profiling hat_psi at a point (a float) or an array of points in (0, 1]."""
-    t_hats = _check_t(t_hats)
-    r_sol = reprofile(psi)._eval(t_hats)
-    return r_sol if t_hats.ndim else float(r_sol)
+    """The re-profiling hat_psi at an array of points in (0, 1]."""
+    return reprofile(psi)._eval(_check_t(t_hats))
 
 
 def hat_profile(psi: CuspProfile, grid) -> StepProfile:
@@ -218,8 +216,7 @@ class LipschitzizedProfile(CuspProfile):
 
     def _eval(self, t):
         t = np.asarray(t, dtype=float)
-        r_sol = _stacked_values([self], t.reshape(1, -1)).reshape(t.shape)
-        return r_sol if t.ndim else float(r_sol)
+        return _stacked_values([self], t.reshape(1, -1)).reshape(t.shape)
 
     @property
     def value_at_1(self) -> float:

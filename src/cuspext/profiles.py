@@ -326,7 +326,7 @@ def make_profile(kind: str, **params) -> CuspProfile:
     return table
 
 
-def load_profile_csv(path_or_buffer) -> StepProfile:
+def load_profile_csv(path) -> StepProfile:
     """Load a tabulated profile from two-column CSV (breakpoint, value).
 
     Breakpoints must ascend within (0, 1] and end at 1; values must be
@@ -334,11 +334,8 @@ def load_profile_csv(path_or_buffer) -> StepProfile:
     ProfileFormatError with the offending row index (0-based, header
     excluded if present).
     """
-    if hasattr(path_or_buffer, "read"):
-        rows = list(csv.reader(path_or_buffer))
-    else:
-        with open(path_or_buffer, newline="") as fh:
-            rows = list(csv.reader(fh))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     if rows and rows[0] and not _is_number(rows[0][0]):
         rows = rows[1:]  # optional header
     breaks, values = [], []
@@ -356,20 +353,13 @@ def load_profile_csv(path_or_buffer) -> StepProfile:
     return StepProfile(breaks, values, kind="tabulated")
 
 
-def save_profile_csv(profile: StepProfile, path_or_buffer) -> None:
+def save_profile_csv(profile: StepProfile, path) -> None:
     """Write a step/tabulated profile in the load_profile_csv format."""
-    if hasattr(path_or_buffer, "write"):
-        _write_rows(profile, path_or_buffer)
-    else:
-        with open(path_or_buffer, "w", newline="") as fh:
-            _write_rows(profile, fh)
-
-
-def _write_rows(profile, fh):
-    writer = csv.writer(fh)
-    writer.writerow(["breakpoint", "value"])
-    for b, v in zip(profile.breaks, profile.values):
-        writer.writerow([repr(float(b)), repr(float(v))])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["breakpoint", "value"])
+        for b, v in zip(profile.breaks, profile.values):
+            writer.writerow([repr(float(b)), repr(float(v))])
 
 
 def _is_number(s: str) -> bool:

@@ -184,9 +184,8 @@ def _check_finite(values: np.ndarray, Z: np.ndarray):
     # one reduction accepts; the mask below only names the first bad node
     if np.isfinite(values).all():
         return
-    i = int(np.argmax(~np.isfinite(values)))
-    raise QuadratureError(f"non-finite integrand sample at node {tuple(Z[i])}",
-                          node=tuple(Z[i]))
+    node = tuple(Z[int(np.argmax(~np.isfinite(values)))].tolist())
+    raise QuadratureError(f"non-finite integrand sample at node {node}", node=node)
 
 
 def _weighted_p_sum(vals, W, p, Z) -> float:
@@ -292,7 +291,7 @@ class NormReport:
 
 
 def extension_ratio(fields, ext: ConjugatedExtension, pq,
-                    scheme: QuadratureScheme | None = None) -> list[list[NormReport]]:
+                    scheme: QuadratureScheme) -> list[list[NormReport]]:
     """Extension-norm ratios of several fields under ``ext``, with refinement stability estimates.
 
     One list per field, in order, of one report per (p, q) pair, in
@@ -311,8 +310,6 @@ def extension_ratio(fields, ext: ConjugatedExtension, pq,
     and each is reduced to its norms for every exponent over the whole
     node set at once, so the blocks change no bit of a report.
     """
-    if scheme is None:
-        scheme = QuadratureScheme()
     fields = list(fields)
     if not fields:
         raise ValueError("need at least one field")

@@ -229,7 +229,7 @@ def verify_image(spec: DomainSpec, sample_count: int, rng_seed: int) -> ImageChe
     )
 
 
-def seam_continuity(spec: DomainSpec, per_seam: int = 200, rng_seed: int = 0) -> dict:
+def seam_continuity(spec: DomainSpec, per_seam: int, rng_seed: int) -> dict:
     """Worst straddle-pair stretch factor per seam and separation (geometry.SEAM_DELTAS).
 
     A continuous piecewise map keeps the factor bounded and stable as

@@ -32,8 +32,7 @@ SEAM_PAIRS = 200  # straddle pairs per seam and separation (geometry.SEAM_DELTAS
 REFINEMENT_DELTA_BOUND = float(np.nextafter(0.05, 0.0))  # refinement_delta < 0.05
 
 
-def trace_check(ext: ConjugatedExtension, fields, count: int = 10_000,
-                rng_seed: int = 0) -> list[Check]:
+def trace_check(ext: ConjugatedExtension, fields, count: int, rng_seed: int) -> list[Check]:
     """Worst |E u - u| on the original domain; 0.0 means bitwise equality at every sample."""
     rng = np.random.default_rng(rng_seed)
     z = sample_domain(ext.spec, count, rng)
@@ -53,8 +52,8 @@ def linearity_check(ext: ConjugatedExtension, fields, v: ScalarField,
             for u in fields]
 
 
-def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
-                         rng_seed: int = 0) -> list[Check]:
+def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int,
+                         rng_seed: int) -> list[Check]:
     """Linear decay of E^(u o T^-1) toward the outer boundary, in the straightened frame.
 
     Rays step inward from the collar/cap boundary; the admissible
@@ -105,7 +104,7 @@ def boundary_decay_check(ext: ConjugatedExtension, fields, rays: int = 1000,
 
 
 def seam_continuity_check(ext: ConjugatedExtension, fields,
-                          rng_seed: int = 0) -> list[tuple[tuple[Check, ...], str | None]]:
+                          rng_seed: int) -> list[tuple[tuple[Check, ...], str | None]]:
     """Continuity of E^(u o T^-1) across every seam, per u: (checks, worst seam).
 
     One Check per seam and separation bounds seam_jumps' jump by cap * delta

@@ -1,8 +1,8 @@
 """Test-side helpers the library itself never calls."""
 
-import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from cuspext.lipschitzify import (
     hat_values,
     reprofile,
 )
-from cuspext.profiles import _T_EPS, StepProfile, save_profile_csv
+from cuspext.profiles import _T_EPS, StepProfile, load_profile_csv, save_profile_csv
 from cuspext.quadrature import Slab, _weighted_p_sum, build_nodes
 from cuspext.transform import DistortionReport, inverse_map, inverse_partials, sample_box
 
@@ -47,22 +47,40 @@ class SupportReport:
     samples: int
 
 
+def region_labels(spec: DomainSpec, z) -> np.ndarray:
+    """geometry.classify_extension_region, passed R = collar_radius at the points' t."""
+    t = np.asarray(z, dtype=float)[..., 0]
+    return geometry.classify_extension_region(spec, z, geometry.collar_radius(spec, t))
+
+
 def support_check(ctx: ExtensionContext, ext_field: ScalarField,
                   count: int = 5000, rng_seed: int = 0) -> SupportReport:
     """The extension must vanish identically outside the doubled domain."""
     rng = np.random.default_rng(rng_seed)
     z = sample_box(ctx.spec.n, 4 * count, rng, t_range=(-1.0, 4.0), radius=2.0)
-    label = geometry.classify_extension_region(ctx.spec, z)
+    label = region_labels(ctx.spec, z)
     outside = z[np.asarray(label) == ExtRegion.OUTSIDE][:count]
     vals = np.abs(np.asarray(ext_field.fn(outside)))
     return SupportReport(bool(np.all(vals == 0.0)), float(vals.max()),
                          int(outside.shape[0]))
 
 
-def profile_to_csv_text(profile: StepProfile) -> str:
-    buf = io.StringIO()
-    save_profile_csv(profile, buf)
-    return buf.getvalue()
+# a three-row table in load_profile_csv's format, header included
+CSV_TABLE = "breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n"
+
+
+def load_csv_text(text: str, directory) -> StepProfile:
+    """load_profile_csv on ``text``, written to profile.csv under ``directory``."""
+    path = Path(directory) / "profile.csv"
+    path.write_text(text)
+    return load_profile_csv(path)
+
+
+def csv_round_trip(profile: StepProfile, directory) -> StepProfile:
+    """``profile`` through save_profile_csv and load_profile_csv, via a file under ``directory``."""
+    path = Path(directory) / "saved.csv"
+    save_profile_csv(profile, path)
+    return load_profile_csv(path)
 
 
 # the dyadic staircase: breakpoints 2^-k under values 0.25 * 4^-k, k = 60 ... 0
@@ -80,7 +98,8 @@ def hat_pair(psi, t_hat: float):
     i's value, where t = c t_hat - r.
     """
     t_hat = float(t_hat)
-    r, hat = hat_values(psi, t_hat), reprofile(psi)  # hat_values rejects t_hat outside (0, 1]
+    # hat_values rejects t_hat outside (0, 1]
+    r, hat = float(hat_values(psi, [t_hat])[0]), reprofile(psi)
     if hat is psi:
         return t_hat, r, False
     if isinstance(hat, LipschitzizedProfile):
@@ -177,7 +196,7 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
     spec = ctx.spec
     slope = spec.psi.derivative
 
-    def batched(inner, cap_value, scalar_value):
+    def batched(inner, cap_value):
         def call(z):
             z = np.asarray(z, dtype=float)
             if not np.all(np.isfinite(z)):
@@ -188,14 +207,12 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
             if np.any(cap):
                 pulled = extension.end_cap_pullback(Z[cap])
                 out[cap] = cap_value(Z[cap], pulled)
-            if z.ndim == 1:
-                return scalar_value(out[0])
             return out.reshape(z.shape[:-1] + out.shape[1:])
 
         return call
 
     def eval_inner(Z):
-        label = geometry.classify_extension_region(spec, Z)
+        label = region_labels(spec, Z)
         out = np.zeros(Z.shape[0])
         core = label == ExtRegion.CORE
         if np.any(core):
@@ -209,7 +226,7 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
         return cutoff_cap(Z) * eval_inner(pulled)[0]
 
     def grad_inner(Z):
-        label = geometry.classify_extension_region(spec, Z)
+        label = region_labels(spec, Z)
         out = np.zeros_like(Z)
         core = label == ExtRegion.CORE
         if np.any(core):
@@ -227,8 +244,8 @@ def unfused_extension(ctx: ExtensionContext, u: ScalarField) -> ScalarField:
         gcap[:, 0] = -val_inner - cut * g_inner[:, 0]
         return gcap
 
-    return ScalarField(f"extend({u.name})", batched(eval_inner, cap_value, float),
-                       batched(grad_inner, cap_gradient, lambda g: g))
+    return ScalarField(f"extend({u.name})", batched(eval_inner, cap_value),
+                       batched(grad_inner, cap_gradient))
 
 
 # -- the straightening map with every branch formula on every point -----------

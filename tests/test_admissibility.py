@@ -34,7 +34,7 @@ def test_inc1_convergent_oracle():
     # integrand reduces to t^0.5; the full integral is exactly 2/3
     res = check_inc1(PowerProfile(1.5), 2.0, 3)
     assert res.classification == CONVERGENT
-    assert res.value == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert res.partial_sum == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_inc1_divergent_and_self_edge():
@@ -58,8 +58,8 @@ def test_inc2_log_weight_oracle():
     res = check_inc2(PowerProfile(2.0), 2.0, 3, 4.0)
     assert res.classification == CONVERGENT
     want_partial = 60.0 / (61.0 * math.log(2.0))
-    assert res.value == pytest.approx(want_partial, abs=1e-9)
-    assert res.value + 1.0 / (61.0 * math.log(2.0)) == pytest.approx(
+    assert res.partial_sum == pytest.approx(want_partial, abs=1e-9)
+    assert res.partial_sum + 1.0 / (61.0 * math.log(2.0)) == pytest.approx(
         1.0 / math.log(2.0), abs=1e-9)
 
 

@@ -185,7 +185,7 @@ def test_trace_record(psi, bound):
     ext, u = extend(psi, 3), make_field("wave", 3)
     z = sample_domain(ext.spec, 500, np.random.default_rng(1))
     [check] = verify.trace_check(ext, [u], count=500, rng_seed=1)
-    assert check == Check(float(np.max(np.abs(ext.field(u).fn(z) - u.fn(z)))), bound)
+    assert check == Check(float(np.max(np.abs(ext.field_pullback(z)(u)[0] - u.fn(z)))), bound)
     assert check.ok
     [drift, nan] = verify.trace_check(ext, [drifting_field(), nan_field()], count=500,
                                       rng_seed=1)
@@ -199,8 +199,10 @@ def test_linearity_record():
                                radius=0.6)
     u = make_field("axial", 3)
     [good, drift, nan] = verify.linearity_check(ext, [u, drifting_field(), nan_field()], v, pts)
-    ew = ext.field(linear_combination(0.7, u, -1.3, v)).fn(pts)
-    want = np.max(np.abs(ew - (0.7 * ext.field(u).fn(pts) - 1.3 * ext.field(v).fn(pts))))
+    def eu(f):
+        return ext.field_pullback(pts)(f)[0]
+
+    want = np.max(np.abs(eu(linear_combination(0.7, u, -1.3, v)) - (0.7 * eu(u) - 1.3 * eu(v))))
     assert good == Check(float(want), 1e-12) and good.ok
     assert drift.value > 1e-3 and not drift.ok
     assert np.isnan(nan.value) and not nan.ok

@@ -704,10 +704,17 @@ _PSI1_OVERFLOW = ("profile: psi(1) = 1e+308 is too large to normalize: "
     ({"command": "transform-verify", "profile": OVERFLOWING_TABLE, "seed": 1}, 3, _PSI1_OVERFLOW),
     ({"command": "extend-verify", "profile": OVERFLOWING_TABLE, "seed": 1,
       "extend": TINY_EXTEND}, 3, _PSI1_OVERFLOW),
+    # the direct route with a Lipschitz constant, or a collar wall 2 psi(1), that is not
+    # finite: the runs printed numpy RuntimeWarnings and exited 4 naming a quadrature node
+    ({"command": "extend-verify", "profile": {"kind": "power", "exponent": 2.0, "coeff": 1e308},
+      "seed": 1, "extend": TINY_EXTEND}, 3, "profile: Lipschitz constant = inf is not finite"),
+    ({"command": "extend-verify", "profile": {"kind": "power", "exponent": 1.5, "coeff": 1e308},
+      "seed": 1, "extend": TINY_EXTEND}, 3, "profile: 2 psi(1) = inf is not finite"),
 ], ids=["sweep-start-rounds-to-1", "sweep-stop-overflows-the-grid", "lipschitzify-hat-underflow",
         "extend-power-1000", "extend-step-1e-300", "transform-normalization-underflow",
         "extend-normalization-underflow", "transform-power-psi1-overflow",
-        "transform-step-psi1-overflow", "extend-step-psi1-overflow"])
+        "transform-step-psi1-overflow", "extend-step-psi1-overflow",
+        "extend-power-lipschitz-overflow", "extend-power-collar-overflow"])
 def test_edge_configs_end_in_an_exit_code_with_a_field_level_message(tmp_path, capsys, cfg,
                                                                      code, field):
     # exit 2, 3 or 4 with a message naming the field, or exit 0 with no

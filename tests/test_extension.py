@@ -1,11 +1,13 @@
-import io
 from collections import Counter
 
 import numpy as np
 import pytest
 from fd_oracle import central_difference
 from helpers import (
+    CSV_TABLE,
     cutoff_cusp_gradient,
+    load_csv_text,
+    region_labels,
     support_check,
     unfused_extension,
     unfused_straightened_input,
@@ -23,14 +25,13 @@ from cuspext.extension import (
     extend_lipschitz,
 )
 from cuspext.fields import LIBRARY, ScalarField, make_field
-from cuspext.geometry import DomainSpec, ExtRegion, classify_extension_region
+from cuspext.geometry import DomainSpec, ExtRegion
 from cuspext.lipschitzify import hat_profile
 from cuspext.profiles import (
     LinearProfile,
     PiecewiseLinearProfile,
     PowerProfile,
     StepProfile,
-    load_profile_csv,
 )
 from cuspext.transform import sample_domain
 from cuspext import verify
@@ -229,7 +230,7 @@ def test_extend_general_matches_direct_on_domain():
     conj = extend_general(LinearProfile(0.25), 3)
     rng = np.random.default_rng(9)
     z = sample_domain(LIN_SPEC, 5000, rng)
-    assert np.max(np.abs(direct.fn(z) - conj.field(u).fn(z))) <= 1e-9
+    assert np.max(np.abs(direct.fn(z) - conj.field_pullback(z)(u)[0])) <= 1e-9
 
 
 def test_extend_general_linearity():
@@ -253,22 +254,26 @@ def test_extend_chooses_one_route(psi, frame):
     u = make_field("wave", 3)
     ext = extend(psi, 3)
     assert ext.frame == frame
-    if frame == "direct":
-        assert ext.inner is None and ext.hat_input(u) is u and ext.scale == 1.0
-        want = extend_lipschitz(ExtensionContext(DomainSpec(3, psi)), u)
-        pairs = [(ext.field(u), want), (ext.hat_field(u), want)]
-    else:
-        want = extend_general(psi, 3)
-        pairs = [(ext.field(u), want.field(u)), (ext.hat_field(u), want.hat_field(u)),
-                 (ext.hat_input(u), want.hat_input(u))]
     rng = np.random.default_rng(11)
     z = np.concatenate([rng.uniform(-0.5, 3.5, size=(2000, 1)),
                         rng.uniform(-0.6, 0.6, size=(2000, 2))], axis=1)
-    for got, ref in pairs:
-        assert np.array_equal(got.fn(z), ref.fn(z))
-        assert (got.grad is None) == (ref.grad is None)
-        if ref.grad is not None:
-            assert np.array_equal(got.grad(z), ref.grad(z))
+    hat = ext.hat_field(u)
+    got = [ext.field_pullback(z)(u), (hat.fn(z), hat.grad(z)), ext.input_pullback(z, True)(u)]
+    if frame == "direct":
+        # E is E^ itself, and u o T^-1 is u
+        assert ext.inner is None and ext.scale == 1.0
+        ref = extend_lipschitz(ExtensionContext(DomainSpec(3, psi)), u)
+        want = [(ref.fn(z), None), (ref.fn(z), ref.grad(z)), (u.fn(z), u.grad(z))]
+    else:
+        ref = extend_general(psi, 3)
+        ref_hat = ref.hat_field(u)
+        want = [ref.field_pullback(z)(u), (ref_hat.fn(z), ref_hat.grad(z)),
+                ref.input_pullback(z, True)(u)]
+    for (value, grad), (want_value, want_grad) in zip(got, want):
+        assert np.array_equal(value, want_value)
+        assert (grad is None) == (want_grad is None)
+        if want_grad is not None:
+            assert np.array_equal(grad, want_grad)
 
 
 def test_extension_fd_gradient_matches_cutoff_gradient(lin_ctx):
@@ -355,14 +360,16 @@ GUARD_PROFILES = {
     "linear": LinearProfile(0.25),
     "step": StepProfile([0.5, 1.0], [0.1, 0.2]),
     "tabulated": hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20)),
-    "csv": load_profile_csv(io.StringIO("breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n")),
+    "csv": CSV_TABLE,  # loaded from a file by the test
     "normalized-step": StepProfile([0.3, 1.0], [0.4, 0.9]),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GUARD_PROFILES))
-def test_every_library_field_has_gradient_on_both_routes(kind):
+def test_every_library_field_has_gradient_on_both_routes(kind, tmp_path):
     psi = GUARD_PROFILES[kind]
+    if isinstance(psi, str):
+        psi = load_csv_text(psi, tmp_path)
     z = np.array([[0.5, 0.01, 0.0], [1.5, 0.01, 0.0], [2.5, 0.01, 0.0]])
     for name in sorted(LIBRARY):
         u = make_field(name, 3)
@@ -390,8 +397,8 @@ def test_straightened_collar_values_do_not_depend_on_batch(psi):
     s = np.linspace(1.1, 2.9, 40)  # tube collar, then end cap inside and over the collar
     others = np.stack([s, np.where(s < 2.0, 1.5, 0.6) * psi1, np.full_like(s, 0.01)], axis=1)
     spec = conj.hat_context.spec
-    assert np.all(classify_extension_region(spec, cusp) == ExtRegion.COLLAR)
-    assert set(classify_extension_region(spec, others)) == {ExtRegion.COLLAR, ExtRegion.END_CAP}
+    assert np.all(region_labels(spec, cusp) == ExtRegion.COLLAR)
+    assert set(region_labels(spec, others)) == {ExtRegion.COLLAR, ExtRegion.END_CAP}
     batch = np.concatenate([cusp, others])
     assert np.array_equal(eu.fn(cusp), eu.fn(batch)[:t.size])
     assert np.array_equal(eu.grad(cusp), eu.grad(batch)[:t.size])
@@ -401,10 +408,8 @@ def _entry_views(u):
     """Every evaluator of the extension operator a point can enter, on both routes."""
     direct = extend_lipschitz(ExtensionContext(POW_SPEC), u)
     conj = extend_general(StepProfile([0.5, 1.0], [0.1, 0.2]), 3)
-    hat, hat_input = conj.hat_field(u), conj.hat_input(u)
-    return [direct.fn, direct.grad, direct.value_and_grad, conj.field(u).fn,
-            hat.fn, hat.grad, hat.value_and_grad,
-            hat_input.fn, hat_input.grad, hat_input.value_and_grad]
+    hat = conj.hat_field(u)
+    return [direct.fn, direct.grad, direct.value_and_grad, hat.fn, hat.grad, hat.value_and_grad]
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.1, 0.0], [0.5, np.nan, 0.0],
@@ -445,7 +450,7 @@ def _mixed_points(spec, count, seed):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     r = rng.uniform(0.0, 2.5, count) * geometry.collar_radius(spec, t)
     z = np.concatenate([t[:, None], r[:, None] * direction], axis=1)
-    assert set(classify_extension_region(spec, z)) == set(ExtRegion)
+    assert set(region_labels(spec, z)) == set(ExtRegion)
     return z
 
 
@@ -464,14 +469,13 @@ def test_fused_pass_matches_unfused_evaluators(kind, name):
     ref_input = u
     if ext.frame == "straightened":
         ref_input = unfused_straightened_input(u, psi, 3)
-        hat_input = ext.hat_input(u)
-        value, gradient = hat_input.value_and_grad(z)
+        value, gradient = ext.input_pullback(z, True)(u)
         assert np.array_equal(value, ref_input.fn(z))
         assert np.array_equal(gradient, ref_input.grad(z))
-        assert np.array_equal(hat_input.grad(z), ref_input.grad(z))
+        assert np.array_equal(ext.input_pullback(z)(u)[0], ref_input.fn(z))
     ref, eu = unfused_extension(ext.hat_context, ref_input), ext.hat_field(u)
 
-    label = classify_extension_region(spec, z)
+    label = region_labels(spec, z)
     points = [z[int(np.argmax(label == region))] for region in ExtRegion]
     for batch in [z, z.reshape(30, 100, 3)] + points:
         want_value, want_grad = ref.fn(batch), ref.grad(batch)
@@ -488,10 +492,12 @@ def test_fused_pass_matches_unfused_evaluators(kind, name):
 def test_hat_field_reads_u_through_the_one_pullback(kind, name):
     # E^(u o T^-1) reads u through the operator's inverse pullback; extending
     # the pulled-back field u o T^-1 as a field of its own gives the same bits
-    ext = extend_general(FUSED_PROFILES[kind], 3)
+    psi = FUSED_PROFILES[kind]
+    ext = extend_general(psi, 3)
     u = make_field(name, 3)
     z = _mixed_points(ext.hat_context.spec, 2000, seed=15)
-    got, want = ext.hat_field(u), extend_lipschitz(ext.hat_context, ext.hat_input(u))
+    got = ext.hat_field(u)
+    want = extend_lipschitz(ext.hat_context, unfused_straightened_input(u, psi, 3))
     assert np.array_equal(got.fn(z), want.fn(z))
     assert np.array_equal(got.grad(z), want.grad(z))
     for part, ref in zip(got.value_and_grad(z), want.value_and_grad(z)):
@@ -521,7 +527,7 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
     counted(PiecewiseLinearProfile, "derivative")  # the two-step profile's hat
     for eu, spec in ((direct, POW_SPEC), (conj.hat_field(u), conj.hat_context.spec)):
         z = _mixed_points(spec, 2000, seed=13)
-        no_cap = z[classify_extension_region(spec, z) != ExtRegion.END_CAP]
+        no_cap = z[region_labels(spec, z) != ExtRegion.END_CAP]
         calls.clear()
         eu.value_and_grad(no_cap)
         # R' of every cusp point comes from one slope read
@@ -530,7 +536,7 @@ def test_fused_pass_classifies_and_pulls_back_once_per_batch(monkeypatch):
         eu.value_and_grad(z)  # the end cap's mirror images take one more, off the cusp
         assert calls["classify_extension_region"] == 2 and calls["derivative"] == 1
     calls.clear()
-    conj.hat_input(u).value_and_grad(z)
+    conj.input_pullback(z, True)(u)
     # one branch split per point serves the inverse map and its partials
     assert calls == {"inverse_map": 1, "_inverse_branches": 1}
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import region_labels
 
 from cuspext import geometry
 from cuspext.errors import NotNormalizedError
@@ -8,7 +9,6 @@ from cuspext.geometry import (
     DomainSpec,
     ExtRegion,
     classify_bilip_region,
-    classify_extension_region,
     contains_with_margin,
     normalize,
     row_norm,
@@ -31,14 +31,15 @@ def spec_norm():
 
 
 def test_contains_examples(spec_t2):
-    assert contains_with_margin(spec_t2, [0.5, 0.1, 0.0], 0.0) is True
-    assert contains_with_margin(spec_t2, [0.5, 0.25, 0.0], 0.0) is False  # boundary excluded
-    assert contains_with_margin(spec_t2, [1.5, 0.9, 0.0], 0.0) is True    # tube part
-    assert contains_with_margin(spec_t2, [2.0, 0.0, 0.0], 0.0) is False   # tube is open at t = 2
-    assert contains_with_margin(spec_t2, [-0.1, 0.0, 0.0], 0.0) is False
+    assert bool(contains_with_margin(spec_t2, [0.5, 0.1, 0.0], 0.0)) is True
+    assert bool(contains_with_margin(spec_t2, [0.5, 0.25, 0.0], 0.0)) is False  # boundary excluded
+    assert bool(contains_with_margin(spec_t2, [1.5, 0.9, 0.0], 0.0)) is True  # tube part
+    # the tube is open at t = 2
+    assert bool(contains_with_margin(spec_t2, [2.0, 0.0, 0.0], 0.0)) is False
+    assert bool(contains_with_margin(spec_t2, [-0.1, 0.0, 0.0], 0.0)) is False
     # below 1e-300 the radius is read at t itself: psi(1e-310) = 2.5e-311 > 0 = |x|
-    assert contains_with_margin(DomainSpec(3, LinearProfile(0.25)), [1e-310, 0.0, 0.0],
-                                0.0) is True
+    assert bool(contains_with_margin(DomainSpec(3, LinearProfile(0.25)), [1e-310, 0.0, 0.0],
+                                     0.0)) is True
 
 
 def test_contains_dimension_mismatch(spec_t2):
@@ -105,13 +106,11 @@ def test_boundary_t_sum_monotone():
 
 def test_classify_extension_examples():
     spec = DomainSpec(3, LinearProfile(0.25))
-    assert classify_extension_region(spec, [0.5, 0.2, 0.0]) == ExtRegion.COLLAR
-    assert classify_extension_region(spec, [0.5, 0.05, 0.0]) == ExtRegion.CORE
-    assert classify_extension_region(spec, [2.5, 0.3, 0.0]) == ExtRegion.END_CAP
-    assert classify_extension_region(spec, [1.5, 0.3, 0.0]) == ExtRegion.COLLAR
-    assert classify_extension_region(spec, [1.5, 0.1, 0.0]) == ExtRegion.CORE
-    assert classify_extension_region(spec, [3.5, 0.1, 0.0]) == ExtRegion.OUTSIDE
-    assert classify_extension_region(spec, [0.5, 0.6, 0.0]) == ExtRegion.OUTSIDE
+    z = [[0.5, 0.2, 0.0], [0.5, 0.05, 0.0], [2.5, 0.3, 0.0], [1.5, 0.3, 0.0], [1.5, 0.1, 0.0],
+         [3.5, 0.1, 0.0], [0.5, 0.6, 0.0]]
+    assert list(region_labels(spec, z)) == [ExtRegion.COLLAR, ExtRegion.CORE, ExtRegion.END_CAP,
+                                            ExtRegion.COLLAR, ExtRegion.CORE, ExtRegion.OUTSIDE,
+                                            ExtRegion.OUTSIDE]
 
 
 def test_classify_extension_covers_doubled_domain():
@@ -124,7 +123,7 @@ def test_classify_extension_covers_doubled_domain():
     r = outer * rng.uniform(0.0, 1.0 - 1e-9, size=count)
     theta = rng.uniform(0.0, 2 * np.pi, size=count)
     z = np.stack([t, r * np.cos(theta), r * np.sin(theta)], axis=1)
-    label = classify_extension_region(spec, z)
+    label = region_labels(spec, z)
     assert np.all(label != ExtRegion.OUTSIDE)
 
 
@@ -149,9 +148,9 @@ def test_contains_with_margin_step_jump():
     spec = DomainSpec(3, StepProfile([0.5, 1.0], [0.1, 0.2]))
     # just left of the jump at the higher radius: inside the band only
     z = [0.5 - 1e-12, 0.15, 0.0]
-    assert contains_with_margin(spec, z, 0.0) is False
-    assert contains_with_margin(spec, z, 1e-8) is True
-    assert contains_with_margin(spec, [0.5, 0.5, 0.0], 1e-8) is False
+    assert bool(contains_with_margin(spec, z, 0.0)) is False
+    assert bool(contains_with_margin(spec, z, 1e-8)) is True
+    assert bool(contains_with_margin(spec, [0.5, 0.5, 0.0], 1e-8)) is False
 
 
 @pytest.mark.parametrize("m", range(1, 13))

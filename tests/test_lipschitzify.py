@@ -5,10 +5,10 @@ import pytest
 from fd_oracle import central_difference
 from helpers import (
     DYADIC_STAIRCASE,
+    csv_round_trip,
     hat_pair,
     one_phase_bracket_floor,
     one_phase_solve_bisect,
-    profile_to_csv_text,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +33,6 @@ from cuspext.profiles import (
     LinearProfile,
     PowerProfile,
     StepProfile,
-    load_profile_csv,
 )
 
 TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2])
@@ -439,8 +438,8 @@ def test_hat_below_profile_infimum():
 
 def test_hat_endpoint_convention():
     for psi in (PowerProfile(2.0), TWO_STEP, LinearProfile(0.3)):
-        value = hat_values(psi, 1.0)
-        assert type(value) is float and value == psi.value_at_1
+        [value] = hat_values(psi, [1.0])
+        assert value == psi.value_at_1
 
 
 def test_hat_domain_errors():
@@ -593,9 +592,9 @@ def test_hat_profile_grid_validation():
             hat_profile(psi, grid)
 
 
-def test_hat_profile_csv_round_trip():
+def test_hat_profile_csv_round_trip(tmp_path):
     table = hat_profile(PowerProfile(2.0), np.linspace(0.1, 1.0, 10))
-    back = load_profile_csv(__import__("io").StringIO(profile_to_csv_text(table)))
+    back = csv_round_trip(table, tmp_path)
     assert np.array_equal(back.breaks, table.breaks)
     assert np.array_equal(back.values, table.values)
 

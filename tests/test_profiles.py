@@ -1,9 +1,8 @@
-import io
 import re
 
 import numpy as np
 import pytest
-from helpers import mask_check_t, profile_to_csv_text
+from helpers import CSV_TABLE, csv_round_trip, load_csv_text, mask_check_t
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,13 +207,15 @@ def random_table(seed):
 
 @pytest.mark.parametrize("psi, want", [
     (StepProfile([0.5, 1.0], [0.1, 0.2]), 2.0),
-    (load_profile_csv(io.StringIO("breakpoint,value\n0.25,0.05\n0.5,0.1\n1.0,0.2\n")), 2.0),
+    (CSV_TABLE, 2.0),  # loaded from a file by the test
     (STAIRCASE, 4.0),
     (StepProfile([1.0], [0.2]), 1.0),
     (random_table(3), None),
     (random_table(4), None),
 ], ids=["two-step", "csv", "staircase", "one-row", "random-3", "random-4"])
-def test_table_doubling_constant_is_the_sup_of_its_rows(psi, want):
+def test_table_doubling_constant_is_the_sup_of_its_rows(psi, want, tmp_path):
+    if isinstance(psi, str):
+        psi = load_csv_text(psi, tmp_path)
     grid_sup = float(np.max(psi.value(2.0 * DOUBLING_GRID) / psi.value(DOUBLING_GRID)))
     assert psi.doubling_constant == grid_sup
     assert want is None or psi.doubling_constant == want
@@ -249,25 +250,24 @@ def test_make_profile_rejects_bad_keys(kind, params, message):
         make_profile(kind, **params)
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
     step = StepProfile([0.25, 0.5, 1.0], [0.0625, 0.125, 0.25], kind="tabulated")
-    text = profile_to_csv_text(step)
-    back = load_profile_csv(io.StringIO(text))
+    back = csv_round_trip(step, tmp_path)
     assert np.array_equal(back.breaks, step.breaks)
     assert np.array_equal(back.values, step.values)
 
 
-def test_csv_loader_row_errors():
+def test_csv_loader_row_errors(tmp_path):
     with pytest.raises(ProfileFormatError, match="row 1"):
-        load_profile_csv(io.StringIO("0.5,0.2\n1.0,0.1\n"))
+        load_csv_text("0.5,0.2\n1.0,0.1\n", tmp_path)
     with pytest.raises(ProfileFormatError, match="row 1"):
-        load_profile_csv(io.StringIO("breakpoint,value\n0.5,0.1\n1.0,abc\n"))
+        load_csv_text("breakpoint,value\n0.5,0.1\n1.0,abc\n", tmp_path)
     with pytest.raises(ProfileFormatError, match="row 0"):
-        load_profile_csv(io.StringIO("breakpoint,value\n"))
+        load_csv_text("breakpoint,value\n", tmp_path)
     with pytest.raises(ProfileFormatError, match="row 1: value inf not finite"):
-        load_profile_csv(io.StringIO("0.5,0.1\n1.0,inf\n"))
+        load_csv_text("0.5,0.1\n1.0,inf\n", tmp_path)
     with pytest.raises(ProfileFormatError, match="two columns"):
-        load_profile_csv(io.StringIO("0.5\n"))
+        load_csv_text("0.5\n", tmp_path)
 
 
 def test_csv_file_round_trip(tmp_path):

@@ -1,9 +1,12 @@
-"""Every top-level function and class in ``src/cuspext`` is reached from ``src/``.
+"""Every top-level definition and class member in ``src/cuspext`` is reached from ``src/``.
 
 A definition that no module names (as a ``Name``, an ``Attribute`` or an
 import alias) is code that no command runs; it either goes or is listed
-in ``UNREACHED`` with the reason it stays.  ``__init__.py`` is not
-scanned: a re-export there would count as a use.
+in ``UNREACHED`` with the reason it stays.  A method or property of a
+class counts as reached only when some ``Attribute`` names it: a bare
+name or an import alias of the same spelling (``dataclasses.field``, say)
+is not a read of the member.  ``__init__.py`` is not scanned: a
+re-export there would count as a use.
 """
 
 import ast
@@ -58,3 +61,21 @@ def test_the_list_holds_only_unreached_definitions():
     defined, referenced = _defined(trees), _referenced(trees)
     assert sorted(name for name in UNREACHED
                   if name not in defined or name in referenced) == []
+
+
+def _members(trees):
+    """``Class.member`` of every non-dunder method and property of a class."""
+    return {f"{node.name}.{item.name}"
+            for tree in trees.values()
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
+def test_every_class_member_is_named_as_an_attribute():
+    trees = _trees()
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    assert sorted(member for member in _members(trees)
+                  if member.split(".", 1)[1] not in attributes) == []

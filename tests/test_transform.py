@@ -123,7 +123,7 @@ def test_inverse_partials_match_oracle_on_every_branch():
 
 
 def test_seam_continuity_stable():
-    report = seam_continuity(SPEC, per_seam=200)
+    report = seam_continuity(SPEC, per_seam=200, rng_seed=0)
     for per_delta in report.values():
         vals = list(per_delta.values())
         assert max(vals) <= 10.0
