@@ -17,7 +17,8 @@
 # directions), lipschitzify
 # on a power cusp with grids from 1e-12 and from 1e-100 (the hat solve's
 # closing phase at the tip), lipschitzify on t^1.05 from 1e-300 (the only
-# run whose hat values are subnormal, 2.07e-315 first), nine edge configs
+# run whose hat values are subnormal, 2.07e-315 first), lipschitzify on a
+# one-point grid [1.0] (no point the doubling check can test), nine edge configs
 # that end in exit 3 (a sweep whose first row rounds to 1.0, a sweep whose
 # grid would overflow, lipschitzify on t^2 from 1e-200, where the hat
 # underflows, transform-verify and extend-verify on a table whose row 0
@@ -30,9 +31,12 @@
 # runs on the profile paths no workload reaches (a rescaled power and step
 # profile, a linear profile, a csv table, the radial-sq field), with and
 # without --dump-points --dump-slices, once on <base-ref> and once on the
-# working tree, and prints `diff -rq` of the two output trees (each run's
-# exit code included).  The base tree is extracted with `git archive`
-# into a temporary directory, so no worktree metadata is left behind.
+# working tree, and prints `diff -rq` of the two output trees.  Each run
+# leaves its exit code and its log (stdout and stderr, with the source
+# tree's path written as <tree>) beside its output directory, so a changed
+# message or a new warning differs as an artifact does.  The base tree is
+# extracted with `git archive` into a temporary directory, so no worktree
+# metadata is left behind.
 # Exits 0 when every artifact is identical, 1 when one differs and 2 on
 # a usage error.  PYTHON overrides the interpreter (default python3).
 set -euo pipefail
@@ -46,7 +50,7 @@ base=$(git -C "$root" rev-parse --verify "$1^{commit}")
 python=${PYTHON:-python3}
 work=$(mktemp -d "${TMPDIR:-/tmp}/artifact-diff.XXXXXX")
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/base-tree" "$work/configs" "$work/logs"
+mkdir -p "$work/base-tree" "$work/configs"
 git -C "$root" archive "$base" | tar -x -C "$work/base-tree"
 
 for var in OMP_NUM_THREADS OPENBLAS_NUM_THREADS MKL_NUM_THREADS BLIS_NUM_THREADS \
@@ -128,6 +132,10 @@ done
 # t^1.05 from 1e-300, whose first hat value is 2.07e-315
 printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 1.05, "coeff": 1.0}, "n": 3, "seed": 1, "lipschitzify": {"grid_start": 1e-300}}\n' \
     > "$work/configs/lipschitzify-power-subnormal-1e-300.json"
+# a one-point grid [1.0]: no grid point is testable, so the report's
+# doubling_transfer is null
+printf '{"command": "lipschitzify", "profile": {"kind": "power", "exponent": 2.0}, "n": 3, "seed": 1, "lipschitzify": {"grid_count": 1}}\n' \
+    > "$work/configs/lipschitzify-one-point-grid.json"
 # edge configs whose exit code is compared: a sweep start that rounds to 1.0 at
 # 12 decimals, a sweep grid past the power exponents' bound, a hat that
 # underflows to 0 at the grid's first point, a table whose row 0 underflows
@@ -200,10 +208,18 @@ run_tree() {  # run_tree <source tree> <label>
             mkdir -p "$out"
             # shellcheck disable=SC2086  # $dumps is zero or two flags
             PYTHONPATH="$1/src" "$python" -m cuspext.cli --config "$config" --out "$out" $dumps \
-                > "$work/logs/$2-$stem${dumps:+-dumps}.log" 2>&1 && code=0 || code=$?
+                > "$out.log" 2>&1 && code=0 || code=$?
             echo "$code" > "$out.exit"
         done
     done
+    # a traceback names the source tree, which differs between the two runs
+    "$python" - "$work/$2" "$1" <<'EOF'
+import pathlib
+import sys
+
+for log in pathlib.Path(sys.argv[1]).glob("*.log"):
+    log.write_text(log.read_text().replace(sys.argv[2], "<tree>"))
+EOF
 }
 
 cd "$work"  # so that `python -m` cannot pick up a cuspext from the caller's directory

@@ -31,7 +31,6 @@ from .errors import (ConfigError, ConvergenceError, CuspExtError, ProfileDomainE
 from .extension import extend
 from .fields import LIBRARY, make_field
 from .geometry import DomainSpec, normalize
-from .lipschitzify import hat_profile
 from .profiles import MAX_EXPONENT, PROFILE_KEYS, load_profile_csv, make_profile, save_profile_csv
 
 EXIT_OK = 0
@@ -272,11 +271,11 @@ def cmd_lipschitzify(cfg: RunConfig) -> int:
     grid[-1] = 1.0  # a one-point grid is [1.0]
     psi, psi1 = cfg.profile, cfg.profile.value_at_1
     try:
-        table = hat_profile(psi, grid)
+        table, hypothesis, mq, checks = lipschitzify.verify_transfer(psi, grid,
+                                                                     opts["pair_count"], cfg.seed)
     except ProfileDomainError as err:  # the hat underflows to 0 at the grid's first point
         raise ConfigError(f"lipschitzify.grid_start: {err}") from None
     save_profile_csv(table, os.path.join(cfg.out_dir, "hat_profile.csv"))
-    hypothesis, mq, checks = lipschitzify.verify_transfer(psi, grid, opts["pair_count"], cfg.seed)
     doubling = checks.get("doubling_transfer_ok")
     report = {
         "config_echo": cfg.echo,

@@ -257,9 +257,10 @@ class ConjugatedExtension:
     ``push(v) -> (values, gradients or None)`` for any field v:
     ``pullback(W)`` for E^ at straightened points, ``field_pullback(Z)``
     for E at original-frame points (values only) and
-    ``input_pullback(W)`` for v o T^-1.  The one field view,
-    ``hat_field(u)``, is E^(u o T^-1) in straightened coordinates (where
-    quadrature is cheap and exact).
+    ``input_pullback(W)`` for v o T^-1; the first two reject a point
+    that is not finite with ProfileDomainError, as the field views do.
+    The one field view, ``hat_field(u)``, is E^(u o T^-1) in
+    straightened coordinates (where quadrature is cheap and exact).
     """
 
     spec: DomainSpec
@@ -276,14 +277,15 @@ class ConjugatedExtension:
         return extend_lipschitz(self.hat_context, u, self.inner)
 
     def pullback(self, W, with_grad: bool = True):
-        return _pullback(self.hat_context, W, with_grad, self.inner)
+        return _pullback(self.hat_context, geometry._finite(W), with_grad, self.inner)
 
     def field_pullback(self, Z):
         if self.inner is None:
             return self.pullback(Z, False)
         z = Z.copy()
         z[:, 1:] *= self.scale
-        return self.pullback(forward_map(self.norm_spec, z), False)
+        # forward_map rejects a point that is not finite, as pullback does on the direct route
+        return _pullback(self.hat_context, forward_map(self.norm_spec, z), False, self.inner)
 
     def input_pullback(self, W, with_grad: bool = False):
         return _reader(W, with_grad, self.inner)

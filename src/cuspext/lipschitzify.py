@@ -163,14 +163,8 @@ def hat_values(psi: CuspProfile, t_hats) -> np.ndarray:
     return reprofile(psi)._eval(_check_t(t_hats))
 
 
-def hat_profile(psi: CuspProfile, grid) -> StepProfile:
-    """Materialize the re-profiling on a grid as a tabulated profile.
-
-    The grid must ascend and end at 1.0 so the table is total on (0, 1].
-    The table is a step sampling, so like any table it carries no
-    Lipschitz constant, though the function it samples has 1 + psi(1),
-    and its doubling constant is that of its own rows.
-    """
+def _check_grid(grid) -> np.ndarray:
+    """The grid as a float array, checked to ascend strictly and end at 1.0."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ProfileFormatError("grid must be a nonempty 1-d array")
@@ -178,15 +172,22 @@ def hat_profile(psi: CuspProfile, grid) -> StepProfile:
         raise ProfileFormatError("grid must be strictly ascending")
     if grid[-1] != 1.0:
         raise ProfileFormatError(f"grid must end at 1.0, got {grid[-1]}")
-    try:
-        vals = hat_values(psi, grid)
-    except ConvergenceError as err:
-        raise ConvergenceError(f"hat solve failed on grid: {err}",
-                               bracket=err.bracket) from err
-    if not vals[0] > 0.0:  # the hat is positive on (0, 1] and ascends: only underflow reads 0
-        raise ProfileDomainError(f"hat value {float(vals[0])!r} at t_hat = {float(grid[0])!r} "
+    return grid
+
+
+def hat_profile(grid: np.ndarray, hats: np.ndarray) -> StepProfile:
+    """The re-profiling tabulated on a grid, from its hat values there.
+
+    The grid ascends and ends at 1.0 (``verify_transfer`` checks it), so
+    the table is total on (0, 1].  The table is a step sampling, so like
+    any table it carries no Lipschitz constant, though the function it
+    samples has 1 + psi(1), and its doubling constant is that of its own
+    rows.
+    """
+    if not hats[0] > 0.0:  # the hat is positive on (0, 1] and ascends: only underflow reads 0
+        raise ProfileDomainError(f"hat value {float(hats[0])!r} at t_hat = {float(grid[0])!r} "
                                  f"has underflowed, need > 0")
-    return StepProfile(grid, np.maximum.accumulate(vals), kind="tabulated")
+    return StepProfile(grid, np.maximum.accumulate(hats), kind="tabulated")
 
 
 class LipschitzizedProfile(CuspProfile):
@@ -266,15 +267,14 @@ class MonotoneQuotientResult:
     violation: tuple | None  # (t_hat_1, t_hat_2, q1, q2)
 
 
-def verify_monotone_quotient(psi: CuspProfile, grid) -> MonotoneQuotientResult:
-    """Check hat_psi(t)/t is nondecreasing across the grid.
+def verify_monotone_quotient(grid: np.ndarray, hats: np.ndarray) -> MonotoneQuotientResult:
+    """Check hat_psi(t)/t is nondecreasing along an ascending grid, from the hat values there.
 
     Meaningful under the hypothesis that psi(t)/t is itself
     nondecreasing; on other inputs a False result documents the
     hypothesis dependence rather than a solver defect.
     """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    q, drop = _quotient_drops(hat_values(psi, grid), grid)
+    q, drop = _quotient_drops(hats, grid)
     if np.any(drop):
         i = int(np.argmax(drop))
         return MonotoneQuotientResult(
@@ -308,23 +308,16 @@ class DoublingTransferResult:
     max_ratio: float
 
 
-def verify_doubling_transfer(psi: CuspProfile, grid) -> DoublingTransferResult | None:
-    """Check hat_psi(2t) <= max(2, C) * hat_psi(t) on the admissible range.
+def verify_doubling_transfer(psi: CuspProfile, h1: np.ndarray,
+                             h2: np.ndarray) -> DoublingTransferResult | None:
+    """Check hat_psi(2t) <= max(2, C) * hat_psi(t) from h1 = hat_psi(t) and h2 = hat_psi(2t).
 
     C is the profile's doubling constant, which a table derives from its
-    rows.  Only grid points with t <= 1 / (2 (1 + psi(1))) are testable,
-    since the pair at 2t must exist; with none of them the result is None.
+    rows.  Only points with t <= 1 / (2 (1 + psi(1))) are testable, since
+    the pair at 2t must exist; with none of them the result is None.
     """
-    grid = np.asarray(grid, dtype=float)
-    if not np.isfinite(grid).all():
-        bad = grid[~np.isfinite(grid)].flat[0]
-        raise ProfileDomainError(f"grid point not finite: {bad!r}")
-    psi1 = psi.value_at_1
-    grid = grid[(grid > 0.0) & (grid <= 1.0 / (2.0 * (1.0 + psi1)))]
-    if grid.size == 0:
+    if h1.size == 0:
         return None
-    h1 = hat_values(psi, grid)
-    h2 = hat_values(psi, 2.0 * grid)
     bound = max(2.0, float(psi.doubling_constant))
     # additive slack: each hat value carries up to SOLVE_TOL of absolute solver
     # error, which dominates the ratio near the tip where values vanish
@@ -333,15 +326,27 @@ def verify_doubling_transfer(psi: CuspProfile, grid) -> DoublingTransferResult |
 
 
 def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int):
-    """The re-profiled cusp's transfer checks: (hypothesis holds, monotone quotient, checks)."""
+    """The re-profiled cusp's table and checks: (table, hypothesis holds, quotient, checks).
+
+    One hat solve, of the grid, both columns of the seeded pairs and the
+    doubles of the grid's testable prefix, serves every check through
+    its slice; a hat value does not depend on its batch (see
+    ``_solve_bisect``), so each slice has the bits of a solve of its own.
+    The grid is checked before the solve, and the table's row 0 for
+    underflow before any check divides by a hat value.
+    """
+    grid = _check_grid(grid)
     pairs = np.random.default_rng(rng_seed).uniform(1e-9, 1.0, size=(pair_count, 2))
-    va, vb = hat_values(psi, pairs[:, 0]), hat_values(psi, pairs[:, 1])
+    doubled = 2.0 * grid[grid <= 1.0 / (2.0 * (1.0 + psi.value_at_1))]
+    hats = hat_values(psi, np.concatenate([grid, pairs[:, 0], pairs[:, 1], doubled]))
+    on_grid, va, vb, h2 = np.split(hats, np.cumsum([grid.size, pair_count, pair_count]))
+    table = hat_profile(grid, on_grid)
     slack = np.abs(va - vb) - (1.0 + psi.value_at_1) * np.abs(pairs[:, 0] - pairs[:, 1])
     checks = {"lipschitz_bound_ok": Check(float(np.max(slack)), LIPSCHITZ_SLACK_TOLS * SOLVE_TOL)}
     hypothesis = quotient_hypothesis_holds(psi, grid)
-    mq = verify_monotone_quotient(psi, grid)
+    mq = verify_monotone_quotient(grid, on_grid)
     if hypothesis:
         checks["monotone_quotient_ok"] = mq
-    if dt := verify_doubling_transfer(psi, grid):
+    if dt := verify_doubling_transfer(psi, on_grid[:h2.size], h2):
         checks["doubling_transfer_ok"] = dt
-    return hypothesis, mq, checks
+    return table, hypothesis, mq, checks

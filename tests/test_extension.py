@@ -8,6 +8,7 @@ from helpers import (
     cutoff_cusp_gradient,
     load_csv_text,
     region_labels,
+    solved_hat_profile,
     support_check,
     unfused_extension,
     unfused_straightened_input,
@@ -26,7 +27,6 @@ from cuspext.extension import (
 )
 from cuspext.fields import LIBRARY, ScalarField, make_field
 from cuspext.geometry import DomainSpec, ExtRegion
-from cuspext.lipschitzify import hat_profile
 from cuspext.profiles import (
     LinearProfile,
     PiecewiseLinearProfile,
@@ -57,7 +57,8 @@ def test_context_requires_lipschitz_profile():
 
 
 @pytest.mark.parametrize("psi", [StepProfile([1.0], [0.2]), StepProfile([0.5, 1.0], [0.1, 0.2]),
-                                 hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20))],
+                                 solved_hat_profile(PowerProfile(2.0),
+                                                    np.linspace(0.05, 1.0, 20))],
                          ids=["one-row", "two-step", "hat-table"])
 def test_a_table_is_always_straightened(psi):
     # the route follows the profile's type: a table carries no Lipschitz constant
@@ -359,7 +360,7 @@ def test_straightened_gradient_matches_oracle(psi, name):
 GUARD_PROFILES = {
     "linear": LinearProfile(0.25),
     "step": StepProfile([0.5, 1.0], [0.1, 0.2]),
-    "tabulated": hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20)),
+    "tabulated": solved_hat_profile(PowerProfile(2.0), np.linspace(0.05, 1.0, 20)),
     "csv": CSV_TABLE,  # loaded from a file by the test
     "normalized-step": StepProfile([0.3, 1.0], [0.4, 0.9]),
 }
@@ -420,6 +421,27 @@ def test_non_finite_points_rejected(bad):
         for z in (np.array(bad), np.array([[0.5, 0.01, 0.0], bad])):
             with pytest.raises(ProfileDomainError, match="not finite"):
                 f(z)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.5, np.nan, 0.0],
+                                 [np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0]],
+                         ids=["nan-t", "nan-x", "inf", "-inf"])
+@pytest.mark.parametrize("psi", [PowerProfile(2.0), StepProfile([0.5, 1.0], [0.1, 0.2])],
+                         ids=["direct", "straightened"])
+def test_pullbacks_reject_non_finite_points(psi, bad, monkeypatch):
+    # the direct route read a NaN point as outside the support, value 0
+    ext = extend(psi, 3)
+    Z = np.array([bad, [0.5, 0.01, 0.0]])
+    for pull in (ext.pullback, ext.field_pullback):
+        with pytest.raises(ProfileDomainError, match="not finite"):
+            pull(Z)
+    # one finiteness check per call: the straightened field pullback's is forward_map's
+    calls = []
+    real = geometry._finite
+    monkeypatch.setattr(geometry, "_finite", lambda z: calls.append(1) or real(z))
+    for pull in (ext.pullback, ext.field_pullback):
+        pull(Z[1:])(make_field("constant", 3))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", [0.5, [0.5, 0.01, 0.0, 0.7, 0.0, 0.0], [0.5, 0.01],

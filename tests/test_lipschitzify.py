@@ -9,6 +9,10 @@ from helpers import (
     hat_pair,
     one_phase_bracket_floor,
     one_phase_solve_bisect,
+    separate_solve_transfer,
+    solved_doubling_transfer,
+    solved_hat_profile,
+    solved_monotone_quotient,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,13 +24,10 @@ from cuspext.lipschitzify import (
     LipschitzizedProfile,
     _solve_bisect,
     _stacked_values,
-    hat_profile,
     hat_values,
     monotone_quotient_ok,
     quotient_hypothesis_holds,
     reprofile,
-    verify_doubling_transfer,
-    verify_monotone_quotient,
 )
 from cuspext.profiles import (
     CuspProfile,
@@ -568,32 +569,37 @@ def test_squeeze_bound_continuous():
 def test_hat_profile_materialization():
     psi = PowerProfile(2.0)
     grid = np.array([0.25, 0.5, 0.75, 1.0])
-    table = hat_profile(psi, grid)
+    table = solved_hat_profile(psi, grid)
     assert table.kind == "tabulated"
     assert table.lipschitz_constant is None  # a table never carries one, a hat table included
     assert table.value(0.5) == pytest.approx(R_GOLDEN, abs=1e-12)
     assert table.value(1.0) == 1.0
-    singleton = hat_profile(psi, [1.0])
+    singleton = solved_hat_profile(psi, [1.0])
     assert singleton.value(1.0) == 1.0
-    lin_table = hat_profile(LinearProfile(0.25), grid)
+    lin_table = solved_hat_profile(LinearProfile(0.25), grid)
     assert np.array_equal(lin_table.values, 0.25 * grid)
 
 
 def test_hat_profile_grid_validation():
+    # the transfer checks reject a grid no table can be built on before they solve
     psi = PowerProfile(2.0)
+
+    def transfer(grid):
+        return lipschitzify.verify_transfer(psi, grid, 10, 1)
+
     with pytest.raises(ProfileFormatError, match="end at 1"):
-        hat_profile(psi, [0.5, 0.9])
+        transfer([0.5, 0.9])
     with pytest.raises(ProfileFormatError, match="ascending"):
-        hat_profile(psi, [0.5, 0.5, 1.0])
+        transfer([0.5, 0.5, 1.0])
     with pytest.raises(ProfileFormatError, match="nonempty"):
-        hat_profile(psi, [])
+        transfer([])
     for grid in ([0.5, np.nan, 1.0], [np.nan, 1.0], [np.nan, np.nan, 1.0]):
         with pytest.raises(ProfileFormatError, match="ascending"):
-            hat_profile(psi, grid)
+            transfer(grid)
 
 
 def test_hat_profile_csv_round_trip(tmp_path):
-    table = hat_profile(PowerProfile(2.0), np.linspace(0.1, 1.0, 10))
+    table = solved_hat_profile(PowerProfile(2.0), np.linspace(0.1, 1.0, 10))
     back = csv_round_trip(table, tmp_path)
     assert np.array_equal(back.breaks, table.breaks)
     assert np.array_equal(back.values, table.values)
@@ -686,30 +692,30 @@ def test_quotient_hypothesis():
 
 def test_monotone_quotient():
     grid = np.geomspace(1e-4, 1.0, 100)
-    assert verify_monotone_quotient(PowerProfile(2.0), grid).ok
-    assert verify_monotone_quotient(LinearProfile(0.25), grid).ok
+    assert solved_monotone_quotient(PowerProfile(2.0), grid).ok
+    assert solved_monotone_quotient(LinearProfile(0.25), grid).ok
     # constant profile: psi(t)/t decreases, and the transfer fails with it
     flat = StepProfile([1.0], [0.2])
-    res = verify_monotone_quotient(flat, grid)
+    res = solved_monotone_quotient(flat, grid)
     assert not res.ok
     assert res.violation is not None
     # the stacked check: one solve, each row's ok that of the one-profile check;
     # a table's piecewise-linear hat is continuous, and its flats make the quotient drop
     psis = [PowerProfile(2.0), reprofile(TWO_STEP), PowerProfile(2.5, 0.25)]
-    want = [verify_monotone_quotient(psi, grid).ok for psi in psis]
+    want = [solved_monotone_quotient(psi, grid).ok for psi in psis]
     assert monotone_quotient_ok(psis, grid).tolist() == want == [True, False, True]
 
 
 def test_doubling_transfer():
     grid = np.geomspace(1e-5, 0.2, 60)
-    res = verify_doubling_transfer(PowerProfile(2.0), grid)
+    res = solved_doubling_transfer(PowerProfile(2.0), grid)
     assert res.ok and res.bound == 4.0 and res.max_ratio <= 4.0 + 1e-9
-    res = verify_doubling_transfer(LinearProfile(0.25), grid)
+    res = solved_doubling_transfer(LinearProfile(0.25), grid)
     assert res.ok and res.max_ratio == pytest.approx(2.0, abs=1e-9)
-    res = verify_doubling_transfer(TWO_STEP, grid)
+    res = solved_doubling_transfer(TWO_STEP, grid)
     assert res.ok and res.bound == 2.0
     # a one-row table's rows give C = 1, so the bound is 2
-    res = verify_doubling_transfer(StepProfile([1.0], [0.2]), grid)
+    res = solved_doubling_transfer(StepProfile([1.0], [0.2]), grid)
     assert res.ok and res.bound == 2.0
 
 
@@ -720,18 +726,56 @@ def test_doubling_transfer_holds_with_the_rows_constant():
     for _ in range(40):
         breaks = np.unique(np.append(rng.uniform(0.01, 0.99, rng.integers(0, 12)), 1.0))
         table = StepProfile(breaks, np.sort(rng.uniform(1e-3, 1.0, breaks.size)))
-        res = verify_doubling_transfer(table, grid)
+        res = solved_doubling_transfer(table, grid)
         assert res.ok and res.bound == max(2.0, table.doubling_constant), (table.breaks, res)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 1, 2])
 def test_doubling_transfer_rejects_non_finite_grid(bad, where):
-    # the range filter would drop these and judge the rest
-    grid = [0.1, 0.2]
+    # the doubling check's range filter would drop these and judge the rest: the
+    # transfer checks reject the grid before the solve or any check reads it
+    grid = [0.1, 0.2, 1.0]
     grid.insert(where, bad)
-    with pytest.raises(ProfileDomainError, match="not finite"):
-        verify_doubling_transfer(PowerProfile(2.0), grid)
+    with pytest.raises((ProfileFormatError, ProfileDomainError), match="ascending|outside"):
+        lipschitzify.verify_transfer(PowerProfile(2.0), grid, 10, 1)
+
+
+# (profile, grid_start) of the runs whose table and checks the one solve must keep:
+# the workload's t^2, the closing phase at the tip, subnormal hat values, and two
+# tables (a table's hat is read off its rows, with no solve)
+ONE_SOLVE_CASES = {
+    "t^2": (PowerProfile(2.0), 1e-6),
+    "0.6t^2.7-from-1e-100": (PowerProfile(2.7, 0.6), 1e-100),
+    "t^1.05-from-1e-300": (PowerProfile(1.05), 1e-300),
+    "two-step": (TWO_STEP, 1e-6),
+    "staircase": (DYADIC_STAIRCASE, 1e-6),
+}
+
+
+def _transfer_bits(table, hypothesis, mq, checks):
+    """verify_transfer's result with every float as its hex string."""
+    def bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, (tuple, list)):
+            return [bits(v) for v in x]
+        return x
+
+    records = {key: {f: bits(v) for f, v in vars(rec).items()} for key, rec in checks.items()}
+    return (table.breaks.tobytes(), table.values.tobytes(), hypothesis,
+            {f: bits(v) for f, v in vars(mq).items()}, records)
+
+
+@pytest.mark.parametrize("case", ONE_SOLVE_CASES, ids=ONE_SOLVE_CASES)
+def test_one_solve_matches_a_solve_per_check(case):
+    # verify_transfer's one hat solve, sliced per check, against a solve per check
+    psi, start = ONE_SOLVE_CASES[case]
+    grid = np.geomspace(start, 1.0, 200)
+    grid[-1] = 1.0
+    for seed in (1, 1009):
+        assert _transfer_bits(*lipschitzify.verify_transfer(psi, grid, 3000, seed)) == \
+            _transfer_bits(*separate_solve_transfer(psi, grid, 3000, seed))
 
 
 def right_limit(psi, t):

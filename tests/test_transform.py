@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from fd_oracle import central_difference
 from helpers import (
+    fresh_draw_transform,
     select_bilip_labels,
     select_distortion_sample,
     select_forward_map,
@@ -295,6 +296,19 @@ def test_transform_blocks_change_no_bit(spec, monkeypatch):
     for block in (7, 999, 4096):
         monkeypatch.setattr(geometry, "BLOCK_NODES", block)
         assert run() == whole
+
+
+@pytest.mark.parametrize("counts", [BLOCKED_COUNTS,
+                                    dict(BLOCKED_COUNTS, distortion_pairs=2_503)],
+                         ids=["unequal", "equal"])
+@pytest.mark.parametrize("spec", [SPEC, ORACLE_SPECS["normalized-step"]],
+                         ids=["power", "normalized-step"])
+def test_shared_draw_matches_fresh_draws(spec, counts):
+    # at equal counts the distortion stage takes the round trip's sample and
+    # generator; either way every bit is that of a fresh draw per stage
+    for seed in (1, 1009):
+        assert _bits(transform.verify_transform(spec, seed, **counts)) == \
+            _bits(fresh_draw_transform(spec, seed, **counts))
 
 
 def test_distortion_sample_all_degenerate_first_block(monkeypatch):
