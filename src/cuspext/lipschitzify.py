@@ -335,13 +335,13 @@ def verify_transfer(psi: CuspProfile, grid, pair_count: int, rng_seed: int):
     The grid is checked before the solve, and the table's row 0 for
     underflow before any check divides by a hat value.
     """
-    grid = _check_grid(grid)
+    grid, c = _check_grid(grid), 1.0 + psi.value_at_1
     pairs = np.random.default_rng(rng_seed).uniform(1e-9, 1.0, size=(pair_count, 2))
-    doubled = 2.0 * grid[grid <= 1.0 / (2.0 * (1.0 + psi.value_at_1))]
+    doubled = 2.0 * grid[grid <= 1.0 / (2.0 * c)]
     hats = hat_values(psi, np.concatenate([grid, pairs[:, 0], pairs[:, 1], doubled]))
     on_grid, va, vb, h2 = np.split(hats, np.cumsum([grid.size, pair_count, pair_count]))
     table = hat_profile(grid, on_grid)
-    slack = np.abs(va - vb) - (1.0 + psi.value_at_1) * np.abs(pairs[:, 0] - pairs[:, 1])
+    slack = np.abs(va - vb) - c * np.abs(pairs[:, 0] - pairs[:, 1])
     checks = {"lipschitz_bound_ok": Check(float(np.max(slack)), LIPSCHITZ_SLACK_TOLS * SOLVE_TOL)}
     hypothesis = quotient_hypothesis_holds(psi, grid)
     mq = verify_monotone_quotient(grid, on_grid)

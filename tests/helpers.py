@@ -1,5 +1,6 @@
 """Test-side helpers the library itself never calls."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -362,6 +363,17 @@ def select_distortion_sample(spec: DomainSpec, pair_count: int,
 # box draw must match bitwise: each check solves its own hat values, as the
 # checks did before they took them, and the distortion stage draws its pairs
 # from a fresh generator after the seam and image stages.
+
+
+def float_bits(result):
+    """A check result with every float as its hex string, records and containers opened."""
+    if dataclasses.is_dataclass(result):
+        return float_bits(dataclasses.asdict(result))
+    if isinstance(result, dict):
+        return {repr(k): float_bits(v) for k, v in result.items()}
+    if isinstance(result, (list, tuple)):
+        return [float_bits(v) for v in result]
+    return float(result).hex() if isinstance(result, float) else result
 
 
 def solved_hat_profile(psi, grid) -> StepProfile:

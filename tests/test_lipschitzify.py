@@ -6,6 +6,7 @@ from fd_oracle import central_difference
 from helpers import (
     DYADIC_STAIRCASE,
     csv_round_trip,
+    float_bits,
     hat_pair,
     one_phase_bracket_floor,
     one_phase_solve_bisect,
@@ -753,18 +754,9 @@ ONE_SOLVE_CASES = {
 }
 
 
-def _transfer_bits(table, hypothesis, mq, checks):
-    """verify_transfer's result with every float as its hex string."""
-    def bits(x):
-        if isinstance(x, float):
-            return x.hex()
-        if isinstance(x, (tuple, list)):
-            return [bits(v) for v in x]
-        return x
-
-    records = {key: {f: bits(v) for f, v in vars(rec).items()} for key, rec in checks.items()}
-    return (table.breaks.tobytes(), table.values.tobytes(), hypothesis,
-            {f: bits(v) for f, v in vars(mq).items()}, records)
+def _transfer_bits(table, *checks):
+    """verify_transfer's result: the table's bytes and every other float as hex."""
+    return table.breaks.tobytes(), table.values.tobytes(), float_bits(checks)
 
 
 @pytest.mark.parametrize("case", ONE_SOLVE_CASES, ids=ONE_SOLVE_CASES)

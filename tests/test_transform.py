@@ -1,10 +1,10 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from fd_oracle import central_difference
 from helpers import (
+    float_bits,
     fresh_draw_transform,
     select_bilip_labels,
     select_distortion_sample,
@@ -218,7 +218,7 @@ def _batches(points: np.ndarray):
     return [points[0], points, points[:k].reshape(2, k // 2, 3), points[:0]]
 
 
-def _same_bits(got, want):
+def _samefloat_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -233,16 +233,16 @@ def test_branch_split_matches_select_oracle_bitwise(spec):
     image_seams = np.array([[1.0, 0.1, 0.0], [2.0, 0.5 * psi1, 0.0], [1.5, psi1, 0.0],
                             [2.5, psi1, 0.0], [0.5, 0.0, 0.0], [3.0, 2.0, 0.0]])
     for z in _batches(points):
-        assert _same_bits(transform.forward_map(spec, z), select_forward_map(spec, z))
-        assert _same_bits(transform.jacobian(spec, z), select_jacobian(spec, z))
-        assert _same_bits(classify_bilip_region(spec, z), select_bilip_labels(spec, z))
+        assert _samefloat_bits(transform.forward_map(spec, z), select_forward_map(spec, z))
+        assert _samefloat_bits(transform.jacobian(spec, z), select_jacobian(spec, z))
+        assert _samefloat_bits(classify_bilip_region(spec, z), select_bilip_labels(spec, z))
         r = geometry.split(z, 3)[2]
-        assert _same_bits(classify_bilip_region(spec, z, r), select_bilip_labels(spec, z))
+        assert _samefloat_bits(classify_bilip_region(spec, z, r), select_bilip_labels(spec, z))
     for w in _batches(np.concatenate([images, image_seams])):
-        assert _same_bits(transform.inverse_map(spec, w), select_inverse_map(spec, w))
+        assert _samefloat_bits(transform.inverse_map(spec, w), select_inverse_map(spec, w))
         for got, want in zip(transform.inverse_partials(spec, w),
                              select_inverse_partials(spec, w)):
-            assert _same_bits(got, want)
+            assert _samefloat_bits(got, want)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS.keys())
@@ -275,22 +275,11 @@ BLOCKED_COUNTS = {"round_trip_samples": 2_503, "image_samples": 301, "distortion
                   "seam_samples": 23}
 
 
-def _bits(result):
-    """verify_transform's result with every float as its hex string."""
-    if dataclasses.is_dataclass(result):
-        return _bits(dataclasses.asdict(result))
-    if isinstance(result, dict):
-        return {repr(k): _bits(v) for k, v in result.items()}
-    if isinstance(result, (list, tuple)):
-        return [_bits(v) for v in result]
-    return float(result).hex() if isinstance(result, float) else result
-
-
 @pytest.mark.parametrize("spec", [SPEC, ORACLE_SPECS["normalized-step"]],
                          ids=["power", "normalized-step"])
 def test_transform_blocks_change_no_bit(spec, monkeypatch):
     def run():
-        return _bits(transform.verify_transform(spec, 1, **BLOCKED_COUNTS))
+        return float_bits(transform.verify_transform(spec, 1, **BLOCKED_COUNTS))
 
     whole = run()
     for block in (7, 999, 4096):
@@ -307,8 +296,8 @@ def test_shared_draw_matches_fresh_draws(spec, counts):
     # at equal counts the distortion stage takes the round trip's sample and
     # generator; either way every bit is that of a fresh draw per stage
     for seed in (1, 1009):
-        assert _bits(transform.verify_transform(spec, seed, **counts)) == \
-            _bits(fresh_draw_transform(spec, seed, **counts))
+        assert float_bits(transform.verify_transform(spec, seed, **counts)) == \
+            float_bits(fresh_draw_transform(spec, seed, **counts))
 
 
 def test_distortion_sample_all_degenerate_first_block(monkeypatch):
